@@ -55,9 +55,9 @@ bench-json:
 # Regression guard over the committed baseline: two fresh quick runs, scored
 # best-of-2, must stay within 20% of BENCH_pnr.json on the guarded
 # experiments (see cmd/benchguard). The engine runs in every rebalance mode
-# (-mode all emits engine, engine_sfc, engine_sfc_3d, engine_mlkl,
-# engine_distrefine and engine_hier records), and the coordinator pipeline,
-# the coordinator-free SFC pipeline (2D and 3D keys), the distributed
+# (-mode all emits one engine_<name> record per algorithm registered in
+# internal/pared, engine for pnr, plus engine_sfc_3d), and the coordinator
+# pipeline, the coordinator-free SFC pipeline (2D and 3D keys), the distributed
 # refinement pipeline and the hierarchical node × core pipeline are all
 # guarded, so a regression in any rebalance path fails CI on every PR.
 bench-guard:

@@ -71,7 +71,7 @@ func BenchmarkTheorem61Projection(b *testing.B) {
 
 func BenchmarkFig2EngineCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.EngineDemo(io.Discard, experiments.Quick, "incremental")
+		experiments.EngineDemo(io.Discard, experiments.Quick, "pnr")
 	}
 }
 

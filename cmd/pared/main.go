@@ -19,22 +19,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"pared/internal/core"
 	"pared/internal/fem"
-	"pared/internal/graph"
 	"pared/internal/meshgen"
 	"pared/internal/par"
 	"pared/internal/pared"
-	"pared/internal/partition/mlkl"
-	"pared/internal/partition/rsb"
 	"pared/internal/refine"
 )
 
 func main() {
 	p := flag.Int("p", 8, "number of ranks")
 	problem := flag.String("problem", "corner", "corner|transient")
-	algo := flag.String("algo", "pnr", "repartitioner: pnr|rsb|mlkl|sfc|distrefine|hier (sfc is coordinator-free, distrefine rank-splits the PNR refinement sweeps, hier partitions two-level over -topo)")
+	algo := flag.String("algo", "pnr", "repartitioner: "+strings.Join(pared.AlgorithmNames(), "|")+" (sfc is coordinator-free, distrefine rank-splits the PNR refinement sweeps, hier partitions two-level over -topo)")
 	topo := flag.String("topo", "", "hier topology as NxC (nodes x cores per node, N*C = -p); empty picks the most balanced factorization")
 	penalty := flag.Float64("penalty", 0, "hier inter-node edge penalty (0 = default 4)")
 	grid := flag.Int("grid", 20, "initial mesh resolution")
@@ -44,45 +41,22 @@ func main() {
 	traceOn := flag.Bool("trace", false, "emit per-phase timings from every rank")
 	flag.Parse()
 
-	var repart pared.Repartitioner
-	sfcMode := false
-	hierMode := false
-	distRefine := false
-	switch *algo {
-	case "sfc":
-		sfcMode = true
-	case "hier":
-		hierMode = true
-	case "distrefine":
-		// Leave Repartition nil: DistRefine applies to the default
-		// repartitioner only, and the engine wires its communicator in.
-		distRefine = true
-	case "pnr":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
-			return core.Repartition(g, old, np, core.Config{})
-		}
-	case "rsb":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
-			return rsb.Partition(g, np, rsb.Config{})
-		}
-	case "mlkl":
-		repart = func(g *graph.Graph, old []int32, np int) []int32 {
-			return mlkl.Partition(g, np, mlkl.Config{})
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "pared: unknown algorithm %q\n", *algo)
+	cfg, err := pared.ConfigByName(*algo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	topology := pared.Topology{InterNodePenalty: *penalty}
+	cfg.ImbalanceTrigger = *trigger
+	cfg.Topology.InterNodePenalty = *penalty
 	if *topo != "" {
-		if n, err := fmt.Sscanf(*topo, "%dx%d", &topology.Nodes, &topology.CoresPerNode); n != 2 || err != nil {
+		if n, err := fmt.Sscanf(*topo, "%dx%d", &cfg.Topology.Nodes, &cfg.Topology.CoresPerNode); n != 2 || err != nil {
 			fmt.Fprintf(os.Stderr, "pared: -topo wants NxC (e.g. 4x2), got %q\n", *topo)
 			os.Exit(2)
 		}
-		if topology.Nodes*topology.CoresPerNode != *p {
-			fmt.Fprintf(os.Stderr, "pared: -topo %s does not factor %d ranks\n", *topo, *p)
-			os.Exit(2)
-		}
+	}
+	if _, err := cfg.Topology.Resolve(*p); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	estimator := func(step int) refine.Estimator {
@@ -105,17 +79,10 @@ func main() {
 
 	m0 := meshgen.RectTri(*grid, *grid, -1, -1, 1, 1)
 	tracePrinter := par.NewPrinter(os.Stderr)
-	err := par.Run(*p, func(c *par.Comm) {
-		cfg := pared.Config{Repartition: repart, ImbalanceTrigger: *trigger, DistRefine: distRefine}
-		if sfcMode {
-			cfg = pared.Config{Mode: pared.ModeSFC, ImbalanceTrigger: *trigger}
-		}
-		if hierMode {
-			cfg = pared.Config{Mode: pared.ModeHier, Topology: topology, ImbalanceTrigger: *trigger}
-		}
-		if *traceOn {
-			cfg.Trace = tracePrinter.Println
-		}
+	if *traceOn {
+		cfg.Trace = tracePrinter.Println
+	}
+	err = par.Run(*p, func(c *par.Comm) {
 		e := pared.BootstrapWith(c, m0, cfg)
 		var totalMoved int64
 		for step := 0; step < *steps; step++ {

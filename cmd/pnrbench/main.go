@@ -10,12 +10,12 @@
 //
 // Experiments: fig1, fig3, fig4, fig5, threeway (PNR vs SFC vs ML-KL),
 // fig45_3d, transient (figs 6-8), bound8, thm61, engine, ablation, geo,
-// diffusion, all. The engine experiment runs once per rebalance mode selected
-// by -mode (pnr, sfc, mlkl, distrefine, hier, or all); the emitted records
-// (engine, engine_sfc, engine_sfc_3d, engine_mlkl, engine_distrefine,
-// engine_hier) come from the engineModes registry below, which -mode
-// validation and the `all` expansion share — a registered mode cannot be
-// silently dropped from either.
+// diffusion, all. The engine experiment runs once per rebalance algorithm
+// selected by -mode: a name registered in internal/pared (see
+// pared.AlgorithmNames), or all. The record of algorithm X is engine_X
+// (engine for pnr, plus engine_sfc_3d for sfc); -mode validation and the
+// `all` expansion both read the registry, so a registered algorithm cannot
+// be dropped from either.
 //
 // With -json, a machine-readable performance report (wall time and heap
 // allocation per experiment, plus run metadata) is written to the given
@@ -28,12 +28,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"pared/internal/experiments"
+	"pared/internal/pared"
 )
 
 // benchRecord is one experiment's measured cost. Allocation figures are
@@ -46,8 +48,7 @@ type benchRecord struct {
 	AllocBytes uint64  `json:"alloc_bytes"`
 	// Engine-phase breakdown (engine records only): rank 0 wall time in P1
 	// (local weights), P2 (gather or distributed scan) and P3 (repartition +
-	// migrate), and which rebalance pipeline ran ("incremental", "scratch",
-	// "sfc" or "mlkl").
+	// migrate), and which registered algorithm ran.
 	P1Ms          float64 `json:"p1_ms,omitempty"`
 	P2Ms          float64 `json:"p2_ms,omitempty"`
 	P3Ms          float64 `json:"p3_ms,omitempty"`
@@ -60,25 +61,6 @@ type benchRecord struct {
 	Cut      int64   `json:"cut,omitempty"`
 	InterCut int64   `json:"inter_cut,omitempty"`
 	IntraCut int64   `json:"intra_cut,omitempty"`
-}
-
-// engineModes is the single registry of engine rebalance modes: the -mode
-// flag's validation, the record names, and the `-mode all` expansion are all
-// derived from it, so registering a new mode here is sufficient for it to
-// appear everywhere (the old hand-built list let a new mode be silently
-// dropped from `all`). An empty emode resolves against -scratch at run time.
-var engineModes = []struct {
-	mode   string // -mode value selecting this run
-	record string // benchmark record name
-	emode  string // experiments engine mode ("" = incremental/scratch per -scratch)
-	threeD bool   // drive EngineDemo3D instead of EngineDemo
-}{
-	{mode: "pnr", record: "engine"},
-	{mode: "sfc", record: "engine_sfc", emode: "sfc"},
-	{mode: "sfc", record: "engine_sfc_3d", emode: "sfc", threeD: true},
-	{mode: "mlkl", record: "engine_mlkl", emode: "mlkl"},
-	{mode: "distrefine", record: "engine_distrefine", emode: "distrefine"},
-	{mode: "hier", record: "engine_hier", emode: "hier"},
 }
 
 // benchReport is the -json output: run metadata plus one record per
@@ -99,8 +81,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced sizes (seconds instead of minutes)")
 	svg := flag.String("svg", "", "directory for SVG mesh renderings (fig1, transient)")
 	jsonOut := flag.String("json", "", "write per-experiment wall time and allocation stats to this JSON file")
-	scratch := flag.Bool("scratch", false, "run the engine experiment on the from-scratch rebalance pipeline instead of the incremental one")
-	mode := flag.String("mode", "all", "engine rebalance mode: pnr|sfc|mlkl|distrefine|hier|all (all emits one record per registered mode)")
+	mode := flag.String("mode", "all", "engine rebalance mode: "+strings.Join(pared.AlgorithmNames(), "|")+"|all (all emits one record per registered mode)")
 	flag.Parse()
 
 	scale := experiments.Full
@@ -156,19 +137,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pnrbench: unknown experiment %q (want one of %s)\n", *exp, known)
 		os.Exit(2)
 	}
-	modeKnown := *mode == "all"
-	modeNames := []string{}
-	for _, em := range engineModes {
-		if len(modeNames) == 0 || modeNames[len(modeNames)-1] != em.mode {
-			modeNames = append(modeNames, em.mode)
-		}
-		if em.mode == *mode {
-			modeKnown = true
-		}
-	}
-	if !modeKnown {
-		fmt.Fprintf(os.Stderr, "pnrbench: unknown mode %q (want %s or all)\n",
-			*mode, strings.Join(modeNames, ", "))
+	if _, err := pared.ConfigByName(*mode); *mode != "all" && err != nil {
+		fmt.Fprintf(os.Stderr, "pnrbench: -mode: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -186,37 +156,34 @@ func main() {
 	run("transient3d", func() { experiments.Transient3D(w, scale) })
 	run("bound8", func() { experiments.Section8(w, scale) })
 	run("thm61", func() { experiments.Theorem61(w, scale) })
-	// The engine experiment runs once per requested rebalance mode — every
-	// registry entry whose mode is selected — each as its own record so
-	// benchguard tracks the pipelines independently.
-	pnrMode := "incremental"
-	if *scratch {
-		pnrMode = "scratch"
-	}
-	for _, er := range engineModes {
-		if *mode != "all" && *mode != er.mode {
-			continue
-		}
-		emode, threeD := er.emode, er.threeD
-		if emode == "" {
-			emode = pnrMode
-		}
+	// The engine experiment runs once per requested rebalance algorithm, each
+	// as its own record so benchguard tracks the pipelines independently. sfc
+	// runs a second time on a tetrahedral mesh: its 3D curve keys are a
+	// separate code path.
+	engine := func(record, name string, demo func(io.Writer, experiments.Scale, string) experiments.EnginePhases) {
 		var ph experiments.EnginePhases
-		run(er.record, func() {
-			if threeD {
-				ph = experiments.EngineDemo3D(w, scale, emode)
-			} else {
-				ph = experiments.EngineDemo(w, scale, emode)
-			}
-		}, "engine")
+		run(record, func() { ph = demo(w, scale, name) }, "engine")
 		for i := range report.Records {
-			if report.Records[i].Name == er.record {
+			if report.Records[i].Name == record {
 				r := &report.Records[i]
 				r.P1Ms, r.P2Ms, r.P3Ms = ph.P1Ms, ph.P2Ms, ph.P3Ms
 				r.RebalanceMode = ph.Mode
 				r.HierAMs, r.HierBMs = ph.HierAMs, ph.HierBMs
 				r.Cut, r.InterCut, r.IntraCut = ph.Cut, ph.InterCut, ph.IntraCut
 			}
+		}
+	}
+	for _, name := range pared.AlgorithmNames() {
+		if *mode != "all" && *mode != name {
+			continue
+		}
+		record := "engine_" + name
+		if name == "pnr" {
+			record = "engine"
+		}
+		engine(record, name, experiments.EngineDemo)
+		if name == "sfc" {
+			engine("engine_sfc_3d", name, experiments.EngineDemo3D)
 		}
 	}
 	run("ablation", func() { experiments.Ablation(w, scale) })

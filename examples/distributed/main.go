@@ -53,7 +53,7 @@ func main() {
 				worst = d
 			}
 		}
-		maxErr := c.AllReduceMax(int64(worst * 1e9))
+		maxErr, _ := c.AllReduceMaxSum(int64(worst * 1e9))
 		if c.Rank() == 0 {
 			fmt.Printf("distributed FEM solve: %d CG iterations, L_inf error vs analytic %.2e\n",
 				sol.Iterations, float64(maxErr)/1e9)

@@ -6,18 +6,16 @@ import (
 
 	"pared/internal/fem"
 	"pared/internal/geom"
-	"pared/internal/graph"
 	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
 	"pared/internal/pared"
-	"pared/internal/partition/mlkl"
 )
 
 // EnginePhases is EngineDemo's cost breakdown: rank 0's cumulative wall time
-// per repartitioning phase, and which rebalance pipeline produced it
-// ("incremental", "scratch", "sfc", "mlkl", "distrefine" or "hier"). Cut is
-// the edge cut after the last rebalance that ran, comparable across modes.
+// per repartitioning phase, and which registered algorithm produced it (a
+// pared.AlgorithmNames entry). Cut is the edge cut after the last rebalance
+// that ran, comparable across modes.
 // The hierarchical pipeline additionally reports the split of P3's
 // repartition time into its two levels (HierAMs + HierBMs, both inside P3Ms)
 // and the cut decomposition Cut = InterCut + IntraCut, where only InterCut
@@ -30,39 +28,12 @@ type EnginePhases struct {
 	InterCut, IntraCut int64
 }
 
-// engineConfig maps an EngineDemo mode name onto an engine configuration:
-// "incremental" and "scratch" are the PNR pipeline variants, "sfc" the
-// coordinator-free curve pipeline, "mlkl" the coordinator pipeline with the
-// direct multilevel-KL repartitioner substituted for PNR, "distrefine" the
-// incremental pipeline with the refinement sweep distributed across ranks,
-// "hier" the two-level node × core pipeline over sub-communicators (default
-// topology: the most balanced factorization of p).
-func engineConfig(mode string) pared.Config {
-	switch mode {
-	case "scratch":
-		return pared.Config{Scratch: true}
-	case "sfc":
-		return pared.Config{Mode: pared.ModeSFC}
-	case "mlkl":
-		return pared.Config{Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
-			return mlkl.Partition(g, np, mlkl.Config{})
-		}}
-	case "distrefine":
-		return pared.Config{DistRefine: true}
-	case "hier":
-		return pared.Config{Mode: pared.ModeHier}
-	default:
-		return pared.Config{}
-	}
-}
-
 // EngineDemo drives the full distributed system (Figure 2's phases with real
 // message passing: goroutine ranks, split-edge exchange, rebalance, tree
 // migration) through a shortened transient run, reporting per-step global
 // state. It demonstrates that the engine's migration behaviour matches the
-// serial-path experiments. mode selects the rebalance pipeline: "incremental"
-// (default PNR), "scratch" (from-scratch PNR reference), "sfc"
-// (coordinator-free curve bands) or "mlkl" (coordinator with direct ML-KL).
+// serial-path experiments. mode names the rebalance algorithm as registered
+// in pared.ConfigByName ("" means "pnr").
 func EngineDemo(w io.Writer, scale Scale, mode string) EnginePhases {
 	gridN, steps, p, tol := 16, 8, 4, 1.5e-2
 	if scale == Full {
@@ -101,12 +72,19 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 		Header: []string{"step", "t", "elems", "rounds", "imb before", "moved elems", "moved trees", "imb after"},
 	}
 	if mode == "" {
-		mode = "incremental"
+		mode = "pnr"
 	}
 	ph := EnginePhases{Mode: mode}
+	// Not named err: paredlint's rank taint is per variable, and the err that
+	// par.Run assigns below would make this early return look rank-dependent.
+	cfg, cfgErr := pared.ConfigByName(mode)
+	if cfgErr != nil {
+		fmt.Fprintf(w, "engine demo failed: %v\n", cfgErr)
+		return ph
+	}
 	err := par.Run(p, func(c *par.Comm) {
-		e := pared.BootstrapWith(c, m0, engineConfig(mode))
-		var lastCut int64
+		e := pared.BootstrapWith(c, m0, cfg)
+		var lastCut, interCut, intraCut int64
 		for step := 0; step < steps; step++ {
 			tt := -0.5 + float64(step)/float64(steps-1)
 			est := fem.InterpolationEstimator(sol(tt))
@@ -119,7 +97,7 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 			before := e.Imbalance()
 			st := e.Rebalance(false)
 			if st.Ran {
-				lastCut = st.CutAfter
+				lastCut, interCut, intraCut = st.CutAfter, st.InterCut, st.IntraCut
 			}
 			if c.Rank() == 0 {
 				t.AddRow(step, fmt.Sprintf("%.2f", tt), ast.GlobalLeaves, ast.Rounds,
@@ -136,7 +114,7 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 			ph.P3Ms = float64(e.Phases.P3.Microseconds()) / 1000
 			ph.HierAMs = float64(e.Phases.HierA.Microseconds()) / 1000
 			ph.HierBMs = float64(e.Phases.HierB.Microseconds()) / 1000
-			ph.InterCut, ph.IntraCut = e.LastInterCut, e.LastIntraCut
+			ph.InterCut, ph.IntraCut = interCut, intraCut
 			// The final cut is comparable across modes; for hier it equals
 			// InterCut + IntraCut, and only InterCut crosses node boundaries.
 			ph.Cut = lastCut
@@ -149,6 +127,5 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 	t.Fprint(w)
 	fmt.Fprintf(w, "phase totals (rank 0, %s): P1 %.3fms, P2 %.3fms, P3 %.3fms\n",
 		ph.Mode, ph.P1Ms, ph.P2Ms, ph.P3Ms)
-	_ = mesh.D2
 	return ph
 }

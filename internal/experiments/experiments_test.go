@@ -281,14 +281,14 @@ func TestTheorem61Quick(t *testing.T) {
 
 func TestEngineDemoQuick(t *testing.T) {
 	var buf bytes.Buffer
-	ph := EngineDemo(&buf, Quick, "incremental")
+	ph := EngineDemo(&buf, Quick, "pnr")
 	if strings.Contains(buf.String(), "failed") {
 		t.Fatalf("engine demo failed:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "moved elems") {
 		t.Error("missing table")
 	}
-	if ph.Mode != "incremental" || ph.P3Ms <= 0 {
+	if ph.Mode != "pnr" || ph.P3Ms <= 0 {
 		t.Errorf("phase report not populated: %+v", ph)
 	}
 }

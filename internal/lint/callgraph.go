@@ -40,14 +40,9 @@ const (
 // collectiveNames are the par.Comm methods under the MPI-style ordering
 // contract: every rank must call them in the same order or the run deadlocks.
 var collectiveNames = map[string]bool{
-	"Barrier":      true,
-	"Gather":       true,
-	"Bcast":        true,
-	"Reduce":       true,
-	"AllReduce":    true,
-	"AllReduceSum": true,
-	"AllReduceMax": true,
-	"Alltoall":     true,
+	"Barrier": true,
+	"Gather":  true,
+	"Bcast":   true,
 	// Typed variants (par/typed.go) participate in the same collSeq ordering.
 	"AllReduceMaxSum":    true,
 	"AllReduceSumInt64":  true,

@@ -53,10 +53,10 @@ func okRootWork(c *par.Comm, reps []any) any {
 	return c.Bcast(0, plan)
 }
 
-// okReplicated: AllReduce results are identical on every rank, so branching
+// okReplicated: all-reduce results are identical on every rank, so branching
 // on them keeps the collective sequence in lockstep — no finding.
 func okReplicated(c *par.Comm, doit int64) {
-	if c.AllReduceMax(doit) > 0 {
+	if c.AllReduceSumInt64(doit) > 0 {
 		c.Barrier()
 	}
 }

@@ -35,7 +35,7 @@ func TestCollectiveMismatchDetected(t *testing.T) {
 func TestMatchedCollectivesStillPass(t *testing.T) {
 	err := Run(3, func(c *Comm) {
 		c.Barrier()
-		sum := c.AllReduceSum(int64(c.Rank()))
+		sum := c.AllReduceSumInt64(int64(c.Rank()))
 		if sum != 3 {
 			panic("bad sum")
 		}

@@ -10,7 +10,6 @@ const (
 	tagBarrierDown
 	tagGather
 	tagBcast
-	tagAlltoall
 )
 
 // Barrier blocks until every rank has entered it.
@@ -65,61 +64,4 @@ func (c *Comm) Bcast(root int, value any) any {
 	}
 	data, _ := c.recvSeq(root, tagBcast, seq)
 	return data
-}
-
-// Reduce combines every rank's int64 with op at root (others get 0).
-func (c *Comm) Reduce(root int, value int64, op func(a, b int64) int64) int64 {
-	vals := c.Gather(root, value)
-	if c.rank != root {
-		return 0
-	}
-	acc := vals[0].(int64)
-	for _, v := range vals[1:] {
-		acc = op(acc, v.(int64))
-	}
-	return acc
-}
-
-// AllReduce combines every rank's int64 with op and returns the result on
-// every rank.
-func (c *Comm) AllReduce(value int64, op func(a, b int64) int64) int64 {
-	total := c.Reduce(0, value, op)
-	return c.Bcast(0, total).(int64)
-}
-
-// AllReduceSum sums an int64 across ranks.
-func (c *Comm) AllReduceSum(value int64) int64 {
-	return c.AllReduce(value, func(a, b int64) int64 { return a + b })
-}
-
-// AllReduceMax maximizes an int64 across ranks.
-func (c *Comm) AllReduceMax(value int64) int64 {
-	return c.AllReduce(value, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// Alltoall delivers send[i] to rank i and returns the values received from
-// every rank (indexed by source). send must have length Size.
-func (c *Comm) Alltoall(send []any) []any {
-	if len(send) != c.size {
-		panic("par: Alltoall needs one value per rank")
-	}
-	c.collSeq++
-	seq := c.collSeq
-	recv := make([]any, c.size)
-	recv[c.rank] = send[c.rank]
-	for i := 0; i < c.size; i++ {
-		if i != c.rank {
-			c.sendSeq(i, tagAlltoall, seq, send[i])
-		}
-	}
-	for i := 0; i < c.size-1; i++ {
-		data, from := c.recvSeq(AnySource, tagAlltoall, seq)
-		recv[from] = data
-	}
-	return recv
 }

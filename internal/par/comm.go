@@ -1,12 +1,13 @@
 // Package par is the message-passing runtime PARED runs on: an MPI-like
 // communicator with point-to-point sends/receives and the collectives the
-// repartitioning phases need (Barrier, Gather, Bcast, Reduce, AllReduce,
-// Alltoall). Ranks are goroutines in one process; transport is typed Go
-// channels. Communicators can be split into sub-communicators (Split), so
-// hierarchical algorithms can scope collectives to a node group or to the
-// group leaders. The paper ran on an IBM SP / NOW over MPI; this layer
-// preserves the programming model — per-rank ownership and explicit
-// communication — without the cluster (see DESIGN.md §2, §14).
+// repartitioning phases need: Barrier and the boxed Gather and Bcast here,
+// and the typed reductions, scans, gathers and all-to-all of typed.go. Ranks
+// are goroutines in one process; transport is typed Go channels.
+// Communicators can be split into sub-communicators (Split), so hierarchical
+// algorithms can scope collectives to a node group or to the group leaders.
+// The paper ran on an IBM SP / NOW over MPI; this layer preserves the
+// programming model — per-rank ownership and explicit communication —
+// without the cluster (see DESIGN.md §2, §14).
 package par
 
 import (
@@ -130,6 +131,25 @@ func (ep *endpoint) consumePending(i int) {
 type world struct {
 	size  int
 	boxes []chan message // one inbox per world rank
+
+	// abort is closed by the first rank whose f panics, after it stored the
+	// panic in cause; a peer that would block on its inbox (or on a full one
+	// it is posting to) then unwinds with an abortPanic instead of waiting
+	// for a message that will never come.
+	abort     chan struct{}
+	abortOnce sync.Once
+	cause     error
+
+	wg sync.WaitGroup // the rank goroutines of Run
+}
+
+// abortPanic is what a surviving rank panics with when it stops because a
+// peer died. Run recovers it and reports the peer's panic, not this one.
+type abortPanic struct{ error }
+
+// aborted unwinds a rank that found the world aborted while blocked.
+func (c *Comm) aborted() {
+	panic(abortPanic{fmt.Errorf("par: rank %d stopped: %w", c.ep.worldRank, c.world.cause)})
 }
 
 // Rank returns this processor's rank in [0, Size) within this communicator.
@@ -154,7 +174,17 @@ func (c *Comm) WorldRank(r int) int {
 func (c *Comm) post(dst int, m message) {
 	m.comm = c.id
 	m.src = c.rank
-	c.world.boxes[c.WorldRank(dst)] <- m
+	box := c.world.boxes[c.WorldRank(dst)]
+	select {
+	case box <- m:
+	default:
+		// The inbox is full: wait for room, or for the world to abort.
+		select {
+		case box <- m:
+		case <-c.world.abort:
+			c.aborted()
+		}
+	}
 }
 
 // Send delivers data to rank dst with the given tag. Data is not copied;
@@ -207,8 +237,20 @@ func (c *Comm) recvMsg(src int, tag Tag, seq int64) message {
 			c.assertSameCollective(m, tag, seq)
 		}
 	}
+	box := c.world.boxes[ep.worldRank]
 	for {
-		m := <-c.world.boxes[ep.worldRank]
+		var m message
+		select {
+		case m = <-box:
+		default:
+			// Nothing queued: block, but wake if a peer has died — without
+			// this a panicking rank would leave the others here forever.
+			select {
+			case m = <-box:
+			case <-c.world.abort:
+				c.aborted()
+			}
+		}
 		if match(m) {
 			return m
 		}
@@ -240,35 +282,38 @@ func (c *Comm) assertSameCollective(m message, tag Tag, seq int64) {
 // Collectives never exceed O(size) outstanding messages.
 const inboxCapacity = 4096
 
-// Run executes f on p ranks concurrently and waits for all to finish.
-// A panic on any rank is re-raised on the caller after all ranks stop.
+// Run executes f on p ranks concurrently and waits for all to finish. A
+// panic on any rank aborts the world: ranks blocked in (or later entering) a
+// receive unwind instead of waiting for the dead peer, and Run returns an
+// error naming the first rank that panicked and its panic value.
 func Run(p int, f func(c *Comm)) error {
 	if p < 1 {
 		return fmt.Errorf("par: need at least one rank, got %d", p)
 	}
-	w := &world{size: p, boxes: make([]chan message, p)}
+	w := &world{size: p, boxes: make([]chan message, p), abort: make(chan struct{})}
 	for i := range w.boxes {
 		w.boxes[i] = make(chan message, inboxCapacity)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, p)
 	for r := 0; r < p; r++ {
-		wg.Add(1)
+		w.wg.Add(1)
 		go func(rank int) {
-			defer wg.Done()
+			defer w.wg.Done()
 			defer func() {
-				if x := recover(); x != nil {
-					errs[rank] = fmt.Errorf("par: rank %d panicked: %v", rank, x)
+				x := recover()
+				if x == nil {
+					return
 				}
+				if _, ok := x.(abortPanic); ok {
+					return // stopped because a peer died; that peer reports
+				}
+				w.abortOnce.Do(func() {
+					w.cause = fmt.Errorf("par: rank %d panicked: %v", rank, x)
+					close(w.abort)
+				})
 			}()
 			f(&Comm{rank: rank, size: p, world: w, ep: &endpoint{worldRank: rank}, id: worldID})
 		}(r)
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	w.wg.Wait()
+	return w.cause
 }

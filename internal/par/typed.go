@@ -52,8 +52,7 @@ type scalarScratch struct {
 }
 
 // AllReduceMaxSum combines every rank's value into (max, sum) in one fused
-// round — one gather and one broadcast — where separate AllReduceMax +
-// AllReduceSum calls would take four. The engine's cheap imbalance probe
+// round — one gather and one broadcast. The engine's cheap imbalance probe
 // runs this every epoch, including the epochs that go on to skip rebalancing
 // entirely, so the probe must not cost more than the decision it avoids.
 func (c *Comm) AllReduceMaxSum(value int64) (max, sum int64) {
@@ -81,10 +80,8 @@ func (c *Comm) AllReduceMaxSum(value int64) (max, sum int64) {
 	return max, sum
 }
 
-// AllReduceSumInt64 sums an int64 across ranks in one fused up/down round.
-// It is the typed, unboxed counterpart of AllReduceSum (which routes through
-// Gather/Bcast of `any` and boxes every value); the SFC rebalance path calls
-// it every epoch for the total curve weight.
+// AllReduceSumInt64 sums an int64 across ranks in one fused up/down round;
+// the engine's counters and the SFC strategy's total curve weight use it.
 func (c *Comm) AllReduceSumInt64(value int64) int64 {
 	c.collSeq++
 	seq := c.collSeq

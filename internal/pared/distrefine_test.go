@@ -7,56 +7,42 @@ import (
 	"pared/internal/graph"
 )
 
-// distSerialCfg builds a coordinator-pipeline config whose rank-0
-// repartitioner runs the SAME distributed sweep through the single-rank
-// Serial exchanger — the engine-level reference for Config.DistRefine: the
-// symmetric replicated pipeline (all-gathered deltas, collective
-// repartition, no owner broadcast) must land on byte-identical owner maps.
-func distSerialCfg(scratch bool) Config {
-	pnr := core.Config{DistRefine: core.Serial}
-	if !scratch {
-		pnr.Hierarchy = core.NewHierarchy()
-	}
-	return Config{
-		Scratch: scratch,
-		Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
-			return core.Repartition(g, old, np, pnr)
-		},
-	}
-}
-
 // TestEngineDistRefineMatchesCoordinator is the engine-level byte-identity
 // contract of Config.DistRefine: a 10-epoch adapt/rebalance chain through
-// the replicated pipeline (every rank patches its own graph copy and enters
-// the collective repartition) must reproduce the coordinator pipeline
-// running the identical sweep serially on rank 0 — same owner maps, cuts
-// and migration counts every epoch, in both incremental and scratch modes.
+// the replicated strategy (every rank patches its own graph copy and enters
+// the collective repartition) must reproduce the coordinator strategy
+// running the identical sweep serially on rank 0 through the single-rank
+// core.Serial exchanger — same owner maps, cuts and migration counts every
+// epoch. And with the hierarchy rebuilt every call it must land on the
+// from-scratch reference running that serial sweep, the same oracle the
+// incremental pipeline answers to.
 func TestEngineDistRefineMatchesCoordinator(t *testing.T) {
 	const p = 4
-	for _, scratch := range []bool{false, true} {
-		label := "incremental"
-		if scratch {
-			label = "scratch"
-		}
-		dist, distLeaves := runChain(t, p, Config{DistRefine: true, Scratch: scratch})
-		ref, refLeaves := runChain(t, p, distSerialCfg(scratch))
-		compareChains(t, label+" distrefine vs coordinator", dist, ref)
-		if len(distLeaves) != len(refLeaves) {
-			t.Fatalf("%s: final leaf counts differ: %d vs %d", label, len(distLeaves), len(refLeaves))
-		}
-		for i := range distLeaves {
-			if distLeaves[i] != refLeaves[i] {
-				t.Fatalf("%s: final leaf %d differs", label, i)
-			}
-		}
-		ran := 0
-		for _, r := range dist {
-			if r.Ran {
-				ran++
-			}
-		}
-		if ran == 0 {
-			t.Fatalf("%s: no epoch actually rebalanced; the comparison proved nothing", label)
+	pnr := core.Config{DistRefine: core.Serial, Hierarchy: core.NewHierarchy()}
+	coordinator := Config{Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
+		return core.Repartition(g, old, np, pnr)
+	}}
+	dist, distLeaves := runChain(t, p, Config{DistRefine: true})
+	ref, refLeaves := runChain(t, p, coordinator)
+	compareChains(t, "distrefine vs coordinator", dist, ref)
+	if len(distLeaves) != len(refLeaves) {
+		t.Fatalf("final leaf counts differ: %d vs %d", len(distLeaves), len(refLeaves))
+	}
+	for i := range distLeaves {
+		if distLeaves[i] != refLeaves[i] {
+			t.Fatalf("final leaf %d differs", i)
 		}
 	}
+	ran := 0
+	for _, r := range dist {
+		if r.Ran {
+			ran++
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no epoch actually rebalanced; the comparison proved nothing")
+	}
+
+	runChainOracle(t, p, Config{DistRefine: true, PNR: core.Config{RematchEvery: 1}},
+		&core.Config{DistRefine: core.Serial})
 }

@@ -40,9 +40,9 @@ type Repartitioner func(g *graph.Graph, old []int32, p int) []int32
 
 // Config tunes the engine.
 type Config struct {
-	// Mode selects the rebalance pipeline: ModePNR (default) funnels P2/P3
+	// Mode selects the rebalance strategy: ModePNR (default) funnels P2/P3
 	// through the coordinator; ModeSFC is the coordinator-free space-filling-
-	// curve pipeline (see sfc.go), which ignores Repartition and Scratch.
+	// curve strategy (see sfc.go), which ignores Repartition.
 	Mode RebalanceMode
 	// SFC tunes the ModeSFC pipeline (curve choice, band snapping).
 	SFC sfc.Config
@@ -56,16 +56,10 @@ type Config struct {
 	// ImbalanceTrigger invokes repartitioning when the leaf-count imbalance
 	// exceeds this fraction (default 0.05). Rebalance can also be forced.
 	ImbalanceTrigger float64
-	// Scratch disables the incremental rebalance pipeline: every epoch sends
-	// full weight reports, rebuilds G from scratch and broadcasts the whole
-	// owner map. Kept as the equivalence reference and for ablation; the
-	// incremental pipeline must produce byte-identical owner maps when its
-	// hierarchy drift trigger fires every call (PNR.RematchEvery = 1).
-	Scratch bool
 	// PNR tunes the default core.Repartition repartitioner; ignored when
-	// Repartition is set. Unless Scratch is set (or a Hierarchy is supplied),
-	// a persistent multilevel cache is installed so epochs under small weight
-	// drift reuse contraction hierarchies (see core.Hierarchy).
+	// Repartition is set. Unless a Hierarchy is supplied, a persistent
+	// multilevel cache is installed so epochs under small weight drift reuse
+	// contraction hierarchies (see core.Hierarchy).
 	PNR core.Config
 	// DistRefine distributes the P3 refinement sweep across all ranks
 	// (core.Config.DistRefine over this engine's communicator): instead of
@@ -82,24 +76,30 @@ type Config struct {
 	// volumes (adapt rounds, weight-gather sizes, migration counts).
 	Trace TraceFunc
 
-	// distActive records that DistRefine was accepted at defaulting time
-	// (default repartitioner, non-SFC mode): the signal rebalancePNR uses to
-	// switch P2/P3 onto the symmetric replicated pipeline.
-	distActive bool
+	// strategy is what Rebalance runs between the imbalance probe and the
+	// migration; withDefaults resolves it from Mode and DistRefine, and
+	// nothing else in the engine looks at those two fields.
+	strategy *strategy
 }
 
-func (c Config) withDefaults(comm *par.Comm) Config {
+// withDefaults fills the defaults and resolves the rebalance strategy; it
+// fails on a configuration this communicator cannot run.
+func (c Config) withDefaults(comm *par.Comm) (Config, error) {
+	if c.Mode < 0 || int(c.Mode) >= len(modeStrategies) {
+		return c, fmt.Errorf("pared: unknown rebalance mode %d", c.Mode)
+	}
+	c.strategy = modeStrategies[c.Mode]
 	if c.Repartition == nil {
 		pnr := c.PNR
-		if pnr.Hierarchy == nil && !c.Scratch {
+		if pnr.Hierarchy == nil {
 			// Under DistRefine every rank runs Repartition on byte-identical
 			// inputs, so the per-rank caches evolve identically and stay in
 			// lockstep without any exchange.
 			pnr.Hierarchy = core.NewHierarchy()
 		}
-		if c.DistRefine && c.Mode != ModeSFC && c.Mode != ModeHier {
+		if c.DistRefine && c.Mode == ModePNR {
 			pnr.DistRefine = comm
-			c.distActive = true
+			c.strategy = &replicatedStrategy
 		}
 		c.Repartition = func(g *graph.Graph, old []int32, np int) []int32 {
 			return core.Repartition(g, old, np, pnr)
@@ -109,13 +109,13 @@ func (c Config) withDefaults(comm *par.Comm) Config {
 		c.ImbalanceTrigger = 0.05
 	}
 	if c.Mode == ModeHier {
-		c.Topology = c.Topology.withDefaults(comm.Size())
-		if c.Topology.Nodes*c.Topology.CoresPerNode != comm.Size() {
-			panic(fmt.Sprintf("pared: topology %d nodes × %d cores does not factor %d ranks",
-				c.Topology.Nodes, c.Topology.CoresPerNode, comm.Size()))
+		t, err := c.Topology.Resolve(comm.Size())
+		if err != nil {
+			return c, err
 		}
+		c.Topology = t
 	}
-	return c
+	return c, nil
 }
 
 // gfacet is a facet identified by global vertex IDs (sorted; [2] is the
@@ -163,12 +163,6 @@ type Engine struct {
 	// built lazily on the first hierarchical rebalance (see ensureHier).
 	hier *hierState
 
-	// LastInterCut and LastIntraCut record the two-level cut decomposition of
-	// the most recent hierarchical rebalance (zero in other modes): total
-	// weight of edges joining different node groups vs. different cores of one
-	// group. Identical on every rank.
-	LastInterCut, LastIntraCut int64
-
 	// CheapSkips counts Rebalance(force=false) calls that returned after the
 	// single fused imbalance probe, before any weight work (see Rebalance).
 	CheapSkips int64
@@ -204,7 +198,6 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 		Coarse:  coarseMesh,
 		Owner:   append([]int32(nil), owner...),
 		F:       forest.New(coarseMesh.Dim),
-		cfg:     Config{}.withDefaults(c),
 		shared:  make(map[forest.VertexID]bool),
 		pending: make(map[refine.EdgeSplit]bool),
 	}
@@ -224,25 +217,26 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 	}
 	e.R = refine.NewRefiner(e.F)
 	e.rebuildShared()
+	e.cfg, _ = Config{}.withDefaults(c) // the zero Config has nothing to reject
 	return e
 }
 
 // SetConfig replaces the engine configuration (call on every rank alike).
-func (e *Engine) SetConfig(cfg Config) { e.cfg = cfg.withDefaults(e.Comm) }
-
-// Bootstrap computes an initial partition of the coarse mesh on the
-// coordinator and broadcasts it; every rank then constructs its engine.
-// This mirrors PARED's startup: "this mesh is loaded into a distinguished
-// processor called the coordinator ... which computes an initial partition
-// and distributes the mesh" (§2).
-func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
-	var owner []int32
-	if c.Rank() == 0 {
-		g := graph.FromDual(coarseMesh)
-		owner = core.Partition(g, c.Size(), core.Config{})
+// A configuration the communicator cannot run — an unknown Mode, a Topology
+// that does not factor the rank count — is returned as an error, the same
+// on every rank, and the previous configuration stays in force.
+func (e *Engine) SetConfig(cfg Config) error {
+	cfg, err := cfg.withDefaults(e.Comm)
+	if err != nil {
+		return err
 	}
-	owner = c.Bcast(0, owner).([]int32)
-	return New(c, coarseMesh, owner)
+	e.cfg = cfg
+	return nil
+}
+
+// Bootstrap is BootstrapWith under the default configuration.
+func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
+	return BootstrapWith(c, coarseMesh, Config{})
 }
 
 // rebuildShared recomputes the conservative shard-boundary vertex set from
@@ -265,7 +259,6 @@ func (e *Engine) rebuildShared() {
 // eachLeafFacet enumerates the facets of all local leaves as global-ID
 // facets, with the leaf's root.
 func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
-	dim := int(e.F.Dim)
 	e.F.VisitLeaves(func(id forest.NodeID) {
 		n := e.F.Node(id)
 		nv := n.Nv()
@@ -283,7 +276,6 @@ func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
 			fn(f, n.Root)
 		}
 	})
-	_ = dim
 }
 
 // lessGFacet orders facets lexicographically by global vertex IDs.
@@ -342,26 +334,23 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		st.Rounds++
 		st.LocalRefined += e.R.Closure()
 		// Collect and filter this round's splits: only shard-boundary edges
-		// concern other ranks. Midpoints of shared edges become shared.
-		var out []refine.EdgeSplit
+		// concern other ranks. Midpoints of shared edges become shared. The
+		// wire form is two words per split, (A, B).
+		var out []int64
 		for _, s := range e.R.TakeNewSplits() {
 			if e.shared[s.A] && e.shared[s.B] {
-				out = append(out, s)
+				out = append(out, int64(s.A), int64(s.B))
 				e.shared[forest.MidID(s.A, s.B)] = true
 			}
 		}
 		// Exchange with every rank (p is small; neighbor filtering would cut
 		// traffic but not change results).
-		send := make([]any, e.Comm.Size())
-		for i := range send {
-			send[i] = out
-		}
-		recv := e.Comm.Alltoall(send)
-		for from, v := range recv {
+		for from, words := range e.Comm.AllGatherInt64(out) {
 			if from == e.Comm.Rank() {
 				continue
 			}
-			for _, s := range v.([]refine.EdgeSplit) {
+			for i := 0; i < len(words); i += 2 {
+				s := refine.EdgeSplit{A: forest.VertexID(words[i]), B: forest.VertexID(words[i+1])}
 				if !e.R.IsSplit(s) {
 					e.pending[s] = true
 				}
@@ -390,8 +379,8 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 				delete(e.pending, s)
 			}
 		}
-		changed := int64(len(out) + applied)
-		if e.Comm.AllReduceSum(changed) == 0 {
+		changed := int64(len(out)/2 + applied)
+		if e.Comm.AllReduceSumInt64(changed) == 0 {
 			break
 		}
 	}
@@ -408,7 +397,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 			return est.Indicator(e.F, id) < coarsenTol
 		})
 	}
-	st.GlobalLeaves = e.Comm.AllReduceSum(int64(e.F.NumLeaves()))
+	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh
 		// conformal — this is the property the split-exchange loop exists for.
@@ -438,12 +427,11 @@ func (e *Engine) Imbalance() float64 {
 // weightReport is a rank's P2 payload: new vertex and edge weights of G for
 // the trees (and tree pairs) it is responsible for.
 type weightReport struct {
-	Roots   []int32 // owned roots
-	VW      []int64 // leaf counts, parallel to Roots
-	EdgeR   []int32 // edge endpoints (r, s) with counted adjacency
-	EdgeS   []int32
-	EdgeW   []int64
-	MyOwner []int32 // this rank's view of ownership (sanity checking)
+	Roots []int32 // owned roots
+	VW    []int64 // leaf counts, parallel to Roots
+	EdgeR []int32 // edge endpoints (r, s) with counted adjacency
+	EdgeS []int32
+	EdgeW []int64
 }
 
 // facetList is the boundary-facet exchange payload used to count leaf
@@ -469,12 +457,13 @@ type RebalanceStats struct {
 	Imbalance float64
 }
 
-// Rebalance runs phases P1–P3: compute weights, gather at the coordinator,
-// repartition, and migrate trees. If force is false the step is skipped while
-// imbalance is below the configured trigger; the skip is decided on the
-// single fused imbalance probe alone — no weight computation, gather, or
-// extra agreement collective happens first. force must be the same on every
-// rank (the usual SPMD contract; all collectives here assume it anyway).
+// Rebalance runs one repartitioning epoch: the imbalance probe, the
+// configured strategy's P1–P3 (weights, their exchange, the new owners) and
+// the migration of the trees whose owner changed. If force is false the step
+// is skipped while imbalance is below the configured trigger; the skip is
+// decided on the single fused imbalance probe alone — no weight computation,
+// gather, or extra agreement collective happens first. force must be the same
+// on every rank (the usual SPMD contract; all collectives here assume it).
 func (e *Engine) Rebalance(force bool) RebalanceStats {
 	var st RebalanceStats
 	imb := e.Imbalance()
@@ -489,31 +478,13 @@ func (e *Engine) Rebalance(force bool) RebalanceStats {
 	}
 	st.Ran = true
 
-	var newOwner []int32
-	var d1, d2, d3 time.Duration
-	if e.cfg.Mode == ModeSFC {
-		// Coordinator-free path: curve-band assignment from a distributed
-		// prefix sum (see sfc.go). No gather, no serial repartitioner.
-		newOwner, d1, d2, d3 = e.rebalanceSFC(&st)
-	} else if e.cfg.Mode == ModeHier {
-		// Two-level path: node-group partition plus concurrent per-group
-		// refinement over sub-communicators (see hier.go).
-		newOwner, d1, d2, d3 = e.rebalanceHier(&st)
-	} else {
-		newOwner, d1, d2, d3 = e.rebalancePNR(&st)
-	}
+	newOwner, d1, d2, d3 := e.cfg.strategy.plan(e, &st)
 
 	// Migrate trees whose owner changed.
 	var moved, movedElems int64
 	dm := timed(func() { moved, movedElems = e.migrate(newOwner) })
-	st.MovedTrees = e.Comm.AllReduceSum(moved)
-	st.MovedElements = e.Comm.AllReduceSum(movedElems)
-	if e.cfg.Mode == ModeSFC && e.sfc != nil {
-		// Swap buffers: the outgoing owner map becomes next epoch's scratch,
-		// so the steady state cycles two arrays and never allocates (and the
-		// cut stats above never read a half-patched map).
-		e.sfc.newOwner = e.Owner
-	}
+	st.MovedTrees = e.Comm.AllReduceSumInt64(moved)
+	st.MovedElements = e.Comm.AllReduceSumInt64(movedElems)
 	e.Owner = newOwner
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		check.MeshConformal(e.F.LeafMesh().Mesh, "pared.Engine.Rebalance")
@@ -527,97 +498,101 @@ func (e *Engine) Rebalance(force bool) RebalanceStats {
 	return st
 }
 
-// rebalancePNR runs phases P1–P3 of the paper's coordinator pipeline:
-// weights reach rank 0 (full reports in scratch mode, additive deltas in
-// incremental mode), rank 0 repartitions G, and the owner delta comes back.
-func (e *Engine) rebalancePNR(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
+// strategy fills the P1–P3 slot of Rebalance. plan returns the new owner map
+// (identical on every rank, not aliasing e.Owner), writes the cuts to st and
+// reports each phase's wall time. The strategies that repartition the
+// weighted coarse dual G share planGraph and supply its three steps; the
+// curve strategy has a plan of its own (planSFC).
+type strategy struct {
+	name string
+	plan func(e *Engine, st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration)
+
+	// exchange takes this rank's weight delta to the ranks that hold a copy
+	// of G and returns, there, every rank's delta indexed by rank; nil on a
+	// rank that holds none.
+	exchange func(e *Engine, delta []int64) [][]int64
+	// decide computes the new owners from the patched G on the ranks that
+	// hold it — collectively when that is all of them.
+	decide func(e *Engine, g *graph.Graph, st *RebalanceStats) []int32
+	// publish, if set, takes rank 0's decision and cuts to the other ranks.
+	publish func(e *Engine, newOwner []int32, st *RebalanceStats) []int32
+}
+
+// The strategy table. coordinator is the paper's pipeline: G lives on rank 0.
+// replicated is Config.DistRefine: every rank holds G and the same
+// Repartition call is collective (withDefaults wired the communicator into
+// it), so the owner map materializes everywhere with nothing to publish.
+// hier is ModeHier (hier.go), sfc is ModeSFC (sfc.go).
+var (
+	coordinatorStrategy = strategy{name: "coordinator", plan: (*Engine).planGraph,
+		exchange: func(e *Engine, delta []int64) [][]int64 { return e.Comm.GatherInt64(0, delta) },
+		decide:   repartitionG, publish: bcastOwnerDelta}
+	replicatedStrategy = strategy{name: "replicated", plan: (*Engine).planGraph,
+		exchange: func(e *Engine, delta []int64) [][]int64 { return e.Comm.AllGatherInt64(delta) },
+		decide:   repartitionG}
+	hierStrategy = strategy{name: "hier", plan: (*Engine).planGraph,
+		exchange: func(e *Engine, delta []int64) [][]int64 { return e.ensureHier().exchangeDeltas(delta) },
+		decide:   hierDecide}
+	sfcStrategy = strategy{name: "sfc", plan: (*Engine).planSFC}
+
+	// modeStrategies is the strategy of each Mode; DistRefine replaces
+	// ModePNR's by replicatedStrategy (see withDefaults).
+	modeStrategies = [...]*strategy{ModePNR: &coordinatorStrategy, ModeSFC: &sfcStrategy, ModeHier: &hierStrategy}
+)
+
+// planGraph is P1–P3 of every strategy that repartitions G.
+func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
+	s := e.cfg.strategy
+
 	// --- P1: local weight computation.
 	var rep weightReport
 	d1 = timed(func() { rep = e.localWeights() })
 	e.trace("P1 weights: %d roots, %d edge pairs in %v", len(rep.Roots), len(rep.EdgeR), d1)
 
-	// --- P2: weights reach the coordinator; P3: it repartitions G and the
-	// new assignment comes back. Incremental mode moves deltas both ways;
-	// scratch mode moves full reports and the full owner map. Under
-	// DistRefine (distActive) there is no coordinator: P2 is an all-gather,
-	// every rank holds the whole weighted G, and P3 is a collective
-	// repartition whose owner map materializes replicated — nothing to
-	// broadcast back.
-	if e.cfg.Scratch && e.cfg.distActive {
-		var reports []any
-		d2 = timed(func() {
-			send := make([]any, e.Comm.Size())
-			for i := range send {
-				send[i] = rep
-			}
-			reports = e.Comm.Alltoall(send)
-		})
-		e.trace("P2 allgather: full reports in %v", d2)
-		d3 = timed(func() {
-			g := buildG(e.Coarse.NumElems(), reports)
-			st.CutBefore = partition.EdgeCut(g, e.Owner)
-			newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-			st.CutAfter = partition.EdgeCut(g, newOwner)
-		})
-	} else if e.cfg.Scratch {
-		var reports []any
-		d2 = timed(func() { reports = e.Comm.Gather(0, rep) })
-		e.trace("P2 gather: full reports in %v", d2)
-		d3 = timed(func() {
-			if e.Comm.Rank() == 0 {
-				g := buildG(e.Coarse.NumElems(), reports)
-				st.CutBefore = partition.EdgeCut(g, e.Owner)
-				newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-				st.CutAfter = partition.EdgeCut(g, newOwner)
-			}
-			newOwner = e.Comm.Bcast(0, newOwner).([]int32)
-		})
-		st.CutBefore = e.Comm.Bcast(0, st.CutBefore).(int64)
-		st.CutAfter = e.Comm.Bcast(0, st.CutAfter).(int64)
-	} else if e.cfg.distActive {
-		var deltas [][]int64
-		var nd int
-		d2 = timed(func() {
-			delta := e.deltaReport(rep)
-			nd = len(delta)
-			deltas = e.Comm.AllGatherInt64(delta)
-		})
-		e.trace("P2 allgather: %d delta words in %v", nd, d2)
-		d3 = timed(func() {
+	// --- P2: the additive weight deltas reach the ranks that hold G.
+	var deltas [][]int64
+	var nd int
+	d2 = timed(func() {
+		delta := e.deltaReport(rep)
+		nd = len(delta)
+		deltas = s.exchange(e, delta)
+	})
+	e.trace("P2 %s exchange: %d delta words in %v", s.name, nd, d2)
+
+	// --- P3: patch G, decide, and make the decision known on every rank.
+	d3 = timed(func() {
+		if deltas != nil {
 			g := e.coordinatorGraph(deltas)
 			st.CutBefore = partition.EdgeCut(g, e.Owner)
-			newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
+			newOwner = s.decide(e, g, st)
 			st.CutAfter = partition.EdgeCut(g, newOwner)
-		})
-		e.assertPatchedG(rep)
-		e.trace("P3 replicated repartition: no owner broadcast")
-	} else {
-		var deltas [][]int64
-		var nd int
-		d2 = timed(func() {
-			delta := e.deltaReport(rep)
-			nd = len(delta)
-			deltas = e.Comm.GatherInt64(0, delta)
-		})
-		e.trace("P2 gather: %d delta words in %v", nd, d2)
-		var ownerDelta []int32
-		d3 = timed(func() {
-			if e.Comm.Rank() == 0 {
-				g := e.coordinatorGraph(deltas)
-				st.CutBefore = partition.EdgeCut(g, e.Owner)
-				newOwner = e.cfg.Repartition(g, e.Owner, e.Comm.Size())
-				st.CutAfter = partition.EdgeCut(g, newOwner)
-				ownerDelta = packOwnerDelta(st.CutBefore, st.CutAfter, e.Owner, newOwner)
-			}
-			ownerDelta = e.Comm.BcastInt32(0, ownerDelta)
-			if e.Comm.Rank() != 0 {
-				newOwner, st.CutBefore, st.CutAfter = unpackOwnerDelta(e.Owner, ownerDelta)
-			}
-		})
-		e.assertPatchedG(rep)
-		e.trace("P3 owner delta: %d moved entries", (len(ownerDelta)-ownerDeltaHeader)/2)
-	}
+		}
+		if s.publish != nil {
+			newOwner = s.publish(e, newOwner, st)
+		}
+	})
+	e.assertPatchedG(rep)
 	return newOwner, d1, d2, d3
+}
+
+// repartitionG is the decide step of the two flat strategies.
+func repartitionG(e *Engine, g *graph.Graph, _ *RebalanceStats) []int32 {
+	return e.cfg.Repartition(g, e.Owner, e.Comm.Size())
+}
+
+// bcastOwnerDelta broadcasts rank 0's decision as the cut values plus the
+// owner entries that changed (see packOwnerDelta).
+func bcastOwnerDelta(e *Engine, newOwner []int32, st *RebalanceStats) []int32 {
+	var payload []int32
+	if e.Comm.Rank() == 0 {
+		payload = packOwnerDelta(st.CutBefore, st.CutAfter, e.Owner, newOwner)
+	}
+	payload = e.Comm.BcastInt32(0, payload)
+	if e.Comm.Rank() != 0 {
+		newOwner, st.CutBefore, st.CutAfter = unpackOwnerDelta(e.Owner, payload)
+	}
+	e.trace("P3 owner delta: %d moved entries", (len(payload)-ownerDeltaHeader)/2)
+	return newOwner
 }
 
 // localWeights computes this rank's contribution to G's weights: leaf counts
@@ -638,7 +613,7 @@ func (e *Engine) localWeights() weightReport {
 	e.eachLeafFacet(func(f gfacet, root int32) {
 		if other, ok := first[f]; ok {
 			if other != root {
-				k := [2]int32{min32(other, root), max32(other, root)}
+				k := [2]int32{min(other, root), max(other, root)}
 				pair[k]++
 			}
 			delete(first, f)
@@ -673,7 +648,7 @@ func (e *Engine) localWeights() weightReport {
 		for i, f := range fl.Facets {
 			if r, ok := mine[f]; ok {
 				s := fl.Roots[i]
-				k := [2]int32{min32(r, s), max32(r, s)}
+				k := [2]int32{min(r, s), max(r, s)}
 				pair[k]++
 			}
 		}
@@ -694,22 +669,6 @@ func (e *Engine) localWeights() weightReport {
 		rep.EdgeW = append(rep.EdgeW, pair[k])
 	}
 	return rep
-}
-
-//pared:hotpath
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-//pared:hotpath
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // buildG assembles the coarse dual graph from all ranks' weight reports.

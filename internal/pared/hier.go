@@ -29,7 +29,7 @@ package pared
 // the penalty reshapes the objective — which is the point of the knob.)
 
 import (
-	"time"
+	"fmt"
 
 	"pared/internal/core"
 	"pared/internal/graph"
@@ -49,8 +49,9 @@ type Topology struct {
 	InterNodePenalty float64
 }
 
-// withDefaults resolves the topology against the communicator size p.
-func (t Topology) withDefaults(p int) Topology {
+// Resolve fills the zero fields of the topology for p ranks and fails when
+// the result does not factor p.
+func (t Topology) Resolve(p int) (Topology, error) {
 	if t.Nodes == 0 && t.CoresPerNode == 0 {
 		t.Nodes = balancedNodes(p)
 		t.CoresPerNode = p / t.Nodes
@@ -62,7 +63,11 @@ func (t Topology) withDefaults(p int) Topology {
 	if t.InterNodePenalty <= 0 {
 		t.InterNodePenalty = 4
 	}
-	return t
+	if t.Nodes < 1 || t.CoresPerNode < 1 || t.Nodes*t.CoresPerNode != p {
+		return t, fmt.Errorf("pared: topology %d nodes × %d cores does not factor %d ranks",
+			t.Nodes, t.CoresPerNode, p)
+	}
+	return t, nil
 }
 
 // balancedNodes returns the largest divisor of p not exceeding √p — the most
@@ -141,51 +146,28 @@ func (e *Engine) ensureHier() *hierState {
 	return h
 }
 
-// rebalanceHier runs phases P1–P3 of the hierarchical pipeline.
-func (e *Engine) rebalanceHier(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
-	h := e.ensureHier()
-
-	// --- P1: local weight computation (same as the PNR pipeline).
-	var rep weightReport
-	d1 = timed(func() { rep = e.localWeights() })
-	e.trace("P1 weights: %d roots, %d edge pairs in %v (hier)", len(rep.Roots), len(rep.EdgeR), d1)
-
-	// --- P2: hierarchical delta exchange. Each core's additive delta climbs
-	// to its node leader, the N leaders swap combined node payloads, and each
-	// node comm fans the world's deltas back down — every rank then patches
-	// its replicated G with the identical rank-ordered fold.
-	var g *graph.Graph
-	var nd int
-	d2 = timed(func() {
-		delta := e.deltaReport(rep)
-		nd = len(delta)
-		deltas := h.exchangeDeltas(delta)
-		g = e.coordinatorGraph(deltas)
-	})
-	e.trace("P2 hier exchange: %d delta words in %v", nd, d2)
-
-	// --- P3: two-level repartition.
-	var dA, dB time.Duration
-	d3 = timed(func() {
-		st.CutBefore = partition.EdgeCut(g, e.Owner)
-		dA = timed(func() { e.hierPhaseA(g) })
-		dB = timed(func() { newOwner = e.hierPhaseB(g) })
-		st.CutAfter = partition.EdgeCut(g, newOwner)
-		st.InterCut, st.IntraCut = partition.TwoLevelCut(g, newOwner, int32(h.cores))
-	})
-	e.assertPatchedG(rep)
+// hierDecide is the strategy's P3: the two-level repartition of the
+// replicated G, collective on every rank.
+func hierDecide(e *Engine, g *graph.Graph, st *RebalanceStats) []int32 {
+	h := e.hier
+	var newOwner []int32
+	dA := timed(func() { e.hierPhaseA(g) })
+	dB := timed(func() { newOwner = e.hierPhaseB(g) })
+	st.InterCut, st.IntraCut = partition.TwoLevelCut(g, newOwner, int32(h.cores))
 	e.Phases.HierA += dA
 	e.Phases.HierB += dB
-	e.LastInterCut, e.LastIntraCut = st.InterCut, st.IntraCut
 	e.trace("P3 hier: phase A %v (%d node groups, penalty %.1f), phase B %v (group %d: %d verts), cut %d inter + %d intra",
 		dA, h.nodes, h.penalty, dB, h.myNode, len(h.verts), st.InterCut, st.IntraCut)
-	return newOwner, d1, d2, d3
+	return newOwner
 }
 
-// exchangeDeltas moves every rank's delta payload to every rank through the
-// two-level comm tree and returns them indexed by world rank. Framing: a node
-// pack is [C, len_0, …, len_{C-1}, payload_0 ∥ … ∥ payload_{C-1}] with cores
-// in node-rank order; the leader all-gather yields the packs in node-id
+// exchangeDeltas is the strategy's P2: it moves every rank's delta payload to
+// every rank through the two-level comm tree — each core's delta climbs to
+// its node leader, the N leaders swap combined node payloads, each node comm
+// fans the world's deltas back down — and returns them indexed by world
+// rank. Framing: a node pack is
+// [C, len_0, …, len_{C-1}, payload_0 ∥ … ∥ payload_{C-1}] with cores in
+// node-rank order; the leader all-gather yields the packs in node-id
 // order, so their concatenation decodes in ascending world-rank order — the
 // same fold order as the flat pipeline's AllGatherInt64.
 func (h *hierState) exchangeDeltas(delta []int64) [][]int64 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pared/internal/forest"
@@ -146,10 +148,10 @@ func TestHierTopologyDefaults(t *testing.T) {
 		{8, Topology{CoresPerNode: 2}, 4, 2},
 	}
 	for _, tc := range cases {
-		got := tc.in.withDefaults(tc.p)
-		if got.Nodes != tc.nodes || got.CoresPerNode != tc.cores {
-			t.Errorf("withDefaults(%d) on %+v = %dx%d, want %dx%d",
-				tc.p, tc.in, got.Nodes, got.CoresPerNode, tc.nodes, tc.cores)
+		got, err := tc.in.Resolve(tc.p)
+		if err != nil || got.Nodes != tc.nodes || got.CoresPerNode != tc.cores {
+			t.Errorf("Resolve(%d) on %+v = %dx%d (%v), want %dx%d",
+				tc.p, tc.in, got.Nodes, got.CoresPerNode, err, tc.nodes, tc.cores)
 		}
 		if got.InterNodePenalty != 4 {
 			t.Errorf("default penalty = %v, want 4", got.InterNodePenalty)
@@ -158,20 +160,37 @@ func TestHierTopologyDefaults(t *testing.T) {
 }
 
 // TestHierBadTopologyPanics checks that a topology that does not factor the
-// rank count is rejected at configuration time, not discovered mid-collective.
+// rank count is rejected at configuration time, not discovered mid-collective:
+// SetConfig returns the error on every rank and leaves the previous
+// configuration in force (the engine goes on rebalancing under it), and
+// BootstrapWith, which has no error to return, panics with the same text.
 func TestHierBadTopologyPanics(t *testing.T) {
 	m := meshgen.RectTri(4, 4, -1, -1, 1, 1)
+	bad := Config{Mode: ModeHier, Topology: Topology{Nodes: 3, CoresPerNode: 2}}
+	const want = "pared: topology 3 nodes × 2 cores does not factor 4 ranks"
+	var rejected atomic.Int32
 	err := par.Run(4, func(c *par.Comm) {
-		defer func() {
-			if recover() == nil {
-				panic("3x2 topology on 4 ranks must panic")
-			}
-		}()
-		e := Bootstrap(c, m)
-		e.SetConfig(Config{Mode: ModeHier, Topology: Topology{Nodes: 3, CoresPerNode: 2}})
+		e := BootstrapWith(c, m, Config{Mode: ModeSFC})
+		if err := e.SetConfig(bad); err == nil || err.Error() != want {
+			panic(fmt.Sprintf("SetConfig(3x2 on 4 ranks) = %v", err))
+		}
+		rejected.Add(1)
+		if e.cfg.strategy != &sfcStrategy || e.cfg.Mode != ModeSFC {
+			panic("a rejected config disturbed the previous one")
+		}
+		if st := e.Rebalance(true); !st.Ran {
+			panic("engine stopped rebalancing after a rejected config")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rejected.Load() != 4 {
+		t.Fatalf("%d of 4 ranks got the error", rejected.Load())
+	}
+	err = par.Run(4, func(c *par.Comm) { BootstrapWith(c, m, bad) })
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("BootstrapWith(3x2 on 4 ranks): par.Run returned %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pared
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -8,8 +9,10 @@ import (
 	"pared/internal/core"
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/graph"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/partition"
 )
 
 // epochRecord captures everything an epoch's rebalance decided, for exact
@@ -25,16 +28,54 @@ type epochRecord struct {
 // returns rank 0's per-epoch records plus the final canonical leaf list.
 func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.VertexID) {
 	t.Helper()
+	return runChainOracle(t, p, cfg, nil)
+}
+
+// runChainOracle is runChain with the from-scratch reference computed next to
+// every epoch when ref is set: before each Rebalance the forest is gathered
+// on rank 0, G is rebuilt from its leaf mesh (graph.CoarseDual — no deltas,
+// no cached topology) and repartitioned by core.Repartition under *ref, which
+// carries no hierarchy cache. Every epoch that rebalanced must agree with
+// that reference on the owner map and on both cuts; at least one must.
+func runChainOracle(t *testing.T, p int, cfg Config, ref *core.Config) ([]epochRecord, [][4]forest.VertexID) {
+	t.Helper()
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	est := cornerEst(geom.Vec3{X: 1, Y: 1})
 	var recs []epochRecord
 	var leaves [][4]forest.VertexID
+	checked := 0
 	err := par.Run(p, func(c *par.Comm) {
 		e := Bootstrap(c, m)
-		e.SetConfig(cfg)
+		if err := e.SetConfig(cfg); err != nil {
+			panic(err)
+		}
 		for epoch := 0; epoch < 10; epoch++ {
 			e.Adapt(est, 0.8, 0, 7)
+			var want []int32
+			var wantBefore, wantAfter int64
+			if ref != nil {
+				f := e.GatherForest(0)
+				if c.Rank() == 0 {
+					leaf := f.LeafMesh()
+					g := graph.CoarseDual(m.NumElems(), leaf.Mesh, leaf.LeafRoot)
+					want = core.Repartition(g, e.Owner, p, *ref)
+					wantBefore = partition.EdgeCut(g, e.Owner)
+					wantAfter = partition.EdgeCut(g, want)
+				}
+			}
 			st := e.Rebalance(epoch%3 != 2) // mix forced and trigger-gated epochs
+			if want != nil && st.Ran {
+				checked++
+				if st.CutBefore != wantBefore || st.CutAfter != wantAfter {
+					panic(fmt.Sprintf("epoch %d: cuts %d->%d, from-scratch reference %d->%d",
+						epoch, st.CutBefore, st.CutAfter, wantBefore, wantAfter))
+				}
+				for i := range want {
+					if e.Owner[i] != want[i] {
+						panic(fmt.Sprintf("epoch %d: owner[%d] = %d, from-scratch reference %d", epoch, i, e.Owner[i], want[i]))
+					}
+				}
+			}
 			if err := e.CheckConsistency(); err != nil {
 				panic(err)
 			}
@@ -54,6 +95,9 @@ func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.Verte
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref != nil && checked == 0 {
+		t.Fatal("no epoch actually rebalanced; the comparison proved nothing")
 	}
 	return recs, leaves
 }
@@ -80,31 +124,11 @@ func compareChains(t *testing.T, label string, a, b []epochRecord) {
 // TestIncrementalMatchesScratchDriftAlways is the equivalence contract of the
 // incremental pipeline: with the hierarchy drift trigger firing on every call
 // (RematchEvery = 1), a 10-epoch adapt/rebalance chain through the delta-
-// report, patched-graph, delta-owner path must produce byte-identical owner
-// maps, cut values and migration counts to the scratch pipeline (full
-// reports, fresh graph build, full owner broadcast) every single epoch.
+// report, patched-graph, delta-owner path must land, every single epoch, on
+// the owner map and cut values of the from-scratch reference — G rebuilt
+// from the gathered leaf mesh, repartitioned with no hierarchy to reuse.
 func TestIncrementalMatchesScratchDriftAlways(t *testing.T) {
-	const p = 4
-	inc, incLeaves := runChain(t, p, Config{PNR: core.Config{RematchEvery: 1}})
-	scr, scrLeaves := runChain(t, p, Config{Scratch: true})
-	compareChains(t, "incremental vs scratch", inc, scr)
-	if len(incLeaves) != len(scrLeaves) {
-		t.Fatalf("final leaf counts differ: %d vs %d", len(incLeaves), len(scrLeaves))
-	}
-	for i := range incLeaves {
-		if incLeaves[i] != scrLeaves[i] {
-			t.Fatalf("final leaf %d differs", i)
-		}
-	}
-	ran := 0
-	for _, r := range inc {
-		if r.Ran {
-			ran++
-		}
-	}
-	if ran == 0 {
-		t.Fatal("no epoch actually rebalanced; the comparison proved nothing")
-	}
+	runChainOracle(t, 4, Config{PNR: core.Config{RematchEvery: 1}}, &core.Config{})
 }
 
 // TestIncrementalDriftNeverDeterministic pins the other end of the drift

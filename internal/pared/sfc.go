@@ -55,13 +55,13 @@ const (
 	ModePNR RebalanceMode = iota
 	// ModeSFC is the coordinator-free pipeline: Hilbert-order band
 	// partitioning from a distributed prefix sum; every rank computes its own
-	// assignment. Config.Repartition and Config.Scratch are ignored.
+	// assignment. Config.Repartition is ignored.
 	ModeSFC
 	// ModeHier is the hierarchical two-level pipeline (see hier.go): phase A
 	// partitions G among node groups with inter-node edges penalized, phase B
 	// refines each group's induced subgraph over its node sub-communicator.
-	// Config.Topology shapes the levels; Config.Repartition, Config.Scratch
-	// and Config.DistRefine are ignored (the mode is inherently distributed).
+	// Config.Topology shapes the levels; Config.Repartition and
+	// Config.DistRefine are ignored (the mode is inherently distributed).
 	ModeHier
 )
 
@@ -83,7 +83,8 @@ type sfcState struct {
 	delta         []int32 // (root, owner) pairs this rank changed
 	wirePairs     []int64 // fallback payload: (root, weight) pairs
 	fullVW        []int64 // fallback scratch: complete weight vector
-	newOwner      []int32
+	newOwner      []int32 // this epoch's result buffer
+	spareOwner    []int32 // last epoch's, which the engine may still hold as e.Owner
 }
 
 // ensureSFC builds the cached curve structures on first use. The coarse
@@ -115,12 +116,12 @@ func bandForm(order, owner []int32) bool {
 	return true
 }
 
-// rebalanceSFC runs phases P1–P3 of the coordinator-free pipeline and
-// returns the new owner map (read-only view into scratch) plus per-phase
-// durations. Cut values in st are unit-weight coarse dual cuts — comparable
-// across SFC epochs and with the experiments' coarse-cut metric, but not
-// with PNR's leaf-pair-weighted cut.
-func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
+// planSFC runs phases P1–P3 of the coordinator-free strategy and returns
+// the new owner map (read-only view into scratch) plus per-phase durations.
+// Cut values in st are unit-weight coarse dual cuts — comparable across SFC
+// epochs and with the experiments' coarse-cut metric, but not with PNR's
+// leaf-pair-weighted cut.
+func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
 	s := e.ensureSFC()
 	p := e.Comm.Size()
 	snap := !e.cfg.SFC.DisableSnap
@@ -231,6 +232,10 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 	// arithmetic, identical on every rank.
 	st.CutBefore = partition.EdgeCut(s.dual, e.Owner)
 	st.CutAfter = partition.EdgeCut(s.dual, newOwner)
+	// The engine adopts newOwner as e.Owner, so next epoch must write into
+	// the other buffer: the steady state cycles two arrays and never
+	// allocates.
+	s.newOwner, s.spareOwner = s.spareOwner, s.newOwner
 	return newOwner, d1, d2, d3
 }
 
@@ -238,7 +243,8 @@ func (e *Engine) rebalanceSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 
 // constructs the engine on every rank, honoring cfg.Mode. PNR mode mirrors
 // PARED's startup — the coordinator partitions and broadcasts. SFC mode has
 // no coordinator even here: every rank derives the identical unit-weight
-// band partition from the replicated mesh with zero collectives.
+// band partition from the replicated mesh with zero collectives. A cfg that
+// SetConfig rejects panics with that error's text.
 func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 	var owner []int32
 	if cfg.Mode == ModeSFC {
@@ -259,9 +265,11 @@ func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 			g := graph.FromDual(coarseMesh)
 			owner = core.Partition(g, c.Size(), core.Config{})
 		}
-		owner = c.Bcast(0, owner).([]int32)
+		owner = c.BcastInt32(0, owner)
 	}
 	eng := New(c, coarseMesh, owner)
-	eng.SetConfig(cfg)
+	if err := eng.SetConfig(cfg); err != nil {
+		panic(err.Error())
+	}
 	return eng
 }

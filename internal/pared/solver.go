@@ -87,25 +87,23 @@ func (e *Engine) buildDofPlan() *dofPlan {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// All-to-all candidate exchange (p is small; the lists are interface-
-	// sized).
-	send := make([]any, e.Comm.Size())
-	for i := range send {
-		send[i] = ids
+	// Candidate exchange with every rank (p is small; the lists are
+	// interface-sized), one word per vertex ID.
+	words := make([]int64, len(ids))
+	for i, id := range ids {
+		words[i] = int64(id)
 	}
-	recv := e.Comm.Alltoall(send)
 	me := int32(e.Comm.Rank())
 	for i := range plan.owned {
 		plan.owned[i] = true
 	}
-	for from, v := range recv {
+	for from, theirs := range e.Comm.AllGatherInt64(words) {
 		if from == e.Comm.Rank() {
 			continue
 		}
-		theirs := v.([]forest.VertexID)
 		their := make(map[forest.VertexID]bool, len(theirs))
-		for _, id := range theirs {
-			their[id] = true
+		for _, w := range theirs {
+			their[forest.VertexID(w)] = true
 		}
 		var common []int32
 		for _, id := range ids {
@@ -263,26 +261,26 @@ func (e *Engine) domainBoundaryVerts(plan *dofPlan) map[int32]bool {
 		}
 	}
 	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
-	send := make([]any, e.Comm.Size())
-	for i := range send {
-		send[i] = mine
+	// Three words per facet on the wire.
+	words := make([]int64, 0, 3*len(mine))
+	for _, f := range mine {
+		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
 	}
-	recv := e.Comm.Alltoall(send)
 	remote := make(map[gfacet]bool)
-	for from, v := range recv {
+	for from, ws := range e.Comm.AllGatherInt64(words) {
 		if from == e.Comm.Rank() {
 			continue
 		}
-		for _, f := range v.([]gfacet) {
-			remote[f] = true
+		for i := 0; i < len(ws); i += 3 {
+			remote[gfacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}] = true
 		}
 	}
 	vid2dof := make(map[forest.VertexID]int32, plan.leaf.Mesh.NumVerts())
 	for i, fv := range plan.leaf.Vert2Local {
 		vid2dof[e.F.VIDs[fv]] = int32(i)
 	}
-	// Local view: vertices of my true-boundary facets.
-	var bndIDs []forest.VertexID
+	// Local view: vertices of my true-boundary facets, one word per ID.
+	var bndIDs []int64
 	seen := make(map[forest.VertexID]bool)
 	for _, f := range mine {
 		if remote[f] {
@@ -293,22 +291,17 @@ func (e *Engine) domainBoundaryVerts(plan *dofPlan) map[int32]bool {
 				continue
 			}
 			seen[id] = true
-			bndIDs = append(bndIDs, id)
+			bndIDs = append(bndIDs, int64(id))
 		}
 	}
 	// Classification must be GLOBAL: a rank can touch a boundary vertex
 	// without owning any of its boundary facets (e.g. after migration), so
 	// union every rank's view — all sharers must agree on Dirichlet rows.
 	sort.Slice(bndIDs, func(i, j int) bool { return bndIDs[i] < bndIDs[j] })
-	bsend := make([]any, e.Comm.Size())
-	for i := range bsend {
-		bsend[i] = bndIDs
-	}
-	brecv := e.Comm.Alltoall(bsend)
 	out := make(map[int32]bool)
-	for _, v := range brecv {
-		for _, id := range v.([]forest.VertexID) {
-			if dof, ok := vid2dof[id]; ok {
+	for _, ids := range e.Comm.AllGatherInt64(bndIDs) {
+		for _, id := range ids {
+			if dof, ok := vid2dof[forest.VertexID(id)]; ok {
 				out[dof] = true
 			}
 		}

@@ -196,7 +196,8 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 					localMax = v
 				}
 			})
-			globalMax := float64(e.Comm.AllReduceMax(int64(localMax*1e12))) / 1e12
+			scaledMax, _ := e.Comm.AllReduceMaxSum(int64(localMax * 1e12))
+			globalMax := float64(scaledMax) / 1e12
 			ast := e.Adapt(est, globalMax*0.3, 0, 14)
 			if cycle == 0 {
 				start = ast.GlobalLeaves
@@ -206,7 +207,7 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 		if err := e.CheckConsistency(); err != nil {
 			panic(err)
 		}
-		final := e.Comm.AllReduceSum(int64(e.F.NumLeaves()))
+		final := e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 		if final <= start {
 			panic("ZZ-driven distributed adaptation refined nothing")
 		}
@@ -223,8 +224,8 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 				far++
 			}
 		}
-		gNear := e.Comm.AllReduceSum(near)
-		gFar := e.Comm.AllReduceSum(far)
+		gNear := e.Comm.AllReduceSumInt64(near)
+		gFar := e.Comm.AllReduceSumInt64(far)
 		if c.Rank() == 0 && gNear <= gFar {
 			panic("distributed ZZ refinement not concentrated at the corner")
 		}
