@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-self assert bench bench-json bench-guard bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
+.PHONY: all build test race lint assert bench bench-json bench-guard bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
 
 all: build lint test
 
@@ -16,26 +16,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-specific static analysis (see internal/lint), all thirteen checks:
+# Project-specific static analysis (see internal/lint), all ten checks:
 # per-file — map-iteration order in deterministic packages, raw concurrency
 # outside internal/par and internal/kern, float ==, dropped errors, sleeps;
 # flow-aware — rank-gated collectives (deadlocks), impure kern bodies,
 # *Scratch aliasing across concurrency, order-dependent float accumulation;
 # path-sensitive — rank-divergent collective schedules (spmd, per-path trace
-# comparison), allocations in //pared:hotpath functions (hotalloc);
-# value-range — unprovable slice indexes in hotpath functions (bce, checked
-# against the compiler's own elimination) and narrowing casts/shifts whose
-# interval can exceed the target width (intwidth, //pared:narrow verified).
-# -strict-allow additionally fails on suppressions that suppress nothing;
-# -cache replays unchanged packages from out/lintcache (content-hash keys).
+# comparison). Suppressions that suppress nothing are findings too. ./...
+# includes internal/lint and cmd/paredlint: the linter lints itself.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/paredlint -strict-allow -cache ./...
-
-# The linter linted by itself: internal/lint and cmd/paredlint must satisfy
-# their own rules.
-lint-self:
-	$(GO) run ./cmd/paredlint -strict-allow -cache ./internal/lint ./cmd/paredlint
+	$(GO) run ./cmd/paredlint ./...
 
 # Run the test suite with the runtime invariant layer compiled in (mesh
 # conformity, weight bookkeeping, gain-table brute-force cross-checks,
@@ -82,17 +73,19 @@ bench-guard:
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par
 
 bench-alloc-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt
 	$(GO) run ./cmd/benchguard -allocs -write-baseline BENCH_allocs.json /tmp/allocguard0.txt
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
 # within 20% of BENCH_allocs.json per benchmark — and zero-alloc baselines
 # (SpMV, Dot, the KL boundary scan) admit no allocations at all. Catches a
 # reintroduced per-op allocation (interface boxing, literal in a kernel) as a
-# CI failure, complementing the static hotalloc check with measurement.
+# CI failure. GOMAXPROCS=1 in both recipes: with more workers kern spawns
+# goroutines and the counts depend on the machine; the pins are of the
+# single-worker path.
 bench-alloc-guard:
-	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard1.txt
-	$(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard2.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard1.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard2.txt
 	$(GO) run ./cmd/benchguard -allocs -baseline BENCH_allocs.json \
 		/tmp/allocguard1.txt /tmp/allocguard2.txt
 

@@ -8,39 +8,15 @@
 //
 //	paredlint ./...                      # whole module (default)
 //	paredlint ./internal/core ./cmd/...  # explicit packages
-//	paredlint -floateq=false ./...       # disable one check
+//	paredlint -only spmd ./...           # a single check by name
 //	paredlint -json ./...                # one JSON object per finding
-//	paredlint -strict-allow ./...        # stale suppressions are findings
 //
-// Each check is individually toggleable:
+// The checks are documented in package lint. A //paredlint:allow directive
+// of a check that ran and that suppresses nothing is itself a finding
+// ([allow]).
 //
-//	-maporder      map iteration order in deterministic packages  (default true)
-//	-rawconc       raw concurrency outside internal/par and kern  (default true)
-//	-floateq       ==/!= on floats                                (default true)
-//	-errcheck      dropped error returns                          (default true)
-//	-sleep         time.Sleep as synchronization                  (default true)
-//	-collective    rank-gated par.Comm collectives (deadlocks)    (default true)
-//	-spmd          rank-divergent collective schedules (traces)   (default true)
-//	-kernpure      impure kern.For/ForChunks/Sum bodies           (default true)
-//	-scratchalias  *Scratch buffers shared across concurrency     (default true)
-//	-detfloat      order-dependent float accumulation             (default true)
-//	-hotalloc      allocations in //pared:hotpath functions       (default true)
-//	-bce           unprovable slice indexes in hotpath functions  (default true)
-//	-intwidth      narrowing casts/shifts that can overflow       (default true)
-//
-// -only runs a single check by name (overriding the per-check toggles):
-//
-//	paredlint -only spmd ./...
-//
-// Output modes:
-//
-//	-json          emit one {check, file, line, msg, path} object per line,
-//	               then one {timings: [{check, ms}, ...]} summary object
-//	               (with a cache {hits, misses, rate} member under -cache)
-//	-strict-allow  report //paredlint:allow directives that suppress nothing
-//	-cache         replay unchanged packages from out/lintcache: per-package
-//	               results keyed by a content hash over the package's import
-//	               cone, so re-runs only re-analyze what changed
+// -json emits one {check, file, line, msg, path} object per line, then one
+// {timings: [{check, ms}, ...]} summary object.
 package main
 
 import (
@@ -49,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"pared/internal/lint"
@@ -69,44 +46,22 @@ type jsonTiming struct {
 	Ms    float64 `json:"ms"`
 }
 
-// jsonCache is the cache-outcome member of the -json trailer object.
-type jsonCache struct {
-	Hits   int     `json:"hits"`
-	Misses int     `json:"misses"`
-	Rate   float64 `json:"rate"`
-}
-
 // jsonTrailer is the summary object ending -json output.
 type jsonTrailer struct {
 	Timings []jsonTiming `json:"timings"`
-	Cache   *jsonCache   `json:"cache,omitempty"`
 }
 
 func main() {
-	enabled := make(map[string]*bool)
-	for _, c := range lint.AllChecks() {
-		enabled[c.Name] = flag.Bool(c.Name, true, c.Doc)
-	}
 	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic object per line, then a timings summary object")
-	strictAllow := flag.Bool("strict-allow", false, "report stale //paredlint:allow directives as findings")
-	only := flag.String("only", "", "run a single check by name (overrides the per-check toggles)")
-	useCache := flag.Bool("cache", false, "replay unchanged packages from the content-hash summary cache under out/lintcache")
+	only := flag.String("only", "", "run a single check by name")
 	flag.Parse()
 
-	var checks []*lint.Check
-	for _, c := range lint.AllChecks() {
-		if *only != "" {
-			if c.Name == *only {
-				checks = append(checks, c)
-			}
-			continue
+	checks := lint.AllChecks()
+	if *only != "" {
+		checks = slices.DeleteFunc(checks, func(c *lint.Check) bool { return c.Name != *only })
+		if len(checks) == 0 {
+			fatal(fmt.Errorf("unknown check %q", *only))
 		}
-		if *enabled[c.Name] {
-			checks = append(checks, c)
-		}
-	}
-	if *only != "" && len(checks) == 0 {
-		fatal(fmt.Errorf("unknown check %q", *only))
 	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -126,14 +81,8 @@ func main() {
 		fatal(err)
 	}
 
-	var cache *lint.Cache
-	if *useCache {
-		cache = lint.NewCache(filepath.Join(loader.ModuleRoot, "out", "lintcache"), loader)
-	}
-	diags, timings, stats := lint.RunCachedTimed(pkgs, checks, cache)
-	if *strictAllow {
-		diags = append(diags, lint.StaleAllows(pkgs, checks)...)
-	}
+	diags, timings := lint.RunTimed(pkgs, checks)
+	diags = append(diags, lint.StaleAllows(pkgs, checks)...)
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
 		pos := d.Pos
@@ -162,9 +111,6 @@ func main() {
 		trailer := jsonTrailer{Timings: make([]jsonTiming, 0, len(timings))}
 		for _, t := range timings {
 			trailer.Timings = append(trailer.Timings, jsonTiming{Check: t.Name, Ms: t.Ms})
-		}
-		if cache != nil {
-			trailer.Cache = &jsonCache{Hits: stats.Hits, Misses: stats.Misses, Rate: stats.Rate()}
 		}
 		if err := enc.Encode(trailer); err != nil {
 			fatal(err)

@@ -169,8 +169,6 @@ func (ds *distScratch) ensure(n, p, R int) {
 // id then destination. The float comparisons realize the equal-gain
 // tie-break without a float == (the > and < clauses have both failed when
 // the id compare runs).
-//
-//pared:hotpath
 func distLess(a, b distMove) bool {
 	if a.gain > b.gain {
 		return true
@@ -187,8 +185,6 @@ func distLess(a, b distMove) bool {
 // distDown is container/heap's siftDown, monomorphic over distMove (the
 // pairQueue port in gaintable.go, same reasoning: heap.Interface would box
 // every element on the resolution hot loop).
-//
-//pared:hotpath
 func distDown(h []distMove, i0, n int) {
 	h = h[:n] // pin the heap bound for the index proofs below
 	i := i0
@@ -215,8 +211,6 @@ func distDown(h []distMove, i0, n int) {
 // function of (g, parts, orig, partW, partCnt, locked, cfg), so the output
 // is independent of how [0, n) was chunked — the property the kern scoring
 // relies on. extW and touchedBuf are the chunk-private scratch (length p).
-//
-//pared:hotpath append=touched
 func distScoreRange(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo, hi int, extW []int64, touchedBuf []int32, candTo []int32, candGain []float64) {
 	n := len(g.VW) // g.N(), as the length fact the index proofs chain from
 	parts = parts[:n]
@@ -229,7 +223,6 @@ func distScoreRange(g *graph.Graph, parts, orig []int32, partW []int64, partCnt 
 	if hi > n {
 		hi = n
 	}
-	//pared:narrow(1<<31 - 1)
 	for v := int32(lo); v < int32(hi); v++ {
 		distScoreVertex(g, parts, orig, partW, partCnt, locked, cfg, hardBalance, limit, v, extW, touchedBuf, candTo, candGain)
 	}
@@ -239,8 +232,6 @@ func distScoreRange(g *graph.Graph, parts, orig []int32, partW []int64, partCnt 
 // strictly-positive move under the current replicated state, or candTo[v] =
 // -1. extW must enter zeroed and leaves zeroed; touchedBuf holds at most one
 // entry per part, so it never grows past its ensure()d capacity.
-//
-//pared:hotpath append=touched
 func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, cfg Config, hardBalance bool, limit int64, v int32, extW []int64, touchedBuf []int32, candTo []int32, candGain []float64) {
 	touched := touchedBuf[:0]
 	candTo[v] = -1
@@ -309,8 +300,6 @@ func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt
 // and each is re-scored before application. Returns the number of applied
 // moves (identical on every rank, so the round loop needs no extra
 // collective to agree on termination).
-//
-//pared:hotpath append=h,appliedV
 func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool, limit int64, packed []int64) int {
 	n := len(g.VW)
 	parts = parts[:n]
@@ -324,9 +313,8 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 		w0, w1 := packed[k], packed[k+1]
 		// Wire format (see the pack loop): w0 = v<<32 | to, w1 = the gain's
 		// float bits carried through an int64 lane. The masks are identities —
-		// v and to are nonnegative int32 ids, so each mask also hands the
-		// width checker a provable [0, 2³¹) interval; the gain's sign bit is
-		// peeled off the int64 and restored on the uint64 side.
+		// v and to are nonnegative int32 ids; the gain's sign bit is peeled
+		// off the int64 and restored on the uint64 side.
 		gainBits := uint64(w1 & 0x7fffffffffffffff)
 		if w1 < 0 {
 			gainBits |= 1 << 63
@@ -427,8 +415,6 @@ func distScoreChunks(ds *distScratch, g *graph.Graph, parts, orig []int32, partW
 // geometry, so which vertices re-score — and therefore every candidate
 // array — stays byte-identical across rank counts. Stamps deduplicate
 // without clearing: the generation counter only grows.
-//
-//pared:hotpath append=dirty
 func distRescoreDirty(ds *distScratch, g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo0, hi0 int) {
 	ds.stampGen++
 	gen := ds.stampGen

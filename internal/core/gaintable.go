@@ -46,13 +46,11 @@ func (q pairQueue) Swap(a, b int) { q[a], q[b] = q[b], q[a] }
 // so pop order — and therefore move selection — is unchanged (the
 // table-vs-boundary-scan cross-check tests pin this).
 
-//pared:hotpath append=q
 func (q *pairQueue) push(e tableEntry) {
 	*q = append(*q, e)
 	q.up(len(*q) - 1)
 }
 
-//pared:hotpath
 func (q *pairQueue) pop() tableEntry {
 	n := len(*q) - 1
 	q.Swap(0, n)
@@ -62,7 +60,6 @@ func (q *pairQueue) pop() tableEntry {
 	return e
 }
 
-//pared:hotpath
 func (q pairQueue) up(j int) {
 	for {
 		i := (j - 1) / 2 // parent
@@ -74,7 +71,6 @@ func (q pairQueue) up(j int) {
 	}
 }
 
-//pared:hotpath
 func (q pairQueue) down(i0, n int) {
 	i := i0
 	for {
@@ -131,8 +127,6 @@ func newGainTable(g *graph.Graph, parts, orig []int32, p int, cfg Config) *gainT
 }
 
 // gain computes the full 3-term gain for moving v from its part to j.
-//
-//pared:hotpath
 func (t *gainTable) gain(v, j int32, extI, extJ int64) float64 {
 	i := t.parts[v]
 	wv := t.g.VW[v]
@@ -150,8 +144,6 @@ func (t *gainTable) gain(v, j int32, extI, extJ int64) float64 {
 
 // pushMoves (re)inserts all candidate moves of boundary vertex v into the
 // queues of pairs (part(v), j) for each adjacent part j.
-//
-//pared:hotpath append=t.touched
 func (t *gainTable) pushMoves(v int32) {
 	t.stamps[v]++
 	i := t.parts[v]
@@ -182,8 +174,6 @@ func (t *gainTable) pushMoves(v int32) {
 
 // refreshTop pops invalid entries off queue (i,j) until its top is current,
 // recomputing stale-epoch gains in place.
-//
-//pared:hotpath
 func (t *gainTable) refreshTop(i, j int) {
 	q := &t.queues[i*t.p+j]
 	for q.Len() > 0 {
@@ -197,10 +187,8 @@ func (t *gainTable) refreshTop(i, j int) {
 			// gain and reposition the entry.
 			q.pop()
 			// Part ids fit int32 throughout (p is a rank count).
-			//pared:narrow(1<<31 - 1)
 			extI, extJ := t.extTo(top.v, int32(i)), t.extTo(top.v, int32(j))
 			q.push(tableEntry{
-				//pared:narrow(1<<31 - 1)
 				gain:  t.gain(top.v, int32(j), extI, extJ),
 				v:     top.v,
 				stamp: top.stamp,
@@ -213,8 +201,6 @@ func (t *gainTable) refreshTop(i, j int) {
 }
 
 // extTo returns the total edge weight from v to part j.
-//
-//pared:hotpath
 func (t *gainTable) extTo(v, j int32) int64 {
 	var s int64
 	t.g.Neighbors(v, func(u int32, w int64) {
@@ -226,8 +212,6 @@ func (t *gainTable) extTo(v, j int32) int64 {
 }
 
 // selectBest returns the overall best move (v, to, gain), or v = -1.
-//
-//pared:hotpath
 func (t *gainTable) selectBest() (v, to int32, gain float64) {
 	v = -1
 	for i := 0; i < t.p; i++ {
@@ -244,7 +228,6 @@ func (t *gainTable) selectBest() (v, to int32, gain float64) {
 			// ">= && v<" realizes the equal-gain tie-break without a float ==:
 			// the > clause has already failed when it is evaluated.
 			if v < 0 || top.gain > gain || (top.gain >= gain && top.v < v) {
-				//pared:narrow(1<<31 - 1)
 				v, to, gain = top.v, int32(j), top.gain
 			}
 		}
@@ -254,8 +237,6 @@ func (t *gainTable) selectBest() (v, to int32, gain float64) {
 
 // apply executes the move, bumping epochs of affected pairs and refreshing
 // the neighbor candidates.
-//
-//pared:hotpath
 func (t *gainTable) apply(v, to int32) {
 	from := t.parts[v]
 	t.parts[v] = to

@@ -28,7 +28,6 @@ type klScratch struct {
 	dist distScratch
 }
 
-//pared:hotpath
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
@@ -36,7 +35,6 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-//pared:hotpath
 func growI64s(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
@@ -44,7 +42,6 @@ func growI64s(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-//pared:hotpath
 func growI32s(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -78,13 +75,10 @@ func refineKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Conf
 // and the gain is cut + α·migration. Applied after balance is reached, it
 // recovers cut quality that the soft quadratic term would otherwise freeze
 // (every move then carries a −2βw² penalty, blocking small cut improvements).
-//
-//pared:hotpath
 func polishKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	runKL(s, g, parts, orig, p, cfg, true)
 }
 
-//pared:hotpath append=boundary,moves,touched
 func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool) {
 	n := len(g.VW) // g.N(), phrased as the length fact the index proofs chain from
 	if n == 0 || p <= 1 {
@@ -247,8 +241,6 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 // heaviest part into an underweight part. The β-weighted gain already prefers
 // such moves, so this loop usually runs zero iterations; it guarantees the
 // ε < 0.01 balance the paper reports even on adversarial inputs.
-//
-//pared:hotpath append=touched
 func forceBalance(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	n := len(g.VW) // g.N(), phrased as the length fact the index proofs chain from
 	if n == 0 || p <= 1 {

@@ -26,18 +26,12 @@ type Graph struct {
 }
 
 // N returns the number of vertices.
-//
-//pared:hotpath
 func (g *Graph) N() int { return len(g.VW) }
 
 // M returns the number of undirected edges.
-//
-//pared:hotpath
 func (g *Graph) M() int { return len(g.Adj) / 2 }
 
 // TotalVW returns the sum of vertex weights.
-//
-//pared:hotpath
 func (g *Graph) TotalVW() int64 {
 	var s int64
 	for _, w := range g.VW {
@@ -47,13 +41,9 @@ func (g *Graph) TotalVW() int64 {
 }
 
 // Degree returns the number of neighbors of v.
-//
-//pared:hotpath
 func (g *Graph) Degree(v int32) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
 
 // Neighbors calls fn(u, w) for every neighbor u of v with edge weight w.
-//
-//pared:hotpath
 func (g *Graph) Neighbors(v int32, fn func(u int32, w int64)) {
 	for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 		fn(g.Adj[k], g.EW[k])

@@ -27,8 +27,6 @@ const (
 // as before. When a vertex's precomputed candidate is still unmatched it
 // equals the serial choice (the argmax over a superset that is itself in the
 // subset); otherwise the commit falls back to the serial rescan.
-//
-//pared:hotpath
 func HeavyEdgeMatching(g *Graph, seed int64, allow func(u, v int32) bool) []int32 {
 	n := g.N()
 	match := make([]int32, n)
@@ -87,7 +85,6 @@ func HeavyEdgeMatching(g *Graph, seed int64, allow func(u, v int32) bool) []int3
 	kern.For(n, matchGrain, func(lo, hi int) {
 		// lo/hi are chunk bounds in [0, n]; vertex counts fit int32 by the
 		// mesh contract (ids are int32 throughout).
-		//pared:narrow(1<<31 - 1)
 		for v := int32(lo); v < int32(hi); v++ {
 			best := int32(-1)
 			var bestW int64 = -1
@@ -149,7 +146,6 @@ type ContractScratch struct {
 	ewBuf         []int64 // candidate weight slots
 }
 
-//pared:hotpath
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -157,7 +153,6 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-//pared:hotpath
 func growI64(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
@@ -169,8 +164,6 @@ func growI64(s []int64, n int) []int64 {
 // coarse graph and the fine→coarse vertex map. Coarse vertex weights are sums
 // of their constituents'; parallel edges merge by weight; edges internal to a
 // matched pair disappear.
-//
-//pared:hotpath
 func Contract(g *Graph, match []int32) (*Graph, []int32) {
 	return ContractInto(g, match, nil)
 }
@@ -183,8 +176,6 @@ func Contract(g *Graph, match []int32) (*Graph, []int32) {
 // merges them in place (edge weights are int64, so merge order cannot change
 // sums), and the final CSR is stitched together in coarse-vertex order. The
 // result is byte-identical to the historical Builder-based contraction.
-//
-//pared:hotpath
 func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32) {
 	if s == nil {
 		s = new(ContractScratch)
@@ -228,7 +219,6 @@ func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32)
 		if m := s.second[c]; m >= 0 {
 			d += g.Degree(m)
 		}
-		//pared:narrow(1<<31 - 1)
 		s.capOff[c+1] = s.capOff[c] + int32(d)
 	}
 	s.adjBuf = growI32(s.adjBuf, int(s.capOff[ncInt]))
@@ -275,7 +265,6 @@ func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32)
 				s.adjBuf[m], s.ewBuf[m] = s.adjBuf[i], s.ewBuf[i]
 				m++
 			}
-			//pared:narrow(1<<31 - 1)
 			cnt[c] = int32(m - base)
 		}
 	})

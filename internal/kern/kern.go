@@ -44,16 +44,12 @@ import (
 
 // Workers returns the maximum number of goroutines a kernel call may use:
 // the current GOMAXPROCS setting.
-//
-//pared:hotpath
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // NumChunks returns the number of chunks the index space [0, n) is split
 // into at the given grain: ⌈n/grain⌉ (0 for an empty space). Chunk c covers
 // [c·grain, min((c+1)·grain, n)). The geometry is a pure function of n and
 // grain, which is what makes ordered reductions scheduling-independent.
-//
-//pared:hotpath
 func NumChunks(n, grain int) int {
 	if grain <= 0 {
 		panic(fmt.Sprintf("kern: non-positive grain %d", grain))
@@ -73,8 +69,6 @@ func NumChunks(n, grain int) int {
 // whole range in one body(0, n) call, with no goroutines, no wrapper
 // closure, and no allocation — solver inner loops can call For per
 // iteration without paying a per-call heap cost.
-//
-//pared:hotpath
 func For(n, grain int, body func(lo, hi int)) {
 	nc := NumChunks(n, grain)
 	if nc == 0 {
@@ -84,15 +78,13 @@ func For(n, grain int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	run(n, grain, func(_, lo, hi int) { body(lo, hi) }) //paredlint:allow hotalloc -- multi-worker slow path: the wrapper escapes into worker goroutines; the contract above only promises the single-chunk/single-worker path is allocation-free
+	run(n, grain, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ForChunks runs body(c, lo, hi) for every chunk c of [0, n). The chunk
 // index is the hook for per-chunk output buffers that a caller later merges
 // in ascending chunk order (the element-order merge used by FEM assembly and
 // graph contraction).
-//
-//pared:hotpath
 func ForChunks(n, grain int, body func(c, lo, hi int)) {
 	run(n, grain, body)
 }
@@ -104,8 +96,6 @@ var partialsPool = sync.Pool{New: func() any { return new([]float64) }}
 // Sum evaluates chunk(lo, hi) for every chunk of [0, n) in parallel and
 // returns the partial results combined in ascending chunk order. With one
 // chunk (or n ≤ 0) the result is exactly the serial evaluation.
-//
-//pared:hotpath
 func Sum(n, grain int, chunk func(lo, hi int) float64) float64 {
 	nc := NumChunks(n, grain)
 	switch nc {
@@ -133,7 +123,7 @@ func Sum(n, grain int, chunk func(lo, hi int) float64) float64 {
 		*bufp = make([]float64, nc)
 	}
 	partials := (*bufp)[:nc]
-	run(n, grain, func(c, lo, hi int) { partials[c] = chunk(lo, hi) }) //paredlint:allow hotalloc -- multi-worker slow path: the wrapper escapes into worker goroutines; single-chunk and single-worker reductions never reach it
+	run(n, grain, func(c, lo, hi int) { partials[c] = chunk(lo, hi) })
 	s := 0.0
 	for _, p := range partials {
 		s += p

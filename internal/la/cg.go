@@ -6,7 +6,6 @@ import (
 	"pared/internal/kern"
 )
 
-//pared:hotpath
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 // CGResult reports the outcome of a conjugate-gradient solve.
@@ -24,8 +23,6 @@ type CGScratch struct {
 }
 
 // grow resizes every work vector to length n, reusing capacity.
-//
-//pared:hotpath
 func (s *CGScratch) grow(n int) {
 	resize := func(v []float64) []float64 {
 		if cap(v) < n {
@@ -50,8 +47,6 @@ func CG(a *CSR, b, x []float64, tol float64, maxIter int) CGResult {
 
 // CGWith is CG with caller-owned scratch; pass the same scratch to repeated
 // solves to avoid reallocating the five work vectors.
-//
-//pared:hotpath
 func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGResult {
 	n := a.N
 	s.grow(n)
@@ -125,8 +120,6 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 }
 
 // diagInto writes the diagonal of A (zero where absent) into d.
-//
-//pared:hotpath
 func diagInto(a *CSR, d []float64) {
 	kern.For(a.N, rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -33,8 +33,6 @@ type CSR struct {
 }
 
 // mulVecRange computes dst[lo:hi] = (A·x)[lo:hi].
-//
-//pared:hotpath
 func (a *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		sum := 0.0
@@ -48,8 +46,6 @@ func (a *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 // MulVec computes dst = A·x. Rows are computed in parallel chunks; each row
 // is the same left-to-right accumulation as a serial loop, so the result is
 // byte-identical to serial evaluation regardless of worker count.
-//
-//pared:hotpath
 func (a *CSR) MulVec(dst, x []float64) {
 	if len(dst) != a.N || len(x) != a.N {
 		panic("la: MulVec dimension mismatch")
@@ -95,15 +91,11 @@ type Builder struct {
 func NewBuilder(n int) *Builder { return &Builder{n: n} }
 
 // Add accumulates v at (i, j).
-//
-//pared:hotpath append=b.rows,b.cols,b.vals
 func (b *Builder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.n || j < 0 || j >= b.n {
 		panic(fmt.Sprintf("la: Add(%d,%d) out of range for n=%d", i, j, b.n))
 	}
-	//pared:narrow(1<<31 - 1)
 	b.rows = append(b.rows, int32(i))
-	//pared:narrow(1<<31 - 1)
 	b.cols = append(b.cols, int32(j))
 	b.vals = append(b.vals, v)
 }
@@ -123,8 +115,6 @@ func (b *Builder) Build() *CSR {
 // processed in parallel — their segments are disjoint). Duplicates
 // accumulate left-to-right in triplet order, so the result is deterministic:
 // a pure function of the triplet sequence, independent of GOMAXPROCS.
-//
-//pared:hotpath
 func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		panic("la: BuildCSR triplet slices have mismatched lengths")
@@ -178,7 +168,6 @@ func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 				scol[m], sval[m] = scol[k], sval[k]
 				m++
 			}
-			//pared:narrow(1<<31 - 1)
 			rowLen[r] = int32(m - s)
 		}
 	})
@@ -201,8 +190,6 @@ func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 
 // Dot returns xᵀy, reduced over static chunks in ascending order (see
 // package doc: byte-identical for any GOMAXPROCS, chunked rounding).
-//
-//pared:hotpath
 func Dot(x, y []float64) float64 {
 	n := len(x)
 	y = y[:n] // pin the lengths together: y[i] is in-bounds wherever x[i] is
@@ -234,8 +221,6 @@ func Dot(x, y []float64) float64 {
 }
 
 // Axpy computes y += a·x.
-//
-//pared:hotpath
 func Axpy(a float64, x, y []float64) {
 	if kern.Workers() == 1 {
 		for i := range x {
@@ -251,8 +236,6 @@ func Axpy(a float64, x, y []float64) {
 }
 
 // Scale computes x *= a.
-//
-//pared:hotpath
 func Scale(a float64, x []float64) {
 	if kern.Workers() == 1 {
 		for i := range x {
@@ -268,8 +251,6 @@ func Scale(a float64, x []float64) {
 }
 
 // Norm2 returns the Euclidean norm of x.
-//
-//pared:hotpath
 func Norm2(x []float64) float64 {
 	s := Dot(x, x)
 	if s <= 0 {

@@ -126,20 +126,6 @@ type Program struct {
 	// spmd collective-trace summaries (spmd.go), computed on demand.
 	traceMemo map[*types.Func][]collEvent
 	traceOn   map[*types.Func]bool
-
-	// hotalloc memos (hotalloc.go), computed on demand: per-function direct
-	// allocation facts, pruned call-site lists, and call-only parameter
-	// verdicts.
-	allocMemo    map[*FuncNode][]allocFact
-	prunedMemo   map[*FuncNode][]callSite
-	callOnlyMemo map[*types.Func]map[int]bool
-
-	// value-range memos (ranges.go / bce.go): per-function return-interval
-	// summaries (with an in-progress set cutting recursion) and per-function
-	// unprovable-index facts for call-graph propagation.
-	rangeMemo map[*types.Func]ival
-	rangeOn   map[*types.Func]bool
-	bceMemo   map[*FuncNode][]bceFact
 }
 
 // BuildProgram indexes the packages and computes the call graph and effect

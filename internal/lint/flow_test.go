@@ -115,7 +115,7 @@ func TestStaleAllowsOnlyForRanChecks(t *testing.T) {
 }
 
 // BenchmarkLintTree measures the full pipeline — parse, type-check, call
-// graph, all nine checks — over the whole repository, so future checks
+// graph, all ten checks — over the whole repository, so future checks
 // cannot silently blow up lint latency (CI separately enforces a 30s wall
 // clock on the paredlint binary).
 func BenchmarkLintTree(b *testing.B) {

@@ -4,7 +4,8 @@
 // and balance numbers — only reproduces if the pipeline is deterministic and
 // all inter-rank communication flows through internal/par. Go silently loses
 // both properties through unordered map iteration, float ==, ad-hoc
-// goroutines, and dropped errors. paredlint machine-checks the project rules:
+// goroutines, and dropped errors. paredlint machine-checks ten project rules,
+// five of them per file:
 //
 //	maporder — no order-sensitive iteration over maps in the deterministic
 //	           packages (internal/core, internal/graph, internal/partition,
@@ -18,7 +19,7 @@
 //	sleep    — no time.Sleep used as synchronization in library code
 //
 // On top of the per-file checks sits a whole-program, type- and flow-aware
-// layer (callgraph.go, flow.go, cfg.go) with six more checks:
+// layer (callgraph.go, flow.go, cfg.go) with five more checks:
 //
 //	collective   — a par.Comm collective reachable only under rank-dependent
 //	               control flow (branch, loop bound, early return) is a
@@ -39,26 +40,6 @@
 //	detfloat     — float accumulation in map-iteration order or inside kern
 //	               bodies (outside kern.Sum's ordered reducer) breaks
 //	               bit-reproducibility.
-//	hotalloc     — functions marked //pared:hotpath must be allocation-free:
-//	               appends beyond the annotated set, map/slice literals,
-//	               interface boxing, escaping closures, and string
-//	               concatenation are flagged, transitively through the call
-//	               graph (hotalloc.go).
-//
-// The value-range layer (ranges.go) runs an interval abstract interpretation
-// over the same CFGs — widening at loop heads, narrowing from branch
-// conditions, len/cap symbolic facts, interprocedural range summaries — and
-// powers two more checks:
-//
-//	bce      — every slice index in a //pared:hotpath function must be
-//	           provably in-bounds so the compiler drops the bounds check;
-//	           unprovable indexes are reported with their derived interval
-//	           and, for callees, the call path. Cross-validated line-by-line
-//	           against go build -gcflags=-d=ssa/check_bce (bce.go).
-//	intwidth — narrowing conversions and shifts whose operand interval can
-//	           exceed the target width are flagged; intentional sites carry
-//	           //pared:narrow(bound), which is verified against the derived
-//	           interval rather than trusted (intwidth.go).
 //
 // The analyzer is stdlib-only (go/parser, go/ast, go/types); see
 // cmd/paredlint for the command-line driver.
@@ -111,7 +92,7 @@ type Check struct {
 // built on the whole-program call graph (callgraph.go) and the CFG layer
 // (cfg.go).
 func AllChecks() []*Check {
-	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, Collective, SPMD, KernPure, ScratchAlias, DetFloat, HotAlloc, BCE, IntWidth}
+	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, Collective, SPMD, KernPure, ScratchAlias, DetFloat}
 }
 
 // Package is one loaded, type-checked package.
@@ -132,7 +113,7 @@ type Package struct {
 
 // allowEntry is one check name from one paredlint:allow directive. used
 // flips when a finding is suppressed by it, so unused (stale) directives can
-// be reported under -strict-allow.
+// be reported (StaleAllows).
 type allowEntry struct {
 	check string
 	used  bool
@@ -210,7 +191,7 @@ func (p *Package) allowed(name string, pos token.Position) bool {
 // StaleAllows reports, for the checks that actually ran, every allow entry no
 // finding used: a suppression with nothing to suppress is dead weight that
 // hides future regressions. Call after Run; findings come back as "allow"
-// diagnostics (the -strict-allow mode of cmd/paredlint).
+// diagnostics, which cmd/paredlint always appends.
 func StaleAllows(pkgs []*Package, checks []*Check) []Diagnostic {
 	ran := make(map[string]bool, len(checks))
 	for _, c := range checks {

@@ -7,7 +7,7 @@
 // algorithms can scope collectives to a node group or to the group leaders.
 // The paper ran on an IBM SP / NOW over MPI; this layer preserves the
 // programming model — per-rank ownership and explicit communication —
-// without the cluster (see DESIGN.md §2, §14).
+// without the cluster (see DESIGN.md §2, §13).
 package par
 
 import (
@@ -169,8 +169,6 @@ func (c *Comm) WorldRank(r int) int {
 
 // post stamps a message with this comm's identity and the sender's local rank
 // and delivers it to the inbox of the world rank behind dst.
-//
-//pared:hotpath
 func (c *Comm) post(dst int, m message) {
 	m.comm = c.id
 	m.src = c.rank

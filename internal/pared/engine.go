@@ -279,8 +279,6 @@ func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
 }
 
 // lessGFacet orders facets lexicographically by global vertex IDs.
-//
-//pared:hotpath
 func lessGFacet(a, b gfacet) bool {
 	for k := 0; k < 3; k++ {
 		if a[k] != b[k] {
@@ -290,7 +288,6 @@ func lessGFacet(a, b gfacet) bool {
 	return false
 }
 
-//pared:hotpath
 func sortGFacet(f *gfacet) {
 	if f[0] > f[1] {
 		f[0], f[1] = f[1], f[0]
@@ -412,8 +409,6 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 // from one fused (max, sum) reduction. Every rank derives the same float64
 // from the same reduced integers, so decisions taken on the result need no
 // further collective agreement.
-//
-//pared:hotpath
 func (e *Engine) Imbalance() float64 {
 	maxL, total := e.Comm.AllReduceMaxSum(int64(e.F.NumLeaves()))
 	avg := float64(total) / float64(e.Comm.Size())
@@ -789,8 +784,6 @@ func (e *Engine) coordinatorGraph(deltas [][]int64) *graph.Graph {
 // search in u's ascending adjacency row. A missing slot means a rank reported
 // adjacency the coarse mesh does not have — the topology invariance the whole
 // incremental pipeline rests on is broken — so it panics loudly.
-//
-//pared:hotpath
 func patchEdge(g *graph.Graph, u, v int32, dw int64) {
 	lo, hi := g.Xadj[u], g.Xadj[u+1]
 	for lo < hi {

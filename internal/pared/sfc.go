@@ -105,8 +105,6 @@ func (e *Engine) ensureSFC() *sfcState {
 // the condition under which a rank's exclusive scan of local weight equals
 // its elements' global curve prefix. owner is replicated, so every rank
 // reaches the same verdict without communicating.
-//
-//pared:hotpath
 func bandForm(order, owner []int32) bool {
 	for k := 1; k < len(order); k++ {
 		if owner[order[k]] < owner[order[k-1]] {

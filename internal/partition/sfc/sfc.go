@@ -65,11 +65,9 @@ const (
 
 // Morton2D interleaves the low `bits` bits of x and y (y in the odd
 // positions) into a Z-order index.
-//pared:hotpath
 func Morton2D(x, y uint32, bits uint) uint64 {
 	var d uint64
 	for b := int(bits) - 1; b >= 0; b-- {
-		//pared:narrow(1<<62 - 1)
 		d = d<<2 | uint64(y>>uint(b)&1)<<1 | uint64(x>>uint(b)&1)
 	}
 	return d
@@ -77,11 +75,9 @@ func Morton2D(x, y uint32, bits uint) uint64 {
 
 // Morton3D interleaves the low `bits` bits of x, y and z (z highest) into a
 // 3D Z-order index.
-//pared:hotpath
 func Morton3D(x, y, z uint32, bits uint) uint64 {
 	var d uint64
 	for b := int(bits) - 1; b >= 0; b-- {
-		//pared:narrow(1<<63 - 1)
 		d = d<<3 | uint64(z>>uint(b)&1)<<2 | uint64(y>>uint(b)&1)<<1 | uint64(x>>uint(b)&1)
 	}
 	return d
@@ -91,10 +87,8 @@ func Morton3D(x, y, z uint32, bits uint) uint64 {
 // 2^bits grid — the classic quadrant-rotation formulation: walk the bits from
 // most to least significant, accumulate the quadrant's offset, and rotate the
 // remaining coordinates into the quadrant's frame.
-//pared:hotpath
 func Hilbert2D(x, y uint32, bits uint) uint64 {
 	var d uint64
-	//pared:narrow(1<<30)
 	for s := uint32(1) << (bits - 1); s > 0; s >>= 1 {
 		var rx, ry uint32
 		if x&s != 0 {
@@ -119,12 +113,10 @@ func Hilbert2D(x, y uint32, bits uint) uint64 {
 // Hilbert3D returns the Hilbert curve index of cell (x, y, z) on the cubic
 // 2^bits grid via Skilling's transpose algorithm: convert the axes to the
 // "transposed" Hilbert form in place, then interleave the transposed bits.
-//pared:hotpath
 func Hilbert3D(x, y, z uint32, bits uint) uint64 {
 	var X [3]uint32
 	X[0], X[1], X[2] = x, y, z
 	// Inverse undo of the Gray-code excess (Skilling, AxestoTranspose).
-	//pared:narrow(1<<20)
 	for q := uint32(1) << (bits - 1); q > 1; q >>= 1 {
 		p := q - 1
 		for i := 0; i < 3; i++ {
@@ -141,7 +133,6 @@ func Hilbert3D(x, y, z uint32, bits uint) uint64 {
 	X[1] ^= X[0]
 	X[2] ^= X[1]
 	var t uint32
-	//pared:narrow(1<<20)
 	for q := uint32(1) << (bits - 1); q > 1; q >>= 1 {
 		if X[2]&q != 0 {
 			t ^= q - 1
@@ -154,7 +145,6 @@ func Hilbert3D(x, y, z uint32, bits uint) uint64 {
 	// bit plane.
 	var d uint64
 	for b := int(bits) - 1; b >= 0; b-- {
-		//pared:narrow(1<<63 - 1)
 		d = d<<3 | uint64(X[0]>>uint(b)&1)<<2 | uint64(X[1]>>uint(b)&1)<<1 | uint64(X[2]>>uint(b)&1)
 	}
 	return d
@@ -218,14 +208,11 @@ func quantScale(extent float64, bits uint) float64 {
 }
 
 // quantize maps offset o (≥ 0) at scale s into [0, 2^bits − 1].
-//pared:hotpath
 func quantize(o, s float64, bits uint) uint32 {
 	q := uint64(math.Floor(o * s))
-	//pared:narrow(1<<31)
 	if max := uint64(1)<<bits - 1; q > max {
 		q = max
 	}
-	//pared:narrow(1<<31 - 1)
 	return uint32(q)
 }
 
@@ -260,8 +247,6 @@ type SortScratch struct {
 // Passes whose byte is constant across all keys are skipped, so a 2D mesh
 // whose keys fit 16 bits pays two passes, not eight. Steady-state zero-alloc:
 // scratch grows once and is reused.
-//
-//pared:hotpath
 func SortByKey(keys []uint64, idx []int32, s *SortScratch) {
 	n := len(idx)
 	if n < 2 {
@@ -311,14 +296,11 @@ func SortByKey(keys []uint64, idx []int32, s *SortScratch) {
 
 // bandOf returns the band whose range contains the weight midpoint of the
 // interval [a, a+w) on the axis [0, total).
-//
-//pared:hotpath
 func bandOf(a, w, total int64, p int) int32 {
 	j := (2*a + w) * int64(p) / (2 * total)
 	if j >= int64(p) {
 		j = int64(p) - 1
 	}
-	//pared:narrow(1<<31 - 1)
 	return int32(j)
 }
 
@@ -326,8 +308,6 @@ func bandOf(a, w, total int64, p int) int32 {
 // (c_j, c_{j+1}), c_j = j·total/p, intersects the element interval [a, b):
 // the bands an element touching a cut may legitimately live in. For w = 0 the
 // range may be empty (hi < lo).
-//
-//pared:hotpath
 func admissible(a, w, total int64, p int) (lo, hi int32) {
 	b := a + w
 	l := a * int64(p) / total
@@ -338,7 +318,6 @@ func admissible(a, w, total int64, p int) (lo, hi int32) {
 	if h > int64(p)-1 {
 		h = int64(p) - 1
 	}
-	//pared:narrow(1<<31 - 1)
 	return int32(l), int32(h)
 }
 
@@ -357,8 +336,6 @@ func admissible(a, w, total int64, p int) (lo, hi int32) {
 // curve-contiguous bands. Each band's weight is bounded by total/p + maxw
 // unsnapped and total/p + 2·maxw snapped, maxw the largest element weight —
 // the Burstedde–Holke style bound the property tests pin.
-//
-//pared:hotpath
 func AssignLocal(elems []int32, w []int64, offset, total int64, old []int32, p int, snap bool, out []int32) {
 	// Bounds-establishing reslices: w and out run parallel to elems, so every
 	// w[i]/out[i] below is provably in-bounds (and the compiler's BCE elides
@@ -430,8 +407,6 @@ type AssignScratch struct {
 }
 
 // ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
-//
-//pared:hotpath
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // greedyBands returns the number of bands a first-fit walk of w needs under
@@ -439,8 +414,6 @@ func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 // overflow the current one. First-fit is band-minimal for a fixed capacity,
 // so "greedyBands ≤ p" is an exact feasibility test for bottleneck cap.
 // Callers guarantee cap ≥ max(w), so every element fits in some band.
-//
-//pared:hotpath
 func greedyBands(w []int64, capacity int64) int {
 	bands, cur := 1, int64(0)
 	for _, wi := range w {

@@ -26,7 +26,9 @@ func TestMorton2DGolden(t *testing.T) {
 	}
 }
 
-// TestMorton3DGolden pins the unit-cube corner ordering: index = z<<2|y<<1|x.
+// TestMorton3DGolden pins the unit-cube corner ordering: index = z<<2|y<<1|x,
+// and the far corner at the full 21-bit key width (all 63 bits set), which an
+// interleave carried out in 32-bit arithmetic silently truncates.
 func TestMorton3DGolden(t *testing.T) {
 	for z := uint32(0); z < 2; z++ {
 		for y := uint32(0); y < 2; y++ {
@@ -37,6 +39,10 @@ func TestMorton3DGolden(t *testing.T) {
 				}
 			}
 		}
+	}
+	const m = 1<<bits3D - 1
+	if got := Morton3D(m, m, m, bits3D); got != 1<<63-1 {
+		t.Errorf("Morton3D(max,max,max) at %d bits = %#x, want %#x", bits3D, got, uint64(1<<63-1))
 	}
 }
 
@@ -83,6 +89,16 @@ func TestHilbertBijective(t *testing.T) {
 				seen3[d] = true
 			}
 		}
+	}
+	// At the production key widths the grid cannot be enumerated; pin the
+	// curve's last cell instead. Both curves end at (max, 0[, 0]) at every
+	// order, so its index is all 2·31 / 3·21 key bits set — a key computed
+	// in 32-bit arithmetic falls short.
+	if got := Hilbert2D(1<<bits2D-1, 0, bits2D); got != 1<<(2*bits2D)-1 {
+		t.Errorf("Hilbert2D end cell at %d bits = %#x, want %#x", bits2D, got, uint64(1<<(2*bits2D)-1))
+	}
+	if got := Hilbert3D(1<<bits3D-1, 0, 0, bits3D); got != 1<<(3*bits3D)-1 {
+		t.Errorf("Hilbert3D end cell at %d bits = %#x, want %#x", bits3D, got, uint64(1<<(3*bits3D)-1))
 	}
 }
 
