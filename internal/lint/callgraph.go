@@ -44,17 +44,18 @@ var collectiveNames = map[string]bool{
 	"Gather":  true,
 	"Bcast":   true,
 	// Typed variants (par/typed.go) participate in the same collSeq ordering.
-	"AllReduceMaxSum":    true,
-	"AllReduceSumInt64":  true,
-	"ExclusiveScanInt64": true,
-	"AllGatherInt32":     true,
-	"AllGatherInt64":     true,
-	"AllGatherMoves":     true,
-	"GatherInt32":        true,
-	"GatherInt64":        true,
-	"BcastInt32":         true,
-	"BcastInt64":         true,
-	"AlltoallBytes":      true,
+	"AllReduceMaxSum":      true,
+	"AllReduceSumInt64":    true,
+	"AllReduceSumFloat64s": true,
+	"ExclusiveScanInt64":   true,
+	"AllGatherInt32":       true,
+	"AllGatherInt64":       true,
+	"AllGatherMoves":       true,
+	"GatherInt32":          true,
+	"GatherInt64":          true,
+	"BcastInt32":           true,
+	"BcastInt64":           true,
+	"AlltoallBytes":        true,
 	// Split is a collective on the PARENT communicator: every parent rank
 	// must call it (colors may differ; the call may not be skipped) or the
 	// subgroup numbering exchange deadlocks. Collectives on the *result* are

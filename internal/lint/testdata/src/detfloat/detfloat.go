@@ -49,7 +49,7 @@ func viaPointer(m map[int]float64) float64 {
 }
 
 // okKeyed updates a slot keyed by the iteration variable: one update per
-// key, order invisible — no finding (the solver sumShared idiom).
+// key, order invisible — no finding.
 func okKeyed(add map[int32]float64, x []float64) {
 	for i, v := range add {
 		x[i] += v

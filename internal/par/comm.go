@@ -1,8 +1,10 @@
 // Package par is the message-passing runtime PARED runs on: an MPI-like
 // communicator with point-to-point sends/receives and the collectives the
 // repartitioning phases need: Barrier and the boxed Gather and Bcast here,
-// and the typed reductions, scans, gathers and all-to-all of typed.go. Ranks
-// are goroutines in one process; transport is typed Go channels.
+// and the typed reductions, scans, gathers and all-to-all of typed.go, which
+// also holds the []float64 lane the distributed solve runs on (SendFloat64s,
+// RecvFloat64s, AllReduceSumFloat64s). Ranks are goroutines in one process;
+// transport is typed Go channels.
 // Communicators can be split into sub-communicators (Split), so hierarchical
 // algorithms can scope collectives to a node group or to the group leaders.
 // The paper ran on an IBM SP / NOW over MPI; this layer preserves the
@@ -33,6 +35,7 @@ type message struct {
 	// the slice header inline avoids boxing it into data.
 	i32   []int32
 	i64   []int64
+	f64   []float64
 	bytes []byte
 }
 
@@ -96,6 +99,7 @@ func (ep *endpoint) consumePending(i int) {
 	ep.pending[i].data = nil // release the payload references
 	ep.pending[i].i32 = nil
 	ep.pending[i].i64 = nil
+	ep.pending[i].f64 = nil
 	ep.pending[i].bytes = nil
 	ep.pending[i].src = consumedSrc
 	ep.pendingDead++

@@ -69,6 +69,17 @@ func BenchmarkSubgroupScalars(b *testing.B) {
 	})
 }
 
+// BenchmarkAllReduceFloat64s runs the distributed CG's two per-iteration
+// reductions (one word, then two) on the world comm and on a split comm;
+// pinned zero-alloc.
+func BenchmarkAllReduceFloat64s(b *testing.B) {
+	benchSubgroup(b, func(c, sub *Comm) {
+		v := [2]float64{float64(c.Rank()), 1}
+		c.AllReduceSumFloat64s(v[:1])
+		sub.AllReduceSumFloat64s(v[:2])
+	})
+}
+
 // BenchmarkSubgroupAllGatherMoves runs the move exchange on a split comm with
 // caller scratch and the documented two-buffer reuse pattern; pinned
 // zero-alloc.

@@ -1,5 +1,7 @@
 package par
 
+import "fmt"
+
 // Typed collectives for hot payloads. The generic collectives carry `any`
 // payloads: every Send boxes the value into an interface and every Recv type-
 // asserts it back out, which costs an allocation per message and defeats
@@ -11,9 +13,13 @@ package par
 // send. Received slices are shared with the sender (and, for BcastInt32,
 // with every rank), so receivers must treat them as read-only or copy.
 //
+// The []float64 lane carries the distributed solve (pared/solver.go): the
+// point-to-point SendFloat64s/RecvFloat64s pair moves the per-neighbour halo
+// values of every CG iteration, and AllReduceSumFloat64s its inner products.
+//
 // The scalar collectives (AllReduceMaxSum, AllReduceSumInt64,
-// ExclusiveScanInt64) send their one- and two-word payloads from per-Comm
-// scratch instead of allocating a fresh slice per call, so they are
+// ExclusiveScanInt64, AllReduceSumFloat64s) send their few-word payloads from
+// per-Comm scratch instead of allocating a fresh slice per call, so they are
 // zero-alloc in steady state — on the world comm and on every split comm.
 // Reuse is safe by the same reuse-distance argument as AllGatherMoves: a
 // rank overwrites its up-lane scratch only after it received the down
@@ -39,16 +45,23 @@ const (
 	tagAllGatherI64
 	tagAllGatherMoves
 	tagBcastI64
+	tagSumF64Up
+	tagSumF64Down
 )
 
 // scalarScratch is the per-Comm send scratch of the scalar collectives.
 // up is the one-word up lane every rank sends toward rank 0; down is the
 // up-to-two-word result lane rank 0 fans back out; scan is rank 0's lazily
-// sized per-rank value/prefix store for ExclusiveScanInt64.
+// sized per-rank value/prefix store for ExclusiveScanInt64. fup, fdown and
+// fvals are the same three roles for AllReduceSumFloat64s.
 type scalarScratch struct {
 	up   [1]int64
 	down [2]int64
 	scan []int64 // 2*size at rank 0: values, then per-rank prefix slots
+
+	fup   [maxReduceWords]float64
+	fdown [maxReduceWords]float64
+	fvals []float64 // maxReduceWords*size at rank 0: every rank's words
 }
 
 // AllReduceMaxSum combines every rank's value into (max, sum) in one fused
@@ -101,6 +114,68 @@ func (c *Comm) AllReduceSumInt64(value int64) int64 {
 		c.post(i, message{tag: tagSumDown, seq: seq, i64: c.sc.down[:1]})
 	}
 	return sum
+}
+
+// maxReduceWords bounds the vector AllReduceSumFloat64s reduces in one round.
+const maxReduceWords = 4
+
+// AllReduceSumFloat64s sums vals element-wise across ranks, in place, in one
+// fused up/down round; len(vals) must be the same on every rank and at most
+// maxReduceWords. Rank 0 folds each word from +0 in ascending rank order, so
+// the result is bit-identical on every rank and independent of message
+// arrival order — the distributed CG's inner products rely on both.
+func (c *Comm) AllReduceSumFloat64s(vals []float64) {
+	k := len(vals)
+	if k > maxReduceWords {
+		panic(fmt.Sprintf("par: AllReduceSumFloat64s reduces at most %d words, got %d", maxReduceWords, k))
+	}
+	c.collSeq++
+	seq := c.collSeq
+	if c.rank != 0 {
+		copy(c.sc.fup[:k], vals)
+		c.post(0, message{tag: tagSumF64Up, seq: seq, f64: c.sc.fup[:k]})
+		m := c.recvMsg(0, tagSumF64Down, seq)
+		copy(vals, m.f64)
+		return
+	}
+	if c.sc.fvals == nil {
+		c.sc.fvals = make([]float64, maxReduceWords*c.size)
+	}
+	all := c.sc.fvals
+	copy(all[:k], vals)
+	for i := 0; i < c.size-1; i++ {
+		m := c.recvMsg(AnySource, tagSumF64Up, seq)
+		copy(all[maxReduceWords*m.src:], m.f64[:k])
+	}
+	for w := 0; w < k; w++ {
+		sum := 0.0
+		for r := 0; r < c.size; r++ {
+			sum += all[maxReduceWords*r+w]
+		}
+		c.sc.fdown[w] = sum
+	}
+	copy(vals, c.sc.fdown[:k])
+	for i := 1; i < c.size; i++ {
+		c.post(i, message{tag: tagSumF64Down, seq: seq, f64: c.sc.fdown[:k]})
+	}
+}
+
+// SendFloat64s is Send for a []float64 payload on its own lane: the slice
+// header travels inline, so nothing is boxed or copied. The receiver reads
+// xs itself — the sender must not overwrite it until the receiver is known
+// to be done with it (see the two-buffer schedule in pared/solver.go).
+func (c *Comm) SendFloat64s(dst int, tag Tag, xs []float64) {
+	if dst < 0 || dst >= c.size {
+		panic(fmt.Sprintf("par: SendFloat64s to invalid rank %d", dst))
+	}
+	c.post(dst, message{tag: tag, f64: xs})
+}
+
+// RecvFloat64s is Recv for a message sent with SendFloat64s; the returned
+// slice aliases the sender's buffer and is read-only.
+func (c *Comm) RecvFloat64s(src int, tag Tag) (xs []float64, from int) {
+	m := c.recvMsg(src, tag, 0)
+	return m.f64, m.src
 }
 
 // ExclusiveScanInt64 returns the sum of value over all lower ranks — MPI's

@@ -3,6 +3,7 @@ package par
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -218,10 +219,83 @@ func TestTypedInterleavesWithUntyped(t *testing.T) {
 					}
 				}
 			}
+			// The float lane between boxed traffic on the same (pair, tag):
+			// per-pair FIFO order must hold across the two kinds.
+			const tag = Tag(7)
+			next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+			c.Send(next, tag, round)
+			c.SendFloat64s(next, tag, []float64{float64(round), 0.5})
+			c.Send(next, tag, -round)
+			if v, _ := c.Recv(prev, tag); v.(int) != round {
+				panic("boxed message before the float lane mismatch")
+			}
+			if xs, from := c.RecvFloat64s(prev, tag); from != prev || len(xs) != 2 || xs[0] != float64(round) || xs[1] != 0.5 {
+				panic("float lane mismatch")
+			}
+			if v, _ := c.Recv(prev, tag); v.(int) != -round {
+				panic("boxed message after the float lane mismatch")
+			}
+			sum := []float64{1, float64(c.Rank())}
+			c.AllReduceSumFloat64s(sum)
+			if sum[0] != p || sum[1] != p*(p-1)/2 {
+				panic("float allreduce mismatch")
+			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllReduceSumFloat64sRankOrder feeds AllReduceSumFloat64s inputs whose
+// sum depends on the association (1e16 + 1 − 1e16 + 1 … is 1, 2 or 0
+// depending on the order) and requires every rank to hold, bit for bit, the
+// left fold from +0 in ascending rank order — on the world comm and on a
+// Split child whose rank numbering reverses the parent's.
+func TestAllReduceSumFloat64sRankOrder(t *testing.T) {
+	val := func(rank, word int) float64 {
+		switch (rank + word) % 4 {
+		case 0:
+			return 1e16
+		case 2:
+			return -1e16
+		}
+		return 1 + float64(word)/3
+	}
+	check := func(c *Comm, where string, k int) {
+		vals := make([]float64, k)
+		for w := range vals {
+			vals[w] = val(c.Rank(), w)
+		}
+		c.AllReduceSumFloat64s(vals)
+		for w, got := range vals {
+			want := 0.0
+			for r := 0; r < c.Size(); r++ {
+				want += val(r, w)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				panic(fmt.Sprintf("%s p=%d k=%d rank %d word %d: got %v, want the rank-order fold %v",
+					where, c.Size(), k, c.Rank(), w, got, want))
+			}
+		}
+	}
+	for _, p := range []int{1, 2, 3, 8} {
+		err := Run(p, func(c *Comm) {
+			child := c.Split(int64(c.Rank()%2), int64(-c.Rank()))
+			for round := 0; round < 3; round++ { // scratch reuse across rounds
+				for _, k := range []int{1, 2, 4} {
+					check(c, "world", k)
+					check(child, "split", k)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := Run(2, func(c *Comm) { c.AllReduceSumFloat64s(make([]float64, 5)) })
+	if err == nil || !strings.Contains(err.Error(), "at most 4 words") {
+		t.Fatalf("5-word reduction: got %v, want the width panic", err)
 	}
 }
 
@@ -345,6 +419,13 @@ func TestTypedZeroLengthVectors(t *testing.T) {
 		if got := c.BcastInt32(0, []int32{}); len(got) != 0 {
 			panic(fmt.Sprintf("bcast of empty slice delivered %d elements", len(got)))
 		}
+		// An empty float lane is a message too (a neighbour list can be
+		// empty-but-present), and a zero-word reduction is a plain round.
+		c.SendFloat64s((c.Rank()+1)%p, 3, nil)
+		if xs, from := c.RecvFloat64s(AnySource, 3); len(xs) != 0 || from != (c.Rank()+p-1)%p {
+			panic(fmt.Sprintf("empty float lane delivered %d elements from %d", len(xs), from))
+		}
+		c.AllReduceSumFloat64s(nil)
 		// The counter must still line up: a normal round after the empty ones.
 		if v := c.AllReduceSumInt64(1); v != p {
 			panic(fmt.Sprintf("follow-up sum = %d, want %d", v, p))

@@ -3,6 +3,7 @@ package pared
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pared/internal/fem"
@@ -17,7 +18,13 @@ import (
 // of freedom on the shard interface are identified by their global VertexIDs
 // and their matrix/vector contributions are summed across sharing ranks; CG
 // runs with global inner products. The result at every rank's vertices
-// matches the serial solve of the gathered mesh (see TestDistributedSolve).
+// matches the serial solve of the gathered mesh to solver tolerance, in the
+// same number of iterations (see TestDistributedSolveMatchesSerial).
+//
+// Message schedule, per CG iteration and rank: one par float-lane message to
+// each neighbour (dofPlan.exchange, after the SpMV) and two rank-ordered
+// reductions (p·Ap, then r·z and r·r together). Nothing in that path
+// allocates; see DESIGN.md §3.1.
 
 const tagDofs par.Tag = 110 + iota
 
@@ -37,153 +44,224 @@ type DistSolution struct {
 }
 
 // dofPlan describes the communication pattern for one solve: which local
-// dofs are shared with which ranks, and which rank "owns" each dof (for
-// inner products, the lowest sharer).
+// dofs are shared with which ranks, which rank "owns" each dof (for inner
+// products, the lowest sharer), and which dofs carry Dirichlet data.
 type dofPlan struct {
 	leaf *forest.LeafMeshResult
-	// sharers[i] lists the other ranks sharing local dof i (usually empty).
-	sharers [][]int32
 	// owned[i] is true when this rank is the lowest sharer of dof i.
 	owned []bool
-	// sendIdx[r] lists the local dof indices exchanged with rank r (same
-	// order on both sides: sorted by VertexID).
-	sendIdx map[int32][]int32
+	// dirichlet[i] is true for the dofs on the domain boundary; bnd lists
+	// them in ascending order.
+	dirichlet []bool
+	bnd       []int32
+	// nbrs lists the ranks this rank shares dofs with, ascending.
+	nbrs []halo
+	// shared lists every dof shared with at least one neighbour.
+	shared []int32
+	// acc is the dense accumulator of exchange, one slot per dof and word,
+	// sized on first use; all zero between calls.
+	acc []float64
+	// flip selects the send buffer of the current exchange.
+	flip int
 }
 
-// buildDofPlan exchanges boundary vertex IDs with all ranks and derives the
-// sharing pattern. Only shard-boundary vertices can be shared, so the
-// exchanged lists are O(interface size).
+// halo is the interface with one neighbouring rank.
+type halo struct {
+	rank int
+	// idx lists the local dofs shared with rank, sorted by VertexID — the
+	// same order on both sides.
+	idx []int32
+	// send holds two alternating send buffers. One would be unsafe: the
+	// neighbour reads the buffer it is sent, and may still be reading
+	// exchange t when this rank packs exchange t+1. With two, the refill at
+	// t+2 comes after this rank received the neighbour's t+1 message, which
+	// the neighbour sent after finishing its t reads (the reuse-distance
+	// argument of par.AllGatherMoves).
+	send [2][]float64
+}
+
+// buildDofPlan derives the sharing pattern and the Dirichlet set from one
+// pass over the local leaf facets. The facets with no local partner lie on
+// the shard boundary or on the domain boundary; only their vertices can be
+// shared, so the exchanged lists are O(interface size).
 func (e *Engine) buildDofPlan() *dofPlan {
 	leaf := e.F.LeafMesh()
+	n := leaf.Mesh.NumVerts()
 	plan := &dofPlan{
-		leaf:    leaf,
-		sharers: make([][]int32, leaf.Mesh.NumVerts()),
-		owned:   make([]bool, leaf.Mesh.NumVerts()),
-		sendIdx: make(map[int32][]int32),
+		leaf:      leaf,
+		owned:     make([]bool, n),
+		dirichlet: make([]bool, n),
 	}
-	// Candidate shared dofs: vertices of shard-boundary facets.
-	count := make(map[gfacet]int)
+	count := make(map[gfacet]int, 2*e.F.NumLeaves()) // ~1.5 (2D) to 2 (3D) facets per leaf
 	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	cand := make(map[forest.VertexID]int32) // VertexID -> local leaf-mesh dof
-	vid2dof := make(map[forest.VertexID]int32, leaf.Mesh.NumVerts())
+	var mine []gfacet
+	for f, c := range count {
+		if c == 1 {
+			mine = append(mine, f)
+		}
+	}
+	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
+	vid2dof := make(map[forest.VertexID]int32, n)
 	for i, fv := range leaf.Vert2Local {
 		vid2dof[e.F.VIDs[fv]] = int32(i)
 	}
-	for f, n := range count {
-		if n != 1 {
-			continue
-		}
+
+	// Candidate shared dofs: the vertices of those facets, one word per
+	// vertex ID, exchanged with every rank (p is small).
+	ids := make([]forest.VertexID, 0, 3*len(mine))
+	for _, f := range mine {
 		for _, id := range f {
-			if id == ^forest.VertexID(0) {
-				continue
-			}
-			if dof, ok := vid2dof[id]; ok {
-				cand[id] = dof
+			if id != ^forest.VertexID(0) {
+				ids = append(ids, id)
 			}
 		}
 	}
-	ids := make([]forest.VertexID, 0, len(cand))
-	for id := range cand {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Candidate exchange with every rank (p is small; the lists are
-	// interface-sized), one word per vertex ID.
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	words := make([]int64, len(ids))
 	for i, id := range ids {
 		words[i] = int64(id)
 	}
-	me := int32(e.Comm.Rank())
+	me := e.Comm.Rank()
 	for i := range plan.owned {
 		plan.owned[i] = true
 	}
+	isShared := make([]bool, n)
 	for from, theirs := range e.Comm.AllGatherInt64(words) {
-		if from == e.Comm.Rank() {
+		if from == me {
 			continue
 		}
-		their := make(map[forest.VertexID]bool, len(theirs))
-		for _, w := range theirs {
-			their[forest.VertexID(w)] = true
-		}
+		// Both lists ascend: intersect by merging.
 		var common []int32
+		k := 0
 		for _, id := range ids {
-			if their[id] {
-				dof := cand[id]
-				common = append(common, dof)
-				plan.sharers[dof] = append(plan.sharers[dof], int32(from))
-				if int32(from) < me {
-					plan.owned[dof] = false
-				}
+			for k < len(theirs) && forest.VertexID(theirs[k]) < id {
+				k++
+			}
+			if k == len(theirs) {
+				break
+			}
+			if forest.VertexID(theirs[k]) != id {
+				continue
+			}
+			dof := vid2dof[id]
+			common = append(common, dof)
+			if from < me {
+				plan.owned[dof] = false
+			}
+			if !isShared[dof] {
+				isShared[dof] = true
+				plan.shared = append(plan.shared, dof)
 			}
 		}
 		if len(common) > 0 {
-			plan.sendIdx[int32(from)] = common
+			plan.nbrs = append(plan.nbrs, halo{
+				rank: from,
+				idx:  common,
+				send: [2][]float64{make([]float64, len(common)), make([]float64, len(common))},
+			})
+		}
+	}
+
+	// Domain (not shard) boundary: a facet with no element on the other side
+	// anywhere. Shard-boundary facets have a remote partner; true boundary
+	// facets do not. Three words per facet on the wire.
+	words = make([]int64, 0, 3*len(mine))
+	for _, f := range mine {
+		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
+	}
+	remote := make([]bool, len(mine))
+	for from, ws := range e.Comm.AllGatherInt64(words) {
+		if from == me {
+			continue
+		}
+		k := 0
+		for i := 0; i < len(ws) && k < len(mine); i += 3 {
+			f := gfacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}
+			for k < len(mine) && lessGFacet(mine[k], f) {
+				k++
+			}
+			if k < len(mine) && mine[k] == f {
+				remote[k] = true
+			}
+		}
+	}
+	// Local view: vertices of my true-boundary facets, one word per ID.
+	var bndIDs []int64
+	for k, f := range mine {
+		if remote[k] {
+			continue // shard boundary, not domain boundary
+		}
+		for _, id := range f {
+			if id != ^forest.VertexID(0) {
+				bndIDs = append(bndIDs, int64(id))
+			}
+		}
+	}
+	slices.Sort(bndIDs)
+	bndIDs = slices.Compact(bndIDs)
+	// Classification must be GLOBAL: a rank can touch a boundary vertex
+	// without owning any of its boundary facets (e.g. after migration), so
+	// union every rank's view — all sharers must agree on Dirichlet rows.
+	for _, theirs := range e.Comm.AllGatherInt64(bndIDs) {
+		for _, id := range theirs {
+			if dof, ok := vid2dof[forest.VertexID(id)]; ok {
+				plan.dirichlet[dof] = true
+			}
+		}
+	}
+	for i, d := range plan.dirichlet {
+		if d {
+			plan.bnd = append(plan.bnd, int32(i))
 		}
 	}
 	return plan
 }
 
-// sumShared adds the contributions of sharing ranks into x at shared dofs,
-// making x globally consistent (every sharer ends with the same summed
-// value).
-func (p *dofPlan) sumShared(c *par.Comm, x []float64) {
-	ranks := make([]int32, 0, len(p.sendIdx))
-	for r := range p.sendIdx {
-		ranks = append(ranks, r)
-	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	type msg struct {
-		vals []float64
-	}
-	for _, r := range ranks {
-		idx := p.sendIdx[r]
-		vals := make([]float64, len(idx))
-		for k, i := range idx {
-			vals[k] = x[i]
+// exchange adds into x, at every shared dof, the values the other sharers
+// hold there; x carries w consecutive words per dof. With skipDirichlet the
+// Dirichlet dofs are left untouched (their identity rows must not be double
+// counted). Neighbour contributions are accumulated in ascending rank order
+// and then added to the local value once, so the sharers of a dof end with
+// the same sum only up to rounding when three or more ranks share it: each
+// adds the others' values to its own, in a different association.
+func (p *dofPlan) exchange(c *par.Comm, x []float64, w int, skipDirichlet bool) {
+	p.flip ^= 1
+	for k := range p.nbrs {
+		h := &p.nbrs[k]
+		buf := h.send[p.flip][:0]
+		for _, i := range h.idx {
+			buf = append(buf, x[int(i)*w:int(i)*w+w]...)
 		}
-		c.Send(int(r), tagDofs, msg{vals})
+		h.send[p.flip] = buf
+		c.SendFloat64s(h.rank, tagDofs, buf)
 	}
-	// Accumulate into a copy so each rank adds the same original values.
-	add := make(map[int32]float64)
-	for _, r := range ranks {
-		data, _ := c.Recv(int(r), tagDofs)
-		vals := data.(msg).vals
-		idx := p.sendIdx[r]
-		if len(vals) != len(idx) {
-			panic(fmt.Sprintf("pared: dof exchange length mismatch with rank %d", r))
+	if len(p.acc) < w*len(p.owned) {
+		p.acc = make([]float64, w*len(p.owned))
+	}
+	acc := p.acc
+	for k := range p.nbrs {
+		h := &p.nbrs[k]
+		vals, _ := c.RecvFloat64s(h.rank, tagDofs)
+		if len(vals) != w*len(h.idx) {
+			panic(fmt.Sprintf("pared: dof exchange length mismatch: rank %d got %d values from rank %d, want %d",
+				c.Rank(), len(vals), h.rank, w*len(h.idx)))
 		}
-		for k, i := range idx {
-			add[i] += vals[k]
-		}
-	}
-	for i, v := range add {
-		x[i] += v
-	}
-}
-
-// dotOwned computes the global inner product, counting each shared dof once
-// (at its owning rank).
-func (p *dofPlan) dotOwned(c *par.Comm, x, y []float64) float64 {
-	s := 0.0
-	for i := range x {
-		if p.owned[i] {
-			s += x[i] * y[i]
+		for s, i := range h.idx {
+			for j := 0; j < w; j++ {
+				acc[int(i)*w+j] += vals[s*w+j]
+			}
 		}
 	}
-	return allReduceFloat(c, s)
-}
-
-// allReduceFloat sums a float64 across ranks (bit-identical on every rank,
-// since the coordinator performs the reduction in rank order).
-func allReduceFloat(c *par.Comm, v float64) float64 {
-	vals := c.Gather(0, v)
-	var sum float64
-	if c.Rank() == 0 {
-		for _, x := range vals {
-			sum += x.(float64)
+	for _, i := range p.shared {
+		skip := skipDirichlet && p.dirichlet[i]
+		for j := int(i) * w; j < int(i)*w+w; j++ {
+			if !skip {
+				x[j] += acc[j]
+			}
+			acc[j] = 0
 		}
 	}
-	return c.Bcast(0, sum).(float64)
 }
 
 // SolveLaplace solves −Δu = source (source may be nil) with Dirichlet data g
@@ -191,14 +269,23 @@ func allReduceFloat(c *par.Comm, v float64) float64 {
 // Jacobi-preconditioned CG. Every rank must call it collectively.
 func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, maxIter int) (*DistSolution, error) {
 	plan := e.buildDofPlan()
-	leaf := plan.leaf
-	m := leaf.Mesh
-	n := m.NumVerts()
+	sys, rhs, gval := e.assembleLaplace(plan, source, g)
+	sol := &DistSolution{Mesh: plan.leaf, plan: plan}
+	u, it, res, conv := e.distCG(plan, sys, rhs, gval, tol, maxIter)
+	sol.U, sol.Iterations, sol.Residual, sol.Converged = u, it, res, conv
+	if !conv {
+		return sol, fmt.Errorf("pared: distributed CG did not converge: residual %g after %d iterations", res, it)
+	}
+	return sol, nil
+}
 
-	// Domain (not shard) boundary: a facet with no element on the other side
-	// anywhere. Shard-boundary facets have a remote partner; true boundary
-	// facets do not. Decide by facet counts across all ranks.
-	onBnd := e.domainBoundaryVerts(plan)
+// assembleLaplace assembles this rank's share of the reduced system: the
+// local stiffness matrix with Dirichlet rows replaced by identity rows, the
+// globally summed right-hand side, and the Dirichlet values gval.
+func (e *Engine) assembleLaplace(plan *dofPlan, source, g func(geom.Vec3) float64) (sys *la.CSR, rhs, gval []float64) {
+	m := plan.leaf.Mesh
+	n := m.NumVerts()
+	onBnd := plan.dirichlet
 
 	// Per-rank assembly and local Dirichlet elimination. The global system
 	// is the sum of the per-rank contributions at shared interior dofs:
@@ -209,113 +296,46 @@ func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, ma
 	// sides over sharers (interior dofs only) yields the global reduced
 	// system; boundary rows are identity rows with rhs = g, never summed.
 	a := fem.AssembleLaplace(m)
-	rhs := make([]float64, n)
+	rhs = make([]float64, n)
 	if source != nil {
 		rhs = fem.AssembleLoad(m, source)
 	}
-	gval := make([]float64, n)
-	//paredlint:allow maporder -- one write per key; g is a pure coefficient function
-	for v := range onBnd {
+	gval = make([]float64, n)
+	for _, v := range plan.bnd {
 		gval[v] = g(m.Verts[v])
 	}
 	b := la.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		if onBnd[int32(i)] {
+		if onBnd[i] {
 			b.Add(i, i, 1)
 			continue
 		}
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := int(a.Col[k])
 			v := a.Val[k]
-			if onBnd[int32(j)] {
+			if onBnd[j] {
 				rhs[i] -= v * gval[j]
 			} else {
 				b.Add(i, j, v)
 			}
 		}
 	}
-	sys := b.Build()
-	plan.sumSharedSkip(e.Comm, rhs, onBnd)
-	for v := range onBnd {
+	plan.exchange(e.Comm, rhs, 1, true)
+	for _, v := range plan.bnd {
 		rhs[v] = gval[v]
 	}
-
-	sol := &DistSolution{Mesh: leaf, plan: plan}
-	u, it, res, conv := e.distCG(plan, sys, rhs, gval, onBnd, tol, maxIter, source)
-	sol.U, sol.Iterations, sol.Residual, sol.Converged = u, it, res, conv
-	if !conv {
-		return sol, fmt.Errorf("pared: distributed CG did not converge: residual %g after %d iterations", res, it)
-	}
-	return sol, nil
-}
-
-// domainBoundaryVerts returns the set of local dofs on the true domain
-// boundary (facets with no partner on any rank).
-func (e *Engine) domainBoundaryVerts(plan *dofPlan) map[int32]bool {
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	var mine []gfacet
-	for f, n := range count {
-		if n == 1 {
-			mine = append(mine, f)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
-	// Three words per facet on the wire.
-	words := make([]int64, 0, 3*len(mine))
-	for _, f := range mine {
-		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
-	}
-	remote := make(map[gfacet]bool)
-	for from, ws := range e.Comm.AllGatherInt64(words) {
-		if from == e.Comm.Rank() {
-			continue
-		}
-		for i := 0; i < len(ws); i += 3 {
-			remote[gfacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}] = true
-		}
-	}
-	vid2dof := make(map[forest.VertexID]int32, plan.leaf.Mesh.NumVerts())
-	for i, fv := range plan.leaf.Vert2Local {
-		vid2dof[e.F.VIDs[fv]] = int32(i)
-	}
-	// Local view: vertices of my true-boundary facets, one word per ID.
-	var bndIDs []int64
-	seen := make(map[forest.VertexID]bool)
-	for _, f := range mine {
-		if remote[f] {
-			continue // shard boundary, not domain boundary
-		}
-		for _, id := range f {
-			if id == ^forest.VertexID(0) || seen[id] {
-				continue
-			}
-			seen[id] = true
-			bndIDs = append(bndIDs, int64(id))
-		}
-	}
-	// Classification must be GLOBAL: a rank can touch a boundary vertex
-	// without owning any of its boundary facets (e.g. after migration), so
-	// union every rank's view — all sharers must agree on Dirichlet rows.
-	sort.Slice(bndIDs, func(i, j int) bool { return bndIDs[i] < bndIDs[j] })
-	out := make(map[int32]bool)
-	for _, ids := range e.Comm.AllGatherInt64(bndIDs) {
-		for _, id := range ids {
-			if dof, ok := vid2dof[forest.VertexID(id)]; ok {
-				out[dof] = true
-			}
-		}
-	}
-	return out
+	return b.Build(), rhs, gval
 }
 
 // distCG is Jacobi-preconditioned CG with summed SpMV and owned-dof inner
-// products.
-func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, onBnd map[int32]bool, tol float64, maxIter int, source func(geom.Vec3) float64) (u []float64, iters int, resid float64, converged bool) {
+// products: each shared dof counts once, at its owning rank, and every
+// partial sum runs in ascending dof order.
+func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, tol float64, maxIter int) (u []float64, iters int, resid float64, converged bool) {
 	n := sys.N
+	owned := plan.owned
 	// Jacobi needs the GLOBAL diagonal (summed across sharers).
 	diag := sys.Diag()
-	plan.sumSharedSkip(e.Comm, diag, onBnd)
+	plan.exchange(e.Comm, diag, 1, true)
 	inv := make([]float64, n)
 	for i, v := range diag {
 		//paredlint:allow floateq -- exact zero-diagonal guard before forming 1/v
@@ -326,79 +346,84 @@ func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, onBnd m
 		}
 	}
 	u = make([]float64, n)
-	for v := range onBnd {
+	for _, v := range plan.bnd {
 		u[v] = gval[v]
 	}
-	spmv := func(dst, x []float64) {
-		sys.MulVec(dst, x)
-		plan.sumSharedSkip(e.Comm, dst, onBnd)
-	}
 	r := make([]float64, n)
-	spmv(r, u)
+	sys.MulVec(r, u)
+	plan.exchange(e.Comm, r, 1, true)
 	for i := range r {
 		r[i] = rhs[i] - r[i]
 	}
-	// Boundary rows are identity with u already exact: residual 0. But the
-	// summed SpMV may have added partner contributions at shared boundary
-	// dofs (skipped above via sumSharedSkip). Force exact zeros.
-	for v := range onBnd {
+	// Boundary rows are identity with u already exact: force residual 0.
+	for _, v := range plan.bnd {
 		r[v] = 0
 	}
 	z := make([]float64, n)
-	for i := range z {
+	p := make([]float64, n)
+	var rz, rr, bb float64
+	for i := range r {
 		z[i] = inv[i] * r[i]
+		p[i] = z[i]
+		if owned[i] {
+			rz += r[i] * z[i]
+			rr += r[i] * r[i]
+			bb += rhs[i] * rhs[i]
+		}
 	}
-	p := append([]float64(nil), z...)
-	ap := make([]float64, n)
-	rz := plan.dotOwned(e.Comm, r, z)
-	bnorm := math.Sqrt(plan.dotOwned(e.Comm, rhs, rhs))
+	// red carries the partial inner products through the reductions.
+	red := [3]float64{rz, rr, bb}
+	e.Comm.AllReduceSumFloat64s(red[:])
+	rz, rr = red[0], red[1]
+	bnorm := math.Sqrt(red[2])
 	//paredlint:allow floateq -- exact zero-rhs guard; any epsilon would rescale the stopping test
 	if bnorm == 0 {
 		bnorm = 1
 	}
+	ap := make([]float64, n)
 	for iters = 0; iters < maxIter; iters++ {
-		rn := math.Sqrt(plan.dotOwned(e.Comm, r, r))
-		resid = rn
-		if rn <= tol*bnorm {
-			converged = true
+		resid = math.Sqrt(rr)
+		if resid <= tol*bnorm {
 			return u, iters, resid, true
 		}
-		spmv(ap, p)
-		for v := range onBnd {
+		sys.MulVec(ap, p)
+		plan.exchange(e.Comm, ap, 1, true)
+		for _, v := range plan.bnd {
 			ap[v] = p[v] // identity rows
 		}
-		pap := plan.dotOwned(e.Comm, p, ap)
+		pap := 0.0
+		for i := range p {
+			if owned[i] {
+				pap += p[i] * ap[i]
+			}
+		}
+		red[0] = pap
+		e.Comm.AllReduceSumFloat64s(red[:1])
+		pap = red[0]
 		if pap <= 0 {
 			return u, iters, resid, false
 		}
 		alpha := rz / pap
+		// r·z and r·r come from the same r: one sweep, one reduction.
+		rzNew := 0.0
+		rr = 0
 		for i := range u {
 			u[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
-		}
-		for i := range z {
 			z[i] = inv[i] * r[i]
+			if owned[i] {
+				rzNew += r[i] * z[i]
+				rr += r[i] * r[i]
+			}
 		}
-		rzNew := plan.dotOwned(e.Comm, r, z)
-		beta := rzNew / rz
-		rz = rzNew
+		red[0], red[1] = rzNew, rr
+		e.Comm.AllReduceSumFloat64s(red[:2])
+		beta := red[0] / rz
+		rz, rr = red[0], red[1]
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	resid = math.Sqrt(plan.dotOwned(e.Comm, r, r))
-	converged = resid <= tol*bnorm
-	return u, iters, resid, converged
-}
-
-// sumSharedSkip sums shared-dof contributions like sumShared but leaves
-// Dirichlet rows untouched (their identity rows must not be double counted).
-func (p *dofPlan) sumSharedSkip(c *par.Comm, x []float64, skip map[int32]bool) {
-	masked := append([]float64(nil), x...)
-	p.sumShared(c, masked)
-	for i := range x {
-		if !skip[int32(i)] {
-			x[i] = masked[i]
-		}
-	}
+	resid = math.Sqrt(rr)
+	return u, iters, resid, resid <= tol*bnorm
 }

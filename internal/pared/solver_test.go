@@ -1,12 +1,17 @@
 package pared
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
+	"pared/internal/check"
 	"pared/internal/fem"
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
 )
@@ -232,5 +237,240 @@ func TestDistributedZZLoopSelfContained(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// adaptedEngine bootstraps m and runs three Adapt+Rebalance(true) rounds
+// toward corner, so that trees have migrated and shard interfaces are
+// irregular.
+func adaptedEngine(c *par.Comm, m *mesh.Mesh, corner geom.Vec3, tol float64, maxLevel int32) *Engine {
+	e := Bootstrap(c, m)
+	est := cornerEst(corner)
+	for i := 0; i < 3; i++ {
+		e.Adapt(est, tol, 0, maxLevel)
+		e.Rebalance(true)
+	}
+	return e
+}
+
+// TestDistCGBitIdenticalToReference pins the floating-point association of
+// the packed exchange and the fused reductions: SolveLaplace must reproduce
+// the reference schedule of solver_ref_test.go bit for bit on every rank.
+func TestDistCGBitIdenticalToReference(t *testing.T) {
+	cases := []struct {
+		name      string
+		mesh      *mesh.Mesh
+		corner    geom.Vec3
+		tol       float64
+		maxLevel  int32
+		source, g func(geom.Vec3) float64
+	}{
+		{"RectTri/laplace", meshgen.RectTri(8, 8, -1, -1, 1, 1), geom.Vec3{X: 1, Y: 1}, 0.7, 8,
+			nil, fem.CornerSolution2D},
+		{"RectTri/poisson", meshgen.RectTri(8, 8, -1, -1, 1, 1), geom.Vec3{X: 1, Y: 1}, 0.7, 8,
+			fem.TransientSource(0), fem.TransientSolution(0)},
+		{"BoxTet/laplace", meshgen.BoxTet(3, 3, 3, 0, 0, 0, 1, 1, 1), geom.Vec3{X: 1, Y: 1, Z: 1}, 0.9, 4,
+			nil, func(p geom.Vec3) float64 { return 1 + p.X - 2*p.Y + 3*p.Z*p.Z }},
+		{"BoxTet/poisson", meshgen.BoxTet(3, 3, 3, 0, 0, 0, 1, 1, 1), geom.Vec3{X: 1, Y: 1, Z: 1}, 0.9, 4,
+			func(p geom.Vec3) float64 { return 1 + p.X*p.Y }, func(p geom.Vec3) float64 { return p.Z }},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			err := par.Run(p, func(c *par.Comm) {
+				e := adaptedEngine(c, tc.mesh, tc.corner, tc.tol, tc.maxLevel)
+				sol, _ := e.SolveLaplace(tc.source, tc.g, 1e-10, 5000)
+				ref := e.refSolveLaplace(tc.source, tc.g, 1e-10, 5000)
+				if sol.Iterations == 0 || !sol.Converged {
+					panic(fmt.Sprintf("solve did not run: %d iterations, converged=%v", sol.Iterations, sol.Converged))
+				}
+				if sol.Iterations != ref.Iterations || sol.Converged != ref.Converged ||
+					math.Float64bits(sol.Residual) != math.Float64bits(ref.Residual) {
+					panic(fmt.Sprintf("rank %d: %d iterations, residual %v; reference %d, %v",
+						c.Rank(), sol.Iterations, sol.Residual, ref.Iterations, ref.Residual))
+				}
+				for i := range ref.U {
+					if math.Float64bits(sol.U[i]) != math.Float64bits(ref.U[i]) {
+						panic(fmt.Sprintf("rank %d dof %d: U = %v, reference %v", c.Rank(), i, sol.U[i], ref.U[i]))
+					}
+				}
+				// The association only matters where three or more ranks
+				// meet; make sure the meshes have such dofs.
+				sharers := make([]int, len(sol.U))
+				for _, h := range sol.plan.nbrs {
+					for _, i := range h.idx {
+						sharers[i]++
+					}
+				}
+				var multi int64
+				for _, n := range sharers {
+					if n >= 2 {
+						multi++
+					}
+				}
+				if c.AllReduceSumInt64(multi) == 0 && p >= 3 {
+					panic("no dof with three or more sharers")
+				}
+			})
+			if err != nil {
+				t.Errorf("%s p=%d: %v", tc.name, p, err)
+			}
+		}
+	}
+}
+
+// TestDistCGIterationAllocatesNothing: the allocation count of a CG solve
+// must not depend on how many iterations it runs. (The set-up is measured
+// out: its maps allocate a hash-seed-dependent number of overflow buckets.) GOMAXPROCS is pinned to 1 — above
+// it kern.For in MulVec spawns helper goroutines for more than 512 local
+// rows, and those allocate.
+func TestDistCGIterationAllocatesNothing(t *testing.T) {
+	if check.Enabled {
+		t.Skip("under paredassert every MulVec recomputes itself into a fresh vector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := meshgen.RectTri(48, 48, -1, -1, 1, 1) // ~600 rows per rank
+	var mallocs [2]uint64
+	err := par.Run(4, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		plan := e.buildDofPlan()
+		sys, rhs, gval := e.assembleLaplace(plan, nil, fem.CornerSolution2D)
+		// measure returns the process-wide malloc count of one collective
+		// distCG capped at maxIter; the other ranks idle in the barriers
+		// while rank 0 reads the counter.
+		measure := func(maxIter int) uint64 {
+			var before, after runtime.MemStats
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			if _, iters, _, _ := e.distCG(plan, sys, rhs, gval, 0, maxIter); iters != maxIter {
+				panic(fmt.Sprintf("solve stopped after %d of %d iterations", iters, maxIter))
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		measure(110) // warm the pending queues and the runtime's caches
+		for k, maxIter := range []int{10, 110} {
+			// Min of three: a GC cycle or a queue growth in the window
+			// only ever adds allocations.
+			best := measure(maxIter)
+			for i := 0; i < 2; i++ {
+				best = min(best, measure(maxIter))
+			}
+			if c.Rank() == 0 {
+				mallocs[k] = best
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mallocs[0] != mallocs[1] {
+		t.Errorf("a 10-iteration solve allocates %d objects, a 110-iteration solve %d: the iteration allocates", mallocs[0], mallocs[1])
+	}
+}
+
+// TestDistributedZZMatchesSerial checks the claim in ZZEstimator's doc
+// comment: with the same nodal values, the distributed indicator of every
+// leaf equals the serial fem.ZZIndicators of the gathered mesh. Leaves are
+// matched by their sorted global VertexIDs (node ids differ after
+// GatherForest).
+func TestDistributedZZMatchesSerial(t *testing.T) {
+	type leafKey [4]forest.VertexID
+	keyOf := func(f *forest.Forest, lm *forest.LeafMeshResult, el int) leafKey {
+		var k leafKey
+		elem := lm.Mesh.Elems[el]
+		for i := 0; i < elem.Nv(); i++ {
+			k[i] = f.VIDs[lm.Vert2Local[elem.V[i]]]
+		}
+		slices.Sort(k[:elem.Nv()])
+		return k
+	}
+	type leafInd struct {
+		Key leafKey
+		Ind float64
+	}
+	m := meshgen.RectTri(10, 10, -1, -1, 1, 1)
+	for _, p := range []int{2, 4} {
+		err := par.Run(p, func(c *par.Comm) {
+			e := adaptedEngine(c, m, geom.Vec3{X: 1, Y: 1}, 0.7, 8)
+			sol, err := e.SolveLaplace(nil, fem.CornerSolution2D, 1e-10, 5000)
+			if err != nil {
+				panic(err)
+			}
+			est := e.ZZEstimator(sol)
+			var mine []leafInd
+			for el, id := range sol.Mesh.Leaf2Node {
+				mine = append(mine, leafInd{keyOf(e.F, sol.Mesh, el), est.Indicator(e.F, id)})
+			}
+			all := c.Gather(0, mine)
+			global := collectGlobal(t, e, sol)
+			g := e.GatherForest(0)
+			if c.Rank() != 0 {
+				return
+			}
+			dist := make(map[leafKey]float64)
+			for _, a := range all {
+				for _, li := range a.([]leafInd) {
+					dist[li.Key] = li.Ind
+				}
+			}
+			leaf := g.LeafMesh()
+			u := make([]float64, leaf.Mesh.NumVerts())
+			for i, fv := range leaf.Vert2Local {
+				u[i] = global[g.VIDs[fv]]
+			}
+			serial := fem.ZZIndicators(leaf.Mesh, u)
+			if len(dist) != len(serial) {
+				panic(fmt.Sprintf("%d distributed leaves, %d serial", len(dist), len(serial)))
+			}
+			for el, want := range serial {
+				got, ok := dist[keyOf(g, leaf, el)]
+				if !ok {
+					panic("a serial leaf has no distributed counterpart")
+				}
+				if math.Abs(got-want) > 1e-10 {
+					panic(fmt.Sprintf("leaf %d: distributed indicator %v, serial %v", el, got, want))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// BenchmarkDistCGSolve times one collective SolveLaplace (plan, assembly and
+// CG) at p = 4 on a fixed uniform mesh.
+func BenchmarkDistCGSolve(b *testing.B) {
+	m := meshgen.RectTri(48, 48, -1, -1, 1, 1)
+	b.ReportAllocs()
+	err := par.Run(4, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier()
+		iters := 0
+		for i := 0; i < b.N; i++ {
+			sol, err := e.SolveLaplace(nil, fem.CornerSolution2D, 1e-8, 5000)
+			if err != nil {
+				panic(err)
+			}
+			iters = sol.Iterations
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.StopTimer()
+			b.ReportMetric(float64(iters), "cg_iters")
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
