@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint assert bench bench-json bench-guard bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
+.PHONY: all build test race lint assert bench bench-counts bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
 
 all: build lint test
 
@@ -37,30 +37,20 @@ assert:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable perf snapshot at Quick scale. BENCH_pnr.json is committed
-# at the repo root: regenerating it before a perf-sensitive change and
-# diffing after makes the repo's performance trajectory reviewable.
-bench-json:
-	$(GO) run ./cmd/pnrbench -exp all -quick -json BENCH_pnr.json > /dev/null
+# Exact guard on what the cycle benchmark decides: on all seven BENCHMARK.json
+# workloads, at the baseline's seed and rep count, no verification check may
+# fail and cut_mean, imbalance_mean and migrated_frac must equal
+# bench/BASELINE.json as printed JSON numbers (the diff also catches a missing
+# or renamed workload). These are deterministic, so there is no tolerance to
+# tune; timings are not compared here.
+COUNTS = [.workloads[] | {name, cut_mean: .end_to_end.cut_mean.value, imbalance_mean: .end_to_end.imbalance_mean.value, migrated_frac: .end_to_end.migrated_frac.value}]
 
-# Regression guard over the committed baseline: two fresh quick runs, scored
-# best-of-2, must stay within 20% of BENCH_pnr.json on the guarded
-# experiments (see cmd/benchguard). The engine runs in every rebalance mode
-# (-mode all emits one engine_<name> record per algorithm registered in
-# internal/pared, engine for pnr, plus engine_sfc_3d), and the coordinator
-# pipeline, the coordinator-free SFC pipeline (2D and 3D keys), the distributed
-# refinement pipeline and the hierarchical node × core pipeline are all
-# guarded, so a regression in any rebalance path fails CI on every PR.
-bench-guard:
-	$(GO) run ./cmd/pnrbench -exp fig4 -quick -json /tmp/benchguard1.json > /dev/null
-	$(GO) run ./cmd/pnrbench -exp transient -quick -json /tmp/benchguard2.json > /dev/null
-	$(GO) run ./cmd/pnrbench -exp fig4 -quick -json /tmp/benchguard3.json > /dev/null
-	$(GO) run ./cmd/pnrbench -exp transient -quick -json /tmp/benchguard4.json > /dev/null
-	$(GO) run ./cmd/pnrbench -exp engine -mode all -quick -json /tmp/benchguard5.json > /dev/null
-	$(GO) run ./cmd/pnrbench -exp engine -mode all -quick -json /tmp/benchguard6.json > /dev/null
-	$(GO) run ./cmd/benchguard -baseline BENCH_pnr.json -records fig4,transient,engine,engine_sfc,engine_sfc_3d,engine_distrefine,engine_hier \
-		/tmp/benchguard1.json /tmp/benchguard2.json /tmp/benchguard3.json \
-		/tmp/benchguard4.json /tmp/benchguard5.json /tmp/benchguard6.json
+bench-counts:
+	$(GO) run ./bench -seed 1 -reps 5 -trace 0 -json /tmp/pared-bench.json
+	jq -e '[.workloads[].checks_failed] | all(. == 0)' /tmp/pared-bench.json
+	jq '$(COUNTS)' bench/BASELINE.json > /tmp/pared-counts-want.json
+	jq '$(COUNTS)' /tmp/pared-bench.json > /tmp/pared-counts-got.json
+	diff /tmp/pared-counts-want.json /tmp/pared-counts-got.json
 
 # Allocation budget of the hot-path packages. BENCH_allocs.json pins
 # allocs/op for every benchmark of kern/la/graph/core/partition-sfc/par;
@@ -74,7 +64,7 @@ ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./in
 
 bench-alloc-baseline:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt
-	$(GO) run ./cmd/benchguard -allocs -write-baseline BENCH_allocs.json /tmp/allocguard0.txt
+	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json /tmp/allocguard0.txt
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
 # within 20% of BENCH_allocs.json per benchmark — and zero-alloc baselines
@@ -86,7 +76,7 @@ bench-alloc-baseline:
 bench-alloc-guard:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard1.txt
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard2.txt
-	$(GO) run ./cmd/benchguard -allocs -baseline BENCH_allocs.json \
+	$(GO) run ./cmd/benchguard -baseline BENCH_allocs.json \
 		/tmp/allocguard1.txt /tmp/allocguard2.txt
 
 cover:

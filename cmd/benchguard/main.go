@@ -1,28 +1,18 @@
-// Command benchguard compares fresh benchmark runs against a committed
-// baseline and fails (exit 1) on regressions beyond the allowed fraction. CI
-// runs it after the test suite so a change that quietly gives back the
-// repartitioning pipeline's performance is caught in review, not discovered
-// months later.
+// Command benchguard compares allocs/op of fresh `go test -bench -benchmem`
+// runs against the committed BENCH_allocs.json and fails (exit 1) on
+// regressions beyond the allowed fraction. CI runs it so a change that quietly
+// reintroduces a per-operation allocation in a hot-path package is caught in
+// review.
 //
-// It has two modes. The default guards wall time from pnrbench -json
-// reports:
+//	benchguard -baseline BENCH_allocs.json bench1.txt [bench2.txt ...]
+//	benchguard -write-baseline BENCH_allocs.json bench1.txt
 //
-//	benchguard -baseline BENCH_pnr.json -records fig4,transient -max-regress 0.20 run1.json [run2.json ...]
-//
-// With -allocs it instead guards allocs/op parsed from `go test -bench
-// -benchmem` text output; every benchmark in the baseline is guarded, and a
-// zero-alloc baseline admits no allocations at all (a fraction of zero is
-// still zero):
-//
-//	benchguard -allocs -baseline BENCH_allocs.json bench1.txt [bench2.txt ...]
-//	benchguard -allocs -write-baseline BENCH_allocs.json bench1.txt
-//
-// Several candidate files may be given; the guard scores each record by the
-// best run (fastest wall time, fewest allocs), which filters scheduler noise
-// the way best-of-N benchmarking does. Guarded records missing from the
-// baseline pass (first run of a new benchmark); records missing from every
-// candidate fail, because a silently skipped benchmark must not look like a
-// fast one.
+// Every benchmark in the baseline is guarded, and a zero-alloc baseline
+// admits no allocations at all (a fraction of zero is still zero). Several
+// candidate files may be given; each benchmark is scored by its best run
+// (fewest allocs). A benchmark missing from every candidate fails, because a
+// silently skipped benchmark must not look like a clean one. Wall time is not
+// guarded here: that is BENCHMARK.json's job (bench/).
 package main
 
 import (
@@ -37,94 +27,16 @@ import (
 	"strings"
 )
 
-type benchRecord struct {
-	Name   string  `json:"name"`
-	WallMs float64 `json:"wall_ms"`
-}
-
-type benchReport struct {
-	Records []benchRecord `json:"records"`
-}
-
-func load(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make(map[string]float64, len(rep.Records))
-	for _, r := range rep.Records {
-		out[r.Name] = r.WallMs
-	}
-	return out, nil
-}
-
 func main() {
-	baseline := flag.String("baseline", "BENCH_pnr.json", "committed baseline report")
-	records := flag.String("records", "fig4,transient", "comma-separated experiment names to guard (wall-time mode)")
+	baseline := flag.String("baseline", "BENCH_allocs.json", "committed baseline report")
 	maxRegress := flag.Float64("max-regress", 0.20, "maximum allowed fractional regression")
-	allocs := flag.Bool("allocs", false, "guard allocs/op from `go test -bench -benchmem` text output instead of pnrbench wall times")
-	writeBaseline := flag.String("write-baseline", "", "with -allocs: write the parsed best-of-runs as a new baseline and exit")
+	writeBaseline := flag.String("write-baseline", "", "write the parsed best-of-runs as a new baseline and exit")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: need at least one candidate report")
 		os.Exit(2)
 	}
-	if *allocs {
-		os.Exit(runAllocsGuard(*baseline, *writeBaseline, *maxRegress, flag.Args()))
-	}
-
-	base, err := load(*baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(2)
-	}
-	best := make(map[string]float64)
-	for _, path := range flag.Args() {
-		cand, err := load(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		for name, ms := range cand {
-			if old, ok := best[name]; !ok || ms < old {
-				best[name] = ms
-			}
-		}
-	}
-
-	failed := false
-	for _, name := range strings.Split(*records, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		baseMs, ok := base[name]
-		if !ok {
-			fmt.Printf("benchguard: %-12s no baseline, skipping\n", name)
-			continue
-		}
-		candMs, ok := best[name]
-		if !ok {
-			fmt.Printf("benchguard: %-12s MISSING from candidate runs\n", name)
-			failed = true
-			continue
-		}
-		delta := candMs/baseMs - 1
-		verdict := "ok"
-		if delta > *maxRegress {
-			verdict = fmt.Sprintf("REGRESSION (limit +%.0f%%)", *maxRegress*100)
-			failed = true
-		}
-		fmt.Printf("benchguard: %-12s baseline %8.1fms  candidate %8.1fms  %+6.1f%%  %s\n",
-			name, baseMs, candMs, delta*100, verdict)
-	}
-	if failed {
-		os.Exit(1)
-	}
+	os.Exit(runAllocsGuard(*baseline, *writeBaseline, *maxRegress, flag.Args()))
 }
 
 // allocRecord is one benchmark's allocation budget in BENCH_allocs.json.
@@ -179,7 +91,7 @@ func parseBenchAllocs(text string) map[string]int64 {
 	return out
 }
 
-// runAllocsGuard implements -allocs mode; it returns the process exit code.
+// runAllocsGuard is the guard; it returns the process exit code.
 func runAllocsGuard(baseline, writeBaseline string, maxRegress float64, candidates []string) int {
 	best := make(map[string]int64)
 	for _, path := range candidates {

@@ -281,27 +281,27 @@ func TestTheorem61Quick(t *testing.T) {
 
 func TestEngineDemoQuick(t *testing.T) {
 	var buf bytes.Buffer
-	ph := EngineDemo(&buf, Quick, "pnr")
+	EngineDemo(&buf, Quick, "pnr")
 	if strings.Contains(buf.String(), "failed") {
 		t.Fatalf("engine demo failed:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "moved elems") {
 		t.Error("missing table")
 	}
-	if ph.Mode != "pnr" || ph.P3Ms <= 0 {
-		t.Errorf("phase report not populated: %+v", ph)
+	if !strings.Contains(buf.String(), "phase totals (rank 0, pnr): P1 ") {
+		t.Errorf("missing phase totals line:\n%s", buf.String())
 	}
 }
 
 func TestEngineDemoModes(t *testing.T) {
 	for _, mode := range []string{"sfc", "mlkl"} {
 		var buf bytes.Buffer
-		ph := EngineDemo(&buf, Quick, mode)
+		EngineDemo(&buf, Quick, mode)
 		if strings.Contains(buf.String(), "failed") {
 			t.Fatalf("engine demo (%s) failed:\n%s", mode, buf.String())
 		}
-		if ph.Mode != mode || ph.P3Ms <= 0 {
-			t.Errorf("mode %s: phase report not populated: %+v", mode, ph)
+		if !strings.Contains(buf.String(), "phase totals (rank 0, "+mode+"): P1 ") {
+			t.Errorf("mode %s: missing phase totals line:\n%s", mode, buf.String())
 		}
 	}
 }

@@ -73,6 +73,9 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 	if len(buf) < need {
 		return nil, nil, fmt.Errorf("forest: truncated payload body (%d < %d bytes)", len(buf), need)
 	}
+	if nn == 0 {
+		return nil, nil, fmt.Errorf("forest: payload of tree %d has no nodes", p.Root)
+	}
 	p.VIDs = make([]VertexID, nv)
 	for i := range p.VIDs {
 		p.VIDs[i] = VertexID(binary.LittleEndian.Uint64(buf[i*8:]))
@@ -93,6 +96,22 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		var w [payloadNodeWords]int32
 		for k := range w {
 			w[k] = int32(binary.LittleEndian.Uint32(b[k*4:]))
+		}
+		// InsertTree indexes with every one of these words unchecked.
+		for k, v := range w {
+			if k == 4 || k == 5 {
+				continue
+			}
+			if v < -1 || int(v) >= nv {
+				return nil, nil, fmt.Errorf("forest: tree %d node %d: vertex index %d outside [-1, %d)", p.Root, i, v, nv)
+			}
+		}
+		// Preorder puts both kids after their parent, which also rules out
+		// cycles: InsertTree's recursion terminates.
+		leaf := w[4] == -1 && w[5] == -1
+		interior := int(w[4]) > i && int(w[4]) < nn && int(w[5]) > i && int(w[5]) < nn
+		if !leaf && !interior {
+			return nil, nil, fmt.Errorf("forest: tree %d node %d: kids (%d, %d) neither both -1 nor both in (%d, %d)", p.Root, i, w[4], w[5], i, nn)
 		}
 		p.Nodes[i] = PayloadNode{
 			Verts:   [4]int32{w[0], w[1], w[2], w[3]},
@@ -132,6 +151,11 @@ func DecodePayloads(buf []byte) ([]*TreePayload, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	// A payload header is 16 bytes, so the count is checked against the input
+	// before it sizes an allocation.
+	if n > len(buf)/16 {
+		return nil, fmt.Errorf("forest: payload batch claims %d payloads in %d bytes", n, len(buf))
+	}
 	ps := make([]*TreePayload, 0, n)
 	for i := 0; i < n; i++ {
 		p, tail, err := decodeWire(buf)

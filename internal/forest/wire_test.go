@@ -1,0 +1,67 @@
+package forest
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"pared/internal/meshgen"
+)
+
+// TestDecodePayloadsRejectsMalformed feeds DecodePayloads buffers that are
+// wrong in each way a wire buffer can be wrong. Every one must come back as
+// an error — not a panic here or later in InsertTree — without allocating
+// beyond the order of the input's size.
+func TestDecodePayloadsRejectsMalformed(t *testing.T) {
+	f := FromMesh(meshgen.RectTri(1, 1, 0, 0, 1, 1))
+	leaf := f.Root(0)
+	a, b := f.LongestEdge(leaf)
+	f.Bisect(leaf, a, b, f.InternVertex(MidID(f.VIDs[a], f.VIDs[b]), f.Coords[a].Mid(f.Coords[b])))
+	p := f.ExtractTree(0) // three nodes: the root and its two kids
+	valid := EncodePayloads([]*TreePayload{p})
+	if ps, err := DecodePayloads(valid); err != nil || len(ps) != 1 {
+		t.Fatalf("valid buffer: %d payloads, err %v", len(ps), err)
+	}
+	// Offset of int32 word k of node i in valid.
+	nodeWord := func(i, k int) int {
+		return 4 + 16 + len(p.VIDs)*32 + (i*payloadNodeWords+k)*4
+	}
+	patched := func(off int, v int32) []byte {
+		buf := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+		return buf
+	}
+	cases := []struct {
+		name string
+		buf  []byte
+	}{
+		{"truncated batch count", valid[:2]},
+		{"truncated header", valid[:4+10]},
+		{"truncated body", valid[:len(valid)-5]},
+		{"oversized count, 2 GiB of pointers", []byte{0xff, 0xff, 0xff, 0x0f, 1, 2, 3}},
+		{"oversized count, 32 GiB of pointers", []byte{0xff, 0xff, 0xff, 0xff}},
+		{"oversized vertex count", patched(4+8, 1<<30)},
+		{"no nodes", patched(4+12, 0)[:nodeWord(0, 0)]},
+		{"vertex index past the table", patched(nodeWord(0, 0), int32(len(p.VIDs)))},
+		{"vertex index below -1", patched(nodeWord(2, 1), -2)},
+		{"midpoint index past the table", patched(nodeWord(0, 8), 1<<20)},
+		{"kid pointing at its parent", patched(nodeWord(0, 4), 0)},
+		{"backward kid on a later node", patched(nodeWord(2, 4), 1)},
+		{"kid past the node table", patched(nodeWord(0, 5), 3)},
+		{"one kid only", patched(nodeWord(0, 5), -1)},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
+		{"count below the payloads present", append(append([]byte(nil), valid...), valid[4:]...)},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ps, err := DecodePayloads(tc.buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded %d payloads, want an error", tc.name, len(ps))
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(tc.buf)+1<<16); got > limit {
+			t.Errorf("%s: allocated %d bytes decoding %d (limit %d)", tc.name, got, len(tc.buf), limit)
+		}
+	}
+}

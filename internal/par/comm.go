@@ -1,10 +1,14 @@
 // Package par is the message-passing runtime PARED runs on: an MPI-like
-// communicator with point-to-point sends/receives and the collectives the
-// repartitioning phases need: Barrier and the boxed Gather and Bcast here,
-// and the typed reductions, scans, gathers and all-to-all of typed.go, which
-// also holds the []float64 lane the distributed solve runs on (SendFloat64s,
-// RecvFloat64s, AllReduceSumFloat64s). Ranks are goroutines in one process;
-// transport is typed Go channels.
+// communicator whose working surface is typed — the reductions, scans,
+// gathers, broadcasts and all-to-all of typed.go, its []float64
+// point-to-point lane (SendFloat64s, RecvFloat64s) and Barrier. The engine,
+// the distributed solve, every command and every example use nothing else.
+// Four entry points still box their payload into `any`: Send and Recv here,
+// Gather and Bcast in collectives.go. They are the original API and have no
+// caller left outside bench/microprobe.go, which times them, and the pared
+// tests, where solver_ref_test.go keeps the old solve schedule as a
+// reference; they go when those two stop needing them.
+// Ranks are goroutines in one process; transport is typed Go channels.
 // Communicators can be split into sub-communicators (Split), so hierarchical
 // algorithms can scope collectives to a node group or to the group leaders.
 // The paper ran on an IBM SP / NOW over MPI; this layer preserves the
@@ -189,9 +193,9 @@ func (c *Comm) post(dst int, m message) {
 	}
 }
 
-// Send delivers data to rank dst with the given tag. Data is not copied;
-// by convention senders relinquish ownership of anything they send (the
-// engine serializes mesh state into payload structs before sending).
+// Send delivers data to rank dst with the given tag, boxed (see the package
+// comment for who still calls it). Data is not copied; by convention senders
+// relinquish ownership of anything they send.
 func (c *Comm) Send(dst int, tag Tag, data any) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("par: Send to invalid rank %d", dst))

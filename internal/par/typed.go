@@ -2,12 +2,14 @@ package par
 
 import "fmt"
 
-// Typed collectives for hot payloads. The generic collectives carry `any`
-// payloads: every Send boxes the value into an interface and every Recv type-
-// asserts it back out, which costs an allocation per message and defeats
-// escape analysis for the slices inside. The rebalance pipeline moves flat
-// int32/int64/byte slices every epoch, so these variants carry the slice
-// headers in dedicated message fields — no boxing, no copies, no assertions.
+// Typed collectives and lanes: the API every caller in the engine, the
+// solve, the commands and the examples uses. The boxed Send/Recv/Gather/Bcast
+// carry `any` payloads: every send boxes the value into an interface and
+// every receive type-asserts it back out, which costs an allocation per
+// message and defeats escape analysis for the slices inside. Everything the
+// system moves is a flat int32/int64/float64/byte slice, so these variants
+// carry the slice headers in dedicated message fields — no boxing, no copies,
+// no assertions.
 //
 // Ownership follows the package convention: senders relinquish what they
 // send. Received slices are shared with the sender (and, for BcastInt32,

@@ -29,7 +29,6 @@ import (
 	"pared/internal/mesh"
 	"pared/internal/par"
 	"pared/internal/partition"
-	"pared/internal/partition/sfc"
 	"pared/internal/refine"
 )
 
@@ -44,8 +43,6 @@ type Config struct {
 	// through the coordinator; ModeSFC is the coordinator-free space-filling-
 	// curve strategy (see sfc.go), which ignores Repartition.
 	Mode RebalanceMode
-	// SFC tunes the ModeSFC pipeline (curve choice, band snapping).
-	SFC sfc.Config
 	// Topology shapes the ModeHier pipeline: the node × core factorization of
 	// the rank count and the inter-node edge penalty. The zero value picks the
 	// most balanced factorization and a penalty of 4. Ignored in other modes.
@@ -180,12 +177,6 @@ type PhaseDurations struct {
 	P1, P2, P3   time.Duration
 	HierA, HierB time.Duration
 }
-
-// Message tags used by the engine (collectives use their own range).
-const (
-	tagTrees par.Tag = 100 + iota
-	tagFacets
-)
 
 // New creates the engine on each rank: owner[i] gives the rank of coarse
 // element i; the rank keeps only its own trees.
@@ -429,13 +420,6 @@ type weightReport struct {
 	EdgeW []int64
 }
 
-// facetList is the boundary-facet exchange payload used to count leaf
-// adjacency across rank boundaries.
-type facetList struct {
-	Facets []gfacet
-	Roots  []int32
-}
-
 // RebalanceStats reports a repartitioning step (identical on all ranks).
 type RebalanceStats struct {
 	// Ran is false if imbalance was below the trigger and force was false.
@@ -591,9 +575,9 @@ func bcastOwnerDelta(e *Engine, newOwner []int32, st *RebalanceStats) []int32 {
 }
 
 // localWeights computes this rank's contribution to G's weights: leaf counts
-// for owned roots, adjacency counts for locally-visible pairs, and — via a
-// pairwise facet exchange with lower-ranked peers — adjacency across rank
-// boundaries.
+// for owned roots, adjacency counts for locally-visible pairs, and — via one
+// all-gather of the boundary facets, matched against lower-ranked peers only —
+// adjacency across rank boundaries.
 func (e *Engine) localWeights() weightReport {
 	var rep weightReport
 	for _, r := range e.F.Roots() {
@@ -604,7 +588,6 @@ func (e *Engine) localWeights() weightReport {
 	// trees; facets seen once are shard-boundary candidates for the exchange.
 	first := make(map[gfacet]int32)
 	pair := make(map[[2]int32]int64)
-	var boundary facetList
 	e.eachLeafFacet(func(f gfacet, root int32) {
 		if other, ok := first[f]; ok {
 			if other != root {
@@ -616,33 +599,27 @@ func (e *Engine) localWeights() weightReport {
 		}
 		first[f] = root
 	})
-	// Emit the boundary list in sorted facet order so the P2 payloads (and
-	// any trace of them) are byte-identical across runs.
+	// What is left in first is the boundary list; it travels as (v0, v1, v2,
+	// root) words in sorted facet order, so the payload is byte-identical
+	// across runs.
 	bkeys := make([]gfacet, 0, len(first))
 	for f := range first {
 		bkeys = append(bkeys, f)
 	}
 	sort.Slice(bkeys, func(i, j int) bool { return lessGFacet(bkeys[i], bkeys[j]) })
+	words := make([]int64, 0, 4*len(bkeys))
 	for _, f := range bkeys {
-		boundary.Facets = append(boundary.Facets, f)
-		boundary.Roots = append(boundary.Roots, first[f])
+		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]), int64(first[f]))
 	}
-	// Pairwise exchange: every rank sends its boundary list to all higher
-	// ranks; the higher rank matches and owns the mixed pair counts.
-	me := e.Comm.Rank()
-	for dst := me + 1; dst < e.Comm.Size(); dst++ {
-		e.Comm.Send(dst, tagFacets, boundary)
-	}
-	mine := make(map[gfacet]int32, len(boundary.Facets))
-	for i, f := range boundary.Facets {
-		mine[f] = boundary.Roots[i]
-	}
-	for src := 0; src < me; src++ {
-		data, _ := e.Comm.Recv(src, tagFacets)
-		fl := data.(facetList)
-		for i, f := range fl.Facets {
-			if r, ok := mine[f]; ok {
-				s := fl.Roots[i]
+	// Every rank sees every list, but a mixed pair is counted once: the
+	// higher rank matches the lower rank's list and owns the count.
+	lists := e.Comm.AllGatherInt64(words)
+	for src := 0; src < e.Comm.Rank(); src++ {
+		w := lists[src]
+		for i := 0; i < len(w); i += 4 {
+			f := gfacet{forest.VertexID(w[i]), forest.VertexID(w[i+1]), forest.VertexID(w[i+2])}
+			if r, ok := first[f]; ok {
+				s := int32(w[i+3])
 				k := [2]int32{min(r, s), max(r, s)}
 				pair[k]++
 			}
@@ -666,16 +643,19 @@ func (e *Engine) localWeights() weightReport {
 	return rep
 }
 
-// buildG assembles the coarse dual graph from all ranks' weight reports.
-func buildG(numRoots int, reports []any) *graph.Graph {
+// buildG assembles the coarse dual graph from all ranks' full weight
+// reports, each in deltaReport's word layout.
+func buildG(numRoots int, reports [][]int64) *graph.Graph {
 	b := graph.NewBuilder(numRoots)
-	for _, a := range reports {
-		rep := a.(weightReport)
-		for i, r := range rep.Roots {
-			b.SetVW(r, rep.VW[i])
+	for _, d := range reports {
+		nr, ne := int(d[0]), int(d[1])
+		d = d[2:]
+		for i := 0; i < nr; i++ {
+			b.SetVW(int32(d[2*i]), d[2*i+1])
 		}
-		for i := range rep.EdgeR {
-			b.AddEdge(rep.EdgeR[i], rep.EdgeS[i], rep.EdgeW[i])
+		d = d[2*nr:]
+		for i := 0; i < ne; i++ {
+			b.AddEdge(int32(d[3*i]), int32(d[3*i+1]), d[3*i+2])
 		}
 	}
 	return b.Build()
@@ -840,7 +820,15 @@ func (e *Engine) assertPatchedG(rep weightReport) {
 	if !check.Enabled {
 		return
 	}
-	reports := e.Comm.Gather(0, rep)
+	full := make([]int64, 0, 2+2*len(rep.Roots)+3*len(rep.EdgeR))
+	full = append(full, int64(len(rep.Roots)), int64(len(rep.EdgeR)))
+	for i, r := range rep.Roots {
+		full = append(full, int64(r), rep.VW[i])
+	}
+	for i := range rep.EdgeR {
+		full = append(full, int64(rep.EdgeR[i]), int64(rep.EdgeS[i]), rep.EdgeW[i])
+	}
+	reports := e.Comm.GatherInt64(0, full)
 	if e.Comm.Rank() != 0 {
 		return
 	}
@@ -915,19 +903,26 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 }
 
 // GatherForest reconstructs the full forest on the given root rank (nil on
-// other ranks) — a verification utility for tests and the harness.
+// other ranks) — a verification utility for tests and the harness. The trees
+// travel in the migration wire format, on the root's lane of one all-to-all.
 func (e *Engine) GatherForest(root int) *forest.Forest {
 	var payloads []*forest.TreePayload
 	for _, r := range e.F.Roots() {
 		payloads = append(payloads, e.F.ExtractTree(r))
 	}
-	all := e.Comm.Gather(root, payloads)
+	send := make([][]byte, e.Comm.Size())
+	send[root] = forest.EncodePayloads(payloads)
+	recv := e.Comm.AlltoallBytes(send)
 	if e.Comm.Rank() != root {
 		return nil
 	}
 	g := forest.New(e.F.Dim)
-	for _, a := range all {
-		for _, p := range a.([]*forest.TreePayload) {
+	for from, buf := range recv {
+		ps, err := forest.DecodePayloads(buf)
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
+		}
+		for _, p := range ps {
 			g.InsertTree(p)
 		}
 	}
@@ -936,11 +931,12 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 
 // CheckConsistency verifies cross-rank invariants (every tree owned exactly
 // once, owner map agreement) and local refiner invariants. Intended for tests.
+// Every rank returns the same verdict: the fault of the lowest rank that has
+// one, else the first tree not held exactly once.
 func (e *Engine) CheckConsistency() error {
-	// Local faults must not short-circuit past the collectives below: a rank
-	// returning early while the others enter Gather would deadlock (the spmd
-	// check proves this schedule symmetric). Collect the fault and let rank 0
-	// fold it into the broadcast verdict every rank agrees on.
+	// A local fault must not short-circuit past the collectives below: a rank
+	// returning early while the others enter them would deadlock. It travels
+	// as text to every rank instead, and all ranks read the same lists.
 	local := ""
 	if err := e.R.CheckInvariants(); err != nil {
 		local = err.Error()
@@ -954,34 +950,27 @@ func (e *Engine) CheckConsistency() error {
 			}
 		}
 	}
-	lists := e.Comm.Gather(0, e.F.Roots())
-	faults := e.Comm.Gather(0, local)
-	var verdict string
-	if e.Comm.Rank() == 0 {
-		for _, a := range faults {
-			if s := a.(string); s != "" {
-				verdict = s
-				break
-			}
-		}
-		if verdict == "" {
-			held := make([]int, e.Coarse.NumElems())
-			for _, a := range lists {
-				for _, r := range a.([]int32) {
-					held[r]++
-				}
-			}
-			for i, h := range held {
-				if h != 1 {
-					verdict = fmt.Sprintf("tree %d held by %d ranks", i, h)
-					break
-				}
-			}
+	held := e.Comm.AllGatherInt32(e.F.Roots())
+	text := []byte(local)
+	send := make([][]byte, e.Comm.Size())
+	for i := range send {
+		send[i] = text
+	}
+	for _, fault := range e.Comm.AlltoallBytes(send) {
+		if len(fault) != 0 {
+			return fmt.Errorf("pared: %s", fault)
 		}
 	}
-	verdict = e.Comm.Bcast(0, verdict).(string)
-	if verdict != "" {
-		return fmt.Errorf("pared: %s", verdict)
+	count := make([]int, e.Coarse.NumElems())
+	for _, roots := range held {
+		for _, r := range roots {
+			count[r]++
+		}
+	}
+	for i, n := range count {
+		if n != 1 {
+			return fmt.Errorf("pared: tree %d held by %d ranks", i, n)
+		}
 	}
 	return nil
 }

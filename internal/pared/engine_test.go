@@ -2,6 +2,7 @@ package pared
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pared/internal/fem"
@@ -43,7 +44,10 @@ func TestDistributedRefinementMatchesSerial2D(t *testing.T) {
 	est := cornerEst(geom.Vec3{X: 1, Y: 1})
 	want := serialReference(m, est, 0.9, 8, 3)
 	for _, p := range []int{2, 3, 4} {
-		var got [][4]forest.VertexID
+		// Gathered on the first and on the last rank: the forest reaches the
+		// root through the wire codec either way.
+		roots := []int{0, p - 1}
+		got := make([][][4]forest.VertexID, len(roots))
 		err := par.Run(p, func(c *par.Comm) {
 			e := Bootstrap(c, m)
 			for i := 0; i < 3; i++ {
@@ -52,20 +56,24 @@ func TestDistributedRefinementMatchesSerial2D(t *testing.T) {
 			if err := e.CheckConsistency(); err != nil {
 				panic(err)
 			}
-			g := e.GatherForest(0)
-			if c.Rank() == 0 {
-				got = g.CanonicalLeaves()
+			for i, root := range roots {
+				g := e.GatherForest(root)
+				if c.Rank() == root {
+					got[i] = g.CanonicalLeaves()
+				}
 			}
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: %d leaves, serial has %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: leaf %d differs", p, i)
+		for k, root := range roots {
+			if len(got[k]) != len(want) {
+				t.Fatalf("p=%d root=%d: %d leaves, serial has %d", p, root, len(got[k]), len(want))
+			}
+			for i := range want {
+				if got[k][i] != want[i] {
+					t.Fatalf("p=%d root=%d: leaf %d differs", p, root, i)
+				}
 			}
 		}
 	}
@@ -81,8 +89,8 @@ func TestDistributedRefinementMatchesSerial3D(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			e.Adapt(est, 0.8, 0, 6)
 		}
-		g := e.GatherForest(0)
-		if c.Rank() == 0 {
+		g := e.GatherForest(2)
+		if c.Rank() == 2 {
 			got = g.CanonicalLeaves()
 		}
 	})
@@ -133,6 +141,56 @@ func TestRebalanceRestoresBalanceAndMigratesTrees(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyFaultsAgreeOnEveryRank plants one fault on one rank —
+// a tree held against the owner map, a tree held by nobody — and requires
+// every rank to return the same error: the verdict is derived symmetrically,
+// so no rank may learn of a fault the others miss.
+func TestCheckConsistencyFaultsAgreeOnEveryRank(t *testing.T) {
+	const p = 4
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	est := cornerEst(geom.Vec3{X: 1, Y: 1})
+	cases := []struct {
+		name    string
+		rank    int
+		corrupt func(e *Engine)
+		want    string
+	}{
+		{"owner entry overwritten", 2, func(e *Engine) { e.Owner[e.F.Roots()[0]] = 0 }, "rank 2 holds tree"},
+		{"tree removed", 1, func(e *Engine) {
+			e.F.RemoveTree(e.F.Roots()[0])
+			e.R = refine.NewRefiner(e.F)
+		}, "held by 0 ranks"},
+	}
+	for _, tc := range cases {
+		var got [p]string
+		err := par.Run(p, func(c *par.Comm) {
+			e := Bootstrap(c, m)
+			e.Adapt(est, 0.8, 0, 7)
+			e.Rebalance(true)
+			if err := e.CheckConsistency(); err != nil {
+				panic(err)
+			}
+			if c.Rank() == tc.rank {
+				tc.corrupt(e)
+			}
+			if err := e.CheckConsistency(); err != nil {
+				got[c.Rank()] = err.Error()
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !strings.Contains(got[0], tc.want) {
+			t.Errorf("%s: rank 0 returned %q, want an error containing %q", tc.name, got[0], tc.want)
+		}
+		for r := 1; r < p; r++ {
+			if got[r] != got[0] {
+				t.Errorf("%s: rank %d returned %q, rank 0 %q", tc.name, r, got[r], got[0])
+			}
+		}
 	}
 }
 

@@ -5,8 +5,8 @@ package pared
 // gathered there, a serial multilevel KL refines the partition, and the owner
 // delta is broadcast back — the one remaining serial wall after the
 // incremental pipeline. The SFC mode removes it by changing the partitioning
-// problem itself: order the coarse elements along a Hilbert (or Morton) curve
-// through their centroids and slice the total leaf weight into P equal bands.
+// problem itself: order the coarse elements along a Hilbert curve through
+// their centroids and slice the total leaf weight into P equal bands.
 //
 // The decisive structural fact is that the coarse mesh AND the owner map are
 // replicated on every rank — only the weights (leaf counts of the live
@@ -93,7 +93,7 @@ type sfcState struct {
 func (e *Engine) ensureSFC() *sfcState {
 	if e.sfc == nil {
 		s := &sfcState{}
-		s.keys = sfc.Keys(e.Coarse, e.cfg.SFC.Curve)
+		s.keys = sfc.Keys(e.Coarse, sfc.Hilbert)
 		s.order, s.pos = sfc.Order(s.keys)
 		s.dual = graph.FromDual(e.Coarse)
 		e.sfc = s
@@ -122,7 +122,6 @@ func bandForm(order, owner []int32) bool {
 func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
 	s := e.ensureSFC()
 	p := e.Comm.Size()
-	snap := !e.cfg.SFC.DisableSnap
 
 	// --- P1: local weights, in curve order. Roots() is ascending by id and
 	// the radix sort is stable, so equal keys stay id-ordered — the same
@@ -161,7 +160,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 
 		// --- P3: place own elements, exchange only the changes.
 		d3 = timed(func() {
-			sfc.AssignLocal(s.localRoots, s.localW, off, total, e.Owner, p, snap, s.localOut)
+			sfc.AssignLocal(s.localRoots, s.localW, off, total, e.Owner, p, true, s.localOut)
 			s.delta = s.delta[:0]
 			for i, r := range s.localRoots {
 				if s.localOut[i] != e.Owner[r] {
@@ -214,13 +213,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 		})
 		e.trace("P2 gather: full weights (non-band-form owner) in %v (sfc fallback)", d2)
 		d3 = timed(func() {
-			// The one place the full weight vector is in hand is the one
-			// place weighted cuts are computable.
-			if e.cfg.SFC.WeightedCuts {
-				s.newOwner = sfc.AssignWeighted(s.order, s.fullVW, e.Owner, p, snap, s.newOwner, &s.assignScratch)
-			} else {
-				s.newOwner = sfc.Assign(s.order, s.fullVW, e.Owner, p, snap, s.newOwner, &s.assignScratch)
-			}
+			s.newOwner = sfc.Assign(s.order, s.fullVW, e.Owner, p, true, s.newOwner, &s.assignScratch)
 			newOwner = s.newOwner
 		})
 		e.trace("P3 full assign in %v (sfc fallback path)", d3)
@@ -246,18 +239,14 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 	var owner []int32
 	if cfg.Mode == ModeSFC {
-		keys := sfc.Keys(coarseMesh, cfg.SFC.Curve)
+		keys := sfc.Keys(coarseMesh, sfc.Hilbert)
 		order, _ := sfc.Order(keys)
 		vw := make([]int64, coarseMesh.NumElems())
 		for i := range vw {
 			vw[i] = 1
 		}
 		var scratch sfc.AssignScratch
-		if cfg.SFC.WeightedCuts {
-			owner = sfc.AssignWeighted(order, vw, nil, c.Size(), false, nil, &scratch)
-		} else {
-			owner = sfc.Assign(order, vw, nil, c.Size(), false, nil, &scratch)
-		}
+		owner = sfc.Assign(order, vw, nil, c.Size(), false, nil, &scratch)
 	} else {
 		if c.Rank() == 0 {
 			g := graph.FromDual(coarseMesh)

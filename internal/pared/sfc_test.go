@@ -205,46 +205,3 @@ func TestSFCImbalanceBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSFCWeightedCutsFallback drives the WeightedCuts knob through the one
-// engine path that honors it — the non-band-form fallback epoch — and checks
-// it restores band form, keeps every cross-rank invariant, and lands the
-// heaviest rank within the snapped bottleneck bound.
-func TestSFCWeightedCutsFallback(t *testing.T) {
-	const p = 4
-	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
-	est := cornerEst(geom.Vec3{X: 1, Y: 1})
-	err := par.Run(p, func(c *par.Comm) {
-		e := Bootstrap(c, m) // PNR bootstrap: owner not curve-contiguous
-		e.SetConfig(Config{Mode: ModeSFC, SFC: sfc.Config{WeightedCuts: true}})
-		e.Adapt(est, 0.8, 0, 7)
-		e.ensureSFC()
-		if bandForm(e.sfc.order, e.Owner) {
-			panic("test premise broken: PNR bootstrap is already band form")
-		}
-		e.Rebalance(true)
-		if err := e.CheckConsistency(); err != nil {
-			panic(err)
-		}
-		if !bandForm(e.sfc.order, e.Owner) {
-			panic("weighted-cuts fallback did not restore band form")
-		}
-		var maxTree int64
-		for r := int32(0); r < int32(m.NumElems()); r++ {
-			if e.Owner[r] == int32(c.Rank()) {
-				if n := int64(e.F.LeafCount(r)); n > maxTree {
-					maxTree = n
-				}
-			}
-		}
-		maxTree, _ = e.Comm.AllReduceMaxSum(maxTree)
-		maxLocal, total := e.Comm.AllReduceMaxSum(int64(e.F.NumLeaves()))
-		avg := total / int64(p)
-		if maxLocal > avg+2*maxTree+1 {
-			panic("weighted-cuts band exceeds the optimum + 2·maxw bound")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,10 +1,10 @@
 // Package sfc implements space-filling-curve repartitioning of the coarse
 // element set, following Burstedde & Holke's coarse-mesh partitioning for
-// tree-based AMR: order the coarse elements along a Morton or Hilbert curve
-// through their centroids, weight each element by its refinement-tree leaf
-// count, and slice the total weight range into P equal bands. Because the
-// curve order is a pure function of the (replicated, run-invariant) coarse
-// geometry, every rank derives the same order locally; the only distributed
+// tree-based AMR: order the coarse elements along a Hilbert curve through
+// their centroids, weight each element by its refinement-tree leaf count, and
+// slice the total weight range into P equal bands. Because the curve order
+// is a pure function of the (replicated, run-invariant) coarse geometry,
+// every rank derives the same order locally; the only distributed
 // quantity is the weights, and a rank that knows its global weight offset —
 // one exclusive-scan collective — can place all of its elements without any
 // rank ever gathering the graph. No coordinator, no serial refinement on the
@@ -24,36 +24,14 @@ import (
 	"pared/internal/mesh"
 )
 
-// Curve selects the space-filling curve.
+// Curve names the space-filling curve Keys follows. Hilbert is the only one:
+// every curve step moves to a face-adjacent cell, so curve-contiguous bands
+// are geometrically compact. The type survives as Keys' second parameter only
+// because bench/probe.go passes it.
 type Curve int
 
-const (
-	// Hilbert is the default: every curve step moves to a face-adjacent
-	// cell, so curve-contiguous bands are geometrically compact.
-	Hilbert Curve = iota
-	// Morton (Z-order) is cheaper to compute but takes long diagonal jumps,
-	// giving slightly worse band shapes. Kept for comparison.
-	Morton
-)
-
-// Config tunes the partitioner. The zero value (Hilbert, snapping on) is the
-// engine default.
-type Config struct {
-	Curve Curve
-	// DisableSnap turns off migration-aware band snapping: every element
-	// goes to the band containing its weight midpoint, even when that moves
-	// it off a rank that an adjacent cut would have let it stay on.
-	DisableSnap bool
-	// WeightedCuts places the band cut points by a bottleneck-optimal search
-	// on the weighted prefix (AssignWeighted) instead of the fixed j·total/p
-	// midpoint grid: the heaviest band is then the minimum achievable by ANY
-	// curve-contiguous partition, never worse than the midpoint rule's
-	// total/p + maxw. Honored on the full-weight-vector paths (engine
-	// fallback epochs and bootstrap); steady-state scan epochs keep the
-	// midpoint rule, whose cut points every rank derives from two O(1)
-	// scalars without seeing the weight profile.
-	WeightedCuts bool
-}
+// Hilbert is the curve of every caller.
+const Hilbert Curve = iota
 
 // Bits per axis of the quantized centroid grid: 31 in 2D and 21 in 3D fill
 // 62/63 bits of the key, so distinct cells never collide in the curve index
@@ -62,26 +40,6 @@ const (
 	bits2D = 31
 	bits3D = 21
 )
-
-// Morton2D interleaves the low `bits` bits of x and y (y in the odd
-// positions) into a Z-order index.
-func Morton2D(x, y uint32, bits uint) uint64 {
-	var d uint64
-	for b := int(bits) - 1; b >= 0; b-- {
-		d = d<<2 | uint64(y>>uint(b)&1)<<1 | uint64(x>>uint(b)&1)
-	}
-	return d
-}
-
-// Morton3D interleaves the low `bits` bits of x, y and z (z highest) into a
-// 3D Z-order index.
-func Morton3D(x, y, z uint32, bits uint) uint64 {
-	var d uint64
-	for b := int(bits) - 1; b >= 0; b-- {
-		d = d<<3 | uint64(z>>uint(b)&1)<<2 | uint64(y>>uint(b)&1)<<1 | uint64(x>>uint(b)&1)
-	}
-	return d
-}
 
 // Hilbert2D returns the Hilbert curve index of cell (x, y) on the 2^bits ×
 // 2^bits grid — the classic quadrant-rotation formulation: walk the bits from
@@ -156,7 +114,7 @@ func Hilbert3D(x, y, z uint32, bits uint) uint64 {
 // computation is a pure function of the mesh (sequential float arithmetic,
 // no accumulation order choices), so every rank that holds the replicated
 // coarse mesh derives identical keys.
-func Keys(m *mesh.Mesh, curve Curve) []uint64 {
+func Keys(m *mesh.Mesh, _ Curve) []uint64 {
 	n := m.NumElems()
 	cents := make([]geom.Vec3, n)
 	box := geom.EmptyAABB()
@@ -182,17 +140,9 @@ func Keys(m *mesh.Mesh, curve Curve) []uint64 {
 		y := quantize(cents[e].Y-box.Min.Y, sy, bits)
 		if m.Dim == mesh.D3 {
 			z := quantize(cents[e].Z-box.Min.Z, sz, bits)
-			if curve == Morton {
-				keys[e] = Morton3D(x, y, z, bits)
-			} else {
-				keys[e] = Hilbert3D(x, y, z, bits)
-			}
+			keys[e] = Hilbert3D(x, y, z, bits)
 		} else {
-			if curve == Morton {
-				keys[e] = Morton2D(x, y, bits)
-			} else {
-				keys[e] = Hilbert2D(x, y, bits)
-			}
+			keys[e] = Hilbert2D(x, y, bits)
 		}
 	}
 	return keys
@@ -403,143 +353,4 @@ func Assign(order []int32, vw []int64, old []int32, p int, snap bool, out []int3
 type AssignScratch struct {
 	w    []int64
 	band []int32
-	cuts []int64
-}
-
-// ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-// greedyBands returns the number of bands a first-fit walk of w needs under
-// band capacity cap: open a new band whenever the next element would
-// overflow the current one. First-fit is band-minimal for a fixed capacity,
-// so "greedyBands ≤ p" is an exact feasibility test for bottleneck cap.
-// Callers guarantee cap ≥ max(w), so every element fits in some band.
-func greedyBands(w []int64, capacity int64) int {
-	bands, cur := 1, int64(0)
-	for _, wi := range w {
-		if cur+wi > capacity && cur > 0 {
-			bands++
-			cur = 0
-		}
-		cur += wi
-	}
-	return bands
-}
-
-// weightedCuts fills cuts[0..p] with the prefix-weight cut points of a
-// bottleneck-optimal contiguous partition of w into ≤ p bands: cuts[j] is
-// the total weight of all elements before band j, cuts[p] = total, and
-// max_j(cuts[j+1]−cuts[j]) = B*, the smallest heaviest-band weight any
-// contiguous partition can achieve. B* is found by binary search on the
-// greedy feasibility test over [max(⌈total/p⌉, maxw), ⌈total/p⌉ + maxw]:
-// every partition has a band at least as heavy as both lower ends, and
-// first-fit at the upper end never opens more than p bands (each closed band
-// holds more than capacity − maxw ≥ total/p). Pure integer arithmetic on the
-// weight vector, so every rank holding it derives identical cuts.
-func weightedCuts(w []int64, total int64, p int, cuts []int64) []int64 {
-	cuts = cuts[:p+1]
-	var maxw int64
-	for _, wi := range w {
-		if wi > maxw {
-			maxw = wi
-		}
-	}
-	lo := ceilDiv(total, int64(p))
-	if maxw > lo {
-		lo = maxw
-	}
-	hi := ceilDiv(total, int64(p)) + maxw
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if greedyBands(w, mid) <= p {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// Replay first-fit at B* to materialize the cut points.
-	cuts[0] = 0
-	j := 1
-	var cur, prefix int64
-	for _, wi := range w {
-		if cur+wi > lo && cur > 0 {
-			cuts[j] = prefix
-			j++
-			cur = 0
-		}
-		cur += wi
-		prefix += wi
-	}
-	for ; j <= p; j++ {
-		cuts[j] = total
-	}
-	return cuts
-}
-
-// AssignWeighted is Assign with bottleneck-optimal cut points (weightedCuts)
-// in place of the fixed j·total/p grid: same inputs, same full-weight-vector
-// requirement, same monotone band-form output, but the heaviest unsnapped
-// band is the minimum any curve-contiguous partition allows — in particular
-// never heavier than Assign's, and the total/p + maxw bound still holds.
-// Each element goes to the band whose weight range contains its interval
-// start; with snap it may instead keep its current owner whenever its
-// interval [a, a+w) still overlaps that band's open range (cuts[o],
-// cuts[o+1]). Snapped choices stay within the bands the element's own
-// interval touches, and those advance monotonically along the curve, so the
-// output remains band form (the AssignLocal argument, verbatim); a band
-// gains at most the one straddling element per cut, keeping it within
-// B* + 2·maxw.
-func AssignWeighted(order []int32, vw []int64, old []int32, p int, snap bool, out []int32, scratch *AssignScratch) []int32 {
-	n := len(order)
-	if cap(out) < n {
-		out = make([]int32, n)
-	}
-	out = out[:n]
-	if cap(scratch.w) < n {
-		scratch.w = make([]int64, n)
-		scratch.band = make([]int32, n)
-	}
-	if cap(scratch.cuts) < p+1 {
-		scratch.cuts = make([]int64, p+1)
-	}
-	w := scratch.w[:n]
-	band := scratch.band[:n]
-	var total int64
-	for k, e := range order {
-		w[k] = vw[e]
-		total += vw[e]
-	}
-	if total <= 0 {
-		// No weight anywhere: nothing to balance, keep every element home
-		// (or band 0 when there is no current assignment) — Assign's rule.
-		for _, e := range order {
-			if old != nil {
-				out[e] = old[e]
-			} else {
-				out[e] = 0
-			}
-		}
-		return out
-	}
-	cuts := weightedCuts(w, total, p, scratch.cuts)
-	var a int64
-	var j int32
-	for k := range w {
-		we := w[k]
-		for int(j)+1 < p && a >= cuts[j+1] {
-			j++
-		}
-		sel := j
-		if snap && old != nil {
-			if o := old[order[k]]; o >= 0 && int(o) < p && cuts[o] < a+we && a < cuts[o+1] {
-				sel = o
-			}
-		}
-		band[k] = sel
-		a += we
-	}
-	for k, e := range order {
-		out[e] = band[k]
-	}
-	return out
 }

@@ -8,44 +8,6 @@ import (
 	"pared/internal/meshgen"
 )
 
-// TestMorton2DGolden pins the 2-bit Z-order walk over the 4×4 grid.
-func TestMorton2DGolden(t *testing.T) {
-	// Index of cell (x, y) on the 4×4 Z-order curve, row y printed bottom-up.
-	want := [4][4]uint64{
-		{0, 1, 4, 5},   // y = 0
-		{2, 3, 6, 7},   // y = 1
-		{8, 9, 12, 13}, // y = 2
-		{10, 11, 14, 15},
-	}
-	for y := uint32(0); y < 4; y++ {
-		for x := uint32(0); x < 4; x++ {
-			if got := Morton2D(x, y, 2); got != want[y][x] {
-				t.Errorf("Morton2D(%d,%d) = %d, want %d", x, y, got, want[y][x])
-			}
-		}
-	}
-}
-
-// TestMorton3DGolden pins the unit-cube corner ordering: index = z<<2|y<<1|x,
-// and the far corner at the full 21-bit key width (all 63 bits set), which an
-// interleave carried out in 32-bit arithmetic silently truncates.
-func TestMorton3DGolden(t *testing.T) {
-	for z := uint32(0); z < 2; z++ {
-		for y := uint32(0); y < 2; y++ {
-			for x := uint32(0); x < 2; x++ {
-				want := uint64(z<<2 | y<<1 | x)
-				if got := Morton3D(x, y, z, 1); got != want {
-					t.Errorf("Morton3D(%d,%d,%d) = %d, want %d", x, y, z, got, want)
-				}
-			}
-		}
-	}
-	const m = 1<<bits3D - 1
-	if got := Morton3D(m, m, m, bits3D); got != 1<<63-1 {
-		t.Errorf("Morton3D(max,max,max) at %d bits = %#x, want %#x", bits3D, got, uint64(1<<63-1))
-	}
-}
-
 // TestHilbert2DGolden pins the order-2 Hilbert curve on the 4×4 grid (the
 // classic U-shape recursion, cell (0,0) first).
 func TestHilbert2DGolden(t *testing.T) {
@@ -104,7 +66,6 @@ func TestHilbertBijective(t *testing.T) {
 
 // TestHilbertAdjacency checks the defining property of a Hilbert curve:
 // consecutive indices map to face-adjacent grid cells (Manhattan distance 1).
-// Morton does not have this property; Hilbert must.
 func TestHilbertAdjacency(t *testing.T) {
 	const bits = 3
 	cell2 := make(map[uint64][2]int)
@@ -381,170 +342,6 @@ func TestAssignZeroTotal(t *testing.T) {
 	}
 	old := []int32{2, 0, 3, 1}
 	out = Assign(order, vw, old, 4, true, out, &scratch)
-	for e := range old {
-		if out[e] != old[e] {
-			t.Fatalf("zero-weight snap: element %d moved %d → %d", e, old[e], out[e])
-		}
-	}
-}
-
-// maxBand returns the heaviest band's weight of a full assignment.
-func maxBand(t *testing.T, owner []int32, vw []int64, p int) int64 {
-	t.Helper()
-	var mx int64
-	for _, w := range bandWeights(t, owner, vw, p) {
-		if w > mx {
-			mx = w
-		}
-	}
-	return mx
-}
-
-// optimalBottleneck computes, by O(p·n²) dynamic programming, the smallest
-// heaviest-band weight over ALL contiguous partitions of the curve-ordered
-// weights into ≤ p bands — the exact value AssignWeighted claims to achieve.
-func optimalBottleneck(w []int64, p int) int64 {
-	n := len(w)
-	prefix := make([]int64, n+1)
-	for i, wi := range w {
-		prefix[i+1] = prefix[i] + wi
-	}
-	const inf = int64(1) << 62
-	f := make([]int64, n+1) // f[k]: best bottleneck of w[:k] in j bands
-	for k := 1; k <= n; k++ {
-		f[k] = prefix[k]
-	}
-	for j := 2; j <= p; j++ {
-		g := make([]int64, n+1)
-		for k := 1; k <= n; k++ {
-			g[k] = inf
-			for i := 0; i < k; i++ {
-				m := f[i]
-				if last := prefix[k] - prefix[i]; last > m {
-					m = last
-				}
-				if m < g[k] {
-					g[k] = m
-				}
-			}
-		}
-		f = g
-	}
-	return f[n]
-}
-
-// TestAssignWeightedProperties is the tightened-bound property test of the
-// weighted cut points: for random weights the unsnapped AssignWeighted must
-// be monotone band form whose heaviest band equals the DP-exact contiguous
-// bottleneck optimum — in particular never heavier than the midpoint rule's,
-// and within the classic total/p + maxw bound. Snapping must stay monotone,
-// keep every band within optimum + 2·maxw, and never move an element the
-// weighted rule kept home.
-func TestAssignWeightedProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		p := 1 + rng.Intn(12)
-		keys := make([]uint64, n)
-		vw := make([]int64, n)
-		var maxw, total int64
-		for e := range keys {
-			keys[e] = uint64(rng.Intn(64)) // duplicates on purpose
-			vw[e] = int64(rng.Intn(20))    // zero weights on purpose
-			if vw[e] > maxw {
-				maxw = vw[e]
-			}
-			total += vw[e]
-		}
-		order, _ := Order(keys)
-		var scratch AssignScratch
-
-		weighted := AssignWeighted(order, vw, nil, p, false, nil, &scratch)
-		checkMonotone(t, order, weighted, "weighted unsnapped")
-		if total == 0 {
-			continue
-		}
-		curveW := make([]int64, n)
-		for k, e := range order {
-			curveW[k] = vw[e]
-		}
-		opt := optimalBottleneck(curveW, p)
-		got := maxBand(t, weighted, vw, p)
-		if got != opt {
-			t.Fatalf("trial %d: weighted bottleneck %d, DP optimum %d", trial, got, opt)
-		}
-		var midScratch AssignScratch
-		mid := Assign(order, vw, nil, p, false, nil, &midScratch)
-		if mw := maxBand(t, mid, vw, p); got > mw {
-			t.Fatalf("trial %d: weighted bottleneck %d worse than midpoint %d", trial, got, mw)
-		}
-		if bound := total/int64(p) + maxw; got > bound {
-			t.Fatalf("trial %d: weighted bottleneck %d > classic bound %d", trial, got, bound)
-		}
-
-		// Snap against a random band-form history, like TestAssignProperties.
-		old := make([]int32, n)
-		cutAt := make([]int, p-1)
-		for i := range cutAt {
-			cutAt[i] = rng.Intn(n + 1)
-		}
-		sort.Ints(cutAt)
-		b, next := int32(0), 0
-		for k, e := range order {
-			for next < len(cutAt) && cutAt[next] <= k {
-				b++
-				next++
-			}
-			old[e] = b
-		}
-		snapped := AssignWeighted(order, vw, old, p, true, nil, &scratch)
-		checkMonotone(t, order, snapped, "weighted snapped")
-		if sm := maxBand(t, snapped, vw, p); sm > opt+2*maxw {
-			t.Fatalf("trial %d: snapped weighted band %d > optimum %d + 2·maxw %d", trial, sm, opt, maxw)
-		}
-		for e := range weighted {
-			if weighted[e] == old[e] && snapped[e] != old[e] {
-				t.Fatalf("trial %d: snapping moved element %d off its home band", trial, e)
-			}
-		}
-	}
-}
-
-// TestAssignWeightedBeatsMidpoint pins a case where the midpoint heuristic
-// provably cannot reach the optimum: two heavy elements whose midpoints both
-// fall just inside the middle third. The midpoint rule piles 186 of 300 onto
-// one band; the weighted cuts achieve the true bottleneck 147.
-func TestAssignWeightedBeatsMidpoint(t *testing.T) {
-	keys := []uint64{0, 1, 2, 3, 4}
-	vw := []int64{57, 90, 6, 90, 57}
-	order, _ := Order(keys)
-	var scratch AssignScratch
-	mid := Assign(order, vw, nil, 3, false, nil, &scratch)
-	var wScratch AssignScratch
-	weighted := AssignWeighted(order, vw, nil, 3, false, nil, &wScratch)
-	if mw := maxBand(t, mid, vw, 3); mw != 186 {
-		t.Fatalf("midpoint bottleneck = %d, expected the pinned 186", mw)
-	}
-	if ww := maxBand(t, weighted, vw, 3); ww != 147 {
-		t.Fatalf("weighted bottleneck = %d, expected the optimal 147", ww)
-	}
-}
-
-// TestAssignWeightedZeroTotal pins the degenerate contract shared with
-// Assign: no weight anywhere keeps every element home.
-func TestAssignWeightedZeroTotal(t *testing.T) {
-	keys := []uint64{3, 1, 2, 0}
-	vw := []int64{0, 0, 0, 0}
-	order, _ := Order(keys)
-	var scratch AssignScratch
-	out := AssignWeighted(order, vw, nil, 4, true, nil, &scratch)
-	for e, b := range out {
-		if b != 0 {
-			t.Fatalf("zero-weight fresh assign: element %d on band %d", e, b)
-		}
-	}
-	old := []int32{2, 0, 3, 1}
-	out = AssignWeighted(order, vw, old, 4, true, out, &scratch)
 	for e := range old {
 		if out[e] != old[e] {
 			t.Fatalf("zero-weight snap: element %d moved %d → %d", e, old[e], out[e])
