@@ -53,14 +53,17 @@ bench-counts:
 	diff /tmp/pared-counts-want.json /tmp/pared-counts-got.json
 
 # Allocation budget of the hot-path packages. BENCH_allocs.json pins
-# allocs/op for every benchmark of kern/la/graph/core/partition-sfc/par;
-# regenerate it with bench-alloc-baseline after a deliberate change to an
-# allocation profile. The SFC sort and band-assignment kernels are pinned at
-# zero allocations: the coordinator-free rebalance path must stay heap-silent
-# in steady state. So are the par scalar subgroup collectives and the
-# subgroup move exchange: sub-communicator traffic reuses per-Comm scratch,
-# and the hierarchical rebalance path leans on that every epoch.
-ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par
+# allocs/op for every benchmark of
+# kern/la/graph/core/partition-sfc/par/forest/refine; regenerate it with
+# bench-alloc-baseline after a deliberate change to an allocation profile. The
+# SFC sort and band-assignment kernels are pinned at zero allocations: the
+# coordinator-free rebalance path must stay heap-silent in steady state. So are
+# the par scalar subgroup collectives and the subgroup move exchange:
+# sub-communicator traffic reuses per-Comm scratch, and the hierarchical
+# rebalance path leans on that every epoch. So are the leaf sweep
+# (forest.VisitLeaves) and a Coarsen call that approves nothing: every per-epoch
+# pass is built on the first, and every Adapt with coarsening pays the second.
+ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 
 bench-alloc-baseline:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt

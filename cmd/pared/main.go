@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,48 +31,67 @@ import (
 )
 
 func main() {
-	p := flag.Int("p", 8, "number of ranks")
-	problem := flag.String("problem", "corner", "corner|transient")
-	algo := flag.String("algo", "pnr", "repartitioner: "+strings.Join(pared.AlgorithmNames(), "|")+" (sfc is coordinator-free, distrefine rank-splits the PNR refinement sweeps, hier partitions two-level over -topo)")
-	topo := flag.String("topo", "", "hier topology as NxC (nodes x cores per node, N*C = -p); empty picks the most balanced factorization")
-	penalty := flag.Float64("penalty", 0, "hier inter-node edge penalty (0 = default 4)")
-	grid := flag.Int("grid", 20, "initial mesh resolution")
-	steps := flag.Int("steps", 6, "adaptation steps")
-	tol := flag.Float64("tol", 5e-3, "refinement tolerance")
-	trigger := flag.Float64("trigger", 0.05, "imbalance triggering repartition")
-	traceOn := flag.Bool("trace", false, "emit per-phase timings from every rank")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main with its streams and exit code as values, so tests drive the
+// flag handling in-process. Every input is checked before a rank starts: a
+// bad one costs one line on stderr and exit 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pared", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	p := fs.Int("p", 8, "number of ranks")
+	problem := fs.String("problem", "corner", "corner|transient")
+	algo := fs.String("algo", "pnr", "repartitioner: "+strings.Join(pared.AlgorithmNames(), "|")+" (sfc is coordinator-free, distrefine rank-splits the PNR refinement sweeps, hier partitions two-level over -topo)")
+	topo := fs.String("topo", "", "hier topology as NxC (nodes x cores per node, N*C = -p); empty picks the most balanced factorization")
+	penalty := fs.Float64("penalty", 0, "hier inter-node edge penalty (0 = default 4)")
+	grid := fs.Int("grid", 20, "initial mesh resolution")
+	steps := fs.Int("steps", 6, "adaptation steps")
+	tol := fs.Float64("tol", 5e-3, "refinement tolerance")
+	trigger := fs.Float64("trigger", 0.05, "imbalance triggering repartition")
+	traceOn := fs.Bool("trace", false, "emit per-phase timings from every rank")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pared: "+format+"\n", a...)
+		return 2
+	}
+	if *p < 1 {
+		return usage("-p wants at least 1 rank, got %d", *p)
+	}
+	if *grid < 1 {
+		return usage("-grid wants at least 1 cell per side, got %d", *grid)
+	}
+	if *problem != "corner" && *problem != "transient" {
+		return usage("unknown problem %q (want corner|transient)", *problem)
+	}
 	cfg, err := pared.ConfigByName(*algo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	cfg.ImbalanceTrigger = *trigger
 	cfg.Topology.InterNodePenalty = *penalty
 	if *topo != "" {
 		if n, err := fmt.Sscanf(*topo, "%dx%d", &cfg.Topology.Nodes, &cfg.Topology.CoresPerNode); n != 2 || err != nil {
-			fmt.Fprintf(os.Stderr, "pared: -topo wants NxC (e.g. 4x2), got %q\n", *topo)
-			os.Exit(2)
+			return usage("-topo wants NxC (e.g. 4x2), got %q", *topo)
 		}
 	}
 	if _, err := cfg.Topology.Resolve(*p); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	estimator := func(step int) refine.Estimator {
-		switch *problem {
-		case "corner":
+		if *problem == "corner" {
 			return fem.InterpolationEstimator(fem.CornerSolution2D)
-		case "transient":
-			t := -0.5 + float64(step)/float64(maxi(*steps-1, 1))
-			return fem.InterpolationEstimator(fem.TransientSolution(t))
-		default:
-			fmt.Fprintf(os.Stderr, "pared: unknown problem %q\n", *problem)
-			os.Exit(2)
-			return nil
 		}
+		t := -0.5 + float64(step)/float64(max(*steps-1, 1))
+		return fem.InterpolationEstimator(fem.TransientSolution(t))
 	}
 	coarsen := 0.0
 	if *problem == "transient" {
@@ -78,11 +99,12 @@ func main() {
 	}
 
 	m0 := meshgen.RectTri(*grid, *grid, -1, -1, 1, 1)
-	tracePrinter := par.NewPrinter(os.Stderr)
 	if *traceOn {
-		cfg.Trace = tracePrinter.Println
+		cfg.Trace = par.NewPrinter(stderr).Println
 	}
-	err = par.Run(*p, func(c *par.Comm) {
+	// Its own variable: the collective check treats anything assigned from a
+	// rank body as rank-dependent, and err gates the early returns above.
+	runErr := par.Run(*p, func(c *par.Comm) {
 		e := pared.BootstrapWith(c, m0, cfg)
 		var totalMoved int64
 		for step := 0; step < *steps; step++ {
@@ -90,32 +112,26 @@ func main() {
 			st := e.Rebalance(false)
 			totalMoved += st.MovedElements
 			if c.Rank() == 0 {
-				fmt.Printf("step %2d: %7d elements, %2d refine rounds", step, ast.GlobalLeaves, ast.Rounds)
+				fmt.Fprintf(stdout, "step %2d: %7d elements, %2d refine rounds", step, ast.GlobalLeaves, ast.Rounds)
 				if st.Ran {
-					fmt.Printf(", rebalanced (moved %d elems, cut %d->%d, imb %.3f)",
+					fmt.Fprintf(stdout, ", rebalanced (moved %d elems, cut %d->%d, imb %.3f)",
 						st.MovedElements, st.CutBefore, st.CutAfter, st.Imbalance)
 				} else {
-					fmt.Printf(", balanced (imb %.3f)", st.Imbalance)
+					fmt.Fprintf(stdout, ", balanced (imb %.3f)", st.Imbalance)
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
 		if err := e.CheckConsistency(); err != nil {
 			panic(err)
 		}
 		if c.Rank() == 0 {
-			fmt.Printf("total migrated elements over run: %d\n", totalMoved)
+			fmt.Fprintf(stdout, "total migrated elements over run: %d\n", totalMoved)
 		}
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pared: %v\n", err)
-		os.Exit(1)
+	if runErr != nil {
+		fmt.Fprintf(stderr, "pared: %v\n", runErr)
+		return 1
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return 0
 }

@@ -15,8 +15,9 @@
 package forest
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pared/internal/geom"
 	"pared/internal/mesh"
@@ -98,11 +99,20 @@ type Forest struct {
 	// Nodes holds all tree nodes; slots of coarsened nodes are reused.
 	Nodes []Node
 
-	vidx      map[VertexID]int32 // global ID -> local index
-	roots     map[int32]NodeID   // global coarse element -> root node
-	free      []NodeID           // reusable dead slots
-	leafCount map[int32]int      // per root
+	vidx map[VertexID]int32 // global ID -> local index
+	// roots lists the held trees in ascending root order, the order every leaf
+	// sweep walks. AddRoot, InsertTree and RemoveTree keep it sorted in place,
+	// so reading it never sorts and never allocates.
+	roots     []rootEntry
+	free      []NodeID      // reusable dead slots
+	leafCount map[int32]int // per root
 	nLeaves   int
+}
+
+// rootEntry is one held tree: its global coarse-element index and root node.
+type rootEntry struct {
+	root int32
+	node NodeID
 }
 
 // New creates an empty forest of the given dimension.
@@ -110,7 +120,6 @@ func New(dim mesh.Dim) *Forest {
 	return &Forest{
 		Dim:       dim,
 		vidx:      make(map[VertexID]int32),
-		roots:     make(map[int32]NodeID),
 		leafCount: make(map[int32]int),
 	}
 }
@@ -157,7 +166,8 @@ func (f *Forest) LookupVertex(id VertexID) int32 {
 // AddRoot installs a coarse element (given by local vertex indices) as the
 // root of tree `root`. It panics if the tree already exists.
 func (f *Forest) AddRoot(root int32, verts [4]int32) NodeID {
-	if _, ok := f.roots[root]; ok {
+	at, held := f.findRoot(root)
+	if held {
 		panic(fmt.Sprintf("forest: duplicate root %d", root))
 	}
 	n := f.alloc(Node{
@@ -167,7 +177,7 @@ func (f *Forest) AddRoot(root int32, verts [4]int32) NodeID {
 		Root:   root,
 		MidV:   -1,
 	})
-	f.roots[root] = n
+	f.roots = slices.Insert(f.roots, at, rootEntry{root, n})
 	f.leafCount[root] = 1
 	f.nLeaves++
 	return n
@@ -187,22 +197,28 @@ func (f *Forest) alloc(n Node) NodeID {
 // Node returns a pointer to the node with the given ID.
 func (f *Forest) Node(id NodeID) *Node { return &f.Nodes[id] }
 
+// findRoot returns the position of tree root in f.roots and whether it is
+// held; if not, the position is where it would be inserted.
+func (f *Forest) findRoot(root int32) (int, bool) {
+	return slices.BinarySearchFunc(f.roots, root, func(e rootEntry, r int32) int { return cmp.Compare(e.root, r) })
+}
+
 // Root returns the root node of tree `root`, or NoNode if this forest does
 // not hold that tree.
 func (f *Forest) Root(root int32) NodeID {
-	if n, ok := f.roots[root]; ok {
-		return n
+	if at, held := f.findRoot(root); held {
+		return f.roots[at].node
 	}
 	return NoNode
 }
 
-// Roots returns the sorted global IDs of the trees held by this forest.
+// Roots returns the sorted global IDs of the trees held by this forest. The
+// slice is the caller's: it stays valid while trees are added or removed.
 func (f *Forest) Roots() []int32 {
-	out := make([]int32, 0, len(f.roots))
-	for r := range f.roots {
-		out = append(out, r)
+	out := make([]int32, len(f.roots))
+	for i, e := range f.roots {
+		out[i] = e.root
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -278,11 +294,22 @@ func (f *Forest) Unbisect(id NodeID) {
 
 // VisitLeaves calls fn for every leaf node, tree by tree in sorted root
 // order, depth-first with child 0 before child 1. The order is deterministic
-// and identical for any forest holding the same trees in the same state.
+// and identical for any forest holding the same trees in the same state. fn
+// may bisect and un-bisect but must not add or remove trees.
 func (f *Forest) VisitLeaves(fn func(id NodeID)) {
-	for _, r := range f.Roots() {
-		f.visitLeavesFrom(f.roots[r], fn)
+	for _, e := range f.roots {
+		f.visitLeavesFrom(e.node, fn)
 	}
+}
+
+// VisitTreeLeaves calls fn for every leaf of tree root, in VisitLeaves order.
+// It panics if the tree is not held.
+func (f *Forest) VisitTreeLeaves(root int32, fn func(id NodeID)) {
+	rid := f.Root(root)
+	if rid == NoNode {
+		panic(fmt.Sprintf("forest: VisitTreeLeaves(%d): tree not held", root))
+	}
+	f.visitLeavesFrom(rid, fn)
 }
 
 func (f *Forest) visitLeavesFrom(id NodeID, fn func(id NodeID)) {
@@ -373,7 +400,7 @@ func (f *Forest) CanonicalLeaves() [][4]VertexID {
 		sort4(&key)
 		out = append(out, key)
 	})
-	sort.Slice(out, func(i, j int) bool { return less4(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b [4]VertexID) int { return slices.Compare(a[:], b[:]) })
 	return out
 }
 
@@ -383,15 +410,6 @@ func sort4(k *[4]VertexID) {
 			k[j], k[j-1] = k[j-1], k[j]
 		}
 	}
-}
-
-func less4(a, b [4]VertexID) bool {
-	for i := 0; i < 4; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // EdgeLen2 returns the squared length of the edge between local vertices a, b.

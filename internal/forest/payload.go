@@ -2,6 +2,7 @@ package forest
 
 import (
 	"fmt"
+	"slices"
 
 	"pared/internal/geom"
 )
@@ -84,10 +85,10 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 
 // RemoveTree deletes tree root from the forest, freeing its node slots.
 // Vertices that become unreferenced stay in the table as orphans; they are
-// harmless and reclaimed only when a new forest is built from a snapshot.
+// harmless until CompactVertices reclaims them.
 func (f *Forest) RemoveTree(root int32) {
-	rid := f.Root(root)
-	if rid == NoNode {
+	at, held := f.findRoot(root)
+	if !held {
 		panic(fmt.Sprintf("forest: RemoveTree(%d): tree not held", root))
 	}
 	leaves := 0
@@ -103,8 +104,8 @@ func (f *Forest) RemoveTree(root int32) {
 		n.Dead = true
 		f.free = append(f.free, id)
 	}
-	walk(rid)
-	delete(f.roots, root)
+	walk(f.roots[at].node)
+	f.roots = slices.Delete(f.roots, at, at+1)
 	delete(f.leafCount, root)
 	f.nLeaves -= leaves
 }
@@ -112,7 +113,8 @@ func (f *Forest) RemoveTree(root int32) {
 // InsertTree splices a payload into the forest, interning its vertices.
 // It panics if the tree is already held.
 func (f *Forest) InsertTree(p *TreePayload) NodeID {
-	if _, ok := f.roots[p.Root]; ok {
+	at, held := f.findRoot(p.Root)
+	if held {
 		panic(fmt.Sprintf("forest: InsertTree(%d): tree already held", p.Root))
 	}
 	verts := make([]int32, len(p.VIDs))
@@ -153,7 +155,7 @@ func (f *Forest) InsertTree(p *TreePayload) NodeID {
 		return id
 	}
 	rid := build(0, NoNode, p.Level0)
-	f.roots[p.Root] = rid
+	f.roots = slices.Insert(f.roots, at, rootEntry{p.Root, rid})
 	f.leafCount[p.Root] = leaves
 	f.nLeaves += leaves
 	return rid

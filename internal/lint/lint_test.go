@@ -173,6 +173,11 @@ func TestInScope(t *testing.T) {
 	if !mk("pared/internal/core", "/x/internal/core").InScope(deterministicPkgs...) {
 		t.Error("internal/core must be in maporder scope")
 	}
+	for _, pkg := range []string{"refine", "forest"} {
+		if !mk("pared/internal/"+pkg, "/x/internal/"+pkg).InScope(deterministicPkgs...) {
+			t.Errorf("internal/%s must be in maporder scope: it decides vertex numbering and node slots", pkg)
+		}
+	}
 	if mk("pared/internal/fem", "/x/internal/fem").InScope(deterministicPkgs...) {
 		t.Error("internal/fem must not be in maporder scope")
 	}

@@ -4,16 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // deterministicPkgs are the packages whose outputs feed the paper's
 // reproducibility claims: partition vectors, coarse-graph weights, and
-// migration decisions must be byte-identical run to run.
+// migration decisions must be byte-identical run to run — and so must the
+// vertex numbering and node slots that refine and forest hand out, which every
+// later NodeID and local index is built on.
 var deterministicPkgs = []string{
 	"pared/internal/core",
 	"pared/internal/graph",
 	"pared/internal/partition",
 	"pared/internal/pared",
+	"pared/internal/refine",
+	"pared/internal/forest",
 }
 
 // MapOrder flags `for … range` over a map inside the deterministic packages,
@@ -62,7 +67,7 @@ func runMapOrder(p *Pass) {
 // keysSortedAfter recognizes the canonical deterministic idiom: the loop body
 // only appends the map key (or value) to a slice — possibly behind a filter
 // on the iteration variables — and the enclosing function sorts that slice
-// after the loop.
+// after the loop, with package sort or a slices.Sort* function.
 func (p *Pass) keysSortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt) bool {
 	if len(rs.Body.List) != 1 {
 		return false
@@ -109,7 +114,11 @@ func (p *Pass) keysSortedAfter(fn *ast.FuncDecl, rs *ast.RangeStmt) bool {
 		if !ok {
 			return true
 		}
-		if id, ok := sel.X.(*ast.Ident); !ok || p.PkgNameOf(id) != "sort" {
+		id, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if pkg := p.PkgNameOf(id); pkg != "sort" && !(pkg == "slices" && strings.HasPrefix(sel.Sel.Name, "Sort")) {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -3,7 +3,10 @@
 // packages are in scope for every check regardless of import path.
 package maporder
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // sumInts accumulates integers: exact, commutative, order-insensitive.
 func sumInts(m map[string]int) int {
@@ -31,6 +34,25 @@ func collectSorted(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// collectSlicesSorted is the same idiom through package slices.
+func collectSlicesSorted(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// collectSlicesSearched calls into package slices but never sorts.
+func collectSlicesSearched(m map[string]int) bool {
+	var keys []string
+	for k := range m { // want "iteration over map"
+		keys = append(keys, k)
+	}
+	return slices.Contains(keys, "x")
 }
 
 // collectUnsorted appends in iteration order and never sorts.

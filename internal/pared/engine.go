@@ -19,7 +19,7 @@ package pared
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pared/internal/check"
@@ -136,6 +136,9 @@ type Engine struct {
 	shared map[forest.VertexID]bool
 	// pending holds remote splits not yet applicable locally.
 	pending map[refine.EdgeSplit]bool
+	// indicator is Adapt's per-call memo of the estimator, indexed by NodeID;
+	// a negative entry means not evaluated yet.
+	indicator []float64
 
 	// Incremental rebalance state. G's topology is invariant for the run —
 	// adaptation changes weights, never the coarse adjacency — so the
@@ -269,15 +272,13 @@ func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
 	})
 }
 
-// lessGFacet orders facets lexicographically by global vertex IDs.
-func lessGFacet(a, b gfacet) bool {
-	for k := 0; k < 3; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
+// cmpGFacet orders facets lexicographically by global vertex IDs.
+func cmpGFacet(a, b gfacet) int { return slices.Compare(a[:], b[:]) }
+
+func lessGFacet(a, b gfacet) bool { return cmpGFacet(a, b) < 0 }
+
+// cmpPair orders coarse-element pairs lexicographically.
+func cmpPair(a, b [2]int32) int { return slices.Compare(a[:], b[:]) }
 
 func sortGFacet(f *gfacet) {
 	if f[0] > f[1] {
@@ -307,11 +308,26 @@ type AdaptStats struct {
 // boundaries; if coarsenTol > 0, leaves below it are conformally coarsened
 // (interface-touching groups are left alone — remote leaf usage of a shared
 // midpoint cannot be checked locally, so the engine is conservative there).
+// est is evaluated at most once per node.
 func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxLevel int32) AdaptStats {
 	var st AdaptStats
+	// The target sweep and the coarsening predicate share one evaluation per
+	// node, memoized by NodeID. A NodeID names one node for the whole call:
+	// the closure, which takes slots off the free list (slots no leaf of the
+	// sweep held), runs before the coarsening, which only returns slots.
+	memo := e.indicator[:0]
+	indicator := func(id forest.NodeID) float64 {
+		for len(memo) < len(e.F.Nodes) {
+			memo = append(memo, -1)
+		}
+		if memo[id] < 0 {
+			memo[id] = est.Indicator(e.F, id)
+		}
+		return memo[id]
+	}
 	var targets []forest.NodeID
 	e.F.VisitLeaves(func(id forest.NodeID) {
-		if e.F.Node(id).Level < maxLevel && est.Indicator(e.F, id) > refineTol {
+		if e.F.Node(id).Level < maxLevel && indicator(id) > refineTol {
 			targets = append(targets, id)
 		}
 	})
@@ -351,12 +367,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		for s := range e.pending {
 			pend = append(pend, s)
 		}
-		sort.Slice(pend, func(i, j int) bool {
-			if pend[i].A != pend[j].A {
-				return pend[i].A < pend[j].A
-			}
-			return pend[i].B < pend[j].B
-		})
+		slices.SortFunc(pend, refine.EdgeSplit.Compare)
 		applied := 0
 		for _, s := range pend {
 			if e.R.MarkSplitByID(s) {
@@ -382,9 +393,10 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 			if p.MidV >= 0 && e.shared[e.F.VIDs[p.MidV]] {
 				return false // interface midpoint: remote usage unknown
 			}
-			return est.Indicator(e.F, id) < coarsenTol
+			return indicator(id) < coarsenTol
 		})
 	}
+	e.indicator = memo
 	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh
@@ -606,7 +618,7 @@ func (e *Engine) localWeights() weightReport {
 	for f := range first {
 		bkeys = append(bkeys, f)
 	}
-	sort.Slice(bkeys, func(i, j int) bool { return lessGFacet(bkeys[i], bkeys[j]) })
+	slices.SortFunc(bkeys, cmpGFacet)
 	words := make([]int64, 0, 4*len(bkeys))
 	for _, f := range bkeys {
 		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]), int64(first[f]))
@@ -629,12 +641,7 @@ func (e *Engine) localWeights() weightReport {
 	for k := range pair {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	slices.SortFunc(keys, cmpPair)
 	for _, k := range keys {
 		rep.EdgeR = append(rep.EdgeR, k[0])
 		rep.EdgeS = append(rep.EdgeS, k[1])
@@ -699,12 +706,7 @@ func (e *Engine) deltaReport(rep weightReport) []int64 {
 	for k := range e.lastEW {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	slices.SortFunc(keys, cmpPair)
 	// Keys present in both maps appear twice; after sorting the duplicates are
 	// adjacent, so the emit loop skips them.
 	var edges []int64
@@ -850,10 +852,11 @@ func (e *Engine) assertPatchedG(rep weightReport) {
 }
 
 // migrate sends trees to their new owners and splices in received ones,
-// then rebuilds the refiner (edge incidence changed wholesale). Payloads
-// travel as one flat wire buffer per destination (forest.EncodePayloads), so
-// a migration lane costs one unboxed buffer instead of a pointer forest, and
-// empty lanes send nothing.
+// taking the departing leaves out of the refiner's edge incidence and
+// entering the arriving ones: a rank pays for the trees that moved, not for
+// the mesh it kept. Payloads travel as one flat wire buffer per destination
+// (forest.EncodePayloads), so a migration lane costs one unboxed buffer
+// instead of a pointer forest, and empty lanes send nothing.
 func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 	me := int32(e.Comm.Rank())
 	outgoing := make([][]*forest.TreePayload, e.Comm.Size())
@@ -861,6 +864,7 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		if newOwner[r] != me {
 			p := e.F.ExtractTree(r)
 			outgoing[newOwner[r]] = append(outgoing[newOwner[r]], p)
+			e.R.RemoveTree(r)
 			e.F.RemoveTree(r)
 			trees++
 			elems += int64(p.NumLeaves())
@@ -884,21 +888,26 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		}
 		for _, p := range ps {
 			e.F.InsertTree(p)
+			e.R.InsertTree(p.Root)
 			received++
 		}
 	}
 	if trees == 0 && received == 0 {
-		// This rank's forest is untouched: rebuilding the refiner and the
-		// shared-vertex set would reproduce them bit-for-bit. Skipping the
-		// rebuild is decided on local knowledge only (what we sent plus what
-		// arrived), so no extra collective and no symmetry requirement — a
-		// no-op epoch costs just the (empty) exchange above.
+		// This rank's forest is untouched, and so are the refiner and the
+		// shared-vertex set. Skipping the rest is decided on local knowledge
+		// only (what we sent plus what arrived), so no extra collective and no
+		// symmetry requirement — a no-op epoch costs just the (empty) exchange
+		// above.
 		return 0, 0
 	}
-	e.F.CompactVertices() // reclaim orphans left by departed trees
-	e.R = refine.NewRefiner(e.F)
-	e.pending = make(map[refine.EdgeSplit]bool)
+	e.R.CompactVertices() // reclaim orphans left by departed trees
+	clear(e.pending)
 	e.rebuildShared()
+	if check.Enabled {
+		// The spliced incidence must be what a rebuild from the leaves gives.
+		err := e.R.CheckInvariants()
+		check.Assertf(err == nil, "pared: rank %d refiner after migration: %v", e.Comm.Rank(), err)
+	}
 	return trees, elems
 }
 

@@ -9,6 +9,14 @@ import (
 // experiments use interpolation-error indicators for problems with known
 // analytic solutions (see internal/fem); a solver-based estimator satisfies
 // the same interface.
+//
+// Indicator must be a pure function of the node for the duration of one adapt
+// call: pared.Engine.Adapt evaluates it at most once per node and reuses the
+// value, and the coarsening of AdaptOnce asks about each node at most once. An
+// estimator built from a forest.LeafMeshResult and keyed by NodeID — the
+// byNode maps of both ZZEstimators — is valid for the one adapt call that
+// follows the extraction and no longer: coarsening frees node slots and the
+// next refinement hands them to other nodes.
 type Estimator interface {
 	// Indicator returns the (nonnegative) local error estimate for leaf id.
 	Indicator(f *forest.Forest, id forest.NodeID) float64

@@ -14,7 +14,9 @@
 package refine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pared/internal/forest"
 )
@@ -23,6 +25,14 @@ import (
 // exchange currency of distributed refinement.
 type EdgeSplit struct {
 	A, B forest.VertexID // A < B
+}
+
+// Compare orders splits by (A, B).
+func (s EdgeSplit) Compare(o EdgeSplit) int {
+	if s.A != o.A {
+		return cmp.Compare(s.A, o.A)
+	}
+	return cmp.Compare(s.B, o.B)
 }
 
 // MakeEdgeSplit canonicalizes an endpoint pair.
@@ -38,6 +48,14 @@ func MakeEdgeSplit(a, b forest.VertexID) EdgeSplit {
 //
 // Precondition for NewRefiner: the forest is conforming (a completed closure;
 // freshly built forests and forests after migration at quiescence qualify).
+//
+// Trees may be spliced out of and into the forest under a live refiner, at
+// quiescence only: call RemoveTree before forest.RemoveTree (the leaves must
+// still be there to be walked) and InsertTree after forest.InsertTree, and
+// compact the vertex table through the refiner's CompactVertices, never the
+// forest's directly. The incidence is keyed by global vertex IDs and holds
+// NodeIDs, so it survives the renumbering; the split marks do not, and at
+// quiescence none of them is live.
 type Refiner struct {
 	F *forest.Forest
 
@@ -51,6 +69,10 @@ type Refiner struct {
 	// newSplits records splits performed since the last TakeNewSplits, for
 	// exchange with remote processors.
 	newSplits []EdgeSplit
+
+	// Coarsen's scratch, kept between calls (see Coarsen).
+	usage, ncand  []int32
+	cands, doomed []coarsenCand
 }
 
 // NewRefiner builds a refiner over a conforming forest.
@@ -62,6 +84,26 @@ func NewRefiner(f *forest.Forest) *Refiner {
 	}
 	f.VisitLeaves(func(id forest.NodeID) { r.addLeafEdges(id) })
 	return r
+}
+
+// RemoveTree takes the leaves of tree root out of the edge incidence. Call it
+// at quiescence, before the forest removes the tree.
+func (r *Refiner) RemoveTree(root int32) { r.F.VisitTreeLeaves(root, r.removeLeafEdges) }
+
+// InsertTree enters the leaves of tree root, which the forest has just
+// spliced in, into the edge incidence. Call it at quiescence.
+func (r *Refiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
+
+// CompactVertices compacts the forest's vertex table (see
+// forest.CompactVertices) and drops the refiner state expressed in the local
+// vertex indices that renumbers: the split marks. Call it at quiescence, where
+// no mark belongs to a leaf edge any more and no leaf or split is queued — a
+// fresh NewRefiner starts from the same empty state.
+func (r *Refiner) CompactVertices() int {
+	clear(r.split)
+	r.queue = r.queue[:0]
+	r.newSplits = nil
+	return r.F.CompactVertices()
 }
 
 // key returns the canonical edge key for local vertices a, b.
@@ -234,32 +276,52 @@ func (r *Refiner) Closure() int {
 	return bisections
 }
 
-// CheckInvariants verifies (for tests) that the refiner is at quiescence: no
-// leaf edge is split, and the edge-incidence map exactly matches the current
-// leaves.
+// CheckInvariants verifies (for tests) that the refiner is at quiescence — no
+// leaf edge is split — and that the edge incidence is exactly what NewRefiner
+// would build from the current leaves: every leaf is listed under each of its
+// edges, and the lists hold nothing else. The fault reported is the first in
+// leaf order, or else the one on the smallest edge, whatever the map order.
 func (r *Refiner) CheckInvariants() error {
-	count := make(map[EdgeSplit]int)
 	var fail error
+	want := 0 // (leaf, edge) incidences
 	r.F.VisitLeaves(func(id forest.NodeID) {
 		r.forEachEdge(id, func(a, b int32) {
+			want++
+			if fail != nil {
+				return
+			}
 			k := r.key(a, b)
-			count[k]++
-			if _, ok := r.split[k]; ok && fail == nil {
+			if _, ok := r.split[k]; ok {
 				fail = fmt.Errorf("refine: leaf %d has split edge %v", id, k)
+			} else if !slices.Contains(r.edgeLeaves[k], id) {
+				fail = fmt.Errorf("refine: leaf %d missing from the incidence of its edge %v", id, k)
 			}
 		})
 	})
 	if fail != nil {
 		return fail
 	}
-	for k, leaves := range r.edgeLeaves {
-		if count[k] != len(leaves) {
-			return fmt.Errorf("refine: edge %v incidence %d, want %d", k, len(leaves), count[k])
+	// Every list holds its leaves; equal totals mean none holds more.
+	got := 0
+	for _, leaves := range r.edgeLeaves {
+		got += len(leaves)
+	}
+	if got == want {
+		return nil
+	}
+	count := make(map[EdgeSplit]int)
+	r.F.VisitLeaves(func(id forest.NodeID) {
+		r.forEachEdge(id, func(a, b int32) { count[r.key(a, b)]++ })
+	})
+	keys := make([]EdgeSplit, 0, len(r.edgeLeaves))
+	for k := range r.edgeLeaves {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, EdgeSplit.Compare)
+	for _, k := range keys {
+		if len(r.edgeLeaves[k]) != count[k] {
+			return fmt.Errorf("refine: edge %v incidence %d, want %d", k, len(r.edgeLeaves[k]), count[k])
 		}
-		delete(count, k)
 	}
-	if len(count) != 0 {
-		return fmt.Errorf("refine: %d leaf edges missing from incidence map", len(count))
-	}
-	return nil
+	return fmt.Errorf("refine: incidence holds %d entries, the leaves have %d", got, want)
 }

@@ -1,8 +1,10 @@
 package refine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pared/internal/forest"
@@ -214,6 +216,57 @@ func TestCoarsen3D(t *testing.T) {
 		t.Errorf("leaves = %d, want %d", f.NumLeaves(), m.NumElems())
 	}
 	checkMesh(t, f)
+}
+
+// TestCheckInvariantsFaultIsRunIndependent: of several faults CheckInvariants
+// names the first in leaf order, or the one on the smallest edge — the same
+// text on every call, whatever order the incidence map iterates in.
+func TestCheckInvariantsFaultIsRunIndependent(t *testing.T) {
+	f := forest.FromMesh(meshgen.RectTri(4, 4, -1, -1, 1, 1))
+	r := NewRefiner(f)
+	for _, id := range f.Leaves() {
+		r.RefineLeaf(id)
+	}
+	r.Closure()
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leaves := f.Leaves()
+
+	// Stale entries: every third leaf entered twice. The smallest edge among
+	// theirs is the one to be named.
+	smallest := EdgeSplit{A: ^forest.VertexID(0)}
+	for i := 0; i < len(leaves); i += 3 {
+		r.addLeafEdges(leaves[i])
+		r.forEachEdge(leaves[i], func(a, b int32) {
+			if k := r.key(a, b); k.Compare(smallest) < 0 {
+				smallest = k
+			}
+		})
+	}
+	first := r.CheckInvariants()
+	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("edge %v incidence", smallest)) {
+		t.Fatalf("stale entries reported as %v, want the fault on the smallest edge %v", first, smallest)
+	}
+	for i := 0; i < 20; i++ {
+		if err := r.CheckInvariants(); err.Error() != first.Error() {
+			t.Fatalf("call %d reports %q, the first call %q", i, err, first)
+		}
+	}
+	for i := 0; i < len(leaves); i += 3 {
+		r.removeLeafEdges(leaves[i])
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatalf("after taking the stale entries out again: %v", err)
+	}
+
+	// Missing entries: the first leaf in sweep order that lacks one is named.
+	r.removeLeafEdges(leaves[7])
+	r.removeLeafEdges(leaves[2])
+	want := fmt.Sprintf("leaf %d missing", leaves[2])
+	if err := r.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("missing entries reported as %v, want %q", err, want)
+	}
 }
 
 func TestMarkSplitByID(t *testing.T) {
