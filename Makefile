@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint assert bench bench-counts bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
+.PHONY: all build test race lint assert fuzz-smoke bench bench-counts bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
 
 all: build lint test
 
@@ -34,6 +34,15 @@ lint:
 assert:
 	$(GO) test -tags paredassert ./...
 
+# Ten seconds of each fuzz target: the decoders of everything that arrives
+# off the wire and indexes something (migration payloads, P2 weight records,
+# the P3 owner delta). go test -fuzz takes one target per invocation; the seed
+# corpora alone run under plain `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/forest
+	$(GO) test -run '^$$' -fuzz '^FuzzWeightRecords$$' -fuzztime 10s ./internal/pared
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackOwnerDelta$$' -fuzztime 10s ./internal/pared
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -61,8 +70,10 @@ bench-counts:
 # the par scalar subgroup collectives and the subgroup move exchange:
 # sub-communicator traffic reuses per-Comm scratch, and the hierarchical
 # rebalance path leans on that every epoch. So are the leaf sweep
-# (forest.VisitLeaves) and a Coarsen call that approves nothing: every per-epoch
-# pass is built on the first, and every Adapt with coarsening pays the second.
+# (forest.VisitLeaves), the tree-boundary descent (forest.VisitRootBoundary) and
+# a Coarsen call that approves nothing: every per-epoch pass is built on the
+# first, the engine's shared set, P1 weights and dof plan on the second, and
+# every Adapt with coarsening pays the third.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 
 bench-alloc-baseline:

@@ -322,6 +322,48 @@ func (f *Forest) visitLeavesFrom(id NodeID, fn func(id NodeID)) {
 	f.visitLeavesFrom(n.Kids[1], fn)
 }
 
+// VisitRootBoundary calls fn, in VisitLeaves order, for every leaf of tree
+// root with a vertex on the boundary of the root simplex. on[k] is the set of
+// root facets vertex k of the leaf lies on, bit j standing for the facet
+// opposite root vertex j; a leaf facet lies on root facet j exactly when the
+// AND over its vertices' masks has bit j. Nothing is stored per node: root
+// vertex i lies on every root facet but i, a midpoint on the facets both its
+// endpoints lie on, and Bisect keeps vertex positions, so the masks ride down
+// the descent by position. A subtree with no vertex on the root boundary is
+// not entered. It panics if the tree is not held.
+func (f *Forest) VisitRootBoundary(root int32, fn func(leaf NodeID, on [4]uint8)) {
+	rid := f.Root(root)
+	if rid == NoNode {
+		panic(fmt.Sprintf("forest: VisitRootBoundary(%d): tree not held", root))
+	}
+	nv := f.Node(rid).Nv()
+	var on [4]uint8
+	for i := 0; i < nv; i++ {
+		on[i] = (1<<nv - 1) &^ (1 << i)
+	}
+	f.visitRootBoundaryFrom(rid, on, fn)
+}
+
+func (f *Forest) visitRootBoundaryFrom(id NodeID, on [4]uint8, fn func(leaf NodeID, on [4]uint8)) {
+	if on == [4]uint8{} {
+		return
+	}
+	n := f.Node(id)
+	if n.IsLeaf() {
+		fn(id, on)
+		return
+	}
+	// Child 0 holds the midpoint where the parent held RefEdge[1], child 1
+	// where it held RefEdge[0] (see Bisect).
+	a := slices.Index(n.Verts[:], n.RefEdge[0])
+	b := slices.Index(n.Verts[:], n.RefEdge[1])
+	on0, on1 := on, on
+	on0[b] &= on[a]
+	on1[a] &= on[b]
+	f.visitRootBoundaryFrom(n.Kids[0], on0, fn)
+	f.visitRootBoundaryFrom(n.Kids[1], on1, fn)
+}
+
 // Leaves returns all leaf NodeIDs in deterministic order.
 func (f *Forest) Leaves() []NodeID {
 	out := make([]NodeID, 0, f.nLeaves)

@@ -1,27 +1,24 @@
 package forest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pared/internal/meshgen"
 )
 
-// TestDecodePayloadsRejectsMalformed feeds DecodePayloads buffers that are
-// wrong in each way a wire buffer can be wrong. Every one must come back as
-// an error — not a panic here or later in InsertTree — without allocating
-// beyond the order of the input's size.
-func TestDecodePayloadsRejectsMalformed(t *testing.T) {
+// malformedPayloads returns a valid one-tree batch and that batch made wrong
+// in each way a wire buffer can be wrong.
+func malformedPayloads() (valid []byte, cases []malformedPayload) {
 	f := FromMesh(meshgen.RectTri(1, 1, 0, 0, 1, 1))
 	leaf := f.Root(0)
 	a, b := f.LongestEdge(leaf)
 	f.Bisect(leaf, a, b, f.InternVertex(MidID(f.VIDs[a], f.VIDs[b]), f.Coords[a].Mid(f.Coords[b])))
 	p := f.ExtractTree(0) // three nodes: the root and its two kids
-	valid := EncodePayloads([]*TreePayload{p})
-	if ps, err := DecodePayloads(valid); err != nil || len(ps) != 1 {
-		t.Fatalf("valid buffer: %d payloads, err %v", len(ps), err)
-	}
+	valid = EncodePayloads([]*TreePayload{p})
 	// Offset of int32 word k of node i in valid.
 	nodeWord := func(i, k int) int {
 		return 4 + 16 + len(p.VIDs)*32 + (i*payloadNodeWords+k)*4
@@ -31,10 +28,7 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
 		return buf
 	}
-	cases := []struct {
-		name string
-		buf  []byte
-	}{
+	return valid, []malformedPayload{
 		{"truncated batch count", valid[:2]},
 		{"truncated header", valid[:4+10]},
 		{"truncated body", valid[:len(valid)-5]},
@@ -52,16 +46,65 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
 		{"count below the payloads present", append(append([]byte(nil), valid...), valid[4:]...)},
 	}
+}
+
+type malformedPayload struct {
+	name string
+	buf  []byte
+}
+
+// decodeBounded runs DecodePayloads on buf and fails the test if it allocated
+// beyond the order of the input's size.
+func decodeBounded(t *testing.T, name string, buf []byte) ([]*TreePayload, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ps, err := DecodePayloads(buf)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(buf)+1<<16); got > limit {
+		t.Errorf("%s: allocated %d bytes decoding %d (limit %d)", name, got, len(buf), limit)
+	}
+	return ps, err
+}
+
+// TestDecodePayloadsRejectsMalformed feeds DecodePayloads buffers that are
+// wrong in each way a wire buffer can be wrong. Every one must come back as
+// an error — not a panic here or later in InsertTree — without allocating
+// beyond the order of the input's size.
+func TestDecodePayloadsRejectsMalformed(t *testing.T) {
+	valid, cases := malformedPayloads()
+	if ps, err := DecodePayloads(valid); err != nil || len(ps) != 1 {
+		t.Fatalf("valid buffer: %d payloads, err %v", len(ps), err)
+	}
 	for _, tc := range cases {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ps, err := DecodePayloads(tc.buf)
-		runtime.ReadMemStats(&after)
-		if err == nil {
+		if ps, err := decodeBounded(t, tc.name, tc.buf); err == nil {
 			t.Errorf("%s: decoded %d payloads, want an error", tc.name, len(ps))
 		}
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(tc.buf)+1<<16); got > limit {
-			t.Errorf("%s: allocated %d bytes decoding %d (limit %d)", tc.name, got, len(tc.buf), limit)
-		}
 	}
+}
+
+// FuzzDecodePayloads: arbitrary bytes decode to an error or to payloads that
+// encode back to the same bytes — never to a panic — with allocation bounded
+// by the input's length. Seeded with the 16 buffers of
+// TestDecodePayloadsRejectsMalformed and the valid one they were cut from.
+func FuzzDecodePayloads(f *testing.F) {
+	valid, cases := malformedPayloads()
+	f.Add(valid)
+	for _, tc := range cases {
+		f.Add(tc.buf)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		ps, err := decodeBounded(t, "fuzz input", buf)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "forest: ") {
+				t.Fatalf("error without the package prefix: %v", err)
+			}
+			return
+		}
+		if len(ps) == 0 {
+			return // nil, or a count of zero: EncodePayloads has no such form
+		}
+		if again := EncodePayloads(ps); !bytes.Equal(again, buf) {
+			t.Fatalf("decoded %d payloads that encode to %d bytes, not the %d decoded", len(ps), len(again), len(buf))
+		}
+	})
 }

@@ -163,6 +163,12 @@ func (c *Comm) aborted() {
 // Rank returns this processor's rank in [0, Size) within this communicator.
 func (c *Comm) Rank() int { return c.rank }
 
+// CollectiveSeq returns how many collectives this rank has entered on this
+// communicator (Split included) — the same number on every member between
+// collectives, so a difference of two readings counts the collectives of the
+// code in between.
+func (c *Comm) CollectiveSeq() int64 { return c.collSeq }
+
 // Size returns the number of processors in this communicator.
 func (c *Comm) Size() int { return c.size }
 

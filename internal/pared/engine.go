@@ -19,6 +19,7 @@ package pared
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -60,8 +61,8 @@ type Config struct {
 	PNR core.Config
 	// DistRefine distributes the P3 refinement sweep across all ranks
 	// (core.Config.DistRefine over this engine's communicator): instead of
-	// rank 0 repartitioning alone while the others idle, every rank patches a
-	// replicated coarse graph from all-gathered weight deltas and enters
+	// rank 0 repartitioning alone while the others idle, every rank writes a
+	// replicated coarse graph from all-gathered weight records and enters
 	// core.Repartition collectively, with the KL sweeps rank-split and
 	// resolved deterministically (see core/distrefine.go). The owner map
 	// comes out byte-identical on every rank with no broadcast, for any rank
@@ -115,9 +116,108 @@ func (c Config) withDefaults(comm *par.Comm) (Config, error) {
 	return c, nil
 }
 
-// gfacet is a facet identified by global vertex IDs (sorted; [2] is the
-// sentinel ^0 for 2D edges).
-type gfacet [3]forest.VertexID
+// coarseTopo is the interface structure of the replicated coarse mesh: which
+// tree, if any, lies across each facet of each tree, and which trees meet at
+// each coarse vertex. Adaptation and migration change neither; with the
+// replicated owner map it answers "what do I share, and with whom" for every
+// leaf facet and vertex forest.VisitRootBoundary finds on a tree's boundary,
+// with no communication.
+type coarseTopo struct {
+	elems []mesh.Element // the coarse elements
+	nv    int            // vertices, and facets, per element
+	// vertElems[vertXadj[v]:vertXadj[v+1]] lists the coarse elements that
+	// contain coarse vertex v, ascending.
+	vertXadj  []int32
+	vertElems []int32
+	// across and has back acrossOf. A row is derived when first asked for: a
+	// rank asks about the trees it holds and their neighbours, only a holder
+	// of G about all of them, and deriving every row in New cost growth3d_sfc
+	// 82 % of its setup_s.
+	across [][4]int32
+	has    []uint8 // scratch, all zero between calls
+}
+
+// acrossUnknown in across[r][0] marks a row not derived yet.
+const acrossUnknown = -2
+
+func newCoarseTopo(m *mesh.Mesh) coarseTopo {
+	t := coarseTopo{
+		elems:    m.Elems,
+		nv:       m.FacetsPerElem(),
+		vertXadj: make([]int32, m.NumVerts()+1),
+		across:   make([][4]int32, m.NumElems()),
+		has:      make([]uint8, m.NumElems()),
+	}
+	for r, el := range m.Elems {
+		t.across[r][0] = acrossUnknown
+		for _, v := range el.V[:t.nv] {
+			t.vertXadj[v+1]++
+		}
+	}
+	for v := 0; v < m.NumVerts(); v++ {
+		t.vertXadj[v+1] += t.vertXadj[v]
+	}
+	t.vertElems = make([]int32, t.vertXadj[m.NumVerts()])
+	fill := slices.Clone(t.vertXadj[:m.NumVerts()])
+	for r, el := range m.Elems {
+		for _, v := range el.V[:t.nv] {
+			t.vertElems[fill[v]] = int32(r)
+			fill[v]++
+		}
+	}
+	return t
+}
+
+// elemsAt returns the coarse elements containing coarse vertex v.
+func (t *coarseTopo) elemsAt(v int32) []int32 {
+	return t.vertElems[t.vertXadj[v]:t.vertXadj[v+1]]
+}
+
+// acrossOf returns, for each root facet j of tree r (the facet opposite root
+// vertex j), the tree across it, or -1 where the facet lies on ∂Ω.
+func (t *coarseTopo) acrossOf(r int32) [4]int32 {
+	row := &t.across[r]
+	if row[0] != acrossUnknown {
+		return *row
+	}
+	// The tree across a facet has all of r's vertices but one, and the facet
+	// is the one opposite that vertex: count, for the elements around r's
+	// vertices, how many of those vertices each has.
+	*row = [4]int32{-1, -1, -1, -1}
+	verts := t.elems[r].V[:t.nv]
+	for _, v := range verts {
+		for _, s := range t.elemsAt(v) {
+			t.has[s]++
+		}
+	}
+	for _, v := range verts {
+		for _, s := range t.elemsAt(v) {
+			if int(t.has[s]) == t.nv-1 {
+				for j, w := range verts {
+					if !slices.Contains(t.elems[s].V[:], w) {
+						row[j] = s
+					}
+				}
+			}
+			t.has[s] = 0 // counted once; later visits of s fall through
+		}
+	}
+	return *row
+}
+
+// facetOn returns the root facets (bit j = the facet opposite root vertex j)
+// the leaf facet opposite vertex skip lies on, given the masks of the leaf's
+// nv vertices. At most one bit is set: the facet's vertices are affinely
+// independent, so they fit in no intersection of two root facets.
+func facetOn(on [4]uint8, nv, skip int) uint8 {
+	m := uint8(0xf)
+	for k := 0; k < nv; k++ {
+		if k != skip {
+			m &= on[k]
+		}
+	}
+	return m
+}
 
 // Engine is one rank's view of the distributed computation.
 type Engine struct {
@@ -131,8 +231,13 @@ type Engine struct {
 	R *refine.Refiner
 
 	cfg Config
+	// topo is the static interface structure of Coarse.
+	topo coarseTopo
 	// shared is the conservative set of vertex IDs on (or ever on) the shard
-	// boundary; splits of edges with both endpoints here are exchanged.
+	// boundary; splits of edges with both endpoints here are exchanged. It
+	// holds the vertices of the leaf facets that lie on a root facet whose far
+	// side this rank does not hold — a remote tree or ∂Ω alike (rebuildShared)
+	// — plus the midpoints of shared edges split since.
 	shared map[forest.VertexID]bool
 	// pending holds remote splits not yet applicable locally.
 	pending map[refine.EdgeSplit]bool
@@ -140,21 +245,14 @@ type Engine struct {
 	// a negative entry means not evaluated yet.
 	indicator []float64
 
-	// Incremental rebalance state. G's topology is invariant for the run —
-	// adaptation changes weights, never the coarse adjacency — so the
-	// coordinator builds the CSR once and ranks report only weight deltas.
-	//
-	// gCache is the cached coarse dual graph: topology from the replicated
-	// coarse mesh, weights accumulated from delta reports. Rank 0 only under
-	// the coordinator pipeline; replicated on every rank under DistRefine
-	// (each rank folds the same all-gathered deltas in the same order, so the
-	// copies stay byte-identical without exchange). lastVW/lastEW are this rank's previous report, the
-	// baseline its next delta is computed against; deltas are additive, so
-	// tree migration needs no special handling — a departed tree is reported
-	// as −last by the old owner and +current by the new one.
+	// gCache is this rank's copy of the coarse dual graph G, on the ranks the
+	// strategy keeps one: rank 0 under the coordinator pipeline, every rank
+	// under replicated and hier. The topology is built once from the replicated
+	// coarse mesh — adaptation changes weights, never the coarse adjacency —
+	// and every rebalance overwrites every weight from the ranks' per-tree
+	// records (writeRecords), so nothing carries over between epochs and the
+	// copies stay byte-identical without exchange.
 	gCache *graph.Graph
-	lastVW []int64
-	lastEW map[[2]int32]int64
 
 	// sfc caches the curve order and scratch of the ModeSFC pipeline; built
 	// lazily on the first SFC rebalance (see ensureSFC).
@@ -192,6 +290,7 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 		Coarse:  coarseMesh,
 		Owner:   append([]int32(nil), owner...),
 		F:       forest.New(coarseMesh.Dim),
+		topo:    newCoarseTopo(coarseMesh),
 		shared:  make(map[forest.VertexID]bool),
 		pending: make(map[refine.EdgeSplit]bool),
 	}
@@ -233,62 +332,37 @@ func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
 	return BootstrapWith(c, coarseMesh, Config{})
 }
 
-// rebuildShared recomputes the conservative shard-boundary vertex set from
-// the facets of the current local leaves that have no local partner.
+// rebuildShared recomputes the conservative shard-boundary vertex set: the
+// vertices of the leaf facets on root facets whose far side this rank does not
+// hold. "Holds" is read off the forest, not Owner — migrate calls this before
+// Rebalance installs the new owner map.
 func (e *Engine) rebuildShared() {
 	e.shared = make(map[forest.VertexID]bool)
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	for f, n := range count {
-		if n == 1 {
-			e.shared[f[0]] = true
-			e.shared[f[1]] = true
-			if f[2] != ^forest.VertexID(0) {
-				e.shared[f[2]] = true
+	for _, r := range e.F.Roots() {
+		var open uint8
+		across := e.topo.acrossOf(r)
+		for j, s := range across[:e.topo.nv] {
+			if s < 0 || e.F.Root(s) == forest.NoNode {
+				open |= 1 << j
 			}
 		}
-	}
-}
-
-// eachLeafFacet enumerates the facets of all local leaves as global-ID
-// facets, with the leaf's root.
-func (e *Engine) eachLeafFacet(fn func(f gfacet, root int32)) {
-	e.F.VisitLeaves(func(id forest.NodeID) {
-		n := e.F.Node(id)
-		nv := n.Nv()
-		for skip := 0; skip < nv; skip++ {
-			var f gfacet
-			f[2] = ^forest.VertexID(0)
-			idx := 0
-			for k := 0; k < nv; k++ {
-				if k != skip {
-					f[idx] = e.F.VIDs[n.Verts[k]]
-					idx++
+		if open == 0 {
+			continue // every neighbour is held: the tree is interior to the shard
+		}
+		e.F.VisitRootBoundary(r, func(leaf forest.NodeID, on [4]uint8) {
+			n := e.F.Node(leaf)
+			nv := n.Nv()
+			for skip := 0; skip < nv; skip++ {
+				if facetOn(on, nv, skip)&open == 0 {
+					continue
+				}
+				for k, v := range n.Verts[:nv] {
+					if k != skip {
+						e.shared[e.F.VIDs[v]] = true
+					}
 				}
 			}
-			sortGFacet(&f)
-			fn(f, n.Root)
-		}
-	})
-}
-
-// cmpGFacet orders facets lexicographically by global vertex IDs.
-func cmpGFacet(a, b gfacet) int { return slices.Compare(a[:], b[:]) }
-
-func lessGFacet(a, b gfacet) bool { return cmpGFacet(a, b) < 0 }
-
-// cmpPair orders coarse-element pairs lexicographically.
-func cmpPair(a, b [2]int32) int { return slices.Compare(a[:], b[:]) }
-
-func sortGFacet(f *gfacet) {
-	if f[0] > f[1] {
-		f[0], f[1] = f[1], f[0]
-	}
-	if f[1] > f[2] {
-		f[1], f[2] = f[2], f[1]
-	}
-	if f[0] > f[1] {
-		f[0], f[1] = f[1], f[0]
+		})
 	}
 }
 
@@ -422,16 +496,6 @@ func (e *Engine) Imbalance() float64 {
 	return float64(maxL)/avg - 1
 }
 
-// weightReport is a rank's P2 payload: new vertex and edge weights of G for
-// the trees (and tree pairs) it is responsible for.
-type weightReport struct {
-	Roots []int32 // owned roots
-	VW    []int64 // leaf counts, parallel to Roots
-	EdgeR []int32 // edge endpoints (r, s) with counted adjacency
-	EdgeS []int32
-	EdgeW []int64
-}
-
 // RebalanceStats reports a repartitioning step (identical on all ranks).
 type RebalanceStats struct {
 	// Ran is false if imbalance was below the trigger and force was false.
@@ -498,12 +562,12 @@ type strategy struct {
 	name string
 	plan func(e *Engine, st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration)
 
-	// exchange takes this rank's weight delta to the ranks that hold a copy
-	// of G and returns, there, every rank's delta indexed by rank; nil on a
+	// exchange takes this rank's weight records to the ranks that hold a copy
+	// of G and returns, there, every rank's records indexed by rank; nil on a
 	// rank that holds none.
-	exchange func(e *Engine, delta []int64) [][]int64
-	// decide computes the new owners from the patched G on the ranks that
-	// hold it — collectively when that is all of them.
+	exchange func(e *Engine, records []int64) [][]int64
+	// decide computes the new owners from the freshly written G on the ranks
+	// that hold it — collectively when that is all of them.
 	decide func(e *Engine, g *graph.Graph, st *RebalanceStats) []int32
 	// publish, if set, takes rank 0's decision and cuts to the other ranks.
 	publish func(e *Engine, newOwner []int32, st *RebalanceStats) []int32
@@ -516,13 +580,13 @@ type strategy struct {
 // hier is ModeHier (hier.go), sfc is ModeSFC (sfc.go).
 var (
 	coordinatorStrategy = strategy{name: "coordinator", plan: (*Engine).planGraph,
-		exchange: func(e *Engine, delta []int64) [][]int64 { return e.Comm.GatherInt64(0, delta) },
+		exchange: func(e *Engine, records []int64) [][]int64 { return e.Comm.GatherInt64(0, records) },
 		decide:   repartitionG, publish: bcastOwnerDelta}
 	replicatedStrategy = strategy{name: "replicated", plan: (*Engine).planGraph,
-		exchange: func(e *Engine, delta []int64) [][]int64 { return e.Comm.AllGatherInt64(delta) },
+		exchange: func(e *Engine, records []int64) [][]int64 { return e.Comm.AllGatherInt64(records) },
 		decide:   repartitionG}
 	hierStrategy = strategy{name: "hier", plan: (*Engine).planGraph,
-		exchange: func(e *Engine, delta []int64) [][]int64 { return e.ensureHier().exchangeDeltas(delta) },
+		exchange: func(e *Engine, records []int64) [][]int64 { return e.ensureHier().exchangeRecords(records) },
 		decide:   hierDecide}
 	sfcStrategy = strategy{name: "sfc", plan: (*Engine).planSFC}
 
@@ -531,29 +595,28 @@ var (
 	modeStrategies = [...]*strategy{ModePNR: &coordinatorStrategy, ModeSFC: &sfcStrategy, ModeHier: &hierStrategy}
 )
 
-// planGraph is P1–P3 of every strategy that repartitions G.
+// planGraph is P1–P3 of every strategy that repartitions G. P1 is local, as
+// in the paper: each rank derives the weights of its own trees from its own
+// leaves (weightRecords). P2 ships them whole; the holders of G overwrite
+// every weight from them (writeRecords), so G carries nothing from one epoch
+// to the next.
 func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
 	s := e.cfg.strategy
 
 	// --- P1: local weight computation.
-	var rep weightReport
-	d1 = timed(func() { rep = e.localWeights() })
-	e.trace("P1 weights: %d roots, %d edge pairs in %v", len(rep.Roots), len(rep.EdgeR), d1)
+	var records []int64
+	d1 = timed(func() { records = e.weightRecords() })
+	e.trace("P1 weights: %d tree records in %v", e.F.NumRoots(), d1)
 
-	// --- P2: the additive weight deltas reach the ranks that hold G.
-	var deltas [][]int64
-	var nd int
-	d2 = timed(func() {
-		delta := e.deltaReport(rep)
-		nd = len(delta)
-		deltas = s.exchange(e, delta)
-	})
-	e.trace("P2 %s exchange: %d delta words in %v", s.name, nd, d2)
+	// --- P2: the records reach the ranks that hold G.
+	var all [][]int64
+	d2 = timed(func() { all = s.exchange(e, records) })
+	e.trace("P2 %s exchange: %d record words in %v", s.name, len(records), d2)
 
-	// --- P3: patch G, decide, and make the decision known on every rank.
+	// --- P3: write G, decide, and make the decision known on every rank.
 	d3 = timed(func() {
-		if deltas != nil {
-			g := e.coordinatorGraph(deltas)
+		if all != nil {
+			g := e.coordinatorGraph(all)
 			st.CutBefore = partition.EdgeCut(g, e.Owner)
 			newOwner = s.decide(e, g, st)
 			st.CutAfter = partition.EdgeCut(g, newOwner)
@@ -562,7 +625,6 @@ func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 tim
 			newOwner = s.publish(e, newOwner, st)
 		}
 	})
-	e.assertPatchedG(rep)
 	return newOwner, d1, d2, d3
 }
 
@@ -580,206 +642,123 @@ func bcastOwnerDelta(e *Engine, newOwner []int32, st *RebalanceStats) []int32 {
 	}
 	payload = e.Comm.BcastInt32(0, payload)
 	if e.Comm.Rank() != 0 {
-		newOwner, st.CutBefore, st.CutAfter = unpackOwnerDelta(e.Owner, payload)
+		var err error
+		newOwner, st.CutBefore, st.CutAfter, err = unpackOwnerDelta(e.Owner, payload, e.Comm.Size())
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d: %v", e.Comm.Rank(), err))
+		}
 	}
 	e.trace("P3 owner delta: %d moved entries", (len(payload)-ownerDeltaHeader)/2)
 	return newOwner
 }
 
-// localWeights computes this rank's contribution to G's weights: leaf counts
-// for owned roots, adjacency counts for locally-visible pairs, and — via one
-// all-gather of the boundary facets, matched against lower-ranked peers only —
-// adjacency across rank boundaries.
-func (e *Engine) localWeights() weightReport {
-	var rep weightReport
+// weightRecords is P1: this rank's contribution to G's weights, one
+// fixed-shape record per held tree in ascending root order,
+//
+//	[root, leafCount, w_0 … w_dim]
+//
+// where w_j counts the tree's leaf facets on root facet j — the weight of the
+// G edge to the tree across that facet (by conformity the far side counts the
+// same), ignored by the receiver where the facet lies on ∂Ω. Nothing here
+// looks past the rank's own trees.
+func (e *Engine) weightRecords() []int64 {
+	stride := 2 + e.topo.nv
+	out := make([]int64, 0, stride*e.F.NumRoots())
+	var w []int64 // the facet counts of the record being filled
+	count := func(leaf forest.NodeID, on [4]uint8) {
+		nv := e.F.Node(leaf).Nv()
+		for skip := 0; skip < nv; skip++ {
+			if m := facetOn(on, nv, skip); m != 0 {
+				w[bits.TrailingZeros8(m)]++
+			}
+		}
+	}
 	for _, r := range e.F.Roots() {
-		rep.Roots = append(rep.Roots, r)
-		rep.VW = append(rep.VW, int64(e.F.LeafCount(r)))
+		at := len(out)
+		out = out[:at+stride] // all zero: the buffer is fresh
+		out[at], out[at+1] = int64(r), int64(e.F.LeafCount(r))
+		w = out[at+2:]
+		e.F.VisitRootBoundary(r, count)
 	}
-	// Facets internal to the shard: count pairs between different local
-	// trees; facets seen once are shard-boundary candidates for the exchange.
-	first := make(map[gfacet]int32)
-	pair := make(map[[2]int32]int64)
-	e.eachLeafFacet(func(f gfacet, root int32) {
-		if other, ok := first[f]; ok {
-			if other != root {
-				k := [2]int32{min(other, root), max(other, root)}
-				pair[k]++
-			}
-			delete(first, f)
-			return
-		}
-		first[f] = root
-	})
-	// What is left in first is the boundary list; it travels as (v0, v1, v2,
-	// root) words in sorted facet order, so the payload is byte-identical
-	// across runs.
-	bkeys := make([]gfacet, 0, len(first))
-	for f := range first {
-		bkeys = append(bkeys, f)
-	}
-	slices.SortFunc(bkeys, cmpGFacet)
-	words := make([]int64, 0, 4*len(bkeys))
-	for _, f := range bkeys {
-		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]), int64(first[f]))
-	}
-	// Every rank sees every list, but a mixed pair is counted once: the
-	// higher rank matches the lower rank's list and owns the count.
-	lists := e.Comm.AllGatherInt64(words)
-	for src := 0; src < e.Comm.Rank(); src++ {
-		w := lists[src]
-		for i := 0; i < len(w); i += 4 {
-			f := gfacet{forest.VertexID(w[i]), forest.VertexID(w[i+1]), forest.VertexID(w[i+2])}
-			if r, ok := first[f]; ok {
-				s := int32(w[i+3])
-				k := [2]int32{min(r, s), max(r, s)}
-				pair[k]++
-			}
-		}
-	}
-	keys := make([][2]int32, 0, len(pair))
-	for k := range pair {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmpPair)
-	for _, k := range keys {
-		rep.EdgeR = append(rep.EdgeR, k[0])
-		rep.EdgeS = append(rep.EdgeS, k[1])
-		rep.EdgeW = append(rep.EdgeW, pair[k])
-	}
-	return rep
-}
-
-// buildG assembles the coarse dual graph from all ranks' full weight
-// reports, each in deltaReport's word layout.
-func buildG(numRoots int, reports [][]int64) *graph.Graph {
-	b := graph.NewBuilder(numRoots)
-	for _, d := range reports {
-		nr, ne := int(d[0]), int(d[1])
-		d = d[2:]
-		for i := 0; i < nr; i++ {
-			b.SetVW(int32(d[2*i]), d[2*i+1])
-		}
-		d = d[2*nr:]
-		for i := 0; i < ne; i++ {
-			b.AddEdge(int32(d[3*i]), int32(d[3*i+1]), d[3*i+2])
-		}
-	}
-	return b.Build()
-}
-
-// deltaReport turns a full weight report into the incremental P2 payload:
-// only the entries that changed since this rank's previous report, as
-// additive int64 deltas. Layout:
-//
-//	[nRoots, nEdges, (root, Δvw)×nRoots, (r, s, Δew)×nEdges]
-//
-// Deltas are against what THIS rank last reported (including −last for
-// entries it no longer sees), so the coordinator's running sums always equal
-// the global weights regardless of how trees moved between ranks. Entries are
-// emitted in ascending order, keeping the payload byte-stable across runs.
-func (e *Engine) deltaReport(rep weightReport) []int64 {
-	n := e.Coarse.NumElems()
-	if e.lastVW == nil {
-		e.lastVW = make([]int64, n)
-		e.lastEW = make(map[[2]int32]int64)
-	}
-	curVW := make([]int64, n)
-	for i, r := range rep.Roots {
-		curVW[r] = rep.VW[i]
-	}
-	var roots []int64
-	for r := 0; r < n; r++ {
-		if d := curVW[r] - e.lastVW[r]; d != 0 {
-			roots = append(roots, int64(r), d)
-			e.lastVW[r] = curVW[r]
-		}
-	}
-	curEW := make(map[[2]int32]int64, len(rep.EdgeR))
-	for i := range rep.EdgeR {
-		curEW[[2]int32{rep.EdgeR[i], rep.EdgeS[i]}] = rep.EdgeW[i]
-	}
-	keys := make([][2]int32, 0, len(curEW)+len(e.lastEW))
-	for k := range curEW {
-		keys = append(keys, k)
-	}
-	for k := range e.lastEW {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmpPair)
-	// Keys present in both maps appear twice; after sorting the duplicates are
-	// adjacent, so the emit loop skips them.
-	var edges []int64
-	for i, k := range keys {
-		if i > 0 && k == keys[i-1] {
-			continue
-		}
-		if d := curEW[k] - e.lastEW[k]; d != 0 {
-			edges = append(edges, int64(k[0]), int64(k[1]), d)
-		}
-	}
-	e.lastEW = curEW
-	out := make([]int64, 0, 2+len(roots)+len(edges))
-	out = append(out, int64(len(roots)/2), int64(len(edges)/3))
-	out = append(out, roots...)
-	out = append(out, edges...)
 	return out
 }
 
-// coordinatorGraph returns this rank's cached coarse dual graph with all
-// ranks' deltas applied — rank 0's under the coordinator pipeline, every
-// rank's under DistRefine (the deltas arrive all-gathered in rank order, so
-// the fold is identical everywhere).
-// The topology is built once from the replicated coarse mesh
-// — G's adjacency is invariant for the run, because adaptation only changes
-// how many leaf pairs realize each coarse facet, never which coarse elements
-// share one — and only the weights are patched thereafter.
-func (e *Engine) coordinatorGraph(deltas [][]int64) *graph.Graph {
-	if e.gCache == nil {
-		full := graph.FromDual(e.Coarse)
-		e.gCache = &graph.Graph{
-			Xadj: full.Xadj,
-			Adj:  full.Adj,
-			VW:   make([]int64, full.N()),
-			EW:   make([]int64, len(full.Adj)),
+// writeRecords overwrites the weights of g, the dual graph of topo's coarse
+// mesh, from every rank's weight records (see weightRecords), records[rank]
+// being what rank reported: VW[root] and, for each root facet with a tree s
+// across it, the directed CSR slot root → s. The slot s → root is written from
+// s's own record, so each slot has exactly one writer and nothing is added up:
+// which rank reports a tree does not matter, and a migration needs no
+// bookkeeping here. No index off the wire is used unchecked — a report whose
+// length is not a whole number of records, a root outside the coarse mesh, a
+// tree the sender does not own under owner, records not in ascending root
+// order, or trees left unreported come back as an error naming the rank, after
+// writing only inside g.
+func writeRecords(g *graph.Graph, topo *coarseTopo, owner []int32, records [][]int64) error {
+	stride := 2 + topo.nv
+	written := 0
+	for rank, rec := range records {
+		if len(rec)%stride != 0 {
+			return fmt.Errorf("pared: weight report of rank %d has %d words, not a multiple of the record length %d", rank, len(rec), stride)
+		}
+		prev := int64(-1)
+		for ; len(rec) > 0; rec = rec[stride:] {
+			root := rec[0]
+			if root < 0 || root >= int64(len(owner)) {
+				return fmt.Errorf("pared: rank %d reports weights of tree %d, outside [0, %d)", rank, root, len(owner))
+			}
+			if owner[root] != int32(rank) {
+				return fmt.Errorf("pared: rank %d reports weights of tree %d, which rank %d owns", rank, root, owner[root])
+			}
+			if root <= prev {
+				return fmt.Errorf("pared: rank %d reports tree %d after tree %d, not in ascending order", rank, root, prev)
+			}
+			prev = root
+			written++
+			g.VW[root] = rec[1]
+			row := g.Adj[g.Xadj[root]:g.Xadj[root+1]]
+			across := topo.acrossOf(int32(root))
+			for j, s := range across[:topo.nv] {
+				if s >= 0 {
+					g.EW[int(g.Xadj[root])+slices.Index(row, s)] = rec[2+j]
+				}
+			}
 		}
 	}
-	g := e.gCache
-	for rank := 0; rank < len(deltas); rank++ {
-		d := deltas[rank]
-		nr, ne := int(d[0]), int(d[1])
-		d = d[2:]
-		for i := 0; i < nr; i++ {
-			g.VW[d[2*i]] += d[2*i+1]
-		}
-		d = d[2*nr:]
-		for i := 0; i < ne; i++ {
-			r, s, dw := int32(d[3*i]), int32(d[3*i+1]), d[3*i+2]
-			patchEdge(g, r, s, dw)
-			patchEdge(g, s, r, dw)
-		}
+	if written != len(owner) {
+		return fmt.Errorf("pared: weight reports cover %d of %d trees", written, len(owner))
 	}
-	return g
+	return nil
 }
 
-// patchEdge adds dw to the directed CSR slot (u → v), located by binary
-// search in u's ascending adjacency row. A missing slot means a rank reported
-// adjacency the coarse mesh does not have — the topology invariance the whole
-// incremental pipeline rests on is broken — so it panics loudly.
-func patchEdge(g *graph.Graph, u, v int32, dw int64) {
-	lo, hi := g.Xadj[u], g.Xadj[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.Adj[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// coordinatorGraph returns this rank's copy of the coarse dual graph with
+// every rank's records written into it — rank 0's under the coordinator
+// pipeline, every rank's under replicated and hier. The topology is built on
+// first use from the replicated coarse mesh: G's adjacency is invariant for
+// the run, because adaptation only changes how many leaf pairs realize each
+// coarse facet, never which coarse elements share one.
+func (e *Engine) coordinatorGraph(records [][]int64) *graph.Graph {
+	if e.gCache == nil {
+		e.gCache = graph.FromDual(e.Coarse) // its unit weights are overwritten below
+	}
+	g, stride := e.gCache, 2+e.topo.nv
+	if err := writeRecords(g, &e.topo, e.Owner, records); err != nil {
+		panic(err.Error())
+	}
+	if check.Enabled {
+		// Each edge was counted twice, by the owners of its two trees from
+		// either side of the coarse facet; conformity says they agree.
+		err := g.Validate()
+		check.Assertf(err == nil, "pared: G written from the weight records: %v", err)
+		var leaves int64
+		for _, rec := range records {
+			for i := 1; i < len(rec); i += stride {
+				leaves += rec[i]
+			}
 		}
+		check.Assertf(g.TotalVW() == leaves, "pared: ΣVW = %d, the records report %d leaves", g.TotalVW(), leaves)
 	}
-	if lo >= g.Xadj[u+1] || g.Adj[lo] != v {
-		panic(fmt.Sprintf("pared: weight delta for (%d,%d) but the coarse mesh has no such adjacency", u, v))
-	}
-	g.EW[lo] += dw
+	return g
 }
 
 // ownerDeltaHeader is the number of int32 words before the (index, owner)
@@ -802,53 +781,25 @@ func packOwnerDelta(cutBefore, cutAfter int64, old, newOwner []int32) []int32 {
 }
 
 // unpackOwnerDelta reconstructs the new owner map (a fresh slice) and cut
-// values from a packOwnerDelta payload and the local copy of the old map.
-func unpackOwnerDelta(old []int32, payload []int32) (newOwner []int32, cutBefore, cutAfter int64) {
+// values from a packOwnerDelta payload and the local copy of the old map, for
+// p ranks. A payload that is not a header plus whole pairs, an index outside
+// the map or an owner outside [0, p) is an error: nothing off the wire
+// indexes unchecked.
+func unpackOwnerDelta(old []int32, payload []int32, p int) (newOwner []int32, cutBefore, cutAfter int64, err error) {
+	if len(payload) < ownerDeltaHeader || (len(payload)-ownerDeltaHeader)%2 != 0 {
+		return nil, 0, 0, fmt.Errorf("pared: owner delta of %d words is not a %d-word header plus (index, owner) pairs", len(payload), ownerDeltaHeader)
+	}
 	cutBefore = int64(payload[0])<<32 | int64(uint32(payload[1]))
 	cutAfter = int64(payload[2])<<32 | int64(uint32(payload[3]))
 	newOwner = append([]int32(nil), old...)
 	for i := ownerDeltaHeader; i < len(payload); i += 2 {
-		newOwner[payload[i]] = payload[i+1]
+		at, owner := payload[i], payload[i+1]
+		if at < 0 || int(at) >= len(old) || owner < 0 || int(owner) >= p {
+			return nil, 0, 0, fmt.Errorf("pared: owner delta moves tree %d to rank %d, with %d trees and %d ranks", at, owner, len(old), p)
+		}
+		newOwner[at] = owner
 	}
-	return newOwner, cutBefore, cutAfter
-}
-
-// assertPatchedG cross-checks, under paredassert, that the coordinator's
-// patched graph is byte-identical to the graph built from scratch out of full
-// weight reports — the correctness contract of the incremental pipeline. The
-// extra gather runs on every rank (check.Enabled is a build-wide constant, so
-// the collective order stays consistent).
-func (e *Engine) assertPatchedG(rep weightReport) {
-	if !check.Enabled {
-		return
-	}
-	full := make([]int64, 0, 2+2*len(rep.Roots)+3*len(rep.EdgeR))
-	full = append(full, int64(len(rep.Roots)), int64(len(rep.EdgeR)))
-	for i, r := range rep.Roots {
-		full = append(full, int64(r), rep.VW[i])
-	}
-	for i := range rep.EdgeR {
-		full = append(full, int64(rep.EdgeR[i]), int64(rep.EdgeS[i]), rep.EdgeW[i])
-	}
-	reports := e.Comm.GatherInt64(0, full)
-	if e.Comm.Rank() != 0 {
-		return
-	}
-	ref := buildG(e.Coarse.NumElems(), reports)
-	g := e.gCache
-	check.Assertf(len(ref.Xadj) == len(g.Xadj) && len(ref.Adj) == len(g.Adj),
-		"pared: patched G shape differs from scratch build (%d/%d vs %d/%d)",
-		len(g.Xadj), len(g.Adj), len(ref.Xadj), len(ref.Adj))
-	for i := range ref.Xadj {
-		check.Assertf(g.Xadj[i] == ref.Xadj[i], "pared: patched G Xadj[%d] = %d, scratch %d", i, g.Xadj[i], ref.Xadj[i])
-	}
-	for i := range ref.Adj {
-		check.Assertf(g.Adj[i] == ref.Adj[i], "pared: patched G Adj[%d] = %d, scratch %d", i, g.Adj[i], ref.Adj[i])
-		check.Assertf(g.EW[i] == ref.EW[i], "pared: patched G EW[%d] = %d, scratch %d", i, g.EW[i], ref.EW[i])
-	}
-	for i := range ref.VW {
-		check.Assertf(g.VW[i] == ref.VW[i], "pared: patched G VW[%d] = %d, scratch %d", i, g.VW[i], ref.VW[i])
-	}
+	return newOwner, cutBefore, cutAfter, nil
 }
 
 // migrate sends trees to their new owners and splices in received ones,

@@ -109,7 +109,7 @@ type hierState struct {
 	subOld  []int32
 	mine    []int32 // final owners of my group's vertices, ascending order
 
-	// P2 fan-in/fan-out scratch (see exchangeDeltas).
+	// P2 fan-in/fan-out scratch (see exchangeRecords).
 	pack  []int64
 	flat  []int64
 	views [][]int64
@@ -161,17 +161,17 @@ func hierDecide(e *Engine, g *graph.Graph, st *RebalanceStats) []int32 {
 	return newOwner
 }
 
-// exchangeDeltas is the strategy's P2: it moves every rank's delta payload to
-// every rank through the two-level comm tree — each core's delta climbs to
+// exchangeRecords is the strategy's P2: it moves every rank's weight records
+// to every rank through the two-level comm tree — each core's records climb to
 // its node leader, the N leaders swap combined node payloads, each node comm
-// fans the world's deltas back down — and returns them indexed by world
+// fans the world's records back down — and returns them indexed by world
 // rank. Framing: a node pack is
 // [C, len_0, …, len_{C-1}, payload_0 ∥ … ∥ payload_{C-1}] with cores in
 // node-rank order; the leader all-gather yields the packs in node-id
 // order, so their concatenation decodes in ascending world-rank order — the
-// same fold order as the flat pipeline's AllGatherInt64.
-func (h *hierState) exchangeDeltas(delta []int64) [][]int64 {
-	parts := h.node.GatherInt64(0, delta)
+// indexing of the flat pipeline's AllGatherInt64.
+func (h *hierState) exchangeRecords(records []int64) [][]int64 {
+	parts := h.node.GatherInt64(0, records)
 	var flat []int64
 	if h.leaders != nil {
 		h.pack = h.pack[:0]

@@ -1,0 +1,268 @@
+package pared
+
+import (
+	"encoding/binary"
+	"slices"
+	"strings"
+	"testing"
+
+	"pared/internal/geom"
+	"pared/internal/graph"
+	"pared/internal/mesh"
+	"pared/internal/meshgen"
+	"pared/internal/par"
+)
+
+// TestWeightRecordsRejectCorruptReport: a rank whose P2 report claims a tree
+// it does not own, is cut short, names a root outside the coarse mesh or
+// leaves a tree out must turn into an error from par.Run on the ranks that
+// hold G — naming the reporting rank where there is one — under every
+// strategy that ships records, with or without paredassert.
+func TestWeightRecordsRejectCorruptReport(t *testing.T) {
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	est := cornerEst(geom.Vec3{X: 1, Y: 1})
+	const liar = 2
+	corruptions := []struct {
+		name    string
+		corrupt func(e *Engine, rec []int64) []int64
+		want    string
+	}{
+		{"a tree it does not own", func(e *Engine, rec []int64) []int64 {
+			rec[0] = int64(slices.Index(e.Owner, 1))
+			return rec
+		}, "rank 2 reports weights of tree"},
+		{"a short record", func(_ *Engine, rec []int64) []int64 { return rec[:len(rec)-1] }, "weight report of rank 2"},
+		{"a root out of range", func(e *Engine, rec []int64) []int64 {
+			rec[0] = int64(e.Coarse.NumElems())
+			return rec
+		}, "rank 2 reports weights of tree 128, outside"},
+		{"a tree left out", func(e *Engine, rec []int64) []int64 { return rec[2+e.Coarse.FacetsPerElem():] }, "cover 127 of 128 trees"},
+	}
+	for _, name := range []string{"pnr", "distrefine", "hier"} {
+		cfg, err := ConfigByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range corruptions {
+			err := par.Run(4, func(c *par.Comm) {
+				e := BootstrapWith(c, m, cfg)
+				e.Adapt(est, 0.8, 0, 7)
+				e.Rebalance(true)
+				e.Adapt(est, 0.7, 0, 7)
+				// The strategy table is shared by every engine of the process:
+				// the lie goes into a copy.
+				honest := e.cfg.strategy
+				lying := *honest
+				lying.exchange = func(e *Engine, rec []int64) [][]int64 {
+					if e.Comm.Rank() == liar {
+						rec = tc.corrupt(e, rec)
+					}
+					return honest.exchange(e, rec)
+				}
+				e.cfg.strategy = &lying
+				e.Rebalance(true)
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, rank %d reporting %s: got %v, want an error containing %q", name, liar, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// fuzzWorld is the fixed setting of the two decoder fuzz targets: 18 trees
+// dealt round-robin to three ranks.
+type fuzzWorld struct {
+	m     *mesh.Mesh
+	topo  coarseTopo
+	owner []int32
+	p     int
+}
+
+func newFuzzWorld() fuzzWorld {
+	w := fuzzWorld{m: meshgen.RectTri(3, 3, 0, 0, 1, 1), p: 3}
+	w.topo = newCoarseTopo(w.m)
+	w.owner = make([]int32, w.m.NumElems())
+	for i := range w.owner {
+		w.owner[i] = int32(i % w.p)
+	}
+	return w
+}
+
+// fuzzWords reads data as little-endian int64 words when wide, else as one
+// small signed word per byte — the form in which a mutation is likely to land
+// on a valid index or just outside the valid range.
+func fuzzWords(data []byte, wide bool) []int64 {
+	var out []int64
+	if !wide {
+		for _, b := range data {
+			out = append(out, int64(int8(b)))
+		}
+		return out
+	}
+	for ; len(data) >= 8; data = data[8:] {
+		out = append(out, int64(binary.LittleEndian.Uint64(data)))
+	}
+	return out
+}
+
+// FuzzWeightRecords feeds writeRecords arbitrary words as the three ranks'
+// reports. It must never index outside G (which would panic), and whatever it
+// accepts must be what the contract says: every tree reported exactly once,
+// by its owner, in ascending order, and G's vertex weights as reported.
+func FuzzWeightRecords(f *testing.F) {
+	w := newFuzzWorld()
+	stride := 2 + w.m.FacetsPerElem()
+	valid := make([][]byte, w.p)
+	for r, o := range w.owner {
+		valid[o] = append(valid[o], byte(r), byte(1+r), 1, 2, 3)
+	}
+	f.Add(valid[0], valid[1], valid[2], false)
+	f.Add(valid[0], valid[2], valid[1], false)                                      // not the owners
+	f.Add(valid[0][:len(valid[0])-1], valid[1], valid[2], false)                    // a short record
+	f.Add(valid[0], valid[1][stride:], valid[2], false)                             // a tree left out
+	f.Add(append(valid[0][:stride:stride], valid[0]...), valid[1], valid[2], false) // a tree twice
+	f.Add([]byte{18, 1, 1, 1, 1}, []byte{0xff, 1, 1, 1, 1}, []byte{}, false)        // roots out of range
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), []byte{}, []byte{}, true)
+	full := graph.FromDual(w.m)
+	f.Fuzz(func(t *testing.T, a, b, c []byte, wide bool) {
+		g := &graph.Graph{Xadj: full.Xadj, Adj: full.Adj, VW: make([]int64, full.N()), EW: make([]int64, len(full.Adj))}
+		records := [][]int64{fuzzWords(a, wide), fuzzWords(b, wide), fuzzWords(c, wide)}
+		if err := writeRecords(g, &w.topo, w.owner, records); err != nil {
+			if !strings.HasPrefix(err.Error(), "pared: ") {
+				t.Fatalf("error without the package prefix: %v", err)
+			}
+			return
+		}
+		for rank, rec := range records {
+			var mine []int64
+			for r, o := range w.owner {
+				if int(o) == rank {
+					mine = append(mine, int64(r))
+				}
+			}
+			if len(rec) != stride*len(mine) {
+				t.Fatalf("accepted %d words from rank %d, which owns %d trees", len(rec), rank, len(mine))
+			}
+			for i, r := range mine {
+				if rec[i*stride] != r || g.VW[r] != rec[i*stride+1] {
+					t.Fatalf("accepted record %d of rank %d for tree %d with VW %d; it owns tree %d and G.VW is %d",
+						i, rank, rec[i*stride], rec[i*stride+1], r, g.VW[r])
+				}
+			}
+		}
+	})
+}
+
+// FuzzUnpackOwnerDelta: a packed delta decodes to the map and cuts it was
+// packed from, and arbitrary words decode to an error or to an owner map that
+// is total and in range — never to an index panic.
+func FuzzUnpackOwnerDelta(f *testing.F) {
+	w := newFuzzWorld()
+	f.Add([]byte{0, 1, 2, 0, 1, 2}, []byte{0, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0}, true)
+	f.Add([]byte{2, 2, 2}, []byte{0, 0, 0, 0, 5, 1}, false)           // moved to rank 1
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 5}, false)                     // an odd tail
+	f.Add([]byte{}, []byte{0, 0, 0}, false)                           // a short header
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 18, 1}, false)                 // an index past the map
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 0xff, 1}, false)               // a negative index
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 4, 3, 4, 0xff}, false)         // owners outside [0, p)
+	f.Add([]byte{}, []byte{0, 0, 0x80, 0, 0, 0, 0, 0x7f, 0, 0}, true) // wide words
+	f.Fuzz(func(t *testing.T, moves, payload []byte, wide bool) {
+		// Round trip: moves reassigns a prefix of the trees.
+		newOwner := slices.Clone(w.owner)
+		for i, b := range moves[:min(len(moves), len(newOwner))] {
+			newOwner[i] = int32(b) % int32(w.p)
+		}
+		before, after := int64(len(moves))<<33+7, -int64(len(payload))
+		got, gotBefore, gotAfter, err := unpackOwnerDelta(w.owner, packOwnerDelta(before, after, w.owner, newOwner), w.p)
+		if err != nil || !slices.Equal(got, newOwner) || gotBefore != before || gotAfter != after {
+			t.Fatalf("round trip: %v, cuts %d %d (err %v), packed from %v, cuts %d %d", got, gotBefore, gotAfter, err, newOwner, before, after)
+		}
+		// Arbitrary words.
+		var words []int32
+		for _, x := range fuzzWords(payload, false) {
+			words = append(words, int32(x))
+		}
+		if wide {
+			words = words[:0]
+			for ; len(payload) >= 4; payload = payload[4:] {
+				words = append(words, int32(binary.LittleEndian.Uint32(payload)))
+			}
+		}
+		got, _, _, err = unpackOwnerDelta(w.owner, words, w.p)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "pared: ") {
+				t.Fatalf("error without the package prefix: %v", err)
+			}
+			return
+		}
+		if len(got) != len(w.owner) {
+			t.Fatalf("decoded %d owners for %d trees", len(got), len(w.owner))
+		}
+		for r, o := range got {
+			if o < 0 || int(o) >= w.p {
+				t.Fatalf("decoded owner %d for tree %d with %d ranks", o, r, w.p)
+			}
+		}
+	})
+}
+
+// TestCollectivesPerPhase pins the world-communicator collectives of one
+// steady-state forced Rebalance under every registry row and of a dof-plan
+// build, the same with and without paredassert. The parent columns are what
+// this test measured at the commit before per-tree weight records: the graph
+// strategies spent one more (the all-gather of boundary facets inside P1), two
+// more under paredassert (the gather of its scratch rebuild of G), and the
+// plan build three all-gathers.
+func TestCollectivesPerPhase(t *testing.T) {
+	// A coordinator epoch is: the imbalance probe, the P2 gather, the owner
+	// broadcast, the migration all-to-all, two move-count reductions and the
+	// closing imbalance probe. distrefine and hier add what their collective
+	// KL sweeps exchange on this input; sfc never shipped weights of G.
+	table := []struct {
+		algo                             string
+		rebalance                        int64
+		parent, parentAssert, parentPlan int64
+	}{
+		{"pnr", 7, 8, 9, 3},
+		{"rsb", 7, 8, 9, 3},
+		{"mlkl", 7, 8, 9, 3},
+		{"sfc", 8, 8, 8, 3},
+		{"distrefine", 17, 18, 19, 3},
+		{"hier", 9, 10, 11, 3},
+	}
+	if len(table) != len(AlgorithmNames()) {
+		t.Fatalf("the table has %d rows, the registry %d", len(table), len(AlgorithmNames()))
+	}
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	est := cornerEst(geom.Vec3{X: 1, Y: 1})
+	for _, row := range table {
+		cfg, err := ConfigByName(row.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rebalance, plan int64
+		err = par.Run(4, func(c *par.Comm) {
+			e := BootstrapWith(c, m, cfg)
+			e.Adapt(est, 0.8, 0, 7)
+			e.Rebalance(true) // first use: lazy caches, the hier Splits
+			e.Adapt(est, 0.7, 0, 7)
+			s0 := c.CollectiveSeq()
+			e.Rebalance(true)
+			s1 := c.CollectiveSeq()
+			e.buildDofPlan()
+			if c.Rank() == 0 {
+				rebalance, plan = s1-s0, c.CollectiveSeq()-s1
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebalance != row.rebalance {
+			t.Errorf("%s: %d world collectives in a forced Rebalance, want %d (parent: %d, %d under paredassert)",
+				row.algo, rebalance, row.rebalance, row.parent, row.parentAssert)
+		}
+		if plan != 0 {
+			t.Errorf("%s: buildDofPlan entered %d collectives, want none (parent: %d)", row.algo, plan, row.parentPlan)
+		}
+	}
+}

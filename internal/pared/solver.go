@@ -1,10 +1,10 @@
 package pared
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"pared/internal/fem"
 	"pared/internal/forest"
@@ -15,11 +15,14 @@ import (
 
 // This file implements PARED's distributed equation solve: each rank
 // assembles the P1 stiffness contribution of its own leaf elements; degrees
-// of freedom on the shard interface are identified by their global VertexIDs
-// and their matrix/vector contributions are summed across sharing ranks; CG
-// runs with global inner products. The result at every rank's vertices
-// matches the serial solve of the gathered mesh to solver tolerance, in the
-// same number of iterations (see TestDistributedSolveMatchesSerial).
+// of freedom on the shard interface, the ranks sharing each and the Dirichlet
+// set are read off the tree boundaries, the replicated coarse mesh and the
+// owner map with no communication (buildDofPlan), halo lists are ordered by
+// global VertexID so both sides agree, and matrix/vector contributions are
+// summed across sharing ranks; CG runs with global inner products. The result
+// at every rank's vertices matches the serial solve of the gathered mesh to
+// solver tolerance, in the same number of iterations (see
+// TestDistributedSolveMatchesSerial).
 //
 // Message schedule, per CG iteration and rank: one par float-lane message to
 // each neighbour (dofPlan.exchange, after the SpMV) and two rank-ordered
@@ -80,10 +83,15 @@ type halo struct {
 	send [2][]float64
 }
 
-// buildDofPlan derives the sharing pattern and the Dirichlet set from one
-// pass over the local leaf facets. The facets with no local partner lie on
-// the shard boundary or on the domain boundary; only their vertices can be
-// shared, so the exchanged lists are O(interface size).
+// buildDofPlan derives the sharing pattern and the Dirichlet set with no
+// communication. A vertex can be shared, or on ∂Ω, only if it lies on the
+// boundary of its tree, and there forest.VisitRootBoundary names the coarse
+// face it lies in: the root vertices spanning it are the ones opposite none of
+// the root facets the vertex is on. The mesh is conformal, so every coarse
+// element containing that face has the vertex too; the replicated owner map
+// says whose they are, and the vertex is on ∂Ω exactly when one of them has a
+// boundary facet containing the face. Both sides of an interface derive the
+// same lists from the same replicated data.
 func (e *Engine) buildDofPlan() *dofPlan {
 	leaf := e.F.LeafMesh()
 	n := leaf.Mesh.NumVerts()
@@ -92,123 +100,73 @@ func (e *Engine) buildDofPlan() *dofPlan {
 		owned:     make([]bool, n),
 		dirichlet: make([]bool, n),
 	}
-	count := make(map[gfacet]int, 2*e.F.NumLeaves()) // ~1.5 (2D) to 2 (3D) facets per leaf
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	var mine []gfacet
-	for f, c := range count {
-		if c == 1 {
-			mine = append(mine, f)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
-	vid2dof := make(map[forest.VertexID]int32, n)
-	for i, fv := range leaf.Vert2Local {
-		vid2dof[e.F.VIDs[fv]] = int32(i)
-	}
-
-	// Candidate shared dofs: the vertices of those facets, one word per
-	// vertex ID, exchanged with every rank (p is small).
-	ids := make([]forest.VertexID, 0, 3*len(mine))
-	for _, f := range mine {
-		for _, id := range f {
-			if id != ^forest.VertexID(0) {
-				ids = append(ids, id)
-			}
-		}
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	words := make([]int64, len(ids))
-	for i, id := range ids {
-		words[i] = int64(id)
-	}
-	me := e.Comm.Rank()
 	for i := range plan.owned {
 		plan.owned[i] = true
 	}
-	isShared := make([]bool, n)
-	for from, theirs := range e.Comm.AllGatherInt64(words) {
-		if from == me {
+	dofOf := make([]int32, len(e.F.Coords)) // forest vertex -> dof; inverts Vert2Local
+	for i, fv := range leaf.Vert2Local {
+		dofOf[fv] = int32(i)
+	}
+	me := int32(e.Comm.Rank())
+	nv := e.topo.nv
+	seen := make([]bool, n)
+	sharedWith := make([][]int32, e.Comm.Size()) // per rank, the dofs shared with it
+	for _, r := range e.F.Roots() {
+		rootV := e.Coarse.Elems[r].V
+		e.F.VisitRootBoundary(r, func(id forest.NodeID, on [4]uint8) {
+			for k, fv := range e.F.Node(id).Verts[:nv] {
+				dof := dofOf[fv]
+				if on[k] == 0 || seen[dof] {
+					continue
+				}
+				seen[dof] = true
+				// The coarse vertices spanning the coarse face the dof lies in.
+				face := make([]int32, 0, 4)
+				for i, v := range rootV[:nv] {
+					if on[k]&(1<<i) == 0 {
+						face = append(face, v)
+					}
+				}
+				shared := false
+				for _, c := range e.topo.elemsAt(face[0]) {
+					cv := e.Coarse.Elems[c].V
+					if !containsAll(cv[:], face) {
+						continue
+					}
+					// A dof is entered once (seen), so a repeated sharer can only
+					// find it at the end of its list.
+					if q := e.Owner[c]; q != me && (len(sharedWith[q]) == 0 || sharedWith[q][len(sharedWith[q])-1] != dof) {
+						sharedWith[q] = append(sharedWith[q], dof)
+						if q < me {
+							plan.owned[dof] = false
+						}
+						shared = true
+					}
+					across := e.topo.acrossOf(c)
+					for j, far := range across[:nv] {
+						if far < 0 && !slices.Contains(face, cv[j]) {
+							plan.dirichlet[dof] = true // facet j of c is on ∂Ω and contains the face
+						}
+					}
+				}
+				if shared {
+					plan.shared = append(plan.shared, dof)
+				}
+			}
+		})
+	}
+	for q, idx := range sharedWith {
+		if len(idx) == 0 {
 			continue
 		}
-		// Both lists ascend: intersect by merging.
-		var common []int32
-		k := 0
-		for _, id := range ids {
-			for k < len(theirs) && forest.VertexID(theirs[k]) < id {
-				k++
-			}
-			if k == len(theirs) {
-				break
-			}
-			if forest.VertexID(theirs[k]) != id {
-				continue
-			}
-			dof := vid2dof[id]
-			common = append(common, dof)
-			if from < me {
-				plan.owned[dof] = false
-			}
-			if !isShared[dof] {
-				isShared[dof] = true
-				plan.shared = append(plan.shared, dof)
-			}
-		}
-		if len(common) > 0 {
-			plan.nbrs = append(plan.nbrs, halo{
-				rank: from,
-				idx:  common,
-				send: [2][]float64{make([]float64, len(common)), make([]float64, len(common))},
-			})
-		}
-	}
-
-	// Domain (not shard) boundary: a facet with no element on the other side
-	// anywhere. Shard-boundary facets have a remote partner; true boundary
-	// facets do not. Three words per facet on the wire.
-	words = make([]int64, 0, 3*len(mine))
-	for _, f := range mine {
-		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
-	}
-	remote := make([]bool, len(mine))
-	for from, ws := range e.Comm.AllGatherInt64(words) {
-		if from == me {
-			continue
-		}
-		k := 0
-		for i := 0; i < len(ws) && k < len(mine); i += 3 {
-			f := gfacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}
-			for k < len(mine) && lessGFacet(mine[k], f) {
-				k++
-			}
-			if k < len(mine) && mine[k] == f {
-				remote[k] = true
-			}
-		}
-	}
-	// Local view: vertices of my true-boundary facets, one word per ID.
-	var bndIDs []int64
-	for k, f := range mine {
-		if remote[k] {
-			continue // shard boundary, not domain boundary
-		}
-		for _, id := range f {
-			if id != ^forest.VertexID(0) {
-				bndIDs = append(bndIDs, int64(id))
-			}
-		}
-	}
-	slices.Sort(bndIDs)
-	bndIDs = slices.Compact(bndIDs)
-	// Classification must be GLOBAL: a rank can touch a boundary vertex
-	// without owning any of its boundary facets (e.g. after migration), so
-	// union every rank's view — all sharers must agree on Dirichlet rows.
-	for _, theirs := range e.Comm.AllGatherInt64(bndIDs) {
-		for _, id := range theirs {
-			if dof, ok := vid2dof[forest.VertexID(id)]; ok {
-				plan.dirichlet[dof] = true
-			}
-		}
+		slices.SortFunc(idx, func(a, b int32) int {
+			return cmp.Compare(e.F.VIDs[leaf.Vert2Local[a]], e.F.VIDs[leaf.Vert2Local[b]])
+		})
+		plan.nbrs = append(plan.nbrs, halo{
+			rank: q,
+			idx:  idx,
+			send: [2][]float64{make([]float64, len(idx)), make([]float64, len(idx))},
+		})
 	}
 	for i, d := range plan.dirichlet {
 		if d {
@@ -216,6 +174,16 @@ func (e *Engine) buildDofPlan() *dofPlan {
 		}
 	}
 	return plan
+}
+
+// containsAll reports whether every element of want is in have.
+func containsAll(have, want []int32) bool {
+	for _, v := range want {
+		if !slices.Contains(have, v) {
+			return false
+		}
+	}
+	return true
 }
 
 // exchange adds into x, at every shared dof, the values the other sharers

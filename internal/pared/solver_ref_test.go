@@ -32,8 +32,8 @@ func (e *Engine) refBuildDofPlan() *refDofPlan {
 		owned:   make([]bool, leaf.Mesh.NumVerts()),
 		sendIdx: make(map[int32][]int32),
 	}
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
+	count := make(map[refGFacet]int)
+	e.refEachLeafFacet(func(f refGFacet, _ int32) { count[f]++ })
 	cand := make(map[forest.VertexID]int32)
 	vid2dof := make(map[forest.VertexID]int32, leaf.Mesh.NumVerts())
 	for i, fv := range leaf.Vert2Local {
@@ -197,26 +197,26 @@ func (e *Engine) refSolveLaplace(source, g func(geom.Vec3) float64, tol float64,
 }
 
 func (e *Engine) refDomainBoundaryVerts(plan *refDofPlan) map[int32]bool {
-	count := make(map[gfacet]int)
-	e.eachLeafFacet(func(f gfacet, _ int32) { count[f]++ })
-	var mine []gfacet
+	count := make(map[refGFacet]int)
+	e.refEachLeafFacet(func(f refGFacet, _ int32) { count[f]++ })
+	var mine []refGFacet
 	for f, n := range count {
 		if n == 1 {
 			mine = append(mine, f)
 		}
 	}
-	sort.Slice(mine, func(i, j int) bool { return lessGFacet(mine[i], mine[j]) })
+	sort.Slice(mine, func(i, j int) bool { return refLessGFacet(mine[i], mine[j]) })
 	words := make([]int64, 0, 3*len(mine))
 	for _, f := range mine {
 		words = append(words, int64(f[0]), int64(f[1]), int64(f[2]))
 	}
-	remote := make(map[gfacet]bool)
+	remote := make(map[refGFacet]bool)
 	for from, ws := range e.Comm.AllGatherInt64(words) {
 		if from == e.Comm.Rank() {
 			continue
 		}
 		for i := 0; i < len(ws); i += 3 {
-			remote[gfacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}] = true
+			remote[refGFacet{forest.VertexID(ws[i]), forest.VertexID(ws[i+1]), forest.VertexID(ws[i+2])}] = true
 		}
 	}
 	vid2dof := make(map[forest.VertexID]int32, plan.leaf.Mesh.NumVerts())
