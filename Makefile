@@ -106,5 +106,8 @@ reproduce:
 full-assert:
 	PARED_FULL=1 $(GO) test ./internal/experiments -run TestFullScale -v -timeout 30m
 
+# Six files under out/ are committed (the results EXPERIMENTS.md quotes), so
+# only what git does not track goes.
 clean:
-	rm -rf out cover.out
+	rm -rf .bench_build cover.out
+	git clean -fdxq out

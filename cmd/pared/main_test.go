@@ -19,6 +19,7 @@ func TestInputsCheckedBeforeRanksStart(t *testing.T) {
 		{[]string{"-problem", "wave"}, `unknown problem "wave" (want corner|transient)`},
 		{[]string{"-algo", "metis"}, `unknown algorithm "metis"`},
 		{[]string{"-p", "4", "-algo", "hier", "-topo", "3x2"}, "does not factor 4 ranks"},
+		{[]string{"-p", "4", "-algo", "hier", "-penalty", "-3"}, "inter-node penalty -3 is negative"},
 	}
 	for _, tc := range bad {
 		var out, errOut bytes.Buffer

@@ -44,7 +44,7 @@ package core
 //     conflict resolution without a coordinator.
 //
 // Rounds repeat until one applies nothing; passes (with all locks cleared)
-// repeat up to cfg.Passes like the serial KL. Every applied move has
+// repeat up to klPasses like the serial KL. Every applied move has
 // strictly positive recomputed gain, so the objective strictly decreases
 // and the sweep cannot oscillate. A final paredassert cross-check reruns
 // the whole sweep through the serial loopback exchanger and asserts
@@ -264,18 +264,7 @@ func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt
 			if hardBalance && partW[j]+wv > limit {
 				continue
 			}
-			gc := float64(extW[j] - extW[i])
-			gm := 0.0
-			if i == orig[v] {
-				gm -= cfg.Alpha * float64(wv)
-			}
-			if j == orig[v] {
-				gm += cfg.Alpha * float64(wv)
-			}
-			gain := gc + gm
-			if !hardBalance {
-				gain += 2 * cfg.Beta * float64(wv) * float64(partW[i]-partW[j]-wv)
-			}
+			gain := moveGain(cfg, extW[j]-extW[i], wv, i, j, orig[v], partW[i], partW[j], hardBalance)
 			// ">= && j<" is the equal-gain tie-break without a float ==;
 			// selGain starts at 0, so only strictly positive gains ever
 			// select (the sweep proposes improvements, not hill climbs).
@@ -358,19 +347,7 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 				extJ += w
 			}
 		})
-		gc := float64(extJ - extI)
-		gm := 0.0
-		if from == orig[v] {
-			gm -= cfg.Alpha * float64(wv)
-		}
-		if m.to == orig[v] {
-			gm += cfg.Alpha * float64(wv)
-		}
-		gain := gc + gm
-		if !hardBalance {
-			gain += 2 * cfg.Beta * float64(wv) * float64(partW[from]-partW[m.to]-wv)
-		}
-		if gain <= 0 {
+		if moveGain(cfg, extJ-extI, wv, from, m.to, orig[v], partW[from], partW[m.to], hardBalance) <= 0 {
 			continue
 		}
 		parts[v] = m.to
@@ -474,7 +451,7 @@ func distRefineSweep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, c
 		for _, w := range partW {
 			total += w
 		}
-		limit = int64(float64(total) / float64(p) * (1 + cfg.Eps))
+		limit = int64(float64(total) / float64(p) * (1 + eps))
 	}
 	// Contiguous balanced block split: the first n%R ranks own one extra
 	// vertex. Blocks tile [0, n) in rank order, which is what makes the
@@ -493,7 +470,7 @@ func distRefineSweep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, c
 	}
 	locked := ds.locked[:n]
 	candTo, candGain := ds.candTo[:n], ds.candGain[:n]
-	for pass := 0; pass < cfg.Passes; pass++ {
+	for pass := 0; pass < klPasses; pass++ {
 		for i := range locked {
 			locked[i] = false
 		}

@@ -129,17 +129,7 @@ func newGainTable(g *graph.Graph, parts, orig []int32, p int, cfg Config) *gainT
 // gain computes the full 3-term gain for moving v from its part to j.
 func (t *gainTable) gain(v, j int32, extI, extJ int64) float64 {
 	i := t.parts[v]
-	wv := t.g.VW[v]
-	gc := float64(extJ - extI)
-	gm := 0.0
-	if i == t.orig[v] {
-		gm -= t.cfg.Alpha * float64(wv)
-	}
-	if j == t.orig[v] {
-		gm += t.cfg.Alpha * float64(wv)
-	}
-	gb := 2 * t.cfg.Beta * float64(wv) * float64(t.partW[i]-t.partW[j]-wv)
-	return gc + gm + gb
+	return moveGain(t.cfg, extJ-extI, t.g.VW[v], i, j, t.orig[v], t.partW[i], t.partW[j], false)
 }
 
 // pushMoves (re)inserts all candidate moves of boundary vertex v into the
@@ -264,7 +254,7 @@ func refineKLTable(g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	if n == 0 || p <= 1 {
 		return
 	}
-	for pass := 0; pass < cfg.Passes; pass++ {
+	for pass := 0; pass < klPasses; pass++ {
 		t := newGainTable(g, parts, orig, p, cfg)
 		type move struct {
 			v    int32
@@ -295,7 +285,7 @@ func refineKLTable(g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 				negStreak = 0
 			} else {
 				negStreak++
-				if negStreak > cfg.MaxNegMoves {
+				if negStreak > maxNegMoves {
 					break
 				}
 			}

@@ -49,19 +49,42 @@ func growI32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// refineKL runs PNR's Kernighan–Lin variant: passes of best-gain boundary
-// moves under the 3-term gain
+// moveGain is the amount by which Equation 1 falls when a vertex of weight
+// wv, whose data lives on part orig, moves from part i to part j:
 //
 //	gain(v: i→j) = [w(v→j) − w(v→i)]                      (cut)
 //	             + α·wv·([i≠orig] − [j≠orig])             (migration)
 //	             + 2β·wv·(W_i − W_j − wv)                  (balance)
 //
-// Each vertex moves at most once per pass; the pass keeps the best prefix of
-// its move sequence (classic KL hill-climbing) and ends early after
-// MaxNegMoves consecutive non-improving moves. The paper realizes the move
-// selection with a p×p table of priority queues rebuilt when part weights
-// change; on the small coarse graph G a direct scan of the boundary computes
-// the same argmax move with less machinery.
+// ext is the bracket of the cut term, wi and wj the part weights before the
+// move. hardBalance drops the balance term: polishKL enforces a limit instead.
+// Every move selector scores through this one expression, so their floats
+// agree bit for bit (assert.go keeps its own copy, as the brute-force
+// reference). It must stay inlinable: it sits on every selector's inner loop.
+func moveGain(cfg Config, ext, wv int64, i, j, orig int32, wi, wj int64, hardBalance bool) float64 {
+	gc := float64(ext)
+	gm := 0.0
+	if i == orig {
+		gm -= cfg.Alpha * float64(wv)
+	}
+	if j == orig {
+		gm += cfg.Alpha * float64(wv)
+	}
+	gain := gc + gm
+	if !hardBalance {
+		gain += 2 * cfg.Beta * float64(wv) * float64(wi-wj-wv)
+	}
+	return gain
+}
+
+// refineKL runs PNR's Kernighan–Lin variant: passes of best-gain boundary
+// moves under the 3-term gain (moveGain). Each vertex moves at most once per
+// pass; the pass keeps the best prefix of its move sequence (classic KL
+// hill-climbing) and ends early after maxNegMoves consecutive non-improving
+// moves. The paper realizes the move selection with a p×p table of priority
+// queues rebuilt when part weights change (gaintable.go, which is also the
+// faster of the two: see Config.UseGainTable); the default is a direct scan
+// of the boundary, whose tie-break every committed count was recorded under.
 func refineKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	if cfg.UseGainTable {
 		refineKLTable(g, parts, orig, p, cfg)
@@ -102,7 +125,7 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 		for _, w := range partW {
 			total += w
 		}
-		limit = int64(float64(total) / float64(p) * (1 + cfg.Eps))
+		limit = int64(float64(total) / float64(p) * (1 + eps))
 	}
 	s.locked = growBool(s.locked, n)
 	s.inBoundary = growBool(s.inBoundary, n)
@@ -123,7 +146,7 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 		return cross
 	}
 
-	for pass := 0; pass < cfg.Passes; pass++ {
+	for pass := 0; pass < klPasses; pass++ {
 		boundary := s.boundary[:0]
 		for v := int32(0); v < int32(n); v++ {
 			locked[v] = false
@@ -167,18 +190,7 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 						if hardBalance && partW[j]+wv > limit {
 							continue
 						}
-						gc := float64(extW[j] - extW[i])
-						gm := 0.0
-						if i == orig[v] {
-							gm -= cfg.Alpha * float64(wv)
-						}
-						if j == orig[v] {
-							gm += cfg.Alpha * float64(wv)
-						}
-						gain := gc + gm
-						if !hardBalance {
-							gain += 2 * cfg.Beta * float64(wv) * float64(partW[i]-partW[j]-wv)
-						}
+						gain := moveGain(cfg, extW[j]-extW[i], wv, i, j, orig[v], partW[i], partW[j], hardBalance)
 						// ">= && v<" is the equal-gain tie-break without a
 						// float ==: the > clause has already failed here.
 						if selV < 0 || gain > selGain || (gain >= selGain && v < selV) {
@@ -215,7 +227,7 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 				negStreak = 0
 			} else {
 				negStreak++
-				if negStreak > cfg.MaxNegMoves {
+				if negStreak > maxNegMoves {
 					break
 				}
 			}
@@ -263,7 +275,7 @@ func forceBalance(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg 
 		total += w
 	}
 	avg := float64(total) / float64(p)
-	limit := int64(avg * (1 + cfg.Eps))
+	limit := int64(avg * (1 + eps))
 	s.extW = growI64s(s.extW, p)
 	extW := s.extW[:p]
 	for j := 0; j < p; j++ {
@@ -297,19 +309,10 @@ func forceBalance(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg 
 			})
 			wv := g.VW[v]
 			consider := func(j int32) {
-				if j == h || float64(partW[j])+float64(wv) > avg*(1+cfg.Eps) {
+				if j == h || float64(partW[j])+float64(wv) > avg*(1+eps) {
 					return
 				}
-				gc := float64(extW[j] - extW[h])
-				gm := 0.0
-				if h == orig[v] {
-					gm -= cfg.Alpha * float64(wv)
-				}
-				if j == orig[v] {
-					gm += cfg.Alpha * float64(wv)
-				}
-				gb := 2 * cfg.Beta * float64(wv) * float64(partW[h]-partW[j]-wv)
-				gain := gc + gm + gb
+				gain := moveGain(cfg, extW[j]-extW[h], wv, h, j, orig[v], partW[h], partW[j], false)
 				if selV < 0 || gain > selGain {
 					selV, selTo, selGain = v, j, gain
 				}

@@ -33,17 +33,8 @@ type Config struct {
 	Alpha float64
 	// Beta weighs the quadratic balance penalty (paper: 0.8).
 	Beta float64
-	// Eps is the target imbalance; the paper reports ε < 0.01.
-	Eps float64
 	// Seed drives matching randomization (default 1).
 	Seed int64
-	// CoarsenTo stops contraction at max(CoarsenTo, 4p) vertices (default 96).
-	CoarsenTo int
-	// Passes bounds KL passes per level (default 4).
-	Passes int
-	// MaxNegMoves ends a KL pass after this many consecutive non-improving
-	// moves (default 64).
-	MaxNegMoves int
 	// Cycles is the number of multilevel V-cycles per repartition (default
 	// 3). Each cycle re-coarsens with a different matching and refines from
 	// the previous cycle's result against the same migration origin; extra
@@ -51,30 +42,23 @@ type Config struct {
 	// at no migration cost beyond what their gain justifies.
 	Cycles int
 	// UseGainTable selects the literal §9 move-selection structure (the p×p
-	// table of priority queues in gaintable.go) instead of the equivalent
-	// boundary scan. Both select the argmax-gain move; the table is the
-	// faithful data structure, the scan is faster on small coarse graphs.
+	// table of priority queues in gaintable.go) instead of the boundary scan.
+	// Both select an argmax-gain move. The table is the faster of the two —
+	// on the pinned 1 152-vertex, p = 8 scenario at GOMAXPROCS=1,
+	// BenchmarkRefineKLTable takes 1.43 ms/op (550 allocs) against
+	// BenchmarkRunKLScan's 4.50 ms/op (0 allocs) — but the scan stays the
+	// default because its tie-break (gain desc, vertex asc, first-touched
+	// part) is what every committed count was recorded under.
 	UseGainTable bool
 	// UnrestrictedMatching lifts PNR's same-part matching constraint during
 	// contraction (ablation only): matched pairs straddling a part boundary
 	// inherit the heavier constituent's assignment, losing the exact
 	// correspondence between coarse moves and data movement.
 	UnrestrictedMatching bool
-	// Hierarchy, when non-nil, caches contraction hierarchies across calls on
-	// a fixed-topology graph so reuse epochs re-aggregate weights instead of
-	// re-matching (see Hierarchy). Ignored under UnrestrictedMatching, whose
-	// coarse labels are not reproducible from the maps alone.
+	// Hierarchy is never read. Named by bench/probe.go, which only a
+	// `benchmark` issue may edit; ROADMAP item 7 deletes this with
+	// core.repartition_cached_ms and core.cache_speedup.
 	Hierarchy *Hierarchy
-	// RematchEvery forces a full re-match on every K-th non-flat call that
-	// uses the Hierarchy cache (default 8; 1 disables reuse entirely and is
-	// byte-identical to running without a cache).
-	RematchEvery int
-	// DriftFrac forces a full re-match when Σ|ΔVW|/ΣVW since the last rebuild
-	// exceeds this fraction (default 0.5).
-	DriftFrac float64
-	// Initial configures the Multilevel-KL partitioner used when no current
-	// assignment exists (the t = 0 initial partition).
-	Initial mlkl.Config
 	// DistRefine, when non-nil, replaces every serial KL sweep of the
 	// V-cycle (refineKL and polishKL alike) with the rank-distributed
 	// deterministic sweep of distrefine.go. Every rank of the exchanger must
@@ -85,6 +69,25 @@ type Config struct {
 	DistRefine Exchanger
 }
 
+// Hierarchy is empty: the cross-epoch contraction cache it used to be was
+// never hit on any run (DESIGN.md §9). Named by bench/probe.go, which only a
+// `benchmark` issue may edit; ROADMAP item 7 deletes this with
+// core.repartition_cached_ms and core.cache_speedup.
+type Hierarchy struct{}
+
+// NewHierarchy returns an empty Hierarchy. Named by bench/probe.go, which only
+// a `benchmark` issue may edit; ROADMAP item 7 deletes this with
+// core.repartition_cached_ms and core.cache_speedup.
+func NewHierarchy() *Hierarchy { return new(Hierarchy) }
+
+// The tuning no caller sets.
+const (
+	eps         = 0.01 // target imbalance; the paper reports ε < 0.01
+	coarsenTo   = 96   // contraction stops at max(coarsenTo, 4p) vertices
+	klPasses    = 4    // KL passes per level
+	maxNegMoves = 64   // consecutive non-improving moves that end a KL pass
+)
+
 func (c Config) withDefaults() Config {
 	if c.Alpha <= 0 {
 		c.Alpha = 0.1
@@ -92,29 +95,11 @@ func (c Config) withDefaults() Config {
 	if c.Beta <= 0 {
 		c.Beta = 0.8
 	}
-	if c.Eps <= 0 {
-		c.Eps = 0.01
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.CoarsenTo == 0 {
-		c.CoarsenTo = 96
-	}
-	if c.Passes == 0 {
-		c.Passes = 4
-	}
-	if c.MaxNegMoves == 0 {
-		c.MaxNegMoves = 64
-	}
-	if c.Cycles == 0 {
+	if c.Cycles <= 0 {
 		c.Cycles = 3
-	}
-	if c.RematchEvery == 0 {
-		c.RematchEvery = 8
-	}
-	if c.DriftFrac <= 0 {
-		c.DriftFrac = 0.5
 	}
 	return c
 }
@@ -130,12 +115,7 @@ func Cost(g *graph.Graph, old, newParts []int32, p int, alpha, beta float64) flo
 // Partition computes an initial p-way partition of g (no prior assignment)
 // using the standard multilevel algorithm, as PNR does at t = 0.
 func Partition(g *graph.Graph, p int, cfg Config) []int32 {
-	cfg = cfg.withDefaults()
-	init := cfg.Initial
-	if init.Seed == 0 {
-		init.Seed = cfg.Seed
-	}
-	return mlkl.Partition(g, p, init)
+	return mlkl.Partition(g, p, mlkl.Config{Seed: cfg.withDefaults().Seed})
 }
 
 // pnrScratch bundles the reusable work buffers of one Repartition call: the
@@ -149,75 +129,35 @@ type pnrScratch struct {
 }
 
 // Repartition computes a balanced partition of g starting from the current
-// assignment old, minimizing Equation 1. old is not modified.
+// assignment old, minimizing Equation 1. old is not modified. The result is
+// a function of the arguments alone: nothing is kept between calls.
 func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
 	cfg = cfg.withDefaults()
 	if len(old) != g.N() {
 		panic("core: old assignment length mismatch")
 	}
 	scr := new(pnrScratch)
-	parts := append([]int32(nil), old...)
-	best := parts
+	if runsFlat(g, old, p) {
+		parts := append([]int32(nil), old...)
+		refineStep(&scr.kl, g, parts, old, p, cfg)
+		balanceAndPolish(&scr.kl, g, parts, old, p, cfg)
+		return parts
+	}
+	parts := old
+	var best []int32
 	bestCost := 0.0
-	// The multilevel hierarchy exists to make LARGE corrections cheap: when
-	// much weight must cross the machine, coarse-level moves carry whole
-	// clusters. For small corrections it is counterproductive — coarse-level
-	// cut chasing moves clusters the fine level cannot pull back, inflating
-	// migration by an order of magnitude for no cut gain — so refinement
-	// runs flat (no contraction) unless the weight that must leave
-	// overloaded parts (the excess) is a substantial fraction of the total.
-	flat := func() bool {
-		w := partition.PartWeights(g, old, p)
-		total := g.TotalVW()
-		avg := total / int64(p)
-		var excess int64
-		for _, x := range w {
-			if x > avg {
-				excess += x - avg
-			}
-		}
-		return excess*100 <= total*15
-	}()
-	cycles := cfg.Cycles
-	if flat {
-		cycles = 1 // without contraction the cycles would be identical
-	}
-	var curs []*hierCursor
-	if h := cfg.Hierarchy; h != nil && !cfg.UnrestrictedMatching {
-		if flat {
-			// Flat calls build no hierarchy; the cache (and its drift
-			// reference) carries over untouched to the next restructure.
-			h.Stats.Calls++
-			h.Stats.FlatCalls++
-		} else {
-			curs = h.prepare(g, p, cfg, cycles)
-		}
-	}
-	for cycle := 0; cycle < cycles; cycle++ {
+	for cycle := 0; cycle < cfg.Cycles; cycle++ {
 		cyc := cfg
 		cyc.Seed = cfg.Seed + int64(cycle)*65537
-		if flat {
-			cyc.CoarsenTo = g.N() + 1
-		}
-		var cur *hierCursor
-		if curs != nil {
-			cur = curs[cycle]
-		}
-		parts = repartitionML(scr, g, parts, old, p, cyc, 0, cur)
-		// Safety net: if the soft balance term left residual imbalance,
-		// apply forced boundary moves until within ε. Runs replicated (and
-		// byte-identically) on every rank under DistRefine: it is
-		// deterministic local arithmetic on replicated state.
-		forceBalance(&scr.kl, g, parts, old, p, cyc)
-		// Cut polish under a hard balance constraint (see polishKL).
-		polishStep(&scr.kl, g, parts, old, p, cyc)
+		parts = repartitionML(scr, g, parts, old, p, cyc, 0)
+		balanceAndPolish(&scr.kl, g, parts, old, p, cyc)
 		cost := Cost(g, old, parts, p, cfg.Alpha, cfg.Beta)
 		if cycle == 0 || cost < bestCost {
-			best = append([]int32(nil), parts...)
+			best = append(best[:0], parts...)
 			bestCost = cost
 		}
 	}
-	if !flat && cfg.DistRefine == nil {
+	if cfg.DistRefine == nil {
 		// Large restructure: most of the mesh moves regardless, so a fresh
 		// multilevel partition relabeled to minimize migration (scratch-
 		// remap) can beat incremental refinement — its cut is unconstrained
@@ -234,14 +174,9 @@ func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
 		// pipeline accepts the V-cycle's incremental best instead; the
 		// imbalance bound still holds (forceBalance + the hard-balance
 		// polish run every cycle).
-		init := cfg.Initial
-		if init.Seed == 0 {
-			init.Seed = cfg.Seed
-		}
-		scratch := mlkl.Partition(g, p, init)
+		scratch := mlkl.Partition(g, p, mlkl.Config{Seed: cfg.Seed})
 		scratch = partition.MinMigrationRelabel(g.VW, old, scratch, p)
-		forceBalance(&scr.kl, g, scratch, old, p, cfg)
-		polishStep(&scr.kl, g, scratch, old, p, cfg)
+		balanceAndPolish(&scr.kl, g, scratch, old, p, cfg)
 		cutMig := func(parts []int32) float64 {
 			return float64(partition.EdgeCut(g, parts)) +
 				cfg.Alpha*float64(partition.MigrationCost(g.VW, old, parts))
@@ -253,15 +188,45 @@ func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
 	return best
 }
 
+// runsFlat chooses Repartition's path. The multilevel hierarchy exists to
+// make LARGE corrections cheap: when much weight must cross the machine,
+// coarse-level moves carry whole clusters. For small corrections it is
+// counterproductive — coarse-level cut chasing moves clusters the fine level
+// cannot pull back, inflating migration by an order of magnitude for no cut
+// gain — so refinement runs flat (no contraction, and one cycle: without a
+// matching to vary the cycles would be identical) unless the weight that must
+// leave overloaded parts (the excess) is a substantial fraction of the total.
+func runsFlat(g *graph.Graph, old []int32, p int) bool {
+	total := g.TotalVW()
+	avg := total / int64(p)
+	var excess int64
+	for _, x := range partition.PartWeights(g, old, p) {
+		if x > avg {
+			excess += x - avg
+		}
+	}
+	return excess*100 <= total*15
+}
+
+// balanceAndPolish finishes a candidate assignment. The safety net first: if
+// the soft balance term left residual imbalance, forced boundary moves bring
+// it within ε (replicated, and byte-identical, on every rank under
+// DistRefine: it is deterministic local arithmetic on replicated state).
+// Then the cut polish under a hard balance constraint (see polishKL).
+func balanceAndPolish(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
+	forceBalance(s, g, parts, orig, p, cfg)
+	polishStep(s, g, parts, orig, p, cfg)
+}
+
 // repartitionML is the multilevel recursion: contract (matching restricted to
 // vertices sharing both the current assignment and the migration origin),
 // recurse, project, refine. The coarsest graph keeps its inherited
 // assignment — PNR's modification (a) — so data placement is preserved by
 // construction and only the KL refinement moves anything. start is the
-// assignment being improved; orig is the fixed data location that migration
-// is charged against.
-func repartitionML(scr *pnrScratch, g *graph.Graph, start, orig []int32, p int, cfg Config, depth int, cur *hierCursor) []int32 {
-	stop := cfg.CoarsenTo
+// assignment being improved (not modified); orig is the fixed data location
+// that migration is charged against.
+func repartitionML(scr *pnrScratch, g *graph.Graph, start, orig []int32, p int, cfg Config, depth int) []int32 {
+	stop := coarsenTo
 	if 4*p > stop {
 		stop = 4 * p
 	}
@@ -277,40 +242,33 @@ func repartitionML(scr *pnrScratch, g *graph.Graph, start, orig []int32, p int, 
 	if capW < 2 {
 		capW = 2
 	}
-	// A valid cached level replaces matching + contraction with a linear
-	// weight re-aggregation; otherwise match afresh and record the level.
-	cg, f2c := cur.next(g, start, orig, capW)
-	if cg == nil {
-		allow := func(u, v int32) bool {
-			return start[u] == start[v] && orig[u] == orig[v] && g.VW[u]+g.VW[v] <= capW
-		}
-		if cfg.UnrestrictedMatching {
-			allow = func(u, v int32) bool { return g.VW[u]+g.VW[v] <= capW }
-		}
-		var match []int32
-		if ex := cfg.DistRefine; ex != nil && ex.Size() > 1 {
-			// The matching is deterministic serial work on replicated state:
-			// every rank would compute the identical array, multiplying the
-			// cost by the rank count for nothing. Rank 0 computes, everyone
-			// receives; ContractInto only reads the slice, so aliasing the
-			// root's buffer across ranks is safe. All ranks reach this branch
-			// in lockstep (the cursor cache and the 19/20 bail below are
-			// deterministic functions of replicated state), so the broadcast
-			// is collective-safe.
-			if ex.Rank() == 0 {
-				match = graph.HeavyEdgeMatching(g, cfg.Seed+int64(depth), allow)
-			}
-			match = ex.BcastInt32(0, match)
-		} else {
+	allow := func(u, v int32) bool {
+		return start[u] == start[v] && orig[u] == orig[v] && g.VW[u]+g.VW[v] <= capW
+	}
+	if cfg.UnrestrictedMatching {
+		allow = func(u, v int32) bool { return g.VW[u]+g.VW[v] <= capW }
+	}
+	var match []int32
+	if ex := cfg.DistRefine; ex != nil && ex.Size() > 1 {
+		// The matching is deterministic serial work on replicated state:
+		// every rank would compute the identical array, multiplying the
+		// cost by the rank count for nothing. Rank 0 computes, everyone
+		// receives; ContractInto only reads the slice, so aliasing the
+		// root's buffer across ranks is safe. All ranks reach this branch
+		// in lockstep (the 19/20 bail below is a deterministic function of
+		// replicated state), so the broadcast is collective-safe.
+		if ex.Rank() == 0 {
 			match = graph.HeavyEdgeMatching(g, cfg.Seed+int64(depth), allow)
 		}
-		cg, f2c = graph.ContractInto(g, match, &scr.contract)
-		if cg.N() >= g.N()*19/20 {
-			parts := append([]int32(nil), start...)
-			refineStep(&scr.kl, g, parts, orig, p, cfg)
-			return parts
-		}
-		cur.record(g, cg, f2c)
+		match = ex.BcastInt32(0, match)
+	} else {
+		match = graph.HeavyEdgeMatching(g, cfg.Seed+int64(depth), allow)
+	}
+	cg, f2c := graph.ContractInto(g, match, &scr.contract)
+	if cg.N() >= g.N()*19/20 {
+		parts := append([]int32(nil), start...)
+		refineStep(&scr.kl, g, parts, orig, p, cfg)
+		return parts
 	}
 	cstart := make([]int32, cg.N())
 	corig := make([]int32, cg.N())
@@ -333,7 +291,7 @@ func repartitionML(scr *pnrScratch, g *graph.Graph, start, orig []int32, p int, 
 			corig[c] = orig[v]
 		}
 	}
-	cparts := repartitionML(scr, cg, cstart, corig, p, cfg, depth+1, cur)
+	cparts := repartitionML(scr, cg, cstart, corig, p, cfg, depth+1)
 	parts := make([]int32, g.N())
 	for v := range parts {
 		parts[v] = cparts[f2c[v]]

@@ -40,23 +40,24 @@ func TestPropertyRepartitionAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestPropertyZeroAlphaBetaReducesToCutRefinement: with α = β ≈ 0 the
-// refinement must never increase the cut relative to the start.
+// TestPropertyCutNeverWorseWithPureCutGain: with α = β ≈ 0 the KL refinement
+// must never increase the cut relative to the start.
 func TestPropertyCutNeverWorseWithPureCutGain(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.FromDual(meshgen.RectTri(10, 10, 0, 0, 1, 1))
 		p := 2 + rng.Intn(4)
-		// A balanced-ish start; Eps = 10 disarms the forced-balance and
-		// hard-limit phases so the property isolates the KL refinement,
-		// which must be cut-monotone when the gain is pure cut.
+		// A balanced-ish start, refined by refineKL alone: Repartition would
+		// follow it with the forced-balance and hard-limit phases, and the
+		// property is about the KL refinement, which must be cut-monotone
+		// when the gain is pure cut.
 		old := make([]int32, g.N())
 		for v := range old {
 			old[v] = int32(v * p / g.N())
 		}
-		cfg := Config{Alpha: 1e-12, Beta: 1e-12, Eps: 10, Seed: seed}
-		newp := Repartition(g, old, p, cfg)
-		return partition.EdgeCut(g, newp) <= partition.EdgeCut(g, old)
+		parts := append([]int32(nil), old...)
+		refineKL(nil, g, parts, old, p, Config{Alpha: 1e-12, Beta: 1e-12})
+		return partition.EdgeCut(g, parts) <= partition.EdgeCut(g, old)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)

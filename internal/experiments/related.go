@@ -74,7 +74,7 @@ func DiffusionComparison(w io.Writer, scale Scale) {
 			base = core.Repartition(step.Prev.G, base, p, core.Config{})
 
 			pnr := core.Repartition(step.Next.G, base, p, core.Config{})
-			dif := diffusion.Repartition(step.Next.G, base, p, diffusion.Config{})
+			dif := diffusion.Repartition(step.Next.G, base, p)
 			t.AddRow(p, step.Next.Leaf.Mesh.NumElems(),
 				partition.MigrationCost(step.Next.G.VW, base, pnr),
 				partition.EdgeCut(step.Next.G, pnr),
@@ -109,7 +109,7 @@ func DiffusionComparison(w io.Writer, scale Scale) {
 				np := core.Repartition(s.G, ownerP, p, core.Config{})
 				cumP += partition.MigrationCost(s.G.VW, ownerP, np)
 				ownerP = np
-				nd := diffusion.Repartition(s.G, ownerD, p, diffusion.Config{})
+				nd := diffusion.Repartition(s.G, ownerD, p)
 				cumD += partition.MigrationCost(s.G.VW, ownerD, nd)
 				ownerD = nd
 				finalElems = s.Leaf.Mesh.NumElems()

@@ -13,12 +13,11 @@ import (
 // the collective repartition) must reproduce the coordinator strategy
 // running the identical sweep serially on rank 0 through the single-rank
 // core.Serial exchanger — same owner maps, cuts and migration counts every
-// epoch. And with the hierarchy rebuilt every call it must land on the
-// from-scratch reference running that serial sweep, the same oracle the
-// incremental pipeline answers to.
+// epoch. And it must land on the from-scratch reference running that serial
+// sweep, the same oracle the incremental pipeline answers to.
 func TestEngineDistRefineMatchesCoordinator(t *testing.T) {
 	const p = 4
-	pnr := core.Config{DistRefine: core.Serial, Hierarchy: core.NewHierarchy()}
+	pnr := core.Config{DistRefine: core.Serial}
 	coordinator := Config{Repartition: func(g *graph.Graph, old []int32, np int) []int32 {
 		return core.Repartition(g, old, np, pnr)
 	}}
@@ -43,6 +42,5 @@ func TestEngineDistRefineMatchesCoordinator(t *testing.T) {
 		t.Fatal("no epoch actually rebalanced; the comparison proved nothing")
 	}
 
-	runChainOracle(t, p, Config{DistRefine: true, PNR: core.Config{RematchEvery: 1}},
-		&core.Config{DistRefine: core.Serial})
+	runChainOracle(t, p, Config{DistRefine: true}, &core.Config{DistRefine: core.Serial})
 }

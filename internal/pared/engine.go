@@ -55,9 +55,7 @@ type Config struct {
 	// exceeds this fraction (default 0.05). Rebalance can also be forced.
 	ImbalanceTrigger float64
 	// PNR tunes the default core.Repartition repartitioner; ignored when
-	// Repartition is set. Unless a Hierarchy is supplied, a persistent
-	// multilevel cache is installed so epochs under small weight drift reuse
-	// contraction hierarchies (see core.Hierarchy).
+	// Repartition is set.
 	PNR core.Config
 	// DistRefine distributes the P3 refinement sweep across all ranks
 	// (core.Config.DistRefine over this engine's communicator): instead of
@@ -89,12 +87,6 @@ func (c Config) withDefaults(comm *par.Comm) (Config, error) {
 	c.strategy = modeStrategies[c.Mode]
 	if c.Repartition == nil {
 		pnr := c.PNR
-		if pnr.Hierarchy == nil {
-			// Under DistRefine every rank runs Repartition on byte-identical
-			// inputs, so the per-rank caches evolve identically and stay in
-			// lockstep without any exchange.
-			pnr.Hierarchy = core.NewHierarchy()
-		}
 		if c.DistRefine && c.Mode == ModePNR {
 			pnr.DistRefine = comm
 			c.strategy = &replicatedStrategy
@@ -284,6 +276,11 @@ type PhaseDurations struct {
 func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 	if len(owner) != coarseMesh.NumElems() {
 		panic("pared: owner length must equal coarse element count")
+	}
+	for i, r := range owner { // a tree no rank owns would be a hole in the mesh
+		if r < 0 || int(r) >= c.Size() {
+			panic(fmt.Sprintf("pared: owner[%d] = %d, outside [0, %d)", i, r, c.Size()))
+		}
 	}
 	e := &Engine{
 		Comm:    c,
@@ -502,7 +499,9 @@ type RebalanceStats struct {
 	Ran bool
 	// MovedTrees and MovedElements count migrated trees and their leaves.
 	MovedTrees, MovedElements int64
-	// CutBefore and CutAfter are weighted coarse-graph cut sizes.
+	// CutBefore and CutAfter are coarse-graph cuts in the unit of the strategy
+	// that ran: leaf pairs across the cut (G's edge weights), but under ModeSFC
+	// coarse facets (unit weights). The two do not compare.
 	CutBefore, CutAfter int64
 	// InterCut and IntraCut decompose CutAfter in ModeHier: weight of edges
 	// joining different node groups vs. different cores within one group.

@@ -124,3 +124,21 @@ func TestTraceEmitsPhases(t *testing.T) {
 		t.Errorf("missing trace phases: P0=%v P1=%v P3=%v in %d lines", p0, p1, p3, len(lines))
 	}
 }
+
+// TestNewRejectsOwnerOutsideRanks: an owner entry that names no rank would
+// leave its tree interned nowhere — a mesh with holes, noticed only by the
+// first rebalance that writes weight records and never under ModeSFC. Every
+// rank must refuse the map alike, so par.Run returns the message instead of
+// hanging on the ranks that did not.
+func TestNewRejectsOwnerOutsideRanks(t *testing.T) {
+	m := meshgen.RectTri(4, 4, -1, -1, 1, 1)
+	owner := make([]int32, m.NumElems())
+	for i := range owner {
+		owner[i] = int32(i % 2)
+	}
+	owner[5], owner[6] = 7, -1
+	err := par.Run(2, func(c *par.Comm) { New(c, m, owner) })
+	if want := "pared: owner[5] = 7, outside [0, 2)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("par.Run returned %v, want %q", err, want)
+	}
+}

@@ -50,8 +50,11 @@ type Topology struct {
 }
 
 // Resolve fills the zero fields of the topology for p ranks and fails when
-// the result does not factor p.
+// the result does not factor p or the penalty is negative.
 func (t Topology) Resolve(p int) (Topology, error) {
+	if t.InterNodePenalty < 0 {
+		return t, fmt.Errorf("pared: inter-node penalty %g is negative", t.InterNodePenalty)
+	}
 	if t.Nodes == 0 && t.CoresPerNode == 0 {
 		t.Nodes = balancedNodes(p)
 		t.CoresPerNode = p / t.Nodes
@@ -95,7 +98,6 @@ type hierState struct {
 	// are shared with gCache; only the edge weights are rescaled per epoch.
 	ewA    []int64
 	gA     *graph.Graph
-	hierA  *core.Hierarchy
 	oldA   []int32 // current node of each vertex's owner
 	assign []int32 // phase A result: node group per vertex
 
@@ -134,7 +136,6 @@ func (e *Engine) ensureHier() *hierState {
 		cores:   t.CoresPerNode,
 		penalty: t.InterNodePenalty,
 		myNode:  int32(e.Comm.Rank() / t.CoresPerNode),
-		hierA:   core.NewHierarchy(),
 	}
 	h.node = e.Comm.Split(int64(h.myNode), 0)
 	lcolor := int64(-1)
@@ -237,7 +238,6 @@ func (e *Engine) hierPhaseA(g *graph.Graph) {
 		h.oldA[v] = e.Owner[v] / int32(h.cores)
 	}
 	cfgA := e.cfg.PNR
-	cfgA.Hierarchy = h.hierA
 	cfgA.DistRefine = e.Comm
 	copy(h.assign, core.Repartition(h.gA, h.oldA, h.nodes, cfgA))
 }
@@ -270,7 +270,6 @@ func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
 			h.subOld[i] = e.Owner[v] % int32(h.cores)
 		}
 		cfgB := e.cfg.PNR
-		cfgB.Hierarchy = nil // the induced topology changes with membership
 		cfgB.DistRefine = h.node
 		part := core.Repartition(sub, h.subOld, h.cores, cfgB)
 		for i := range h.verts {

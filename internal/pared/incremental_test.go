@@ -2,7 +2,6 @@ package pared
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -33,10 +32,10 @@ func runChain(t *testing.T, p int, cfg Config) ([]epochRecord, [][4]forest.Verte
 
 // runChainOracle is runChain with the from-scratch reference computed next to
 // every epoch when ref is set: before each Rebalance the forest is gathered
-// on rank 0, G is rebuilt from its leaf mesh (graph.CoarseDual — no deltas,
-// no cached topology) and repartitioned by core.Repartition under *ref, which
-// carries no hierarchy cache. Every epoch that rebalanced must agree with
-// that reference on the owner map and on both cuts; at least one must.
+// on rank 0, G is rebuilt from its leaf mesh (graph.CoarseDual — no weight
+// records, no cached topology) and repartitioned by core.Repartition under
+// *ref. Every epoch that rebalanced must agree with that reference on the
+// owner map and on both cuts; at least one must.
 func runChainOracle(t *testing.T, p int, cfg Config, ref *core.Config) ([]epochRecord, [][4]forest.VertexID) {
 	t.Helper()
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
@@ -122,36 +121,31 @@ func compareChains(t *testing.T, label string, a, b []epochRecord) {
 }
 
 // TestIncrementalMatchesScratchDriftAlways is the equivalence contract of the
-// incremental pipeline: with the hierarchy drift trigger firing on every call
-// (RematchEvery = 1), a 10-epoch adapt/rebalance chain through the delta-
-// report, patched-graph, delta-owner path must land, every single epoch, on
-// the owner map and cut values of the from-scratch reference — G rebuilt
-// from the gathered leaf mesh, repartitioned with no hierarchy to reuse.
+// incremental pipeline under the default configuration: a 10-epoch
+// adapt/rebalance chain through the weight-record, overwritten-G, owner-delta
+// path must land, every single epoch, on the owner map and cut values of the
+// from-scratch reference — G rebuilt from the gathered leaf mesh.
 func TestIncrementalMatchesScratchDriftAlways(t *testing.T) {
-	runChainOracle(t, 4, Config{PNR: core.Config{RematchEvery: 1}}, &core.Config{})
+	runChainOracle(t, 4, Config{}, &core.Config{})
 }
 
-// TestIncrementalDriftNeverDeterministic pins the other end of the drift
-// spectrum: with rebuilds suppressed entirely the pipeline leans fully on
-// cached hierarchies and patched weights, and must still be byte-identical
-// across repeated runs and GOMAXPROCS settings, keep every cross-rank
-// invariant, and reproduce the serial reference mesh.
+// TestIncrementalDriftNeverDeterministic: the default pipeline must be
+// byte-identical across repeated runs and GOMAXPROCS settings, keep every
+// cross-rank invariant, and reproduce the serial reference mesh.
 func TestIncrementalDriftNeverDeterministic(t *testing.T) {
 	const p = 4
-	cfg := Config{PNR: core.Config{RematchEvery: math.MaxInt32, DriftFrac: math.Inf(1)}}
-	base, baseLeaves := runChain(t, p, cfg)
+	base, baseLeaves := runChain(t, p, Config{})
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
-		again, leaves := runChain(t, p, cfg)
+		again, leaves := runChain(t, p, Config{})
 		runtime.GOMAXPROCS(old)
-		compareChains(t, "drift-never rerun", base, again)
+		compareChains(t, "rerun", base, again)
 		if len(leaves) != len(baseLeaves) {
 			t.Fatalf("GOMAXPROCS=%d: leaf count changed", procs)
 		}
 	}
 	// Adaptation is partition-independent, so the distributed mesh must
-	// equal the serial refinement of the same schedule even when every
-	// rebalance ran on cached hierarchies.
+	// equal the serial refinement of the same schedule.
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	want := serialReference(m, cornerEst(geom.Vec3{X: 1, Y: 1}), 0.8, 7, 10)
 	if len(baseLeaves) != len(want) {

@@ -22,34 +22,20 @@ import (
 	"pared/internal/partition"
 )
 
-// Config tunes the repartitioner.
-type Config struct {
-	// Rounds bounds the diffuse-then-migrate iterations (default 8).
-	Rounds int
-	// Eps is the target imbalance (default 0.02).
-	Eps float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Rounds == 0 {
-		c.Rounds = 8
-	}
-	if c.Eps <= 0 {
-		c.Eps = 0.02
-	}
-	return c
-}
+const (
+	rounds = 8    // bound on the diffuse-then-migrate iterations
+	eps    = 0.02 // target imbalance
+)
 
 // Repartition rebalances the assignment old of the weighted graph g into p
 // parts by diffusing load along the processor graph. It returns the new
 // assignment; the cut is kept small by always migrating the boundary vertex
 // with the best cut gain toward the neighbor owed flow.
-func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
-	cfg = cfg.withDefaults()
+func Repartition(g *graph.Graph, old []int32, p int) []int32 {
 	parts := append([]int32(nil), old...)
 	total := g.TotalVW()
 	avg := float64(total) / float64(p)
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		w := partition.PartWeights(g, parts, p)
 		worst := 0.0
 		for _, x := range w {
@@ -57,7 +43,7 @@ func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
 				worst = d
 			}
 		}
-		if worst <= cfg.Eps*avg {
+		if worst <= eps*avg {
 			break
 		}
 		flow := hoBlakeFlow(g, parts, p, w, avg)

@@ -26,7 +26,7 @@ func scenario(n, p int, boost int64) (*graph.Graph, []int32) {
 func TestDiffusionRebalances(t *testing.T) {
 	for _, p := range []int{4, 8} {
 		g, old := scenario(16, p, 4)
-		newp := Repartition(g, old, p, Config{})
+		newp := Repartition(g, old, p)
 		if err := partition.Check(newp, p); err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestDiffusionMovesAlongBoundaries(t *testing.T) {
 	// at some point; at minimum, the result keeps parts connected enough
 	// that the cut stays sane (not a random scatter).
 	g, old := scenario(16, 4, 4)
-	newp := Repartition(g, old, 4, Config{})
+	newp := Repartition(g, old, 4)
 	cut := partition.EdgeCut(g, newp)
 	scratch := mlkl.Partition(g, 4, mlkl.Config{Seed: 9})
 	if cut > 4*partition.EdgeCut(g, scratch) {
@@ -55,7 +55,7 @@ func TestDiffusionNoopWhenBalanced(t *testing.T) {
 	m := meshgen.RectTri(12, 12, 0, 0, 1, 1)
 	g := graph.FromDual(m)
 	old := mlkl.Partition(g, 4, mlkl.Config{Seed: 3})
-	newp := Repartition(g, old, 4, Config{})
+	newp := Repartition(g, old, 4)
 	if mig := partition.MigrationCost(g.VW, old, newp); mig > g.TotalVW()/50 {
 		t.Errorf("balanced start migrated %d", mig)
 	}

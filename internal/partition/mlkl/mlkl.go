@@ -15,26 +15,17 @@ import (
 type Config struct {
 	// Seed drives matching and growth randomization (default 1).
 	Seed int64
-	// CoarsenTo stops contraction when the graph is this small (default 64).
-	CoarsenTo int
-	// FMPasses bounds refinement passes per level (default 6).
-	FMPasses int
-	// Eps is the allowed imbalance fraction per bisection (default 0.02).
-	Eps float64
 }
+
+const (
+	coarsenTo = 64   // contraction stops when the graph is this small
+	fmPasses  = 6    // refinement passes per level
+	eps       = 0.02 // allowed imbalance fraction per bisection
+)
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.CoarsenTo == 0 {
-		c.CoarsenTo = 64
-	}
-	if c.FMPasses == 0 {
-		c.FMPasses = 6
-	}
-	if c.Eps <= 0 {
-		c.Eps = 0.02
 	}
 	return c
 }
@@ -59,10 +50,10 @@ func Bisect(g *graph.Graph, targets [2]int64, cfg Config, salt int64) []int32 {
 }
 
 func bisect(scratch *graph.ContractScratch, g *graph.Graph, targets [2]int64, cfg Config, salt int64) []int32 {
-	tolW := tol(g, targets, cfg.Eps)
-	if g.N() <= cfg.CoarsenTo {
+	tolW := tol(g, targets)
+	if g.N() <= coarsenTo {
 		parts := partition.GrowBisection(g, targets[0], cfg.Seed+salt)
-		partition.FM2Refine(g, parts, targets, tolW, cfg.FMPasses*2)
+		partition.FM2Refine(g, parts, targets, tolW, fmPasses*2)
 		return parts
 	}
 	match := graph.HeavyEdgeMatching(g, cfg.Seed+salt, nil)
@@ -78,13 +69,13 @@ func bisect(scratch *graph.ContractScratch, g *graph.Graph, targets [2]int64, cf
 			parts[v] = cparts[f2c[v]]
 		}
 	}
-	partition.FM2Refine(g, parts, targets, tolW, cfg.FMPasses)
+	partition.FM2Refine(g, parts, targets, tolW, fmPasses)
 	return parts
 }
 
 // tol converts the relative imbalance allowance into an absolute weight
 // deviation, never below the largest vertex weight (which is unavoidable).
-func tol(g *graph.Graph, targets [2]int64, eps float64) int64 {
+func tol(g *graph.Graph, targets [2]int64) int64 {
 	t := int64(eps * float64(targets[0]+targets[1]) / 2)
 	var maxVW int64 = 1
 	for _, w := range g.VW {

@@ -26,14 +26,10 @@ type Config struct {
 	// SmoothSteps is the number of damped-Jacobi refinement sweeps applied to
 	// the interpolated Fiedler vector per level (default 12).
 	SmoothSteps int
-	// LanczosTol is the eigenpair residual tolerance (default 1e-6).
-	LanczosTol float64
-	// RefineFM, if true, polishes each spectral split with FM passes (Chaco's
-	// RSB/KL option). The paper's baseline is plain RSB, so default false.
-	RefineFM bool
-	// Eps is the allowed imbalance fraction when RefineFM is set (default 0.02).
-	Eps float64
 }
+
+// lanczosTol is the eigenpair residual tolerance.
+const lanczosTol = 1e-6
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -44,12 +40,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SmoothSteps == 0 {
 		c.SmoothSteps = 12
-	}
-	if c.LanczosTol <= 0 {
-		c.LanczosTol = 1e-6
-	}
-	if c.Eps <= 0 {
-		c.Eps = 0.02
 	}
 	return c
 }
@@ -65,13 +55,7 @@ func Partition(g *graph.Graph, p int, cfg Config) []int32 {
 // Bisect splits g in two at the weighted median of its Fiedler vector.
 func Bisect(g *graph.Graph, targets [2]int64, cfg Config, salt int64) []int32 {
 	cfg = cfg.withDefaults()
-	x := FiedlerVector(g, cfg, salt)
-	parts := medianSplit(g, x, targets[0])
-	if cfg.RefineFM {
-		tolW := int64(cfg.Eps * float64(targets[0]+targets[1]) / 2)
-		partition.FM2Refine(g, parts, targets, tolW, 4)
-	}
-	return parts
+	return medianSplit(g, FiedlerVector(g, cfg, salt), targets[0])
 }
 
 // FiedlerVector computes (an approximation of) the Fiedler vector of g,
@@ -79,12 +63,12 @@ func Bisect(g *graph.Graph, targets [2]int64, cfg Config, salt int64) []int32 {
 func FiedlerVector(g *graph.Graph, cfg Config, salt int64) []float64 {
 	cfg = cfg.withDefaults()
 	if g.N() <= cfg.CoarsenTo {
-		return la.Fiedler(g.Laplacian(), cfg.LanczosTol, 400, cfg.Seed+salt)
+		return la.Fiedler(g.Laplacian(), lanczosTol, 400, cfg.Seed+salt)
 	}
 	match := graph.HeavyEdgeMatching(g, cfg.Seed+salt, nil)
 	cg, f2c := graph.Contract(g, match)
 	if cg.N() >= g.N()*19/20 {
-		return la.Fiedler(g.Laplacian(), cfg.LanczosTol, 400, cfg.Seed+salt)
+		return la.Fiedler(g.Laplacian(), lanczosTol, 400, cfg.Seed+salt)
 	}
 	cx := FiedlerVector(cg, cfg, salt+1)
 	x := make([]float64, g.N())
