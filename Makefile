@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint assert fuzz-smoke bench bench-counts bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
+.PHONY: all build test race lint assert fuzz-smoke bench bench-counts bench-ab bench-alloc-baseline bench-alloc-guard cover reproduce full-assert clean
 
 all: build lint test
 
@@ -29,8 +29,8 @@ lint:
 	$(GO) run ./cmd/paredlint ./...
 
 # Run the test suite with the runtime invariant layer compiled in (mesh
-# conformity, weight bookkeeping, gain-table brute-force cross-checks,
-# collective-ordering detection — see internal/check).
+# conformity, weight bookkeeping, every KL move selection against a
+# brute-force rescan, collective-ordering detection — see internal/check).
 assert:
 	$(GO) test -tags paredassert ./...
 
@@ -60,6 +60,17 @@ bench-counts:
 	jq '$(COUNTS)' bench/BASELINE.json > /tmp/pared-counts-want.json
 	jq '$(COUNTS)' /tmp/pared-bench.json > /tmp/pared-counts-got.json
 	diff /tmp/pared-counts-want.json /tmp/pared-counts-got.json
+
+# The A/B protocol of a performance claim (cmd/benchab): BASE exported into
+# .bench_build/ab-base/, PAIRS alternating runs of the unmodified
+# BENCHMARK.json command on it and on the working tree, one table of medians
+# with quartiles per end-to-end metric.
+#   make bench-ab BASE=HEAD~1 W=transient2d_pnr [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+
+bench-ab:
+	$(GO) run ./cmd/benchab -base $(BASE) -workload $(W) -pairs $(PAIRS) -seed $(SEED)
 
 # Allocation budget of the hot-path packages. BENCH_allocs.json pins
 # allocs/op for every benchmark of

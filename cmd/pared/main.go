@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	problem := fs.String("problem", "corner", "corner|transient")
 	algo := fs.String("algo", "pnr", "repartitioner: "+strings.Join(pared.AlgorithmNames(), "|")+" (sfc is coordinator-free, distrefine rank-splits the PNR refinement sweeps, hier partitions two-level over -topo)")
 	topo := fs.String("topo", "", "hier topology as NxC (nodes x cores per node, N*C = -p); empty picks the most balanced factorization")
-	penalty := fs.Float64("penalty", 0, "hier inter-node edge penalty (0 = default 4)")
+	penalty := fs.Float64("penalty", 0, "hier inter-node edge penalty, at least 1 (0 = default 4)")
 	grid := fs.Int("grid", 20, "initial mesh resolution")
 	steps := fs.Int("steps", 6, "adaptation steps")
 	tol := fs.Float64("tol", 5e-3, "refinement tolerance")

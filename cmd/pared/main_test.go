@@ -20,6 +20,7 @@ func TestInputsCheckedBeforeRanksStart(t *testing.T) {
 		{[]string{"-algo", "metis"}, `unknown algorithm "metis"`},
 		{[]string{"-p", "4", "-algo", "hier", "-topo", "3x2"}, "does not factor 4 ranks"},
 		{[]string{"-p", "4", "-algo", "hier", "-penalty", "-3"}, "inter-node penalty -3 is negative"},
+		{[]string{"-p", "4", "-algo", "hier", "-penalty", "0.3"}, "inter-node penalty 0.3 is below 1"},
 	}
 	for _, tc := range bad {
 		var out, errOut bytes.Buffer

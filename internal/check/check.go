@@ -2,7 +2,7 @@
 // tag. The paper's pipeline rests on properties that unit tests probe only
 // at their boundaries: meshes stay conformal through refine/coarsen, the
 // partitioners' incremental weight bookkeeping matches the ground truth, the
-// gain table's lazy refresh selects the true argmax, and every rank enters
+// KL move cache selects what a full rescan would, and every rank enters
 // collectives in the same order. `go test -tags paredassert ./...` turns all
 // of them into executable assertions at every call site; without the tag the
 // guards compile away (see Enabled).

@@ -1,46 +1,73 @@
 package core
 
-import "pared/internal/check"
+import (
+	"math"
 
-// assertSelectionFresh cross-checks a selectBest answer against brute force:
-// part weights are recomputed from scratch and the chosen move's gain is
-// re-derived by a direct neighbor scan, using the same floating-point
-// expression as gainTable.gain so agreement is exact (the external-weight
-// and weight terms are integers; the float combination is identical). A
-// mismatch means a stale queue entry survived refreshTop or the incremental
-// weight bookkeeping drifted. Call sites guard with check.Enabled.
-func (t *gainTable) assertSelectionFresh(v, to int32, gain float64) {
-	check.Assertf(v >= 0 && int(v) < t.g.N(), "core.gainTable: selected vertex %d out of range", v)
-	check.Assertf(!t.locked[v], "core.gainTable: selected locked vertex %d", v)
-	i := t.parts[v]
-	check.Assertf(i != to, "core.gainTable: selected no-op move of vertex %d within part %d", v, i)
-	freshW := make([]int64, t.p)
-	for u := 0; u < t.g.N(); u++ {
-		freshW[t.parts[u]] += t.g.VW[u]
+	"pared/internal/check"
+)
+
+// assertSelection cross-checks one pick against brute force: the boundary
+// scan the move cache replaced, run from scratch over every vertex not moved
+// this pass, on part weights recomputed from parts, with its own copy of the
+// gain expression. The cached selection must be that scan's: same vertex,
+// same target, same gain bits. A mismatch means a slot survived a move that
+// changed its inputs, a boundary vertex was never listed, the incremental
+// weight bookkeeping drifted, or the tie-break changed. Call sites guard with
+// check.Enabled.
+func (r *klRun) assertSelection(x int) {
+	g, parts, n, p := r.g, r.parts, len(r.g.VW), len(r.partW)
+	freshW := make([]int64, p)
+	for u := 0; u < n; u++ {
+		freshW[parts[u]] += g.VW[u]
 	}
-	var extI, extJ int64
-	adjacent := false
-	t.g.Neighbors(v, func(u int32, w int64) {
-		switch t.parts[u] {
-		case i:
-			extI += w
-		case to:
-			extJ += w
-			adjacent = true
+	locked := make([]bool, n)
+	for _, m := range r.s.moves {
+		locked[m.v] = true
+	}
+	var selV, selTo int32 = -1, -1
+	selGain := 0.0
+	extW := make([]int64, p)
+	var touched []int32
+	for v := int32(0); v < int32(n); v++ {
+		if locked[v] {
+			continue
 		}
-	})
-	check.Assertf(adjacent, "core.gainTable: selected move %d: %d->%d without an edge into the target part", v, i, to)
-	wv := t.g.VW[v]
-	gc := float64(extJ - extI)
-	gm := 0.0
-	if i == t.orig[v] {
-		gm -= t.cfg.Alpha * float64(wv)
+		i := parts[v]
+		touched = touched[:0]
+		g.Neighbors(v, func(u int32, w int64) {
+			if extW[parts[u]] == 0 {
+				touched = append(touched, parts[u])
+			}
+			extW[parts[u]] += w
+		})
+		wv := g.VW[v]
+		for _, j := range touched {
+			if j == i || (r.hardBalance && freshW[j]+wv > r.limit) {
+				continue
+			}
+			gm := 0.0
+			if i == r.orig[v] {
+				gm -= r.cfg.Alpha * float64(wv)
+			}
+			if j == r.orig[v] {
+				gm += r.cfg.Alpha * float64(wv)
+			}
+			gain := float64(extW[j]-extW[i]) + gm
+			if !r.hardBalance {
+				gain += 2 * r.cfg.Beta * float64(wv) * float64(freshW[i]-freshW[j]-wv)
+			}
+			if selV < 0 || gain > selGain || (gain >= selGain && v < selV) {
+				selV, selTo, selGain = v, j, gain
+			}
+		}
+		for _, j := range touched {
+			extW[j] = 0
+		}
 	}
-	if to == t.orig[v] {
-		gm += t.cfg.Alpha * float64(wv)
+	got := klSlot{v: -1, to: -1}
+	if x >= 0 {
+		got = r.s.slots[x]
 	}
-	gb := 2 * t.cfg.Beta * float64(wv) * float64(freshW[i]-freshW[to]-wv)
-	fresh := gc + gm + gb
-	//paredlint:allow floateq -- exact identity: both sides evaluate the same expression on the same integer inputs
-	check.Assertf(fresh == gain, "core.gainTable: move %d: %d->%d carries gain %v, brute force recomputes %v", v, i, to, gain, fresh)
+	check.Assertf(got.v == selV && got.to == selTo && (selV < 0 || math.Float64bits(got.gain) == math.Float64bits(selGain)),
+		"core.runKL: cache selects %d->%d (gain %v), brute force rescans %d->%d (gain %v)", got.v, got.to, got.gain, selV, selTo, selGain)
 }

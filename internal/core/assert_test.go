@@ -9,24 +9,8 @@ import (
 	"pared/internal/graph"
 )
 
-// These tests corrupt the gain table deliberately and require the
+// These tests corrupt runKL's move cache deliberately and require the
 // paredassert layer to catch it; they compile only under the tag.
-
-func gridGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n * n)
-	id := func(r, c int) int32 { return int32(r*n + c) }
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			if c+1 < n {
-				b.AddEdge(id(r, c), id(r, c+1), 1)
-			}
-			if r+1 < n {
-				b.AddEdge(id(r, c), id(r+1, c), 1)
-			}
-		}
-	}
-	return b.Build()
-}
 
 func expectAssert(t *testing.T, substr string, f func()) {
 	t.Helper()
@@ -54,61 +38,61 @@ func halfSplit(n int) []int32 {
 	return parts
 }
 
-// TestGainTableSelectionPassesBruteForce runs the assertion on an untampered
-// table: every selection must agree with the from-scratch recomputation.
-func TestGainTableSelectionPassesBruteForce(t *testing.T) {
+// newKLRun is runKL's set-up up to the first pass: part weights, the
+// scratch buffers and a freshly scored boundary list.
+func newKLRun(g *graph.Graph, parts, orig []int32, p int) *klRun {
+	s := &klScratch{listed: make([]bool, g.N()), extW: make([]int64, p)}
+	r := &klRun{s: s, g: g, parts: parts, orig: orig, partW: make([]int64, p), cfg: Config{}.withDefaults()}
+	for v, w := range g.VW {
+		r.partW[parts[v]] += w
+	}
+	r.list()
+	return r
+}
+
+// TestKLSelectionPassesBruteForce runs the assertion on an untampered cache:
+// this file only builds with check.Enabled == true, so every pick of these
+// runKL calls — soft, hard, ties everywhere — is compared with the full
+// rescan, and every move with PartitionWeights.
+func TestKLSelectionPassesBruteForce(t *testing.T) {
 	g := gridGraph(6)
 	parts := halfSplit(g.N())
 	orig := append([]int32(nil), parts...)
-	cfg := Config{UseGainTable: true}.withDefaults()
-	// refineKLTable hits assertSelectionFresh and PartitionWeights on every
-	// move because this file only builds with check.Enabled == true.
-	refineKLTable(g, parts, orig, 2, cfg)
+	cfg := Config{}.withDefaults()
+	runKL(nil, g, parts, orig, 2, cfg, false)
+	runKL(nil, g, parts, orig, 2, cfg, true)
 }
 
-// TestGainTableCorruptedEntryTrips plants a wrong gain in a queue top and
-// verifies the brute-force cross-check rejects the resulting selection.
-func TestGainTableCorruptedEntryTrips(t *testing.T) {
+// TestKLCorruptedCacheTrips plants a wrong gain in a cached slot no move has
+// invalidated and verifies the brute-force rescan rejects the selection.
+func TestKLCorruptedCacheTrips(t *testing.T) {
 	g := gridGraph(4)
 	parts := halfSplit(g.N())
-	orig := append([]int32(nil), parts...)
-	cfg := Config{UseGainTable: true}.withDefaults()
-	tab := newGainTable(g, parts, orig, 2, cfg)
-	corrupted := false
-	for i := range tab.queues {
-		if len(tab.queues[i]) > 0 {
-			tab.queues[i][0].gain += 1000 // stale/corrupt cached gain
-			corrupted = true
-			break
-		}
+	r := newKLRun(g, parts, append([]int32(nil), parts...), 2)
+	if len(r.s.slots) == 0 {
+		t.Fatal("no cached moves to corrupt")
 	}
-	if !corrupted {
-		t.Fatal("no queued moves to corrupt")
-	}
-	v, to, gain := tab.selectBest()
-	expectAssert(t, "brute force", func() { tab.assertSelectionFresh(v, to, gain) })
+	r.s.slots[len(r.s.slots)-1].gain += 1000 // stale/corrupt cached gain
+	expectAssert(t, "brute force", func() { r.pick(0) })
 }
 
-// TestGainTableWeightDriftTrips corrupts the incremental part-weight
-// bookkeeping and verifies the brute-force cross-check (which recomputes
-// part weights from scratch) rejects any selection whose balance term was
-// derived from the drifted weights.
-func TestGainTableWeightDriftTrips(t *testing.T) {
+// TestKLWeightDriftTrips corrupts the incremental part-weight bookkeeping and
+// verifies the brute-force rescan (which recomputes part weights from parts)
+// rejects a selection whose balance term was scored from the drifted weights.
+func TestKLWeightDriftTrips(t *testing.T) {
 	g := gridGraph(4)
 	parts := halfSplit(g.N())
-	orig := append([]int32(nil), parts...)
-	cfg := Config{UseGainTable: true}.withDefaults()
-	tab := newGainTable(g, parts, orig, 2, cfg)
-	tab.partW[0] += 7 // simulated drift
-	for i := range tab.epochs {
-		tab.epochs[i]++ // force refreshTop to recompute gains from the drifted weights
-	}
-	v, to, gain := tab.selectBest()
-	if v < 0 {
-		t.Fatal("expected a candidate move")
-	}
-	// The tampered weight feeds the balance term of the refreshed selection,
-	// so the brute-force recomputation (which rebuilds weights from scratch)
-	// must disagree.
-	expectAssert(t, "brute force", func() { tab.assertSelectionFresh(v, to, gain) })
+	r := newKLRun(g, parts, append([]int32(nil), parts...), 2)
+	r.partW[0] += 7              // simulated drift
+	const everyPart = ^uint64(0) // re-score every slot from the drifted weights
+	expectAssert(t, "brute force", func() { r.pick(everyPart) })
+}
+
+// TestRepartitionRejectsZeroEdgeWeight: the positive-edge-weight precondition
+// is checked on entry (a zero-weight edge is what a hier penalty below 1 used
+// to hand phase A).
+func TestRepartitionRejectsZeroEdgeWeight(t *testing.T) {
+	g := gridGraph(4)
+	g.EW[3] = 0
+	expectAssert(t, "not positive", func() { Repartition(g, halfSplit(g.N()), 2, Config{}) })
 }

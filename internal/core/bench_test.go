@@ -2,24 +2,11 @@ package core
 
 import "testing"
 
-// The two refinement engines are the repartitioner's inner loop; their
-// allocs/op are guarded by BENCH_allocs.json (make bench-alloc-guard), so a
-// change that reintroduces per-move heap traffic — like the interface boxing
-// the typed pair queues replaced — fails CI rather than landing silently.
-
-func BenchmarkRefineKLTable(b *testing.B) {
-	p := 8
-	g, old := refinedScenario(24, p, 5)
-	cfg := Config{}.withDefaults()
-	cfg.UseGainTable = true
-	parts := make([]int32, len(old))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(parts, old)
-		refineKLTable(g, parts, old, p, cfg)
-	}
-}
+// runKL is the repartitioner's inner loop; its allocs/op are guarded by
+// BENCH_allocs.json (make bench-alloc-guard), so a change that reintroduces
+// per-selection heap traffic fails CI rather than landing silently. The name
+// predates the move cache: BENCH_allocs.json and cmd/benchguard's fixtures
+// pin it.
 
 func BenchmarkRunKLScan(b *testing.B) {
 	p := 8

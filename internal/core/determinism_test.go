@@ -31,16 +31,12 @@ func samePartition(a, b []int32) bool {
 
 func TestPartitionByteIdenticalAcrossRuns(t *testing.T) {
 	g, _ := dualOfRect(24, 24)
-	for _, cfg := range []Config{
-		{Seed: 7},
-		{Seed: 7, UseGainTable: true},
-	} {
-		first := Partition(g, 8, cfg)
-		for run := 0; run < 3; run++ {
-			again := Partition(g, 8, cfg)
-			if !samePartition(first, again) {
-				t.Fatalf("Partition (gain table %v) differs between identical runs", cfg.UseGainTable)
-			}
+	cfg := Config{Seed: 7}
+	first := Partition(g, 8, cfg)
+	for run := 0; run < 3; run++ {
+		again := Partition(g, 8, cfg)
+		if !samePartition(first, again) {
+			t.Fatal("Partition differs between identical runs")
 		}
 	}
 }
@@ -61,16 +57,12 @@ func TestRepartitionByteIdenticalAcrossRuns(t *testing.T) {
 		})
 	}
 	gw := b.Build()
-	for _, cfg := range []Config{
-		{Seed: 3},
-		{Seed: 3, UseGainTable: true},
-	} {
-		first := Repartition(gw, old, 8, cfg)
-		for run := 0; run < 3; run++ {
-			again := Repartition(gw, old, 8, cfg)
-			if !samePartition(first, again) {
-				t.Fatalf("Repartition (gain table %v) differs between identical runs", cfg.UseGainTable)
-			}
+	cfg := Config{Seed: 3}
+	first := Repartition(gw, old, 8, cfg)
+	for run := 0; run < 3; run++ {
+		again := Repartition(gw, old, 8, cfg)
+		if !samePartition(first, again) {
+			t.Fatal("Repartition differs between identical runs")
 		}
 	}
 }

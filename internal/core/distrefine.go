@@ -182,9 +182,8 @@ func distLess(a, b distMove) bool {
 	return a.to < b.to
 }
 
-// distDown is container/heap's siftDown, monomorphic over distMove (the
-// pairQueue port in gaintable.go, same reasoning: heap.Interface would box
-// every element on the resolution hot loop).
+// distDown is container/heap's siftDown, monomorphic over distMove:
+// heap.Interface would box every element on the resolution hot loop.
 func distDown(h []distMove, i0, n int) {
 	h = h[:n] // pin the heap bound for the index proofs below
 	i := i0
@@ -561,8 +560,7 @@ func distRefineStep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cf
 }
 
 // refineStep runs one soft-balance refinement: the distributed sweep when
-// cfg.DistRefine is set (which also supersedes UseGainTable), the serial KL
-// variants otherwise.
+// cfg.DistRefine is set, the serial KL variants otherwise.
 func refineStep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	if cfg.DistRefine != nil {
 		distRefineStep(s, g, parts, orig, p, cfg, false)

@@ -11,18 +11,29 @@ type klMove struct {
 	from int32
 }
 
+// klSlot caches the best admissible move of one listed boundary vertex.
+type klSlot struct {
+	gain float64 // moveGain of v → to; meaningful when to >= 0
+	deps uint64  // parts the score reads: bit (part & 63) of v's own and every neighbouring part
+	v    int32
+	to   int32 // -1: no admissible move
+}
+
 // klScratch holds the work arrays of runKL and forceBalance so the V-cycle
 // drivers reuse them across levels and cycles instead of reallocating per
-// call. Buffers grow to the largest graph seen. The zero value is ready to
-// use; a nil *klScratch means "allocate per call".
+// call. listed is the only buffer sized by the graph; slots and moves are
+// sized by the boundary. The zero value is ready to use; a nil *klScratch
+// means "allocate per call".
 type klScratch struct {
-	partW      []int64
-	extW       []int64 // edge weight from the scanned vertex to each part
-	locked     []bool
-	inBoundary []bool
-	touched    []int32
-	boundary   []int32
-	moves      []klMove
+	partW   []int64
+	extW    []int64 // edge weight from the scored vertex to each part
+	listed  []bool  // has had a slot this pass (boundary vertices and neighbours of moved ones)
+	touched []int32
+	slots   []klSlot // the unlocked listed vertices, in no particular order
+	moves   []klMove
+	// onMove, when set (the oracle tests), observes every selected move, the
+	// rolled-back tail included.
+	onMove func(v, from, to int32, gain float64)
 	// dist holds the distributed-refinement buffers (distrefine.go); idle
 	// (and never grown) unless Config.DistRefine routes the sweeps there.
 	dist distScratch
@@ -58,9 +69,10 @@ func growI32s(s []int32, n int) []int32 {
 //
 // ext is the bracket of the cut term, wi and wj the part weights before the
 // move. hardBalance drops the balance term: polishKL enforces a limit instead.
-// Every move selector scores through this one expression, so their floats
-// agree bit for bit (assert.go keeps its own copy, as the brute-force
-// reference). It must stay inlinable: it sits on every selector's inner loop.
+// The serial selector and the distributed sweep score through this one
+// expression, so their floats agree bit for bit (assert.go keeps its own
+// copy, as the brute-force reference). It must stay inlinable: it sits on
+// both inner loops.
 func moveGain(cfg Config, ext, wv int64, i, j, orig int32, wi, wj int64, hardBalance bool) float64 {
 	gc := float64(ext)
 	gm := 0.0
@@ -81,15 +93,10 @@ func moveGain(cfg Config, ext, wv int64, i, j, orig int32, wi, wj int64, hardBal
 // moves under the 3-term gain (moveGain). Each vertex moves at most once per
 // pass; the pass keeps the best prefix of its move sequence (classic KL
 // hill-climbing) and ends early after maxNegMoves consecutive non-improving
-// moves. The paper realizes the move selection with a p×p table of priority
-// queues rebuilt when part weights change (gaintable.go, which is also the
-// faster of the two: see Config.UseGainTable); the default is a direct scan
-// of the boundary, whose tie-break every committed count was recorded under.
+// moves. The move "with largest gain" (§9) is the argmax over the boundary
+// under the tie-break every committed count was recorded with: gain desc,
+// vertex asc, first-touched part (klRun.pick).
 func refineKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
-	if cfg.UseGainTable {
-		refineKLTable(g, parts, orig, p, cfg)
-		return
-	}
 	runKL(s, g, parts, orig, p, cfg, false)
 }
 
@@ -100,6 +107,108 @@ func refineKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Conf
 // (every move then carries a −2βw² penalty, blocking small cut improvements).
 func polishKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config) {
 	runKL(s, g, parts, orig, p, cfg, true)
+}
+
+// klRun is one runKL call: its inputs, the part weights it maintains and the
+// scratch holding the per-vertex move cache.
+type klRun struct {
+	s           *klScratch
+	g           *graph.Graph
+	parts, orig []int32
+	partW       []int64 // one entry per part
+	cfg         Config
+	hardBalance bool
+	limit       int64 // hardBalance: no move may lift a part above it
+}
+
+func partBit(part int32) uint64 { return 1 << (uint32(part) & 63) }
+
+// score walks v's neighbours in CSR order and returns its best admissible
+// move — the first-touched part wins a tie — with the parts the answer
+// depends on. Until a move changes the weight of one of those parts or the
+// part of a neighbour (which is one of them), a re-walk would hand moveGain
+// the same operands, so the cached slot is what a rescan would compute, bit
+// for bit.
+func (r *klRun) score(v int32) klSlot {
+	g, parts, partW, extW := r.g, r.parts, r.partW, r.s.extW
+	touched := r.s.touched[:0]
+	i := parts[v]
+	sl := klSlot{v: v, to: -1, deps: partBit(i)}
+	for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
+		pu := parts[g.Adj[k]]
+		if extW[pu] == 0 {
+			touched = append(touched, pu)
+			sl.deps |= partBit(pu)
+		}
+		extW[pu] += g.EW[k]
+	}
+	wv, extI := g.VW[v], extW[i]
+	for _, j := range touched {
+		if j != i && !(r.hardBalance && partW[j]+wv > r.limit) {
+			gain := moveGain(r.cfg, extW[j]-extI, wv, i, j, r.orig[v], partW[i], partW[j], r.hardBalance)
+			if sl.to < 0 || gain > sl.gain {
+				sl.gain, sl.to = gain, j
+			}
+		}
+		extW[j] = 0
+	}
+	r.s.touched = touched
+	return sl
+}
+
+// list starts a pass: every vertex with a neighbour in another part gets a
+// freshly scored slot. The boundary is counted before it is filled so that a
+// call allocates the slot array once, with room for what the passes list
+// later (a move frees one slot and lists at most its unlisted neighbours) and
+// for the slightly different boundary of the next runKL on this scratch.
+func (r *klRun) list() {
+	s, g, parts := r.s, r.g, r.parts
+	listed := s.listed
+	count := 0
+	for v := range listed {
+		listed[v] = false
+		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
+			if parts[g.Adj[k]] != parts[v] {
+				listed[v] = true
+				count++
+				break
+			}
+		}
+	}
+	if cap(s.slots) < count {
+		s.slots = make([]klSlot, 0, count+count/4+32)
+	}
+	s.slots = s.slots[:0]
+	for v, l := range listed {
+		if l {
+			s.slots = append(s.slots, r.score(int32(v)))
+		}
+	}
+}
+
+// pick returns the index of the slot holding the best move, or -1. stale is
+// the set of parts whose weight the previous move changed: only slots
+// depending on one of them are re-walked, which covers the moved vertex's
+// listed neighbours too (it sat in one of those parts when they were scored).
+// The argmax is the boundary scan's: gain desc, then vertex asc.
+func (r *klRun) pick(stale uint64) int {
+	slots := r.s.slots
+	sel := -1
+	for x := range slots {
+		sl := &slots[x]
+		if sl.deps&stale != 0 {
+			*sl = r.score(sl.v)
+		}
+		// ">= && v<" is the equal-gain tie-break without a float ==: the >
+		// clause has already failed here.
+		if sl.to >= 0 && (sel < 0 || sl.gain > slots[sel].gain || (sl.gain >= slots[sel].gain && sl.v < slots[sel].v)) {
+			sel = x
+		}
+	}
+	if check.Enabled {
+		r.assertSelection(sel)
+	}
+	return sel
 }
 
 func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool) {
@@ -113,117 +222,62 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 	}
 	s.partW = growI64s(s.partW, p)
 	partW := s.partW[:p]
-	for j := 0; j < p; j++ {
-		partW[j] = 0
-	}
+	clear(partW)
 	for v := 0; v < n; v++ {
 		partW[parts[v]] += g.VW[v]
 	}
-	var limit int64
+	r := klRun{s: s, g: g, parts: parts, orig: orig, partW: partW, cfg: cfg, hardBalance: hardBalance}
 	if hardBalance {
 		var total int64
 		for _, w := range partW {
 			total += w
 		}
-		limit = int64(float64(total) / float64(p) * (1 + eps))
+		r.limit = int64(float64(total) / float64(p) * (1 + eps))
 	}
-	s.locked = growBool(s.locked, n)
-	s.inBoundary = growBool(s.inBoundary, n)
+	s.listed = growBool(s.listed, n)
 	s.extW = growI64s(s.extW, p)
-	locked, inBoundary, extW := s.locked[:n], s.inBoundary[:n], s.extW[:p]
-	for j := 0; j < p; j++ {
-		extW[j] = 0
-	}
-	touched := s.touched[:0]
-
-	isBoundary := func(v int32) bool {
-		cross := false
-		g.Neighbors(v, func(u int32, _ int64) {
-			if parts[u] != parts[v] {
-				cross = true
-			}
-		})
-		return cross
-	}
+	clear(s.extW)
 
 	for pass := 0; pass < klPasses; pass++ {
-		boundary := s.boundary[:0]
-		for v := int32(0); v < int32(n); v++ {
-			locked[v] = false
-			inBoundary[v] = isBoundary(v)
-			if inBoundary[v] {
-				boundary = append(boundary, v)
-			}
-		}
-		moves := s.moves[:0]
+		r.list()
+		s.moves = s.moves[:0]
 		cumGain, bestGain := 0.0, 0.0
 		bestIdx := -1
 		negStreak := 0
+		var stale uint64
 		for {
-			// Select the best-gain admissible move over the boundary.
-			var selV, selTo int32 = -1, -1
-			selGain := 0.0
-			for _, v := range boundary {
-				if locked[v] {
-					continue
-				}
-				i := parts[v]
-				// Edge weights from v to each incident part.
-				touched = touched[:0]
-				cross := false
-				g.Neighbors(v, func(u int32, w int64) {
-					pu := parts[u]
-					if extW[pu] == 0 {
-						touched = append(touched, pu)
-					}
-					extW[pu] += w
-					if pu != i {
-						cross = true
-					}
-				})
-				if cross {
-					wv := g.VW[v]
-					for _, j := range touched {
-						if j == i {
-							continue
-						}
-						if hardBalance && partW[j]+wv > limit {
-							continue
-						}
-						gain := moveGain(cfg, extW[j]-extW[i], wv, i, j, orig[v], partW[i], partW[j], hardBalance)
-						// ">= && v<" is the equal-gain tie-break without a
-						// float ==: the > clause has already failed here.
-						if selV < 0 || gain > selGain || (gain >= selGain && v < selV) {
-							selV, selTo, selGain = v, j, gain
-						}
-					}
-				}
-				for _, j := range touched {
-					extW[j] = 0
-				}
-			}
-			if selV < 0 {
+			x := r.pick(stale)
+			if x < 0 {
 				break
 			}
-			from := parts[selV]
-			parts[selV] = selTo
-			partW[from] -= g.VW[selV]
-			partW[selTo] += g.VW[selV]
-			locked[selV] = true
+			// The moved vertex is locked for the rest of the pass: its slot
+			// goes, its listed flag stays so it is not listed again.
+			sel := s.slots[x]
+			last := len(s.slots) - 1
+			s.slots[x] = s.slots[last]
+			s.slots = s.slots[:last]
+			from := parts[sel.v]
+			parts[sel.v] = sel.to
+			partW[from] -= g.VW[sel.v]
+			partW[sel.to] += g.VW[sel.v]
+			stale = partBit(from) | partBit(sel.to)
 			if check.Enabled {
 				check.PartitionWeights(g, parts, p, partW, "core.runKL")
 			}
-			cumGain += selGain
-			moves = append(moves, klMove{selV, from})
-			g.Neighbors(selV, func(u int32, _ int64) {
-				if !inBoundary[u] {
-					inBoundary[u] = true
-					boundary = append(boundary, u)
+			if s.onMove != nil {
+				s.onMove(sel.v, from, sel.to, sel.gain)
+			}
+			cumGain += sel.gain
+			s.moves = append(s.moves, klMove{sel.v, from})
+			for k := g.Xadj[sel.v]; k < g.Xadj[sel.v+1]; k++ {
+				if u := g.Adj[k]; !s.listed[u] {
+					s.listed[u] = true
+					s.slots = append(s.slots, r.score(u))
 				}
-			})
+			}
 			if cumGain > bestGain+1e-9 {
 				bestGain = cumGain
-				bestIdx = len(moves) - 1
+				bestIdx = len(s.moves) - 1
 				negStreak = 0
 			} else {
 				negStreak++
@@ -233,19 +287,16 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 			}
 		}
 		// Keep the best prefix.
-		for i := len(moves) - 1; i > bestIdx; i-- {
-			m := moves[i]
+		for i := len(s.moves) - 1; i > bestIdx; i-- {
+			m := s.moves[i]
 			partW[parts[m.v]] -= g.VW[m.v]
 			partW[m.from] += g.VW[m.v]
 			parts[m.v] = m.from
 		}
-		// Hand the grown buffers back so the next pass/call reuses them.
-		s.boundary, s.moves = boundary, moves
 		if bestIdx < 0 {
 			break
 		}
 	}
-	s.touched = touched
 }
 
 // forceBalance is the post-refinement safety net: while some part exceeds
@@ -293,6 +344,12 @@ func forceBalance(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg 
 		if partW[h] <= limit {
 			return
 		}
+		light := int32(0)
+		for j := 1; j < p; j++ {
+			if partW[j] < partW[light] {
+				light = int32(j)
+			}
+		}
 		var selV, selTo int32 = -1, -1
 		selGain := 0.0
 		for v := int32(0); v < int32(n); v++ {
@@ -322,12 +379,6 @@ func forceBalance(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg 
 			}
 			// Also allow the globally lightest part even if not adjacent
 			// (needed when the heavy part is walled in).
-			light := int32(0)
-			for j := 1; j < p; j++ {
-				if partW[j] < partW[light] {
-					light = int32(j)
-				}
-			}
 			consider(light)
 			for _, j := range touched {
 				extW[j] = 0

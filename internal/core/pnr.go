@@ -22,6 +22,7 @@
 package core
 
 import (
+	"pared/internal/check"
 	"pared/internal/graph"
 	"pared/internal/partition"
 	"pared/internal/partition/mlkl"
@@ -41,15 +42,6 @@ type Config struct {
 	// cycles recover cut quality that a single contraction hierarchy misses,
 	// at no migration cost beyond what their gain justifies.
 	Cycles int
-	// UseGainTable selects the literal §9 move-selection structure (the p×p
-	// table of priority queues in gaintable.go) instead of the boundary scan.
-	// Both select an argmax-gain move. The table is the faster of the two —
-	// on the pinned 1 152-vertex, p = 8 scenario at GOMAXPROCS=1,
-	// BenchmarkRefineKLTable takes 1.43 ms/op (550 allocs) against
-	// BenchmarkRunKLScan's 4.50 ms/op (0 allocs) — but the scan stays the
-	// default because its tie-break (gain desc, vertex asc, first-touched
-	// part) is what every committed count was recorded under.
-	UseGainTable bool
 	// UnrestrictedMatching lifts PNR's same-part matching constraint during
 	// contraction (ablation only): matched pairs straddling a part boundary
 	// inherit the heavier constituent's assignment, losing the exact
@@ -64,8 +56,8 @@ type Config struct {
 	// deterministic sweep of distrefine.go. Every rank of the exchanger must
 	// then call Repartition collectively with byte-identical arguments; the
 	// results are byte-identical on every rank and invariant under the rank
-	// count and GOMAXPROCS. Serial is the single-rank loopback. Supersedes
-	// UseGainTable. nil (the default) keeps the serial pipeline unchanged.
+	// count and GOMAXPROCS. Serial is the single-rank loopback. nil (the
+	// default) keeps the serial pipeline unchanged.
 	DistRefine Exchanger
 }
 
@@ -130,11 +122,19 @@ type pnrScratch struct {
 
 // Repartition computes a balanced partition of g starting from the current
 // assignment old, minimizing Equation 1. old is not modified. The result is
-// a function of the arguments alone: nothing is kept between calls.
+// a function of the arguments alone: nothing is kept between calls. Edge
+// weights must be positive: the move scorers take "no weight towards part j
+// yet" to mean "no neighbour in part j yet", and a zero-weight edge carries
+// no cut to minimize.
 func Repartition(g *graph.Graph, old []int32, p int, cfg Config) []int32 {
 	cfg = cfg.withDefaults()
 	if len(old) != g.N() {
 		panic("core: old assignment length mismatch")
+	}
+	if check.Enabled {
+		for k, w := range g.EW {
+			check.Assertf(w > 0, "core.Repartition: edge weight %d at CSR slot %d is not positive", w, k)
+		}
 	}
 	scr := new(pnrScratch)
 	if runsFlat(g, old, p) {

@@ -43,7 +43,6 @@ func Ablation(w io.Writer, scale Scale) {
 		{"beta weak (0.01)", core.Config{Beta: 0.01}},
 		{"single V-cycle", core.Config{Cycles: 1}},
 		{"unrestricted matching", core.Config{UnrestrictedMatching: true}},
-		{"gain-table selection (faithful §9)", core.Config{UseGainTable: true}},
 	}
 	var maxVW int64
 	for _, w := range step.Next.G.VW {

@@ -45,15 +45,21 @@ type Topology struct {
 	Nodes        int
 	CoresPerNode int
 	// InterNodePenalty scales G's edge weights in phase A, biasing the
-	// node-level objective toward small inter-node cuts (default 4).
+	// node-level objective toward small inter-node cuts (0 = default 4;
+	// otherwise at least 1).
 	InterNodePenalty float64
 }
 
 // Resolve fills the zero fields of the topology for p ranks and fails when
-// the result does not factor p or the penalty is negative.
+// the result does not factor p or the penalty is negative or, being set,
+// below 1: that would price the network under shared memory, and phase A's
+// rounding would turn light edges into weight 0, erasing the cut term.
 func (t Topology) Resolve(p int) (Topology, error) {
 	if t.InterNodePenalty < 0 {
 		return t, fmt.Errorf("pared: inter-node penalty %g is negative", t.InterNodePenalty)
+	}
+	if t.InterNodePenalty > 0 && t.InterNodePenalty < 1 {
+		return t, fmt.Errorf("pared: inter-node penalty %g is below 1", t.InterNodePenalty)
 	}
 	if t.Nodes == 0 && t.CoresPerNode == 0 {
 		t.Nodes = balancedNodes(p)
