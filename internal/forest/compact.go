@@ -2,10 +2,14 @@ package forest
 
 // CompactVertices rebuilds the vertex table keeping only vertices referenced
 // by live nodes, reclaiming the orphans that coarsening and tree migration
-// leave behind. Local vertex indices change, so any refine.Refiner or cached
-// LeafMeshResult over this forest must be rebuilt afterwards. It returns the
-// number of vertices reclaimed.
-func (f *Forest) CompactVertices() int {
+// leave behind. It returns the number of vertices reclaimed and the remap:
+// the new local index of every old one, or -1 for a reclaimed vertex; nil if
+// nothing was reclaimed, when every index stays. The remap is monotone on the
+// kept vertices and never raises an index, so an ordered pair of kept indices
+// stays ordered. A refine.Refiner over the forest compacts through its own
+// CompactVertices, which rekeys its edge records by this remap; a cached
+// LeafMeshResult must be rebuilt.
+func (f *Forest) CompactVertices() (reclaimed int, remap []int32) {
 	used := make([]bool, len(f.Coords))
 	for i := range f.Nodes {
 		n := &f.Nodes[i]
@@ -25,7 +29,7 @@ func (f *Forest) CompactVertices() int {
 			used[n.RefEdge[1]] = true
 		}
 	}
-	remap := make([]int32, len(f.Coords))
+	remap = make([]int32, len(f.Coords))
 	kept := int32(0)
 	for i, u := range used {
 		if u {
@@ -37,9 +41,9 @@ func (f *Forest) CompactVertices() int {
 			remap[i] = -1
 		}
 	}
-	reclaimed := len(f.Coords) - int(kept)
+	reclaimed = len(f.Coords) - int(kept)
 	if reclaimed == 0 {
-		return 0
+		return 0, nil
 	}
 	f.Coords = f.Coords[:kept]
 	f.VIDs = f.VIDs[:kept]
@@ -65,5 +69,5 @@ func (f *Forest) CompactVertices() int {
 			n.RefEdge[1] = remap[n.RefEdge[1]]
 		}
 	}
-	return reclaimed
+	return reclaimed, remap
 }

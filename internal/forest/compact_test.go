@@ -27,12 +27,32 @@ func TestCompactVerticesReclaimsOrphans(t *testing.T) {
 	}
 	wantLeaves := f.CanonicalLeaves()
 	verts := len(f.Coords)
-	reclaimed := f.CompactVertices()
+	oldVIDs := append([]VertexID(nil), f.VIDs...)
+	reclaimed, remap := f.CompactVertices()
 	if reclaimed <= 0 {
 		t.Fatalf("no orphans reclaimed (had %d vertices)", verts)
 	}
 	if len(f.Coords) != verts-reclaimed {
 		t.Errorf("vertex table size %d, want %d", len(f.Coords), verts-reclaimed)
+	}
+	// The remap sends every kept vertex to its new index, in order and never
+	// upwards, and every reclaimed one to -1.
+	if len(remap) != verts {
+		t.Fatalf("remap has %d entries for %d vertices", len(remap), verts)
+	}
+	next, dropped := int32(0), 0
+	for old, nv := range remap {
+		if nv < 0 {
+			dropped++
+			continue
+		}
+		if nv != next || nv > int32(old) || f.VIDs[nv] != oldVIDs[old] {
+			t.Fatalf("remap[%d] = %d: want %d, the next kept index, holding the same vertex", old, nv, next)
+		}
+		next++
+	}
+	if dropped != reclaimed {
+		t.Errorf("remap drops %d vertices, %d reclaimed", dropped, reclaimed)
 	}
 	// Structure preserved: canonical leaves unchanged, interning still works.
 	got := f.CanonicalLeaves()
@@ -59,7 +79,7 @@ func TestCompactVerticesReclaimsOrphans(t *testing.T) {
 
 func TestCompactVerticesNoOrphansIsNoop(t *testing.T) {
 	f := FromMesh(meshgen.RectTri(2, 2, 0, 0, 1, 1))
-	if n := f.CompactVertices(); n != 0 {
-		t.Errorf("reclaimed %d from a fresh forest", n)
+	if n, remap := f.CompactVertices(); n != 0 || remap != nil {
+		t.Errorf("reclaimed %d from a fresh forest, remap %v", n, remap)
 	}
 }

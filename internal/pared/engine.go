@@ -233,6 +233,8 @@ type Engine struct {
 	shared map[forest.VertexID]bool
 	// pending holds remote splits not yet applicable locally.
 	pending map[refine.EdgeSplit]bool
+	// received is Adapt's scratch for one peer's decoded split report.
+	received []refine.EdgeSplit
 	// indicator is Adapt's per-call memo of the estimator, indexed by NodeID;
 	// a negative entry means not evaluated yet.
 	indicator []float64
@@ -420,17 +422,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		}
 		// Exchange with every rank (p is small; neighbor filtering would cut
 		// traffic but not change results).
-		for from, words := range e.Comm.AllGatherInt64(out) {
-			if from == e.Comm.Rank() {
-				continue
-			}
-			for i := 0; i < len(words); i += 2 {
-				s := refine.EdgeSplit{A: forest.VertexID(words[i]), B: forest.VertexID(words[i+1])}
-				if !e.R.IsSplit(s) {
-					e.pending[s] = true
-				}
-			}
-		}
+		e.parkSplits(e.Comm.AllGatherInt64(out))
 		// Apply pending remote splits in sorted order: MarkSplitByID mutates
 		// the refiner, so map-order iteration would make the refinement
 		// history (and thus vertex numbering) run-dependent.
@@ -477,6 +469,46 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 	e.trace("P0 adapt: %d rounds, +%d/-%d local elements, %d global leaves",
 		st.Rounds, st.LocalRefined, st.LocalCoarsened, st.GlobalLeaves)
 	return st
+}
+
+// parkSplits adds to pending every split the peers' reports name that is not
+// split here yet. A malformed report panics, naming its sender, the way
+// migrate reports a bad payload.
+func (e *Engine) parkSplits(reports [][]int64) {
+	for from, words := range reports {
+		if from == e.Comm.Rank() {
+			continue
+		}
+		splits, err := decodeSplits(e.received[:0], from, words)
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d: %v", e.Comm.Rank(), err))
+		}
+		for _, s := range splits {
+			if !e.R.IsSplit(s) {
+				e.pending[s] = true
+			}
+		}
+		e.received = splits
+	}
+}
+
+// decodeSplits appends to dst the splits of a split report received from rank
+// from: (A, B) word pairs, each a canonical edge (A < B) as the refiner's
+// TakeNewSplits gives it. A report that is not whole pairs, or holds a pair
+// that is not canonical, is an error naming the sender: the refiner names no
+// edge by such a pair, so it would wait in pending forever.
+func decodeSplits(dst []refine.EdgeSplit, from int, words []int64) ([]refine.EdgeSplit, error) {
+	if len(words)%2 != 0 {
+		return dst, fmt.Errorf("split report from rank %d has %d words, not (A, B) pairs", from, len(words))
+	}
+	for i := 0; i < len(words); i += 2 {
+		s := refine.EdgeSplit{A: forest.VertexID(words[i]), B: forest.VertexID(words[i+1])}
+		if s.A >= s.B {
+			return dst, fmt.Errorf("split report from rank %d: pair %d is (%#x, %#x), not A < B", from, i/2, uint64(s.A), uint64(s.B))
+		}
+		dst = append(dst, s)
+	}
+	return dst, nil
 }
 
 // Imbalance returns the global leaf-count imbalance max/avg − 1, computed

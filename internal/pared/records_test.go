@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"pared/internal/forest"
 	"pared/internal/geom"
 	"pared/internal/graph"
 	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/refine"
 )
 
 // TestWeightRecordsRejectCorruptReport: a rank whose P2 report claims a tree
@@ -263,6 +265,39 @@ func TestCollectivesPerPhase(t *testing.T) {
 		}
 		if plan != 0 {
 			t.Errorf("%s: buildDofPlan entered %d collectives, want none (parent: %d)", row.algo, plan, row.parentPlan)
+		}
+	}
+}
+
+// TestDecodeSplits: a peer's split report decodes to its (A, B) pairs, and a
+// report that is not whole pairs, or holds a pair that is not canonical, is an
+// error naming the sender instead of an index panic or a split parked for
+// good.
+func TestDecodeSplits(t *testing.T) {
+	mid := int64(-1 << 62) // midpoint IDs have bit 63 set: negative on the wire
+	cases := []struct {
+		name  string
+		words []int64
+		want  []refine.EdgeSplit
+		err   string
+	}{
+		{"empty", nil, nil, ""},
+		{"pairs", []int64{1, 2, 3, mid}, []refine.EdgeSplit{{A: 1, B: 2}, {A: 3, B: forest.VertexID(mid)}}, ""},
+		{"odd length", []int64{1, 2, 3}, nil, "split report from rank 5 has 3 words"},
+		{"A == B", []int64{1, 2, 7, 7}, nil, "split report from rank 5: pair 1 is (0x7, 0x7)"},
+		{"A > B", []int64{mid, 3}, nil, "split report from rank 5: pair 0 is"},
+	}
+	for _, tc := range cases {
+		dst := []refine.EdgeSplit{{A: 10, B: 20}}
+		got, err := decodeSplits(dst, 5, tc.words)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, append(dst, tc.want...)) {
+			t.Errorf("%s: decoded %v (err %v), want %v after the existing entry", tc.name, got, err, tc.want)
 		}
 	}
 }

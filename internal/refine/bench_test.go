@@ -1,6 +1,7 @@
 package refine_test
 
 import (
+	"slices"
 	"testing"
 
 	"pared/internal/fem"
@@ -66,5 +67,83 @@ func BenchmarkAdaptTransientStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := refine.AdaptOnce(r, peakAt(i), benchTol, benchTol/4, benchMaxLevel)
 		coarsenSink += res.Refined + res.Coarsened
+	}
+}
+
+// clone rebuilds f's trees into a fresh forest, as migration would: the same
+// mesh under a deterministic numbering.
+func clone(f *forest.Forest) *forest.Forest {
+	g := forest.New(f.Dim)
+	for _, root := range f.Roots() {
+		g.InsertTree(f.ExtractTree(root))
+	}
+	return g
+}
+
+// BenchmarkClosure3D is one growth step of growth3d_sfc's kind: on BoxTet(6,6,6)
+// pre-adapted twice to the corner solution, the leaves above the next
+// tolerance are marked and the closure runs — tetrahedral bisection with its
+// propagation, nearly all of it edge-record work. Each op starts from a clone
+// of the pre-adapted mesh, built with the timer stopped.
+func BenchmarkClosure3D(b *testing.B) {
+	est := fem.InterpolationEstimator(fem.CornerSolution3D)
+	base := refine.NewRefiner(forest.FromMesh(meshgen.BoxTet(6, 6, 6, -1, -1, -1, 1, 1, 1)))
+	tol := 2e-2
+	for step := 0; step < 4; step++ {
+		refine.AdaptOnce(base, est, tol, 0, benchMaxLevel)
+		tol *= 0.6
+	}
+	var targets []forest.NodeID
+	start := clone(base.F)
+	start.VisitLeaves(func(id forest.NodeID) {
+		if est.Indicator(start, id) > tol {
+			targets = append(targets, id)
+		}
+	})
+	if len(targets) < 100 {
+		b.Fatalf("%d targets on %d leaves, want a growth step of hundreds", len(targets), start.NumLeaves())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := refine.NewRefiner(clone(base.F))
+		b.StartTimer()
+		for _, id := range targets {
+			r.RefineLeaf(id)
+		}
+		coarsenSink += r.Closure()
+	}
+}
+
+// BenchmarkSpliceTree is the migration splice under a live refiner: one deep
+// tree leaves (ExtractTree, RemoveTree), another comes in (InsertTree), and
+// the vertex table is compacted, reclaiming the departed tree's private
+// vertices, which renumbers and rekeys the edge records. The two deepest trees
+// of the tracked mesh take turns, so every op is the same splice.
+func BenchmarkSpliceTree(b *testing.B) {
+	r := trackedPeak(b)
+	f := r.F
+	roots := f.Roots()
+	slices.SortStableFunc(roots, func(x, y int32) int { return f.TreeSize(y) - f.TreeSize(x) })
+	if f.TreeSize(roots[1]) < 100 {
+		b.Fatalf("second deepest tree has %d nodes, want a deep one", f.TreeSize(roots[1]))
+	}
+	held, away := roots[0], f.ExtractTree(roots[1])
+	r.RemoveTree(away.Root)
+	f.RemoveTree(away.Root)
+	r.CompactVertices()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := f.ExtractTree(held)
+		r.RemoveTree(held)
+		f.RemoveTree(held)
+		f.InsertTree(away)
+		r.InsertTree(away.Root)
+		if r.CompactVertices() == 0 {
+			b.Fatal("the departed tree left no vertex to reclaim")
+		}
+		held, away = away.Root, p
 	}
 }

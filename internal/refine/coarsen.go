@@ -101,14 +101,11 @@ func (r *Refiner) Coarsen(wantCoarsen func(id forest.NodeID) bool) int {
 				for _, v := range kn.Verts[:kn.Nv()] {
 					usage[v]--
 				}
-				r.removeLeafEdges(k)
 			}
 			for _, v := range p.Verts[:p.Nv()] {
 				usage[v]++
 			}
-			delete(r.split, r.key(p.RefEdge[0], p.RefEdge[1]))
-			f.Unbisect(c.parent)
-			r.addLeafEdges(c.parent)
+			r.unbisect(c.parent)
 			total++
 			// The restored node may complete a pair of leaves one level up;
 			// listed now, it is decided on in the next round.

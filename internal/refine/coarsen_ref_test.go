@@ -82,13 +82,7 @@ func (r *Refiner) refCoarsenRound(wantCoarsen func(id forest.NodeID) bool) int {
 			continue
 		}
 		for _, pid := range g.parents {
-			p := f.Node(pid)
-			r.removeLeafEdges(p.Kids[0])
-			r.removeLeafEdges(p.Kids[1])
-			k := r.key(p.RefEdge[0], p.RefEdge[1])
-			f.Unbisect(pid)
-			delete(r.split, k)
-			r.addLeafEdges(pid)
+			r.unbisect(pid)
 			removed++
 		}
 	}

@@ -1,0 +1,212 @@
+package refine
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"pared/internal/forest"
+	"pared/internal/mesh"
+)
+
+// splicer is what a migration round trip asks of either refiner.
+type splicer interface {
+	RemoveTree(root int32)
+	InsertTree(root int32)
+	CompactVertices() int
+}
+
+// roundTrip sends trees moved out of f and back in, in reverse order, the way
+// migration splices them, compacting the vertex table in between if asked
+// (-1 if not). It returns the payloads and the vertices reclaimed.
+func roundTrip(f *forest.Forest, r splicer, moved []int32, compact bool) ([]*forest.TreePayload, int) {
+	var ps []*forest.TreePayload
+	for _, root := range moved {
+		ps = append(ps, f.ExtractTree(root))
+		r.RemoveTree(root)
+		f.RemoveTree(root)
+	}
+	reclaimed := -1
+	if compact {
+		reclaimed = r.CompactVertices()
+	}
+	for i := len(ps) - 1; i >= 0; i-- {
+		f.InsertTree(ps[i])
+		r.InsertTree(ps[i].Root)
+	}
+	return ps, reclaimed
+}
+
+// forestDiff names the first public part in which two forests differ.
+func forestDiff(a, b *forest.Forest) string {
+	switch {
+	case !reflect.DeepEqual(a.Nodes, b.Nodes):
+		return "node tables differ"
+	case !reflect.DeepEqual(a.Coords, b.Coords):
+		return "coordinates differ"
+	case !reflect.DeepEqual(a.VIDs, b.VIDs):
+		return "vertex IDs differ"
+	case !slices.Equal(a.Roots(), b.Roots()):
+		return "held trees differ"
+	}
+	return "free lists, vertex index or leaf counts differ"
+}
+
+// TestEdgeTableMatchesReference drives the edge-table refiner and the
+// map-keyed reference over twin forests through seeded random chains of every
+// operation a refiner offers — refinement and closure, remote splits taken
+// by a third forest, coarsening, tree round trips with and without
+// compaction, compaction, and LEPP — and requires after every step forests
+// equal field for field (node table with Dead flags and free list, vertex
+// table and index, held trees) and equal answers from every call.
+func TestEdgeTableMatchesReference(t *testing.T) {
+	for name, m := range coarsenMeshes() {
+		for seed := int64(1); seed <= 4; seed++ {
+			edgeTableChain(t, name, m, seed)
+		}
+	}
+}
+
+func edgeTableChain(t *testing.T, name string, m *mesh.Mesh, seed int64) {
+	got, ref := NewRefiner(forest.FromMesh(m)), newRefRefiner(forest.FromMesh(m))
+	rng := rand.New(rand.NewSource(seed))
+	ops := []string{"refine", "remote", "coarsen", "round trip", "compact", "lepp"}
+	var perm []int
+	var history []EdgeSplit // every split either refiner reported
+	// Six refinement steps deepen the forest first; then every operation
+	// runs six times, in a random order.
+	for step := 0; step < 7*len(ops); step++ {
+		op := ops[0]
+		if step >= len(ops) {
+			if len(perm) == 0 {
+				perm = rng.Perm(len(ops))
+			}
+			op = ops[perm[0]]
+			perm = perm[1:]
+		}
+		if grows := op == "refine" || op == "remote" || op == "lepp"; grows && got.F.NumLeaves() > 1500 {
+			op = "coarsen"
+		}
+		same := func(call string, g, w any) {
+			t.Helper()
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s seed %d step %d (%s): %s = %v, reference %v", name, seed, step, op, call, g, w)
+			}
+		}
+		gl, rl := got.F.Leaves(), ref.F.Leaves()
+		switch op {
+		case "refine":
+			// Half the picks go to the deepest third of the leaves, so depth
+			// grows.
+			deep := slices.Clone(gl)
+			slices.SortStableFunc(deep, func(a, b forest.NodeID) int { return int(got.F.Node(b).Level - got.F.Node(a).Level) })
+			for i := 0; i < 1+len(gl)/16; i++ {
+				k := rng.Intn(len(gl))
+				if i%2 == 0 {
+					k = slices.Index(gl, deep[rng.Intn(1+len(deep)/3)])
+				}
+				got.RefineLeaf(gl[k])
+				ref.RefineLeaf(rl[k])
+			}
+			same("Closure", got.Closure(), ref.Closure())
+		case "remote":
+			// A neighbour holding the same mesh refines its own way; its
+			// splits reach the twins by global IDs, some at once and some
+			// only after the twins' own closures have caught up.
+			remote := NewRefiner(forest.New(m.Dim))
+			for _, root := range got.F.Roots() {
+				remote.F.InsertTree(got.F.ExtractTree(root))
+				remote.InsertTree(root)
+			}
+			leaves := remote.F.Leaves()
+			for i := 0; i < 1+len(leaves)/16; i++ {
+				remote.RefineLeaf(leaves[rng.Intn(len(leaves))])
+			}
+			remote.Closure()
+			splits := remote.TakeNewSplits()
+			// A pair that is not canonical, or is unknown, names no edge.
+			s := splits[rng.Intn(len(splits))]
+			splits = append(splits, EdgeSplit{A: s.B, B: s.A}, EdgeSplit{A: s.A, B: s.A}, MakeEdgeSplit(1<<40, 1<<41))
+			slices.SortFunc(splits, EdgeSplit.Compare)
+			for round := 0; round < 3; round++ {
+				for _, s := range splits {
+					same("IsSplit", got.IsSplit(s), ref.IsSplit(s))
+					same("MarkSplitByID", got.MarkSplitByID(s), ref.MarkSplitByID(s))
+				}
+				same("Closure", got.Closure(), ref.Closure())
+			}
+		case "coarsen":
+			salt, frac := rng.Uint64(), uint64(1+rng.Intn(4))
+			same("Coarsen", got.Coarsen(purePredicate(got.F, salt, frac)), ref.Coarsen(purePredicate(ref.F, salt, frac)))
+		case "round trip":
+			var moved []int32
+			for _, root := range got.F.Roots() {
+				if rng.Intn(3) == 0 {
+					moved = append(moved, root)
+				}
+			}
+			compact := rng.Intn(2) == 0
+			gp, gn := roundTrip(got.F, got, moved, compact)
+			rp, rn := roundTrip(ref.F, ref, moved, compact)
+			same("payloads", gp, rp)
+			same("CompactVertices", gn, rn)
+		case "compact":
+			same("CompactVertices", got.CompactVertices(), ref.CompactVertices())
+		case "lepp":
+			k := rng.Intn(len(gl))
+			same("RefineLeafLEPP", got.RefineLeafLEPP(gl[k]), ref.RefineLeafLEPP(rl[k]))
+		}
+		if !reflect.DeepEqual(*got.F, *ref.F) {
+			t.Fatalf("%s seed %d step %d (%s): %s", name, seed, step, op, forestDiff(got.F, ref.F))
+		}
+		gs, rs := got.TakeNewSplits(), ref.TakeNewSplits()
+		same("TakeNewSplits", gs, rs)
+		history = append(history, gs...)
+		for _, s := range history {
+			same("IsSplit", got.IsSplit(s), ref.IsSplit(s))
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("%s seed %d step %d (%s): %v", name, seed, step, op, err)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesCorruptTable breaks each structural rule of the
+// edge table once and requires CheckInvariants to name it.
+func TestCheckInvariantsCatchesCorruptTable(t *testing.T) {
+	cases := []struct {
+		rule    string
+		corrupt func(r *Refiner, k uint64, i int32)
+		want    string
+	}{
+		{"a live record's key packs its endpoints", func(r *Refiner, _ uint64, i int32) {
+			e := r.edges.at(i)
+			e.b++
+		}, "of edge {"},
+		{"a record has a leaf or a split mark", func(r *Refiner, _ uint64, _ int32) {
+			// Opposite corners of the square: no leaf ever has this edge.
+			r.edges.get(0, int32(len(coarsenMeshes()["2d"].Verts)-1))
+		}, "neither a leaf nor a split mark"},
+		{"no free record is reachable from the index", func(r *Refiner, _ uint64, i int32) {
+			r.edges.release(i)
+		}, "which is not live"},
+		{"the index holds every live record", func(r *Refiner, k uint64, _ int32) {
+			delete(r.edges.index, k)
+		}, "live edge records"},
+	}
+	for _, tc := range cases {
+		r := refinedForest(t, coarsenMeshes()["2d"], 1)
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("%s: before corruption: %v", tc.rule, err)
+		}
+		// The record of the first leaf's first edge.
+		n := r.F.Node(r.F.Leaves()[0])
+		k := edgeKey(n.Verts[0], n.Verts[1])
+		tc.corrupt(r, k, r.edges.index[k])
+		if err := r.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.rule, err, tc.want)
+		}
+	}
+}

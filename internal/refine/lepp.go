@@ -32,15 +32,14 @@ func (r *Refiner) RefineLeafLEPP(id forest.NodeID) int {
 				panic("refine: LEPP did not terminate")
 			}
 			a, b := f.LongestEdge(cur)
-			key := r.key(a, b)
+			e := r.edges.find(a, b)
 			// Find a sharer of the edge whose own longest edge dominates.
 			next := forest.NoNode
-			for _, s := range r.edgeLeaves[key] {
+			for _, s := range e.leaves {
 				if s == cur {
 					continue
 				}
-				sa, sb := f.LongestEdge(s)
-				if r.key(sa, sb) != key {
+				if sa, sb := f.LongestEdge(s); edgeKey(sa, sb) != e.key() {
 					next = s
 					break
 				}
@@ -51,13 +50,14 @@ func (r *Refiner) RefineLeafLEPP(id forest.NodeID) int {
 			}
 			// Terminal: the edge is the longest edge of every sharer.
 			// Bisect them all at it (conformal by construction).
-			r.markSplit(a, b)
-			mid := r.split[key]
-			sharers := append([]forest.NodeID(nil), r.edgeLeaves[key]...)
+			r.markSplit(e)
+			// Bisecting a sharer takes it off e's list, and the mark keeps e
+			// alive through it.
+			sharers := append([]forest.NodeID(nil), e.leaves...)
 			for _, s := range sharers {
 				// Recover the edge's local indices within s (interning is
 				// shared, so a and b are valid for every sharer).
-				r.bisect(s, a, b, mid)
+				r.bisect(s, a, b, e.mid)
 				bisections++
 			}
 			break

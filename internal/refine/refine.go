@@ -44,7 +44,10 @@ func MakeEdgeSplit(a, b forest.VertexID) EdgeSplit {
 }
 
 // Refiner maintains the split-edge state and leaf-edge incidence needed to
-// run refinement closures and coarsening over a forest.
+// run refinement closures and coarsening over a forest: one record per edge
+// (see edgeTable), keyed by its local endpoints, holding its split midpoint
+// and the leaves that contain it. Global vertex IDs appear only at the
+// interface to other processors: MarkSplitByID, IsSplit and TakeNewSplits.
 //
 // Precondition for NewRefiner: the forest is conforming (a completed closure;
 // freshly built forests and forests after migration at quiescence qualify).
@@ -53,17 +56,13 @@ func MakeEdgeSplit(a, b forest.VertexID) EdgeSplit {
 // quiescence only: call RemoveTree before forest.RemoveTree (the leaves must
 // still be there to be walked) and InsertTree after forest.InsertTree, and
 // compact the vertex table through the refiner's CompactVertices, never the
-// forest's directly. The incidence is keyed by global vertex IDs and holds
-// NodeIDs, so it survives the renumbering; the split marks do not, and at
-// quiescence none of them is live.
+// forest's directly: that renumbers the local indices the records are keyed
+// by, and the refiner rekeys them in place from the forest's remap.
 type Refiner struct {
 	F *forest.Forest
 
-	// split maps a split edge to the local index of its midpoint vertex.
-	split map[EdgeSplit]int32
-	// edgeLeaves maps each edge of each current leaf to the leaves containing
-	// it.
-	edgeLeaves map[EdgeSplit][]forest.NodeID
+	// edges holds the split marks and the leaf-edge incidence.
+	edges edgeTable
 	// queue holds possibly-nonconforming leaves awaiting processing.
 	queue []forest.NodeID
 	// newSplits records splits performed since the last TakeNewSplits, for
@@ -77,11 +76,7 @@ type Refiner struct {
 
 // NewRefiner builds a refiner over a conforming forest.
 func NewRefiner(f *forest.Forest) *Refiner {
-	r := &Refiner{
-		F:          f,
-		split:      make(map[EdgeSplit]int32),
-		edgeLeaves: make(map[EdgeSplit][]forest.NodeID),
-	}
+	r := &Refiner{F: f, edges: edgeTable{index: make(map[uint64]int32)}}
 	f.VisitLeaves(func(id forest.NodeID) { r.addLeafEdges(id) })
 	return r
 }
@@ -92,23 +87,22 @@ func (r *Refiner) RemoveTree(root int32) { r.F.VisitTreeLeaves(root, r.removeLea
 
 // InsertTree enters the leaves of tree root, which the forest has just
 // spliced in, into the edge incidence. Call it at quiescence.
-func (r *Refiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
-
-// CompactVertices compacts the forest's vertex table (see
-// forest.CompactVertices) and drops the refiner state expressed in the local
-// vertex indices that renumbers: the split marks. Call it at quiescence, where
-// no mark belongs to a leaf edge any more and no leaf or split is queued — a
-// fresh NewRefiner starts from the same empty state.
-func (r *Refiner) CompactVertices() int {
-	clear(r.split)
-	r.queue = r.queue[:0]
-	r.newSplits = nil
-	return r.F.CompactVertices()
+func (r *Refiner) InsertTree(root int32) {
+	r.F.VisitTreeLeaves(root, func(id forest.NodeID) { r.addLeafEdges(id) })
 }
 
-// key returns the canonical edge key for local vertices a, b.
-func (r *Refiner) key(a, b int32) EdgeSplit {
-	return MakeEdgeSplit(r.F.VIDs[a], r.F.VIDs[b])
+// CompactVertices compacts the forest's vertex table (see
+// forest.CompactVertices) and rekeys the edge records through its remap,
+// dropping the split marks, whose midpoints it renumbers, and the records
+// they alone kept. Call it at quiescence, where no mark belongs to a leaf
+// edge any more and no leaf or split is queued — a fresh NewRefiner starts
+// from the same state.
+func (r *Refiner) CompactVertices() int {
+	r.queue = r.queue[:0]
+	r.newSplits = nil
+	reclaimed, remap := r.F.CompactVertices()
+	r.edges.rekey(remap)
+	return reclaimed
 }
 
 // forEachEdge enumerates the local vertex pairs of node id's edges.
@@ -122,58 +116,56 @@ func (r *Refiner) forEachEdge(id forest.NodeID, fn func(a, b int32)) {
 	}
 }
 
-func (r *Refiner) addLeafEdges(id forest.NodeID) {
-	r.forEachEdge(id, func(a, b int32) {
-		k := r.key(a, b)
-		r.edgeLeaves[k] = append(r.edgeLeaves[k], id)
-	})
+// addLeafEdges enters leaf id into the record of each of its edges and
+// reports whether any of them is split (the leaf is nonconforming).
+func (r *Refiner) addLeafEdges(id forest.NodeID) (split bool) {
+	n := r.F.Node(id)
+	nv := n.Nv()
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			e := r.edges.get(n.Verts[i], n.Verts[j])
+			e.leaves = append(e.leaves, id)
+			split = split || e.mid >= 0
+		}
+	}
+	return split
 }
 
 func (r *Refiner) removeLeafEdges(id forest.NodeID) {
-	r.forEachEdge(id, func(a, b int32) {
-		k := r.key(a, b)
-		s := r.edgeLeaves[k]
-		for i, x := range s {
-			if x == id {
-				s[i] = s[len(s)-1]
-				s = s[:len(s)-1]
-				break
-			}
+	n := r.F.Node(id)
+	nv := n.Nv()
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			r.edges.removeLeaf(n.Verts[i], n.Verts[j], id)
 		}
-		if len(s) == 0 {
-			delete(r.edgeLeaves, k)
-		} else {
-			r.edgeLeaves[k] = s
-		}
-	})
+	}
 }
 
 // hasSplitEdge reports whether leaf id has any split edge (is nonconforming).
 func (r *Refiner) hasSplitEdge(id forest.NodeID) bool {
-	found := false
-	r.forEachEdge(id, func(a, b int32) {
-		if found {
-			return
+	n := r.F.Node(id)
+	nv := n.Nv()
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			if e := r.edges.find(n.Verts[i], n.Verts[j]); e != nil && e.mid >= 0 {
+				return true
+			}
 		}
-		if _, ok := r.split[r.key(a, b)]; ok {
-			found = true
-		}
-	})
-	return found
+	}
+	return false
 }
 
-// markSplit marks the edge with local endpoints (a, b) as split, creating its
-// midpoint vertex, and enqueues every leaf containing the edge. It is a no-op
-// if the edge is already split.
-func (r *Refiner) markSplit(a, b int32) {
-	k := r.key(a, b)
-	if _, ok := r.split[k]; ok {
+// markSplit marks edge e as split, creating its midpoint vertex, and enqueues
+// every leaf containing the edge. It is a no-op if the edge is already split.
+func (r *Refiner) markSplit(e *edgeRec) {
+	if e.mid >= 0 {
 		return
 	}
-	mid := r.F.InternVertex(forest.MidID(r.F.VIDs[a], r.F.VIDs[b]), r.F.Coords[a].Mid(r.F.Coords[b]))
-	r.split[k] = mid
-	r.newSplits = append(r.newSplits, k)
-	r.queue = append(r.queue, r.edgeLeaves[k]...)
+	f := r.F
+	va, vb := f.VIDs[e.a], f.VIDs[e.b]
+	e.mid = f.InternVertex(forest.MidID(va, vb), f.Coords[e.a].Mid(f.Coords[e.b]))
+	r.newSplits = append(r.newSplits, MakeEdgeSplit(va, vb))
+	r.queue = append(r.queue, e.leaves...)
 }
 
 // RefineLeaf requests bisection of leaf id: its longest edge is marked split,
@@ -183,40 +175,43 @@ func (r *Refiner) RefineLeaf(id forest.NodeID) {
 	if n.Dead || !n.IsLeaf() {
 		panic("refine: RefineLeaf on non-leaf")
 	}
-	a, b := r.F.LongestEdge(id)
-	r.markSplit(a, b)
+	r.markSplit(r.edges.get(r.F.LongestEdge(id)))
 }
 
-// MarkSplitByID applies a remotely originated split, identified by global
-// vertex IDs. It returns true if the edge exists among local leaf edges and
-// was newly marked; false if unknown here (the caller should retain it and
-// retry after further local refinement) or already split.
+// findByID returns the record of the edge named by the canonical global pair
+// s, or nil: a pair that is not canonical (A < B) names no edge.
+func (r *Refiner) findByID(s EdgeSplit) *edgeRec {
+	if s.A >= s.B {
+		return nil
+	}
+	a, b := r.F.LookupVertex(s.A), r.F.LookupVertex(s.B)
+	if a < 0 || b < 0 {
+		return nil
+	}
+	return r.edges.find(a, b)
+}
+
+// MarkSplitByID applies a remotely originated split, identified by the global
+// vertex IDs of its endpoints as a canonical pair (A < B, as MakeEdgeSplit
+// and TakeNewSplits give it). It returns true if the edge exists among local
+// leaf edges and was newly marked; false if unknown here (the caller should
+// retain it and retry after further local refinement), already split, or not
+// canonical.
 func (r *Refiner) MarkSplitByID(s EdgeSplit) bool {
-	if _, ok := r.split[s]; ok {
+	// An unsplit record has a leaf: a record lives while it has either.
+	e := r.findByID(s)
+	if e == nil || e.mid >= 0 {
 		return false
 	}
-	leaves, ok := r.edgeLeaves[s]
-	if !ok || len(leaves) == 0 {
-		return false
-	}
-	// Endpoints exist locally: recover their local indices from any leaf.
-	la, lb := int32(-1), int32(-1)
-	r.forEachEdge(leaves[0], func(a, b int32) {
-		if r.key(a, b) == s {
-			la, lb = a, b
-		}
-	})
-	if la < 0 {
-		return false
-	}
-	r.markSplit(la, lb)
+	r.markSplit(e)
 	return true
 }
 
-// IsSplit reports whether the given edge is currently marked split.
+// IsSplit reports whether the edge named by the canonical global pair s
+// (A < B) is currently marked split.
 func (r *Refiner) IsSplit(s EdgeSplit) bool {
-	_, ok := r.split[s]
-	return ok
+	e := r.findByID(s)
+	return e != nil && e.mid >= 0
 }
 
 // TakeNewSplits drains and returns the record of splits performed since the
@@ -228,18 +223,32 @@ func (r *Refiner) TakeNewSplits() []EdgeSplit {
 }
 
 // bisect splits leaf id at edge (a, b) whose midpoint is mid, updating the
-// edge-incidence maps and enqueuing children that are still nonconforming.
+// edge incidence and enqueuing children that are still nonconforming.
 func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
 	r.removeLeafEdges(id)
 	k0, k1 := r.F.Bisect(id, a, b, mid)
-	r.addLeafEdges(k0)
-	r.addLeafEdges(k1)
-	if r.hasSplitEdge(k0) {
+	// Entering k1 marks nothing, so k0's answer is what it would be after.
+	split0 := r.addLeafEdges(k0)
+	split1 := r.addLeafEdges(k1)
+	if split0 {
 		r.queue = append(r.queue, k0)
 	}
-	if r.hasSplitEdge(k1) {
+	if split1 {
 		r.queue = append(r.queue, k1)
 	}
+}
+
+// unbisect restores node pid, whose two children are leaves, as a leaf and
+// clears the split mark of its refinement edge.
+func (r *Refiner) unbisect(pid forest.NodeID) {
+	p := r.F.Node(pid)
+	r.removeLeafEdges(p.Kids[0])
+	r.removeLeafEdges(p.Kids[1])
+	r.F.Unbisect(pid)
+	r.addLeafEdges(pid)
+	// The mark kept the record alive until pid, which contains the edge, was
+	// entered; now the leaf does.
+	r.edges.find(p.RefEdge[0], p.RefEdge[1]).mid = -1
 }
 
 // maxClosureSteps bounds a single closure as a defense against a
@@ -263,25 +272,28 @@ func (r *Refiner) Closure() int {
 			continue
 		}
 		a, b := r.F.LongestEdge(id)
-		k := r.key(a, b)
-		if mid, ok := r.split[k]; ok {
-			r.bisect(id, a, b, mid)
+		if e := r.edges.find(a, b); e.mid >= 0 {
+			r.bisect(id, a, b, e.mid)
 			bisections++
 		} else {
 			// Propagate: the longest edge must split before this leaf can be
-			// bisected conformally. Marking re-enqueues id via edgeLeaves.
-			r.markSplit(a, b)
+			// bisected conformally. Marking re-enqueues id, one of e's leaves.
+			r.markSplit(e)
 		}
 	}
 	return bisections
 }
 
-// CheckInvariants verifies (for tests) that the refiner is at quiescence — no
-// leaf edge is split — and that the edge incidence is exactly what NewRefiner
-// would build from the current leaves: every leaf is listed under each of its
-// edges, and the lists hold nothing else. The fault reported is the first in
-// leaf order, or else the one on the smallest edge, whatever the map order.
+// CheckInvariants verifies (for tests) the edge table's structure (see
+// edgeTable.check), that the refiner is at quiescence — no leaf edge is split
+// — and that the edge incidence is exactly what NewRefiner would build from
+// the current leaves: every leaf is listed under each of its edges, and the
+// lists hold nothing else. The fault reported is the first in leaf order, or
+// else the one on the smallest edge by global IDs.
 func (r *Refiner) CheckInvariants() error {
+	if err := r.edges.check(); err != nil {
+		return err
+	}
 	var fail error
 	want := 0 // (leaf, edge) incidences
 	r.F.VisitLeaves(func(id forest.NodeID) {
@@ -290,11 +302,11 @@ func (r *Refiner) CheckInvariants() error {
 			if fail != nil {
 				return
 			}
-			k := r.key(a, b)
-			if _, ok := r.split[k]; ok {
-				fail = fmt.Errorf("refine: leaf %d has split edge %v", id, k)
-			} else if !slices.Contains(r.edgeLeaves[k], id) {
-				fail = fmt.Errorf("refine: leaf %d missing from the incidence of its edge %v", id, k)
+			e := r.edges.find(a, b)
+			if e != nil && e.mid >= 0 {
+				fail = fmt.Errorf("refine: leaf %d has split edge %v", id, r.edgeSplit(a, b))
+			} else if e == nil || !slices.Contains(e.leaves, id) {
+				fail = fmt.Errorf("refine: leaf %d missing from the incidence of its edge %v", id, r.edgeSplit(a, b))
 			}
 		})
 	})
@@ -303,25 +315,31 @@ func (r *Refiner) CheckInvariants() error {
 	}
 	// Every list holds its leaves; equal totals mean none holds more.
 	got := 0
-	for _, leaves := range r.edgeLeaves {
-		got += len(leaves)
+	for i := int32(0); i < r.edges.n; i++ {
+		got += len(r.edges.at(i).leaves)
 	}
 	if got == want {
 		return nil
 	}
-	count := make(map[EdgeSplit]int)
+	count := make(map[uint64]int)
 	r.F.VisitLeaves(func(id forest.NodeID) {
-		r.forEachEdge(id, func(a, b int32) { count[r.key(a, b)]++ })
+		r.forEachEdge(id, func(a, b int32) { count[edgeKey(a, b)]++ })
 	})
-	keys := make([]EdgeSplit, 0, len(r.edgeLeaves))
-	for k := range r.edgeLeaves {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, EdgeSplit.Compare)
-	for _, k := range keys {
-		if len(r.edgeLeaves[k]) != count[k] {
-			return fmt.Errorf("refine: edge %v incidence %d, want %d", k, len(r.edgeLeaves[k]), count[k])
+	var worst *edgeRec
+	for i := int32(0); i < r.edges.n; i++ {
+		e := r.edges.at(i)
+		if e.a >= 0 && len(e.leaves) != count[e.key()] &&
+			(worst == nil || r.edgeSplit(e.a, e.b).Compare(r.edgeSplit(worst.a, worst.b)) < 0) {
+			worst = e
 		}
 	}
+	if worst != nil {
+		return fmt.Errorf("refine: edge %v incidence %d, want %d", r.edgeSplit(worst.a, worst.b), len(worst.leaves), count[worst.key()])
+	}
 	return fmt.Errorf("refine: incidence holds %d entries, the leaves have %d", got, want)
+}
+
+// edgeSplit names edge {a, b} by the global IDs of its endpoints.
+func (r *Refiner) edgeSplit(a, b int32) EdgeSplit {
+	return MakeEdgeSplit(r.F.VIDs[a], r.F.VIDs[b])
 }

@@ -220,7 +220,7 @@ func TestCoarsen3D(t *testing.T) {
 
 // TestCheckInvariantsFaultIsRunIndependent: of several faults CheckInvariants
 // names the first in leaf order, or the one on the smallest edge — the same
-// text on every call, whatever order the incidence map iterates in.
+// text on every call, whatever order the edge index iterates in.
 func TestCheckInvariantsFaultIsRunIndependent(t *testing.T) {
 	f := forest.FromMesh(meshgen.RectTri(4, 4, -1, -1, 1, 1))
 	r := NewRefiner(f)
@@ -239,7 +239,7 @@ func TestCheckInvariantsFaultIsRunIndependent(t *testing.T) {
 	for i := 0; i < len(leaves); i += 3 {
 		r.addLeafEdges(leaves[i])
 		r.forEachEdge(leaves[i], func(a, b int32) {
-			if k := r.key(a, b); k.Compare(smallest) < 0 {
+			if k := r.edgeSplit(a, b); k.Compare(smallest) < 0 {
 				smallest = k
 			}
 		})
