@@ -16,14 +16,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-specific static analysis (see internal/lint), all ten checks:
+# Project-specific static analysis (see internal/lint), all eight checks:
 # per-file — map-iteration order in deterministic packages, raw concurrency
 # outside internal/par and internal/kern, float ==, dropped errors, sleeps;
-# flow-aware — rank-gated collectives (deadlocks), impure kern bodies,
-# *Scratch aliasing across concurrency, order-dependent float accumulation;
-# path-sensitive — rank-divergent collective schedules (spmd, per-path trace
-# comparison). Suppressions that suppress nothing are findings too. ./...
-# includes internal/lint and cmd/paredlint: the linter lints itself.
+# flow-aware — impure kern bodies, *Scratch aliasing across concurrency,
+# order-dependent float accumulation. Collective ordering is not linted:
+# internal/par reports a deadlock as an error at run time. Suppressions that
+# suppress nothing are findings too. ./... includes internal/lint and
+# cmd/paredlint: the linter lints itself.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/paredlint ./...

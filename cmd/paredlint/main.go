@@ -8,7 +8,7 @@
 //
 //	paredlint ./...                      # whole module (default)
 //	paredlint ./internal/core ./cmd/...  # explicit packages
-//	paredlint -only spmd ./...           # a single check by name
+//	paredlint -only kernpure ./...       # a single check by name
 //	paredlint -json ./...                # one JSON object per finding
 //
 // The checks are documented in package lint. A //paredlint:allow directive

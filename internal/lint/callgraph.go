@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the whole-program context the flow-aware checks
-// (collective, kernpure, scratchalias, detfloat) share: an index of every
+// (kernpure, scratchalias, detfloat) share: an index of every
 // declared function across the packages of one Run and a CHA-lite call graph
 // over it. "CHA-lite" means:
 //
@@ -26,8 +26,8 @@ import (
 //     declaration: a closure's effects belong to the function that wrote it.
 //
 // On top of the graph the builder computes transitive effect summaries —
-// "this function (or something it calls) performs a collective", "…touches
-// internal/par", "…writes package-level state" — each carrying a witness
+// "this function (or something it calls) touches internal/par", "…writes
+// package-level state" — each carrying a witness
 // chain so diagnostics can print the call path that makes a finding real.
 
 // Import paths of the audited concurrency layers. The flow-aware checks key
@@ -36,32 +36,6 @@ const (
 	parPath  = "pared/internal/par"
 	kernPath = "pared/internal/kern"
 )
-
-// collectiveNames are the par.Comm methods under the MPI-style ordering
-// contract: every rank must call them in the same order or the run deadlocks.
-var collectiveNames = map[string]bool{
-	"Barrier": true,
-	"Gather":  true,
-	"Bcast":   true,
-	// Typed variants (par/typed.go) participate in the same collSeq ordering.
-	"AllReduceMaxSum":      true,
-	"AllReduceSumInt64":    true,
-	"AllReduceSumFloat64s": true,
-	"ExclusiveScanInt64":   true,
-	"AllGatherInt32":       true,
-	"AllGatherInt64":       true,
-	"AllGatherMoves":       true,
-	"GatherInt32":          true,
-	"GatherInt64":          true,
-	"BcastInt32":           true,
-	"BcastInt64":           true,
-	"AlltoallBytes":        true,
-	// Split is a collective on the PARENT communicator: every parent rank
-	// must call it (colors may differ; the call may not be skipped) or the
-	// subgroup numbering exchange deadlocks. Collectives on the *result* are
-	// scoped to the subgroup — see the membership-guard rule in collective.go.
-	"Split": true,
-}
 
 // kernEntryNames are the kern entry points that run a caller-supplied body on
 // multiple goroutines; bodies handed to them carry the purity contract.
@@ -72,11 +46,9 @@ var kernEntryNames = map[string]bool{"For": true, "ForChunks": true, "Sum": true
 type Effect int
 
 const (
-	// EffCollective: reaches a par.Comm collective.
-	EffCollective Effect = iota
 	// EffPar: reaches any internal/par function or method (communication,
 	// rank spawning, ordered printing) — forbidden inside kern bodies.
-	EffPar
+	EffPar Effect = iota
 	// EffKern: reaches kern.For/ForChunks/Sum — kern does not nest.
 	EffKern
 	// EffConc: uses a raw concurrency primitive outside the audited packages.
@@ -123,16 +95,12 @@ type Program struct {
 	nodes  map[*types.Func]*FuncNode
 	order  []*FuncNode            // nodes in file/position order (deterministic iteration)
 	byName map[string][]*FuncNode // method name → implementations (CHA-lite interface edges)
-
-	// spmd collective-trace summaries (spmd.go), computed on demand.
-	traceMemo map[*types.Func][]collEvent
-	traceOn   map[*types.Func]bool
 }
 
 // BuildProgram indexes the packages and computes the call graph and effect
 // summaries. Packages not in pkgs (e.g. imports of a single fixture package)
 // contribute no nodes; calls into them resolve only through the intrinsic
-// facts below (collectives, par, kern entries), which is exactly what the
+// facts below (par, kern entries), which is exactly what the
 // fixture tests need.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
@@ -219,30 +187,6 @@ func isCommMethod(fn *types.Func) (string, bool) {
 	return fn.Name(), true
 }
 
-// isCollective reports whether fn is one of the par.Comm collectives.
-func isCollective(fn *types.Func) bool {
-	name, ok := isCommMethod(fn)
-	return ok && collectiveNames[name]
-}
-
-// isParComm reports whether t is *par.Comm — the communicator handle whose
-// nil-ness encodes subgroup membership after Split.
-func isParComm(t types.Type) bool {
-	pt, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := pt.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Comm" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == parPath
-}
-
-// isRankCall reports whether call reads the rank: (*par.Comm).Rank().
-func isRankCall(info *types.Info, call *ast.CallExpr) bool {
-	name, ok := isCommMethod(calleeOf(info, call))
-	return ok && name == "Rank"
-}
-
 // isKernEntry reports whether fn is kern.For, kern.ForChunks, or kern.Sum.
 func isKernEntry(fn *types.Func) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == kernPath && kernEntryNames[fn.Name()]
@@ -285,9 +229,6 @@ func (n *FuncNode) inAuditedConcPkg() bool {
 func (prog *Program) scanDirect(n *FuncNode) {
 	info := n.Pkg.Info
 	audited := n.inAuditedConcPkg()
-	if isCollective(n.Fn) {
-		n.eff[EffCollective] = &Trace{Desc: displayName(n.Fn), Pos: n.Decl.Pos()}
-	}
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.CallExpr:
@@ -296,9 +237,6 @@ func (prog *Program) scanDirect(n *FuncNode) {
 				return true
 			}
 			n.calls = append(n.calls, callSite{pos: x.Pos(), callee: fn})
-			if isCollective(fn) && n.eff[EffCollective] == nil {
-				n.eff[EffCollective] = &Trace{Desc: displayName(fn), Pos: x.Pos()}
-			}
 			if fn.Pkg() != nil && fn.Pkg().Path() == parPath && !audited && n.eff[EffPar] == nil {
 				n.eff[EffPar] = &Trace{Desc: displayName(fn), Pos: x.Pos()}
 			}
@@ -444,10 +382,6 @@ func (prog *Program) EffectOf(fn *types.Func, e Effect) *Trace {
 	// Intrinsic facts that need no node (the callee's package may not be part
 	// of this Run — fixture packages import par/kern without loading them).
 	switch e {
-	case EffCollective:
-		if isCollective(fn) {
-			return &Trace{Desc: displayName(fn)}
-		}
 	case EffPar:
 		if fn.Pkg() != nil && fn.Pkg().Path() == parPath {
 			return &Trace{Desc: displayName(fn)}

@@ -7,146 +7,9 @@ import (
 )
 
 // This file holds the intraprocedural dataflow machinery the flow-aware
-// checks share: rank-taint analysis (which local values depend on
-// (*par.Comm).Rank()), function-literal binding resolution (the hoisted
-// closure idiom `body := func(lo, hi int) {…}; kern.For(n, g, body)`), and
-// the chunk-purity analysis that classifies writes inside kern bodies.
-
-// rankTaintedVars computes, for one declaration (function literals
-// included), the set of variables whose values depend on the calling rank —
-// seeded by (*par.Comm).Rank() calls and propagated through assignments and
-// range clauses to a fixed point. Collective results (AllReduce, Bcast) are
-// deliberately NOT tainted: they are replicated identically on every rank,
-// so branching on them is safe.
-func rankTaintedVars(p *Pass, body ast.Node) map[*types.Var]bool {
-	taint := make(map[*types.Var]bool)
-	lhsVar := func(e ast.Expr) *types.Var {
-		id, ok := unparen(e).(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if v, ok := p.Info.Defs[id].(*types.Var); ok {
-			return v
-		}
-		v, _ := p.Info.Uses[id].(*types.Var)
-		return v
-	}
-	for changed := true; changed; {
-		changed = false
-		mark := func(v *types.Var) {
-			if v != nil && !taint[v] {
-				taint[v] = true
-				changed = true
-			}
-		}
-		ast.Inspect(body, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.AssignStmt:
-				tainted := false
-				for _, rhs := range x.Rhs {
-					if exprRankTainted(p, rhs, taint) {
-						tainted = true
-					}
-				}
-				if tainted {
-					for _, lhs := range x.Lhs {
-						mark(lhsVar(lhs))
-					}
-				}
-			case *ast.RangeStmt:
-				if exprRankTainted(p, x.X, taint) {
-					mark(lhsVar(x.Key))
-					mark(lhsVar(x.Value))
-				}
-			case *ast.ValueSpec:
-				for _, rhs := range x.Values {
-					if exprRankTainted(p, rhs, taint) {
-						for _, name := range x.Names {
-							mark(lhsVar(name))
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return taint
-}
-
-// exprRankTainted reports whether e's value can depend on the calling rank:
-// it contains a Rank() call or reads a tainted variable.
-func exprRankTainted(p *Pass, e ast.Expr, taint map[*types.Var]bool) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.CallExpr:
-			if isRankCall(p.Info, x) {
-				found = true
-				return false
-			}
-		case *ast.Ident:
-			if v, ok := p.Info.Uses[x].(*types.Var); ok && taint[v] {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// commNilCheck recognizes a subgroup-membership test: a *par.Comm variable
-// compared against nil. Split returns nil on the ranks its color excludes
-// (the MPI_UNDEFINED convention), so such a branch partitions ranks by
-// subgroup membership rather than by an arbitrary rank predicate — the
-// collective and spmd checks treat it specially whether or not the variable
-// is rank-tainted (the canonical color computation hides the rank behind
-// control flow, which the data-flow taint cannot see). member reports which
-// arm holds the subgroup members: true for `sub != nil`, false for
-// `sub == nil`.
-func commNilCheck(p *Pass, cond ast.Expr) (v *types.Var, member bool) {
-	be, ok := unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false
-	}
-	operand := be.X
-	if !p.Info.Types[be.Y].IsNil() {
-		if !p.Info.Types[be.X].IsNil() {
-			return nil, false
-		}
-		operand = be.Y
-	}
-	cv := varOf(p.Info, operand)
-	if cv == nil || !isParComm(cv.Type()) {
-		return nil, false
-	}
-	return cv, be.Op == token.NEQ
-}
-
-// terminates conservatively decides whether executing s never falls through
-// to the statement after it (return, break/continue/goto, panic, or a block
-// or if/else ending in one).
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := unparen(call.Fun).(*ast.Ident)
-		return ok && id.Name == "panic"
-	case *ast.BlockStmt:
-		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
-	case *ast.IfStmt:
-		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
-	}
-	return false
-}
+// checks share: function-literal binding resolution (the hoisted closure
+// idiom `body := func(lo, hi int) {…}; kern.For(n, g, body)`) and the
+// chunk-purity analysis that classifies writes inside kern bodies.
 
 // litBindings collects, per enclosing declaration, local variables bound
 // exactly once to a function literal (`f := func(…) {…}` or

@@ -27,34 +27,6 @@ func loadFixture(t testing.TB, dir string) *Package {
 	return pkg
 }
 
-// TestSeededBugRankGatedBarrierTwoDeep is the seeded-bug acceptance test:
-// the collective check must catch a Barrier that is rank-gated two calls up
-// (gatedIndirect → doSync → deepSync → Barrier in the collective fixture)
-// and report the full call path.
-func TestSeededBugRankGatedBarrierTwoDeep(t *testing.T) {
-	pkg := loadFixture(t, "collective")
-	diags := Run([]*Package{pkg}, []*Check{Collective})
-	var hit *Diagnostic
-	for i := range diags {
-		if strings.Contains(diags[i].Msg, "doSync") {
-			hit = &diags[i]
-			break
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no diagnostic for the rank-gated doSync call; got %d diagnostics: %v", len(diags), diags)
-	}
-	path := strings.Join(hit.Path, " -> ")
-	for _, step := range []string{"doSync", "deepSync", "Barrier"} {
-		if !strings.Contains(path, step) {
-			t.Errorf("call path %q missing step %q: the two-deep chain must be reported", path, step)
-		}
-	}
-	if !strings.Contains(hit.String(), "call path:") {
-		t.Errorf("diagnostic %q does not render its call path", hit.String())
-	}
-}
-
 // TestAllowEdgeCases covers the suppression corner cases on the allowedge
 // fixture: a directive on the wrong line does not suppress (and is stale), a
 // multi-check directive suppresses two checks at one site, and a directive

@@ -139,3 +139,11 @@ func checkKernCall(p *Pass, kb *kernBody, call *ast.CallExpr) {
 		}
 	}
 }
+
+// lastOf returns the final step of a witness path: the fact it reaches.
+func lastOf(path []string) string {
+	if len(path) == 0 {
+		return "?"
+	}
+	return path[len(path)-1]
+}

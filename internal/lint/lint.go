@@ -4,8 +4,8 @@
 // and balance numbers — only reproduces if the pipeline is deterministic and
 // all inter-rank communication flows through internal/par. Go silently loses
 // both properties through unordered map iteration, float ==, ad-hoc
-// goroutines, and dropped errors. paredlint machine-checks ten project rules,
-// five of them per file:
+// goroutines, and dropped errors. paredlint machine-checks eight project
+// rules, five of them per file:
 //
 //	maporder — no order-sensitive iteration over maps in the deterministic
 //	           packages (internal/core, internal/graph, internal/partition,
@@ -18,18 +18,9 @@
 //	errcheck — no silently dropped error return values
 //	sleep    — no time.Sleep used as synchronization in library code
 //
-// On top of the per-file checks sits a whole-program, type- and flow-aware
-// layer (callgraph.go, flow.go, cfg.go) with five more checks:
+// On top of the per-file checks sits a whole-program, type-aware layer
+// (callgraph.go, flow.go) with three more checks:
 //
-//	collective   — a par.Comm collective reachable only under rank-dependent
-//	               control flow (branch, loop bound, early return) is a
-//	               deadlock: every rank must call collectives in the same
-//	               order. Traced interprocedurally with a call path.
-//	spmd         — path-sensitive SPMD protocol verification: per-path
-//	               collective traces are extracted over the CFG and any
-//	               rank-tainted branch must rejoin with identical traces;
-//	               mismatches are reported as two concrete call paths with
-//	               their traces (spmd.go).
 //	kernpure     — closures passed to kern.For/ForChunks/Sum may write only
 //	               chunk-owned locations: no captured-variable writes outside
 //	               chunk-derived indices, no appends to shared slices, no
@@ -40,6 +31,10 @@
 //	detfloat     — float accumulation in map-iteration order or inside kern
 //	               bodies (outside kern.Sum's ordered reducer) breaks
 //	               bit-reproducibility.
+//
+// Collective ordering (every rank calls the same collectives in the same
+// order) is not checked here: internal/par detects the resulting deadlock
+// exactly at run time and Run returns it as an error.
 //
 // The analyzer is stdlib-only (go/parser, go/ast, go/types); see
 // cmd/paredlint for the command-line driver.
@@ -89,10 +84,9 @@ type Check struct {
 
 // AllChecks lists every check in the suite, in reporting order. The first
 // five are the per-file syntactic checks; the rest are the flow-aware checks
-// built on the whole-program call graph (callgraph.go) and the CFG layer
-// (cfg.go).
+// built on the whole-program call graph (callgraph.go).
 func AllChecks() []*Check {
-	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, Collective, SPMD, KernPure, ScratchAlias, DetFloat}
+	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, KernPure, ScratchAlias, DetFloat}
 }
 
 // Package is one loaded, type-checked package.

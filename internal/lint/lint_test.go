@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -33,8 +32,6 @@ func TestFixtures(t *testing.T) {
 		{FloatEq, "floateq"},
 		{ErrCheck, "errcheck"},
 		{Sleep, "sleep"},
-		{Collective, "collective"},
-		{SPMD, "spmd"},
 		{KernPure, "kernpure"},
 		{ScratchAlias, "scratchalias"},
 		{DetFloat, "detfloat"},
@@ -183,40 +180,5 @@ func TestInScope(t *testing.T) {
 	}
 	if !mk("pared/internal/lint/testdata/src/maporder", "/x/internal/lint/testdata/src/maporder").InScope(deterministicPkgs...) {
 		t.Error("testdata fixtures must be in scope for every check")
-	}
-}
-
-// TestCommMethodsClassified keeps collectiveNames honest against par itself:
-// every exported method of *par.Comm must be either a registered collective
-// or a known point-to-point/accessor method, so a collective added to par
-// cannot silently escape the collective and spmd checks.
-func TestCommMethodsClassified(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "par"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg == nil || pkg.Path != parPath {
-		t.Fatalf("loaded %v, want package %s", pkg, parPath)
-	}
-	comm := pkg.Types.Scope().Lookup("Comm")
-	if comm == nil {
-		t.Fatal("par.Comm not found")
-	}
-	notCollective := map[string]bool{"Rank": true, "Size": true, "WorldRank": true, "CollectiveSeq": true, "Send": true, "Recv": true, "SendFloat64s": true, "RecvFloat64s": true}
-	mset := types.NewMethodSet(types.NewPointer(comm.Type()))
-	for i := 0; i < mset.Len(); i++ {
-		m := mset.At(i).Obj()
-		if m.Exported() && collectiveNames[m.Name()] == notCollective[m.Name()] {
-			t.Errorf("(*par.Comm).%s must be in exactly one of collectiveNames (callgraph.go) and the point-to-point/accessor set", m.Name())
-		}
-	}
-	for name := range collectiveNames {
-		if mset.Lookup(pkg.Types, name) == nil {
-			t.Errorf("collectiveNames lists %s, which *par.Comm does not have", name)
-		}
 	}
 }

@@ -35,6 +35,7 @@ func (c *Comm) Barrier() {
 // Gather collects each rank's value at root; the returned slice (indexed by
 // rank) is non-nil only at root.
 func (c *Comm) Gather(root int, value any) []any {
+	c.mustBeRank(root, "Gather to invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank != root {
@@ -52,6 +53,7 @@ func (c *Comm) Gather(root int, value any) []any {
 
 // Bcast distributes root's value to every rank and returns it.
 func (c *Comm) Bcast(root int, value any) any {
+	c.mustBeRank(root, "Bcast from invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank == root {

@@ -167,15 +167,16 @@ func (c *Comm) AllReduceSumFloat64s(vals []float64) {
 // xs itself — the sender must not overwrite it until the receiver is known
 // to be done with it (see the two-buffer schedule in pared/solver.go).
 func (c *Comm) SendFloat64s(dst int, tag Tag, xs []float64) {
-	if dst < 0 || dst >= c.size {
-		panic(fmt.Sprintf("par: SendFloat64s to invalid rank %d", dst))
-	}
+	c.mustBeRank(dst, "SendFloat64s to invalid rank")
 	c.post(dst, message{tag: tag, f64: xs})
 }
 
 // RecvFloat64s is Recv for a message sent with SendFloat64s; the returned
 // slice aliases the sender's buffer and is read-only.
 func (c *Comm) RecvFloat64s(src int, tag Tag) (xs []float64, from int) {
+	if src != AnySource {
+		c.mustBeRank(src, "RecvFloat64s from invalid rank")
+	}
 	m := c.recvMsg(src, tag, 0)
 	return m.f64, m.src
 }
@@ -304,6 +305,7 @@ func (c *Comm) AllGatherMoves(moves []int64, views [][]int64, out []int64) []int
 // GatherInt32 collects each rank's []int32 at root. The result (indexed by
 // rank) is non-nil only at root; out[rank] aliases the sender's slice.
 func (c *Comm) GatherInt32(root int, xs []int32) [][]int32 {
+	c.mustBeRank(root, "GatherInt32 to invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank != root {
@@ -321,6 +323,7 @@ func (c *Comm) GatherInt32(root int, xs []int32) [][]int32 {
 
 // GatherInt64 collects each rank's []int64 at root, like GatherInt32.
 func (c *Comm) GatherInt64(root int, xs []int64) [][]int64 {
+	c.mustBeRank(root, "GatherInt64 to invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank != root {
@@ -339,6 +342,7 @@ func (c *Comm) GatherInt64(root int, xs []int64) [][]int64 {
 // BcastInt32 distributes root's []int32 to every rank and returns it. All
 // ranks share the same backing array; treat the result as read-only.
 func (c *Comm) BcastInt32(root int, xs []int32) []int32 {
+	c.mustBeRank(root, "BcastInt32 from invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank == root {
@@ -357,6 +361,7 @@ func (c *Comm) BcastInt32(root int, xs []int32) []int32 {
 // BcastInt32. The hierarchical rebalance pipeline uses it to fan a node
 // group's combined delta payload from the group leader to the group.
 func (c *Comm) BcastInt64(root int, xs []int64) []int64 {
+	c.mustBeRank(root, "BcastInt64 from invalid root")
 	c.collSeq++
 	seq := c.collSeq
 	if c.rank == root {
