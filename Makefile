@@ -86,23 +86,32 @@ bench-ab:
 # first, the engine's shared set, P1 weights and dof plan on the second, and
 # every Adapt with coarsening pays the third.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
+# The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
+# GOMAXPROCS=2, where kern.Workers() is 1 inside every rank.
+ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^BenchmarkDistCGSolve$$' -benchmem ./internal/pared
 
 bench-alloc-baseline:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt
-	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json /tmp/allocguard0.txt
+	$(ALLOC_SOLVE) > /tmp/allocguard0s.txt
+	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json /tmp/allocguard0.txt /tmp/allocguard0s.txt
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
 # within 20% of BENCH_allocs.json per benchmark — and zero-alloc baselines
 # (SpMV, Dot, the KL boundary scan) admit no allocations at all. Catches a
 # reintroduced per-op allocation (interface boxing, literal in a kernel) as a
-# CI failure. GOMAXPROCS=1 in both recipes: with more workers kern spawns
-# goroutines and the counts depend on the machine; the pins are of the
-# single-worker path.
+# CI failure. The package benchmarks run at GOMAXPROCS=1: with more workers
+# kern spawns goroutines and the counts depend on the machine; those pins are
+# of the single-worker path. BenchmarkDistCGSolve runs at GOMAXPROCS=2, fewer
+# cores than ranks, which is the shape of every BENCHMARK.json workload: there
+# the ranks own the cores, kern runs inline in each rank, and the count is the
+# same on any machine.
 bench-alloc-guard:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard1.txt
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard2.txt
+	$(ALLOC_SOLVE) > /tmp/allocguard1s.txt
+	$(ALLOC_SOLVE) > /tmp/allocguard2s.txt
 	$(GO) run ./cmd/benchguard -baseline BENCH_allocs.json \
-		/tmp/allocguard1.txt /tmp/allocguard2.txt
+		/tmp/allocguard1.txt /tmp/allocguard2.txt /tmp/allocguard1s.txt /tmp/allocguard2s.txt
 
 cover:
 	$(GO) test ./internal/... -coverprofile=cover.out

@@ -6,27 +6,21 @@ import (
 	"pared/internal/kern"
 )
 
-// matchGrain and contractGrain are the kern chunk sizes for candidate
-// scoring and coarse-vertex adjacency construction.
-const (
-	matchGrain    = 512
-	contractGrain = 512
-)
+// contractGrain is the kern chunk size for coarse-vertex adjacency
+// construction.
+const contractGrain = 512
 
 // HeavyEdgeMatching computes a matching preferring heavy edges, visiting
 // vertices in a seeded random order. match[v] is v's partner, or v itself if
 // unmatched. If allow is non-nil, only pairs with allow(u, v) true are
 // matched — PNR uses this to restrict matching to vertices in the same
 // current part so contracted vertices inherit an unambiguous assignment.
-// allow must be a pure function of its arguments: candidate scoring runs in
-// parallel chunks and calls it concurrently.
 //
-// The result is byte-identical to the serial greedy algorithm: scoring
-// precomputes each vertex's best neighbor over ALL allowed neighbors in
-// parallel, and the sequential commit pass walks the shuffled order exactly
-// as before. When a vertex's precomputed candidate is still unmatched it
-// equals the serial choice (the argmax over a superset that is itself in the
-// subset); otherwise the commit falls back to the serial rescan.
+// The greedy loop is serial: each visited vertex takes its best unmatched
+// allowed neighbor under the (weight desc, index asc) tie-break. A parallel
+// pre-score of every vertex's best neighbor reproduced this output at the
+// cost of one more neighbor sweep per vertex, and did not pay for it on two
+// cores (DESIGN.md §8).
 func HeavyEdgeMatching(g *Graph, seed int64, allow func(u, v int32) bool) []int32 {
 	n := g.N()
 	match := make([]int32, n)
@@ -40,9 +34,10 @@ func HeavyEdgeMatching(g *Graph, seed int64, allow func(u, v int32) bool) []int3
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	// rescan is the serial selection: best unmatched allowed neighbor of v
-	// under the (weight desc, index asc) tie-break.
-	rescan := func(v int32) int32 {
+	for _, v := range order {
+		if match[v] >= 0 {
+			continue
+		}
 		best := int32(-1)
 		var bestW int64 = -1
 		g.Neighbors(v, func(u int32, w int64) {
@@ -56,71 +51,7 @@ func HeavyEdgeMatching(g *Graph, seed int64, allow func(u, v int32) bool) []int3
 				best, bestW = u, w
 			}
 		})
-		return best
-	}
-
-	// The eager pre-scoring below costs roughly one extra neighbor sweep per
-	// vertex; it only pays for itself when there are workers to spread it
-	// over and enough vertices to chunk. Below that threshold, run the
-	// classic lazy greedy loop — same output (the parallel path reduces to
-	// it, see below), no overhead.
-	if kern.Workers() == 1 || n < 2*matchGrain {
-		for _, v := range order {
-			if match[v] >= 0 {
-				continue
-			}
-			if best := rescan(v); best >= 0 {
-				match[v] = best
-				match[best] = v
-			} else {
-				match[v] = v
-			}
-		}
-		return match
-	}
-
-	// Parallel phase: best allowed neighbor per vertex, ignoring match state,
-	// under the same (weight desc, index asc) tie-break as the serial scan.
-	cand := make([]int32, n)
-	kern.For(n, matchGrain, func(lo, hi int) {
-		// lo/hi are chunk bounds in [0, n]; vertex counts fit int32 by the
-		// mesh contract (ids are int32 throughout).
-		for v := int32(lo); v < int32(hi); v++ {
-			best := int32(-1)
-			var bestW int64 = -1
-			g.Neighbors(v, func(u int32, w int64) {
-				if u == v {
-					return
-				}
-				if allow != nil && !allow(v, u) {
-					return
-				}
-				if w > bestW || (w == bestW && (best < 0 || u < best)) {
-					best, bestW = u, w
-				}
-			})
-			cand[v] = best
-		}
-	})
-
-	// Sequential commit in the seeded random order (the deterministic
-	// tie-break between conflicting candidates). If v's candidate is still
-	// unmatched it equals the lazy argmax (the max over all allowed
-	// neighbors, landing in the unmatched subset, is the subset's max too);
-	// if it was taken, the serial rescan recovers the lazy choice exactly.
-	for _, v := range order {
-		if match[v] >= 0 {
-			continue
-		}
-		if c := cand[v]; c < 0 {
-			match[v] = v
-			continue
-		} else if match[c] < 0 {
-			match[v] = c
-			match[c] = v
-			continue
-		}
-		if best := rescan(v); best >= 0 {
+		if best >= 0 {
 			match[v] = best
 			match[best] = v
 		} else {

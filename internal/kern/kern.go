@@ -1,8 +1,9 @@
 // Package kern is the deterministic shared-memory parallel kernel layer for
-// PARED's numeric hot paths: CSR SpMV and the CG/Lanczos vector kernels in
-// internal/la, element-parallel P1 assembly in internal/fem, dual-graph and
-// shared-vertex construction in internal/mesh, and heavy-edge matching in
-// internal/graph.
+// PARED's numeric hot paths: CSR SpMV, CSR assembly and the CG/Lanczos vector
+// kernels in internal/la, element-parallel P1 assembly in internal/fem,
+// facet-record and dual-graph construction in internal/mesh and
+// internal/graph, graph contraction, and distributed KL scoring in
+// internal/core.
 //
 // The layer trades scheduling freedom for reproducibility. Its contract:
 //
@@ -15,14 +16,18 @@
 //     floating-point rounding is identical to a single-threaded run over the
 //     same chunk geometry and independent of scheduling.
 //
-//   - Bounded workers. At most GOMAXPROCS goroutines (the caller plus
-//     helpers) process chunks; with GOMAXPROCS=1, or when the index space is
-//     a single chunk, everything runs inline on the caller with no goroutines
-//     and no allocation.
+//   - Bounded workers. At most Workers() goroutines (the caller plus
+//     helpers) process chunks, and Workers() is GOMAXPROCS divided by the
+//     message-passing ranks live in par.Run: the ranks are the parallelism,
+//     and a kernel takes only the cores they leave. With one worker, or when
+//     the index space is a single chunk, everything runs inline on the caller
+//     with no goroutines and no allocation — which is every call inside a
+//     world with at least as many ranks as cores.
 //
-// Together these make every kern-ported kernel byte-identical for any
-// GOMAXPROCS value, which is what lets the determinism regression tests
-// (internal/core, internal/pared) keep passing with parallelism enabled.
+// Together these make every kern-ported kernel byte-identical for any worker
+// count, hence for any GOMAXPROCS and any number of live ranks, which is what
+// lets the determinism regression tests (internal/core, internal/pared) keep
+// passing with parallelism enabled.
 //
 // Bodies must be data-parallel: a body may write only to locations owned by
 // its chunk (disjoint index ranges, per-chunk buffers) and may read only
@@ -42,9 +47,26 @@ import (
 	"sync/atomic"
 )
 
+// liveRanks counts the ranks of every par.Run in progress (nested Runs add
+// up); see AddRanks.
+var liveRanks atomic.Int64
+
+// AddRanks adds delta to the count of live message-passing ranks. par.Run
+// adds its p ranks on entry and subtracts them when it returns, however its
+// ranks end; nothing else calls it.
+func AddRanks(delta int) { liveRanks.Add(int64(delta)) }
+
 // Workers returns the maximum number of goroutines a kernel call may use:
-// the current GOMAXPROCS setting.
-func Workers() int { return runtime.GOMAXPROCS(0) }
+// GOMAXPROCS divided by the ranks live in par.Run, and at least 1. Outside
+// any Run (serial experiments, benchmarks, one-rank tools) that is every
+// core; inside 8 ranks on 2 cores it is 1, and every call runs inline.
+func Workers() int {
+	g := runtime.GOMAXPROCS(0)
+	if r := int(liveRanks.Load()); r > 1 {
+		g /= r
+	}
+	return max(1, g)
+}
 
 // NumChunks returns the number of chunks the index space [0, n) is split
 // into at the given grain: ⌈n/grain⌉ (0 for an empty space). Chunk c covers

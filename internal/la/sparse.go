@@ -32,14 +32,23 @@ type CSR struct {
 	Val    []float64
 }
 
-// mulVecRange computes dst[lo:hi] = (A·x)[lo:hi].
+// mulVecRange computes dst[lo:hi] = (A·x)[lo:hi]. The reslices carry the
+// bounds: per stored entry only x[c] keeps its check, and the accumulation
+// is the same left-to-right sum as the indexed loop.
 func (a *CSR) mulVecRange(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	dst = dst[lo:hi]
+	ptr := a.RowPtr[lo : hi+1]
+	s := ptr[0]
+	for i, e := range ptr[1:] {
+		cols := a.Col[s:e]
+		vals := a.Val[s:e]
+		vals = vals[:len(cols)]
 		sum := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
+		for k, c := range cols {
+			sum += vals[k] * x[c]
 		}
 		dst[i] = sum
+		s = e
 	}
 }
 

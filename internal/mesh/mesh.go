@@ -312,94 +312,33 @@ func (m *Mesh) SharedVertices(parts []int32) int {
 	if len(parts) != m.NumElems() {
 		panic("mesh: parts length mismatch")
 	}
-	ne := m.NumElems()
-	nvtx := m.NumVerts()
-	// scanRange folds elements [lo, hi) into (first, shared): first[v] is the
-	// part of the first element of the range incident to v (-1 if none),
-	// shared[v] marks a second distinct part within the range.
-	scanRange := func(first []int32, shared []bool, lo, hi int) {
-		for e := lo; e < hi; e++ {
-			el := m.Elems[e]
-			nv := el.Nv()
-			p := parts[e]
-			for i := 0; i < nv; i++ {
-				v := el.V[i]
-				switch {
-				case first[v] < 0:
-					first[v] = p
-				case first[v] != p:
-					shared[v] = true
-				}
+	// first[v] is the part of the first element incident to v (-1 if none);
+	// shared[v] marks a second distinct part. One scan: a chunked fold merged
+	// to the same count and did not pay for its merge on two cores
+	// (DESIGN.md §8).
+	first := make([]int32, m.NumVerts())
+	for i := range first {
+		first[i] = -1
+	}
+	shared := make([]bool, m.NumVerts())
+	for e, el := range m.Elems {
+		p := parts[e]
+		for _, v := range el.V[:el.Nv()] {
+			switch {
+			case first[v] < 0:
+				first[v] = p
+			case first[v] != p:
+				shared[v] = true
 			}
 		}
 	}
-	// The per-vertex (first, shared) state is a fold over elements in order,
-	// and it is associative: chunk states merge in element order to exactly
-	// the serial state. So the element range splits into at most
-	// sharedChunks chunks folded in parallel; the merged count is identical
-	// for any chunking, hence for any GOMAXPROCS.
-	const sharedChunks = 8
-	const sharedMin = 1 << 13
-	nc := kern.Workers()
-	if nc > sharedChunks {
-		nc = sharedChunks
+	count := 0
+	for _, s := range shared {
+		if s {
+			count++
+		}
 	}
-	if ne < sharedMin || nc <= 1 {
-		first := make([]int32, nvtx)
-		for i := range first {
-			first[i] = -1
-		}
-		shared := make([]bool, nvtx)
-		scanRange(first, shared, 0, ne)
-		count := 0
-		for _, s := range shared {
-			if s {
-				count++
-			}
-		}
-		return count
-	}
-	grain := (ne + nc - 1) / nc
-	nchunks := kern.NumChunks(ne, grain)
-	firsts := make([][]int32, nchunks)
-	shareds := make([][]bool, nchunks)
-	kern.ForChunks(ne, grain, func(c, lo, hi int) {
-		first := make([]int32, nvtx)
-		for i := range first {
-			first[i] = -1
-		}
-		shared := make([]bool, nvtx)
-		scanRange(first, shared, lo, hi)
-		firsts[c] = first
-		shareds[c] = shared
-	})
-	// Merge chunk states in chunk (= element) order, vertex-parallel.
-	return int(int64(kern.Sum(nvtx, 1<<14, func(lo, hi int) float64 {
-		count := 0
-		for v := lo; v < hi; v++ {
-			p0 := int32(-1)
-			isShared := false
-			for c := 0; c < nchunks && !isShared; c++ {
-				if shareds[c][v] {
-					isShared = true
-					break
-				}
-				f := firsts[c][v]
-				if f < 0 {
-					continue
-				}
-				if p0 < 0 {
-					p0 = f
-				} else if f != p0 {
-					isShared = true
-				}
-			}
-			if isShared {
-				count++
-			}
-		}
-		return float64(count)
-	})))
+	return count
 }
 
 // ElemVolume returns the area (2D) or volume (3D) of element e.

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"pared/internal/check"
+	"pared/internal/kern"
 )
 
 // Tag distinguishes message streams between the same pair of ranks.
@@ -521,11 +522,15 @@ const inboxCapacity = 4096
 // receive unwind instead of waiting for the dead peer, and Run returns an
 // error naming the first rank that panicked and its panic value. A deadlock
 // aborts it the same way, and Run returns the deadlock report (see
-// checkDeadlock).
+// checkDeadlock). From entry to return, whichever way the ranks end, Run
+// holds its p ranks in kern's live-rank count, so a kernel inside a rank gets
+// GOMAXPROCS ÷ (ranks live in every Run) workers, and at least one.
 func Run(p int, f func(c *Comm)) error {
 	if p < 1 {
 		return fmt.Errorf("par: need at least one rank, got %d", p)
 	}
+	kern.AddRanks(p)
+	defer kern.AddRanks(-p)
 	w := &world{size: p, slots: make([]rankSlot, p), abort: make(chan struct{})}
 	for i := range w.slots {
 		w.slots[i].box = make(chan message, inboxCapacity)
