@@ -10,25 +10,7 @@ package forest
 // CompactVertices, which rekeys its edge records by this remap; a cached
 // LeafMeshResult must be rebuilt.
 func (f *Forest) CompactVertices() (reclaimed int, remap []int32) {
-	used := make([]bool, len(f.Coords))
-	for i := range f.Nodes {
-		n := &f.Nodes[i]
-		if n.Dead {
-			continue
-		}
-		for _, v := range n.Verts {
-			if v >= 0 {
-				used[v] = true
-			}
-		}
-		if n.MidV >= 0 {
-			used[n.MidV] = true
-		}
-		if !n.IsLeaf() {
-			used[n.RefEdge[0]] = true
-			used[n.RefEdge[1]] = true
-		}
-	}
+	used, _ := f.usedVertices()
 	remap = make([]int32, len(f.Coords))
 	kept := int32(0)
 	for i, u := range used {
@@ -70,4 +52,38 @@ func (f *Forest) CompactVertices() (reclaimed int, remap []int32) {
 		}
 	}
 	return reclaimed, remap
+}
+
+// LiveVertices returns the number of vertices live nodes reference: the
+// length CompactVertices would leave the vertex table at. It is the marking
+// pass of CompactVertices alone, with no renumbering.
+func (f *Forest) LiveVertices() int {
+	_, live := f.usedVertices()
+	return live
+}
+
+// usedVertices marks the vertices referenced by live nodes and counts them.
+func (f *Forest) usedVertices() (used []bool, live int) {
+	used = make([]bool, len(f.Coords))
+	mark := func(v int32) {
+		if v >= 0 && !used[v] {
+			used[v] = true
+			live++
+		}
+	}
+	for i := range f.Nodes {
+		n := &f.Nodes[i]
+		if n.Dead {
+			continue
+		}
+		for _, v := range n.Verts {
+			mark(v)
+		}
+		mark(n.MidV)
+		if !n.IsLeaf() {
+			mark(n.RefEdge[0])
+			mark(n.RefEdge[1])
+		}
+	}
+	return used, live
 }

@@ -15,7 +15,6 @@
 package forest
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -103,24 +102,26 @@ type Forest struct {
 	// roots lists the held trees in ascending root order, the order every leaf
 	// sweep walks. AddRoot, InsertTree and RemoveTree keep it sorted in place,
 	// so reading it never sorts and never allocates.
-	roots     []rootEntry
-	free      []NodeID      // reusable dead slots
-	leafCount map[int32]int // per root
-	nLeaves   int
+	roots []int32
+	// trees is the dense per-root index: trees[r] holds tree r's root node and
+	// leaf count, or NoNode and 0 if the tree is not held. It is one entry past
+	// the largest root ever held, so Root and LeafCount are one index.
+	trees   []treeSlot
+	free    []NodeID // reusable dead slots
+	nLeaves int
 }
 
-// rootEntry is one held tree: its global coarse-element index and root node.
-type rootEntry struct {
-	root int32
-	node NodeID
+// treeSlot is the dense index's entry for one tree.
+type treeSlot struct {
+	node   NodeID
+	leaves int32
 }
 
 // New creates an empty forest of the given dimension.
 func New(dim mesh.Dim) *Forest {
 	return &Forest{
-		Dim:       dim,
-		vidx:      make(map[VertexID]int32),
-		leafCount: make(map[int32]int),
+		Dim:  dim,
+		vidx: make(map[VertexID]int32),
 	}
 }
 
@@ -166,10 +167,7 @@ func (f *Forest) LookupVertex(id VertexID) int32 {
 // AddRoot installs a coarse element (given by local vertex indices) as the
 // root of tree `root`. It panics if the tree already exists.
 func (f *Forest) AddRoot(root int32, verts [4]int32) NodeID {
-	at, held := f.findRoot(root)
-	if held {
-		panic(fmt.Sprintf("forest: duplicate root %d", root))
-	}
+	f.mustPlace(root, "AddRoot")
 	n := f.alloc(Node{
 		Verts:  verts,
 		Parent: NoNode,
@@ -177,9 +175,7 @@ func (f *Forest) AddRoot(root int32, verts [4]int32) NodeID {
 		Root:   root,
 		MidV:   -1,
 	})
-	f.roots = slices.Insert(f.roots, at, rootEntry{root, n})
-	f.leafCount[root] = 1
-	f.nLeaves++
+	f.hold(root, n, 1)
 	return n
 }
 
@@ -197,17 +193,35 @@ func (f *Forest) alloc(n Node) NodeID {
 // Node returns a pointer to the node with the given ID.
 func (f *Forest) Node(id NodeID) *Node { return &f.Nodes[id] }
 
-// findRoot returns the position of tree root in f.roots and whether it is
-// held; if not, the position is where it would be inserted.
-func (f *Forest) findRoot(root int32) (int, bool) {
-	return slices.BinarySearchFunc(f.roots, root, func(e rootEntry, r int32) int { return cmp.Compare(e.root, r) })
+// mustPlace panics unless tree root can be added: a root is a coarse-element
+// index, so it is not negative, and a tree is held at most once.
+func (f *Forest) mustPlace(root int32, op string) {
+	if root < 0 {
+		panic(fmt.Sprintf("forest: %s(%d): negative root", op, root))
+	}
+	if f.Root(root) != NoNode {
+		panic(fmt.Sprintf("forest: %s(%d): tree already held", op, root))
+	}
+}
+
+// hold enters tree root, with root node n and the given leaf count, in the
+// sorted list and the dense index, growing the index to one past root.
+func (f *Forest) hold(root int32, n NodeID, leaves int) {
+	at, _ := slices.BinarySearch(f.roots, root)
+	f.roots = slices.Insert(f.roots, at, root)
+	for len(f.trees) <= int(root) {
+		f.trees = append(f.trees, treeSlot{node: NoNode})
+	}
+	f.trees[root] = treeSlot{node: n, leaves: int32(leaves)}
+	f.nLeaves += leaves
 }
 
 // Root returns the root node of tree `root`, or NoNode if this forest does
-// not hold that tree.
+// not hold that tree (any id, negative or past every root, is asked safely).
+// It is one index into the dense per-root index.
 func (f *Forest) Root(root int32) NodeID {
-	if at, held := f.findRoot(root); held {
-		return f.roots[at].node
+	if uint(root) < uint(len(f.trees)) {
+		return f.trees[root].node
 	}
 	return NoNode
 }
@@ -215,11 +229,7 @@ func (f *Forest) Root(root int32) NodeID {
 // Roots returns the sorted global IDs of the trees held by this forest. The
 // slice is the caller's: it stays valid while trees are added or removed.
 func (f *Forest) Roots() []int32 {
-	out := make([]int32, len(f.roots))
-	for i, e := range f.roots {
-		out[i] = e.root
-	}
-	return out
+	return append(make([]int32, 0, len(f.roots)), f.roots...)
 }
 
 // NumRoots returns the number of trees held.
@@ -228,9 +238,15 @@ func (f *Forest) NumRoots() int { return len(f.roots) }
 // NumLeaves returns the total number of leaf elements across all held trees.
 func (f *Forest) NumLeaves() int { return f.nLeaves }
 
-// LeafCount returns the number of leaves of tree `root` (0 if not held).
-// This is the vertex weight of the coarse dual graph G in the paper.
-func (f *Forest) LeafCount(root int32) int { return f.leafCount[root] }
+// LeafCount returns the number of leaves of tree `root` (0 if not held, for
+// any id). This is the vertex weight of the coarse dual graph G in the paper.
+// Like Root, it is one index into the dense per-root index.
+func (f *Forest) LeafCount(root int32) int {
+	if uint(root) < uint(len(f.trees)) {
+		return int(f.trees[root].leaves)
+	}
+	return 0
+}
 
 // Bisect splits leaf n at the edge given by local vertex indices (a, b) with
 // the already-interned midpoint vertex mid. It returns the two children.
@@ -265,7 +281,7 @@ func (f *Forest) Bisect(id NodeID, a, b, mid int32) (k0, k1 NodeID) {
 	n.Kids = [2]NodeID{k0, k1}
 	n.RefEdge = [2]int32{a, b}
 	n.MidV = mid
-	f.leafCount[n.Root]++ // one leaf became two
+	f.trees[n.Root].leaves++ // one leaf became two
 	f.nLeaves++
 	return k0, k1
 }
@@ -288,7 +304,7 @@ func (f *Forest) Unbisect(id NodeID) {
 	}
 	n.Kids = [2]NodeID{NoNode, NoNode}
 	n.MidV = -1
-	f.leafCount[n.Root]--
+	f.trees[n.Root].leaves--
 	f.nLeaves--
 }
 
@@ -297,8 +313,8 @@ func (f *Forest) Unbisect(id NodeID) {
 // and identical for any forest holding the same trees in the same state. fn
 // may bisect and un-bisect but must not add or remove trees.
 func (f *Forest) VisitLeaves(fn func(id NodeID)) {
-	for _, e := range f.roots {
-		f.visitLeavesFrom(e.node, fn)
+	for _, r := range f.roots {
+		f.visitLeavesFrom(f.trees[r].node, fn)
 	}
 }
 

@@ -61,6 +61,9 @@ func Read(r io.Reader) (*Forest, error) {
 		if _, err := fmt.Fscan(br, &kw, &p.Root, &p.Level0, &nv, &nn); err != nil || kw != "tree" {
 			return nil, fmt.Errorf("forest: tree %d header (kw=%q): %w", t, kw, err)
 		}
+		if p.Root < 0 || f.Root(p.Root) != NoNode {
+			return nil, fmt.Errorf("forest: tree %d: root %d negative or already read", t, p.Root)
+		}
 		p.VIDs = make([]VertexID, nv)
 		p.Coords = make([]geom.Vec3, nv)
 		for i := 0; i < nv; i++ {

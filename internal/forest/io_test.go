@@ -52,4 +52,18 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("pared-forest 2 1\ntree 0 0 1 1\n5 0 0 0\n0 1 2 -1 -1 -1 0 0 -1\n")); err == nil {
 		t.Error("out-of-range vertex index accepted")
 	}
+	// A root indexes the dense per-root index: a negative or repeated one is
+	// an error, not a panic.
+	tree := func(root string) string {
+		return "tree " + root + " 0 3 1\n0 0 0 0\n1 1 0 0\n2 0 1 0\n0 1 2 -1 -1 -1 0 0 -1\n"
+	}
+	if _, err := Read(strings.NewReader("pared-forest 2 1\n" + tree("-1"))); err == nil {
+		t.Error("negative root accepted")
+	}
+	if _, err := Read(strings.NewReader("pared-forest 2 2\n" + tree("4") + tree("4"))); err == nil {
+		t.Error("repeated root accepted")
+	}
+	if f, err := Read(strings.NewReader("pared-forest 2 2\n" + tree("4") + tree("0"))); err != nil || f.NumRoots() != 2 {
+		t.Errorf("two valid trees: %v", err)
+	}
 }

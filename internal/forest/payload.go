@@ -84,11 +84,12 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 }
 
 // RemoveTree deletes tree root from the forest, freeing its node slots.
-// Vertices that become unreferenced stay in the table as orphans; they are
-// harmless until CompactVertices reclaims them.
+// Vertices that become unreferenced stay in the table as orphans, still
+// indexed by their global IDs: a tree that comes back takes its old slots
+// again, and CompactVertices reclaims those that stay orphaned.
 func (f *Forest) RemoveTree(root int32) {
-	at, held := f.findRoot(root)
-	if !held {
+	rid := f.Root(root)
+	if rid == NoNode {
 		panic(fmt.Sprintf("forest: RemoveTree(%d): tree not held", root))
 	}
 	leaves := 0
@@ -104,19 +105,19 @@ func (f *Forest) RemoveTree(root int32) {
 		n.Dead = true
 		f.free = append(f.free, id)
 	}
-	walk(f.roots[at].node)
+	walk(rid)
+	at, _ := slices.BinarySearch(f.roots, root)
 	f.roots = slices.Delete(f.roots, at, at+1)
-	delete(f.leafCount, root)
+	f.trees[root] = treeSlot{node: NoNode}
 	f.nLeaves -= leaves
 }
 
 // InsertTree splices a payload into the forest, interning its vertices.
-// It panics if the tree is already held.
+// It panics if the tree is already held or its root is negative. The dense
+// root index grows to one past p.Root: a payload off the wire must have its
+// root checked against the coarse mesh first.
 func (f *Forest) InsertTree(p *TreePayload) NodeID {
-	at, held := f.findRoot(p.Root)
-	if held {
-		panic(fmt.Sprintf("forest: InsertTree(%d): tree already held", p.Root))
-	}
+	f.mustPlace(p.Root, "InsertTree")
 	verts := make([]int32, len(p.VIDs))
 	for i := range p.VIDs {
 		verts[i] = f.InternVertex(p.VIDs[i], p.Coords[i])
@@ -155,8 +156,6 @@ func (f *Forest) InsertTree(p *TreePayload) NodeID {
 		return id
 	}
 	rid := build(0, NoNode, p.Level0)
-	f.roots = slices.Insert(f.roots, at, rootEntry{p.Root, rid})
-	f.leafCount[p.Root] = leaves
-	f.nLeaves += leaves
+	f.hold(p.Root, rid, leaves)
 	return rid
 }

@@ -35,13 +35,30 @@ func sortEveryTime(f *Forest) (roots []int32, leaves []NodeID) {
 }
 
 // TestRootsIndexInvalidation interleaves every mutation that adds or removes a
-// tree with every reader of the sorted root list, and holds each read to the
-// sort-every-time order: no sequence of mutations may leave the list out of
-// order, short of a tree or holding one twice.
+// tree with every reader of the sorted root list and the dense root index,
+// and holds each read to the sort-every-time order: no sequence of mutations
+// may leave the list out of order, short of a tree or holding one twice, or
+// leave Root or LeafCount answering for a tree that is not held.
 func TestRootsIndexInvalidation(t *testing.T) {
+	maxAdded := int32(-1) // the largest root ever added to any forest here
 	check := func(f *Forest, when string) {
 		t.Helper()
 		wantRoots, wantLeaves := sortEveryTime(f)
+		for id := int32(-1); id <= maxAdded+1; id++ {
+			wantNode, wantCount := NoNode, 0
+			for i := range f.Nodes {
+				if n := &f.Nodes[i]; !n.Dead && n.Parent == NoNode && n.Root == id {
+					wantNode = NodeID(i)
+					f.visitLeavesFrom(wantNode, func(NodeID) { wantCount++ })
+				}
+			}
+			if got := f.Root(id); got != wantNode {
+				t.Fatalf("%s: Root(%d) = %d, want %d", when, id, got, wantNode)
+			}
+			if got := f.LeafCount(id); got != wantCount {
+				t.Fatalf("%s: LeafCount(%d) = %d, want %d", when, id, got, wantCount)
+			}
+		}
 		if got := f.Roots(); !slices.Equal(got, wantRoots) {
 			t.Fatalf("%s: Roots() = %v, want %v", when, got, wantRoots)
 		}
@@ -73,6 +90,7 @@ func TestRootsIndexInvalidation(t *testing.T) {
 	// AddRoot in descending order: the list must sort, not record arrivals.
 	src := FromMesh(m)
 	f := New(m.Dim)
+	maxAdded = int32(m.NumElems()) - 1
 	for i := range src.VIDs {
 		f.InternVertex(src.VIDs[i], src.Coords[i])
 	}
@@ -120,6 +138,16 @@ func TestRootsIndexInvalidation(t *testing.T) {
 	f.RemoveTree(kept[len(kept)-1])
 	f.AddRoot(kept[0], src.Node(src.Root(kept[0])).Verts)
 	check(f, "after a batch of mutations with no read in between")
+
+	// A root past every other grows the index; removed, it leaves the index
+	// long and the slot empty.
+	far := *f.ExtractTree(kept[1])
+	far.Root = maxAdded + 9
+	maxAdded = far.Root
+	f.InsertTree(&far)
+	check(f, "after InsertTree of a root past the index")
+	f.RemoveTree(far.Root)
+	check(f, "after RemoveTree of the largest root")
 	for _, r := range f.Roots() {
 		f.RemoveTree(r)
 	}

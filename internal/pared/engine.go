@@ -336,7 +336,7 @@ func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
 // hold. "Holds" is read off the forest, not Owner — migrate calls this before
 // Rebalance installs the new owner map.
 func (e *Engine) rebuildShared() {
-	e.shared = make(map[forest.VertexID]bool)
+	clear(e.shared)
 	for _, r := range e.F.Roots() {
 		var open uint8
 		across := e.topo.acrossOf(r)
@@ -460,6 +460,10 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		})
 	}
 	e.indicator = memo
+	// Quiescent again: the vertex table is held to the rule migrate's Settle
+	// keeps, so the orphans coarsening leaves are reclaimed on ranks that do
+	// not migrate too.
+	e.R.CompactIfDue()
 	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh
@@ -835,10 +839,13 @@ func unpackOwnerDelta(old []int32, payload []int32, p int) (newOwner []int32, cu
 
 // migrate sends trees to their new owners and splices in received ones,
 // taking the departing leaves out of the refiner's edge incidence and
-// entering the arriving ones: a rank pays for the trees that moved, not for
-// the mesh it kept. Payloads travel as one flat wire buffer per destination
-// (forest.EncodePayloads), so a migration lane costs one unboxed buffer
-// instead of a pointer forest, and empty lanes send nothing.
+// entering the arriving ones, then settles the refiner (Refiner.Settle): a
+// rank pays for the trees that moved, not for the mesh it kept, and the
+// vertex table is compacted only once half of it is orphans. Payloads travel
+// as one flat wire buffer per destination (forest.EncodePayloads), so a
+// migration lane costs one unboxed buffer instead of a pointer forest, and
+// empty lanes send nothing. A tree that may not arrive (checkArrival)
+// panics, naming its sender, before it is spliced.
 func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 	me := int32(e.Comm.Rank())
 	outgoing := make([][]*forest.TreePayload, e.Comm.Size())
@@ -869,6 +876,9 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 			panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 		}
 		for _, p := range ps {
+			if err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p.Root); err != nil {
+				panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
+			}
 			e.F.InsertTree(p)
 			e.R.InsertTree(p.Root)
 			received++
@@ -882,7 +892,7 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		// above.
 		return 0, 0
 	}
-	e.R.CompactVertices() // reclaim orphans left by departed trees
+	e.R.Settle()
 	clear(e.pending)
 	e.rebuildShared()
 	if check.Enabled {
@@ -891,6 +901,37 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		check.Assertf(err == nil, "pared: rank %d refiner after migration: %v", e.Comm.Rank(), err)
 	}
 	return trees, elems
+}
+
+// checkSender vets a tree that rank from sent, before its root indexes
+// anything: the root must be a tree of the coarse mesh, which owner covers,
+// and the sender must own it under owner.
+func checkSender(owner []int32, from int, root int32) error {
+	if root < 0 || int(root) >= len(owner) {
+		return fmt.Errorf("rank %d sent tree %d, outside [0, %d)", from, root, len(owner))
+	}
+	if owner[root] != int32(from) {
+		return fmt.Errorf("rank %d sent tree %d, which rank %d owns", from, root, owner[root])
+	}
+	return nil
+}
+
+// checkArrival vets a tree that rank from migrated to rank me, before it is
+// spliced into f: checkSender under the old owner map, and the new map must
+// assign it to me, which must not hold it yet. The dense root index of f
+// grows to the largest root spliced in, so this is also what keeps a corrupt
+// root from sizing it.
+func checkArrival(f *forest.Forest, owner, newOwner []int32, me, from int, root int32) error {
+	if err := checkSender(owner, from, root); err != nil {
+		return err
+	}
+	if newOwner[root] != int32(me) {
+		return fmt.Errorf("rank %d sent tree %d to rank %d, which the new owner map gives rank %d", from, root, me, newOwner[root])
+	}
+	if f.Root(root) != forest.NoNode {
+		return fmt.Errorf("rank %d sent tree %d, which rank %d already holds", from, root, me)
+	}
+	return nil
 }
 
 // GatherForest reconstructs the full forest on the given root rank (nil on
@@ -914,6 +955,9 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 		}
 		for _, p := range ps {
+			if err := checkSender(e.Owner, from, p.Root); err != nil {
+				panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
+			}
 			g.InsertTree(p)
 		}
 	}

@@ -2,6 +2,7 @@ package pared
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -304,8 +305,9 @@ func checkInterfaceOracle(e *Engine) (*graph.Graph, *forest.Forest) {
 	}
 
 	// shared: rebuildShared forgets the split midpoints accumulated since the
-	// last migration, so the live set is put back afterwards.
-	live := e.shared
+	// last migration, and refills the map in place, so a copy of the live set
+	// is put back afterwards.
+	live := maps.Clone(e.shared)
 	e.rebuildShared()
 	got := e.shared
 	e.shared = live

@@ -301,3 +301,42 @@ func TestDecodeSplits(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckArrival: a migrated tree is spliced in only if its root is a tree
+// of the coarse mesh, its sender owned it, the new owner map gives it to the
+// receiver and the receiver does not hold it yet; anything else is an error
+// naming the sender, before the root indexes the forest.
+func TestCheckArrival(t *testing.T) {
+	f := forest.FromMesh(meshgen.RectTri(2, 2, 0, 0, 1, 1)) // trees 0..7
+	for r := int32(2); r < 8; r++ {
+		f.RemoveTree(r) // rank 1 holds trees 0 and 1
+	}
+	owner := []int32{1, 1, 0, 0, 2, 2, 3, 3}
+	newOwner := []int32{1, 1, 1, 0, 1, 2, 3, 3}
+	cases := []struct {
+		name string
+		from int
+		root int32
+		err  string
+	}{
+		{"moved here", 0, 2, ""},
+		{"moved here from another rank", 2, 4, ""},
+		{"negative root", 0, -1, "rank 0 sent tree -1, outside [0, 8)"},
+		{"root past the coarse mesh", 0, 8, "rank 0 sent tree 8, outside [0, 8)"},
+		{"sender did not own it", 3, 2, "rank 3 sent tree 2, which rank 0 owns"},
+		{"new owner is another rank", 0, 3, "rank 0 sent tree 3 to rank 1, which the new owner map gives rank 0"},
+		{"already held", 1, 0, "rank 1 sent tree 0, which rank 1 already holds"},
+	}
+	for _, tc := range cases {
+		err := checkArrival(f, owner, newOwner, 1, tc.from, tc.root)
+		if tc.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v, want no error", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
+		}
+	}
+}

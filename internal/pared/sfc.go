@@ -36,8 +36,10 @@ package pared
 // path.
 
 import (
+	"slices"
 	"time"
 
+	"pared/internal/check"
 	"pared/internal/core"
 	"pared/internal/graph"
 	"pared/internal/mesh"
@@ -85,6 +87,12 @@ type sfcState struct {
 	fullVW        []int64 // fallback scratch: complete weight vector
 	newOwner      []int32 // this epoch's result buffer
 	spareOwner    []int32 // last epoch's, which the engine may still hold as e.Owner
+
+	// cutOwner is a copy of the owner map the last epoch produced and cut its
+	// unit-weight cut: the next epoch's CutBefore while e.Owner still equals
+	// it (see sfcState.cuts).
+	cutOwner []int32
+	cut      int64
 }
 
 // ensureSFC builds the cached curve structures on first use. The coarse
@@ -149,6 +157,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 	e.trace("P1 weights: %d roots, local weight %d in %v (sfc)", len(s.localRoots), myW, d1)
 
 	banded := bandForm(s.order, e.Owner)
+	var deltas [][]int32 // the scan path's all-gathered (root, owner) changes
 	if banded {
 		// --- P2: the two scalar collectives. Payloads are O(1) per rank.
 		var off, total int64
@@ -167,7 +176,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 					s.delta = append(s.delta, r, s.localOut[i])
 				}
 			}
-			all := e.Comm.AllGatherInt32(s.delta)
+			deltas = e.Comm.AllGatherInt32(s.delta)
 			if cap(s.newOwner) < len(e.Owner) {
 				s.newOwner = make([]int32, len(e.Owner))
 			}
@@ -175,7 +184,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 			copy(s.newOwner, e.Owner)
 			// Each root is owned by exactly one rank, so the patches are
 			// disjoint and application order cannot matter.
-			for _, pairs := range all {
+			for _, pairs := range deltas {
 				for i := 0; i < len(pairs); i += 2 {
 					s.newOwner[pairs[i]] = pairs[i+1]
 				}
@@ -219,15 +228,67 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 		e.trace("P3 full assign in %v (sfc fallback path)", d3)
 	}
 
-	// Unit-weight coarse cut before/after, from the replicated dual: local
-	// arithmetic, identical on every rank.
-	st.CutBefore = partition.EdgeCut(s.dual, e.Owner)
-	st.CutAfter = partition.EdgeCut(s.dual, newOwner)
+	st.CutBefore, st.CutAfter = s.cuts(e.Owner, newOwner, banded, deltas)
 	// The engine adopts newOwner as e.Owner, so next epoch must write into
 	// the other buffer: the steady state cycles two arrays and never
 	// allocates.
 	s.newOwner, s.spareOwner = s.spareOwner, s.newOwner
 	return newOwner, d1, d2, d3
+}
+
+// cuts returns the unit-weight coarse cut of the owner maps before and after
+// an epoch, from the replicated dual: local arithmetic, identical on every
+// rank, that costs what moved. CutBefore is the cut cached with the map the
+// last epoch produced while old still equals it; otherwise — the fallback
+// path, the first epoch, a mode switch, a caller that edited Engine.Owner —
+// it is a full partition.EdgeCut. On the scan path, CutAfter is CutBefore
+// plus the change on each dual edge incident to a tree in the all-gathered
+// deltas; on the fallback, which gathers no deltas, a full EdgeCut.
+func (s *sfcState) cuts(old, newOwner []int32, banded bool, deltas [][]int32) (before, after int64) {
+	if slices.Equal(old, s.cutOwner) {
+		before = s.cut
+	} else {
+		before = partition.EdgeCut(s.dual, old)
+	}
+	if banded {
+		after = before + cutChange(s.dual, old, newOwner, deltas)
+	} else {
+		after = partition.EdgeCut(s.dual, newOwner)
+	}
+	if check.Enabled {
+		wantBefore, wantAfter := partition.EdgeCut(s.dual, old), partition.EdgeCut(s.dual, newOwner)
+		check.Assertf(before == wantBefore && after == wantAfter,
+			"pared: sfc cuts %d -> %d, full EdgeCut %d -> %d", before, after, wantBefore, wantAfter)
+	}
+	s.cutOwner = append(s.cutOwner[:0], newOwner...)
+	s.cut = after
+	return before, after
+}
+
+// cutChange returns the change of g's edge cut when the trees named in the
+// (root, owner) delta lists move from their owners in old to those in
+// newOwner: only an edge incident to a moved tree can change sides, and an
+// edge between two moved trees is counted from its smaller end.
+func cutChange(g *graph.Graph, old, newOwner []int32, deltas [][]int32) int64 {
+	var d int64
+	for _, pairs := range deltas {
+		for i := 0; i < len(pairs); i += 2 {
+			r := pairs[i]
+			for k := g.Xadj[r]; k < g.Xadj[r+1]; k++ {
+				u := g.Adj[k]
+				if u < r && old[u] != newOwner[u] {
+					continue // both moved: counted from u
+				}
+				if old[r] != old[u] {
+					d -= g.EW[k]
+				}
+				if newOwner[r] != newOwner[u] {
+					d += g.EW[k]
+				}
+			}
+		}
+	}
+	return d
 }
 
 // BootstrapWith computes an initial partition of the coarse mesh and

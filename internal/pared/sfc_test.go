@@ -1,13 +1,18 @@
 package pared
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/graph"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/partition"
 	"pared/internal/partition/sfc"
 )
 
@@ -141,26 +146,67 @@ func TestSFCScanMatchesSerialAssign(t *testing.T) {
 // TestSFCModeSwitchFallback covers the one legal way to enter SFC mode with
 // a non-band-form owner map: bootstrap under the PNR coordinator, then
 // switch. The first SFC epoch must take the full-weights fallback, produce a
-// valid band-form partition, and leave the chain on the scan path.
+// valid band-form partition, and leave the chain on the scan path. Every
+// epoch that runs must report CutBefore and CutAfter equal to
+// partition.EdgeCut of the old and new owner maps on the unit dual — after the
+// fallback, on the scan path with the cut cached, after a cheap skip, and
+// after the owner map was edited in place behind the cache's back.
 func TestSFCModeSwitchFallback(t *testing.T) {
 	const p = 4
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	est := cornerEst(geom.Vec3{X: 1, Y: 1})
+	dual := graph.FromDual(m)
 	err := par.Run(p, func(c *par.Comm) {
 		e := Bootstrap(c, m) // PNR bootstrap: owner not curve-contiguous
-		e.SetConfig(Config{Mode: ModeSFC})
+		sfcCfg := Config{Mode: ModeSFC}
+		if err := e.SetConfig(sfcCfg); err != nil {
+			panic(err)
+		}
 		e.Adapt(est, 0.8, 0, 7)
 		e.ensureSFC()
 		if bandForm(e.sfc.order, e.Owner) {
 			panic("test premise broken: PNR bootstrap is already band form")
 		}
-		for epoch := 0; epoch < 4; epoch++ {
-			e.Rebalance(true)
+		for epoch, step := range []string{"fallback", "scan", "skip", "scan", "edited", "scan"} {
+			switch step {
+			case "skip":
+				if err := e.SetConfig(Config{Mode: ModeSFC, ImbalanceTrigger: 1e9}); err != nil {
+					panic(err)
+				}
+			case "edited":
+				// Move the last tree of rank 0's band to rank 1, the way a caller
+				// might, and write the result into e.Owner in place: the map
+				// stays band form, but it is no longer the one the cut was
+				// cached with.
+				order, next := e.sfc.order, slices.Clone(e.Owner)
+				k := 0
+				for next[order[k+1]] == 0 {
+					k++
+				}
+				next[order[k]] = 1
+				e.migrate(next)
+				copy(e.Owner, next)
+			}
+			old := slices.Clone(e.Owner)
+			st := e.Rebalance(step != "skip")
+			if st.Ran != (step != "skip") {
+				panic(fmt.Sprintf("epoch %d (%s): Ran = %v", epoch, step, st.Ran))
+			}
+			if st.Ran {
+				before, after := partition.EdgeCut(dual, old), partition.EdgeCut(dual, e.Owner)
+				if st.CutBefore != before || st.CutAfter != after {
+					panic(fmt.Sprintf("epoch %d (%s): cut %d -> %d, EdgeCut of the owner maps %d -> %d",
+						epoch, step, st.CutBefore, st.CutAfter, before, after))
+				}
+			}
 			if err := e.CheckConsistency(); err != nil {
 				panic(err)
 			}
 			if !bandForm(e.sfc.order, e.Owner) {
-				panic("SFC epoch did not restore band form")
+				panic(fmt.Sprintf("epoch %d (%s) did not leave band form", epoch, step))
+			}
+			if err := e.SetConfig(sfcCfg); err != nil {
+				panic(err)
 			}
 			e.Adapt(est, 0.8, 0, 7)
 		}
@@ -203,5 +249,32 @@ func TestSFCImbalanceBound(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCutChange: for random old and new owner maps on the unit dual, with the
+// changed trees dealt out over delta lists as ranks would report them, the
+// cut of the new map is the cut of the old plus cutChange. Random maps move
+// neighbouring trees between different ranks in one step, so an edge whose
+// two ends both moved must be counted exactly once.
+func TestCutChange(t *testing.T) {
+	const p = 4
+	g := graph.FromDual(meshgen.RectTri(6, 6, -1, -1, 1, 1))
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		old, next := make([]int32, g.N()), make([]int32, g.N())
+		deltas := make([][]int32, p)
+		for r := range old {
+			old[r], next[r] = int32(rng.Intn(p)), old[r]
+			if rng.Intn(2) == 0 {
+				next[r] = int32(rng.Intn(p))
+			}
+			if next[r] != old[r] {
+				deltas[old[r]] = append(deltas[old[r]], int32(r), next[r])
+			}
+		}
+		if got, want := partition.EdgeCut(g, old)+cutChange(g, old, next, deltas), partition.EdgeCut(g, next); got != want {
+			t.Fatalf("trial %d: cut before plus cutChange = %d, EdgeCut after = %d", trial, got, want)
+		}
 	}
 }

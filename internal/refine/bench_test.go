@@ -147,3 +147,43 @@ func BenchmarkSpliceTree(b *testing.B) {
 		held, away = away.Root, p
 	}
 }
+
+// BenchmarkSpliceTreeSettle is BenchmarkSpliceTree as migration now runs it,
+// on a forest the size of one rank of the transient2d workloads (the 400
+// largest trees of the tracked mesh): one deep tree leaves, another comes in,
+// and the refiner settles — its split marks are dropped in place and the
+// vertex table keeps its orphans, so a departed tree that comes back takes
+// its old slots and the table never grows to the size that makes Settle
+// compact. The payloads are extracted once, outside the loop. Its allocations
+// are the splice's own; a compaction's remap, use marks and vertex index
+// coming back on every migration show up in BENCH_allocs.json's pin.
+func BenchmarkSpliceTreeSettle(b *testing.B) {
+	r := trackedPeak(b)
+	f := r.F
+	roots := f.Roots()
+	slices.SortStableFunc(roots, func(x, y int32) int { return f.TreeSize(y) - f.TreeSize(x) })
+	for _, root := range roots[len(roots)/2:] {
+		r.RemoveTree(root)
+		f.RemoveTree(root)
+	}
+	r.CompactVertices()
+	if f.TreeSize(roots[1]) < 100 || f.NumLeaves() < 1000 {
+		b.Fatalf("%d leaves, second deepest tree %d nodes: want a rank's worth and deep trees", f.NumLeaves(), f.TreeSize(roots[1]))
+	}
+	held, away := f.ExtractTree(roots[0]), f.ExtractTree(roots[1])
+	r.RemoveTree(away.Root)
+	f.RemoveTree(away.Root)
+	r.Settle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RemoveTree(held.Root)
+		f.RemoveTree(held.Root)
+		f.InsertTree(away)
+		r.InsertTree(away.Root)
+		if r.Settle() != 0 {
+			b.Fatal("Settle compacted a vertex table that had not grown")
+		}
+		held, away = away, held
+	}
+}

@@ -54,10 +54,14 @@ func MakeEdgeSplit(a, b forest.VertexID) EdgeSplit {
 //
 // Trees may be spliced out of and into the forest under a live refiner, at
 // quiescence only: call RemoveTree before forest.RemoveTree (the leaves must
-// still be there to be walked) and InsertTree after forest.InsertTree, and
-// compact the vertex table through the refiner's CompactVertices, never the
-// forest's directly: that renumbers the local indices the records are keyed
-// by, and the refiner rekeys them in place from the forest's remap.
+// still be there to be walked) and InsertTree after forest.InsertTree, then
+// Settle. Settle drops the split marks, as a fresh NewRefiner has none, and
+// compacts the vertex table only once half of it is orphans (see Settle), so
+// a splice costs the trees that moved plus one pass over the edge records,
+// not a renumbering of every vertex. Compact the vertex table through the
+// refiner (Settle, CompactIfDue or CompactVertices), never the forest's
+// directly: that renumbers the local indices the records are keyed by, and
+// the refiner rekeys them in place from the forest's remap.
 type Refiner struct {
 	F *forest.Forest
 
@@ -72,11 +76,17 @@ type Refiner struct {
 	// Coarsen's scratch, kept between calls (see Coarsen).
 	usage, ncand  []int32
 	cands, doomed []coarsenCand
+
+	// base is the number of live vertices when last counted: by NewRefiner,
+	// by a compaction, or by a due check that found too few orphans to
+	// compact (see compactionPays). CompactionDue once the table is twice
+	// that.
+	base int
 }
 
 // NewRefiner builds a refiner over a conforming forest.
 func NewRefiner(f *forest.Forest) *Refiner {
-	r := &Refiner{F: f, edges: edgeTable{index: make(map[uint64]int32)}}
+	r := &Refiner{F: f, edges: edgeTable{index: make(map[uint64]int32)}, base: len(f.Coords)}
 	f.VisitLeaves(func(id forest.NodeID) { r.addLeafEdges(id) })
 	return r
 }
@@ -102,7 +112,63 @@ func (r *Refiner) CompactVertices() int {
 	r.newSplits = nil
 	reclaimed, remap := r.F.CompactVertices()
 	r.edges.rekey(remap)
+	r.base = len(r.F.Coords)
 	return reclaimed
+}
+
+// Settle brings the refiner, after trees were spliced out and in, to the
+// state a fresh NewRefiner over the forest would have: it drops the split
+// marks and frees the records they alone kept, keys and index in place. Call
+// it at quiescence, as CompactVertices. The vertex table keeps its orphans —
+// a tree that comes back takes its old slots again — and is compacted
+// through CompactVertices only when at least half of it is orphans (see
+// CompactIfDue). So a migration pays a pass over the edge records, and a
+// compaction's renumbering and rekey are paid once per doubling of the
+// table. It returns the number of vertices reclaimed.
+func (r *Refiner) Settle() int {
+	if r.compactionPays() {
+		return r.CompactVertices()
+	}
+	r.queue = r.queue[:0]
+	r.newSplits = nil
+	r.edges.rekey(nil)
+	return 0
+}
+
+// CompactIfDue applies Settle's compaction rule and nothing else: call it at
+// quiescence. It returns the number of vertices reclaimed.
+func (r *Refiner) CompactIfDue() int {
+	if r.compactionPays() {
+		return r.CompactVertices()
+	}
+	return 0
+}
+
+// CompactionDue reports whether a non-empty vertex table has grown to twice
+// the live vertex count last counted — by refinement, arriving trees, and
+// the orphans coarsening and departing trees leave. Settle and CompactIfDue
+// then count again, so it is false after either.
+func (r *Refiner) CompactionDue() bool {
+	n := len(r.F.Coords)
+	return n > 0 && n >= 2*r.base
+}
+
+// compactionPays reports, when compaction is due, whether at least half the
+// vertex table is orphans. It counts the live vertices — CompactVertices'
+// marking pass, without the renumbering and the index rebuilds — and when
+// the table grew by live vertices instead, takes that count as the new base:
+// a table that grows by refinement alone is counted once per doubling and
+// never renumbered.
+func (r *Refiner) compactionPays() bool {
+	if !r.CompactionDue() {
+		return false
+	}
+	live := r.F.LiveVertices()
+	if len(r.F.Coords) >= 2*live {
+		return true
+	}
+	r.base = live
+	return false
 }
 
 // forEachEdge enumerates the local vertex pairs of node id's edges.
