@@ -16,12 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-specific static analysis (see internal/lint), all eight checks:
-# per-file — map-iteration order in deterministic packages, raw concurrency
-# outside internal/par and internal/kern, float ==, dropped errors, sleeps;
-# flow-aware — impure kern bodies, *Scratch aliasing across concurrency,
-# order-dependent float accumulation. Collective ordering is not linted:
-# internal/par reports a deadlock as an error at run time. Suppressions that
+# Project-specific static analysis (see internal/lint), five per-file checks:
+# map-iteration order in deterministic packages, raw concurrency outside
+# internal/par and internal/kern, float ==, dropped errors, sleeps. Racing
+# kern bodies, shared *Scratch buffers and order-dependent float sums are
+# caught at run time by the race detector and the byte-identity tests, and
+# collective ordering by internal/par's deadlock detector. Suppressions that
 # suppress nothing are findings too. ./... includes internal/lint and
 # cmd/paredlint: the linter lints itself.
 lint:
@@ -36,12 +36,14 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta). go test -fuzz takes one target per invocation; the seed
-# corpora alone run under plain `make test`.
+# the P3 owner delta, the distributed refinement's move words). go test -fuzz
+# takes one target per invocation; the seed corpora alone run under plain
+# `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightRecords$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackOwnerDelta$$' -fuzztime 10s ./internal/pared
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveMoves$$' -fuzztime 10s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -8,14 +8,14 @@
 //
 //	paredlint ./...                      # whole module (default)
 //	paredlint ./internal/core ./cmd/...  # explicit packages
-//	paredlint -only kernpure ./...       # a single check by name
+//	paredlint -only maporder ./...       # a single check by name
 //	paredlint -json ./...                # one JSON object per finding
 //
 // The checks are documented in package lint. A //paredlint:allow directive
 // of a check that ran and that suppresses nothing is itself a finding
 // ([allow]).
 //
-// -json emits one {check, file, line, msg, path} object per line, then one
+// -json emits one {check, file, line, msg} object per line, then one
 // {timings: [{check, ms}, ...]} summary object.
 package main
 
@@ -26,18 +26,16 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"pared/internal/lint"
 )
 
 // jsonDiag is the machine-readable finding shape of -json mode.
 type jsonDiag struct {
-	Check string   `json:"check"`
-	File  string   `json:"file"`
-	Line  int      `json:"line"`
-	Msg   string   `json:"msg"`
-	Path  []string `json:"path,omitempty"`
+	Check string `json:"check"`
+	File  string `json:"file"`
+	Line  int    `json:"line"`
+	Msg   string `json:"msg"`
 }
 
 // jsonTiming is one per-check wall-time entry of the -json trailer object.
@@ -85,27 +83,21 @@ func main() {
 	diags = append(diags, lint.StaleAllows(pkgs, checks)...)
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
-		pos := d.Pos
-		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !filepath.IsAbs(rel) {
-			pos.Filename = rel
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
+			d.Pos.Filename = rel
 		}
 		if *jsonOut {
 			if err := enc.Encode(jsonDiag{
 				Check: d.Check,
-				File:  pos.Filename,
-				Line:  pos.Line,
+				File:  d.Pos.Filename,
+				Line:  d.Pos.Line,
 				Msg:   d.Msg,
-				Path:  d.Path,
 			}); err != nil {
 				fatal(err)
 			}
 			continue
 		}
-		msg := d.Msg
-		if len(d.Path) > 1 {
-			msg += " (call path: " + strings.Join(d.Path, " -> ") + ")"
-		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Check, msg)
+		fmt.Println(d)
 	}
 	if *jsonOut {
 		trailer := jsonTrailer{Timings: make([]jsonTiming, 0, len(timings))}

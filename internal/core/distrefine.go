@@ -17,15 +17,14 @@ package core
 //     with the full 3-term gain (cut + α·migration + 2β·balance; hard-balance
 //     sweeps drop the β term and enforce the (1+ε) limit instead) and
 //     proposes its best strictly-positive move, unconstrained by what other
-//     ranks propose. Within a rank the scoring runs on the kern layer; each
-//     vertex's candidate is a pure function of the replicated state, so chunk
-//     geometry and worker count cannot change it. Only the FIRST round of a
-//     pass scores the whole block: applied moves are replicated, so every
-//     rank knows exactly which vertices' neighborhoods changed, and later
-//     rounds re-score only those (a vertex whose candidate went stale merely
-//     through part-weight drift keeps proposing its old move; the resolve
-//     re-score below is what decides, so staleness costs quality of proposals
-//     — never correctness, and never determinism).
+//     ranks propose. Each vertex's candidate is a pure function of the
+//     replicated state. Only the FIRST round of a pass scores the whole
+//     block: applied moves are replicated, so every rank knows exactly
+//     which vertices' neighborhoods changed, and later rounds re-score only
+//     those (a vertex whose candidate went stale merely through part-weight
+//     drift keeps proposing its old move; the resolve re-score below is
+//     what decides, so staleness costs quality of proposals — never
+//     correctness, and never determinism).
 //
 //  3. Exchange. Proposals are packed two int64 words per move and
 //     all-gathered in ascending rank order (par.AllGatherMoves), so every
@@ -51,11 +50,11 @@ package core
 // byte-identical output — the rank-count-invariance contract, executable.
 
 import (
+	"fmt"
 	"math"
 
 	"pared/internal/check"
 	"pared/internal/graph"
-	"pared/internal/kern"
 )
 
 // Exchanger is the collective surface the distributed refinement sweep
@@ -99,16 +98,29 @@ func (loopback) BcastInt32(root int, xs []int32) []int32 { return xs }
 // byte, and the way serial callers (tests, experiments) opt into the sweep.
 var Serial Exchanger = loopback{}
 
-// distGrain is the kern chunk size of the scoring phase. Grain is part of
-// the static chunk geometry but not of the result: every vertex's candidate
-// is a pure function of the replicated state.
-const distGrain = 256
-
 // distMove is one decoded move proposal.
 type distMove struct {
 	gain float64
 	v    int32
 	to   int32
+}
+
+// appendMove packs one proposal as the two words AllGatherMoves carries:
+// v<<32 | to, then the gain's float bits.
+func appendMove(buf []int64, v, to int32, gain float64) []int64 {
+	return append(buf, int64(v)<<32|int64(uint32(to)), int64(math.Float64bits(gain)))
+}
+
+// decodeMove unpacks the word pair appendMove packed. The words arrive from
+// other ranks, so a vertex outside [0, n) or a part outside [0, p) panics
+// naming the word instead of indexing out of range (par.Run returns a rank
+// panic as an error).
+func decodeMove(w0, w1 int64, n, p int) distMove {
+	v, to := w0>>32, w0&0xffffffff
+	if v < 0 || v >= int64(n) || to >= int64(p) {
+		panic(fmt.Sprintf("core: move word %#x names vertex %d and part %d, want < %d and < %d", uint64(w0), v, to, n, p))
+	}
+	return distMove{gain: math.Float64frombits(uint64(w1)), v: int32(v), to: int32(to)}
 }
 
 // distScratch holds the sweep's work buffers, embedded in klScratch so the
@@ -120,8 +132,8 @@ type distScratch struct {
 	locked   []bool    // moved this pass
 	candTo   []int32   // per-vertex best destination (-1: none)
 	candGain []float64 // gain of candTo
-	extW     []int64   // per-chunk part-weight scratch, NumChunks×p
-	touched  []int32   // per-chunk touched-part lists, NumChunks×p
+	extW     []int64   // per-part weight scratch of one scored vertex, length p
+	touched  []int32   // parts extW holds, at most p
 	pack     [2][]int64
 	parity   int       // which pack buffer the next exchange sends
 	views    [][]int64 // AllGatherMoves header scratch, one per rank
@@ -150,14 +162,9 @@ func (ds *distScratch) ensure(n, p, R int) {
 	}
 	// New stamp entries are zero; stampGen only grows, so they read as clean.
 	ds.stamp = growI32s(ds.stamp, n)
-	// Worst-case chunk count: the whole graph in one block.
-	nc := kern.NumChunks(n, distGrain)
-	if nc < 1 {
-		nc = 1
-	}
-	if cap(ds.extW) < nc*p {
-		ds.extW = make([]int64, nc*p)
-		ds.touched = make([]int32, nc*p)
+	if cap(ds.extW) < p {
+		ds.extW = make([]int64, p)
+		ds.touched = make([]int32, p)
 	}
 	if cap(ds.views) < R {
 		ds.views = make([][]int64, R)
@@ -207,9 +214,8 @@ func distDown(h []distMove, i0, n int) {
 // distScoreRange scores vertices [lo, hi) of the replicated graph against
 // the current partition: candTo[v]/candGain[v] receive v's best
 // strictly-positive move, or candTo[v] = -1. Each vertex's result is a pure
-// function of (g, parts, orig, partW, partCnt, locked, cfg), so the output
-// is independent of how [0, n) was chunked — the property the kern scoring
-// relies on. extW and touchedBuf are the chunk-private scratch (length p).
+// function of (g, parts, orig, partW, partCnt, locked, cfg). extW and
+// touchedBuf are the per-vertex scratch (length p).
 func distScoreRange(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo, hi int, extW []int64, touchedBuf []int32, candTo []int32, candGain []float64) {
 	n := len(g.VW) // g.N(), as the length fact the index proofs chain from
 	parts = parts[:n]
@@ -298,18 +304,7 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 	appliedV := ds.appliedV[:0]
 	h := ds.heap[:0]
 	for k := 0; k+1 < len(packed); k += 2 {
-		w0, w1 := packed[k], packed[k+1]
-		// Wire format (see the pack loop): w0 = v<<32 | to, w1 = the gain's
-		// float bits carried through an int64 lane. The masks are identities —
-		// v and to are nonnegative int32 ids; the gain's sign bit is peeled
-		// off the int64 and restored on the uint64 side.
-		gainBits := uint64(w1 & 0x7fffffffffffffff)
-		if w1 < 0 {
-			gainBits |= 1 << 63
-		}
-		v := int32(w0 >> 32 & 0x7fffffff)
-		to := int32(w0 & 0x7fffffff)
-		h = append(h, distMove{gain: math.Float64frombits(gainBits), v: v, to: to})
+		h = append(h, decodeMove(packed[k], packed[k+1], n, p))
 	}
 	ds.heap = h
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -363,22 +358,6 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 		check.PartitionWeights(g, parts, p, partW, "core.resolveMoves")
 	}
 	return applied
-}
-
-// distScoreChunks runs the scoring phase kern-chunked over this rank's
-// block [lo0, hi0). It exists as a separate function so the kern closure
-// (which makes its captures escape) lives outside distRefineSweep: the
-// single-worker fast path then stays allocation-free, and the closure cost
-// is paid only when there are workers to feed. Only hoisted slice locals are
-// captured — never the scratch struct itself (the scratchalias contract).
-func distScoreChunks(ds *distScratch, g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo0, hi0 int) {
-	extAll, touchedAll := ds.extW, ds.touched
-	candTo, candGain := ds.candTo, ds.candGain
-	kern.ForChunks(hi0-lo0, distGrain, func(c, lo, hi int) {
-		// Chunk-private scratch rows; candTo/candGain writes land only on
-		// this chunk's vertices.
-		distScoreRange(g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0+lo, lo0+hi, extAll[c*p:(c+1)*p], touchedAll[c*p:(c+1)*p], candTo, candGain)
-	})
 }
 
 // distRescoreDirty is the incremental scoring of rounds after the first: the
@@ -475,22 +454,12 @@ func distRefineSweep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, c
 		}
 		appliedInPass := 0
 		for round := 0; ; round++ {
-			bn := hi0 - lo0
-			if bn > 0 {
-				if round > 0 {
-					// Later rounds: only the last resolve's moves changed
-					// anything — re-score just their neighborhoods.
-					distRescoreDirty(ds, g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0)
-				} else if kern.Workers() == 1 || kern.NumChunks(bn, distGrain) == 1 {
-					// Single-worker/single-chunk fast path (the MulVec
-					// idiom): same per-vertex results, no closure, no
-					// goroutines — and keeping the kern closure out of THIS
-					// function keeps parts/cfg off the heap here, so the
-					// serial steady state allocates nothing.
-					distScoreRange(g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0, ds.extW[:p], ds.touched[:p], candTo, candGain)
-				} else {
-					distScoreChunks(ds, g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0)
-				}
+			if round > 0 {
+				// Later rounds: only the last resolve's moves changed
+				// anything — re-score just their neighborhoods.
+				distRescoreDirty(ds, g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0)
+			} else {
+				distScoreRange(g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0, ds.extW[:p], ds.touched[:p], candTo, candGain)
 			}
 			// Pack this block's proposals — the whole block on the opening
 			// round, only the freshly re-scored dirty set afterwards (a stale
@@ -509,13 +478,13 @@ func distRefineSweep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, c
 			if round == 0 {
 				for v := lo0; v < hi0; v++ {
 					if candTo[v] >= 0 {
-						buf = append(buf, int64(v)<<32|int64(uint32(candTo[v])), int64(math.Float64bits(candGain[v])))
+						buf = appendMove(buf, int32(v), candTo[v], candGain[v])
 					}
 				}
 			} else {
 				for _, v := range ds.dirty {
 					if candTo[v] >= 0 {
-						buf = append(buf, int64(v)<<32|int64(uint32(candTo[v])), int64(math.Float64bits(candGain[v])))
+						buf = appendMove(buf, v, candTo[v], candGain[v])
 					}
 				}
 			}

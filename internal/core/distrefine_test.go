@@ -1,8 +1,10 @@
 package core
 
 import (
-	"math"
+	"encoding/binary"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"pared/internal/graph"
@@ -11,9 +13,10 @@ import (
 )
 
 // packMove encodes one proposal the way distRefineSweep packs it for
-// AllGatherMoves: (v<<32 | to, Float64bits(gain)).
+// AllGatherMoves.
 func packMove(v, to int32, gain float64) [2]int64 {
-	return [2]int64{int64(v)<<32 | int64(uint32(to)), int64(math.Float64bits(gain))}
+	w := appendMove(nil, v, to, gain)
+	return [2]int64{w[0], w[1]}
 }
 
 // resolveSetup fills a distScratch's replicated state (partW, partCnt,
@@ -159,8 +162,8 @@ func TestDistRefineRankByteIdentity(t *testing.T) {
 	}
 }
 
-// TestDistRefineGOMAXPROCSInvariance: the kern-chunked scoring phase must
-// produce the same sweep for any worker count, serially and with 2 ranks.
+// TestDistRefineGOMAXPROCSInvariance: the sweep must produce the same
+// partition for any GOMAXPROCS, serially and with 2 ranks.
 func TestDistRefineGOMAXPROCSInvariance(t *testing.T) {
 	g, old := refinedScenario(20, 4, 4)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -200,4 +203,80 @@ func TestDistRefineRebalances(t *testing.T) {
 			t.Errorf("p=%d: imbalance = %v after distributed refine", p, im)
 		}
 	}
+}
+
+// FuzzResolveMoves feeds resolveMoves arbitrary gathered words, the bytes a
+// rank takes off the wire in every round of the distributed sweep. They must
+// either resolve — every part in [0, p), part weights and counts equal to a
+// recount — or panic with a "core: " message; never index out of range.
+// Wide inputs are raw little-endian word pairs; narrow ones pack one
+// (vertex, part, gain) byte triple per move, which reaches the resolution
+// far more often.
+func FuzzResolveMoves(f *testing.F) {
+	const p = 4
+	g, parts0 := refinedScenario(6, p, 3)
+	n := g.N()
+	cfg := Config{}.withDefaults()
+	// The seed is a real packed round: the whole graph scored once, every
+	// candidate packed the way distRefineSweep packs it.
+	ds := new(distScratch)
+	resolveSetup(ds, g, parts0, p)
+	distScoreRange(g, parts0, parts0, ds.partW, ds.partCnt, ds.locked, p, cfg, false, 0, 0, n, ds.extW[:p], ds.touched[:p], ds.candTo, ds.candGain)
+	var round []byte
+	for v := 0; v < n; v++ {
+		if ds.candTo[v] >= 0 {
+			for _, w := range appendMove(nil, int32(v), ds.candTo[v], ds.candGain[v]) {
+				round = binary.LittleEndian.AppendUint64(round, uint64(w))
+			}
+		}
+	}
+	if len(round) == 0 {
+		f.Fatal("the seed round proposes no move")
+	}
+	f.Add(round, true, false)
+	f.Add(round, true, true)
+	f.Add([]byte{0, 1, 5, 3, 2, 100, 7, 0, 0xfe}, false, false)
+	f.Add([]byte{byte(n), 0, 1}, false, true) // a vertex past the graph
+	f.Add([]byte{0, p, 1}, false, false)      // a part past p
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<63), true, false)
+	f.Fuzz(func(t *testing.T, data []byte, wide, hardBalance bool) {
+		var words []int64
+		if wide {
+			for ; len(data) >= 8; data = data[8:] {
+				words = append(words, int64(binary.LittleEndian.Uint64(data)))
+			}
+		} else {
+			for ; len(data) >= 3; data = data[3:] {
+				words = appendMove(words, int32(int8(data[0])), int32(int8(data[1])), float64(int8(data[2])))
+			}
+		}
+		parts := append([]int32(nil), parts0...)
+		ds := new(distScratch)
+		resolveSetup(ds, g, parts, p)
+		var total int64
+		for _, w := range ds.partW[:p] {
+			total += w
+		}
+		limit := int64(float64(total) / float64(p) * (1 + eps))
+		defer func() {
+			if r := recover(); r != nil {
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "core: ") {
+					t.Fatalf("panic without the package prefix: %v", r)
+				}
+			}
+		}()
+		resolveMoves(ds, g, parts, parts0, p, cfg, hardBalance, limit, words)
+		partW := make([]int64, p)
+		partCnt := make([]int32, p)
+		for v, q := range parts {
+			if q < 0 || int(q) >= p {
+				t.Fatalf("vertex %d left in part %d", v, q)
+			}
+			partW[q] += g.VW[v]
+			partCnt[q]++
+		}
+		if !slices.Equal(partW, ds.partW[:p]) || !slices.Equal(partCnt, ds.partCnt[:p]) {
+			t.Fatalf("part weights %v counts %v, recount %v %v", ds.partW[:p], ds.partCnt[:p], partW, partCnt)
+		}
+	})
 }

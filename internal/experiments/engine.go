@@ -59,8 +59,6 @@ func engineDemo(w io.Writer, m0 *mesh.Mesh, steps, p int, tol float64, mode stri
 		mode = "pnr"
 	}
 	var phases pared.PhaseDurations // rank 0's
-	// Not named err: paredlint's rank taint is per variable, and the err that
-	// par.Run assigns below would make this early return look rank-dependent.
 	cfg, cfgErr := pared.ConfigByName(mode)
 	if cfgErr != nil {
 		fmt.Fprintf(w, "engine demo failed: %v\n", cfgErr)

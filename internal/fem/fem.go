@@ -87,7 +87,8 @@ const assembleGrain = 256
 // Assembly is element-parallel on internal/kern: element e owns the triplet
 // slots [e·nv², (e+1)·nv²), so workers write disjoint ranges and the triplet
 // stream is in exact element order — byte-identical to a serial loop — before
-// la.BuildCSR sums it deterministically.
+// la.BuildCSR sums it. A degenerate element marks its first row slot -1; the
+// serial scan afterwards panics at the first one in element order.
 func AssembleLaplace(m *mesh.Mesh) *la.CSR {
 	n := m.NumVerts()
 	ne := m.NumElems()
@@ -99,21 +100,14 @@ func AssembleLaplace(m *mesh.Mesh) *la.CSR {
 	rows := make([]int32, ne*nv2)
 	cols := make([]int32, ne*nv2)
 	vals := make([]float64, ne*nv2)
-	// badAt[c] records the smallest degenerate element in chunk c (-1 if
-	// none); chunks are scanned in order afterwards so the panic names the
-	// first bad element, exactly like the serial loop did.
-	badAt := make([]int32, kern.NumChunks(ne, assembleGrain))
-	kern.ForChunks(ne, assembleGrain, func(c, lo, hi int) {
-		badAt[c] = -1
+	kern.For(ne, assembleGrain, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			el := m.Elems[e]
 			off := e * nv2
 			if m.Dim == mesh.D2 {
 				k, ok := elemStiffness2D(m.Verts[el.V[0]], m.Verts[el.V[1]], m.Verts[el.V[2]])
 				if !ok {
-					if badAt[c] < 0 {
-						badAt[c] = int32(e)
-					}
+					rows[off] = -1
 					continue
 				}
 				for i := 0; i < 3; i++ {
@@ -131,9 +125,7 @@ func AssembleLaplace(m *mesh.Mesh) *la.CSR {
 				}
 				k, ok := elemStiffness3D(p)
 				if !ok {
-					if badAt[c] < 0 {
-						badAt[c] = int32(e)
-					}
+					rows[off] = -1
 					continue
 				}
 				for i := 0; i < 4; i++ {
@@ -147,9 +139,9 @@ func AssembleLaplace(m *mesh.Mesh) *la.CSR {
 			}
 		}
 	})
-	for _, bad := range badAt {
-		if bad >= 0 {
-			panic(fmt.Sprintf("fem: degenerate element %d", bad))
+	for e := 0; e < ne; e++ {
+		if rows[e*nv2] < 0 {
+			panic(fmt.Sprintf("fem: degenerate element %d", e))
 		}
 	}
 	return la.BuildCSR(n, rows, cols, vals)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pared/internal/kern"
 	"pared/internal/la"
 	"pared/internal/mesh"
 )
@@ -156,9 +155,6 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// dualGrain is the kern chunk size for per-vertex adjacency sorting.
-const dualGrain = 1024
-
 // FromDual builds the unit-weight dual graph of a mesh: one vertex per
 // element, edges between facet-sharing elements. This is the fine graph the
 // standard partitioners (RSB, Multilevel-KL) operate on in the paper's
@@ -198,20 +194,18 @@ func FromDual(m *mesh.Mesh) *Graph {
 	}
 	// Ascending adjacency per vertex (dual degrees are at most the facet
 	// count of one element, so insertion sort wins).
-	kern.For(n, dualGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := g.Adj[g.Xadj[v]:g.Xadj[v+1]]
-			for i := 1; i < len(row); i++ {
-				u := row[i]
-				j := i
-				for j > 0 && row[j-1] > u {
-					row[j] = row[j-1]
-					j--
-				}
-				row[j] = u
+	for v := 0; v < n; v++ {
+		row := g.Adj[g.Xadj[v]:g.Xadj[v+1]]
+		for i := 1; i < len(row); i++ {
+			u := row[i]
+			j := i
+			for j > 0 && row[j-1] > u {
+				row[j] = row[j-1]
+				j--
 			}
+			row[j] = u
 		}
-	})
+	}
 	return g
 }
 

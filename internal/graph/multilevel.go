@@ -1,14 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-
-	"pared/internal/kern"
-)
-
-// contractGrain is the kern chunk size for coarse-vertex adjacency
-// construction.
-const contractGrain = 512
+import "math/rand"
 
 // HeavyEdgeMatching computes a matching preferring heavy edges, visiting
 // vertices in a seeded random order. match[v] is v's partner, or v itself if
@@ -101,12 +93,12 @@ func Contract(g *Graph, match []int32) (*Graph, []int32) {
 
 // ContractInto is Contract with caller-owned scratch (see ContractScratch).
 //
-// The construction is map-free and coarse-vertex-parallel: each coarse
-// vertex owns a disjoint slot range of the candidate buffers sized by its
-// constituents' degrees, gathers its coarse neighbors there, sorts and
-// merges them in place (edge weights are int64, so merge order cannot change
-// sums), and the final CSR is stitched together in coarse-vertex order. The
-// result is byte-identical to the historical Builder-based contraction.
+// The construction is map-free: each coarse vertex owns a slot range of the
+// candidate buffers sized by its constituents' degrees, gathers its coarse
+// neighbors there, sorts and merges them in place (edge weights are int64,
+// so merge order cannot change sums), and the final CSR is stitched together
+// in coarse-vertex order. The result is byte-identical to the historical
+// Builder-based contraction.
 func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32) {
 	if s == nil {
 		s = new(ContractScratch)
@@ -156,49 +148,46 @@ func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32)
 	s.ewBuf = growI64(s.ewBuf, int(s.capOff[ncInt]))
 	s.cnt = growI32(s.cnt, ncInt)
 	cnt := s.cnt
-	kern.For(ncInt, contractGrain, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			//paredlint:allow scratchalias -- chunks write disjoint s.adjBuf/s.ewBuf segments delimited by s.capOff
-			base := int(s.capOff[c])
-			k := 0
-			gather := func(v int32) {
-				g.Neighbors(v, func(u int32, w int64) {
-					cu := f2c[u]
-					if cu == int32(c) {
-						return // edge internal to the matched pair
-					}
-					s.adjBuf[base+k] = cu
-					s.ewBuf[base+k] = w
-					k++
-				})
-			}
-			gather(s.first[c])
-			if m := s.second[c]; m >= 0 {
-				gather(m)
-			}
-			// Insertion-sort the gathered neighbors by coarse index, then
-			// merge duplicates in place (ascending adjacency, exact sums).
-			for i := base + 1; i < base+k; i++ {
-				cu, w := s.adjBuf[i], s.ewBuf[i]
-				j := i
-				for j > base && s.adjBuf[j-1] > cu {
-					s.adjBuf[j], s.ewBuf[j] = s.adjBuf[j-1], s.ewBuf[j-1]
-					j--
+	for c := 0; c < ncInt; c++ {
+		base := int(s.capOff[c])
+		k := 0
+		gather := func(v int32) {
+			g.Neighbors(v, func(u int32, w int64) {
+				cu := f2c[u]
+				if cu == int32(c) {
+					return // edge internal to the matched pair
 				}
-				s.adjBuf[j], s.ewBuf[j] = cu, w
-			}
-			m := base
-			for i := base; i < base+k; i++ {
-				if i > base && s.adjBuf[i] == s.adjBuf[m-1] {
-					s.ewBuf[m-1] += s.ewBuf[i]
-					continue
-				}
-				s.adjBuf[m], s.ewBuf[m] = s.adjBuf[i], s.ewBuf[i]
-				m++
-			}
-			cnt[c] = int32(m - base)
+				s.adjBuf[base+k] = cu
+				s.ewBuf[base+k] = w
+				k++
+			})
 		}
-	})
+		gather(s.first[c])
+		if m := s.second[c]; m >= 0 {
+			gather(m)
+		}
+		// Insertion-sort the gathered neighbors by coarse index, then merge
+		// duplicates in place (ascending adjacency, exact sums).
+		for i := base + 1; i < base+k; i++ {
+			cu, w := s.adjBuf[i], s.ewBuf[i]
+			j := i
+			for j > base && s.adjBuf[j-1] > cu {
+				s.adjBuf[j], s.ewBuf[j] = s.adjBuf[j-1], s.ewBuf[j-1]
+				j--
+			}
+			s.adjBuf[j], s.ewBuf[j] = cu, w
+		}
+		m := base
+		for i := base; i < base+k; i++ {
+			if i > base && s.adjBuf[i] == s.adjBuf[m-1] {
+				s.ewBuf[m-1] += s.ewBuf[i]
+				continue
+			}
+			s.adjBuf[m], s.ewBuf[m] = s.adjBuf[i], s.ewBuf[i]
+			m++
+		}
+		cnt[c] = int32(m - base)
+	}
 	xadj := make([]int32, ncInt+1)
 	vw := make([]int64, ncInt)
 	for c := 0; c < ncInt; c++ {
@@ -212,14 +201,11 @@ func ContractInto(g *Graph, match []int32, s *ContractScratch) (*Graph, []int32)
 	nnz := int(xadj[ncInt])
 	cg.Adj = make([]int32, nnz)
 	cg.EW = make([]int64, nnz)
-	kern.For(ncInt, contractGrain, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			//paredlint:allow scratchalias -- chunks only read s, each from its own capOff segment
-			base := int(s.capOff[c])
-			copy(cg.Adj[cg.Xadj[c]:cg.Xadj[c+1]], s.adjBuf[base:base+int(cnt[c])])
-			copy(cg.EW[cg.Xadj[c]:cg.Xadj[c+1]], s.ewBuf[base:base+int(cnt[c])])
-		}
-	})
+	for c := 0; c < ncInt; c++ {
+		base := int(s.capOff[c])
+		copy(cg.Adj[cg.Xadj[c]:cg.Xadj[c+1]], s.adjBuf[base:base+int(cnt[c])])
+		copy(cg.EW[cg.Xadj[c]:cg.Xadj[c+1]], s.ewBuf[base:base+int(cnt[c])])
+	}
 	return cg, f2c
 }
 

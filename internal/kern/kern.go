@@ -1,9 +1,9 @@
-// Package kern is the deterministic shared-memory parallel kernel layer for
-// PARED's numeric hot paths: CSR SpMV, CSR assembly and the CG/Lanczos vector
-// kernels in internal/la, element-parallel P1 assembly in internal/fem,
-// facet-record and dual-graph construction in internal/mesh and
-// internal/graph, graph contraction, and distributed KL scoring in
-// internal/core.
+// Package kern is the deterministic shared-memory parallel kernel layer. It
+// has three callers, the loops that measurably run faster with a second core
+// outside message-passing ranks: CSR SpMV (la.CSR.MulVec), the dot product
+// (la.Dot) and element-parallel P1 stiffness assembly (fem.AssembleLaplace).
+// Every other loop in the repository is serial: the paper's parallelism is
+// ranks exchanging messages, and inside ranks every call here runs inline.
 //
 // The layer trades scheduling freedom for reproducibility. Its contract:
 //
@@ -24,15 +24,17 @@
 //     with no goroutines and no allocation — which is every call inside a
 //     world with at least as many ranks as cores.
 //
-// Together these make every kern-ported kernel byte-identical for any worker
+// Together these make every kern kernel byte-identical for any worker
 // count, hence for any GOMAXPROCS and any number of live ranks, which is what
 // lets the determinism regression tests (internal/core, internal/pared) keep
 // passing with parallelism enabled.
 //
 // Bodies must be data-parallel: a body may write only to locations owned by
 // its chunk (disjoint index ranges, per-chunk buffers) and may read only
-// state that no other chunk writes. Bodies must not call back into kern —
-// the layer does not nest — and must not block on other chunks. Panics in a
+// state that no other chunk writes, and it must not block on other chunks.
+// The race detector and the GOMAXPROCS byte-identity tests of the callers
+// (la, fem) check this at run time. A body that calls back into kern gets
+// its own helpers: correct, but it oversubscribes the cores. Panics in a
 // body are re-raised on the caller after all workers stop.
 //
 // This package and internal/par are the only two packages allowed to use raw
@@ -85,7 +87,7 @@ func NumChunks(n, grain int) int {
 // For runs body(lo, hi) for every chunk of [0, n), in parallel across at
 // most Workers() goroutines. body must only write state owned by [lo, hi).
 //
-// Unlike Sum and ForChunks, For's chunk boundaries are a scheduling detail,
+// Unlike Sum's, For's chunk boundaries are a scheduling detail,
 // not a numeric contract: bodies must be valid for any subdivision of
 // [0, n). The single-worker and single-chunk cases therefore process the
 // whole range in one body(0, n) call, with no goroutines, no wrapper
@@ -101,14 +103,6 @@ func For(n, grain int, body func(lo, hi int)) {
 		return
 	}
 	run(n, grain, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForChunks runs body(c, lo, hi) for every chunk c of [0, n). The chunk
-// index is the hook for per-chunk output buffers that a caller later merges
-// in ascending chunk order (the element-order merge used by FEM assembly and
-// graph contraction).
-func ForChunks(n, grain int, body func(c, lo, hi int)) {
-	run(n, grain, body)
 }
 
 // partialsPool recycles per-call partial-sum buffers so steady-state

@@ -56,37 +56,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForChunksGeometryIndependentOfWorkers(t *testing.T) {
-	const n, grain = 5000, 129
-	type span struct{ lo, hi int }
-	record := func() []span {
-		out := make([]span, NumChunks(n, grain))
-		ForChunks(n, grain, func(c, lo, hi int) { out[c] = span{lo, hi} })
-		return out
-	}
-	var ref []span
-	for _, procs := range procsUnderTest {
-		withGOMAXPROCS(t, procs, func() {
-			got := record()
-			if ref == nil {
-				ref = got
-				return
-			}
-			for c := range ref {
-				if got[c] != ref[c] {
-					t.Fatalf("GOMAXPROCS=%d: chunk %d spans %v, want %v", procs, c, got[c], ref[c])
-				}
-			}
-		})
-	}
-	// Chunks must tile [0, n) in order.
-	for c, s := range ref {
-		if s.lo != c*grain || (c < len(ref)-1 && s.hi != s.lo+grain) || (c == len(ref)-1 && s.hi != n) {
-			t.Fatalf("chunk %d spans %v: not a static tiling of [0,%d)", c, s, n)
-		}
-	}
-}
-
 // TestSumBitIdenticalAcrossGOMAXPROCS is the core determinism guarantee:
 // floating-point reductions return byte-identical results no matter how many
 // workers run, because partials combine in chunk order.
@@ -132,6 +101,51 @@ func TestSumBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if math.Float64bits(serial) != refBits {
 		t.Fatalf("Sum %016x != ordered serial evaluation %016x", refBits, math.Float64bits(serial))
+	}
+}
+
+// TestNestedCallsStayDeterministic: a body that calls back into kern gets
+// its own helpers for the nested call, so nesting oversubscribes the cores
+// but computes the same bits for any GOMAXPROCS and returns.
+func TestNestedCallsStayDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, 1<<14)
+	for i := range x {
+		x[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(40)-20)
+	}
+	const seg = 256
+	sums := func() []uint64 {
+		out := make([]float64, len(x)/seg)
+		For(len(out), 1, func(lo, hi int) {
+			for c := lo; c < hi; c++ {
+				xs := x[c*seg : (c+1)*seg]
+				out[c] = Sum(len(xs), 16, func(l, h int) float64 {
+					s := 0.0
+					for i := l; i < h; i++ {
+						s += xs[i]
+					}
+					return s
+				})
+			}
+		})
+		bits := make([]uint64, len(out))
+		for i, v := range out {
+			bits[i] = math.Float64bits(v)
+		}
+		return bits
+	}
+	var ref []uint64
+	withGOMAXPROCS(t, 1, func() { ref = sums() })
+	for _, procs := range procsUnderTest {
+		withGOMAXPROCS(t, procs, func() {
+			for rep := 0; rep < 5; rep++ {
+				for c, b := range sums() {
+					if b != ref[c] {
+						t.Fatalf("GOMAXPROCS=%d rep %d: segment %d sums to %016x, want %016x", procs, rep, c, b, ref[c])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package la
 
-import (
-	"math"
-
-	"pared/internal/kern"
-)
+import "math"
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
@@ -52,46 +48,25 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 	s.grow(n)
 	inv, r, z, p, ap := s.inv, s.r, s.z, s.p, s.ap
 	diagInto(a, inv)
-	kern.For(n, vecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			//paredlint:allow floateq -- exact zero-diagonal guard before forming 1/v
-			if inv[i] != 0 {
-				inv[i] = 1 / inv[i]
-			} else {
-				inv[i] = 1
-			}
+	for i := range inv {
+		//paredlint:allow floateq -- exact zero-diagonal guard before forming 1/v
+		if inv[i] != 0 {
+			inv[i] = 1 / inv[i]
+		} else {
+			inv[i] = 1
 		}
-	})
+	}
 	a.MulVec(r, x)
-	kern.For(n, vecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - r[i]
-			z[i] = inv[i] * r[i]
-			p[i] = z[i]
-		}
-	})
+	for i := 0; i < n; i++ {
+		r[i] = b[i] - r[i]
+		z[i] = inv[i] * r[i]
+		p[i] = z[i]
+	}
 	rz := Dot(r, z)
 	bnorm := Norm2(b)
 	//paredlint:allow floateq -- exact zero-rhs guard; any epsilon would rescale the stopping test
 	if bnorm == 0 {
 		bnorm = 1
-	}
-	// The sweep bodies are hoisted out of the iteration loop and read
-	// alpha/beta through the closure, so a solve allocates two closures
-	// total instead of two per iteration.
-	var alpha, beta float64
-	updateXRZ := func(lo, hi int) {
-		// Fused x/r/z update: one parallel sweep instead of three.
-		for i := lo; i < hi; i++ {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			z[i] = inv[i] * r[i]
-		}
-	}
-	updateP := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p[i] = z[i] + beta*p[i]
-		}
 	}
 	res := CGResult{}
 	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
@@ -107,12 +82,19 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 			// Not SPD (or numerical breakdown); bail with what we have.
 			return res
 		}
-		alpha = rz / pap
-		kern.For(n, vecGrain, updateXRZ)
+		alpha := rz / pap
+		// Fused x/r/z update: one sweep instead of three.
+		for i := 0; i < n; i++ {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+			z[i] = inv[i] * r[i]
+		}
 		rzNew := Dot(r, z)
-		beta = rzNew / rz
+		beta := rzNew / rz
 		rz = rzNew
-		kern.For(n, vecGrain, updateP)
+		for i := 0; i < n; i++ {
+			p[i] = z[i] + beta*p[i]
+		}
 	}
 	res.Residual = Norm2(r)
 	res.Converged = res.Residual <= tol*bnorm
@@ -121,14 +103,12 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 
 // diagInto writes the diagonal of A (zero where absent) into d.
 func diagInto(a *CSR, d []float64) {
-	kern.For(a.N, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = 0
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if int(a.Col[k]) == i {
-					d[i] = a.Val[k]
-				}
+	for i := 0; i < a.N; i++ {
+		d[i] = 0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if int(a.Col[k]) == i {
+				d[i] = a.Val[k]
 			}
 		}
-	})
+	}
 }

@@ -16,18 +16,22 @@ func withProcs(t *testing.T, procs int, f func()) {
 }
 
 // TestKernelsBitIdenticalAcrossGOMAXPROCS pins the determinism contract for
-// the ported kernels: SpMV, Dot, Axpy, and a full CG solve must produce
-// byte-identical outputs under GOMAXPROCS ∈ {1, 2, 8}.
+// the two la kernels on internal/kern, SpMV (CSR.MulVec) and Dot: each, and
+// a full CG solve built on them, must produce byte-identical outputs under
+// GOMAXPROCS ∈ {1, 2, 8}, run after run.
 func TestKernelsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	a := laplace2D(90) // 8100 rows: several chunks at both grains
 	x := randVec(a.N, 5)
 	y := randVec(a.N, 6)
+	// 25 Dot chunks: partials folded in any order but ascending would show.
+	xl, yl := randVec(100_003, 7), randVec(100_003, 8)
 
 	type snapshot struct {
-		spmv []uint64
-		dot  uint64
-		cg   []uint64
-		it   int
+		spmv    []uint64
+		dot     uint64
+		dotLong uint64
+		cg      []uint64
+		it      int
 	}
 	take := func() snapshot {
 		var s snapshot
@@ -37,6 +41,7 @@ func TestKernelsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			s.spmv = append(s.spmv, math.Float64bits(v))
 		}
 		s.dot = math.Float64bits(Dot(x, y))
+		s.dotLong = math.Float64bits(Dot(xl, yl))
 		sol := make([]float64, a.N)
 		res := CG(a, y, sol, 1e-10, 2000)
 		if !res.Converged {
@@ -53,21 +58,23 @@ func TestKernelsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	withProcs(t, 1, func() { ref = take() })
 	for _, procs := range []int{1, 2, 8} {
 		withProcs(t, procs, func() {
-			got := take()
-			if got.dot != ref.dot {
-				t.Fatalf("GOMAXPROCS=%d: Dot bits differ", procs)
-			}
-			if got.it != ref.it {
-				t.Fatalf("GOMAXPROCS=%d: CG iteration count %d != %d", procs, got.it, ref.it)
-			}
-			for i := range ref.spmv {
-				if got.spmv[i] != ref.spmv[i] {
-					t.Fatalf("GOMAXPROCS=%d: SpMV row %d differs", procs, i)
+			for rep := 0; rep < 2; rep++ {
+				got := take()
+				if got.dot != ref.dot || got.dotLong != ref.dotLong {
+					t.Fatalf("GOMAXPROCS=%d run %d: Dot bits differ", procs, rep)
 				}
-			}
-			for i := range ref.cg {
-				if got.cg[i] != ref.cg[i] {
-					t.Fatalf("GOMAXPROCS=%d: CG solution entry %d differs", procs, i)
+				if got.it != ref.it {
+					t.Fatalf("GOMAXPROCS=%d run %d: CG iteration count %d != %d", procs, rep, got.it, ref.it)
+				}
+				for i := range ref.spmv {
+					if got.spmv[i] != ref.spmv[i] {
+						t.Fatalf("GOMAXPROCS=%d run %d: SpMV row %d differs", procs, rep, i)
+					}
+				}
+				for i := range ref.cg {
+					if got.cg[i] != ref.cg[i] {
+						t.Fatalf("GOMAXPROCS=%d run %d: CG solution entry %d differs", procs, rep, i)
+					}
 				}
 			}
 		})

@@ -2,11 +2,12 @@
 // a conjugate-gradient solver for the FEM systems, and a Lanczos eigensolver
 // used by recursive spectral bisection to compute Fiedler vectors.
 //
-// The O(n) and O(nnz) kernels (SpMV, dot, axpy) run on internal/kern's
-// deterministic parallel layer: static chunk geometry and ordered reductions
-// make every result byte-identical for any GOMAXPROCS value. Reductions over
-// large vectors therefore round like a chunked serial sum (chunk boundaries
-// a pure function of the length), not like a flat left-to-right loop.
+// SpMV and Dot run on internal/kern's deterministic parallel layer, the two
+// kernels that are measurably faster with a second core; everything else is
+// a serial loop. Static chunk geometry and ordered reductions make both
+// byte-identical for any GOMAXPROCS value, so Dot rounds like a chunked
+// serial sum (chunk boundaries a pure function of the length), not like a
+// flat left-to-right loop.
 package la
 
 import (
@@ -15,10 +16,9 @@ import (
 	"pared/internal/kern"
 )
 
-// Chunk grains for the kern-ported kernels: rows per chunk for matrix
-// kernels, elements per chunk for vector kernels. Grain values are part of
-// the numeric contract — changing vecGrain changes reduction rounding — so
-// they are constants, not tunables.
+// Chunk grains for the kern kernels: rows per chunk for SpMV, elements per
+// chunk for Dot. Grain values are part of the numeric contract — changing
+// vecGrain changes reduction rounding — so they are constants, not tunables.
 const (
 	rowGrain = 512
 	vecGrain = 4096
@@ -74,13 +74,7 @@ func (a *CSR) MulVec(dst, x []float64) {
 // Diag returns the diagonal entries of A (zero where absent).
 func (a *CSR) Diag() []float64 {
 	d := make([]float64, a.N)
-	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.Col[k]) == i {
-				d[i] = a.Val[k]
-			}
-		}
-	}
+	diagInto(a, d)
 	return d
 }
 
@@ -119,11 +113,9 @@ func (b *Builder) Build() *CSR {
 // element-parallel assemblers (internal/fem) fill them at precomputed
 // offsets and hand them over directly, skipping Builder's append path.
 //
-// The algorithm replaces the former global comparison sort with a stable
-// counting sort by row followed by per-row stable insertion sorts (rows are
-// processed in parallel — their segments are disjoint). Duplicates
-// accumulate left-to-right in triplet order, so the result is deterministic:
-// a pure function of the triplet sequence, independent of GOMAXPROCS.
+// The algorithm is a stable counting sort by row followed by per-row stable
+// insertion sorts. Duplicates accumulate left-to-right in triplet order, so
+// the result is a pure function of the triplet sequence.
 func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		panic("la: BuildCSR triplet slices have mismatched lengths")
@@ -153,33 +145,30 @@ func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 		next[r] = p + 1
 	}
 	// Per-row: stable insertion sort by column, then in-place duplicate
-	// accumulation. Row segments are disjoint, so rows parallelize freely;
-	// rowLen[r] is the deduplicated length.
+	// accumulation; rowLen[r] is the deduplicated length.
 	rowLen := next // reuse: next[r] is no longer needed
-	kern.For(n, rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s, e := int(start[r]), int(start[r+1])
-			for k := s + 1; k < e; k++ {
-				c, v := scol[k], sval[k]
-				j := k
-				for j > s && scol[j-1] > c {
-					scol[j], sval[j] = scol[j-1], sval[j-1]
-					j--
-				}
-				scol[j], sval[j] = c, v
+	for r := 0; r < n; r++ {
+		s, e := int(start[r]), int(start[r+1])
+		for k := s + 1; k < e; k++ {
+			c, v := scol[k], sval[k]
+			j := k
+			for j > s && scol[j-1] > c {
+				scol[j], sval[j] = scol[j-1], sval[j-1]
+				j--
 			}
-			m := s
-			for k := s; k < e; k++ {
-				if k > s && scol[k] == scol[m-1] {
-					sval[m-1] += sval[k]
-					continue
-				}
-				scol[m], sval[m] = scol[k], sval[k]
-				m++
-			}
-			rowLen[r] = int32(m - s)
+			scol[j], sval[j] = c, v
 		}
-	})
+		m := s
+		for k := s; k < e; k++ {
+			if k > s && scol[k] == scol[m-1] {
+				sval[m-1] += sval[k]
+				continue
+			}
+			scol[m], sval[m] = scol[k], sval[k]
+			m++
+		}
+		rowLen[r] = int32(m - s)
+	}
 	rowPtr := make([]int32, n+1)
 	for r := 0; r < n; r++ {
 		rowPtr[r+1] = rowPtr[r] + rowLen[r]
@@ -188,12 +177,10 @@ func BuildCSR(n int, rows, cols []int32, vals []float64) *CSR {
 	nnz := int(rowPtr[n])
 	a.Col = make([]int32, nnz)
 	a.Val = make([]float64, nnz)
-	kern.For(n, rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			copy(a.Col[a.RowPtr[r]:a.RowPtr[r+1]], scol[start[r]:int(start[r])+int(rowLen[r])])
-			copy(a.Val[a.RowPtr[r]:a.RowPtr[r+1]], sval[start[r]:int(start[r])+int(rowLen[r])])
-		}
-	})
+	for r := 0; r < n; r++ {
+		copy(a.Col[a.RowPtr[r]:a.RowPtr[r+1]], scol[start[r]:int(start[r])+int(rowLen[r])])
+		copy(a.Val[a.RowPtr[r]:a.RowPtr[r+1]], sval[start[r]:int(start[r])+int(rowLen[r])])
+	}
 	return a
 }
 
@@ -231,32 +218,16 @@ func Dot(x, y []float64) float64 {
 
 // Axpy computes y += a·x.
 func Axpy(a float64, x, y []float64) {
-	if kern.Workers() == 1 {
-		for i := range x {
-			y[i] += a * x[i]
-		}
-		return
+	for i := range x {
+		y[i] += a * x[i]
 	}
-	kern.For(len(x), vecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += a * x[i]
-		}
-	})
 }
 
 // Scale computes x *= a.
 func Scale(a float64, x []float64) {
-	if kern.Workers() == 1 {
-		for i := range x {
-			x[i] *= a
-		}
-		return
+	for i := range x {
+		x[i] *= a
 	}
-	kern.For(len(x), vecGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= a
-		}
-	})
 }
 
 // Norm2 returns the Euclidean norm of x.

@@ -4,8 +4,8 @@
 // and balance numbers — only reproduces if the pipeline is deterministic and
 // all inter-rank communication flows through internal/par. Go silently loses
 // both properties through unordered map iteration, float ==, ad-hoc
-// goroutines, and dropped errors. paredlint machine-checks eight project
-// rules, five of them per file:
+// goroutines, and dropped errors. paredlint machine-checks five project
+// rules, each per file:
 //
 //	maporder — no order-sensitive iteration over maps in the deterministic
 //	           packages (internal/core, internal/graph, internal/partition,
@@ -18,23 +18,11 @@
 //	errcheck — no silently dropped error return values
 //	sleep    — no time.Sleep used as synchronization in library code
 //
-// On top of the per-file checks sits a whole-program, type-aware layer
-// (callgraph.go, flow.go) with three more checks:
-//
-//	kernpure     — closures passed to kern.For/ForChunks/Sum may write only
-//	               chunk-owned locations: no captured-variable writes outside
-//	               chunk-derived indices, no appends to shared slices, no
-//	               par/sync/channel use, no nested kern.
-//	scratchalias — a *Scratch work buffer is strictly sequential: flagged
-//	               when captured by a concurrent closure, sent across ranks,
-//	               or passed twice to one call.
-//	detfloat     — float accumulation in map-iteration order or inside kern
-//	               bodies (outside kern.Sum's ordered reducer) breaks
-//	               bit-reproducibility.
-//
-// Collective ordering (every rank calls the same collectives in the same
-// order) is not checked here: internal/par detects the resulting deadlock
-// exactly at run time and Run returns it as an error.
+// What a whole-program analysis would add is checked at run time instead.
+// Collective ordering: internal/par detects the resulting deadlock exactly
+// and Run returns it as an error. Racing kern bodies, shared scratch buffers
+// and order-dependent float sums: the race detector and the byte-identity
+// tests across runs and GOMAXPROCS values (la, fem, graph, core, pared).
 //
 // The analyzer is stdlib-only (go/parser, go/ast, go/types); see
 // cmd/paredlint for the command-line driver.
@@ -56,22 +44,15 @@ import (
 	"time"
 )
 
-// Diagnostic is one finding, positioned at file:line:col. Path, when
-// non-empty, is the call chain (caller first) through which a flow-aware
-// check reached the fact it is reporting.
+// Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
 	Pos   token.Position
 	Check string
 	Msg   string
-	Path  []string
 }
 
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Msg)
-	if len(d.Path) > 1 {
-		s += " (call path: " + strings.Join(d.Path, " -> ") + ")"
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Msg)
 }
 
 // Check is one analyzer. Run inspects a single package and reports findings
@@ -82,11 +63,9 @@ type Check struct {
 	Run  func(p *Pass)
 }
 
-// AllChecks lists every check in the suite, in reporting order. The first
-// five are the per-file syntactic checks; the rest are the flow-aware checks
-// built on the whole-program call graph (callgraph.go).
+// AllChecks lists every check in the suite, in reporting order.
 func AllChecks() []*Check {
-	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep, KernPure, ScratchAlias, DetFloat}
+	return []*Check{MapOrder, RawConc, FloatEq, ErrCheck, Sleep}
 }
 
 // Package is one loaded, type-checked package.
@@ -211,22 +190,15 @@ func StaleAllows(pkgs []*Package, checks []*Check) []Diagnostic {
 	return diags
 }
 
-// Pass is the per-(check, package) reporting context. Prog is the shared
-// whole-program call graph (nil only if a caller bypasses Run).
+// Pass is the per-(check, package) reporting context.
 type Pass struct {
 	*Package
-	Prog  *Program
 	check *Check
 	out   *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos unless a directive suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPathf(pos, nil, format, args...)
-}
-
-// ReportPathf is Reportf carrying the call path that witnesses the finding.
-func (p *Pass) ReportPathf(pos token.Pos, path []string, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.allowed(p.check.Name, position) {
 		return
@@ -235,7 +207,6 @@ func (p *Pass) ReportPathf(pos token.Pos, path []string, format string, args ...
 		Pos:   position,
 		Check: p.check.Name,
 		Msg:   fmt.Sprintf(format, args...),
-		Path:  path,
 	})
 }
 
@@ -263,15 +234,13 @@ func (p *Pass) IsPkgCall(call *ast.CallExpr, pkgPath, name string) bool {
 }
 
 // Run executes the given checks over the packages and returns all findings
-// sorted by position. The whole-program call graph is built once and shared
-// by every pass.
+// sorted by position.
 func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	diags, _ := RunTimed(pkgs, checks)
 	return diags
 }
 
-// CheckTiming is the wall time one check (or the shared call-graph build,
-// reported under the pseudo-name "callgraph") spent across all packages.
+// CheckTiming is the wall time one check spent across all packages.
 type CheckTiming struct {
 	Name string
 	Ms   float64
@@ -280,9 +249,7 @@ type CheckTiming struct {
 // RunTimed is Run, also returning per-check wall times so the CI timing
 // guard stays diagnosable as checks accumulate.
 func RunTimed(pkgs []*Package, checks []*Check) ([]Diagnostic, []CheckTiming) {
-	t0 := time.Now()
-	prog := BuildProgram(pkgs)
-	timings := []CheckTiming{{Name: "callgraph", Ms: float64(time.Since(t0).Microseconds()) / 1000}}
+	var timings []CheckTiming
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		if pkg.allows == nil {
@@ -292,7 +259,7 @@ func RunTimed(pkgs []*Package, checks []*Check) ([]Diagnostic, []CheckTiming) {
 	for _, c := range checks {
 		tc := time.Now()
 		for _, pkg := range pkgs {
-			c.Run(&Pass{Package: pkg, Prog: prog, check: c, out: &diags})
+			c.Run(&Pass{Package: pkg, check: c, out: &diags})
 		}
 		timings = append(timings, CheckTiming{Name: c.Name, Ms: float64(time.Since(tc).Microseconds()) / 1000})
 	}

@@ -5,7 +5,10 @@
 // finding at all.
 package allowedge
 
-import "time"
+import (
+	"os"
+	"time"
+)
 
 // wrongLine: the directive is two lines above the call; allow only works on
 // the same line or the line immediately above, so the finding stands and the
@@ -16,18 +19,12 @@ func wrongLine() {
 	time.Sleep(time.Millisecond)
 }
 
-// edgeScratch follows the *Scratch naming convention so the line below can
-// trigger scratchalias.
-type edgeScratch struct {
-	buf []float64
-}
-
 // multiAllow: the one-line go statement triggers both rawconc (raw goroutine
-// outside the audited packages) and scratchalias (scratch captured by a
-// goroutine closure); one multi-check directive covers both.
-func multiAllow(s *edgeScratch) {
-	//paredlint:allow rawconc,scratchalias -- deliberate: TestAllowEdgeCases wants both suppressed by one directive
-	go func() { s.buf[0] = 1 }()
+// outside the audited packages) and errcheck (the closure drops os.Remove's
+// error); one multi-check directive covers both.
+func multiAllow() {
+	//paredlint:allow rawconc,errcheck -- deliberate: TestAllowEdgeCases wants both suppressed by one directive
+	go func() { os.Remove("") }()
 }
 
 // staleOnly: nothing here can trigger floateq, so this directive is reported

@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"pared/internal/geom"
-	"pared/internal/kern"
 )
 
 // Dim is the topological dimension of a mesh: 2 (triangles) or 3 (tetrahedra).
@@ -173,25 +172,19 @@ type facetRec struct {
 	elem int32
 }
 
-// facetGrain is the element-chunk size for parallel facet-record generation.
-const facetGrain = 512
-
 // facetRecords returns every (facet, element) incidence, sorted by facet key
-// then element. Record generation is element-parallel (element e owns slots
-// [e·nf, (e+1)·nf)); the sort groups each facet's incidences into a run of
+// then element; the sort groups each facet's incidences into a run of
 // length 1 (boundary) or 2 (interior). This replaces the former map-based
 // FacetMap on the hot paths: the output order is canonical, so consumers
 // iterate deterministically without maporder suppressions.
 func (m *Mesh) facetRecords() []facetRec {
 	nf := m.FacetsPerElem()
 	recs := make([]facetRec, m.NumElems()*nf)
-	kern.For(m.NumElems(), facetGrain, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			for k := 0; k < nf; k++ {
-				recs[e*nf+k] = facetRec{key: m.Facet(e, k), elem: int32(e)}
-			}
+	for e := range m.Elems {
+		for k := 0; k < nf; k++ {
+			recs[e*nf+k] = facetRec{key: m.Facet(e, k), elem: int32(e)}
 		}
-	})
+	}
 	slices.SortFunc(recs, func(a, b facetRec) int {
 		if c := cmp.Compare(a.key[0], b.key[0]); c != 0 {
 			return c
@@ -234,7 +227,7 @@ func (m *Mesh) InteriorFacetPairs() [][2]int32 {
 // share a facet with it (at most Dim+1 neighbors each). All neighbor lists
 // share one flat backing array (degree counting + scatter, like a CSR build),
 // so the whole structure costs a handful of allocations; rows are sorted
-// ascending with per-row insertion sorts in parallel chunks.
+// ascending with per-row insertion sorts.
 func (m *Mesh) DualAdjacency() [][]int32 {
 	n := m.NumElems()
 	pairs := m.InteriorFacetPairs()
@@ -256,21 +249,19 @@ func (m *Mesh) DualAdjacency() [][]int32 {
 		pos[p[1]]++
 	}
 	adj := make([][]int32, n)
-	kern.For(n, facetGrain, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			row := flat[off[e]:off[e+1]:off[e+1]]
-			for i := 1; i < len(row); i++ {
-				u := row[i]
-				j := i
-				for j > 0 && row[j-1] > u {
-					row[j] = row[j-1]
-					j--
-				}
-				row[j] = u
+	for e := range adj {
+		row := flat[off[e]:off[e+1]:off[e+1]]
+		for i := 1; i < len(row); i++ {
+			u := row[i]
+			j := i
+			for j > 0 && row[j-1] > u {
+				row[j] = row[j-1]
+				j--
 			}
-			adj[e] = row
+			row[j] = u
 		}
-	})
+		adj[e] = row
+	}
 	return adj
 }
 
