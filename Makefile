@@ -36,14 +36,16 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words). go test -fuzz
-# takes one target per invocation; the seed corpora alone run under plain
-# `make test`.
+# the P3 owner delta, the distributed refinement's move words), and the
+# interpolation estimator held bit for bit to its reference on raw simplex
+# coordinates (−0, negatives, subnormals). go test -fuzz takes one target per
+# invocation; the seed corpora alone run under plain `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightRecords$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackOwnerDelta$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveMoves$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzInterpolationEstimator$$' -fuzztime 10s ./internal/fem
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -274,14 +274,16 @@ type PhaseDurations struct {
 }
 
 // New creates the engine on each rank: owner[i] gives the rank of coarse
-// element i; the rank keeps only its own trees.
-func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
+// element i; the rank keeps only its own trees. An owner map that is not one
+// rank per coarse element, or that names a rank outside the communicator, is
+// returned as an error, the same on every rank given the same map.
+func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) (*Engine, error) {
 	if len(owner) != coarseMesh.NumElems() {
-		panic("pared: owner length must equal coarse element count")
+		return nil, fmt.Errorf("pared: owner map has %d entries for %d coarse elements", len(owner), coarseMesh.NumElems())
 	}
 	for i, r := range owner { // a tree no rank owns would be a hole in the mesh
 		if r < 0 || int(r) >= c.Size() {
-			panic(fmt.Sprintf("pared: owner[%d] = %d, outside [0, %d)", i, r, c.Size()))
+			return nil, fmt.Errorf("pared: owner[%d] = %d, outside [0, %d)", i, r, c.Size())
 		}
 	}
 	e := &Engine{
@@ -310,7 +312,7 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) *Engine {
 	e.R = refine.NewRefiner(e.F)
 	e.rebuildShared()
 	e.cfg, _ = Config{}.withDefaults(c) // the zero Config has nothing to reject
-	return e
+	return e, nil
 }
 
 // SetConfig replaces the engine configuration (call on every rank alike).
@@ -378,9 +380,13 @@ type AdaptStats struct {
 
 // Adapt performs distributed conformal adaptation (phase P0): leaves with
 // indicator above refineTol are refined, with split propagation across rank
-// boundaries; if coarsenTol > 0, leaves below it are conformally coarsened
-// (interface-touching groups are left alone — remote leaf usage of a shared
-// midpoint cannot be checked locally, so the engine is conservative there).
+// boundaries; if coarsenTol > 0, leaves below it are conformally coarsened.
+// A sibling group whose parent midpoint is in shared is never coarsened:
+// remote leaf usage of an interface midpoint cannot be checked locally. But
+// shared also holds every vertex on the domain boundary ∂Ω, so a group whose
+// parent midpoint lies on ∂Ω is kept too, at any rank count including 1,
+// and the mesh stays finer along ∂Ω than serial refine.AdaptOnce leaves it
+// (ROADMAP item 3).
 // est is evaluated at most once per node.
 func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxLevel int32) AdaptStats {
 	var st AdaptStats
@@ -454,7 +460,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 			}
 			p := e.F.Node(n.Parent)
 			if p.MidV >= 0 && e.shared[e.F.VIDs[p.MidV]] {
-				return false // interface midpoint: remote usage unknown
+				return false // interface or ∂Ω midpoint: shared cannot tell them apart
 			}
 			return indicator(id) < coarsenTol
 		})

@@ -1,6 +1,7 @@
 package pared
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -127,18 +128,38 @@ func TestTraceEmitsPhases(t *testing.T) {
 
 // TestNewRejectsOwnerOutsideRanks: an owner entry that names no rank would
 // leave its tree interned nowhere — a mesh with holes, noticed only by the
-// first rebalance that writes weight records and never under ModeSFC. Every
-// rank must refuse the map alike, so par.Run returns the message instead of
-// hanging on the ranks that did not.
+// first rebalance that writes weight records and never under ModeSFC. An
+// owner map of the wrong length names no rank for some element either. Every
+// rank must refuse the map alike, with an error and no engine.
 func TestNewRejectsOwnerOutsideRanks(t *testing.T) {
 	m := meshgen.RectTri(4, 4, -1, -1, 1, 1)
 	owner := make([]int32, m.NumElems())
 	for i := range owner {
 		owner[i] = int32(i % 2)
 	}
-	owner[5], owner[6] = 7, -1
-	err := par.Run(2, func(c *par.Comm) { New(c, m, owner) })
-	if want := "pared: owner[5] = 7, outside [0, 2)"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("par.Run returned %v, want %q", err, want)
+	outside := append([]int32(nil), owner...)
+	outside[5], outside[6] = 7, -1
+	for _, tc := range []struct {
+		owner []int32
+		want  string
+	}{
+		{outside, "pared: owner[5] = 7, outside [0, 2)"},
+		{owner[:len(owner)-1], fmt.Sprintf("pared: owner map has %d entries for %d coarse elements", len(owner)-1, len(owner))},
+	} {
+		errs := make([]error, 2)
+		if err := par.Run(2, func(c *par.Comm) {
+			var e *Engine
+			e, errs[c.Rank()] = New(c, m, tc.owner)
+			if e != nil {
+				t.Errorf("rank %d: New returned an engine with its error", c.Rank())
+			}
+		}); err != nil {
+			t.Fatalf("par.Run: %v", err)
+		}
+		for r, err := range errs {
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("rank %d: New returned %v, want %q", r, err, tc.want)
+			}
+		}
 	}
 }

@@ -315,8 +315,11 @@ func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 		}
 		owner = c.BcastInt32(0, owner)
 	}
-	eng := New(c, coarseMesh, owner)
-	if err := eng.SetConfig(cfg); err != nil {
+	eng, err := New(c, coarseMesh, owner) // never rejects: owner is built above
+	if err == nil {
+		err = eng.SetConfig(cfg)
+	}
+	if err != nil {
 		panic(err.Error())
 	}
 	return eng
