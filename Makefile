@@ -36,15 +36,21 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words), and the
-# interpolation estimator held bit for bit to its reference on raw simplex
-# coordinates (−0, negatives, subnormals). go test -fuzz takes one target per
-# invocation; the seed corpora alone run under plain `make test`.
+# the P3 owner delta, the distributed refinement's move words), and two
+# bit-for-bit oracles: the interpolation estimator against its reference on
+# raw simplex coordinates (−0, negatives, subnormals), and the KL move
+# selector against the boundary scan on small random graphs (part numbers
+# aliasing in its bit sets, edge weights past its int16 cache). go test -fuzz
+# takes one target per invocation; the seed corpora alone run under plain
+# `make test`. FuzzRunKL runs about ten times slower per input than the
+# decoders, and the default minimization of each new-coverage input would eat
+# its ten seconds, so it minimizes nothing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightRecords$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackOwnerDelta$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveMoves$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRunKL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpolationEstimator$$' -fuzztime 10s ./internal/fem
 
 bench:

@@ -22,6 +22,27 @@ func BenchmarkRunKLScan(b *testing.B) {
 	}
 }
 
+// BenchmarkRunKLPolish is the hard-balance half on the same scenario: the
+// polish runKL from the soft run's forced-balanced result, as Repartition
+// runs it. Warm, it allocates nothing (BENCH_allocs.json pins 0).
+func BenchmarkRunKLPolish(b *testing.B) {
+	p := 8
+	g, old := refinedScenario(24, p, 5)
+	cfg := Config{}.withDefaults()
+	s := new(klScratch)
+	start := append([]int32(nil), old...)
+	runKL(s, g, start, old, p, cfg, false)
+	forceBalance(s, g, start, old, p, cfg)
+	parts := append([]int32(nil), start...)
+	runKL(s, g, parts, old, p, cfg, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(parts, start)
+		runKL(s, g, parts, old, p, cfg, true)
+	}
+}
+
 // BenchmarkDistRefineSweep pins the distributed sweep's steady state through
 // the Serial loopback exchanger: after the scratch warms, scoring, packing,
 // exchange and resolution must allocate nothing (BENCH_allocs.json pins 0).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"pared/internal/check"
 	"pared/internal/graph"
 )
@@ -14,22 +16,57 @@ type klMove struct {
 // klSlot caches the best admissible move of one listed boundary vertex.
 type klSlot struct {
 	gain float64 // moveGain of v → to; meaningful when to >= 0
-	deps uint64  // parts the score reads: bit (part & 63) of v's own and every neighbouring part
+	// deps is a set of parts as bits (part & 63). Soft balance: the parts the
+	// score reads, v's own and every neighbouring one. Hard balance: the
+	// candidate parts that were closed to v when it was scored.
+	deps uint64
 	v    int32
 	to   int32 // -1: no admissible move
 }
 
+// klCands is the cold half of a soft-balance slot: v's candidate parts
+// j ≠ parts[v] in first-touched order, each with extW[j] − extW[parts[v]],
+// so that a move which only changed part weights is reweighed without the
+// neighbour walk. n < 0: a candidate or its ext does not fit, or v has more
+// than len(part) candidates; the slot is re-walked instead.
+type klCands struct {
+	part, ext [3]int16
+	n         int16
+}
+
+func (c *klCands) add(j int32, ext int64) {
+	if c.n < 0 {
+		return
+	}
+	if int(c.n) == len(c.part) || j > math.MaxInt16 || ext != int64(int16(ext)) {
+		c.n = -1
+		return
+	}
+	c.part[c.n], c.ext[c.n] = int16(j), int16(ext)
+	c.n++
+}
+
+// klState is a vertex's place in the current pass.
+type klState uint8
+
+const (
+	klUnlisted klState = iota
+	klListed           // has had a slot this pass (a moved vertex keeps this or klDirty)
+	klDirty            // listed, and a neighbour has moved since its slot was scored
+)
+
 // klScratch holds the work arrays of runKL and forceBalance so the V-cycle
 // drivers reuse them across levels and cycles instead of reallocating per
-// call. listed is the only buffer sized by the graph; slots and moves are
-// sized by the boundary. The zero value is ready to use; a nil *klScratch
+// call. state is the only buffer sized by the graph; slots, cands and moves
+// are sized by the boundary. The zero value is ready to use; a nil *klScratch
 // means "allocate per call".
 type klScratch struct {
 	partW   []int64
 	extW    []int64 // edge weight from the scored vertex to each part
-	listed  []bool  // has had a slot this pass (boundary vertices and neighbours of moved ones)
+	state   []klState
 	touched []int32
-	slots   []klSlot // the unlocked listed vertices, in no particular order
+	slots   []klSlot  // the unlocked listed vertices, in no particular order
+	cands   []klCands // soft balance: cands[x] belongs to slots[x]
 	moves   []klMove
 	// onMove, when set (the oracle tests), observes every selected move, the
 	// rolled-back tail included.
@@ -123,37 +160,78 @@ type klRun struct {
 
 func partBit(part int32) uint64 { return 1 << (uint32(part) & 63) }
 
-// score walks v's neighbours in CSR order and returns its best admissible
-// move — the first-touched part wins a tie — with the parts the answer
-// depends on. Until a move changes the weight of one of those parts or the
-// part of a neighbour (which is one of them), a re-walk would hand moveGain
-// the same operands, so the cached slot is what a rescan would compute, bit
-// for bit.
-func (r *klRun) score(v int32) klSlot {
+// offer makes j the slot's move if it scores strictly higher: over the
+// candidates in first-touched order, the first-touched part wins a tie.
+func (sl *klSlot) offer(j int32, gain float64) {
+	if sl.to < 0 || gain > sl.gain {
+		sl.gain, sl.to = gain, j
+	}
+}
+
+// score walks the neighbours of slots[x].v in CSR order and stores its best
+// admissible move with what the answer depends on: deps, and in soft balance
+// the candidate cache cands[x].
+func (r *klRun) score(x int) {
 	g, parts, partW, extW := r.g, r.parts, r.partW, r.s.extW
+	sl := &r.s.slots[x]
+	v := sl.v
 	touched := r.s.touched[:0]
 	i := parts[v]
-	sl := klSlot{v: v, to: -1, deps: partBit(i)}
 	for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 		pu := parts[g.Adj[k]]
 		if extW[pu] == 0 {
 			touched = append(touched, pu)
-			sl.deps |= partBit(pu)
 		}
 		extW[pu] += g.EW[k]
 	}
+	var c *klCands
+	sl.to, sl.deps = -1, 0
+	if !r.hardBalance {
+		c = &r.s.cands[x]
+		c.n = 0
+		sl.deps = partBit(i)
+	}
 	wv, extI := g.VW[v], extW[i]
 	for _, j := range touched {
-		if j != i && !(r.hardBalance && partW[j]+wv > r.limit) {
-			gain := moveGain(r.cfg, extW[j]-extI, wv, i, j, r.orig[v], partW[i], partW[j], r.hardBalance)
-			if sl.to < 0 || gain > sl.gain {
-				sl.gain, sl.to = gain, j
+		switch {
+		case j == i:
+		case r.hardBalance && partW[j]+wv > r.limit:
+			sl.deps |= partBit(j) // closed to v
+		default:
+			if c != nil {
+				sl.deps |= partBit(j)
+				c.add(j, extW[j]-extI)
 			}
+			sl.offer(j, moveGain(r.cfg, extW[j]-extI, wv, i, j, r.orig[v], partW[i], partW[j], r.hardBalance))
 		}
 		extW[j] = 0
 	}
 	r.s.touched = touched
-	return sl
+}
+
+// reweigh re-scores the soft-balance slot x from its candidate cache: the
+// operands score would hand moveGain, in the same order, minus the walk, so
+// the same bits. Only valid while no neighbour of the vertex has moved.
+func (r *klRun) reweigh(x int) {
+	sl, c := &r.s.slots[x], &r.s.cands[x]
+	v := sl.v
+	i, wv, o := r.parts[v], r.g.VW[v], r.orig[v]
+	wi := r.partW[i]
+	sl.to = -1
+	for k := int16(0); k < c.n; k++ {
+		j := int32(c.part[k])
+		sl.offer(j, moveGain(r.cfg, int64(c.ext[k]), wv, i, j, o, wi, r.partW[j], false))
+	}
+}
+
+// add appends a freshly scored slot for v.
+func (r *klRun) add(v int32) {
+	s := r.s
+	s.slots = append(s.slots, klSlot{v: v})
+	if !r.hardBalance {
+		s.cands = append(s.cands, klCands{})
+	}
+	r.score(len(s.slots) - 1)
 }
 
 // list starts a pass: every vertex with a neighbour in another part gets a
@@ -163,13 +241,13 @@ func (r *klRun) score(v int32) klSlot {
 // for the slightly different boundary of the next runKL on this scratch.
 func (r *klRun) list() {
 	s, g, parts := r.s, r.g, r.parts
-	listed := s.listed
+	state := s.state
 	count := 0
-	for v := range listed {
-		listed[v] = false
+	for v := range state {
+		state[v] = klUnlisted
 		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 			if parts[g.Adj[k]] != parts[v] {
-				listed[v] = true
+				state[v] = klListed
 				count++
 				break
 			}
@@ -178,26 +256,59 @@ func (r *klRun) list() {
 	if cap(s.slots) < count {
 		s.slots = make([]klSlot, 0, count+count/4+32)
 	}
-	s.slots = s.slots[:0]
-	for v, l := range listed {
-		if l {
-			s.slots = append(s.slots, r.score(int32(v)))
+	if !r.hardBalance && cap(s.cands) < cap(s.slots) {
+		s.cands = make([]klCands, 0, cap(s.slots))
+	}
+	s.slots, s.cands = s.slots[:0], s.cands[:0]
+	for v, st := range state {
+		if st == klListed {
+			r.add(int32(v))
 		}
 	}
 }
 
-// pick returns the index of the slot holding the best move, or -1. stale is
-// the set of parts whose weight the previous move changed: only slots
-// depending on one of them are re-walked, which covers the moved vertex's
-// listed neighbours too (it sat in one of those parts when they were scored).
+// pick brings every slot up to date with the pass's previous move, of a
+// vertex from part a to part b (a < 0 before the first move), and returns the
+// index of the slot holding the best move, or -1. A slot is re-scored only
+// where that move can change its answer:
+//   - klDirty (a neighbour moved, so its edge weights per part did): walked
+//     again. In soft balance such a slot's part set holds a, the part the
+//     neighbour left, so it is found among the next case's.
+//   - Soft balance, a part set meeting {a, b}: a balance term changed; the
+//     slot is reweighed from its candidate cache, or walked if that
+//     overflowed. Every other slot would get moveGain's operands unchanged.
+//   - Hard balance, its target b now closed to it, or a part of its closed
+//     set a and now open to it: walked again. The hard gain reads no part
+//     weight, only which candidates are open; closing a candidate that did not
+//     win leaves the winner, and a part only opens as the a of a move, so no
+//     other slot can change its answer.
+//
 // The argmax is the boundary scan's: gain desc, then vertex asc.
-func (r *klRun) pick(stale uint64) int {
-	slots := r.s.slots
+func (r *klRun) pick(a, b int32) int {
+	slots, cands, state, vw := r.s.slots, r.s.cands, r.s.state, r.g.VW
+	var stale, closedA uint64
+	var roomA, roomB int64 // hard balance: a (b) is open to v iff vw[v] <= roomA (roomB)
+	if a >= 0 {
+		stale, closedA = partBit(a)|partBit(b), partBit(a)
+		roomA, roomB = r.limit-r.partW[a], r.limit-r.partW[b]
+	}
 	sel := -1
 	for x := range slots {
 		sl := &slots[x]
-		if sl.deps&stale != 0 {
-			*sl = r.score(sl.v)
+		switch v := sl.v; {
+		case a < 0: // the pass's first pick: every slot is fresh
+		case r.hardBalance:
+			if state[v] == klDirty || (sl.to == b && vw[v] > roomB) || (sl.deps&closedA != 0 && vw[v] <= roomA) {
+				state[v] = klListed
+				r.score(x)
+			}
+		case sl.deps&stale != 0:
+			if state[v] == klDirty || cands[x].n < 0 {
+				state[v] = klListed
+				r.score(x)
+			} else {
+				r.reweigh(x)
+			}
 		}
 		// ">= && v<" is the equal-gain tie-break without a float ==: the >
 		// clause has already failed here.
@@ -209,6 +320,43 @@ func (r *klRun) pick(stale uint64) int {
 		r.assertSelection(sel)
 	}
 	return sel
+}
+
+// move applies the move of slot x and returns it with its source part. The
+// moved vertex is locked for the rest of the pass: its slot goes, its state
+// stays listed (or dirty) so it is not listed again. Its listed neighbours
+// turn dirty; the unlisted ones are listed.
+func (r *klRun) move(x int) (sel klSlot, from int32) {
+	s, g, parts := r.s, r.g, r.parts
+	sel = s.slots[x]
+	last := len(s.slots) - 1
+	s.slots[x] = s.slots[last]
+	s.slots = s.slots[:last]
+	if !r.hardBalance {
+		s.cands[x] = s.cands[last]
+		s.cands = s.cands[:last]
+	}
+	from = parts[sel.v]
+	parts[sel.v] = sel.to
+	r.partW[from] -= g.VW[sel.v]
+	r.partW[sel.to] += g.VW[sel.v]
+	if check.Enabled {
+		check.PartitionWeights(g, parts, len(r.partW), r.partW, "core.runKL")
+	}
+	if s.onMove != nil {
+		s.onMove(sel.v, from, sel.to, sel.gain)
+	}
+	s.moves = append(s.moves, klMove{sel.v, from})
+	for k := g.Xadj[sel.v]; k < g.Xadj[sel.v+1]; k++ {
+		switch u := g.Adj[k]; s.state[u] {
+		case klUnlisted:
+			s.state[u] = klListed
+			r.add(u)
+		case klListed:
+			s.state[u] = klDirty
+		}
+	}
+	return sel, from
 }
 
 func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool) {
@@ -234,7 +382,10 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 		}
 		r.limit = int64(float64(total) / float64(p) * (1 + eps))
 	}
-	s.listed = growBool(s.listed, n)
+	if cap(s.state) < n {
+		s.state = make([]klState, n)
+	}
+	s.state = s.state[:n]
 	s.extW = growI64s(s.extW, p)
 	clear(s.extW)
 
@@ -244,37 +395,15 @@ func runKL(s *klScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config,
 		cumGain, bestGain := 0.0, 0.0
 		bestIdx := -1
 		negStreak := 0
-		var stale uint64
+		a, b := int32(-1), int32(-1)
 		for {
-			x := r.pick(stale)
+			x := r.pick(a, b)
 			if x < 0 {
 				break
 			}
-			// The moved vertex is locked for the rest of the pass: its slot
-			// goes, its listed flag stays so it is not listed again.
-			sel := s.slots[x]
-			last := len(s.slots) - 1
-			s.slots[x] = s.slots[last]
-			s.slots = s.slots[:last]
-			from := parts[sel.v]
-			parts[sel.v] = sel.to
-			partW[from] -= g.VW[sel.v]
-			partW[sel.to] += g.VW[sel.v]
-			stale = partBit(from) | partBit(sel.to)
-			if check.Enabled {
-				check.PartitionWeights(g, parts, p, partW, "core.runKL")
-			}
-			if s.onMove != nil {
-				s.onMove(sel.v, from, sel.to, sel.gain)
-			}
+			sel, from := r.move(x)
+			a, b = from, sel.to
 			cumGain += sel.gain
-			s.moves = append(s.moves, klMove{sel.v, from})
-			for k := g.Xadj[sel.v]; k < g.Xadj[sel.v+1]; k++ {
-				if u := g.Adj[k]; !s.listed[u] {
-					s.listed[u] = true
-					s.slots = append(s.slots, r.score(u))
-				}
-			}
 			if cumGain > bestGain+1e-9 {
 				bestGain = cumGain
 				bestIdx = len(s.moves) - 1

@@ -309,6 +309,70 @@ func TestRunKLMatchesScanMoveForMove(t *testing.T) {
 	}
 }
 
+// fuzzKLCase decodes a small graph with a start and an origin from fuzz
+// bytes, a missing byte reading as zero: n ≤ 48 vertices of weight 1–9, up
+// to 6 edges per vertex, p from 2 to 70 (parts 64..69 alias 0..5 in the
+// slot bit sets). Edge weights are mostly 1–4, for gain ties, and otherwise
+// up to 64 513, past the int16 of the candidate cache.
+func fuzzKLCase(data []byte) (g *graph.Graph, start, orig []int32, p int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%47
+	p = 2 + next()%69
+	b := graph.NewBuilder(n)
+	deg := make([]int, n)
+	start, orig = make([]int32, n), make([]int32, n)
+	for v := 0; v < n; v++ {
+		b.SetVW(int32(v), int64(1+next()%9))
+		for d := next() % 7; d > 0; d-- {
+			u, e := next()%n, next()
+			w := int64(1 + e%4)
+			if e >= 0xc0 {
+				w = 1 + int64(e-0xc0)<<10
+			}
+			if u != v && deg[u] < 6 && deg[v] < 6 {
+				b.AddEdge(int32(v), int32(u), w)
+				deg[u]++
+				deg[v]++
+			}
+		}
+		start[v] = int32(next() % p)
+		orig[v] = start[v]
+		if o := next(); o&1 != 0 {
+			orig[v] = int32(o>>1) % int32(p)
+		}
+	}
+	return b.Build(), start, orig, p
+}
+
+// FuzzRunKL holds runKL to the boundary scan on arbitrary small graphs: soft
+// balance, then hard balance from the forced-balanced result, move for move
+// with gain bits (checkKLMatchesScan).
+func FuzzRunKL(f *testing.F) {
+	f.Add([]byte{})
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 400)
+		rng.Read(data)
+		data[0] = byte(30 + seed) // n from 33 to 38
+		if seed%2 == 0 {
+			data[1] = 68 // p = 70
+		}
+		f.Add(data)
+	}
+	cfg := Config{}.withDefaults()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, start, orig, p := fuzzKLCase(data)
+		checkKLMatchesScan(t, "fuzz", new(klScratch), g, start, orig, p, cfg)
+	})
+}
+
 // TestRunKLFirstSelectionIsTrueArgmax: on a tiny graph with distinct gains,
 // the first move runKL selects equals a brute-force argmax over all (vertex,
 // adjacent target part) moves.

@@ -48,8 +48,8 @@ type Config struct {
 	// correspondence between coarse moves and data movement.
 	UnrestrictedMatching bool
 	// Hierarchy is never read. Named by bench/probe.go, which only a
-	// `benchmark` issue may edit; ROADMAP item 7 deletes this with
-	// core.repartition_cached_ms and core.cache_speedup.
+	// `benchmark` issue may edit; ROADMAP item 10 (`bench/` housekeeping)
+	// deletes this with core.repartition_cached_ms and core.cache_speedup.
 	Hierarchy *Hierarchy
 	// DistRefine, when non-nil, replaces every serial KL sweep of the
 	// V-cycle (refineKL and polishKL alike) with the rank-distributed
@@ -63,13 +63,13 @@ type Config struct {
 
 // Hierarchy is empty: the cross-epoch contraction cache it used to be was
 // never hit on any run (DESIGN.md §9). Named by bench/probe.go, which only a
-// `benchmark` issue may edit; ROADMAP item 7 deletes this with
-// core.repartition_cached_ms and core.cache_speedup.
+// `benchmark` issue may edit; ROADMAP item 10 (`bench/` housekeeping) deletes
+// this with core.repartition_cached_ms and core.cache_speedup.
 type Hierarchy struct{}
 
 // NewHierarchy returns an empty Hierarchy. Named by bench/probe.go, which only
-// a `benchmark` issue may edit; ROADMAP item 7 deletes this with
-// core.repartition_cached_ms and core.cache_speedup.
+// a `benchmark` issue may edit; ROADMAP item 10 (`bench/` housekeeping)
+// deletes this with core.repartition_cached_ms and core.cache_speedup.
 func NewHierarchy() *Hierarchy { return new(Hierarchy) }
 
 // The tuning no caller sets.
