@@ -61,15 +61,20 @@ bench:
 # fail and cut_mean, imbalance_mean and migrated_frac must equal
 # bench/BASELINE.json as printed JSON numbers (the diff also catches a missing
 # or renamed workload). These are deterministic, so there is no tolerance to
-# tune; timings are not compared here.
+# tune; timings are not compared here. This recipe and the two alloc-guard
+# recipes write their intermediate files into a fresh `mktemp -d` directory
+# each run, so concurrent runs do not overwrite each other's files; it is
+# removed on success and kept for inspection on failure.
 COUNTS = [.workloads[] | {name, cut_mean: .end_to_end.cut_mean.value, imbalance_mean: .end_to_end.imbalance_mean.value, migrated_frac: .end_to_end.migrated_frac.value}]
 
 bench-counts:
-	$(GO) run ./bench -seed 1 -reps 5 -trace 0 -json /tmp/pared-bench.json
-	jq -e '[.workloads[].checks_failed] | all(. == 0)' /tmp/pared-bench.json
-	jq '$(COUNTS)' bench/BASELINE.json > /tmp/pared-counts-want.json
-	jq '$(COUNTS)' /tmp/pared-bench.json > /tmp/pared-counts-got.json
-	diff /tmp/pared-counts-want.json /tmp/pared-counts-got.json
+	d=$$(mktemp -d) && \
+	$(GO) run ./bench -seed 1 -reps 5 -trace 0 -json $$d/pared-bench.json && \
+	jq -e '[.workloads[].checks_failed] | all(. == 0)' $$d/pared-bench.json && \
+	jq '$(COUNTS)' bench/BASELINE.json > $$d/pared-counts-want.json && \
+	jq '$(COUNTS)' $$d/pared-bench.json > $$d/pared-counts-got.json && \
+	diff $$d/pared-counts-want.json $$d/pared-counts-got.json && \
+	rm -r $$d
 
 # The A/B protocol of a performance claim (cmd/benchab): BASE exported into
 # .bench_build/ab-base/, PAIRS alternating runs of the unmodified
@@ -101,9 +106,11 @@ ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./in
 ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^BenchmarkDistCGSolve$$' -benchmem ./internal/pared
 
 bench-alloc-baseline:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard0.txt
-	$(ALLOC_SOLVE) > /tmp/allocguard0s.txt
-	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json /tmp/allocguard0.txt /tmp/allocguard0s.txt
+	d=$$(mktemp -d) && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard0.txt && \
+	$(ALLOC_SOLVE) > $$d/allocguard0s.txt && \
+	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json $$d/allocguard0.txt $$d/allocguard0s.txt && \
+	rm -r $$d
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
 # within 20% of BENCH_allocs.json per benchmark — and zero-alloc baselines
@@ -116,12 +123,14 @@ bench-alloc-baseline:
 # the ranks own the cores, kern runs inline in each rank, and the count is the
 # same on any machine.
 bench-alloc-guard:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard1.txt
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > /tmp/allocguard2.txt
-	$(ALLOC_SOLVE) > /tmp/allocguard1s.txt
-	$(ALLOC_SOLVE) > /tmp/allocguard2s.txt
+	d=$$(mktemp -d) && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard1.txt && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard2.txt && \
+	$(ALLOC_SOLVE) > $$d/allocguard1s.txt && \
+	$(ALLOC_SOLVE) > $$d/allocguard2s.txt && \
 	$(GO) run ./cmd/benchguard -baseline BENCH_allocs.json \
-		/tmp/allocguard1.txt /tmp/allocguard2.txt /tmp/allocguard1s.txt /tmp/allocguard2s.txt
+		$$d/allocguard1.txt $$d/allocguard2.txt $$d/allocguard1s.txt $$d/allocguard2s.txt && \
+	rm -r $$d
 
 cover:
 	$(GO) test ./internal/... -coverprofile=cover.out

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkPendingBurst measures draining a burst of out-of-order messages:
 // rank 0 sends burst tag-1 messages followed by one tag-2 message; rank 1
 // receives the tag-2 message first (parking the whole burst on the pending
-// queue) and then drains the burst in FIFO order. This is the recvSeq
+// queue) and then drains the burst in FIFO order. This is the recvMsg
 // worst case: every drain Recv hits the pending queue, never the inbox.
 func BenchmarkPendingBurst(b *testing.B) {
 	for _, burst := range []int{256, 1024, 4096} {

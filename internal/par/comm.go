@@ -3,11 +3,25 @@
 // gathers, broadcasts and all-to-all of typed.go, its []float64
 // point-to-point lane (SendFloat64s, RecvFloat64s) and Barrier. The engine,
 // the distributed solve, every command and every example use nothing else.
-// Four entry points still box their payload into `any`: Send and Recv here,
-// Gather and Bcast in collectives.go. They are the original API and have no
+// A message carries its payload in one of five lanes: a []int32, []int64,
+// []float64 or []byte slice header inline, or a boxed `any`.
+//
+// Every collective is built from three message shapes (collectives.go): a
+// fan-in, where each rank but the root posts one message to the root; a
+// fan-out, where the root posts one to each other rank; and an exchange,
+// where each rank posts one to each other rank. A rooted gather or
+// broadcast is one shape, a reduction, scan, Barrier or Split a fan-in to
+// rank 0 and a fan-out back, an all-gather or all-to-all one exchange. Apart
+// from them only the point-to-point Send/Recv and SendFloat64s/RecvFloat64s
+// move a message.
+//
+// Four entry points box their payload into `any`: Send and Recv here,
+// Gather and Bcast in collectives.go, which costs an allocation per message
+// and a type assertion per receive. They are the original API and have no
 // caller left outside bench/microprobe.go, which times them, and the pared
 // tests, where solver_ref_test.go keeps the old solve schedule as a
 // reference; they go when those two stop needing them.
+//
 // Ranks are goroutines in one process; transport is typed Go channels.
 // Because of that a deadlock is detected exactly, with no timeout: once every
 // rank is blocked or returned and no message is left to deliver, Run returns
@@ -40,9 +54,8 @@ type message struct {
 	src  int    // sender's rank within that communicator
 	tag  Tag
 	seq  int64 // collective sequence number (0 for point-to-point traffic)
-	data any
-	// Typed payload lanes for the hot collectives (see typed.go): carrying
-	// the slice header inline avoids boxing it into data.
+	// The payload lanes; the typed ones carry the slice header inline.
+	data  any
 	i32   []int32
 	i64   []int64
 	f64   []float64
@@ -73,6 +86,7 @@ type endpoint struct {
 	pendingDead int // tombstones at or after pendingHead
 
 	slot *rankSlot // this rank's inbox, counters and wait record
+	got  message   // the message recvMsg last returned (see there)
 }
 
 // Comm is one rank's endpoint of a communicator — the world communicator
@@ -108,12 +122,7 @@ const consumedSrc = -2
 // consumePending tombstones slot i and maintains the head/compaction
 // invariants.
 func (ep *endpoint) consumePending(i int) {
-	ep.pending[i].data = nil // release the payload references
-	ep.pending[i].i32 = nil
-	ep.pending[i].i64 = nil
-	ep.pending[i].f64 = nil
-	ep.pending[i].bytes = nil
-	ep.pending[i].src = consumedSrc
+	ep.pending[i] = message{src: consumedSrc} // releases the payload references
 	ep.pendingDead++
 	if i == ep.pendingHead {
 		// Advance past the consumed prefix (the FIFO fast path).
@@ -327,9 +336,9 @@ func (c *Comm) CollectiveSeq() int64 { return c.collSeq }
 // Size returns the number of processors in this communicator.
 func (c *Comm) Size() int { return c.size }
 
-// WorldRank returns the world rank behind this comm's rank r. For the world
+// worldRank returns the world rank behind this comm's rank r. For the world
 // communicator it is the identity.
-func (c *Comm) WorldRank(r int) int {
+func (c *Comm) worldRank(r int) int {
 	if c.ranks == nil {
 		return r
 	}
@@ -337,19 +346,19 @@ func (c *Comm) WorldRank(r int) int {
 }
 
 // post stamps a message with this comm's identity and the sender's local rank
-// and delivers it to the inbox of the world rank behind dst.
-func (c *Comm) post(dst int, m message) {
+// and delivers a copy of it to the inbox of the world rank behind dst.
+func (c *Comm) post(dst int, m *message) {
 	m.comm = c.id
 	m.src = c.rank
-	box := c.world.slots[c.WorldRank(dst)].box
+	box := c.world.slots[c.worldRank(dst)].box
 	c.ep.slot.posted++
 	select {
-	case box <- m:
+	case box <- *m:
 	default:
 		// The inbox is full: wait for room, or for the world to abort.
 		c.world.block(c.ep.worldRank, waitRec{state: posting})
 		select {
-		case box <- m:
+		case box <- *m:
 		case <-c.world.abort:
 			c.aborted()
 		}
@@ -362,7 +371,7 @@ func (c *Comm) post(dst int, m message) {
 // relinquish ownership of anything they send.
 func (c *Comm) Send(dst int, tag Tag, data any) {
 	c.mustBeRank(dst, "Send to invalid rank")
-	c.post(dst, message{tag: tag, data: data})
+	c.post(dst, &message{tag: tag, data: data})
 }
 
 // mustBeRank panics with "par: <what> <r>" unless r is a rank of c. Every
@@ -374,12 +383,6 @@ func (c *Comm) mustBeRank(r int, what string) {
 	}
 }
 
-// sendSeq sends a collective message stamped with a sequence number, so that
-// back-to-back collectives of the same kind cannot cross-match.
-func (c *Comm) sendSeq(dst int, tag Tag, seq int64, data any) {
-	c.post(dst, message{tag: tag, seq: seq, data: data})
-}
-
 // Recv blocks until a message with the given tag arrives from src
 // (or from anyone if src == AnySource), returning the payload and the actual
 // source. Messages with non-matching tags are queued, not lost.
@@ -387,31 +390,30 @@ func (c *Comm) Recv(src int, tag Tag) (data any, from int) {
 	if src != AnySource {
 		c.mustBeRank(src, "Recv from invalid rank")
 	}
-	return c.recvSeq(src, tag, 0)
-}
-
-func (c *Comm) recvSeq(src int, tag Tag, seq int64) (data any, from int) {
-	m := c.recvMsg(src, tag, seq)
+	m := c.recvMsg(src, tag, 0)
 	return m.data, m.src
 }
 
 // recvMsg blocks until a message on this comm matching (src, tag, seq)
 // arrives and returns it whole — the typed collectives read their payload
-// lane directly. Messages for sibling communicators of the same rank are
-// parked on the shared pending queue, never dropped.
-func (c *Comm) recvMsg(src int, tag Tag, seq int64) message {
-	match := func(m message) bool {
+// lane directly. It returns the endpoint's got slot, not a copy, so the
+// message is valid only until this rank's next receive on any comm. Messages
+// for sibling communicators of the same rank are parked on the shared
+// pending queue, never dropped.
+func (c *Comm) recvMsg(src int, tag Tag, seq int64) *message {
+	match := func(m *message) bool {
 		return m.comm == c.id && m.tag == tag && m.seq == seq && (src == AnySource || m.src == src)
 	}
 	ep := c.ep
 	for i := ep.pendingHead; i < len(ep.pending); i++ {
-		m := ep.pending[i]
+		m := &ep.pending[i]
 		if m.src == consumedSrc {
 			continue
 		}
 		if match(m) {
+			ep.got = *m
 			ep.consumePending(i)
-			return m
+			return &ep.got
 		}
 		if check.Enabled {
 			c.assertSameCollective(m, tag, seq)
@@ -419,28 +421,27 @@ func (c *Comm) recvMsg(src int, tag Tag, seq int64) message {
 	}
 	box := ep.slot.box
 	for {
-		var m message
 		select {
-		case m = <-box:
+		case ep.got = <-box:
 		default:
 			// Nothing queued: block, but wake if a peer has died or the
 			// world deadlocked — without this the rank would wait forever.
 			c.world.block(ep.worldRank, waitRec{state: receiving, comm: c.id, tag: tag, seq: seq, src: src})
 			select {
-			case m = <-box:
+			case ep.got = <-box:
 			case <-c.world.abort:
 				c.aborted()
 			}
 			c.world.unblock(ep.worldRank)
 		}
 		ep.slot.taken++
-		if match(m) {
-			return m
+		if match(&ep.got) {
+			return &ep.got
 		}
 		if check.Enabled {
-			c.assertSameCollective(m, tag, seq)
+			c.assertSameCollective(&ep.got, tag, seq)
 		}
-		ep.pending = append(ep.pending, m)
+		ep.pending = append(ep.pending, ep.got)
 	}
 }
 
@@ -453,64 +454,12 @@ func (c *Comm) recvMsg(src int, tag Tag, seq int64) message {
 // which would otherwise surface as a silent deadlock. Messages belonging to
 // sibling communicators are exempt: independent comms interleave freely.
 // Called only under check.Enabled.
-func (c *Comm) assertSameCollective(m message, tag Tag, seq int64) {
+func (c *Comm) assertSameCollective(m *message, tag Tag, seq int64) {
 	if m.comm == c.id && seq != 0 && m.seq == seq && m.tag != tag {
 		panic(fmt.Sprintf(
 			"paredassert: par: collective mismatch at seq %d: rank %d is receiving %s but rank %d sent %s — every rank must call collectives in the same order",
 			seq, c.rank, tagName(tag), m.src, tagName(m.tag)))
 	}
-}
-
-// tagName names the collective (and its direction) behind a reserved tag;
-// other tags are user point-to-point traffic.
-func tagName(t Tag) string {
-	switch t {
-	case tagBarrierUp:
-		return "Barrier (up)"
-	case tagBarrierDown:
-		return "Barrier (down)"
-	case tagGather:
-		return "Gather"
-	case tagBcast:
-		return "Bcast"
-	case tagSplitUp:
-		return "Split (up)"
-	case tagSplitDown:
-		return "Split (down)"
-	case tagGatherI32:
-		return "GatherInt32"
-	case tagGatherI64:
-		return "GatherInt64"
-	case tagBcastI32:
-		return "BcastInt32"
-	case tagAlltoallB:
-		return "AlltoallBytes"
-	case tagMaxSumUp:
-		return "AllReduceMaxSum (up)"
-	case tagMaxSumDown:
-		return "AllReduceMaxSum (down)"
-	case tagScanUp:
-		return "ExclusiveScanInt64 (up)"
-	case tagScanDown:
-		return "ExclusiveScanInt64 (down)"
-	case tagSumUp:
-		return "AllReduceSumInt64 (up)"
-	case tagSumDown:
-		return "AllReduceSumInt64 (down)"
-	case tagAllGatherI32:
-		return "AllGatherInt32"
-	case tagAllGatherI64:
-		return "AllGatherInt64"
-	case tagAllGatherMoves:
-		return "AllGatherMoves"
-	case tagBcastI64:
-		return "BcastInt64"
-	case tagSumF64Up:
-		return "AllReduceSumFloat64s (up)"
-	case tagSumF64Down:
-		return "AllReduceSumFloat64s (down)"
-	}
-	return fmt.Sprintf("Recv tag %d", t)
 }
 
 // inboxCapacity bounds in-flight messages per rank; sends block beyond it.

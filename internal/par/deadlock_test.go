@@ -166,7 +166,6 @@ func TestBadPeerPanics(t *testing.T) {
 		{"BcastInt32 from invalid root", func(c *Comm, r int) { c.BcastInt32(r, nil) }},
 		{"BcastInt64 from invalid root", func(c *Comm, r int) { c.BcastInt64(r, nil) }},
 		{"Gather to invalid root", func(c *Comm, r int) { c.Gather(r, 1) }},
-		{"GatherInt32 to invalid root", func(c *Comm, r int) { c.GatherInt32(r, nil) }},
 		{"GatherInt64 to invalid root", func(c *Comm, r int) { c.GatherInt64(r, nil) }},
 		{"Recv from invalid rank", func(c *Comm, r int) { c.Recv(r, 0) }},
 		{"RecvFloat64s from invalid rank", func(c *Comm, r int) { c.RecvFloat64s(r, 0) }},

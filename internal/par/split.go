@@ -2,12 +2,6 @@ package par
 
 import "sort"
 
-// Split-specific collective tags continuing the range in collectives.go.
-const (
-	tagSplitUp Tag = -20 - iota
-	tagSplitDown
-)
-
 // Split partitions the ranks of c into disjoint sub-communicators, one per
 // distinct non-negative color: MPI_Comm_split. Every member of c must call
 // Split in the same collective order (it is a collective on c). Ranks that
@@ -26,31 +20,24 @@ const (
 // counter, color), so all members compute the identical identity with no
 // global allocator and sibling comms never cross-match.
 func (c *Comm) Split(color, key int64) *Comm {
-	c.collSeq++
+	seq := c.nextSeq()
 	c.splitSeq++
-	seq := c.collSeq
-	// Replicate the (color, key) table: gather at parent rank 0, fan back out.
+	// Replicate the (color, key) table: fan in at parent rank 0, fan back out.
+	// Only the other ranks build a two-word up payload.
 	var table []int64
-	if c.rank != 0 {
-		c.post(0, message{tag: tagSplitUp, seq: seq, i64: []int64{color, key}})
-		m := c.recvMsg(0, tagSplitDown, seq)
-		table = m.i64
-	} else {
+	if c.rank == 0 {
 		table = make([]int64, 2*c.size)
 		table[0], table[1] = color, key
-		for i := 0; i < c.size-1; i++ {
-			m := c.recvMsg(AnySource, tagSplitUp, seq)
-			table[2*m.src] = m.i64[0]
-			table[2*m.src+1] = m.i64[1]
-		}
-		for i := 1; i < c.size; i++ {
-			c.post(i, message{tag: tagSplitDown, seq: seq, i64: table})
-		}
+	} else {
+		table = []int64{color, key}
 	}
+	c.fanIn(0, tagSplitUp, seq, message{i64: table}, func(m *message) { copy(table[2*m.src:], m.i64) })
+	table = c.fanOut(0, tagSplitDown, seq, message{i64: table}).i64
 	if color < 0 {
 		return nil
 	}
-	// Membership: parent ranks with my color, ordered by (key, parent rank).
+	// Membership: parent ranks with my color, ordered by (key, parent rank):
+	// they are collected in parent-rank order, so a stable sort by key.
 	type member struct {
 		key int64
 		r   int
@@ -61,12 +48,7 @@ func (c *Comm) Split(color, key int64) *Comm {
 			members = append(members, member{key: table[2*r+1], r: r})
 		}
 	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].r < members[j].r
-	})
+	sort.SliceStable(members, func(i, j int) bool { return members[i].key < members[j].key })
 	sub := &Comm{
 		size:  len(members),
 		world: c.world,
@@ -75,7 +57,7 @@ func (c *Comm) Split(color, key int64) *Comm {
 		ranks: make([]int32, len(members)),
 	}
 	for i, m := range members {
-		sub.ranks[i] = int32(c.WorldRank(m.r))
+		sub.ranks[i] = int32(c.worldRank(m.r))
 		if m.r == c.rank {
 			sub.rank = i
 		}

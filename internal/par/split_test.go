@@ -28,8 +28,8 @@ func TestSplitMembershipAndNumbering(t *testing.T) {
 		}
 		for i := 0; i < sub.Size(); i++ {
 			want := p - 2 - 2*i + c.Rank()%2
-			if sub.WorldRank(i) != want {
-				panic(fmt.Sprintf("sub rank %d maps to world %d, want %d", i, sub.WorldRank(i), want))
+			if sub.worldRank(i) != want {
+				panic(fmt.Sprintf("sub rank %d maps to world %d, want %d", i, sub.worldRank(i), want))
 			}
 		}
 
@@ -255,7 +255,7 @@ func TestSplitNested(t *testing.T) {
 		if quad.Size() != 2 || quad.Rank() != c.Rank()%2 {
 			panic("nested split numbering wrong")
 		}
-		if quad.WorldRank(0) != c.Rank()-c.Rank()%2 {
+		if quad.worldRank(0) != c.Rank()-c.Rank()%2 {
 			panic("nested split world mapping wrong")
 		}
 		if got := quad.AllReduceSumInt64(int64(c.Rank())); got != int64(2*(c.Rank()-c.Rank()%2)+1) {
@@ -286,7 +286,7 @@ func TestSplitP2P(t *testing.T) {
 			panic("parent p2p crossed with sub-comm traffic")
 		}
 		prev := (sub.Rank() + sub.Size() - 1) % sub.Size()
-		if fromS != prev || dataS.(int) != 1000+sub.WorldRank(prev) {
+		if fromS != prev || dataS.(int) != 1000+sub.worldRank(prev) {
 			panic("sub-comm p2p delivered the wrong message")
 		}
 	})

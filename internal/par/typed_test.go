@@ -8,36 +8,6 @@ import (
 	"testing"
 )
 
-func TestGatherInt32(t *testing.T) {
-	const p = 4
-	err := Run(p, func(c *Comm) {
-		xs := make([]int32, c.Rank()+1)
-		for i := range xs {
-			xs[i] = int32(c.Rank()*100 + i)
-		}
-		out := c.GatherInt32(0, xs)
-		if c.Rank() != 0 {
-			if out != nil {
-				panic("non-root got a gather result")
-			}
-			return
-		}
-		for r := 0; r < p; r++ {
-			if len(out[r]) != r+1 {
-				panic(fmt.Sprintf("rank %d slice length %d", r, len(out[r])))
-			}
-			for i, v := range out[r] {
-				if v != int32(r*100+i) {
-					panic(fmt.Sprintf("rank %d slot %d = %d", r, i, v))
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGatherInt64RootNotZero(t *testing.T) {
 	const p = 3
 	err := Run(p, func(c *Comm) {
@@ -299,6 +269,36 @@ func TestAllReduceSumFloat64sRankOrder(t *testing.T) {
 	}
 }
 
+// TestAllReduceSumFloat64sLengthMismatch: ranks that pass vectors of
+// different lengths are a caller error, and rank 0 must say so instead of
+// returning a sum it never reduced (a shorter root) or one that read a stale
+// scratch word past the peer's slice (a longer root). Both directions are
+// planted at p = 2, and a longer root on a Split child whose rank 0 is world
+// rank 3.
+func TestAllReduceSumFloat64sLengthMismatch(t *testing.T) {
+	for _, tc := range []struct{ root, peer int }{{2, 3}, {3, 2}} {
+		err := runWithin(t, 2, func(c *Comm) {
+			n := tc.root
+			if c.Rank() == 1 {
+				n = tc.peer
+			}
+			c.AllReduceSumFloat64s(make([]float64, n))
+		})
+		want := fmt.Sprintf("par: AllReduceSumFloat64s: rank 1 sent %d words, rank 0 reduces %d", tc.peer, tc.root)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("lengths %d and %d: Run returned %v, want %q", tc.root, tc.peer, err, want)
+		}
+	}
+	err := runWithin(t, 4, func(c *Comm) {
+		sub := c.Split(0, int64(-c.Rank()))
+		sub.AllReduceSumFloat64s(make([]float64, 1+c.Rank()/3))
+	})
+	// Any of the three peers may arrive first; each sent one word.
+	if want := " sent 1 words, rank 0 reduces 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("split comm: Run returned %v, want %q", err, want)
+	}
+}
+
 // BenchmarkScanTyped compares a boxed exclusive scan (Gather + Bcast of `any`
 // values, the pre-typed idiom) against ExclusiveScanInt64 + AllReduceSumInt64
 // for the SFC rebalance shape: one scalar scan plus one scalar sum per epoch.
@@ -409,7 +409,7 @@ func TestTypedZeroLengthVectors(t *testing.T) {
 				panic(fmt.Sprintf("int64 source %d delivered %d elements", r, len(s)))
 			}
 		}
-		if got := c.GatherInt32(0, nil); c.Rank() == 0 {
+		if got := c.GatherInt64(0, nil); c.Rank() == 0 {
 			for r, s := range got {
 				if len(s) != 0 {
 					panic(fmt.Sprintf("gather source %d delivered %d elements", r, len(s)))
@@ -459,7 +459,7 @@ func TestTypedSingleRank(t *testing.T) {
 		if out := c.AllGatherInt64(ys); len(out) != 1 || out[0][0] != 1<<40 {
 			panic("single-rank int64 allgather mismatch")
 		}
-		if out := c.GatherInt32(0, xs); len(out) != 1 || &out[0][0] != &xs[0] {
+		if out := c.GatherInt64(0, ys); len(out) != 1 || &out[0][0] != &ys[0] {
 			panic("single-rank gather must alias the local slice")
 		}
 		if got := c.BcastInt32(0, xs); &got[0] != &xs[0] {
