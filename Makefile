@@ -36,11 +36,13 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words), and two
-# bit-for-bit oracles: the interpolation estimator against its reference on
-# raw simplex coordinates (−0, negatives, subnormals), and the KL move
-# selector against the boundary scan on small random graphs (part numbers
-# aliasing in its bit sets, edge weights past its int16 cache). go test -fuzz
+# the P3 owner delta, the distributed refinement's move words), and three
+# oracles: the interpolation estimator against its bit-for-bit reference on
+# raw simplex coordinates (−0, negatives, subnormals), the KL move selector
+# against the boundary scan on small random graphs (part numbers aliasing in
+# its bit sets, edge weights past its int16 cache), and the refinement path's
+# hash index against a Go map (keys that share home slots and wrap past the
+# table's end, so deletion shifts entries back across it). go test -fuzz
 # takes one target per invocation; the seed corpora alone run under plain
 # `make test`. FuzzRunKL runs about ten times slower per input than the
 # decoders, and the default minimization of each new-coverage input would eat
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveMoves$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRunKL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpolationEstimator$$' -fuzztime 10s ./internal/fem
+	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/index
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

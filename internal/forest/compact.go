@@ -29,9 +29,9 @@ func (f *Forest) CompactVertices() (reclaimed int, remap []int32) {
 	}
 	f.Coords = f.Coords[:kept]
 	f.VIDs = f.VIDs[:kept]
-	f.vidx = make(map[VertexID]int32, kept)
+	f.vidx.Clear()
 	for i, id := range f.VIDs {
-		f.vidx[id] = int32(i)
+		f.vidx.FindOrPut(uint64(id), int32(i))
 	}
 	for i := range f.Nodes {
 		n := &f.Nodes[i]

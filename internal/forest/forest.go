@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"pared/internal/geom"
+	"pared/internal/index"
 	"pared/internal/mesh"
 )
 
@@ -98,7 +99,7 @@ type Forest struct {
 	// Nodes holds all tree nodes; slots of coarsened nodes are reused.
 	Nodes []Node
 
-	vidx map[VertexID]int32 // global ID -> local index
+	vidx index.Map // global ID -> local index
 	// roots lists the held trees in ascending root order, the order every leaf
 	// sweep walks. AddRoot, InsertTree and RemoveTree keep it sorted in place,
 	// so reading it never sorts and never allocates.
@@ -119,10 +120,7 @@ type treeSlot struct {
 
 // New creates an empty forest of the given dimension.
 func New(dim mesh.Dim) *Forest {
-	return &Forest{
-		Dim:  dim,
-		vidx: make(map[VertexID]int32),
-	}
+	return &Forest{Dim: dim}
 }
 
 // FromMesh builds a forest whose roots are the elements of the initial coarse
@@ -143,25 +141,33 @@ func FromMesh(m *mesh.Mesh) *Forest {
 // (same ID, different coordinates), which the deterministic midpoint naming
 // makes astronomically unlikely.
 func (f *Forest) InternVertex(id VertexID, c geom.Vec3) int32 {
-	if li, ok := f.vidx[id]; ok {
+	li, ok := f.vidx.FindOrPut(uint64(id), int32(len(f.Coords)))
+	if ok {
 		if f.Coords[li] != c {
 			panic(fmt.Sprintf("forest: VertexID collision: id %x at %v and %v", uint64(id), f.Coords[li], c))
 		}
 		return li
 	}
-	li := int32(len(f.Coords))
-	f.Coords = append(f.Coords, c)
-	f.VIDs = append(f.VIDs, id)
-	f.vidx[id] = li
+	f.Coords = push(f.Coords, c)
+	f.VIDs = push(f.VIDs, id)
 	return li
 }
 
 // LookupVertex returns the local index of a global vertex ID, or -1.
 func (f *Forest) LookupVertex(id VertexID) int32 {
-	if li, ok := f.vidx[id]; ok {
-		return li
+	li, _ := f.vidx.Find(uint64(id))
+	return li
+}
+
+// push appends x to s, doubling the capacity when s is full. append's own
+// rule falls to 1.25× for large slices, and the node and vertex tables grow
+// by refinement from a few thousand entries to millions: doubling allocates
+// less than half as much over that growth.
+func push[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), 64)), s...)
 	}
-	return -1
+	return append(s, x)
 }
 
 // AddRoot installs a coarse element (given by local vertex indices) as the
@@ -186,7 +192,7 @@ func (f *Forest) alloc(n Node) NodeID {
 		f.Nodes[id] = n
 		return id
 	}
-	f.Nodes = append(f.Nodes, n)
+	f.Nodes = push(f.Nodes, n)
 	return NodeID(len(f.Nodes) - 1)
 }
 
@@ -415,9 +421,13 @@ type LeafMeshResult struct {
 // use. Element order follows VisitLeaves and is deterministic.
 func (f *Forest) LeafMesh() *LeafMeshResult {
 	res := &LeafMeshResult{Mesh: &mesh.Mesh{Dim: f.Dim}}
-	remap := make(map[int32]int32)
+	// remap[v] is local vertex v's mesh index, or -1 until a leaf uses it.
+	remap := make([]int32, len(f.Coords))
+	for i := range remap {
+		remap[i] = -1
+	}
 	mapv := func(v int32) int32 {
-		if nv, ok := remap[v]; ok {
+		if nv := remap[v]; nv >= 0 {
 			return nv
 		}
 		nv := int32(len(res.Mesh.Verts))

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pared/internal/forest"
+	"pared/internal/index"
 )
 
 // edgeRec is the refiner's record of one edge: an edge of a current leaf, a
@@ -39,13 +40,14 @@ func edgeKey(a, b int32) uint64 {
 const edgePageSize = 1 << 10
 
 // edgeTable holds one record per edge, found by one lookup of the packed
-// local endpoint pair. A record lives while it has a leaf or a split mark;
-// freed, it keeps its leaves' backing array for the next edge that takes it.
+// local endpoint pair in an open-addressed index (see package index). A
+// record lives while it has a leaf or a split mark; freed, it keeps its
+// leaves' backing array for the next edge that takes it.
 //
 // Keys are local vertex indices, so they are valid until the forest's vertex
 // table is compacted; rekey then renumbers the records in place.
 type edgeTable struct {
-	index map[uint64]int32
+	index index.Map
 	pages [][]edgeRec
 	n     int32   // records handed out so far, live or free
 	free  []int32 // free records, taken last-in first-out
@@ -55,33 +57,44 @@ func (t *edgeTable) at(i int32) *edgeRec { return &t.pages[i/edgePageSize][i%edg
 
 // find returns the record of edge {a, b}, or nil.
 func (t *edgeTable) find(a, b int32) *edgeRec {
-	if i, ok := t.index[edgeKey(a, b)]; ok {
+	if i, ok := t.index.Find(edgeKey(a, b)); ok {
 		return t.at(i)
 	}
 	return nil
 }
 
 // get returns the record of edge {a, b}, entering an unsplit one without
-// leaves if there is none.
+// leaves if there is none. It probes the index once: the record a new edge
+// would take is known before the probe.
 func (t *edgeTable) get(a, b int32) *edgeRec {
+	next, nfree := t.n, len(t.free)
+	if nfree > 0 {
+		next = t.free[nfree-1]
+	}
 	k := edgeKey(a, b)
-	if i, ok := t.index[k]; ok {
+	if i, ok := t.index.FindOrPut(k, next); ok {
 		return t.at(i)
 	}
-	var i int32
-	if n := len(t.free); n > 0 {
-		i = t.free[n-1]
-		t.free = t.free[:n-1]
+	if nfree > 0 {
+		t.free = t.free[:nfree-1]
 	} else {
 		if int(t.n) == len(t.pages)*edgePageSize {
 			t.pages = append(t.pages, make([]edgeRec, edgePageSize))
 		}
-		i = t.n
 		t.n++
 	}
-	e := t.at(i)
+	e := t.at(next)
 	e.a, e.b, e.mid = int32(k>>32), int32(uint32(k)), -1
-	t.index[k] = i
+	return e
+}
+
+// must returns the record of edge {a, b} of leaf id. A leaf's edges always
+// have records, so a missing one is a corrupt table: it panics.
+func (t *edgeTable) must(a, b int32, id forest.NodeID) *edgeRec {
+	e := t.find(a, b)
+	if e == nil {
+		panic(fmt.Sprintf("refine: leaf %d edge {%d, %d} has no record", id, a, b))
+	}
 	return e
 }
 
@@ -94,28 +107,32 @@ func (t *edgeTable) release(i int32) {
 	t.free = append(t.free, i)
 }
 
-// removeLeaf takes leaf id out of the record of edge {a, b}, freeing the
-// record if that leaves it with neither a leaf nor a split mark.
-func (t *edgeTable) removeLeaf(a, b int32, id forest.NodeID) {
-	k := edgeKey(a, b)
-	i, ok := t.index[k]
-	if !ok {
-		panic(fmt.Sprintf("refine: leaf %d edge {%d, %d} has no record", id, a, b))
-	}
-	e := t.at(i)
+// drop takes leaf id out of e's leaves, swapping the last one into its place.
+func (e *edgeRec) drop(id forest.NodeID) {
 	s := e.leaves
 	for j, x := range s {
 		if x == id {
 			s[j] = s[len(s)-1]
-			s = s[:len(s)-1]
-			break
+			e.leaves = s[:len(s)-1]
+			return
 		}
 	}
-	e.leaves = s
-	if len(s) == 0 && e.mid < 0 {
-		delete(t.index, k)
+}
+
+// freeIfBare frees record e if it has neither a leaf nor a split mark.
+func (t *edgeTable) freeIfBare(e *edgeRec) {
+	if len(e.leaves) == 0 && e.mid < 0 {
+		i, _ := t.index.Delete(e.key())
 		t.release(i)
 	}
+}
+
+// removeLeaf takes leaf id out of the record of edge {a, b}, freeing the
+// record if that leaves it with neither a leaf nor a split mark.
+func (t *edgeTable) removeLeaf(a, b int32, id forest.NodeID) {
+	e := t.must(a, b, id)
+	e.drop(id)
+	t.freeIfBare(e)
 }
 
 // rekey follows a compaction of the vertex table: it drops every split mark,
@@ -125,7 +142,7 @@ func (t *edgeTable) removeLeaf(a, b int32, id forest.NodeID) {
 // is; nil means no index changed, and the index keeps the rest in place.
 func (t *edgeTable) rekey(remap []int32) {
 	if remap != nil {
-		clear(t.index)
+		t.index.Clear()
 	}
 	for i := int32(0); i < t.n; i++ {
 		e := t.at(i)
@@ -136,12 +153,12 @@ func (t *edgeTable) rekey(remap []int32) {
 		switch {
 		case len(e.leaves) == 0:
 			if remap == nil {
-				delete(t.index, e.key())
+				t.index.Delete(e.key())
 			}
 			t.release(i)
 		case remap != nil:
 			e.a, e.b = remap[e.a], remap[e.b]
-			t.index[e.key()] = i
+			t.index.FindOrPut(e.key(), i)
 		}
 	}
 }
@@ -151,13 +168,10 @@ func (t *edgeTable) rekey(remap []int32) {
 // the index holds every live record. The fault reported is the one on the
 // smallest key, or else on the first record.
 func (t *edgeTable) check() error {
-	keys := make([]uint64, 0, len(t.index))
-	for k := range t.index {
-		keys = append(keys, k)
-	}
+	keys := t.index.AppendKeys(make([]uint64, 0, t.index.Len()))
 	slices.Sort(keys)
 	for _, k := range keys {
-		i := t.index[k]
+		i, _ := t.index.Find(k)
 		if i < 0 || i >= t.n || t.at(i).a < 0 {
 			return fmt.Errorf("refine: edge key {%d, %d} reaches record %d, which is not live", k>>32, uint32(k), i)
 		}
@@ -176,8 +190,8 @@ func (t *edgeTable) check() error {
 			return fmt.Errorf("refine: record %d of edge {%d, %d} has neither a leaf nor a split mark", i, e.a, e.b)
 		}
 	}
-	if live != len(t.index) {
-		return fmt.Errorf("refine: %d live edge records, %d indexed", live, len(t.index))
+	if live != t.index.Len() {
+		return fmt.Errorf("refine: %d live edge records, %d indexed", live, t.index.Len())
 	}
 	return nil
 }

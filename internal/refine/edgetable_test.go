@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -54,13 +55,39 @@ func forestDiff(a, b *forest.Forest) string {
 	return "free lists, vertex index or leaf counts differ"
 }
 
+// leafListDiff returns, for the first record in table order whose list of
+// incident leaves differs from the reference's list of the same edge, named
+// by its global pair, a description of the difference; or "" if every list
+// is equal, element for element and in order, and the reference lists no
+// other edge. The order is the closure's order, so a list that holds the
+// right leaves in another order is a difference too.
+func leafListDiff(got *Refiner, ref *refRefiner) string {
+	lists := 0
+	for i := int32(0); i < got.edges.n; i++ {
+		e := got.edges.at(i)
+		if e.a < 0 || len(e.leaves) == 0 {
+			continue
+		}
+		lists++
+		s := got.edgeSplit(e.a, e.b)
+		if want := ref.edgeLeaves[s]; !slices.Equal(e.leaves, want) {
+			return fmt.Sprintf("edge %v lists leaves %v, reference %v", s, e.leaves, want)
+		}
+	}
+	if lists != len(ref.edgeLeaves) {
+		return fmt.Sprintf("%d edges list leaves, reference %d", lists, len(ref.edgeLeaves))
+	}
+	return ""
+}
+
 // TestEdgeTableMatchesReference drives the edge-table refiner and the
 // map-keyed reference over twin forests through seeded random chains of every
 // operation a refiner offers — refinement and closure, remote splits taken
 // by a third forest, coarsening, tree round trips with and without
 // compaction, compaction, and LEPP — and requires after every step forests
 // equal field for field (node table with Dead flags and free list, vertex
-// table and index, held trees) and equal answers from every call.
+// table and index, held trees), equal answers from every call, and every
+// edge's incident leaves listed in the same order.
 func TestEdgeTableMatchesReference(t *testing.T) {
 	for name, m := range coarsenMeshes() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -161,6 +188,9 @@ func edgeTableChain(t *testing.T, name string, m *mesh.Mesh, seed int64) {
 		if !reflect.DeepEqual(*got.F, *ref.F) {
 			t.Fatalf("%s seed %d step %d (%s): %s", name, seed, step, op, forestDiff(got.F, ref.F))
 		}
+		if d := leafListDiff(got, ref); d != "" {
+			t.Fatalf("%s seed %d step %d (%s): %s", name, seed, step, op, d)
+		}
 		gs, rs := got.TakeNewSplits(), ref.TakeNewSplits()
 		same("TakeNewSplits", gs, rs)
 		history = append(history, gs...)
@@ -193,7 +223,7 @@ func TestCheckInvariantsCatchesCorruptTable(t *testing.T) {
 			r.edges.release(i)
 		}, "which is not live"},
 		{"the index holds every live record", func(r *Refiner, k uint64, _ int32) {
-			delete(r.edges.index, k)
+			r.edges.index.Delete(k)
 		}, "live edge records"},
 	}
 	for _, tc := range cases {
@@ -204,7 +234,8 @@ func TestCheckInvariantsCatchesCorruptTable(t *testing.T) {
 		// The record of the first leaf's first edge.
 		n := r.F.Node(r.F.Leaves()[0])
 		k := edgeKey(n.Verts[0], n.Verts[1])
-		tc.corrupt(r, k, r.edges.index[k])
+		i, _ := r.edges.index.Find(k)
+		tc.corrupt(r, k, i)
 		if err := r.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.rule, err, tc.want)
 		}

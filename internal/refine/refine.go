@@ -86,8 +86,8 @@ type Refiner struct {
 
 // NewRefiner builds a refiner over a conforming forest.
 func NewRefiner(f *forest.Forest) *Refiner {
-	r := &Refiner{F: f, edges: edgeTable{index: make(map[uint64]int32)}, base: len(f.Coords)}
-	f.VisitLeaves(func(id forest.NodeID) { r.addLeafEdges(id) })
+	r := &Refiner{F: f, base: len(f.Coords)}
+	f.VisitLeaves(r.addLeafEdges)
 	return r
 }
 
@@ -97,9 +97,7 @@ func (r *Refiner) RemoveTree(root int32) { r.F.VisitTreeLeaves(root, r.removeLea
 
 // InsertTree enters the leaves of tree root, which the forest has just
 // spliced in, into the edge incidence. Call it at quiescence.
-func (r *Refiner) InsertTree(root int32) {
-	r.F.VisitTreeLeaves(root, func(id forest.NodeID) { r.addLeafEdges(id) })
-}
+func (r *Refiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
 
 // CompactVertices compacts the forest's vertex table (see
 // forest.CompactVertices) and rekeys the edge records through its remap,
@@ -182,19 +180,16 @@ func (r *Refiner) forEachEdge(id forest.NodeID, fn func(a, b int32)) {
 	}
 }
 
-// addLeafEdges enters leaf id into the record of each of its edges and
-// reports whether any of them is split (the leaf is nonconforming).
-func (r *Refiner) addLeafEdges(id forest.NodeID) (split bool) {
+// addLeafEdges enters leaf id into the record of each of its edges.
+func (r *Refiner) addLeafEdges(id forest.NodeID) {
 	n := r.F.Node(id)
 	nv := n.Nv()
 	for i := 0; i < nv; i++ {
 		for j := i + 1; j < nv; j++ {
 			e := r.edges.get(n.Verts[i], n.Verts[j])
 			e.leaves = append(e.leaves, id)
-			split = split || e.mid >= 0
 		}
 	}
-	return split
 }
 
 func (r *Refiner) removeLeafEdges(id forest.NodeID) {
@@ -290,12 +285,43 @@ func (r *Refiner) TakeNewSplits() []EdgeSplit {
 
 // bisect splits leaf id at edge (a, b) whose midpoint is mid, updating the
 // edge incidence and enqueuing children that are still nonconforming.
+//
+// It looks up each edge once: the parent's, then those through the
+// midpoint. Child 0 replaces b with mid and child 1 replaces a (see
+// forest.Bisect), so k0 has the parent's edges without b, k1 those without
+// a, and both have the edges from mid to the other vertices. Each record has
+// the parent dropped, then k0 and then k1 appended, as far as they contain
+// its edge: every list ends as removeLeafEdges(id), addLeafEdges(k0),
+// addLeafEdges(k1) would leave it. The closure's order, and so every later
+// NodeID, depends on that order.
 func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
-	r.removeLeafEdges(id)
+	n := r.F.Node(id)
+	v, nv := n.Verts, n.Nv()
 	k0, k1 := r.F.Bisect(id, a, b, mid)
+	var split0, split1 bool
+	enter := func(e *edgeRec, in0, in1 bool) {
+		if in0 {
+			e.leaves = append(e.leaves, k0)
+			split0 = split0 || e.mid >= 0
+		}
+		if in1 {
+			e.leaves = append(e.leaves, k1)
+			split1 = split1 || e.mid >= 0
+		}
+	}
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			u, w := v[i], v[j]
+			e := r.edges.must(u, w, id)
+			e.drop(id)
+			// Every edge but (a, b) goes to a child; (a, b) keeps its mark.
+			enter(e, u != b && w != b, u != a && w != a)
+		}
+	}
+	for _, u := range v[:nv] {
+		enter(r.edges.get(u, mid), u != b, u != a)
+	}
 	// Entering k1 marks nothing, so k0's answer is what it would be after.
-	split0 := r.addLeafEdges(k0)
-	split1 := r.addLeafEdges(k1)
 	if split0 {
 		r.queue = append(r.queue, k0)
 	}
@@ -306,15 +332,51 @@ func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
 
 // unbisect restores node pid, whose two children are leaves, as a leaf and
 // clears the split mark of its refinement edge.
+//
+// It is bisect in reverse, one lookup per edge: k0 and then k1 are dropped
+// from each record that lists them, pid is appended to each of its own
+// edges, and an edge through the midpoint is freed once bare. Every list
+// ends as removeLeafEdges(k0), removeLeafEdges(k1), addLeafEdges(pid) would
+// leave it.
 func (r *Refiner) unbisect(pid forest.NodeID) {
 	p := r.F.Node(pid)
-	r.removeLeafEdges(p.Kids[0])
-	r.removeLeafEdges(p.Kids[1])
+	v, nv := p.Verts, p.Nv()
+	a, b, mid := p.RefEdge[0], p.RefEdge[1], p.MidV
+	k0, k1 := p.Kids[0], p.Kids[1]
 	r.F.Unbisect(pid)
-	r.addLeafEdges(pid)
-	// The mark kept the record alive until pid, which contains the edge, was
-	// entered; now the leaf does.
-	r.edges.find(p.RefEdge[0], p.RefEdge[1]).mid = -1
+	// leave takes out of edge {u, w}'s record the children it is in.
+	leave := func(u, w int32, in0, in1 bool) *edgeRec {
+		kid := k0
+		if !in0 {
+			kid = k1
+		}
+		e := r.edges.must(u, w, kid)
+		if in0 {
+			e.drop(k0)
+		}
+		if in1 {
+			e.drop(k1)
+		}
+		return e
+	}
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			u, w := v[i], v[j]
+			var e *edgeRec
+			if in0, in1 := u != b && w != b, u != a && w != a; in0 || in1 {
+				e = leave(u, w, in0, in1)
+			} else {
+				// The refinement edge. Settle may have freed its record with
+				// the mark; pid, which contains it, enters it either way.
+				e = r.edges.get(u, w)
+				e.mid = -1
+			}
+			e.leaves = append(e.leaves, pid)
+		}
+	}
+	for _, u := range v[:nv] {
+		r.edges.freeIfBare(leave(u, mid, u != b, u != a))
+	}
 }
 
 // maxClosureSteps bounds a single closure as a defense against a
