@@ -16,13 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-specific static analysis (see internal/lint), five per-file checks:
-# map-iteration order in deterministic packages, raw concurrency outside
-# internal/par and internal/kern, float ==, dropped errors, sleeps. Racing
-# kern bodies, shared *Scratch buffers and order-dependent float sums are
-# caught at run time by the race detector and the byte-identity tests, and
-# collective ordering by internal/par's deadlock detector. Suppressions that
-# suppress nothing are findings too. ./... includes internal/lint and
+# Project-specific static analysis (see internal/lint), one per-file check:
+# maporder, map-iteration order in the deterministic packages. Racing
+# goroutines, shared *Scratch buffers and order-dependent float sums are
+# caught at run time by the race detector and the byte-identity tests,
+# collective ordering by internal/par's deadlock detector, and dropped write
+# errors by the failing-writer tests. ./... includes internal/lint and
 # cmd/paredlint: the linter lints itself.
 lint:
 	$(GO) vet ./...

@@ -186,7 +186,7 @@ func report(w io.Writer, workload string, metrics []metric, parent, change []res
 	equal := true
 	for _, name := range countMetrics {
 		for i := range parent {
-			//paredlint:allow floateq -- deterministic counts: both sides print the same digits or the partitioner changed
+			// Counts are deterministic: both sides print the same digits or the partitioner changed.
 			if parent[i].Metrics[name].Value != parent[0].Metrics[name].Value || change[i].Metrics[name].Value != parent[0].Metrics[name].Value {
 				equal = false
 			}

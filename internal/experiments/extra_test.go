@@ -88,6 +88,43 @@ func TestTransientCSVExport(t *testing.T) {
 	}
 }
 
+// notADir returns the path of a regular file, so that creating anything
+// inside it fails.
+func notADir(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestWriteCSVReturnsCreateError(t *testing.T) {
+	tab := &Table{Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
+	if err := tab.WriteCSV(notADir(t), "x"); err == nil {
+		t.Error("WriteCSV into a regular file returned nil")
+	}
+}
+
+// TestTransientReportsExportFailure runs the study with SVGDir naming a
+// regular file: both mesh renderings and the CSV export must report their
+// failure, and no line may claim a file was written.
+func TestTransientReportsExportFailure(t *testing.T) {
+	cfg := TransientConfig{GridN: 4, Steps: 2, Tol: 2e-2, MaxLevel: 6, Procs: []int{2}, Alpha: 0.1, Beta: 0.8, SVGDir: notADir(t)}
+	var buf bytes.Buffer
+	Transient(&buf, cfg)
+	out := buf.String()
+	if n := strings.Count(out, "svg export failed: "); n != 2 {
+		t.Errorf("%d svg export failures reported, want 2 (first and last step):\n%s", n, out)
+	}
+	if !strings.Contains(out, "csv export failed: ") {
+		t.Errorf("csv export failure not reported:\n%s", out)
+	}
+	if strings.Contains(out, "wrote ") {
+		t.Errorf("a failed export was reported as written:\n%s", out)
+	}
+}
+
 func TestGeoComparisonQuick(t *testing.T) {
 	var buf bytes.Buffer
 	GeoComparison(&buf, Quick)

@@ -58,13 +58,25 @@ func Fig1(w io.Writer, scale Scale, svgDir string) {
 		}
 		t.Fprint(w)
 		if svgDir != "" && c.name == "2D" {
-			last := snaps[len(snaps)-1]
-			path := filepath.Join(svgDir, "fig1_2d_adapted.svg")
-			if f, err := os.Create(path); err == nil {
-				_ = last.Leaf.Mesh.WriteSVG(f, nil, 900)
-				_ = f.Close()
-				fmt.Fprintf(w, "wrote %s\n", path)
-			}
+			exportSVG(w, snaps[len(snaps)-1].Leaf.Mesh, filepath.Join(svgDir, "fig1_2d_adapted.svg"), 900)
 		}
 	}
+}
+
+// exportSVG renders m into the file at path and reports the outcome on w:
+// "wrote <path>", or "svg export failed: <err>" if creating, writing or
+// closing the file failed.
+func exportSVG(w io.Writer, m *mesh.Mesh, path string, pixels int) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = m.WriteSVG(f, nil, pixels)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(w, "svg export failed: %v\n", err)
+		return
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"pared/internal/core"
@@ -201,12 +200,7 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 		res.Fig7.AddRow(row7...)
 		res.Fig8.AddRow(row8...)
 		if cfg.SVGDir != "" && (step == 0 || step == cfg.Steps-1) {
-			path := filepath.Join(cfg.SVGDir, fmt.Sprintf("fig6_t%+.2f.svg", tt))
-			if fh, err := os.Create(path); err == nil {
-				_ = cur.Leaf.Mesh.WriteSVG(fh, nil, 800)
-				_ = fh.Close()
-				fmt.Fprintf(w, "wrote %s\n", path)
-			}
+			exportSVG(w, cur.Leaf.Mesh, filepath.Join(cfg.SVGDir, fmt.Sprintf("fig6_t%+.2f.svg", tt)), 800)
 		}
 		prevSnap = cur
 	}

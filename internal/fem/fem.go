@@ -19,7 +19,6 @@ import (
 // K_ij = ∫ ∇φi·∇φj over the element, using the constant-gradient formula.
 func elemStiffness2D(a, b, c geom.Vec3) (k [3][3]float64, ok bool) {
 	area := geom.TriangleAreaSigned(a, b, c)
-	//paredlint:allow floateq -- degenerate-element guard; exact zero from the signed-area formula
 	if area == 0 {
 		return k, false
 	}
@@ -39,7 +38,6 @@ func elemStiffness2D(a, b, c geom.Vec3) (k [3][3]float64, ok bool) {
 // computed from the gradients of the barycentric coordinates.
 func elemStiffness3D(p [4]geom.Vec3) (k [4][4]float64, ok bool) {
 	vol := geom.TetVolumeSigned(p[0], p[1], p[2], p[3])
-	//paredlint:allow floateq -- degenerate-element guard; exact zero from the signed-volume formula
 	if vol == 0 {
 		return k, false
 	}

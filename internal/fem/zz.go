@@ -16,7 +16,6 @@ func ElemGradient(m *mesh.Mesh, u []float64, e int) geom.Vec3 {
 	if m.Dim == mesh.D2 {
 		a, b, c := m.Verts[el.V[0]], m.Verts[el.V[1]], m.Verts[el.V[2]]
 		area2 := 2 * geom.TriangleAreaSigned(a, b, c)
-		//paredlint:allow floateq -- degenerate-element guard before division
 		if area2 == 0 {
 			return geom.Vec3{}
 		}

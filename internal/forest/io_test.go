@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -65,5 +66,21 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 	}
 	if f, err := Read(strings.NewReader("pared-forest 2 2\n" + tree("4") + tree("0"))); err != nil || f.NumRoots() != 2 {
 		t.Errorf("two valid trees: %v", err)
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// fullWriter fails every write, as a full disk or a closed pipe would.
+type fullWriter struct{}
+
+func (fullWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestWriteReturnsWriterError: Write buffers its output, so the writer's
+// error first surfaces at the final flush; it must reach the caller.
+func TestWriteReturnsWriterError(t *testing.T) {
+	f := FromMesh(meshgen.RectTri(3, 3, -1, -1, 1, 1))
+	if err := f.Write(fullWriter{}); !errors.Is(err, errDiskFull) {
+		t.Errorf("Write: err = %v, want %v", err, errDiskFull)
 	}
 }

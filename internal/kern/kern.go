@@ -37,9 +37,10 @@
 // its own helpers: correct, but it oversubscribes the cores. Panics in a
 // body are re-raised on the caller after all workers stop.
 //
-// This package and internal/par are the only two packages allowed to use raw
-// Go concurrency (the paredlint rawconc check enforces the carve-out): par
-// owns inter-rank message passing, kern owns intra-rank data parallelism.
+// This package and internal/par are the only two packages that use raw Go
+// concurrency: par owns inter-rank message passing, kern owns intra-rank
+// data parallelism. The race detector and the determinism tests hold the
+// rest of the tree to that; no lint check does.
 package kern
 
 import (

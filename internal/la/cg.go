@@ -49,7 +49,6 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 	inv, r, z, p, ap := s.inv, s.r, s.z, s.p, s.ap
 	diagInto(a, inv)
 	for i := range inv {
-		//paredlint:allow floateq -- exact zero-diagonal guard before forming 1/v
 		if inv[i] != 0 {
 			inv[i] = 1 / inv[i]
 		} else {
@@ -64,7 +63,7 @@ func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGRe
 	}
 	rz := Dot(r, z)
 	bnorm := Norm2(b)
-	//paredlint:allow floateq -- exact zero-rhs guard; any epsilon would rescale the stopping test
+	// Exact zero-rhs guard: any epsilon would rescale the stopping test.
 	if bnorm == 0 {
 		bnorm = 1
 	}

@@ -47,7 +47,6 @@ func SymTriEig(d, e []float64) (vals []float64, vecs [][]float64) {
 				b := c * sub[i]
 				r = math.Hypot(f, g)
 				sub[i+1] = r
-				//paredlint:allow floateq -- QL underflow guard; exact zero per Numerical Recipes tql2
 				if r == 0 {
 					vals[i+1] -= p
 					sub[m] = 0
@@ -66,7 +65,6 @@ func SymTriEig(d, e []float64) (vals []float64, vecs [][]float64) {
 					z[k][i] = c*z[k][i] - s*f
 				}
 			}
-			//paredlint:allow floateq -- QL underflow guard; exact zero per Numerical Recipes tql2
 			if r == 0 && m-1 >= l {
 				continue
 			}
@@ -181,7 +179,6 @@ func symTriTopPair(d, e []float64) (float64, []float64) {
 			anorm = a
 		}
 	}
-	//paredlint:allow floateq -- exact zero-matrix guard before scaling
 	if anorm == 0 {
 		anorm = 1
 	}
@@ -268,7 +265,6 @@ func triInverseIterate(d, e []float64, lambda, anorm float64) []float64 {
 			y[i] = (rhs[i] - v[i]*y[i+1] - w[i]*y[i+2]) / u[i]
 		}
 		norm := Norm2(y)
-		//paredlint:allow floateq -- exact zero-vector guard before normalization
 		if norm == 0 {
 			return nil
 		}
@@ -345,7 +341,6 @@ func Fiedler(lap *CSR, tol float64, maxIter int, seed int64) []float64 {
 	}
 	deflate(v)
 	nv := Norm2(v)
-	//paredlint:allow floateq -- exact zero-vector guard before normalization
 	if nv == 0 {
 		v[0] = 1
 		deflate(v)

@@ -123,27 +123,48 @@ func TestSymTriEigKnownSpectrum(t *testing.T) {
 	}
 }
 
+// TestSymTriEigOrthonormal checks orthonormal eigenvectors and small
+// residuals ‖Tv − λv‖ on random tridiagonals up to the sizes Lanczos
+// produces (at most 1e-14 here). The residual bound is what catches a
+// deflation test that waits for an exactly zero sub-diagonal: QL then runs
+// into its sweep cap and leaves residuals of 1e-3 at n = 89 and 0.6 at
+// n = 144.
 func TestSymTriEigOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := 20
-	d := make([]float64, n)
-	e := make([]float64, n-1)
-	for i := range d {
-		d[i] = rng.NormFloat64()
-	}
-	for i := range e {
-		e[i] = rng.NormFloat64()
-	}
-	_, vecs := SymTriEig(d, e)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			dot := Dot(vecs[i], vecs[j])
-			want := 0.0
-			if i == j {
-				want = 1
+	for _, n := range []int{20, 89, 144} {
+		d := make([]float64, n)
+		e := make([]float64, n-1)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		for i := range e {
+			e[i] = rng.NormFloat64()
+		}
+		vals, vecs := SymTriEig(d, e)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				dot := Dot(vecs[i], vecs[j])
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				if math.Abs(dot-want) > 1e-8 {
+					t.Fatalf("n=%d: vecs[%d]·vecs[%d] = %v, want %v", n, i, j, dot, want)
+				}
 			}
-			if math.Abs(dot-want) > 1e-8 {
-				t.Fatalf("vecs[%d]·vecs[%d] = %v, want %v", i, j, dot, want)
+		}
+		for k, v := range vecs {
+			for i := 0; i < n; i++ {
+				tv := d[i] * v[i]
+				if i > 0 {
+					tv += e[i-1] * v[i-1]
+				}
+				if i < n-1 {
+					tv += e[i] * v[i+1]
+				}
+				if r := math.Abs(tv - vals[k]*v[i]); r > 1e-12 {
+					t.Fatalf("n=%d: eigenpair %d residual %.3g at row %d", n, k, r, i)
+				}
 			}
 		}
 	}

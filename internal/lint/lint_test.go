@@ -2,16 +2,14 @@ package lint
 
 import (
 	"go/token"
-	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 )
 
-// The fixture packages under testdata/src/<check>/ carry `// want "regexp"`
-// comments on every line the named check must flag. The test runs one check
-// per fixture and requires an exact match: every diagnostic must be expected,
-// every expectation must fire.
+// The fixture package under testdata/src/<check>/ carries `// want "regexp"`
+// comments on every line the named check must flag. The test runs each check
+// on its fixture and requires an exact match: every diagnostic must be
+// expected, every expectation must fire.
 
 var wantRE = regexp.MustCompile(`// want "([^"]*)"`)
 
@@ -23,27 +21,17 @@ type want struct {
 }
 
 func TestFixtures(t *testing.T) {
-	cases := []struct {
-		check *Check
-		dir   string
-	}{
-		{MapOrder, "maporder"},
-		{RawConc, "rawconc"},
-		{FloatEq, "floateq"},
-		{ErrCheck, "errcheck"},
-		{Sleep, "sleep"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.check.Name, func(t *testing.T) {
-			pkg := loadFixture(t, tc.dir)
+	for _, check := range AllChecks() {
+		t.Run(check.Name, func(t *testing.T) {
+			pkg := loadFixture(t, check.Name)
 			if !pkg.InTestdata() {
 				t.Fatalf("fixture package %s not recognized as testdata", pkg.Path)
 			}
 			wants := collectWants(pkg)
 			if len(wants) == 0 {
-				t.Fatalf("fixture %s declares no want comments", tc.dir)
+				t.Fatalf("fixture %s declares no want comments", check.Name)
 			}
-			diags := Run([]*Package{pkg}, []*Check{tc.check})
+			diags := Run([]*Package{pkg}, []*Check{check})
 			for _, d := range diags {
 				matched := false
 				for _, w := range wants {
@@ -88,52 +76,13 @@ func collectWants(pkg *Package) []*want {
 	return out
 }
 
-// TestDirectiveParsing covers the allow-directive grammar.
-func TestDirectiveParsing(t *testing.T) {
-	for _, tt := range []struct {
-		text   string
-		checks []string
-	}{
-		{"//paredlint:allow maporder", []string{"maporder"}},
-		{"// paredlint:allow floateq -- exact zero guard", []string{"floateq"}},
-		{"//paredlint:allow maporder,floateq -- both", []string{"maporder", "floateq"}},
-		{"// just a comment mentioning paredlint:allow rules", nil},
-	} {
-		m := directiveRE.FindStringSubmatch(tt.text)
-		if tt.checks == nil {
-			if m != nil {
-				t.Errorf("%q: unexpectedly parsed as directive", tt.text)
-			}
-			continue
-		}
-		if m == nil {
-			t.Errorf("%q: did not parse as directive", tt.text)
-			continue
-		}
-		var got []string
-		for _, name := range strings.Split(m[1], ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				got = append(got, name)
-			}
-		}
-		if strings.Join(got, "+") != strings.Join(tt.checks, "+") {
-			t.Errorf("%q: parsed checks %v, want %v", tt.text, got, tt.checks)
-		}
-	}
-}
-
 // TestWholeTreeClean asserts the analyzer's own acceptance criterion: the
-// full project tree is free of findings (intentional exceptions carry
-// directives).
+// full project tree is free of findings.
 func TestWholeTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load([]string{filepath.Join(l.ModuleRoot, "...")})
+	pkgs, err := Load("../..", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,21 +97,21 @@ func TestWholeTreeClean(t *testing.T) {
 
 // TestInScope pins the scoping rules the checks rely on.
 func TestInScope(t *testing.T) {
-	mk := func(path, dir string) *Package {
-		return &Package{Path: path, Dir: dir, Fset: token.NewFileSet()}
+	mk := func(path string) *Package {
+		return &Package{Path: path, Fset: token.NewFileSet()}
 	}
-	if !mk("pared/internal/core", "/x/internal/core").InScope(deterministicPkgs...) {
+	if !mk("pared/internal/core").InScope(deterministicPkgs...) {
 		t.Error("internal/core must be in maporder scope")
 	}
 	for _, pkg := range []string{"refine", "forest"} {
-		if !mk("pared/internal/"+pkg, "/x/internal/"+pkg).InScope(deterministicPkgs...) {
+		if !mk("pared/internal/" + pkg).InScope(deterministicPkgs...) {
 			t.Errorf("internal/%s must be in maporder scope: it decides vertex numbering and node slots", pkg)
 		}
 	}
-	if mk("pared/internal/fem", "/x/internal/fem").InScope(deterministicPkgs...) {
+	if mk("pared/internal/fem").InScope(deterministicPkgs...) {
 		t.Error("internal/fem must not be in maporder scope")
 	}
-	if !mk("pared/internal/lint/testdata/src/maporder", "/x/internal/lint/testdata/src/maporder").InScope(deterministicPkgs...) {
+	if !mk("pared/internal/lint/testdata/src/maporder").InScope(deterministicPkgs...) {
 		t.Error("testdata fixtures must be in scope for every check")
 	}
 }
@@ -171,80 +120,14 @@ func TestInScope(t *testing.T) {
 // or type errors.
 func loadFixture(t testing.TB, dir string) *Package {
 	t.Helper()
-	l, err := NewLoader(".")
+	pkgs, err := Load(".", []string{"./testdata/src/" + dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", dir))
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded %d packages, want 1", dir, len(pkgs))
 	}
-	if pkg == nil {
-		t.Fatalf("fixture %s loaded no package", dir)
-	}
-	if len(l.errs) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", dir, l.errs[0])
-	}
-	return pkg
-}
-
-// TestAllowEdgeCases covers the suppression corner cases on the allowedge
-// fixture: a directive on the wrong line does not suppress (and is stale), a
-// multi-check directive suppresses two checks at one site, and a directive
-// with no finding is stale.
-func TestAllowEdgeCases(t *testing.T) {
-	pkg := loadFixture(t, "allowedge")
-	checks := []*Check{Sleep, RawConc, ErrCheck, FloatEq}
-	diags := Run([]*Package{pkg}, checks)
-
-	// The wrong-line sleep directive must not suppress the finding.
-	if len(diags) != 1 || diags[0].Check != "sleep" {
-		t.Fatalf("want exactly the unsuppressed sleep finding, got %v", diags)
-	}
-	// The multi-check directive must have eaten both rawconc and errcheck.
-	for _, d := range diags {
-		if d.Check == "rawconc" || d.Check == "errcheck" {
-			t.Errorf("multi-check directive failed to suppress: %s", d)
-		}
-	}
-
-	stale := StaleAllows([]*Package{pkg}, checks)
-	var staleChecks []string
-	for _, d := range stale {
-		if d.Check != "allow" {
-			t.Errorf("stale finding carries check %q, want \"allow\": %s", d.Check, d)
-		}
-		staleChecks = append(staleChecks, d.Msg)
-	}
-	if len(stale) != 2 {
-		t.Fatalf("want 2 stale directives (wrong-line sleep, unused floateq), got %d: %v", len(stale), stale)
-	}
-	joined := strings.Join(staleChecks, "\n")
-	for _, name := range []string{"sleep", "floateq"} {
-		if !strings.Contains(joined, name) {
-			t.Errorf("stale directives %q missing %s", joined, name)
-		}
-	}
-	// The used multi-check entries must NOT be stale.
-	for _, name := range []string{"rawconc", "errcheck"} {
-		if strings.Contains(joined, name) {
-			t.Errorf("used %s suppression wrongly reported stale: %q", name, joined)
-		}
-	}
-}
-
-// TestStaleAllowsOnlyForRanChecks pins that StaleAllows ignores directives
-// for checks that were not part of the run — a maporder allow is not stale
-// just because only sleep ran.
-func TestStaleAllowsOnlyForRanChecks(t *testing.T) {
-	pkg := loadFixture(t, "allowedge")
-	checks := []*Check{Sleep}
-	Run([]*Package{pkg}, checks)
-	for _, d := range StaleAllows([]*Package{pkg}, checks) {
-		if !strings.Contains(d.Msg, "sleep") {
-			t.Errorf("stale report for a check that did not run: %s", d)
-		}
-	}
+	return pkgs[0]
 }
 
 // BenchmarkLintTree measures the full pipeline — parse, type-check, every
@@ -254,11 +137,7 @@ func TestStaleAllowsOnlyForRanChecks(t *testing.T) {
 func BenchmarkLintTree(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l, err := NewLoader(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkgs, err := l.Load([]string{filepath.Join(l.ModuleRoot, "...")})
+		pkgs, err := Load("../..", []string{"./..."})
 		if err != nil {
 			b.Fatal(err)
 		}

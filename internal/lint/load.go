@@ -1,293 +1,94 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"io"
+	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 )
 
-// Loader parses and type-checks packages of the enclosing module using only
-// the standard library. Project packages ("pared/...") are type-checked from
-// source; everything else is delegated to the source importer (the module has
-// no external dependencies, so "everything else" is the standard library).
-type Loader struct {
-	Fset       *token.FileSet
-	ModuleRoot string
-	ModulePath string
-
-	std     types.Importer
-	memo    map[string]*Package
-	loading map[string]bool
-	errs    []error
+// listed is the part of `go list -json` output the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
-// NewLoader locates the module containing startDir (by walking up to go.mod)
-// and returns a loader rooted there.
-func NewLoader(startDir string) (*Loader, error) {
-	dir, err := filepath.Abs(startDir)
+// Load resolves the package patterns ("./...", directories) with `go list`,
+// run in dir, and parses and type-checks the matched packages from source.
+// `go list` applies the default build constraints, so paredassert-gated files
+// are excluded exactly as `go build ./...` excludes them, and ./... skips
+// testdata. Project packages the matches import are type-checked too, in
+// dependency order; the standard library comes through the source importer.
+func Load(dir string, patterns []string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly"}, patterns...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return nil, fmt.Errorf("go list: %s", strings.TrimSpace(string(ee.Stderr)))
+		}
 		return nil, err
-	}
-	root := dir
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		root = parent
-	}
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			modPath = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if modPath == "" {
-		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset:       fset,
-		ModuleRoot: root,
-		ModulePath: modPath,
-		std:        importer.ForCompiler(fset, "source", nil),
-		memo:       make(map[string]*Package),
-		loading:    make(map[string]bool),
-	}, nil
-}
-
-// Load expands the patterns ("./...", "dir/...", plain directories) and
-// returns the matched packages, type-checked.
-func (l *Loader) Load(patterns []string) ([]*Package, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	add := func(d string) {
-		d = filepath.Clean(d)
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
+	std := importer.ForCompiler(fset, "source", nil)
+	project := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := project[path]; p != nil {
+			return p, nil
 		}
-	}
-	for _, pat := range patterns {
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			base := rest
-			if base == "" || base == "." {
-				base = l.ModuleRoot
-			}
-			if err := l.walk(base, add); err != nil {
+		return std.Import(path)
+	})
+	var typeErrs []error
+	conf := types.Config{Importer: imp, Error: func(err error) { typeErrs = append(typeErrs, err) }}
+	var pkgs []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listed
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		if lp.Standard || len(lp.GoFiles) == 0 {
+			continue // the standard library is imported, test-only packages have nothing to check
+		}
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
 				return nil, err
 			}
-			continue
+			files = append(files, f)
 		}
-		add(pat)
+		info := &types.Info{
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+		}
+		tpkg, _ := conf.Check(lp.ImportPath, fset, files, info)
+		project[lp.ImportPath] = tpkg
+		if !lp.DepOnly {
+			pkgs = append(pkgs, &Package{Path: lp.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
+		}
 	}
-	var pkgs []*Package
-	for _, d := range dirs {
-		p, err := l.LoadDir(d)
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			pkgs = append(pkgs, p)
-		}
-	}
-	if len(l.errs) > 0 {
-		return pkgs, fmt.Errorf("lint: %d type error(s), first: %v", len(l.errs), l.errs[0])
+	if len(typeErrs) > 0 {
+		return pkgs, fmt.Errorf("lint: %d type error(s), first: %v", len(typeErrs), typeErrs[0])
 	}
 	return pkgs, nil
 }
 
-// walk collects directories containing non-test Go files, skipping testdata
-// (fixtures carry deliberate findings), VCS metadata, and output trees.
-func (l *Loader) walk(base string, add func(string)) error {
-	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (name == "testdata" || name == "out" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		files, err := l.sourceFiles(path)
-		if err != nil {
-			return err
-		}
-		if len(files) > 0 {
-			add(path)
-		}
-		return nil
-	})
-}
+type importerFunc func(path string) (*types.Package, error)
 
-// sourceFiles lists the non-test, build-tag-included Go files of dir.
-func (l *Loader) sourceFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		ok, err := fileIncluded(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// fileIncluded evaluates the file's //go:build constraint (if any) for a
-// default build: host GOOS/GOARCH, no custom tags — so paredassert-gated
-// files are excluded, matching what `go build ./...` compiles.
-func fileIncluded(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			if constraint.IsGoBuild(trimmed) {
-				expr, err := constraint.Parse(trimmed)
-				if err != nil {
-					return false, fmt.Errorf("%s: %v", path, err)
-				}
-				return expr.Eval(func(tag string) bool {
-					return tag == runtime.GOOS || tag == runtime.GOARCH ||
-						tag == "gc" || strings.HasPrefix(tag, "go1")
-				}), nil
-			}
-			continue
-		}
-		break // reached package clause: no constraint
-	}
-	return true, nil
-}
-
-// dirToPath maps an on-disk directory to its import path within the module.
-func (l *Loader) dirToPath(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(l.ModuleRoot, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, l.ModuleRoot)
-	}
-	if rel == "." {
-		return l.ModulePath, nil
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
-}
-
-// pathToDir is the inverse of dirToPath for project import paths.
-func (l *Loader) pathToDir(importPath string) string {
-	rel := strings.TrimPrefix(importPath, l.ModulePath)
-	rel = strings.TrimPrefix(rel, "/")
-	return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
-}
-
-// LoadDir loads the package in a single directory (nil if it has no non-test
-// Go files).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	importPath, err := l.dirToPath(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.loadProject(importPath)
-}
-
-// Import implements types.Importer: project packages from source, the
-// standard library through the source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		p, err := l.loadProject(path)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("lint: no Go files in %s", path)
-		}
-		return p.Types, nil
-	}
-	return l.std.Import(path)
-}
-
-// loadProject parses and type-checks one project package, memoized.
-func (l *Loader) loadProject(importPath string) (*Package, error) {
-	if p, ok := l.memo[importPath]; ok {
-		return p, nil
-	}
-	if l.loading[importPath] {
-		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
-	}
-	l.loading[importPath] = true
-	defer delete(l.loading, importPath)
-
-	dir := l.pathToDir(importPath)
-	names, err := l.sourceFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		l.memo[importPath] = nil
-		return nil, nil
-	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { l.errs = append(l.errs, err) },
-	}
-	tpkg, _ := conf.Check(importPath, l.Fset, files, info)
-	p := &Package{
-		Path:  importPath,
-		Dir:   dir,
-		Fset:  l.Fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	l.memo[importPath] = p
-	return p, nil
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

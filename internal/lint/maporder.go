@@ -27,7 +27,6 @@ var deterministicPkgs = []string{
 // follows the collect-keys-then-sort idiom.
 var MapOrder = &Check{
 	Name: "maporder",
-	Doc:  "range over map in a deterministic package without sorting keys first",
 	Run:  runMapOrder,
 }
 

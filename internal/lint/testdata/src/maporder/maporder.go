@@ -26,6 +26,19 @@ func sumFloats(m map[string]float64) float64 {
 	return total
 }
 
+// balanceCost sums squared deviations in map order, so the rounding of the
+// sum, and every cost comparison made with it, depends on the iteration
+// order. This is the shape of the check's lint-only catch: the same loop
+// planted in partition.BalanceCost failed no test.
+func balanceCost(w map[int]int64, avg float64) float64 {
+	sum := 0.0
+	for _, x := range w { // want "iteration over map"
+		d := float64(x) - avg
+		sum += d * d
+	}
+	return sum
+}
+
 // collectSorted follows the canonical collect-keys-then-sort idiom.
 func collectSorted(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
@@ -90,14 +103,4 @@ func appendValue(m map[int]float64) float64 {
 		last = v
 	}
 	return last
-}
-
-// suppressed carries an explicit directive and must not be reported.
-func suppressed(m map[string]float64) float64 {
-	s := 0.0
-	//paredlint:allow maporder -- fixture: deliberately suppressed
-	for _, v := range m {
-		s += v
-	}
-	return s
 }

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -41,5 +42,25 @@ func TestMeshIORejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadFrom(strings.NewReader("pared-mesh 2 3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 9\n")); err == nil {
 		t.Error("out-of-range element accepted")
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// fullWriter fails every write, as a full disk or a closed pipe would.
+type fullWriter struct{}
+
+func (fullWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestWritersReturnWriterError: both mesh writers buffer their output, so the
+// writer's error first surfaces at the final flush; it must reach the caller.
+func TestWritersReturnWriterError(t *testing.T) {
+	for _, m := range []*Mesh{twoTri(), twoTet()} {
+		if err := m.Write(fullWriter{}); !errors.Is(err, errDiskFull) {
+			t.Errorf("%dD Write: err = %v, want %v", m.Dim, err, errDiskFull)
+		}
+	}
+	if err := twoTri().WriteSVG(fullWriter{}, []int32{0, 1}, 100); !errors.Is(err, errDiskFull) {
+		t.Errorf("WriteSVG: err = %v, want %v", err, errDiskFull)
 	}
 }

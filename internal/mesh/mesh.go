@@ -512,7 +512,6 @@ func (m *Mesh) Contains(e int, p geom.Vec3) bool {
 	if m.Dim == D2 {
 		a, b, c := m.Verts[el.V[0]], m.Verts[el.V[1]], m.Verts[el.V[2]]
 		total := geom.TriangleAreaSigned(a, b, c)
-		//paredlint:allow floateq -- degenerate-element guard before barycentric division
 		if total == 0 {
 			return false
 		}
@@ -523,7 +522,6 @@ func (m *Mesh) Contains(e int, p geom.Vec3) bool {
 	}
 	a, b, c, d := m.Verts[el.V[0]], m.Verts[el.V[1]], m.Verts[el.V[2]], m.Verts[el.V[3]]
 	total := geom.TetVolumeSigned(a, b, c, d)
-	//paredlint:allow floateq -- degenerate-element guard before barycentric division
 	if total == 0 {
 		return false
 	}

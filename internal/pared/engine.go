@@ -528,7 +528,6 @@ func decodeSplits(dst []refine.EdgeSplit, from int, words []int64) ([]refine.Edg
 func (e *Engine) Imbalance() float64 {
 	maxL, total := e.Comm.AllReduceMaxSum(int64(e.F.NumLeaves()))
 	avg := float64(total) / float64(e.Comm.Size())
-	//paredlint:allow floateq -- empty-mesh guard before division
 	if avg == 0 {
 		return 0
 	}

@@ -306,7 +306,6 @@ func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, tol flo
 	plan.exchange(e.Comm, diag, 1, true)
 	inv := make([]float64, n)
 	for i, v := range diag {
-		//paredlint:allow floateq -- exact zero-diagonal guard before forming 1/v
 		if v != 0 {
 			inv[i] = 1 / v
 		} else {
@@ -344,7 +343,7 @@ func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, tol flo
 	e.Comm.AllReduceSumFloat64s(red[:])
 	rz, rr = red[0], red[1]
 	bnorm := math.Sqrt(red[2])
-	//paredlint:allow floateq -- exact zero-rhs guard; any epsilon would rescale the stopping test
+	// Exact zero-rhs guard: any epsilon would rescale the stopping test.
 	if bnorm == 0 {
 		bnorm = 1
 	}

@@ -103,7 +103,6 @@ func splitDirection(coords []geom.Vec3, verts []int32, method Method) geom.Vec3 
 		}
 	}
 	ev := principalAxis(m)
-	//paredlint:allow floateq -- exact zero-vector guard before normalization
 	if ev.Norm() == 0 {
 		return geom.Vec3{X: 1}
 	}

@@ -89,7 +89,6 @@ func smooth(g *graph.Graph, x []float64, steps int) {
 		var d int64
 		g.Neighbors(v, func(_ int32, w int64) { d += w })
 		deg[v] = float64(d)
-		//paredlint:allow floateq -- isolated-vertex guard; exact zero degree sum
 		if deg[v] == 0 {
 			deg[v] = 1
 		}
