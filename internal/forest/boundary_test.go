@@ -32,8 +32,7 @@ func geometricMasks(f *Forest, rootVerts [4]geom.Vec3, leaf NodeID) (on [4]uint8
 }
 
 // TestVisitRootBoundaryMatchesGeometry: on randomly bisected and un-bisected
-// trees, before and after a trip through the migration payload and a vertex
-// compaction, the descent visits exactly the leaves with a vertex on their
+// trees, before and after a trip through the migration payload, the descent visits exactly the leaves with a vertex on their
 // root simplex's boundary, in VisitTreeLeaves order, with the masks the
 // coordinates give.
 func TestVisitRootBoundaryMatchesGeometry(t *testing.T) {
@@ -102,7 +101,6 @@ func TestVisitRootBoundaryMatchesGeometry(t *testing.T) {
 				f.RemoveTree(root)
 			}
 		}
-		f.CompactVertices()
 		ps, err := DecodePayloads(EncodePayloads(out))
 		if err != nil {
 			t.Fatal(err)

@@ -89,17 +89,28 @@ func (n *Node) Nv() int {
 }
 
 // Forest is a forest of refinement history trees over a shared vertex table.
+//
+// A vertex slot lives exactly as long as some live node names it in Verts:
+// its use count rises when a node is allocated and falls when Unbisect or
+// RemoveTree kills one, and at zero the slot is freed, its VertexID leaves
+// the index, and InternVertex hands it out again. So the table never holds
+// an orphan and is never renumbered; every vertex an interior node names
+// (RefEdge, MidV) also lies in the Verts of a live node.
 type Forest struct {
 	// Dim is the mesh dimension.
 	Dim mesh.Dim
-	// Coords holds vertex coordinates, indexed by local vertex index.
+	// Coords holds vertex coordinates, indexed by local vertex index; a free
+	// slot keeps the coordinates of the vertex that last held it.
 	Coords []geom.Vec3
-	// VIDs holds the global VertexID of each local vertex.
+	// VIDs holds the global VertexID of each local vertex, with the same
+	// proviso for free slots.
 	VIDs []VertexID
 	// Nodes holds all tree nodes; slots of coarsened nodes are reused.
 	Nodes []Node
 
-	vidx index.Map // global ID -> local index
+	vidx  index.Map // global ID -> local index, for live vertex slots only
+	uses  []int32   // per vertex slot, the live nodes whose Verts name it
+	freeV []int32   // free vertex slots, taken last-in first-out
 	// roots lists the held trees in ascending root order, the order every leaf
 	// sweep walks. AddRoot, InsertTree and RemoveTree keep it sorted in place,
 	// so reading it never sorts and never allocates.
@@ -124,7 +135,8 @@ func New(dim mesh.Dim) *Forest {
 }
 
 // FromMesh builds a forest whose roots are the elements of the initial coarse
-// mesh m. Vertex i of m receives VertexID(i).
+// mesh m. Vertex i of m receives VertexID(i) and local index i; a vertex no
+// element uses is freed at once.
 func FromMesh(m *mesh.Mesh) *Forest {
 	f := New(m.Dim)
 	for i, c := range m.Verts {
@@ -133,24 +145,95 @@ func FromMesh(m *mesh.Mesh) *Forest {
 	for e, el := range m.Elems {
 		f.AddRoot(int32(e), el.V)
 	}
+	for v, u := range f.uses {
+		if u == 0 {
+			f.freeVertex(int32(v))
+		}
+	}
 	return f
 }
 
 // InternVertex returns the local index for the global vertex id, adding it
-// with the given coordinates if absent. It panics on an ID collision
-// (same ID, different coordinates), which the deterministic midpoint naming
-// makes astronomically unlikely.
+// with the given coordinates if absent, in a free slot if there is one. The
+// new vertex lives once a node names it (see Forest). It panics on an ID
+// collision (same ID, different coordinates), which the deterministic
+// midpoint naming makes astronomically unlikely.
 func (f *Forest) InternVertex(id VertexID, c geom.Vec3) int32 {
-	li, ok := f.vidx.FindOrPut(uint64(id), int32(len(f.Coords)))
+	next, nfree := int32(len(f.Coords)), len(f.freeV)
+	if nfree > 0 {
+		next = f.freeV[nfree-1]
+	}
+	li, ok := f.vidx.FindOrPut(uint64(id), next)
 	if ok {
 		if f.Coords[li] != c {
 			panic(fmt.Sprintf("forest: VertexID collision: id %x at %v and %v", uint64(id), f.Coords[li], c))
 		}
 		return li
 	}
+	if nfree > 0 {
+		f.freeV = f.freeV[:nfree-1]
+		f.Coords[li], f.VIDs[li] = c, id
+		return li
+	}
 	f.Coords = push(f.Coords, c)
 	f.VIDs = push(f.VIDs, id)
+	f.uses = push(f.uses, 0)
 	return li
+}
+
+// freeVertex frees vertex slot v, which no live node names any more.
+func (f *Forest) freeVertex(v int32) {
+	f.vidx.Delete(uint64(f.VIDs[v]))
+	f.freeV = append(f.freeV, v)
+}
+
+// Uses returns the number of live nodes whose Verts name local vertex v: 0
+// for a free slot.
+func (f *Forest) Uses(v int32) int { return int(f.uses[v]) }
+
+// CheckVertices verifies (for tests and paredassert) the vertex bookkeeping:
+// each slot's use count equals a recount over the live nodes, a free slot has
+// no use and is not indexed, a used slot is indexed under its own ID, and the
+// index holds the used slots only. Call it where no midpoint is interned
+// without its nodes, as at refinement quiescence. The fault reported is the
+// one on the smallest slot.
+func (f *Forest) CheckVertices() error {
+	count := make([]int32, len(f.Coords))
+	for i := range f.Nodes {
+		if n := &f.Nodes[i]; !n.Dead {
+			for _, v := range n.Verts {
+				if v >= 0 {
+					count[v]++
+				}
+			}
+		}
+	}
+	free := make([]bool, len(f.Coords))
+	for _, v := range f.freeV {
+		if free[v] {
+			return fmt.Errorf("forest: vertex slot %d is on the free list twice", v)
+		}
+		free[v] = true
+	}
+	used := 0
+	for v, c := range count {
+		at := f.LookupVertex(f.VIDs[v])
+		switch {
+		case f.uses[v] != c:
+			return fmt.Errorf("forest: vertex slot %d counts %d uses, %d live nodes name it", v, f.uses[v], c)
+		case free[v] && (c > 0 || at == int32(v)):
+			return fmt.Errorf("forest: free vertex slot %d has %d uses and is indexed at %d", v, c, at)
+		case !free[v] && (c == 0 || at != int32(v)):
+			return fmt.Errorf("forest: vertex slot %d is not free, has %d uses and is indexed at %d", v, c, at)
+		}
+		if !free[v] {
+			used++
+		}
+	}
+	if f.vidx.Len() != used {
+		return fmt.Errorf("forest: %d used vertex slots, %d indexed", used, f.vidx.Len())
+	}
+	return nil
 }
 
 // LookupVertex returns the local index of a global vertex ID, or -1.
@@ -185,7 +268,14 @@ func (f *Forest) AddRoot(root int32, verts [4]int32) NodeID {
 	return n
 }
 
+// alloc stores n in a free node slot or a new one and counts its vertex
+// uses.
 func (f *Forest) alloc(n Node) NodeID {
+	for _, v := range n.Verts {
+		if v >= 0 {
+			f.uses[v]++
+		}
+	}
 	if len(f.free) > 0 {
 		id := f.free[len(f.free)-1]
 		f.free = f.free[:len(f.free)-1]
@@ -194,6 +284,22 @@ func (f *Forest) alloc(n Node) NodeID {
 	}
 	f.Nodes = push(f.Nodes, n)
 	return NodeID(len(f.Nodes) - 1)
+}
+
+// kill frees node slot id and its vertex uses, freeing each vertex slot that
+// loses its last use.
+func (f *Forest) kill(id NodeID) {
+	n := f.Node(id)
+	n.Dead = true
+	f.free = append(f.free, id)
+	for _, v := range n.Verts {
+		if v < 0 {
+			continue
+		}
+		if f.uses[v]--; f.uses[v] == 0 {
+			f.freeVertex(v)
+		}
+	}
 }
 
 // Node returns a pointer to the node with the given ID.
@@ -293,20 +399,19 @@ func (f *Forest) Bisect(id NodeID, a, b, mid int32) (k0, k1 NodeID) {
 }
 
 // Unbisect undoes the bisection of node id: its two children (which must be
-// leaves) are removed and id becomes a leaf again. The caller is responsible
-// for conformity (see refine.Coarsen).
+// leaves) are removed and id becomes a leaf again, and the midpoint's slot is
+// freed if they were its last users. The caller is responsible for
+// conformity (see refine.Coarsen).
 func (f *Forest) Unbisect(id NodeID) {
 	n := f.Node(id)
 	if n.IsLeaf() {
 		panic("forest: Unbisect on leaf")
 	}
 	for _, k := range n.Kids {
-		kn := f.Node(k)
-		if !kn.IsLeaf() {
+		if !f.Node(k).IsLeaf() {
 			panic("forest: Unbisect with non-leaf child")
 		}
-		kn.Dead = true
-		f.free = append(f.free, k)
+		f.kill(k)
 	}
 	n.Kids = [2]NodeID{NoNode, NoNode}
 	n.MidV = -1

@@ -54,6 +54,9 @@ func Read(r io.Reader) (*Forest, error) {
 	if dim == 3 {
 		f.Dim = 3
 	}
+	if ntrees < 0 {
+		return nil, fmt.Errorf("forest: negative tree count %d", ntrees)
+	}
 	for t := 0; t < ntrees; t++ {
 		var p TreePayload
 		var nv, nn int
@@ -64,34 +67,30 @@ func Read(r io.Reader) (*Forest, error) {
 		if p.Root < 0 || f.Root(p.Root) != NoNode {
 			return nil, fmt.Errorf("forest: tree %d: root %d negative or already read", t, p.Root)
 		}
-		p.VIDs = make([]VertexID, nv)
-		p.Coords = make([]geom.Vec3, nv)
+		if nv < 0 || nn <= 0 {
+			return nil, fmt.Errorf("forest: tree %d: %d vertices and %d nodes", t, nv, nn)
+		}
+		// The counts are unchecked claims: the slices grow as lines arrive.
 		for i := 0; i < nv; i++ {
 			var id uint64
-			c := &p.Coords[i]
+			var c geom.Vec3
 			if _, err := fmt.Fscan(br, &id, &c.X, &c.Y, &c.Z); err != nil {
 				return nil, fmt.Errorf("forest: tree %d vertex %d: %w", t, i, err)
 			}
-			p.VIDs[i] = VertexID(id)
+			p.VIDs = append(p.VIDs, VertexID(id))
+			p.Coords = append(p.Coords, c)
 		}
-		p.Nodes = make([]PayloadNode, nn)
 		for i := 0; i < nn; i++ {
-			n := &p.Nodes[i]
+			var n PayloadNode
 			if _, err := fmt.Fscan(br,
 				&n.Verts[0], &n.Verts[1], &n.Verts[2], &n.Verts[3],
 				&n.Kids[0], &n.Kids[1], &n.RefEdge[0], &n.RefEdge[1], &n.MidV); err != nil {
 				return nil, fmt.Errorf("forest: tree %d node %d: %w", t, i, err)
 			}
-			for _, k := range n.Kids {
-				if k >= int32(nn) {
-					return nil, fmt.Errorf("forest: tree %d node %d: kid %d out of range", t, i, k)
-				}
+			if err := n.check(p.Root, i, nv, nn); err != nil {
+				return nil, err
 			}
-			for _, v := range n.Verts {
-				if v >= int32(nv) {
-					return nil, fmt.Errorf("forest: tree %d node %d: vertex %d out of range", t, i, v)
-				}
-			}
+			p.Nodes = append(p.Nodes, n)
 		}
 		f.InsertTree(&p)
 	}

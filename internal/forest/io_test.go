@@ -69,6 +69,37 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestForestReadRejectsMalformedTrees: Read holds every node to the check
+// decodeWire applies (vertex words in [-1, nv), kids both -1 or both in
+// (i, nn)) and rejects negative and empty counts, each with an error and
+// never a panic, here or later in InsertTree.
+func TestForestReadRejectsMalformedTrees(t *testing.T) {
+	const verts = "0 0 0 0\n1 1 0 0\n2 0 1 0\n"
+	// tree is a three-vertex tree whose root is bisected into two leaves, with
+	// the given root and kid lines.
+	tree := func(root, kid string) string {
+		return "pared-forest 2 1\ntree 0 0 3 3\n" + verts + root + "\n" + kid + "\n" + kid + "\n"
+	}
+	const leaf = "0 1 2 -1 -1 -1 0 0 -1"
+	for _, tc := range []struct{ name, in string }{
+		{"refinement edge past the table", tree("0 1 2 -1 1 2 7 1 2", leaf)},
+		{"midpoint past the table", tree("0 1 2 -1 1 2 0 1 50", leaf)},
+		{"vertex word below -1", tree("0 1 2 -1 1 2 0 1 2", "0 1 -5 -1 -1 -1 0 0 -1")},
+		{"one kid only", tree("0 1 2 -1 1 -1 0 1 2", leaf)},
+		{"kid pointing at its parent", tree("0 1 2 -1 0 0 0 1 2", leaf)},
+		{"negative vertex count", "pared-forest 2 1\ntree 0 0 -1 1\n" + leaf + "\n"},
+		{"no nodes", "pared-forest 2 1\ntree 0 0 3 0\n" + verts},
+		{"negative tree count", "pared-forest 2 -1\n"},
+	} {
+		if _, err := Read(strings.NewReader(tc.in)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := Read(strings.NewReader(tree("0 1 2 -1 1 2 0 1 2", leaf))); err != nil {
+		t.Errorf("valid tree: %v", err)
+	}
+}
+
 var errDiskFull = errors.New("disk full")
 
 // fullWriter fails every write, as a full disk or a closed pipe would.

@@ -28,6 +28,26 @@ type TreePayload struct {
 	Nodes  []PayloadNode // preorder; node 0 is the tree root
 }
 
+// check verifies node i of the payload of tree root, with nv vertices and nn
+// nodes, before InsertTree indexes with it: every vertex word is in [-1, nv),
+// and the kids are either both -1 or both in (i, nn). Preorder puts both kids
+// after their parent, which also rules out cycles, so InsertTree's recursion
+// terminates. Both decoders, decodeWire and Read, hold every node to it.
+func (n *PayloadNode) check(root int32, i, nv, nn int) error {
+	for _, v := range [...]int32{n.Verts[0], n.Verts[1], n.Verts[2], n.Verts[3], n.RefEdge[0], n.RefEdge[1], n.MidV} {
+		if v < -1 || int(v) >= nv {
+			return fmt.Errorf("forest: tree %d node %d: vertex index %d outside [-1, %d)", root, i, v, nv)
+		}
+	}
+	k0, k1 := int(n.Kids[0]), int(n.Kids[1])
+	leaf := k0 == -1 && k1 == -1
+	interior := k0 > i && k0 < nn && k1 > i && k1 < nn
+	if !leaf && !interior {
+		return fmt.Errorf("forest: tree %d node %d: kids (%d, %d) neither both -1 nor both in (%d, %d)", root, i, k0, k1, i, nn)
+	}
+	return nil
+}
+
 // NumLeaves counts the leaves in the payload.
 func (p *TreePayload) NumLeaves() int {
 	n := 0
@@ -83,10 +103,9 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 	return p
 }
 
-// RemoveTree deletes tree root from the forest, freeing its node slots.
-// Vertices that become unreferenced stay in the table as orphans, still
-// indexed by their global IDs: a tree that comes back takes its old slots
-// again, and CompactVertices reclaims those that stay orphaned.
+// RemoveTree deletes tree root from the forest, freeing its node slots and
+// every vertex slot no other held tree uses; a tree that comes back interns
+// its vertices afresh.
 func (f *Forest) RemoveTree(root int32) {
 	rid := f.Root(root)
 	if rid == NoNode {
@@ -102,8 +121,7 @@ func (f *Forest) RemoveTree(root int32) {
 			walk(n.Kids[0])
 			walk(n.Kids[1])
 		}
-		n.Dead = true
-		f.free = append(f.free, id)
+		f.kill(id)
 	}
 	walk(rid)
 	at, _ := slices.BinarySearch(f.roots, root)

@@ -97,27 +97,14 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		for k := range w {
 			w[k] = int32(binary.LittleEndian.Uint32(b[k*4:]))
 		}
-		// InsertTree indexes with every one of these words unchecked.
-		for k, v := range w {
-			if k == 4 || k == 5 {
-				continue
-			}
-			if v < -1 || int(v) >= nv {
-				return nil, nil, fmt.Errorf("forest: tree %d node %d: vertex index %d outside [-1, %d)", p.Root, i, v, nv)
-			}
-		}
-		// Preorder puts both kids after their parent, which also rules out
-		// cycles: InsertTree's recursion terminates.
-		leaf := w[4] == -1 && w[5] == -1
-		interior := int(w[4]) > i && int(w[4]) < nn && int(w[5]) > i && int(w[5]) < nn
-		if !leaf && !interior {
-			return nil, nil, fmt.Errorf("forest: tree %d node %d: kids (%d, %d) neither both -1 nor both in (%d, %d)", p.Root, i, w[4], w[5], i, nn)
-		}
 		p.Nodes[i] = PayloadNode{
 			Verts:   [4]int32{w[0], w[1], w[2], w[3]},
 			Kids:    [2]int32{w[4], w[5]},
 			RefEdge: [2]int32{w[6], w[7]},
 			MidV:    w[8],
+		}
+		if err := p.Nodes[i].check(p.Root, i, nv, nn); err != nil {
+			return nil, nil, err
 		}
 	}
 	return p, buf[nn*payloadNodeWords*4:], nil

@@ -24,7 +24,7 @@ const mult = 0x9e3779b97f4a7c15
 const minSlots = 16
 
 // slot holds one entry. v is the value plus one, so the zero slot is empty
-// and a new or cleared table needs no fill.
+// and a new table needs no fill.
 type slot struct {
 	k uint64
 	v int32
@@ -101,12 +101,6 @@ func (m *Map) Delete(k uint64) (int32, bool) {
 	m.slots[i] = slot{}
 	m.n--
 	return v - 1, true
-}
-
-// Clear removes every entry and keeps the table's size.
-func (m *Map) Clear() {
-	clear(m.slots)
-	m.n = 0
 }
 
 // AppendKeys appends every key to dst, in slot order, and returns it.

@@ -79,22 +79,19 @@ func runOps(t *testing.T, data []byte) {
 			if got, ok := m.Find(k); ok != present || (present && got != wv) || (!present && got != -1) {
 				t.Fatalf("step %d: Find(%#x) = %d, %v; want %d, %v", step, k, got, ok, wv, present)
 			}
-		case op < 15:
+		default:
 			wv, present := want[k]
 			if got, ok := m.Delete(k); ok != present || (present && got != wv) || (!present && got != -1) {
 				t.Fatalf("step %d: Delete(%#x) = %d, %v; want %d, %v", step, k, got, ok, wv, present)
 			}
 			delete(want, k)
-		default:
-			m.Clear()
-			clear(want)
 		}
 		checkAgainst(t, &m, want, step)
 	}
 }
 
 // FuzzMap holds the index to a Go map over random sequences of FindOrPut,
-// Find, Delete and Clear on keys that share home slots and wrap past the
+// Find and Delete on keys that share home slots and wrap past the
 // table's end, through every growth the sequence reaches.
 func FuzzMap(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -145,8 +142,8 @@ func TestDeleteShiftsBackAcrossTheEnd(t *testing.T) {
 	}
 }
 
-// TestZeroMap uses the zero Map directly, and a cleared one, with key 0,
-// which is also the key an empty slot holds.
+// TestZeroMap uses the zero Map directly with key 0, which is also the key an
+// empty slot holds.
 func TestZeroMap(t *testing.T) {
 	var m Map
 	if _, ok := m.Find(0); ok {
@@ -161,9 +158,11 @@ func TestZeroMap(t *testing.T) {
 	if v, ok := m.FindOrPut(0, 9); !ok || v != 7 {
 		t.Fatalf("FindOrPut(0, 9) = %d, %v, want 7, true", v, ok)
 	}
-	m.Clear()
+	if v, ok := m.Delete(0); !ok || v != 7 {
+		t.Fatalf("Delete(0) = %d, %v, want 7, true", v, ok)
+	}
 	if _, ok := m.Find(0); ok || m.Len() != 0 {
-		t.Fatal("a cleared Map finds key 0")
+		t.Fatal("the emptied Map finds key 0")
 	}
 }
 

@@ -52,16 +52,20 @@ func ReadFrom(r io.Reader) (*Mesh, error) {
 	if dim != 2 && dim != 3 {
 		return nil, fmt.Errorf("mesh: bad dimension %d", dim)
 	}
-	m := &Mesh{Dim: Dim(dim), Verts: make([]geom.Vec3, nv), Elems: make([]Element, ne)}
+	if nv < 0 || ne < 0 {
+		return nil, fmt.Errorf("mesh: negative count in header (%d vertices, %d elements)", nv, ne)
+	}
+	// The counts are unchecked claims: the slices grow as lines arrive.
+	m := &Mesh{Dim: Dim(dim)}
 	for i := 0; i < nv; i++ {
-		v := &m.Verts[i]
+		var v geom.Vec3
 		if _, err := fmt.Fscan(br, &v.X, &v.Y, &v.Z); err != nil {
 			return nil, fmt.Errorf("mesh: vertex %d: %w", i, err)
 		}
+		m.Verts = append(m.Verts, v)
 	}
 	for i := 0; i < ne; i++ {
-		el := &m.Elems[i]
-		el.V[3] = -1
+		el := Element{V: [4]int32{3: -1}}
 		n := 3
 		if dim == 3 {
 			n = 4
@@ -71,6 +75,7 @@ func ReadFrom(r io.Reader) (*Mesh, error) {
 				return nil, fmt.Errorf("mesh: element %d: %w", i, err)
 			}
 		}
+		m.Elems = append(m.Elems, el)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

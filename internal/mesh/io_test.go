@@ -43,6 +43,13 @@ func TestMeshIORejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(strings.NewReader("pared-mesh 2 3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 9\n")); err == nil {
 		t.Error("out-of-range element accepted")
 	}
+	// The header's counts are claims: a negative one is an error, not a
+	// panic in make.
+	for _, h := range []string{"pared-mesh 2 -1 0\n", "pared-mesh 2 3 -1\n0 0 0\n1 0 0\n0 1 0\n"} {
+		if _, err := ReadFrom(strings.NewReader(h)); err == nil {
+			t.Errorf("negative count accepted: %q", h)
+		}
+	}
 }
 
 var errDiskFull = errors.New("disk full")

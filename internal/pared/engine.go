@@ -387,7 +387,9 @@ type AdaptStats struct {
 // parent midpoint lies on ∂Ω is kept too, at any rank count including 1,
 // and the mesh stays finer along ∂Ω than serial refine.AdaptOnce leaves it
 // (ROADMAP item 3).
-// est is evaluated at most once per node.
+// est is evaluated at most once per node. The vertex slots coarsening leaves
+// unused are free again when Adapt returns (see forest.Forest), on every
+// rank, whether it migrates next or not.
 func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxLevel int32) AdaptStats {
 	var st AdaptStats
 	// The target sweep and the coarsening predicate share one evaluation per
@@ -466,10 +468,6 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		})
 	}
 	e.indicator = memo
-	// Quiescent again: the vertex table is held to the rule migrate's Settle
-	// keeps, so the orphans coarsening leaves are reclaimed on ranks that do
-	// not migrate too.
-	e.R.CompactIfDue()
 	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh
@@ -843,10 +841,11 @@ func unpackOwnerDelta(old []int32, payload []int32, p int) (newOwner []int32, cu
 }
 
 // migrate sends trees to their new owners and splices in received ones,
-// taking the departing leaves out of the refiner's edge incidence and
-// entering the arriving ones, then settles the refiner (Refiner.Settle): a
-// rank pays for the trees that moved, not for the mesh it kept, and the
-// vertex table is compacted only once half of it is orphans. Payloads travel
+// taking the departing trees out of the refiner's edge records and entering
+// the arriving leaves, then settles the refiner (Refiner.Settle): a rank pays
+// for the trees that moved, not for the mesh it kept. A departing tree's
+// vertex slots are freed with it, unless a tree that stays uses them, and an
+// arriving tree may take them at once; no vertex is renumbered. Payloads travel
 // as one flat wire buffer per destination (forest.EncodePayloads), so a
 // migration lane costs one unboxed buffer instead of a pointer forest, and
 // empty lanes send nothing. A tree that may not arrive (checkArrival)

@@ -89,12 +89,12 @@ func randomSteps(rng *rand.Rand, dim mesh.Dim, epochs int, switching bool) []cha
 // derivations equal their facet-hash oracles and G equals graph.CoarseDual of
 // the gathered forest (checkInterfaceOracle), G is symmetric and its vertex
 // weights sum to the global leaf count, the owner map is total and in range,
-// the rank's vertex table is under twice what its last compaction left
-// (Adapt and migrate keep refine.Refiner.CompactionDue false), CheckConsistency
-// is clean and the gathered mesh is conformal.
+// the rank's vertex slots live exactly as long as its nodes use them
+// (forest.CheckVertices), CheckConsistency is clean and the gathered mesh is
+// conformal.
 func checkEpochInvariants(e *Engine, globalLeaves int64) {
-	if e.R.CompactionDue() {
-		panic(fmt.Sprintf("rank %d: a vertex table of %d entries is due for compaction between steps", e.Comm.Rank(), len(e.F.Coords)))
+	if err := e.F.CheckVertices(); err != nil {
+		panic(fmt.Sprintf("rank %d: %v", e.Comm.Rank(), err))
 	}
 	g, gathered := checkInterfaceOracle(e)
 	if err := g.Validate(); err != nil {

@@ -116,11 +116,11 @@ func BenchmarkClosure3D(b *testing.B) {
 	}
 }
 
-// BenchmarkSpliceTree is the migration splice under a live refiner: one deep
-// tree leaves (ExtractTree, RemoveTree), another comes in (InsertTree), and
-// the vertex table is compacted, reclaiming the departed tree's private
-// vertices, which renumbers and rekeys the edge records. The two deepest trees
-// of the tracked mesh take turns, so every op is the same splice.
+// BenchmarkSpliceTree is the migration splice as Engine.migrate runs it,
+// under a live refiner: one deep tree leaves (ExtractTree, RemoveTree),
+// another comes in (InsertTree) and takes the vertex slots the first one
+// freed, and the refiner settles. The two deepest trees of the tracked mesh
+// take turns, so every op is the same splice.
 func BenchmarkSpliceTree(b *testing.B) {
 	r := trackedPeak(b)
 	f := r.F
@@ -132,7 +132,7 @@ func BenchmarkSpliceTree(b *testing.B) {
 	held, away := roots[0], f.ExtractTree(roots[1])
 	r.RemoveTree(away.Root)
 	f.RemoveTree(away.Root)
-	r.CompactVertices()
+	r.Settle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,22 +141,16 @@ func BenchmarkSpliceTree(b *testing.B) {
 		f.RemoveTree(held)
 		f.InsertTree(away)
 		r.InsertTree(away.Root)
-		if r.CompactVertices() == 0 {
-			b.Fatal("the departed tree left no vertex to reclaim")
-		}
+		r.Settle()
 		held, away = away.Root, p
 	}
 }
 
-// BenchmarkSpliceTreeSettle is BenchmarkSpliceTree as migration now runs it,
-// on a forest the size of one rank of the transient2d workloads (the 400
-// largest trees of the tracked mesh): one deep tree leaves, another comes in,
-// and the refiner settles — its split marks are dropped in place and the
-// vertex table keeps its orphans, so a departed tree that comes back takes
-// its old slots and the table never grows to the size that makes Settle
-// compact. The payloads are extracted once, outside the loop. Its allocations
-// are the splice's own; a compaction's remap, use marks and vertex index
-// coming back on every migration show up in BENCH_allocs.json's pin.
+// BenchmarkSpliceTreeSettle is BenchmarkSpliceTree on a forest the size of
+// one rank of the transient2d workloads (the 400 largest trees of the
+// tracked mesh), with the payloads extracted once, outside the loop: one deep
+// tree leaves, another comes in, and the refiner settles. Its allocations are
+// the splice's own.
 func BenchmarkSpliceTreeSettle(b *testing.B) {
 	r := trackedPeak(b)
 	f := r.F
@@ -166,7 +160,6 @@ func BenchmarkSpliceTreeSettle(b *testing.B) {
 		r.RemoveTree(root)
 		f.RemoveTree(root)
 	}
-	r.CompactVertices()
 	if f.TreeSize(roots[1]) < 100 || f.NumLeaves() < 1000 {
 		b.Fatalf("%d leaves, second deepest tree %d nodes: want a rank's worth and deep trees", f.NumLeaves(), f.TreeSize(roots[1]))
 	}
@@ -181,9 +174,7 @@ func BenchmarkSpliceTreeSettle(b *testing.B) {
 		f.RemoveTree(held.Root)
 		f.InsertTree(away)
 		r.InsertTree(away.Root)
-		if r.Settle() != 0 {
-			b.Fatal("Settle compacted a vertex table that had not grown")
-		}
+		r.Settle()
 		held, away = away, held
 	}
 }

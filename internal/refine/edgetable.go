@@ -44,8 +44,10 @@ const edgePageSize = 1 << 10
 // record lives while it has a leaf or a split mark; freed, it keeps its
 // leaves' backing array for the next edge that takes it.
 //
-// Keys are local vertex indices, so they are valid until the forest's vertex
-// table is compacted; rekey then renumbers the records in place.
+// Keys are local vertex indices, which the forest never renumbers. At
+// quiescence no record names a free vertex slot, so a slot the forest hands
+// out again meets no stale record (see Refiner.RemoveTree and
+// CheckInvariants).
 type edgeTable struct {
 	index index.Map
 	pages [][]edgeRec
@@ -135,30 +137,18 @@ func (t *edgeTable) removeLeaf(a, b int32, id forest.NodeID) {
 	t.freeIfBare(e)
 }
 
-// rekey follows a compaction of the vertex table: it drops every split mark,
-// frees the records left without a leaf, and renumbers the endpoints of the
-// rest through remap, re-entering them. remap must be monotone on the
-// vertices still in use, so a < b survives, as forest.CompactVertices' remap
-// is; nil means no index changed, and the index keeps the rest in place.
-func (t *edgeTable) rekey(remap []int32) {
-	if remap != nil {
-		t.index.Clear()
-	}
+// dropMarks clears every split mark and frees the records left without a
+// leaf, in place.
+func (t *edgeTable) dropMarks() {
 	for i := int32(0); i < t.n; i++ {
 		e := t.at(i)
 		if e.a < 0 {
 			continue
 		}
 		e.mid = -1
-		switch {
-		case len(e.leaves) == 0:
-			if remap == nil {
-				t.index.Delete(e.key())
-			}
+		if len(e.leaves) == 0 {
+			t.index.Delete(e.key())
 			t.release(i)
-		case remap != nil:
-			e.a, e.b = remap[e.a], remap[e.b]
-			t.index.FindOrPut(e.key(), i)
 		}
 	}
 }

@@ -41,26 +41,27 @@ func newRefRefiner(f *forest.Forest) *refRefiner {
 	return r
 }
 
-// RemoveTree takes the leaves of tree root out of the edge incidence. Call it
-// at quiescence, before the forest removes the tree.
-func (r *refRefiner) RemoveTree(root int32) { r.F.VisitTreeLeaves(root, r.removeLeafEdges) }
+// RemoveTree takes tree root out of the edge incidence and drops the split
+// marks of its refinement edges. Call it at quiescence, before the forest
+// removes the tree.
+func (r *refRefiner) RemoveTree(root int32) {
+	var walk func(id forest.NodeID)
+	walk = func(id forest.NodeID) {
+		n := r.F.Node(id)
+		if n.IsLeaf() {
+			r.removeLeafEdges(id)
+			return
+		}
+		walk(n.Kids[0])
+		walk(n.Kids[1])
+		delete(r.split, r.key(n.RefEdge[0], n.RefEdge[1]))
+	}
+	walk(r.F.Root(root))
+}
 
 // InsertTree enters the leaves of tree root, which the forest has just
 // spliced in, into the edge incidence. Call it at quiescence.
 func (r *refRefiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
-
-// CompactVertices compacts the forest's vertex table (see
-// forest.CompactVertices) and drops the refiner state expressed in the local
-// vertex indices that renumbers: the split marks. Call it at quiescence, where
-// no mark belongs to a leaf edge any more and no leaf or split is queued — a
-// fresh NewRefiner starts from the same empty state.
-func (r *refRefiner) CompactVertices() int {
-	clear(r.split)
-	r.queue = r.queue[:0]
-	r.newSplits = nil
-	reclaimed, _ := r.F.CompactVertices()
-	return reclaimed
-}
 
 // key returns the canonical edge key for local vertices a, b.
 func (r *refRefiner) key(a, b int32) EdgeSplit {

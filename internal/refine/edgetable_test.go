@@ -16,28 +16,23 @@ import (
 type splicer interface {
 	RemoveTree(root int32)
 	InsertTree(root int32)
-	CompactVertices() int
 }
 
 // roundTrip sends trees moved out of f and back in, in reverse order, the way
-// migration splices them, compacting the vertex table in between if asked
-// (-1 if not). It returns the payloads and the vertices reclaimed.
-func roundTrip(f *forest.Forest, r splicer, moved []int32, compact bool) ([]*forest.TreePayload, int) {
+// migration splices them, and returns the payloads. The trees that come back
+// take vertex slots the departed ones freed.
+func roundTrip(f *forest.Forest, r splicer, moved []int32) []*forest.TreePayload {
 	var ps []*forest.TreePayload
 	for _, root := range moved {
 		ps = append(ps, f.ExtractTree(root))
 		r.RemoveTree(root)
 		f.RemoveTree(root)
 	}
-	reclaimed := -1
-	if compact {
-		reclaimed = r.CompactVertices()
-	}
 	for i := len(ps) - 1; i >= 0; i-- {
 		f.InsertTree(ps[i])
 		r.InsertTree(ps[i].Root)
 	}
-	return ps, reclaimed
+	return ps
 }
 
 // forestDiff names the first public part in which two forests differ.
@@ -52,7 +47,7 @@ func forestDiff(a, b *forest.Forest) string {
 	case !slices.Equal(a.Roots(), b.Roots()):
 		return "held trees differ"
 	}
-	return "free lists, vertex index or leaf counts differ"
+	return "free lists, vertex use counts, vertex index or leaf counts differ"
 }
 
 // leafListDiff returns, for the first record in table order whose list of
@@ -83,11 +78,11 @@ func leafListDiff(got *Refiner, ref *refRefiner) string {
 // TestEdgeTableMatchesReference drives the edge-table refiner and the
 // map-keyed reference over twin forests through seeded random chains of every
 // operation a refiner offers — refinement and closure, remote splits taken
-// by a third forest, coarsening, tree round trips with and without
-// compaction, compaction, and LEPP — and requires after every step forests
-// equal field for field (node table with Dead flags and free list, vertex
-// table and index, held trees), equal answers from every call, and every
-// edge's incident leaves listed in the same order.
+// by a third forest, coarsening, tree round trips, and LEPP — and requires
+// after every step forests equal field for field (node table with Dead flags
+// and free list, vertex table with use counts, free list and index, held
+// trees), equal answers from every call, and every edge's incident leaves
+// listed in the same order.
 func TestEdgeTableMatchesReference(t *testing.T) {
 	for name, m := range coarsenMeshes() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -99,7 +94,7 @@ func TestEdgeTableMatchesReference(t *testing.T) {
 func edgeTableChain(t *testing.T, name string, m *mesh.Mesh, seed int64) {
 	got, ref := NewRefiner(forest.FromMesh(m)), newRefRefiner(forest.FromMesh(m))
 	rng := rand.New(rand.NewSource(seed))
-	ops := []string{"refine", "remote", "coarsen", "round trip", "compact", "lepp"}
+	ops := []string{"refine", "remote", "coarsen", "round trip", "lepp"}
 	var perm []int
 	var history []EdgeSplit // every split either refiner reported
 	// Six refinement steps deepen the forest first; then every operation
@@ -174,13 +169,7 @@ func edgeTableChain(t *testing.T, name string, m *mesh.Mesh, seed int64) {
 					moved = append(moved, root)
 				}
 			}
-			compact := rng.Intn(2) == 0
-			gp, gn := roundTrip(got.F, got, moved, compact)
-			rp, rn := roundTrip(ref.F, ref, moved, compact)
-			same("payloads", gp, rp)
-			same("CompactVertices", gn, rn)
-		case "compact":
-			same("CompactVertices", got.CompactVertices(), ref.CompactVertices())
+			same("payloads", roundTrip(got.F, got, moved), roundTrip(ref.F, ref, moved))
 		case "lepp":
 			k := rng.Intn(len(gl))
 			same("RefineLeafLEPP", got.RefineLeafLEPP(gl[k]), ref.RefineLeafLEPP(rl[k]))
@@ -204,7 +193,8 @@ func edgeTableChain(t *testing.T, name string, m *mesh.Mesh, seed int64) {
 }
 
 // TestCheckInvariantsCatchesCorruptTable breaks each structural rule of the
-// edge table once and requires CheckInvariants to name it.
+// edge table once, and the rule that no record names a free vertex slot, and
+// requires CheckInvariants to name it.
 func TestCheckInvariantsCatchesCorruptTable(t *testing.T) {
 	cases := []struct {
 		rule    string
@@ -225,6 +215,11 @@ func TestCheckInvariantsCatchesCorruptTable(t *testing.T) {
 		{"the index holds every live record", func(r *Refiner, k uint64, _ int32) {
 			r.edges.index.Delete(k)
 		}, "live edge records"},
+		{"no record names a free vertex slot", func(r *Refiner, _ uint64, _ int32) {
+			// The forest frees the tree's vertices; the refiner keeps its
+			// records, as a stale split mark would be kept.
+			r.F.RemoveTree(r.F.Node(r.F.Leaves()[0]).Root)
+		}, "names a free vertex slot"},
 	}
 	for _, tc := range cases {
 		r := refinedForest(t, coarsenMeshes()["2d"], 1)

@@ -53,15 +53,12 @@ func MakeEdgeSplit(a, b forest.VertexID) EdgeSplit {
 // freshly built forests and forests after migration at quiescence qualify).
 //
 // Trees may be spliced out of and into the forest under a live refiner, at
-// quiescence only: call RemoveTree before forest.RemoveTree (the leaves must
+// quiescence only: call RemoveTree before forest.RemoveTree (the tree must
 // still be there to be walked) and InsertTree after forest.InsertTree, then
-// Settle. Settle drops the split marks, as a fresh NewRefiner has none, and
-// compacts the vertex table only once half of it is orphans (see Settle), so
-// a splice costs the trees that moved plus one pass over the edge records,
-// not a renumbering of every vertex. Compact the vertex table through the
-// refiner (Settle, CompactIfDue or CompactVertices), never the forest's
-// directly: that renumbers the local indices the records are keyed by, and
-// the refiner rekeys them in place from the forest's remap.
+// Settle. RemoveTree leaves no record naming a vertex slot the forest may
+// free with the tree, so an arriving tree can take such a slot at once; a
+// splice costs the trees that moved plus Settle's pass over the records.
+// Local vertex indices are never renumbered (see forest.Forest).
 type Refiner struct {
 	F *forest.Forest
 
@@ -76,97 +73,54 @@ type Refiner struct {
 	// Coarsen's scratch, kept between calls (see Coarsen).
 	usage, ncand  []int32
 	cands, doomed []coarsenCand
-
-	// base is the number of live vertices when last counted: by NewRefiner,
-	// by a compaction, or by a due check that found too few orphans to
-	// compact (see compactionPays). CompactionDue once the table is twice
-	// that.
-	base int
 }
 
 // NewRefiner builds a refiner over a conforming forest.
 func NewRefiner(f *forest.Forest) *Refiner {
-	r := &Refiner{F: f, base: len(f.Coords)}
+	r := &Refiner{F: f}
 	f.VisitLeaves(r.addLeafEdges)
 	return r
 }
 
-// RemoveTree takes the leaves of tree root out of the edge incidence. Call it
-// at quiescence, before the forest removes the tree.
-func (r *Refiner) RemoveTree(root int32) { r.F.VisitTreeLeaves(root, r.removeLeafEdges) }
+// RemoveTree takes tree root out of the edge records: its leaves out of the
+// incidence, and the split marks off its refinement edges, whose records
+// name vertex slots the forest frees with the tree unless a tree that stays
+// uses them. Call it at quiescence, before the forest removes the tree.
+func (r *Refiner) RemoveTree(root int32) {
+	rid := r.F.Root(root)
+	if rid == forest.NoNode {
+		panic(fmt.Sprintf("refine: RemoveTree(%d): tree not held", root))
+	}
+	r.removeSubtree(rid)
+}
+
+// removeSubtree is RemoveTree from node id down, leaves in VisitLeaves order.
+func (r *Refiner) removeSubtree(id forest.NodeID) {
+	n := r.F.Node(id)
+	if n.IsLeaf() {
+		r.removeLeafEdges(id)
+		return
+	}
+	r.removeSubtree(n.Kids[0])
+	r.removeSubtree(n.Kids[1])
+	if e := r.edges.find(n.RefEdge[0], n.RefEdge[1]); e != nil {
+		e.mid = -1
+		r.edges.freeIfBare(e)
+	}
+}
 
 // InsertTree enters the leaves of tree root, which the forest has just
 // spliced in, into the edge incidence. Call it at quiescence.
 func (r *Refiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
 
-// CompactVertices compacts the forest's vertex table (see
-// forest.CompactVertices) and rekeys the edge records through its remap,
-// dropping the split marks, whose midpoints it renumbers, and the records
-// they alone kept. Call it at quiescence, where no mark belongs to a leaf
-// edge any more and no leaf or split is queued — a fresh NewRefiner starts
-// from the same state.
-func (r *Refiner) CompactVertices() int {
-	r.queue = r.queue[:0]
-	r.newSplits = nil
-	reclaimed, remap := r.F.CompactVertices()
-	r.edges.rekey(remap)
-	r.base = len(r.F.Coords)
-	return reclaimed
-}
-
 // Settle brings the refiner, after trees were spliced out and in, to the
 // state a fresh NewRefiner over the forest would have: it drops the split
-// marks and frees the records they alone kept, keys and index in place. Call
-// it at quiescence, as CompactVertices. The vertex table keeps its orphans —
-// a tree that comes back takes its old slots again — and is compacted
-// through CompactVertices only when at least half of it is orphans (see
-// CompactIfDue). So a migration pays a pass over the edge records, and a
-// compaction's renumbering and rekey are paid once per doubling of the
-// table. It returns the number of vertices reclaimed.
-func (r *Refiner) Settle() int {
-	if r.compactionPays() {
-		return r.CompactVertices()
-	}
+// marks and frees the records they alone kept, in place. Call it at
+// quiescence.
+func (r *Refiner) Settle() {
 	r.queue = r.queue[:0]
 	r.newSplits = nil
-	r.edges.rekey(nil)
-	return 0
-}
-
-// CompactIfDue applies Settle's compaction rule and nothing else: call it at
-// quiescence. It returns the number of vertices reclaimed.
-func (r *Refiner) CompactIfDue() int {
-	if r.compactionPays() {
-		return r.CompactVertices()
-	}
-	return 0
-}
-
-// CompactionDue reports whether a non-empty vertex table has grown to twice
-// the live vertex count last counted — by refinement, arriving trees, and
-// the orphans coarsening and departing trees leave. Settle and CompactIfDue
-// then count again, so it is false after either.
-func (r *Refiner) CompactionDue() bool {
-	n := len(r.F.Coords)
-	return n > 0 && n >= 2*r.base
-}
-
-// compactionPays reports, when compaction is due, whether at least half the
-// vertex table is orphans. It counts the live vertices — CompactVertices'
-// marking pass, without the renumbering and the index rebuilds — and when
-// the table grew by live vertices instead, takes that count as the new base:
-// a table that grows by refinement alone is counted once per doubling and
-// never renumbered.
-func (r *Refiner) compactionPays() bool {
-	if !r.CompactionDue() {
-		return false
-	}
-	live := r.F.LiveVertices()
-	if len(r.F.Coords) >= 2*live {
-		return true
-	}
-	r.base = live
-	return false
+	r.edges.dropMarks()
 }
 
 // forEachEdge enumerates the local vertex pairs of node id's edges.
@@ -413,14 +367,25 @@ func (r *Refiner) Closure() int {
 }
 
 // CheckInvariants verifies (for tests) the edge table's structure (see
-// edgeTable.check), that the refiner is at quiescence — no leaf edge is split
-// — and that the edge incidence is exactly what NewRefiner would build from
-// the current leaves: every leaf is listed under each of its edges, and the
-// lists hold nothing else. The fault reported is the first in leaf order, or
-// else the one on the smallest edge by global IDs.
+// edgeTable.check), the forest's vertex bookkeeping (see
+// forest.CheckVertices), that no record names a free vertex slot, that the
+// refiner is at quiescence — no leaf edge is split — and that the edge
+// incidence is exactly what NewRefiner would build from the current leaves:
+// every leaf is listed under each of its edges, and the lists hold nothing
+// else. The fault reported is the first in record order for the free slots,
+// then the first in leaf order, or else the one on the smallest edge by
+// global IDs.
 func (r *Refiner) CheckInvariants() error {
 	if err := r.edges.check(); err != nil {
 		return err
+	}
+	if err := r.F.CheckVertices(); err != nil {
+		return err
+	}
+	for i := int32(0); i < r.edges.n; i++ {
+		if e := r.edges.at(i); e.a >= 0 && (r.F.Uses(e.a) == 0 || r.F.Uses(e.b) == 0 || e.mid >= 0 && r.F.Uses(e.mid) == 0) {
+			return fmt.Errorf("refine: record %d of edge {%d, %d}, midpoint %d, names a free vertex slot", i, e.a, e.b, e.mid)
+		}
 	}
 	var fail error
 	want := 0 // (leaf, edge) incidences
