@@ -9,8 +9,8 @@ import (
 
 // Determinism is a correctness property here, not a nicety: the paper's
 // tables only reproduce if PNR emits byte-identical partition vectors run to
-// run (see also the maporder lint check, which guards the code paths these
-// tests pin down).
+// run (see also nomap_test.go at the module root, which keeps Go maps out of
+// the code paths these tests pin down).
 
 func dualOfRect(nx, ny int) (*graph.Graph, *mesh.Mesh) {
 	m := meshgen.RectTri(nx, ny, -1, -1, 1, 1)

@@ -96,20 +96,28 @@ func ZZIndicators(m *mesh.Mesh, u []float64) []float64 {
 
 // ZZEstimator adapts per-leaf ZZ indicators (computed on a leaf mesh with
 // the solution u) to the refine.Estimator interface, so a solver-driven
-// adaptation loop needs no analytic solution. Leaves created after the solve
-// (children of a just-refined element) inherit the nearest evaluated
-// ancestor's indicator — otherwise a coarsening pass in the same adaptation
-// call would immediately undo fresh refinements.
+// adaptation loop needs no analytic solution (see InheritedEstimator).
 func ZZEstimator(leaf *forest.LeafMeshResult, u []float64) refine.Estimator {
-	ind := ZZIndicators(leaf.Mesh, u)
-	byNode := make(map[forest.NodeID]float64, len(ind))
-	for e, id := range leaf.Leaf2Node {
-		byNode[id] = ind[e]
+	return InheritedEstimator(leaf.Leaf2Node, ZZIndicators(leaf.Mesh, u))
+}
+
+// InheritedEstimator gives node leaf2Node[e] the indicator ind[e]. A node
+// without one (a child of an element refined after the solve) inherits its
+// nearest ancestor's, or 0 — otherwise a coarsening pass in the same
+// adaptation call would immediately undo fresh refinements.
+func InheritedEstimator(leaf2Node []forest.NodeID, ind []float64) refine.Estimator {
+	size := 0
+	for _, id := range leaf2Node {
+		size = max(size, int(id)+1)
+	}
+	at := make([]int32, size) // at[id] is 1 + the leaf index of node id, or 0
+	for e, id := range leaf2Node {
+		at[id] = int32(e) + 1
 	}
 	return refine.EstimatorFunc(func(f *forest.Forest, id forest.NodeID) float64 {
 		for n := id; n != forest.NoNode; n = f.Node(n).Parent {
-			if v, ok := byNode[n]; ok {
-				return v
+			if int(n) < len(at) && at[n] > 0 {
+				return ind[at[n]-1]
 			}
 		}
 		return 0

@@ -87,7 +87,7 @@ func Read(r io.Reader) (*Forest, error) {
 				&n.Kids[0], &n.Kids[1], &n.RefEdge[0], &n.RefEdge[1], &n.MidV); err != nil {
 				return nil, fmt.Errorf("forest: tree %d node %d: %w", t, i, err)
 			}
-			if err := n.check(p.Root, i, nv, nn); err != nil {
+			if err := n.check(p.Root, i, dim+1, nv, nn); err != nil {
 				return nil, err
 			}
 			p.Nodes = append(p.Nodes, n)

@@ -70,9 +70,10 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 }
 
 // TestForestReadRejectsMalformedTrees: Read holds every node to the check
-// decodeWire applies (vertex words in [-1, nv), kids both -1 or both in
-// (i, nn)) and rejects negative and empty counts, each with an error and
-// never a panic, here or later in InsertTree.
+// decodeWire applies (vertex words in [-1, nv), the header's simplex size of
+// vertices, kids both -1 or both in (i, nn), an interior node's refinement
+// edge and midpoint set) and rejects negative and empty counts, each with an
+// error and never a panic, here or later in InsertTree or LeafMesh.
 func TestForestReadRejectsMalformedTrees(t *testing.T) {
 	const verts = "0 0 0 0\n1 1 0 0\n2 0 1 0\n"
 	// tree is a three-vertex tree whose root is bisected into two leaves, with
@@ -87,6 +88,11 @@ func TestForestReadRejectsMalformedTrees(t *testing.T) {
 		{"vertex word below -1", tree("0 1 2 -1 1 2 0 1 2", "0 1 -5 -1 -1 -1 0 0 -1")},
 		{"one kid only", tree("0 1 2 -1 1 -1 0 1 2", leaf)},
 		{"kid pointing at its parent", tree("0 1 2 -1 0 0 0 1 2", leaf)},
+		{"leaf vertex -1", tree("0 1 2 -1 1 2 0 1 2", "-1 1 2 -1 -1 -1 0 0 -1")},
+		{"fourth vertex on a triangle", tree("0 1 2 -1 1 2 0 1 2", "0 1 2 0 -1 -1 0 0 -1")},
+		{"interior refinement edge -1", tree("0 1 2 -1 1 2 -1 1 2", leaf)},
+		{"interior midpoint -1", tree("0 1 2 -1 1 2 0 1 -1", leaf)},
+		{"triangles under a 3D header", strings.Replace(tree("0 1 2 -1 1 2 0 1 2", leaf), "pared-forest 2", "pared-forest 3", 1)},
 		{"negative vertex count", "pared-forest 2 1\ntree 0 0 -1 1\n" + leaf + "\n"},
 		{"no nodes", "pared-forest 2 1\ntree 0 0 3 0\n" + verts},
 		{"negative tree count", "pared-forest 2 -1\n"},

@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"pared/internal/geom"
+	"pared/internal/index"
+	"pared/internal/mesh"
 )
 
 // PayloadNode is one node of a serialized refinement tree. Vertex and kid
@@ -29,14 +31,22 @@ type TreePayload struct {
 }
 
 // check verifies node i of the payload of tree root, with nv vertices and nn
-// nodes, before InsertTree indexes with it: every vertex word is in [-1, nv),
-// and the kids are either both -1 or both in (i, nn). Preorder puts both kids
-// after their parent, which also rules out cycles, so InsertTree's recursion
-// terminates. Both decoders, decodeWire and Read, hold every node to it.
-func (n *PayloadNode) check(root int32, i, nv, nn int) error {
+// nodes, before InsertTree indexes with it, against a simplex of sv vertices
+// (3 in 2D, 4 in 3D): every vertex word is in [-1, nv), Verts[0..sv) are
+// vertices and the rest -1, and the kids are either both -1 or both in
+// (i, nn), in which case RefEdge and MidV are vertices too. Preorder puts both
+// kids after their parent, which also rules out cycles, so InsertTree's
+// recursion terminates. Both decoders, decodeWire and Read, hold every node
+// to it.
+func (n *PayloadNode) check(root int32, i, sv, nv, nn int) error {
 	for _, v := range [...]int32{n.Verts[0], n.Verts[1], n.Verts[2], n.Verts[3], n.RefEdge[0], n.RefEdge[1], n.MidV} {
 		if v < -1 || int(v) >= nv {
 			return fmt.Errorf("forest: tree %d node %d: vertex index %d outside [-1, %d)", root, i, v, nv)
+		}
+	}
+	for k, v := range n.Verts {
+		if (k < sv) != (v >= 0) {
+			return fmt.Errorf("forest: tree %d node %d: Verts[%d] = %d in a simplex of %d vertices", root, i, k, v, sv)
 		}
 	}
 	k0, k1 := int(n.Kids[0]), int(n.Kids[1])
@@ -45,7 +55,19 @@ func (n *PayloadNode) check(root int32, i, nv, nn int) error {
 	if !leaf && !interior {
 		return fmt.Errorf("forest: tree %d node %d: kids (%d, %d) neither both -1 nor both in (%d, %d)", root, i, k0, k1, i, nn)
 	}
+	if interior && (n.RefEdge[0] < 0 || n.RefEdge[1] < 0 || n.MidV < 0) {
+		return fmt.Errorf("forest: tree %d node %d: interior node with RefEdge (%d, %d) and MidV %d", root, i, n.RefEdge[0], n.RefEdge[1], n.MidV)
+	}
 	return nil
+}
+
+// Dim returns the dimension of the tree's simplices, read off its root: a
+// tetrahedron names a fourth vertex, a triangle does not.
+func (p *TreePayload) Dim() mesh.Dim {
+	if p.Nodes[0].Verts[3] < 0 {
+		return 2
+	}
+	return 3
 }
 
 // NumLeaves counts the leaves in the payload.
@@ -67,18 +89,16 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 		panic(fmt.Sprintf("forest: ExtractTree(%d): tree not held", root))
 	}
 	p := &TreePayload{Root: root, Level0: f.Node(rid).Level}
-	vmap := make(map[int32]int32)
+	var vmap index.Map // vertex slot -> payload-local index, for this tree only
 	mapv := func(v int32) int32 {
 		if v < 0 {
 			return -1
 		}
-		if pv, ok := vmap[v]; ok {
-			return pv
+		pv, ok := vmap.FindOrPut(uint64(v), int32(len(p.VIDs)))
+		if !ok {
+			p.VIDs = append(p.VIDs, f.VIDs[v])
+			p.Coords = append(p.Coords, f.Coords[v])
 		}
-		pv := int32(len(p.VIDs))
-		vmap[v] = pv
-		p.VIDs = append(p.VIDs, f.VIDs[v])
-		p.Coords = append(p.Coords, f.Coords[v])
 		return pv
 	}
 	var walk func(id NodeID) int32

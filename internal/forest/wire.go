@@ -91,6 +91,7 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 	}
 	buf = buf[nv*24:]
 	p.Nodes = make([]PayloadNode, nn)
+	sv := 0 // the simplex's vertex count, read off the root (TreePayload.Dim)
 	for i := range p.Nodes {
 		b := buf[i*payloadNodeWords*4:]
 		var w [payloadNodeWords]int32
@@ -103,7 +104,10 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 			RefEdge: [2]int32{w[6], w[7]},
 			MidV:    w[8],
 		}
-		if err := p.Nodes[i].check(p.Root, i, nv, nn); err != nil {
+		if i == 0 {
+			sv = int(p.Dim()) + 1
+		}
+		if err := p.Nodes[i].check(p.Root, i, sv, nv, nn); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -129,6 +133,8 @@ func EncodePayloads(ps []*TreePayload) []byte {
 }
 
 // DecodePayloads decodes a batch produced by EncodePayloads (nil for nil).
+// Each payload's dimension is read off its root and holds for all its nodes;
+// a receiver checks it against its own forest's (TreePayload.Dim).
 func DecodePayloads(buf []byte) ([]*TreePayload, error) {
 	if len(buf) == 0 {
 		return nil, nil

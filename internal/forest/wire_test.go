@@ -43,6 +43,11 @@ func malformedPayloads() (valid []byte, cases []malformedPayload) {
 		{"backward kid on a later node", patched(nodeWord(2, 4), 1)},
 		{"kid past the node table", patched(nodeWord(0, 5), 3)},
 		{"one kid only", patched(nodeWord(0, 5), -1)},
+		{"leaf vertex -1", patched(nodeWord(2, 0), -1)},
+		{"root vertex -1", patched(nodeWord(0, 1), -1)},
+		{"fourth vertex on a triangle", patched(nodeWord(1, 3), 0)},
+		{"interior refinement edge -1", patched(nodeWord(0, 6), -1)},
+		{"interior midpoint -1", patched(nodeWord(0, 8), -1)},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
 		{"count below the payloads present", append(append([]byte(nil), valid...), valid[4:]...)},
 	}
@@ -84,7 +89,7 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 
 // FuzzDecodePayloads: arbitrary bytes decode to an error or to payloads that
 // encode back to the same bytes — never to a panic — with allocation bounded
-// by the input's length. Seeded with the 16 buffers of
+// by the input's length. Seeded with the 21 buffers of
 // TestDecodePayloadsRejectsMalformed and the valid one they were cut from.
 func FuzzDecodePayloads(f *testing.F) {
 	valid, cases := malformedPayloads()

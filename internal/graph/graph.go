@@ -8,8 +8,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pared/internal/la"
 	"pared/internal/mesh"
@@ -58,10 +59,14 @@ func (g *Graph) Validate() error {
 	if int(g.Xadj[n]) != len(g.Adj) {
 		return fmt.Errorf("graph: Xadj[n]=%d != len(Adj)=%d", g.Xadj[n], len(g.Adj))
 	}
+	// Sum each half-edge (v, u) over repeated listings, then look every
+	// merged half's partner up in the sorted list; a missing partner weighs 0.
 	type half struct {
-		u, v int32
+		v, u int32
+		w    int64
 	}
-	w := make(map[half]int64, len(g.Adj))
+	byEnds := func(a, b half) int { return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.u, b.u)) }
+	hs := make([]half, 0, len(g.Adj))
 	for v := int32(0); v < int32(n); v++ {
 		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 			u := g.Adj[k]
@@ -71,15 +76,25 @@ func (g *Graph) Validate() error {
 			if u == v {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			w[half{v, u}] += g.EW[k]
+			hs = append(hs, half{v, u, g.EW[k]})
 		}
 	}
-	for v := int32(0); v < int32(n); v++ {
-		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-			u := g.Adj[k]
-			if w[half{v, u}] != w[half{u, v}] {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, u)
-			}
+	slices.SortFunc(hs, byEnds)
+	merged := hs[:0]
+	for _, h := range hs {
+		if last := len(merged) - 1; last >= 0 && byEnds(merged[last], h) == 0 {
+			merged[last].w += h.w
+		} else {
+			merged = append(merged, h)
+		}
+	}
+	for _, h := range merged {
+		back := int64(0)
+		if i, ok := slices.BinarySearchFunc(merged, half{v: h.u, u: h.v}, byEnds); ok {
+			back = merged[i].w
+		}
+		if back != h.w {
+			return fmt.Errorf("graph: asymmetric edge (%d,%d)", h.v, h.u)
 		}
 	}
 	return nil
@@ -89,12 +104,18 @@ func (g *Graph) Validate() error {
 type Builder struct {
 	n  int
 	vw []int64
-	ew map[uint64]int64
+	ew []keyW // one entry per AddEdge; Build sorts and merges them
+}
+
+// keyW is one AddEdge call: the edge's ekey and the weight it adds.
+type keyW struct {
+	k uint64
+	w int64
 }
 
 // NewBuilder creates a builder for n vertices, all with weight 1.
 func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, vw: make([]int64, n), ew: make(map[uint64]int64)}
+	b := &Builder{n: n, vw: make([]int64, n)}
 	for i := range b.vw {
 		b.vw[i] = 1
 	}
@@ -117,7 +138,7 @@ func (b *Builder) AddEdge(u, v int32, w int64) {
 	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: AddEdge(%d,%d) out of range n=%d", u, v, b.n))
 	}
-	b.ew[ekey(u, v)] += w
+	b.ew = append(b.ew, keyW{ekey(u, v), w})
 }
 
 // SetVW sets the weight of vertex v.
@@ -127,13 +148,18 @@ func (b *Builder) SetVW(v int32, w int64) { b.vw[v] = w }
 func (b *Builder) Build() *Graph {
 	g := &Graph{Xadj: make([]int32, b.n+1), VW: b.vw}
 	deg := make([]int32, b.n)
-	keys := make([]uint64, 0, len(b.ew))
-	for k := range b.ew {
-		keys = append(keys, k)
+	slices.SortFunc(b.ew, func(x, y keyW) int { return cmp.Compare(x.k, y.k) })
+	edges := b.ew[:0] // distinct keys, duplicates summed
+	for _, e := range b.ew {
+		if last := len(edges) - 1; last >= 0 && edges[last].k == e.k {
+			edges[last].w += e.w
+		} else {
+			edges = append(edges, e)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		u, v := int32(k>>32), int32(uint32(k))
+	b.ew = edges
+	for _, e := range edges {
+		u, v := int32(e.k>>32), int32(uint32(e.k))
 		deg[u]++
 		deg[v]++
 	}
@@ -144,9 +170,8 @@ func (b *Builder) Build() *Graph {
 	g.EW = make([]int64, g.Xadj[b.n])
 	pos := make([]int32, b.n)
 	copy(pos, g.Xadj[:b.n])
-	for _, k := range keys {
-		u, v := int32(k>>32), int32(uint32(k))
-		w := b.ew[k]
+	for _, e := range edges {
+		u, v, w := int32(e.k>>32), int32(uint32(e.k)), e.w
 		g.Adj[pos[u]], g.EW[pos[u]] = v, w
 		pos[u]++
 		g.Adj[pos[v]], g.EW[pos[v]] = u, w
@@ -326,7 +351,10 @@ func (g *Graph) Laplacian() *la.CSR {
 // distinct). It returns the subgraph and the original index of each subgraph
 // vertex.
 func (g *Graph) Subgraph(verts []int32) (*Graph, []int32) {
-	inv := make(map[int32]int32, len(verts))
+	inv := make([]int32, g.N()) // inv[v] is v's subgraph index, or -1
+	for i := range inv {
+		inv[i] = -1
+	}
 	for i, v := range verts {
 		inv[v] = int32(i)
 	}
@@ -334,7 +362,7 @@ func (g *Graph) Subgraph(verts []int32) (*Graph, []int32) {
 	for i, v := range verts {
 		b.SetVW(int32(i), g.VW[v])
 		g.Neighbors(v, func(u int32, w int64) {
-			if j, ok := inv[u]; ok && j > int32(i) {
+			if j := inv[u]; j > int32(i) {
 				b.AddEdge(int32(i), j, w)
 			}
 		})

@@ -41,6 +41,41 @@ func TestBuilderDedup(t *testing.T) {
 	}
 }
 
+// TestValidateRejects hands Validate one hand-written CSR per structural
+// defect it must refuse, and one valid graph whose row 0 lists neighbour 1
+// twice: a row's repeated neighbours are summed before symmetry is checked.
+func TestValidateRejects(t *testing.T) {
+	csr := func(xadj, adj []int32, ew []int64, n int) *Graph {
+		vw := make([]int64, n)
+		for i := range vw {
+			vw[i] = 1
+		}
+		return &Graph{Xadj: xadj, Adj: adj, EW: ew, VW: vw}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		ok   bool
+	}{
+		{"Xadj too short", csr([]int32{0, 1}, []int32{1}, []int64{1}, 2), false},
+		{"EW shorter than Adj", csr([]int32{0, 1, 2}, []int32{1, 0}, []int64{1}, 2), false},
+		{"Xadj[n] != len(Adj)", csr([]int32{0, 1, 1}, []int32{1, 0}, []int64{1, 1}, 2), false},
+		{"neighbour past n", csr([]int32{0, 1, 2}, []int32{2, 0}, []int64{1, 1}, 2), false},
+		{"negative neighbour", csr([]int32{0, 1, 2}, []int32{1, -1}, []int64{1, 1}, 2), false},
+		{"self-loop", csr([]int32{0, 2, 3}, []int32{1, 0, 0}, []int64{1, 1, 1}, 2), false},
+		{"one-sided edge", csr([]int32{0, 2, 3, 3}, []int32{1, 2, 0}, []int64{1, 1, 1}, 3), false},
+		{"asymmetric weights", csr([]int32{0, 1, 2}, []int32{1, 0}, []int64{2, 3}, 2), false},
+		{"repeated neighbour, sum differs", csr([]int32{0, 2, 3}, []int32{1, 1, 0}, []int64{1, 1, 1}, 2), false},
+		{"valid path", path(4), true},
+		{"valid, repeated neighbour", csr([]int32{0, 3, 4, 5}, []int32{1, 2, 1, 0, 0}, []int64{2, 4, 3, 5, 4}, 3), true},
+	} {
+		err := tc.g.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestFromDualStructured(t *testing.T) {
 	m := meshgen.RectTri(3, 3, 0, 0, 1, 1)
 	g := FromDual(m)

@@ -1,5 +1,7 @@
 // Package index is the uint64 → int32 hash index of the refinement path: the
-// refiner's edge records and the forest's vertex table are found through it.
+// refiner's edge records and the forest's vertex table are found through it,
+// and so are the engine's shared-vertex set and the vertex numbering of a
+// tree being extracted for migration.
 //
 // It is open-addressed with linear probing. A key's home slot is the top
 // bits of the key times a 64-bit odd constant (multiplicative hashing); the
@@ -101,6 +103,12 @@ func (m *Map) Delete(k uint64) (int32, bool) {
 	m.slots[i] = slot{}
 	m.n--
 	return v - 1, true
+}
+
+// Clear removes every entry and keeps the table for reuse.
+func (m *Map) Clear() {
+	clear(m.slots)
+	m.n = 0
 }
 
 // AppendKeys appends every key to dst, in slot order, and returns it.

@@ -166,6 +166,28 @@ func TestZeroMap(t *testing.T) {
 	}
 }
 
+// TestClearKeepsTheTable: a cleared Map is empty, keeps its table and takes
+// the same keys again.
+func TestClearKeepsTheTable(t *testing.T) {
+	var m Map
+	for k := uint64(0); k < 100; k++ {
+		m.FindOrPut(k, int32(k))
+	}
+	size := len(m.slots)
+	m.Clear()
+	if m.Len() != 0 || len(m.slots) != size || len(m.AppendKeys(nil)) != 0 {
+		t.Fatalf("after Clear: %d entries, %d slots (had %d)", m.Len(), len(m.slots), size)
+	}
+	for k := uint64(0); k < 100; k++ {
+		if _, ok := m.Find(k); ok {
+			t.Fatalf("key %d found after Clear", k)
+		}
+		if v, ok := m.FindOrPut(k, int32(k+1)); ok || v != int32(k+1) {
+			t.Fatalf("FindOrPut(%d) after Clear = %d, %v", k, v, ok)
+		}
+	}
+}
+
 // TestFindOrPutRejectsNegative: values are stored plus one, so a negative
 // one would read back as absent or as another value.
 func TestFindOrPutRejectsNegative(t *testing.T) {

@@ -176,7 +176,7 @@ type facetRec struct {
 // then element; the sort groups each facet's incidences into a run of
 // length 1 (boundary) or 2 (interior). This replaces the former map-based
 // FacetMap on the hot paths: the output order is canonical, so consumers
-// iterate deterministically without maporder suppressions.
+// iterate deterministically, and the map-free packages can use it.
 func (m *Mesh) facetRecords() []facetRec {
 	nf := m.FacetsPerElem()
 	recs := make([]facetRec, m.NumElems()*nf)

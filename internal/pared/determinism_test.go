@@ -13,9 +13,9 @@ import (
 // TestPipelineByteIdenticalAcrossRuns runs the complete distributed pipeline
 // — bootstrap, adaptive refinement with cross-rank conformity, and PNR
 // rebalancing — twice on the same workload and requires byte-identical owner
-// vectors. This is the regression test for the determinism work the maporder
-// lint check enforces statically: goroutine scheduling and map iteration
-// order must not leak into partition decisions.
+// vectors. This is the regression test for the determinism work that
+// nomap_test.go at the module root enforces structurally: goroutine
+// scheduling and map iteration order must not leak into partition decisions.
 func TestPipelineByteIdenticalAcrossRuns(t *testing.T) {
 	run := func() []int32 {
 		m := meshgen.RectTri(8, 8, -1, -1, 1, 1)

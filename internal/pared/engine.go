@@ -27,6 +27,7 @@ import (
 	"pared/internal/core"
 	"pared/internal/forest"
 	"pared/internal/graph"
+	"pared/internal/index"
 	"pared/internal/mesh"
 	"pared/internal/par"
 	"pared/internal/partition"
@@ -229,10 +230,12 @@ type Engine struct {
 	// boundary; splits of edges with both endpoints here are exchanged. It
 	// holds the vertices of the leaf facets that lie on a root facet whose far
 	// side this rank does not hold — a remote tree or ∂Ω alike (rebuildShared)
-	// — plus the midpoints of shared edges split since.
-	shared map[forest.VertexID]bool
-	// pending holds remote splits not yet applicable locally.
-	pending map[refine.EdgeSplit]bool
+	// — plus the midpoints of shared edges split since. It is keyed by
+	// VertexID; the values are unused.
+	shared index.Map
+	// pending holds remote splits not yet applicable locally, sorted and
+	// without repeats after each Adapt round.
+	pending []refine.EdgeSplit
 	// received is Adapt's scratch for one peer's decoded split report.
 	received []refine.EdgeSplit
 	// indicator is Adapt's per-call memo of the estimator, indexed by NodeID;
@@ -287,13 +290,11 @@ func New(c *par.Comm, coarseMesh *mesh.Mesh, owner []int32) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		Comm:    c,
-		Coarse:  coarseMesh,
-		Owner:   append([]int32(nil), owner...),
-		F:       forest.New(coarseMesh.Dim),
-		topo:    newCoarseTopo(coarseMesh),
-		shared:  make(map[forest.VertexID]bool),
-		pending: make(map[refine.EdgeSplit]bool),
+		Comm:   c,
+		Coarse: coarseMesh,
+		Owner:  append([]int32(nil), owner...),
+		F:      forest.New(coarseMesh.Dim),
+		topo:   newCoarseTopo(coarseMesh),
 	}
 	// Intern only the vertices of owned elements; IDs are the coarse indices.
 	me := int32(c.Rank())
@@ -338,7 +339,7 @@ func Bootstrap(c *par.Comm, coarseMesh *mesh.Mesh) *Engine {
 // hold. "Holds" is read off the forest, not Owner — migrate calls this before
 // Rebalance installs the new owner map.
 func (e *Engine) rebuildShared() {
-	clear(e.shared)
+	e.shared.Clear()
 	for _, r := range e.F.Roots() {
 		var open uint8
 		across := e.topo.acrossOf(r)
@@ -359,12 +360,21 @@ func (e *Engine) rebuildShared() {
 				}
 				for k, v := range n.Verts[:nv] {
 					if k != skip {
-						e.shared[e.F.VIDs[v]] = true
+						e.share(e.F.VIDs[v])
 					}
 				}
 			}
 		})
 	}
+}
+
+// share adds vertex id to the shared set.
+func (e *Engine) share(id forest.VertexID) { e.shared.FindOrPut(uint64(id), 0) }
+
+// isShared reports whether vertex id is in the shared set.
+func (e *Engine) isShared(id forest.VertexID) bool {
+	_, ok := e.shared.Find(uint64(id))
+	return ok
 }
 
 // AdaptStats reports what a distributed adaptation did (per rank, with
@@ -423,30 +433,28 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		// wire form is two words per split, (A, B).
 		var out []int64
 		for _, s := range e.R.TakeNewSplits() {
-			if e.shared[s.A] && e.shared[s.B] {
+			if e.isShared(s.A) && e.isShared(s.B) {
 				out = append(out, int64(s.A), int64(s.B))
-				e.shared[forest.MidID(s.A, s.B)] = true
+				e.share(forest.MidID(s.A, s.B))
 			}
 		}
 		// Exchange with every rank (p is small; neighbor filtering would cut
 		// traffic but not change results).
 		e.parkSplits(e.Comm.AllGatherInt64(out))
 		// Apply pending remote splits in sorted order: MarkSplitByID mutates
-		// the refiner, so map-order iteration would make the refinement
-		// history (and thus vertex numbering) run-dependent.
-		pend := make([]refine.EdgeSplit, 0, len(e.pending))
-		for s := range e.pending {
-			pend = append(pend, s)
-		}
-		slices.SortFunc(pend, refine.EdgeSplit.Compare)
+		// the refiner, so the order of the peers' reports would otherwise
+		// fix the refinement history (and thus vertex numbering). A split
+		// applied, or split here meanwhile, leaves pending.
+		slices.SortFunc(e.pending, refine.EdgeSplit.Compare)
+		pend := slices.Compact(e.pending)
+		e.pending = pend[:0]
 		applied := 0
 		for _, s := range pend {
 			if e.R.MarkSplitByID(s) {
 				applied++
-				delete(e.pending, s)
-				e.shared[forest.MidID(s.A, s.B)] = true
-			} else if e.R.IsSplit(s) {
-				delete(e.pending, s)
+				e.share(forest.MidID(s.A, s.B))
+			} else if !e.R.IsSplit(s) {
+				e.pending = append(e.pending, s)
 			}
 		}
 		changed := int64(len(out)/2 + applied)
@@ -461,7 +469,7 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 				return false
 			}
 			p := e.F.Node(n.Parent)
-			if p.MidV >= 0 && e.shared[e.F.VIDs[p.MidV]] {
+			if p.MidV >= 0 && e.isShared(e.F.VIDs[p.MidV]) {
 				return false // interface or ∂Ω midpoint: shared cannot tell them apart
 			}
 			return indicator(id) < coarsenTol
@@ -493,7 +501,7 @@ func (e *Engine) parkSplits(reports [][]int64) {
 		}
 		for _, s := range splits {
 			if !e.R.IsSplit(s) {
-				e.pending[s] = true
+				e.pending = append(e.pending, s)
 			}
 		}
 		e.received = splits
@@ -880,7 +888,7 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 			panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 		}
 		for _, p := range ps {
-			if err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p.Root); err != nil {
+			if err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p); err != nil {
 				panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 			}
 			e.F.InsertTree(p)
@@ -897,7 +905,7 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		return 0, 0
 	}
 	e.R.Settle()
-	clear(e.pending)
+	e.pending = e.pending[:0]
 	e.rebuildShared()
 	if check.Enabled {
 		// The spliced incidence must be what a rebuild from the leaves gives.
@@ -907,28 +915,34 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 	return trees, elems
 }
 
-// checkSender vets a tree that rank from sent, before its root indexes
-// anything: the root must be a tree of the coarse mesh, which owner covers,
-// and the sender must own it under owner.
-func checkSender(owner []int32, from int, root int32) error {
+// checkSender vets a tree p that rank from sent to a forest of dimension
+// dim, before its root indexes anything: the root must be a tree of the
+// coarse mesh, which owner covers, the sender must own it under owner, and
+// its simplices must have the receiver's dimension.
+func checkSender(owner []int32, dim mesh.Dim, from int, p *forest.TreePayload) error {
+	root := p.Root
 	if root < 0 || int(root) >= len(owner) {
 		return fmt.Errorf("rank %d sent tree %d, outside [0, %d)", from, root, len(owner))
 	}
 	if owner[root] != int32(from) {
 		return fmt.Errorf("rank %d sent tree %d, which rank %d owns", from, root, owner[root])
 	}
+	if p.Dim() != dim {
+		return fmt.Errorf("rank %d sent tree %d of dimension %d into a forest of dimension %d", from, root, p.Dim(), dim)
+	}
 	return nil
 }
 
-// checkArrival vets a tree that rank from migrated to rank me, before it is
+// checkArrival vets a tree p that rank from migrated to rank me, before it is
 // spliced into f: checkSender under the old owner map, and the new map must
 // assign it to me, which must not hold it yet. The dense root index of f
 // grows to the largest root spliced in, so this is also what keeps a corrupt
 // root from sizing it.
-func checkArrival(f *forest.Forest, owner, newOwner []int32, me, from int, root int32) error {
-	if err := checkSender(owner, from, root); err != nil {
+func checkArrival(f *forest.Forest, owner, newOwner []int32, me, from int, p *forest.TreePayload) error {
+	if err := checkSender(owner, f.Dim, from, p); err != nil {
 		return err
 	}
+	root := p.Root
 	if newOwner[root] != int32(me) {
 		return fmt.Errorf("rank %d sent tree %d to rank %d, which the new owner map gives rank %d", from, root, me, newOwner[root])
 	}
@@ -959,7 +973,7 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 		}
 		for _, p := range ps {
-			if err := checkSender(e.Owner, from, p.Root); err != nil {
+			if err := checkSender(e.Owner, e.F.Dim, from, p); err != nil {
 				panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 			}
 			g.InsertTree(p)

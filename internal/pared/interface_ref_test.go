@@ -2,12 +2,12 @@ package pared
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
 	"pared/internal/forest"
 	"pared/internal/graph"
+	"pared/internal/index"
 )
 
 // The interface derivations as they stood before the tree-boundary descent,
@@ -305,18 +305,19 @@ func checkInterfaceOracle(e *Engine) (*graph.Graph, *forest.Forest) {
 	}
 
 	// shared: rebuildShared forgets the split midpoints accumulated since the
-	// last migration, and refills the map in place, so a copy of the live set
-	// is put back afterwards.
-	live := maps.Clone(e.shared)
+	// last migration, so it refills a fresh index, and the live one is put
+	// back afterwards.
+	live := e.shared
+	e.shared = index.Map{}
 	e.rebuildShared()
 	got := e.shared
 	e.shared = live
 	want := e.refShared()
-	if len(got) != len(want) {
-		fail("shared has %d vertices, the facet hash %d", len(got), len(want))
+	if got.Len() != len(want) {
+		fail("shared has %d vertices, the facet hash %d", got.Len(), len(want))
 	}
 	for v := range want {
-		if !got[v] {
+		if _, ok := got.Find(uint64(v)); !ok {
 			fail("vertex %x is on an unmatched leaf facet but not in shared", uint64(v))
 		}
 	}

@@ -304,8 +304,9 @@ func TestDecodeSplits(t *testing.T) {
 
 // TestCheckArrival: a migrated tree is spliced in only if its root is a tree
 // of the coarse mesh, its sender owned it, the new owner map gives it to the
-// receiver and the receiver does not hold it yet; anything else is an error
-// naming the sender, before the root indexes the forest.
+// receiver, the receiver does not hold it yet and its simplices have the
+// receiver's dimension; anything else is an error naming the sender, before
+// the root indexes the forest.
 func TestCheckArrival(t *testing.T) {
 	f := forest.FromMesh(meshgen.RectTri(2, 2, 0, 0, 1, 1)) // trees 0..7
 	for r := int32(2); r < 8; r++ {
@@ -313,6 +314,9 @@ func TestCheckArrival(t *testing.T) {
 	}
 	owner := []int32{1, 1, 0, 0, 2, 2, 3, 3}
 	newOwner := []int32{1, 1, 1, 0, 1, 2, 3, 3}
+	tree := func(root, v3 int32) *forest.TreePayload {
+		return &forest.TreePayload{Root: root, Nodes: []forest.PayloadNode{{Verts: [4]int32{0, 1, 2, v3}, Kids: [2]int32{-1, -1}, MidV: -1}}}
+	}
 	cases := []struct {
 		name string
 		from int
@@ -328,7 +332,7 @@ func TestCheckArrival(t *testing.T) {
 		{"already held", 1, 0, "rank 1 sent tree 0, which rank 1 already holds"},
 	}
 	for _, tc := range cases {
-		err := checkArrival(f, owner, newOwner, 1, tc.from, tc.root)
+		err := checkArrival(f, owner, newOwner, 1, tc.from, tree(tc.root, -1))
 		if tc.err == "" {
 			if err != nil {
 				t.Errorf("%s: %v, want no error", tc.name, err)
@@ -338,5 +342,9 @@ func TestCheckArrival(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
 		}
+	}
+	want := "rank 0 sent tree 2 of dimension 3 into a forest of dimension 2"
+	if err := checkArrival(f, owner, newOwner, 1, 0, tree(2, 3)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a tetrahedron into a 2D forest: error %v, want one containing %q", err, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"pared/internal/fem"
-	"pared/internal/forest"
 	"pared/internal/refine"
 )
 
@@ -47,8 +46,8 @@ func (e *Engine) ZZEstimator(sol *DistSolution) refine.Estimator {
 			g[2] /= g[3]
 		}
 	}
-	byNode := make(map[forest.NodeID]float64, m.NumElems())
-	for el, id := range sol.Mesh.Leaf2Node {
+	ind := make([]float64, len(sol.Mesh.Leaf2Node))
+	for el := range sol.Mesh.Leaf2Node {
 		ge := fem.ElemGradient(m, sol.U, el)
 		nv := m.Elems[el].Nv()
 		acc := 0.0
@@ -57,16 +56,8 @@ func (e *Engine) ZZEstimator(sol *DistSolution) refine.Estimator {
 			dx, dy, dz := ge.X-g[0], ge.Y-g[1], ge.Z-g[2]
 			acc += dx*dx + dy*dy + dz*dz
 		}
-		byNode[id] = math.Sqrt(m.ElemVolume(el) * acc / float64(nv))
+		ind[el] = math.Sqrt(m.ElemVolume(el) * acc / float64(nv))
 	}
-	return refine.EstimatorFunc(func(f *forest.Forest, id forest.NodeID) float64 {
-		// Fresh children inherit the nearest evaluated ancestor's indicator
-		// (see fem.ZZEstimator).
-		for n := id; n != forest.NoNode; n = f.Node(n).Parent {
-			if v, ok := byNode[n]; ok {
-				return v
-			}
-		}
-		return 0
-	})
+	// Fresh children inherit the nearest evaluated ancestor's indicator.
+	return fem.InheritedEstimator(sol.Mesh.Leaf2Node, ind)
 }

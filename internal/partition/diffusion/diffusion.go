@@ -15,7 +15,7 @@
 package diffusion
 
 import (
-	"sort"
+	"slices"
 
 	"pared/internal/graph"
 	"pared/internal/la"
@@ -88,6 +88,12 @@ func hoBlakeFlow(g *graph.Graph, parts []int32, p int, w []int64, avg float64) [
 	return flow
 }
 
+// partGain is the cut gain of moving one vertex to part.
+type partGain struct {
+	part int32
+	gain int64
+}
+
 // migrateFlow moves boundary vertices to satisfy the positive flows, always
 // choosing the highest-cut-gain admissible move. Each vertex moves at most
 // once per round (so opposing flows cannot ping-pong it), moves never empty
@@ -98,6 +104,7 @@ func migrateFlow(g *graph.Graph, parts []int32, p int, flow [][]float64) bool {
 	moved := false
 	locked := make([]bool, g.N())
 	partW := partition.PartWeights(g, parts, p)
+	var gains []partGain
 	for iter := 0; iter < g.N(); iter++ {
 		var selV, selTo int32 = -1, -1
 		var selGain int64
@@ -109,18 +116,26 @@ func migrateFlow(g *graph.Graph, parts []int32, p int, flow [][]float64) bool {
 			if partW[i] <= g.VW[v] {
 				continue // would empty the part
 			}
-			var gainTo map[int32]int64
+			// Gains per destination part, kept in ascending part order: on
+			// equal gain the smallest part wins, keeping the move sequence
+			// deterministic.
+			gains = gains[:0]
 			g.Neighbors(v, func(u int32, ew int64) {
 				j := parts[u]
 				if j == i || flow[i][j] < float64(g.VW[v])/2 {
 					return
 				}
-				if gainTo == nil {
-					gainTo = make(map[int32]int64, 4)
+				k := 0
+				for k < len(gains) && gains[k].part < j {
+					k++
 				}
-				gainTo[j] += ew
+				if k < len(gains) && gains[k].part == j {
+					gains[k].gain += ew
+				} else {
+					gains = slices.Insert(gains, k, partGain{j, ew})
+				}
 			})
-			if gainTo == nil {
+			if len(gains) == 0 {
 				continue
 			}
 			var internal int64
@@ -129,17 +144,10 @@ func migrateFlow(g *graph.Graph, parts []int32, p int, flow [][]float64) bool {
 					internal += ew
 				}
 			})
-			// Consider destinations in sorted order: on equal gain the
-			// smallest part wins, keeping the move sequence deterministic.
-			dests := make([]int32, 0, len(gainTo))
-			for j := range gainTo {
-				dests = append(dests, j)
-			}
-			sort.Slice(dests, func(a, b int) bool { return dests[a] < dests[b] })
-			for _, j := range dests {
-				gain := gainTo[j] - internal
+			for _, pg := range gains {
+				gain := pg.gain - internal
 				if selV < 0 || gain > selGain || (gain == selGain && v < selV) {
-					selV, selTo, selGain = v, j, gain
+					selV, selTo, selGain = v, pg.part, gain
 				}
 			}
 		}

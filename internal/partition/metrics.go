@@ -130,17 +130,16 @@ func WeightedMigrationCost(vw []int64, old, new []int32, dist [][]int32) int64 {
 // identifies for high-latency networks ("the number of adjacent
 // subdomains").
 func AdjacentSubdomains(g *graph.Graph, parts []int32, p int) (avg float64, max int) {
-	adj := make(map[[2]int32]bool)
+	seen := make([]uint64, (p*p+63)/64) // bit a·p+b: parts a and b touch
+	deg := make([]int, p)
 	for v := int32(0); v < int32(g.N()); v++ {
 		g.Neighbors(v, func(u int32, _ int64) {
-			if parts[v] != parts[u] {
-				adj[[2]int32{parts[v], parts[u]}] = true
+			a, b := parts[v], parts[u]
+			if i := int(a)*p + int(b); a != b && seen[i/64]&(1<<(i%64)) == 0 {
+				seen[i/64] |= 1 << (i % 64)
+				deg[a]++
 			}
 		})
-	}
-	deg := make([]int, p)
-	for k := range adj {
-		deg[k[0]]++
 	}
 	total := 0
 	for _, d := range deg {

@@ -414,20 +414,26 @@ func (r *Refiner) CheckInvariants() error {
 	if got == want {
 		return nil
 	}
-	count := make(map[uint64]int)
+	var keys []uint64 // one per leaf edge, sorted: an edge's count is its run
 	r.F.VisitLeaves(func(id forest.NodeID) {
-		r.forEachEdge(id, func(a, b int32) { count[edgeKey(a, b)]++ })
+		r.forEachEdge(id, func(a, b int32) { keys = append(keys, edgeKey(a, b)) })
 	})
+	slices.Sort(keys)
+	count := func(k uint64) int {
+		lo, _ := slices.BinarySearch(keys, k)
+		hi, _ := slices.BinarySearch(keys, k+1)
+		return hi - lo
+	}
 	var worst *edgeRec
 	for i := int32(0); i < r.edges.n; i++ {
 		e := r.edges.at(i)
-		if e.a >= 0 && len(e.leaves) != count[e.key()] &&
+		if e.a >= 0 && len(e.leaves) != count(e.key()) &&
 			(worst == nil || r.edgeSplit(e.a, e.b).Compare(r.edgeSplit(worst.a, worst.b)) < 0) {
 			worst = e
 		}
 	}
 	if worst != nil {
-		return fmt.Errorf("refine: edge %v incidence %d, want %d", r.edgeSplit(worst.a, worst.b), len(worst.leaves), count[worst.key()])
+		return fmt.Errorf("refine: edge %v incidence %d, want %d", r.edgeSplit(worst.a, worst.b), len(worst.leaves), count(worst.key()))
 	}
 	return fmt.Errorf("refine: incidence holds %d entries, the leaves have %d", got, want)
 }
