@@ -107,6 +107,13 @@ type Forest struct {
 	VIDs []VertexID
 	// Nodes holds all tree nodes; slots of coarsened nodes are reused.
 	Nodes []Node
+	// Field is an optional nodal field, one value per vertex slot (the last
+	// solution of the distributed solve), or nil: it stays nil until something
+	// sets it, and then grows with the vertex table. A slot InternVertex hands
+	// out starts at 0, a midpoint made by InternMidpoint at the mean of its
+	// edge's endpoints, and a slot InsertTree fills at the payload's value; a
+	// free slot keeps the value of the vertex that last held it.
+	Field []float64
 
 	vidx  index.Map // global ID -> local index, for live vertex slots only
 	uses  []int32   // per vertex slot, the live nodes whose Verts name it
@@ -121,6 +128,10 @@ type Forest struct {
 	trees   []treeSlot
 	free    []NodeID // reusable dead slots
 	nLeaves int
+	// vnum is ExtractTree's numbering scratch: per vertex slot, its index in
+	// the payload being built, or -1. It is all -1 between calls and as long
+	// as the vertex table was at the last extraction.
+	vnum []int32
 }
 
 // treeSlot is the dense index's entry for one tree.
@@ -159,6 +170,27 @@ func FromMesh(m *mesh.Mesh) *Forest {
 // collision (same ID, different coordinates), which the deterministic
 // midpoint naming makes astronomically unlikely.
 func (f *Forest) InternVertex(id VertexID, c geom.Vec3) int32 {
+	li, _ := f.intern(id, c)
+	return li
+}
+
+// InternMidpoint returns the local index of the midpoint of the edge between
+// local vertices a and b, interning it as InternVertex does under MidID's
+// name. A new midpoint's field value is the mean of the endpoints' values,
+// which is exact P1 interpolation; the mean is symmetric in a and b, so every
+// forest that splits the edge, local or remote, derives the same value from
+// the same endpoint values. A midpoint already held keeps its value.
+func (f *Forest) InternMidpoint(a, b int32) int32 {
+	li, fresh := f.intern(MidID(f.VIDs[a], f.VIDs[b]), f.Coords[a].Mid(f.Coords[b]))
+	if fresh && f.Field != nil {
+		f.Field[li] = (f.Field[a] + f.Field[b]) / 2
+	}
+	return li
+}
+
+// intern is InternVertex, also reporting whether the slot is new; a new slot
+// of a forest with a field starts at 0.
+func (f *Forest) intern(id VertexID, c geom.Vec3) (li int32, fresh bool) {
 	next, nfree := int32(len(f.Coords)), len(f.freeV)
 	if nfree > 0 {
 		next = f.freeV[nfree-1]
@@ -168,17 +200,23 @@ func (f *Forest) InternVertex(id VertexID, c geom.Vec3) int32 {
 		if f.Coords[li] != c {
 			panic(fmt.Sprintf("forest: VertexID collision: id %x at %v and %v", uint64(id), f.Coords[li], c))
 		}
-		return li
+		return li, false
 	}
 	if nfree > 0 {
 		f.freeV = f.freeV[:nfree-1]
 		f.Coords[li], f.VIDs[li] = c, id
-		return li
+		if f.Field != nil {
+			f.Field[li] = 0
+		}
+		return li, true
 	}
 	f.Coords = push(f.Coords, c)
 	f.VIDs = push(f.VIDs, id)
 	f.uses = push(f.uses, 0)
-	return li
+	if f.Field != nil {
+		f.Field = push(f.Field, 0)
+	}
+	return li, true
 }
 
 // freeVertex frees vertex slot v, which no live node names any more.
@@ -194,10 +232,13 @@ func (f *Forest) Uses(v int32) int { return int(f.uses[v]) }
 // CheckVertices verifies (for tests and paredassert) the vertex bookkeeping:
 // each slot's use count equals a recount over the live nodes, a free slot has
 // no use and is not indexed, a used slot is indexed under its own ID, and the
-// index holds the used slots only. Call it where no midpoint is interned
-// without its nodes, as at refinement quiescence. The fault reported is the
-// one on the smallest slot.
+// index holds the used slots only; a field, if any, has one value per slot.
+// Call it where no midpoint is interned without its nodes, as at refinement
+// quiescence. The fault reported is the one on the smallest slot.
 func (f *Forest) CheckVertices() error {
+	if f.Field != nil && len(f.Field) != len(f.Coords) {
+		return fmt.Errorf("forest: field of %d values over %d vertex slots", len(f.Field), len(f.Coords))
+	}
 	count := make([]int32, len(f.Coords))
 	for i := range f.Nodes {
 		if n := &f.Nodes[i]; !n.Dead {

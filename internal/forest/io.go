@@ -11,7 +11,9 @@ import (
 // Write serializes the forest — vertices with global IDs, and every tree in
 // payload form — in a line-oriented text format, so adapted meshes with
 // their full refinement history can be stored and reloaded (for checkpoint/
-// restart, or to partition a previously adapted mesh offline).
+// restart, or to partition a previously adapted mesh offline). The format
+// carries no field (Forest.Field): a reloaded forest has none, so the first
+// distributed solve on it starts cold.
 //
 // Format:
 //

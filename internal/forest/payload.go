@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"pared/internal/geom"
-	"pared/internal/index"
 	"pared/internal/mesh"
 )
 
@@ -21,12 +20,15 @@ type PayloadNode struct {
 // TreePayload is a self-contained serialization of one refinement history
 // tree. It is what moves between processors when PNR reassigns a coarse
 // element: "when an element is migrated to another processor all its
-// descendants are migrated as well" (paper §2).
+// descendants are migrated as well" (paper §2). The tree's data moves with
+// it: Field holds the forest's field value at each vertex, or is nil for a
+// forest without a field (a bare tree).
 type TreePayload struct {
 	Root   int32
 	Level0 int32 // level of the root node (0 unless trees are re-rooted)
 	VIDs   []VertexID
 	Coords []geom.Vec3
+	Field  []float64     // nil, or one value per vertex
 	Nodes  []PayloadNode // preorder; node 0 is the tree root
 }
 
@@ -81,24 +83,31 @@ func (p *TreePayload) NumLeaves() int {
 	return n
 }
 
-// ExtractTree serializes tree root into a payload. The forest is unchanged;
-// pair with RemoveTree to complete a migration send.
+// ExtractTree serializes tree root into a payload, with the field values of
+// its vertices if the forest has a field. The forest is unchanged; pair with
+// RemoveTree to complete a migration send. Vertices are numbered in order of
+// first use through the forest's dense per-slot scratch, which the payload's
+// own vertex list resets afterwards.
 func (f *Forest) ExtractTree(root int32) *TreePayload {
 	rid := f.Root(root)
 	if rid == NoNode {
 		panic(fmt.Sprintf("forest: ExtractTree(%d): tree not held", root))
 	}
 	p := &TreePayload{Root: root, Level0: f.Node(rid).Level}
-	var vmap index.Map // vertex slot -> payload-local index, for this tree only
+	for len(f.vnum) < len(f.Coords) {
+		f.vnum = append(f.vnum, -1)
+	}
 	mapv := func(v int32) int32 {
 		if v < 0 {
 			return -1
 		}
-		pv, ok := vmap.FindOrPut(uint64(v), int32(len(p.VIDs)))
-		if !ok {
-			p.VIDs = append(p.VIDs, f.VIDs[v])
-			p.Coords = append(p.Coords, f.Coords[v])
+		if pv := f.vnum[v]; pv >= 0 {
+			return pv
 		}
+		pv := int32(len(p.VIDs))
+		f.vnum[v] = pv
+		p.VIDs = append(p.VIDs, f.VIDs[v])
+		p.Coords = append(p.Coords, f.Coords[v])
 		return pv
 	}
 	var walk func(id NodeID) int32
@@ -120,6 +129,16 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 		return slot
 	}
 	walk(rid)
+	if f.Field != nil {
+		p.Field = make([]float64, len(p.VIDs))
+	}
+	for i, id := range p.VIDs {
+		v := f.LookupVertex(id)
+		f.vnum[v] = -1
+		if p.Field != nil {
+			p.Field[i] = f.Field[v]
+		}
+	}
 	return p
 }
 
@@ -151,14 +170,24 @@ func (f *Forest) RemoveTree(root int32) {
 }
 
 // InsertTree splices a payload into the forest, interning its vertices.
-// It panics if the tree is already held or its root is negative. The dense
-// root index grows to one past p.Root: a payload off the wire must have its
-// root checked against the coarse mesh first.
+// A vertex the forest does not hold yet takes the payload's field value; one
+// it holds keeps its own. A payload with a field gives a forest without one a
+// field, 0 at the vertices already held. It panics if the tree is already
+// held or its root is negative. The dense root index grows to one past
+// p.Root: a payload off the wire must have its root checked against the
+// coarse mesh first.
 func (f *Forest) InsertTree(p *TreePayload) NodeID {
 	f.mustPlace(p.Root, "InsertTree")
+	if p.Field != nil && f.Field == nil {
+		f.Field = make([]float64, len(f.Coords))
+	}
 	verts := make([]int32, len(p.VIDs))
 	for i := range p.VIDs {
-		verts[i] = f.InternVertex(p.VIDs[i], p.Coords[i])
+		li, fresh := f.intern(p.VIDs[i], p.Coords[i])
+		if fresh && p.Field != nil {
+			f.Field[li] = p.Field[i]
+		}
+		verts[i] = li
 	}
 	mapv := func(v int32) int32 {
 		if v < 0 {

@@ -17,26 +17,42 @@ import (
 // Layout per payload (all little-endian):
 //
 //	int32  root, level0
-//	int32  nVIDs, nNodes
+//	uint32 nVIDs | F<<31      F = 1: the payload carries a field
+//	int32  nNodes
 //	uint64 VIDs[nVIDs]
 //	f64    Coords[nVIDs]{X,Y,Z}
+//	uint32 nField             F = 1 only; must equal nVIDs
+//	f64    Field[nField]      F = 1 only
 //	int32  Nodes[nNodes]{Verts[4], Kids[2], RefEdge[2], MidV}
 //
-// A batch is a uint32 payload count followed by the payloads.
+// A batch is a uint32 payload count followed by the payloads. A bare tree
+// (Field nil) has F = 0 and no field words, so workloads that never set a
+// field send no field bytes (TestBarePayloadBytesUnchanged).
 
 // payloadNodeWords is the number of int32 words in one wire PayloadNode.
 const payloadNodeWords = 9
 
+// fieldFlag is the bit of the vertex-count word that marks a field.
+const fieldFlag = 1 << 31
+
 // wireSize returns the encoded size of p in bytes.
 func (p *TreePayload) wireSize() int {
-	return 4*4 + len(p.VIDs)*8 + len(p.Coords)*24 + len(p.Nodes)*payloadNodeWords*4
+	size := 4*4 + len(p.VIDs)*8 + len(p.Coords)*24 + len(p.Nodes)*payloadNodeWords*4
+	if p.Field != nil {
+		size += 4 + len(p.Field)*8
+	}
+	return size
 }
 
 // appendWire appends the wire encoding of p to buf.
 func (p *TreePayload) appendWire(buf []byte) []byte {
+	nv := uint32(len(p.VIDs))
+	if p.Field != nil {
+		nv |= fieldFlag
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Root))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Level0))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.VIDs)))
+	buf = binary.LittleEndian.AppendUint32(buf, nv)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Nodes)))
 	for _, v := range p.VIDs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
@@ -45,6 +61,12 @@ func (p *TreePayload) appendWire(buf []byte) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.X))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Y))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Z))
+	}
+	if p.Field != nil {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Field)))
+		for _, x := range p.Field {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
 	}
 	for _, n := range p.Nodes {
 		for _, w := range [payloadNodeWords]int32{
@@ -66,10 +88,14 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		Root:   int32(binary.LittleEndian.Uint32(buf[0:])),
 		Level0: int32(binary.LittleEndian.Uint32(buf[4:])),
 	}
-	nv := int(binary.LittleEndian.Uint32(buf[8:]))
+	nvw := binary.LittleEndian.Uint32(buf[8:])
+	nv, hasField := int(nvw&^fieldFlag), nvw&fieldFlag != 0
 	nn := int(binary.LittleEndian.Uint32(buf[12:]))
 	buf = buf[16:]
 	need := nv*8 + nv*24 + nn*payloadNodeWords*4
+	if hasField {
+		need += 4 + nv*8
+	}
 	if len(buf) < need {
 		return nil, nil, fmt.Errorf("forest: truncated payload body (%d < %d bytes)", len(buf), need)
 	}
@@ -90,6 +116,16 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		}
 	}
 	buf = buf[nv*24:]
+	if hasField {
+		if nf := int(binary.LittleEndian.Uint32(buf)); nf != nv {
+			return nil, nil, fmt.Errorf("forest: payload of tree %d has %d field values for %d vertices", p.Root, nf, nv)
+		}
+		p.Field = make([]float64, nv)
+		for i := range p.Field {
+			p.Field[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4+i*8:]))
+		}
+		buf = buf[4+nv*8:]
+	}
 	p.Nodes = make([]PayloadNode, nn)
 	sv := 0 // the simplex's vertex count, read off the root (TreePayload.Dim)
 	for i := range p.Nodes {

@@ -10,9 +10,9 @@ import (
 	"pared/internal/meshgen"
 )
 
-// malformedPayloads returns a valid one-tree batch and that batch made wrong
-// in each way a wire buffer can be wrong.
-func malformedPayloads() (valid []byte, cases []malformedPayload) {
+// malformedPayloads returns a valid one-tree batch, the same tree with a
+// field, and those batches made wrong in each way a wire buffer can be wrong.
+func malformedPayloads() (valid, withField []byte, cases []malformedPayload) {
 	f := FromMesh(meshgen.RectTri(1, 1, 0, 0, 1, 1))
 	leaf := f.Root(0)
 	a, b := f.LongestEdge(leaf)
@@ -23,12 +23,17 @@ func malformedPayloads() (valid []byte, cases []malformedPayload) {
 	nodeWord := func(i, k int) int {
 		return 4 + 16 + len(p.VIDs)*32 + (i*payloadNodeWords+k)*4
 	}
-	patched := func(off int, v int32) []byte {
-		buf := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+	patchedIn := func(in []byte, off int, v uint32) []byte {
+		buf := append([]byte(nil), in...)
+		binary.LittleEndian.PutUint32(buf[off:], v)
 		return buf
 	}
-	return valid, []malformedPayload{
+	patched := func(off int, v int32) []byte { return patchedIn(valid, off, uint32(v)) }
+	pf := *p
+	pf.Field = []float64{1, -2, 0.5, -0.75}
+	withField = EncodePayloads([]*TreePayload{&pf})
+	nv := uint32(len(p.VIDs))
+	return valid, withField, []malformedPayload{
 		{"truncated batch count", valid[:2]},
 		{"truncated header", valid[:4+10]},
 		{"truncated body", valid[:len(valid)-5]},
@@ -50,6 +55,8 @@ func malformedPayloads() (valid []byte, cases []malformedPayload) {
 		{"interior midpoint -1", patched(nodeWord(0, 8), -1)},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
 		{"count below the payloads present", append(append([]byte(nil), valid...), valid[4:]...)},
+		{"field flag on a bare body", patchedIn(valid, 4+8, nv|fieldFlag)},
+		{"field length mismatch", patchedIn(withField, 4+16+len(p.VIDs)*32, nv-1)},
 	}
 }
 
@@ -76,9 +83,11 @@ func decodeBounded(t *testing.T, name string, buf []byte) ([]*TreePayload, error
 // an error — not a panic here or later in InsertTree — without allocating
 // beyond the order of the input's size.
 func TestDecodePayloadsRejectsMalformed(t *testing.T) {
-	valid, cases := malformedPayloads()
-	if ps, err := DecodePayloads(valid); err != nil || len(ps) != 1 {
-		t.Fatalf("valid buffer: %d payloads, err %v", len(ps), err)
+	valid, withField, cases := malformedPayloads()
+	for _, buf := range [][]byte{valid, withField} {
+		if ps, err := DecodePayloads(buf); err != nil || len(ps) != 1 {
+			t.Fatalf("valid buffer: %d payloads, err %v", len(ps), err)
+		}
 	}
 	for _, tc := range cases {
 		if ps, err := decodeBounded(t, tc.name, tc.buf); err == nil {
@@ -89,11 +98,13 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 
 // FuzzDecodePayloads: arbitrary bytes decode to an error or to payloads that
 // encode back to the same bytes — never to a panic — with allocation bounded
-// by the input's length. Seeded with the 21 buffers of
-// TestDecodePayloadsRejectsMalformed and the valid one they were cut from.
+// by the input's length. Seeded with the 23 buffers of
+// TestDecodePayloadsRejectsMalformed and the two valid ones they were cut
+// from, a bare tree and the same tree with a field.
 func FuzzDecodePayloads(f *testing.F) {
-	valid, cases := malformedPayloads()
+	valid, withField, cases := malformedPayloads()
 	f.Add(valid)
+	f.Add(withField)
 	for _, tc := range cases {
 		f.Add(tc.buf)
 	}

@@ -60,7 +60,8 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: Xadj[n]=%d != len(Adj)=%d", g.Xadj[n], len(g.Adj))
 	}
 	// Sum each half-edge (v, u) over repeated listings, then look every
-	// merged half's partner up in the sorted list; a missing partner weighs 0.
+	// merged half's partner up in the sorted list: it must be there, whatever
+	// the half's weight, and weigh the same.
 	type half struct {
 		v, u int32
 		w    int64
@@ -89,11 +90,11 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, h := range merged {
-		back := int64(0)
-		if i, ok := slices.BinarySearchFunc(merged, half{v: h.u, u: h.v}, byEnds); ok {
-			back = merged[i].w
+		i, ok := slices.BinarySearchFunc(merged, half{v: h.u, u: h.v}, byEnds)
+		if !ok {
+			return fmt.Errorf("graph: one-sided edge (%d,%d)", h.v, h.u)
 		}
-		if back != h.w {
+		if merged[i].w != h.w {
 			return fmt.Errorf("graph: asymmetric edge (%d,%d)", h.v, h.u)
 		}
 	}

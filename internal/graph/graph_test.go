@@ -64,6 +64,7 @@ func TestValidateRejects(t *testing.T) {
 		{"negative neighbour", csr([]int32{0, 1, 2}, []int32{1, -1}, []int64{1, 1}, 2), false},
 		{"self-loop", csr([]int32{0, 2, 3}, []int32{1, 0, 0}, []int64{1, 1, 1}, 2), false},
 		{"one-sided edge", csr([]int32{0, 2, 3, 3}, []int32{1, 2, 0}, []int64{1, 1, 1}, 3), false},
+		{"one-sided edge of weight 0", csr([]int32{0, 1, 1}, []int32{1}, []int64{0}, 2), false},
 		{"asymmetric weights", csr([]int32{0, 1, 2}, []int32{1, 0}, []int64{2, 3}, 2), false},
 		{"repeated neighbour, sum differs", csr([]int32{0, 2, 3}, []int32{1, 1, 0}, []int64{1, 1, 1}, 2), false},
 		{"valid path", path(4), true},

@@ -1,7 +1,6 @@
 // Package index is the uint64 → int32 hash index of the refinement path: the
 // refiner's edge records and the forest's vertex table are found through it,
-// and so are the engine's shared-vertex set and the vertex numbering of a
-// tree being extracted for migration.
+// and so is the engine's shared-vertex set.
 //
 // It is open-addressed with linear probing. A key's home slot is the top
 // bits of the key times a 64-bit odd constant (multiplicative hashing); the

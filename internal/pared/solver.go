@@ -20,14 +20,16 @@ import (
 // owner map with no communication (buildDofPlan), halo lists are ordered by
 // global VertexID so both sides agree, and matrix/vector contributions are
 // summed across sharing ranks; CG runs with global inner products. The result
-// at every rank's vertices matches the serial solve of the gathered mesh to
-// solver tolerance, in the same number of iterations (see
-// TestDistributedSolveMatchesSerial).
+// at every rank's vertices matches the serial solve of the gathered mesh from
+// the same initial guess to solver tolerance, in the same number of
+// iterations (see TestDistributedSolveMatchesSerial and
+// TestDistributedSolveWarmMatchesSerial).
 //
 // Message schedule, per CG iteration and rank: one par float-lane message to
 // each neighbour (dofPlan.exchange, after the SpMV) and two rank-ordered
 // reductions (p·Ap, then r·z and r·r together). Nothing in that path
-// allocates; see DESIGN.md §3.1.
+// allocates; see DESIGN.md §3.1. A warm solve adds one exchange before CG
+// (warmStart).
 
 const tagDofs par.Tag = 110 + iota
 
@@ -235,12 +237,24 @@ func (p *dofPlan) exchange(c *par.Comm, x []float64, w int, skipDirichlet bool) 
 // SolveLaplace solves −Δu = source (source may be nil) with Dirichlet data g
 // on the domain boundary, distributed across the engine's ranks with
 // Jacobi-preconditioned CG. Every rank must call it collectively.
+//
+// Each solve starts from the last one: the solution is written into the
+// forest's field (forest.Forest.Field), which migrates with its trees and
+// interpolates onto new midpoints, and the next solve takes it as its initial
+// guess (warmStart). The first solve on an engine finds no field and starts
+// from zero, as a solve always did.
 func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, maxIter int) (*DistSolution, error) {
 	plan := e.buildDofPlan()
 	sys, rhs, gval := e.assembleLaplace(plan, source, g)
 	sol := &DistSolution{Mesh: plan.leaf, plan: plan}
-	u, it, res, conv := e.distCG(plan, sys, rhs, gval, tol, maxIter)
+	u, it, res, conv := e.distCG(plan, sys, rhs, gval, e.warmStart(plan), tol, maxIter)
 	sol.U, sol.Iterations, sol.Residual, sol.Converged = u, it, res, conv
+	if e.F.Field == nil {
+		e.F.Field = make([]float64, len(e.F.Coords))
+	}
+	for i, fv := range plan.leaf.Vert2Local {
+		e.F.Field[fv] = u[i]
+	}
 	if !conv {
 		return sol, fmt.Errorf("pared: distributed CG did not converge: residual %g after %d iterations", res, it)
 	}
@@ -295,10 +309,33 @@ func (e *Engine) assembleLaplace(plan *dofPlan, source, g func(geom.Vec3) float6
 	return b.Build(), rhs, gval
 }
 
+// warmStart returns the initial guess of a solve: nil if the forest has no
+// field, else the field at the dofs. With three or more sharers, the copies of
+// a shared dof can differ by rounding (see exchange), so one owner-wins
+// exchange makes them identical first: every copy but the owner's is zeroed,
+// and the sum of one value and zeros is that value exactly. Every rank holds a
+// field or none alike, since each solve sets one on every rank, so all skip
+// the exchange or none.
+func (e *Engine) warmStart(plan *dofPlan) []float64 {
+	if e.F.Field == nil {
+		return nil
+	}
+	x := make([]float64, len(plan.owned))
+	for i, fv := range plan.leaf.Vert2Local {
+		if plan.owned[i] {
+			x[i] = e.F.Field[fv]
+		}
+	}
+	plan.exchange(e.Comm, x, 1, false)
+	return x
+}
+
 // distCG is Jacobi-preconditioned CG with summed SpMV and owned-dof inner
 // products: each shared dof counts once, at its owning rank, and every
-// partial sum runs in ascending dof order.
-func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, tol float64, maxIter int) (u []float64, iters int, resid float64, converged bool) {
+// partial sum runs in ascending dof order. It starts from x0, which it takes
+// over as u, or from zero if x0 is nil; Dirichlet dofs start at gval either
+// way.
+func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval, x0 []float64, tol float64, maxIter int) (u []float64, iters int, resid float64, converged bool) {
 	n := sys.N
 	owned := plan.owned
 	// Jacobi needs the GLOBAL diagonal (summed across sharers).
@@ -312,7 +349,10 @@ func (e *Engine) distCG(plan *dofPlan, sys *la.CSR, rhs, gval []float64, tol flo
 			inv[i] = 1
 		}
 	}
-	u = make([]float64, n)
+	u = x0
+	if u == nil {
+		u = make([]float64, n)
+	}
 	for _, v := range plan.bnd {
 		u[v] = gval[v]
 	}

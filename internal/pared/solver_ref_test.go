@@ -17,7 +17,9 @@ import (
 // TestDistCGBitIdenticalToReference requires SolveLaplace to reproduce its
 // U, Iterations and Residual bit for bit. It builds its own plan from its own
 // facet passes, exchanges boxed messages through map accumulators and reduces
-// one inner product at a time through Gather+Bcast.
+// one inner product at a time through Gather+Bcast. A warm solve (x0 not nil)
+// first makes the copies of x0 identical, zeroing every copy but the owner's
+// and summing them through the same exchange.
 
 type refDofPlan struct {
 	leaf    *forest.LeafMeshResult
@@ -155,7 +157,7 @@ func refAllReduceFloat(c *par.Comm, v float64) float64 {
 	return c.Bcast(0, sum).(float64)
 }
 
-func (e *Engine) refSolveLaplace(source, g func(geom.Vec3) float64, tol float64, maxIter int) *DistSolution {
+func (e *Engine) refSolveLaplace(x0 []float64, source, g func(geom.Vec3) float64, tol float64, maxIter int) *DistSolution {
 	plan := e.refBuildDofPlan()
 	leaf := plan.leaf
 	m := leaf.Mesh
@@ -191,8 +193,17 @@ func (e *Engine) refSolveLaplace(source, g func(geom.Vec3) float64, tol float64,
 	for v := range onBnd {
 		rhs[v] = gval[v]
 	}
+	if x0 != nil {
+		x0 = append([]float64(nil), x0...)
+		for i, own := range plan.owned {
+			if !own {
+				x0[i] = 0
+			}
+		}
+		plan.sumShared(e.Comm, x0)
+	}
 	sol := &DistSolution{Mesh: leaf}
-	sol.U, sol.Iterations, sol.Residual, sol.Converged = e.refDistCG(plan, sys, rhs, gval, onBnd, tol, maxIter)
+	sol.U, sol.Iterations, sol.Residual, sol.Converged = e.refDistCG(plan, sys, rhs, gval, x0, onBnd, tol, maxIter)
 	return sol
 }
 
@@ -249,7 +260,7 @@ func (e *Engine) refDomainBoundaryVerts(plan *refDofPlan) map[int32]bool {
 	return out
 }
 
-func (e *Engine) refDistCG(plan *refDofPlan, sys *la.CSR, rhs, gval []float64, onBnd map[int32]bool, tol float64, maxIter int) (u []float64, iters int, resid float64, converged bool) {
+func (e *Engine) refDistCG(plan *refDofPlan, sys *la.CSR, rhs, gval, x0 []float64, onBnd map[int32]bool, tol float64, maxIter int) (u []float64, iters int, resid float64, converged bool) {
 	n := sys.N
 	diag := sys.Diag()
 	plan.sumSharedSkip(e.Comm, diag, onBnd)
@@ -262,6 +273,7 @@ func (e *Engine) refDistCG(plan *refDofPlan, sys *la.CSR, rhs, gval []float64, o
 		}
 	}
 	u = make([]float64, n)
+	copy(u, x0)
 	for v := range onBnd {
 		u[v] = gval[v]
 	}

@@ -11,6 +11,7 @@ import (
 	"pared/internal/fem"
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/la"
 	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
@@ -255,7 +256,10 @@ func adaptedEngine(c *par.Comm, m *mesh.Mesh, corner geom.Vec3, tol float64, max
 
 // TestDistCGBitIdenticalToReference pins the floating-point association of
 // the packed exchange and the fused reductions: SolveLaplace must reproduce
-// the reference schedule of solver_ref_test.go bit for bit on every rank.
+// the reference schedule of solver_ref_test.go bit for bit on every rank, on
+// the first (cold) solve and on a warm one after a further Adapt and a forced
+// Rebalance, the reference starting from the same field and making its copies
+// identical through its own exchange.
 func TestDistCGBitIdenticalToReference(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -278,43 +282,251 @@ func TestDistCGBitIdenticalToReference(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 4, 8} {
 			err := par.Run(p, func(c *par.Comm) {
 				e := adaptedEngine(c, tc.mesh, tc.corner, tc.tol, tc.maxLevel)
-				sol, _ := e.SolveLaplace(tc.source, tc.g, 1e-10, 5000)
-				ref := e.refSolveLaplace(tc.source, tc.g, 1e-10, 5000)
-				if sol.Iterations == 0 || !sol.Converged {
-					panic(fmt.Sprintf("solve did not run: %d iterations, converged=%v", sol.Iterations, sol.Converged))
-				}
-				if sol.Iterations != ref.Iterations || sol.Converged != ref.Converged ||
-					math.Float64bits(sol.Residual) != math.Float64bits(ref.Residual) {
-					panic(fmt.Sprintf("rank %d: %d iterations, residual %v; reference %d, %v",
-						c.Rank(), sol.Iterations, sol.Residual, ref.Iterations, ref.Residual))
-				}
-				for i := range ref.U {
-					if math.Float64bits(sol.U[i]) != math.Float64bits(ref.U[i]) {
-						panic(fmt.Sprintf("rank %d dof %d: U = %v, reference %v", c.Rank(), i, sol.U[i], ref.U[i]))
+				// compare runs SolveLaplace and the reference from the field
+				// SolveLaplace starts from, before it overwrites it.
+				compare := func(when string) {
+					var x0 []float64
+					if e.F.Field != nil {
+						for _, fv := range e.F.LeafMesh().Vert2Local {
+							x0 = append(x0, e.F.Field[fv])
+						}
+					}
+					sol, _ := e.SolveLaplace(tc.source, tc.g, 1e-10, 5000)
+					ref := e.refSolveLaplace(x0, tc.source, tc.g, 1e-10, 5000)
+					if sol.Iterations == 0 || !sol.Converged {
+						panic(fmt.Sprintf("%s solve did not run: %d iterations, converged=%v", when, sol.Iterations, sol.Converged))
+					}
+					if sol.Iterations != ref.Iterations || sol.Converged != ref.Converged ||
+						math.Float64bits(sol.Residual) != math.Float64bits(ref.Residual) {
+						panic(fmt.Sprintf("%s rank %d: %d iterations, residual %v; reference %d, %v",
+							when, c.Rank(), sol.Iterations, sol.Residual, ref.Iterations, ref.Residual))
+					}
+					for i := range ref.U {
+						if math.Float64bits(sol.U[i]) != math.Float64bits(ref.U[i]) {
+							panic(fmt.Sprintf("%s rank %d dof %d: U = %v, reference %v", when, c.Rank(), i, sol.U[i], ref.U[i]))
+						}
+					}
+					// The association only matters where three or more ranks
+					// meet; make sure the meshes have such dofs.
+					sharers := make([]int, len(sol.U))
+					for _, h := range sol.plan.nbrs {
+						for _, i := range h.idx {
+							sharers[i]++
+						}
+					}
+					var multi int64
+					for _, n := range sharers {
+						if n >= 2 {
+							multi++
+						}
+					}
+					if c.AllReduceSumInt64(multi) == 0 && p >= 3 {
+						panic(fmt.Sprintf("%s: no dof with three or more sharers", when))
 					}
 				}
-				// The association only matters where three or more ranks
-				// meet; make sure the meshes have such dofs.
-				sharers := make([]int, len(sol.U))
-				for _, h := range sol.plan.nbrs {
-					for _, i := range h.idx {
-						sharers[i]++
-					}
-				}
-				var multi int64
-				for _, n := range sharers {
-					if n >= 2 {
-						multi++
-					}
-				}
-				if c.AllReduceSumInt64(multi) == 0 && p >= 3 {
-					panic("no dof with three or more sharers")
-				}
+				compare("cold")
+				e.Adapt(cornerEst(tc.corner), 0.7*tc.tol, 0, tc.maxLevel+1)
+				e.Rebalance(true)
+				compare("warm")
 			})
 			if err != nil {
 				t.Errorf("%s p=%d: %v", tc.name, p, err)
 			}
 		}
+	}
+}
+
+// gatherExact gathers vals, indexed like the vertices of leaf, at rank 0 as a
+// map from global VertexID to value, and panics if two ranks hold different
+// bits at the same vertex.
+func gatherExact(e *Engine, leaf *forest.LeafMeshResult, vals []float64) map[forest.VertexID]float64 {
+	type pair struct {
+		ID  forest.VertexID
+		Val float64
+	}
+	var mine []pair
+	for i, fv := range leaf.Vert2Local {
+		mine = append(mine, pair{e.F.VIDs[fv], vals[i]})
+	}
+	all := e.Comm.Gather(0, mine)
+	if e.Comm.Rank() != 0 {
+		return nil
+	}
+	out := make(map[forest.VertexID]float64)
+	for _, a := range all {
+		for _, p := range a.([]pair) {
+			if prev, ok := out[p.ID]; ok && math.Float64bits(prev) != math.Float64bits(p.Val) {
+				panic(fmt.Sprintf("sharers of vertex %x hold %v and %v", uint64(p.ID), prev, p.Val))
+			}
+			out[p.ID] = p.Val
+		}
+	}
+	return out
+}
+
+// TestDistributedSolveWarmMatchesSerial: a warm solve, after a further Adapt
+// and a forced Rebalance, matches serial CG on the gathered mesh started from
+// the same guess — the distributed initial guess gathered by VertexID, which
+// every sharer holds with the same bits — to solver tolerance and in the same
+// number of iterations, and fewer than serial CG from zero.
+func TestDistributedSolveWarmMatchesSerial(t *testing.T) {
+	m := meshgen.RectTri(10, 10, -1, -1, 1, 1)
+	corner := geom.Vec3{X: 1, Y: 1}
+	g := fem.CornerSolution2D
+	for _, p := range []int{2, 3, 4} {
+		err := par.Run(p, func(c *par.Comm) {
+			e := adaptedEngine(c, m, corner, 0.7, 8)
+			if _, err := e.SolveLaplace(nil, g, 1e-10, 5000); err != nil {
+				panic(err)
+			}
+			e.Adapt(cornerEst(corner), 0.5, 0, 9)
+			e.Rebalance(true)
+			plan := e.buildDofPlan()
+			x0 := gatherExact(e, plan.leaf, e.warmStart(plan))
+			sol, err := e.SolveLaplace(nil, g, 1e-10, 5000)
+			if err != nil {
+				panic(err)
+			}
+			global := collectGlobal(t, e, sol)
+			gf := e.GatherForest(0)
+			if c.Rank() != 0 {
+				return
+			}
+			// The reduced system of fem.Solve on the gathered mesh, from x0.
+			leaf := gf.LeafMesh()
+			lm := leaf.Mesh
+			n := lm.NumVerts()
+			onBnd := lm.BoundaryVertexSet()
+			a := fem.AssembleLaplace(lm)
+			b := la.NewBuilder(n)
+			rhs := make([]float64, n)
+			u := make([]float64, n)
+			for i := 0; i < n; i++ {
+				if onBnd[int32(i)] {
+					b.Add(i, i, 1)
+					rhs[i] = g(lm.Verts[i])
+					u[i] = rhs[i]
+					continue
+				}
+				u[i] = x0[gf.VIDs[leaf.Vert2Local[i]]]
+				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+					if j := int(a.Col[k]); onBnd[int32(j)] {
+						rhs[i] -= a.Val[k] * g(lm.Verts[j])
+					} else {
+						b.Add(i, j, a.Val[k])
+					}
+				}
+			}
+			sys := b.Build()
+			cold := make([]float64, n)
+			for v := range onBnd {
+				cold[v] = rhs[v]
+			}
+			coldRes := la.CG(sys, rhs, cold, 1e-10, 5000)
+			res := la.CG(sys, rhs, u, 1e-10, 5000)
+			if !res.Converged || res.Iterations != sol.Iterations {
+				panic(fmt.Sprintf("serial CG from x0: %d iterations (converged=%v), distributed %d", res.Iterations, res.Converged, sol.Iterations))
+			}
+			if res.Iterations >= coldRes.Iterations {
+				panic(fmt.Sprintf("the warm start took %d iterations, a cold start %d", res.Iterations, coldRes.Iterations))
+			}
+			for i, fv := range leaf.Vert2Local {
+				if got := global[gf.VIDs[fv]]; math.Abs(got-u[i]) > 1e-6 {
+					panic(fmt.Sprintf("vertex %d: distributed %v, serial %v", i, got, u[i]))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestDistributedSolveFieldFollowsTrees: the field rides with the trees. A
+// linear field, which P1 interpolation reproduces exactly on the grid's
+// dyadic coordinates, holds at every live vertex slot of every rank through
+// refinement, coarsening and forced migrations, so each new midpoint took its
+// edge's mean and each arriving vertex its sender's value. After a real solve,
+// a further Adapt and a migration, a vertex that was there before holds a
+// value one of its copies held, and the warm start hands every sharer of a
+// dof the same bits.
+func TestDistributedSolveFieldFollowsTrees(t *testing.T) {
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	linear := func(c geom.Vec3) float64 { return 3*c.X - c.Y + 0.25 }
+	err := par.Run(4, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		e.F.Field = make([]float64, len(e.F.Coords))
+		for v, x := range e.F.Coords {
+			e.F.Field[v] = linear(x)
+		}
+		for i, corner := range []geom.Vec3{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: -1, Y: 1}, {X: -1, Y: -1}} {
+			coarsen := 0.0
+			if i >= 2 {
+				coarsen = 0.3
+			}
+			e.Adapt(cornerEst(corner), 0.7, coarsen, 8)
+			e.Rebalance(true)
+			if err := e.F.CheckVertices(); err != nil {
+				panic(err)
+			}
+			for v, x := range e.F.Coords {
+				if e.F.Uses(int32(v)) > 0 && e.F.Field[v] != linear(x) {
+					panic(fmt.Sprintf("round %d rank %d slot %d at %v: field %v, want %v", i, c.Rank(), v, x, e.F.Field[v], linear(x)))
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = par.Run(4, func(c *par.Comm) {
+		e := adaptedEngine(c, m, geom.Vec3{X: 1, Y: 1}, 0.7, 8)
+		if _, err := e.SolveLaplace(nil, fem.CornerSolution2D, 1e-10, 5000); err != nil {
+			panic(err)
+		}
+		type copyOf struct {
+			ID   forest.VertexID
+			Bits uint64
+		}
+		held := func() []copyOf {
+			var out []copyOf
+			for v, id := range e.F.VIDs {
+				if e.F.Uses(int32(v)) > 0 {
+					out = append(out, copyOf{id, math.Float64bits(e.F.Field[v])})
+				}
+			}
+			return out
+		}
+		before := c.Gather(0, held())
+		e.Adapt(cornerEst(geom.Vec3{X: 1, Y: 1}), 0.5, 0, 9)
+		st := e.Rebalance(true)
+		after := c.Gather(0, held())
+		plan := e.buildDofPlan()
+		gatherExact(e, plan.leaf, e.warmStart(plan))
+		if c.Rank() != 0 {
+			return
+		}
+		if st.MovedTrees == 0 {
+			panic("the forced rebalance moved no tree")
+		}
+		was := make(map[copyOf]bool)
+		ids := make(map[forest.VertexID]bool)
+		for _, cs := range before {
+			for _, x := range cs.([]copyOf) {
+				was[x], ids[x.ID] = true, true
+			}
+		}
+		for r, cs := range after {
+			for _, x := range cs.([]copyOf) {
+				if ids[x.ID] && !was[x] {
+					panic(fmt.Sprintf("rank %d holds vertex %x at %v, which no copy held before", r, uint64(x.ID), math.Float64frombits(x.Bits)))
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -354,7 +566,7 @@ func TestDistCGIterationAllocatesNothing(t *testing.T) {
 						runtime.ReadMemStats(&before)
 					}
 					c.Barrier()
-					if _, iters, _, _ := e.distCG(plan, sys, rhs, gval, 0, maxIter); iters != maxIter {
+					if _, iters, _, _ := e.distCG(plan, sys, rhs, gval, nil, 0, maxIter); iters != maxIter {
 						panic(fmt.Sprintf("solve stopped after %d of %d iterations", iters, maxIter))
 					}
 					c.Barrier()
@@ -456,8 +668,11 @@ func TestDistributedZZMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkDistCGSolve times one collective SolveLaplace (plan, assembly and
-// CG) at p = 4 on a fixed uniform mesh.
+// BenchmarkDistCGSolve times one collective cold SolveLaplace (plan, assembly
+// and CG) at p = 4 on a fixed uniform mesh. Each iteration drops the field
+// the previous one left first: warm-started from the converged answer, CG
+// would run no iteration, and neither the cg_iters metric nor the allocation
+// pin would measure a solve.
 func BenchmarkDistCGSolve(b *testing.B) {
 	m := meshgen.RectTri(48, 48, -1, -1, 1, 1)
 	b.ReportAllocs()
@@ -470,6 +685,7 @@ func BenchmarkDistCGSolve(b *testing.B) {
 		c.Barrier()
 		iters := 0
 		for i := 0; i < b.N; i++ {
+			e.F.Field = nil
 			sol, err := e.SolveLaplace(nil, fem.CornerSolution2D, 1e-8, 5000)
 			if err != nil {
 				panic(err)

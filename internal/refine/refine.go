@@ -177,9 +177,8 @@ func (r *Refiner) markSplit(e *edgeRec) {
 		return
 	}
 	f := r.F
-	va, vb := f.VIDs[e.a], f.VIDs[e.b]
-	e.mid = f.InternVertex(forest.MidID(va, vb), f.Coords[e.a].Mid(f.Coords[e.b]))
-	r.newSplits = append(r.newSplits, MakeEdgeSplit(va, vb))
+	e.mid = f.InternMidpoint(e.a, e.b)
+	r.newSplits = append(r.newSplits, MakeEdgeSplit(f.VIDs[e.a], f.VIDs[e.b]))
 	r.queue = append(r.queue, e.leaves...)
 }
 
