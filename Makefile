@@ -11,8 +11,9 @@ build:
 	$(GO) vet ./...
 
 # The suite includes nomap_test.go, the determinism guard: the non-test code
-# of core, graph, partition, pared, refine and forest names no map type, so
-# map iteration order cannot reach a partition, a mesh or a migration.
+# of core, graph, partition, pared, refine, forest, fem and la names no map
+# type, so map iteration order cannot reach a partition, a mesh, a migration
+# or a solution.
 test:
 	$(GO) test ./...
 

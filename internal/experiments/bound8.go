@@ -84,17 +84,10 @@ func Section8(w io.Writer, scale Scale) {
 		newOwner := core.Repartition(snap2.G, owner, p, core.Config{})
 		mig := partition.MigrationCost(snap2.G.VW, owner, newOwner)
 		hopMig := partition.WeightedMigrationCost(snap2.G.VW, owner, newOwner, dist)
-		ratio := float64(hopMig) / float64(maxI64(estimate, 1))
+		ratio := float64(hopMig) / float64(max(estimate, 1))
 		t.AddRow(p, snap2.Leaf.Mesh.NumElems(), m, estimate,
 			fmt.Sprintf("%.0f", 2*math.Sqrt(float64(p))*float64(m)),
 			mig, hopMig, fmt.Sprintf("%.2f", ratio))
 	}
 	t.Fprint(w)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

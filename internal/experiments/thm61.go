@@ -36,7 +36,7 @@ func Theorem61(w io.Writer, scale Scale) {
 			proj := projectToTrees(s, fine, p)
 			cutF := partition.EdgeCut(s.Fine, fine)
 			cutP := partition.EdgeCut(s.Fine, proj)
-			exp := float64(cutP) / float64(maxI64(cutF, 1))
+			exp := float64(cutP) / float64(max(cutF, 1))
 			d := int(s.MaxLevel)
 			t.AddRow(li, s.Leaf.Mesh.NumElems(), p, cutF, cutP,
 				fmt.Sprintf("%.2f", exp),

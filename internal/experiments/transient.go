@@ -96,7 +96,7 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 
 	var prevSnap *Snapshot
 	for step := 0; step < cfg.Steps; step++ {
-		tt := -0.5 + float64(step)/float64(maxInt(cfg.Steps-1, 1))
+		tt := -0.5 + float64(step)/float64(max(cfg.Steps-1, 1))
 		est := fem.InterpolationEstimator(fem.TransientSolution(tt))
 		// Let the mesh settle on the new peak position (a few passes, since
 		// the peak moves a fraction of its width per step).
@@ -179,11 +179,11 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 				a.sumPNR += fn
 				a.sumSFC += fs
 				a.sumMLKL += fm
-				a.peakRSB = maxF(a.peakRSB, fr)
-				a.peakPerm = maxF(a.peakPerm, fp)
-				a.peakPNR = maxF(a.peakPNR, fn)
-				a.peakSFC = maxF(a.peakSFC, fs)
-				a.peakMLKL = maxF(a.peakMLKL, fm)
+				a.peakRSB = max(a.peakRSB, fr)
+				a.peakPerm = max(a.peakPerm, fp)
+				a.peakPNR = max(a.peakPNR, fn)
+				a.peakSFC = max(a.peakSFC, fs)
+				a.peakMLKL = max(a.peakMLKL, fm)
 				a.n++
 			}
 			a.sumSharedRSB += float64(sharedRSB)
@@ -206,7 +206,7 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 	}
 	for _, p := range cfg.Procs {
 		a := aggs[p]
-		n := float64(maxInt(a.n, 1))
+		n := float64(max(a.n, 1))
 		steps := float64(cfg.Steps)
 		res.Summary.AddRow(p,
 			fmt.Sprintf("%.1f (%.1f)", a.sumRSB/n, a.peakRSB),
@@ -246,11 +246,4 @@ func inheritParts(prevParts, inherit []int32) []int32 {
 		}
 	}
 	return out
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

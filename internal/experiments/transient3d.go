@@ -59,7 +59,7 @@ func Transient3D(w io.Writer, scale Scale) {
 	var prev *Snapshot
 	var finalElems int
 	for step := 0; step < steps; step++ {
-		tt := -0.5 + float64(step)/float64(maxInt(steps-1, 1))
+		tt := -0.5 + float64(step)/float64(max(steps-1, 1))
 		est := fem.InterpolationEstimator(transient3DSolution(tt))
 		for pass := 0; pass < 3; pass++ {
 			if res := refine.AdaptOnce(r, est, tol, tol/4, 10); res.Flagged == 0 {
@@ -108,7 +108,7 @@ func Transient3D(w io.Writer, scale Scale) {
 	}
 	for _, p := range procs {
 		a := aggs[p]
-		n := float64(maxInt(a.n, 1))
+		n := float64(max(a.n, 1))
 		s := float64(steps)
 		t.AddRow(p, finalElems,
 			fmt.Sprintf("%.1f", a.sumRSB/n), fmt.Sprintf("%.1f", a.peakRSB),

@@ -195,13 +195,6 @@ func GrowthSeries(m0 *mesh.Mesh, est refine.Estimator, sizes []int, maxLevel int
 	return steps
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // growthMaxLevel caps refinement depth in the growth-series workloads so
 // tree weights stay small relative to part sizes, as in the paper: its
 // Figure-5 balance of ε < 0.01 at p = 64 on a 5269-element mesh implies

@@ -185,8 +185,10 @@ func Solve(p Problem, tol float64, maxIter int) (*Solution, error) {
 	n := m.NumVerts()
 	onBnd := m.BoundaryVertexSet()
 	gval := make([]float64, n)
-	for v := range onBnd {
-		gval[v] = p.G(m.Verts[v])
+	for v, on := range onBnd {
+		if on {
+			gval[v] = p.G(m.Verts[v])
+		}
 	}
 	a := AssembleLaplace(m)
 	rhs := make([]float64, n)
@@ -196,7 +198,7 @@ func Solve(p Problem, tol float64, maxIter int) (*Solution, error) {
 	// Symmetric elimination on the assembled CSR: rebuild with constraints.
 	b := la.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		if onBnd[int32(i)] {
+		if onBnd[i] {
 			b.Add(i, i, 1)
 			rhs[i] = gval[i]
 			continue
@@ -204,7 +206,7 @@ func Solve(p Problem, tol float64, maxIter int) (*Solution, error) {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := int(a.Col[k])
 			v := a.Val[k]
-			if onBnd[int32(j)] {
+			if onBnd[j] {
 				rhs[i] -= v * gval[j]
 			} else {
 				b.Add(i, j, v)
@@ -213,9 +215,7 @@ func Solve(p Problem, tol float64, maxIter int) (*Solution, error) {
 	}
 	sys := b.Build()
 	u := make([]float64, n)
-	for v := range onBnd {
-		u[v] = gval[v] // exact at constrained nodes; also a good CG start
-	}
+	copy(u, gval) // exact at constrained nodes, 0 elsewhere; a good CG start
 	res := la.CG(sys, rhs, u, tol, maxIter)
 	if !res.Converged {
 		return &Solution{U: u, CG: res}, fmt.Errorf("fem: CG did not converge: residual %g after %d iterations", res.Residual, res.Iterations)

@@ -50,7 +50,7 @@ type HeatStepper struct {
 	sys  *la.CSR
 	bc   []bcCoupling
 	mass []float64
-	bnd  []int32 // boundary dofs
+	bnd  []int32 // boundary dofs, ascending
 	dt   float64
 	// U is the current nodal solution; Time the current time.
 	U    []float64
@@ -68,13 +68,15 @@ func NewHeatStepper(prob HeatProblem, t0, dt float64) *HeatStepper {
 	n := m.NumVerts()
 	hs := &HeatStepper{prob: prob, dt: dt, Time: t0, mass: AssembleMassLumped(m)}
 	onBnd := m.BoundaryVertexSet()
-	for v := range onBnd {
-		hs.bnd = append(hs.bnd, v)
+	for v, on := range onBnd {
+		if on {
+			hs.bnd = append(hs.bnd, int32(v))
+		}
 	}
 	k := AssembleLaplace(m)
 	b := la.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		if onBnd[int32(i)] {
+		if onBnd[i] {
 			b.Add(i, i, 1)
 			continue
 		}
@@ -115,7 +117,7 @@ func (hs *HeatStepper) Step(tol float64, maxIter int) (la.CGResult, error) {
 			rhs[i] += hs.dt * load[i]
 		}
 	}
-	gval := make(map[int32]float64, len(hs.bnd))
+	gval := make([]float64, n)
 	for _, v := range hs.bnd {
 		gval[v] = hs.prob.G(m.Verts[v], tNew)
 		rhs[v] = gval[v]

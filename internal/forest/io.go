@@ -1,100 +1,82 @@
 package forest
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
-	"pared/internal/geom"
+	"pared/internal/mesh"
 )
 
-// Write serializes the forest — vertices with global IDs, and every tree in
-// payload form — in a line-oriented text format, so adapted meshes with
-// their full refinement history can be stored and reloaded (for checkpoint/
-// restart, or to partition a previously adapted mesh offline). The format
-// carries no field (Forest.Field): a reloaded forest has none, so the first
-// distributed solve on it starts cold.
+// rootsPerByte bounds the roots a forest file may name: each is below
+// rootsPerByte times the length of the file's batch in bytes. A root sizes
+// the dense per-root index (8 bytes a root), so a file's index costs at most
+// 16 bytes per batch byte, the order of what decoding the batch allocates. A
+// bare triangle tree is 148 bytes, so a forest holding a tree in each 296
+// consecutive root ids fits.
+const rootsPerByte = 2
+
+// Write serializes the forest as a header line naming the dimension and one
+// wire batch (EncodePayloads) of every tree in ascending root order:
 //
-// Format:
+//	pared-forest <dim>\n
+//	EncodePayloads(ExtractTree(r) for each held root r)
 //
-//	pared-forest <dim> <numTrees>
-//	tree <root> <level0> <numVerts> <numNodes>
-//	<id> <x> <y> <z>          (numVerts lines, payload-local order)
-//	<v0> <v1> <v2> <v3> <k0> <k1> <ea> <eb> <mid>   (numNodes lines)
+// A file and a migration share one codec, so the file carries the field and
+// a reloaded forest's next solve starts warm. A forest too sparse for
+// rootsPerByte is an error, not a file Read would reject.
 func (f *Forest) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	roots := f.Roots()
-	fmt.Fprintf(bw, "pared-forest %d %d\n", f.Dim, len(roots))
-	for _, r := range roots {
-		p := f.ExtractTree(r)
-		fmt.Fprintf(bw, "tree %d %d %d %d\n", p.Root, p.Level0, len(p.VIDs), len(p.Nodes))
-		for i := range p.VIDs {
-			c := p.Coords[i]
-			fmt.Fprintf(bw, "%d %.17g %.17g %.17g\n", uint64(p.VIDs[i]), c.X, c.Y, c.Z)
-		}
-		for _, n := range p.Nodes {
-			fmt.Fprintf(bw, "%d %d %d %d %d %d %d %d %d\n",
-				n.Verts[0], n.Verts[1], n.Verts[2], n.Verts[3],
-				n.Kids[0], n.Kids[1], n.RefEdge[0], n.RefEdge[1], n.MidV)
-		}
+	ps := make([]*TreePayload, len(roots))
+	for i, r := range roots {
+		ps[i] = f.ExtractTree(r)
 	}
-	return bw.Flush()
+	body := EncodePayloads(ps)
+	if n := len(roots); n > 0 && int(roots[n-1]) >= rootsPerByte*len(body) {
+		return fmt.Errorf("forest: root %d too sparse for a %d-byte file", roots[n-1], len(body))
+	}
+	if _, err := fmt.Fprintf(w, "pared-forest %d\n", f.Dim); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
 }
 
-// Read parses the format written by Write into a fresh forest.
+// Read parses the format written by Write into a fresh forest. Every node is
+// held to DecodePayloads' checks; on top, every tree must have the header's
+// dimension, and the roots must rise strictly from 0 and stay below the
+// rootsPerByte bound. Bad input is an error, never a panic.
 func Read(r io.Reader) (*Forest, error) {
-	br := bufio.NewReader(r)
-	var dim, ntrees int
-	if _, err := fmt.Fscanf(br, "pared-forest %d %d\n", &dim, &ntrees); err != nil {
-		return nil, fmt.Errorf("forest: bad header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if dim != 2 && dim != 3 {
-		return nil, fmt.Errorf("forest: bad dimension %d", dim)
+	head, body, _ := bytes.Cut(data, []byte("\n"))
+	var f *Forest
+	switch string(head) {
+	case "pared-forest 2":
+		f = New(mesh.D2)
+	case "pared-forest 3":
+		f = New(mesh.D3)
+	default:
+		return nil, fmt.Errorf("forest: bad header %.40q", head)
 	}
-	f := New(2)
-	f.Dim = 2
-	if dim == 3 {
-		f.Dim = 3
+	ps, err := DecodePayloads(body)
+	if err != nil {
+		return nil, err
 	}
-	if ntrees < 0 {
-		return nil, fmt.Errorf("forest: negative tree count %d", ntrees)
-	}
-	for t := 0; t < ntrees; t++ {
-		var p TreePayload
-		var nv, nn int
-		var kw string
-		if _, err := fmt.Fscan(br, &kw, &p.Root, &p.Level0, &nv, &nn); err != nil || kw != "tree" {
-			return nil, fmt.Errorf("forest: tree %d header (kw=%q): %w", t, kw, err)
+	prev := int32(-1)
+	for _, p := range ps {
+		switch {
+		case p.Dim() != f.Dim:
+			return nil, fmt.Errorf("forest: tree %d is %dD in a %dD file", p.Root, p.Dim(), f.Dim)
+		case p.Root <= prev:
+			return nil, fmt.Errorf("forest: root %d after root %d: roots must rise from 0", p.Root, prev)
+		case int(p.Root) >= rootsPerByte*len(body):
+			return nil, fmt.Errorf("forest: root %d in a %d-byte file", p.Root, len(body))
 		}
-		if p.Root < 0 || f.Root(p.Root) != NoNode {
-			return nil, fmt.Errorf("forest: tree %d: root %d negative or already read", t, p.Root)
-		}
-		if nv < 0 || nn <= 0 {
-			return nil, fmt.Errorf("forest: tree %d: %d vertices and %d nodes", t, nv, nn)
-		}
-		// The counts are unchecked claims: the slices grow as lines arrive.
-		for i := 0; i < nv; i++ {
-			var id uint64
-			var c geom.Vec3
-			if _, err := fmt.Fscan(br, &id, &c.X, &c.Y, &c.Z); err != nil {
-				return nil, fmt.Errorf("forest: tree %d vertex %d: %w", t, i, err)
-			}
-			p.VIDs = append(p.VIDs, VertexID(id))
-			p.Coords = append(p.Coords, c)
-		}
-		for i := 0; i < nn; i++ {
-			var n PayloadNode
-			if _, err := fmt.Fscan(br,
-				&n.Verts[0], &n.Verts[1], &n.Verts[2], &n.Verts[3],
-				&n.Kids[0], &n.Kids[1], &n.RefEdge[0], &n.RefEdge[1], &n.MidV); err != nil {
-				return nil, fmt.Errorf("forest: tree %d node %d: %w", t, i, err)
-			}
-			if err := n.check(p.Root, i, dim+1, nv, nn); err != nil {
-				return nil, err
-			}
-			p.Nodes = append(p.Nodes, n)
-		}
-		f.InsertTree(&p)
+		prev = p.Root
+		f.InsertTree(p)
 	}
 	return f, nil
 }

@@ -3,11 +3,18 @@ package forest
 import (
 	"bytes"
 	"errors"
-	"strings"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"pared/internal/meshgen"
 )
+
+// forestFile returns a forest file of the given header and wire batch.
+func forestFile(header string, batch []byte) *bytes.Reader {
+	return bytes.NewReader(append([]byte(header+"\n"), batch...))
+}
 
 func TestForestIORoundTrip(t *testing.T) {
 	f := FromMesh(meshgen.RectTri(3, 3, -1, -1, 1, 1))
@@ -19,90 +26,144 @@ func TestForestIORoundTrip(t *testing.T) {
 		mid := f.InternVertex(MidID(f.VIDs[a], f.VIDs[b]), f.Coords[a].Mid(f.Coords[b]))
 		f.Bisect(id, a, b, mid)
 	}
+	f.Field = make([]float64, len(f.Coords))
+	for v, c := range f.Coords {
+		f.Field[v] = math.Sin(7*c.X) + c.Y/3
+	}
 	var buf bytes.Buffer
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
+	}
+	// The file is the header line and the wire batch of every tree in
+	// ascending root order.
+	var ps []*TreePayload
+	for _, r := range f.Roots() {
+		ps = append(ps, f.ExtractTree(r))
+	}
+	if want := append([]byte("pared-forest 2\n"), EncodePayloads(ps)...); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("file is %d bytes, want the header and batch's %d", buf.Len(), len(want))
 	}
 	g, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dim != f.Dim || g.NumRoots() != f.NumRoots() || g.NumLeaves() != f.NumLeaves() {
-		t.Fatalf("shape mismatch: dim %d/%d roots %d/%d leaves %d/%d",
-			g.Dim, f.Dim, g.NumRoots(), f.NumRoots(), g.NumLeaves(), f.NumLeaves())
+	if g.Dim != f.Dim || !slices.Equal(g.Roots(), f.Roots()) || g.NumLeaves() != f.NumLeaves() {
+		t.Fatalf("shape mismatch: dim %d/%d roots %v/%v leaves %d/%d",
+			g.Dim, f.Dim, g.Roots(), f.Roots(), g.NumLeaves(), f.NumLeaves())
 	}
-	a, b := f.CanonicalLeaves(), g.CanonicalLeaves()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("canonical leaf %d differs", i)
+	if !slices.Equal(g.CanonicalLeaves(), f.CanonicalLeaves()) {
+		t.Fatal("canonical leaves differ")
+	}
+	// The field survives bit for bit at every live vertex, whatever slot the
+	// reload gave it.
+	if len(g.Field) != len(g.Coords) {
+		t.Fatalf("reloaded forest has %d field values for %d vertex slots", len(g.Field), len(g.Coords))
+	}
+	for v := range g.Coords {
+		if g.Uses(int32(v)) == 0 {
+			continue
+		}
+		want := f.Field[f.LookupVertex(g.VIDs[v])]
+		if math.Float64bits(g.Field[v]) != math.Float64bits(want) {
+			t.Fatalf("vertex %x: field %v after reload, %v before", uint64(g.VIDs[v]), g.Field[v], want)
 		}
 	}
 	// The reloaded forest must remain refinable: its leaf mesh is valid.
 	if err := g.LeafMesh().Mesh.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.CheckVertices(); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestForestReadRejectsGarbage: Read rejects, with an error and never a
+// panic, every file-level fault: the header, a tree of the other dimension,
+// roots that do not rise strictly from 0, a truncated body and trailing
+// bytes.
 func TestForestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("nope")); err == nil {
-		t.Error("garbage accepted")
+	tri := FromMesh(meshgen.RectTri(2, 1, 0, 0, 1, 1)) // roots 0..3
+	tet := FromMesh(meshgen.BoxTet(1, 1, 1, 0, 0, 0, 1, 1, 1))
+	tree := func(f *Forest, root, as int32) *TreePayload {
+		p := f.ExtractTree(root)
+		p.Root = as
+		return p
 	}
-	if _, err := Read(strings.NewReader("pared-forest 7 1\n")); err == nil {
-		t.Error("bad dimension accepted")
+	batch := func(ps ...*TreePayload) []byte { return EncodePayloads(ps) }
+	two := batch(tree(tri, 0, 1), tree(tri, 1, 4))
+	for _, tc := range []struct {
+		name, header string
+		batch        []byte
+	}{
+		{"garbage", "nope", nil},
+		{"bad dimension", "pared-forest 7", two},
+		{"header with trailing words", "pared-forest 2 2", two},
+		{"tetrahedra under a 2D header", "pared-forest 2", batch(tree(tet, 0, 0))},
+		{"triangles under a 3D header", "pared-forest 3", two},
+		{"negative root", "pared-forest 2", batch(tree(tri, 0, -1))},
+		{"repeated root", "pared-forest 2", batch(tree(tri, 0, 4), tree(tri, 1, 4))},
+		{"descending roots", "pared-forest 2", batch(tree(tri, 0, 4), tree(tri, 1, 1))},
+		{"truncated body", "pared-forest 2", two[:len(two)-1]},
+		{"trailing bytes", "pared-forest 2", append(slices.Clone(two), 0)},
+		{"root past the file's bound", "pared-forest 2", batch(tree(tri, 0, 1<<20))},
+	} {
+		if f, err := Read(forestFile(tc.header, tc.batch)); err == nil {
+			t.Errorf("%s: read %d trees, want an error", tc.name, f.NumRoots())
+		}
 	}
-	if _, err := Read(strings.NewReader("pared-forest 2 1\ntree 0 0 1 1\n5 0 0 0\n0 1 2 -1 -1 -1 0 0 -1\n")); err == nil {
-		t.Error("out-of-range vertex index accepted")
-	}
-	// A root indexes the dense per-root index: a negative or repeated one is
-	// an error, not a panic.
-	tree := func(root string) string {
-		return "tree " + root + " 0 3 1\n0 0 0 0\n1 1 0 0\n2 0 1 0\n0 1 2 -1 -1 -1 0 0 -1\n"
-	}
-	if _, err := Read(strings.NewReader("pared-forest 2 1\n" + tree("-1"))); err == nil {
-		t.Error("negative root accepted")
-	}
-	if _, err := Read(strings.NewReader("pared-forest 2 2\n" + tree("4") + tree("4"))); err == nil {
-		t.Error("repeated root accepted")
-	}
-	if f, err := Read(strings.NewReader("pared-forest 2 2\n" + tree("4") + tree("0"))); err != nil || f.NumRoots() != 2 {
+	if f, err := Read(forestFile("pared-forest 2", two)); err != nil || !slices.Equal(f.Roots(), []int32{1, 4}) {
 		t.Errorf("two valid trees: %v", err)
 	}
+	if f, err := Read(forestFile("pared-forest 3", nil)); err != nil || f.NumRoots() != 0 || f.Dim != 3 {
+		t.Errorf("empty 3D forest: %v", err)
+	}
 }
 
-// TestForestReadRejectsMalformedTrees: Read holds every node to the check
-// decodeWire applies (vertex words in [-1, nv), the header's simplex size of
-// vertices, kids both -1 or both in (i, nn), an interior node's refinement
-// edge and midpoint set) and rejects negative and empty counts, each with an
-// error and never a panic, here or later in InsertTree or LeafMesh.
+// TestForestReadRejectsMalformedTrees: a file holds every node to the check
+// decodeWire applies to a migration, so each malformed wire batch under a
+// valid header is an error, never a panic here or later in InsertTree or
+// LeafMesh.
 func TestForestReadRejectsMalformedTrees(t *testing.T) {
-	const verts = "0 0 0 0\n1 1 0 0\n2 0 1 0\n"
-	// tree is a three-vertex tree whose root is bisected into two leaves, with
-	// the given root and kid lines.
-	tree := func(root, kid string) string {
-		return "pared-forest 2 1\ntree 0 0 3 3\n" + verts + root + "\n" + kid + "\n" + kid + "\n"
+	valid, withField, cases := malformedPayloads()
+	for _, buf := range [][]byte{valid, withField} {
+		f, err := Read(forestFile("pared-forest 2", buf))
+		if err != nil {
+			t.Fatalf("valid tree: %v", err)
+		}
+		if err := f.LeafMesh().Mesh.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const leaf = "0 1 2 -1 -1 -1 0 0 -1"
-	for _, tc := range []struct{ name, in string }{
-		{"refinement edge past the table", tree("0 1 2 -1 1 2 7 1 2", leaf)},
-		{"midpoint past the table", tree("0 1 2 -1 1 2 0 1 50", leaf)},
-		{"vertex word below -1", tree("0 1 2 -1 1 2 0 1 2", "0 1 -5 -1 -1 -1 0 0 -1")},
-		{"one kid only", tree("0 1 2 -1 1 -1 0 1 2", leaf)},
-		{"kid pointing at its parent", tree("0 1 2 -1 0 0 0 1 2", leaf)},
-		{"leaf vertex -1", tree("0 1 2 -1 1 2 0 1 2", "-1 1 2 -1 -1 -1 0 0 -1")},
-		{"fourth vertex on a triangle", tree("0 1 2 -1 1 2 0 1 2", "0 1 2 0 -1 -1 0 0 -1")},
-		{"interior refinement edge -1", tree("0 1 2 -1 1 2 -1 1 2", leaf)},
-		{"interior midpoint -1", tree("0 1 2 -1 1 2 0 1 -1", leaf)},
-		{"triangles under a 3D header", strings.Replace(tree("0 1 2 -1 1 2 0 1 2", leaf), "pared-forest 2", "pared-forest 3", 1)},
-		{"negative vertex count", "pared-forest 2 1\ntree 0 0 -1 1\n" + leaf + "\n"},
-		{"no nodes", "pared-forest 2 1\ntree 0 0 3 0\n" + verts},
-		{"negative tree count", "pared-forest 2 -1\n"},
-	} {
-		if _, err := Read(strings.NewReader(tc.in)); err == nil {
+	for _, tc := range cases {
+		if _, err := Read(forestFile("pared-forest 2", tc.buf)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := Read(strings.NewReader(tree("0 1 2 -1 1 2 0 1 2", leaf))); err != nil {
-		t.Errorf("valid tree: %v", err)
+}
+
+// TestForestReadBoundsRootIndex: a root sizes the forest's dense per-root
+// index, so a small file naming root 10⁷ must be rejected before it costs
+// anything like the index's 80 MB; Write refuses a forest that sparse.
+func TestForestReadBoundsRootIndex(t *testing.T) {
+	p := FromMesh(meshgen.RectTri(1, 1, 0, 0, 1, 1)).ExtractTree(0)
+	p.Root = 10_000_000
+	file := append([]byte("pared-forest 2\n"), EncodePayloads([]*TreePayload{p})...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("root %d in %d bytes accepted", p.Root, len(file))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("reading a %d-byte file allocated %d bytes", len(file), got)
+	}
+
+	sparse := New(2)
+	p.Root = 1000
+	sparse.InsertTree(p)
+	if err := sparse.Write(&bytes.Buffer{}); err == nil {
+		t.Error("Write accepted a forest whose only tree is root 1000")
 	}
 }
 
@@ -113,8 +174,7 @@ type fullWriter struct{}
 
 func (fullWriter) Write([]byte) (int, error) { return 0, errDiskFull }
 
-// TestWriteReturnsWriterError: Write buffers its output, so the writer's
-// error first surfaces at the final flush; it must reach the caller.
+// TestWriteReturnsWriterError: the writer's error reaches the caller.
 func TestWriteReturnsWriterError(t *testing.T) {
 	f := FromMesh(meshgen.RectTri(3, 3, -1, -1, 1, 1))
 	if err := f.Write(fullWriter{}); !errors.Is(err, errDiskFull) {

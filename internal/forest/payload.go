@@ -38,8 +38,8 @@ type TreePayload struct {
 // vertices and the rest -1, and the kids are either both -1 or both in
 // (i, nn), in which case RefEdge and MidV are vertices too. Preorder puts both
 // kids after their parent, which also rules out cycles, so InsertTree's
-// recursion terminates. Both decoders, decodeWire and Read, hold every node
-// to it.
+// recursion terminates. decodeWire holds every node to it, so a migration and
+// a forest file (Read) are checked alike.
 func (n *PayloadNode) check(root int32, i, sv, nv, nn int) error {
 	for _, v := range [...]int32{n.Verts[0], n.Verts[1], n.Verts[2], n.Verts[3], n.RefEdge[0], n.RefEdge[1], n.MidV} {
 		if v < -1 || int(v) >= nv {

@@ -43,6 +43,7 @@ func malformedPayloads() (valid, withField []byte, cases []malformedPayload) {
 		{"no nodes", patched(4+12, 0)[:nodeWord(0, 0)]},
 		{"vertex index past the table", patched(nodeWord(0, 0), int32(len(p.VIDs)))},
 		{"vertex index below -1", patched(nodeWord(2, 1), -2)},
+		{"refinement edge past the table", patched(nodeWord(0, 6), int32(len(p.VIDs))+3)},
 		{"midpoint index past the table", patched(nodeWord(0, 8), 1<<20)},
 		{"kid pointing at its parent", patched(nodeWord(0, 4), 0)},
 		{"backward kid on a later node", patched(nodeWord(2, 4), 1)},
@@ -98,7 +99,7 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 
 // FuzzDecodePayloads: arbitrary bytes decode to an error or to payloads that
 // encode back to the same bytes — never to a panic — with allocation bounded
-// by the input's length. Seeded with the 23 buffers of
+// by the input's length. Seeded with the 24 buffers of
 // TestDecodePayloadsRejectsMalformed and the two valid ones they were cut
 // from, a bare tree and the same tree with a field.
 func FuzzDecodePayloads(f *testing.F) {

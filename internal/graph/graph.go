@@ -284,35 +284,6 @@ func (g *Graph) BFS(src int32) []int32 {
 	return dist
 }
 
-// Components labels connected components; it returns the label array and the
-// number of components.
-func (g *Graph) Components() ([]int32, int) {
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := int32(0)
-	for s := int32(0); s < int32(g.N()); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = c
-		stack := []int32{s}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.Neighbors(v, func(u int32, _ int64) {
-				if comp[u] < 0 {
-					comp[u] = c
-					stack = append(stack, u)
-				}
-			})
-		}
-		c++
-	}
-	return comp, int(c)
-}
-
 // PseudoPeripheral returns a vertex approximately maximizing eccentricity,
 // found by repeated BFS from the farthest vertex (used to seed graph-growing
 // bisection).

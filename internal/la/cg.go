@@ -11,42 +11,14 @@ type CGResult struct {
 	Converged  bool
 }
 
-// CGScratch holds the work vectors of a CG solve so repeated solves on
-// same-sized systems (transient time stepping, adaptation loops) allocate
-// nothing after the first. The zero value is ready to use.
-type CGScratch struct {
-	inv, r, z, p, ap []float64
-}
-
-// grow resizes every work vector to length n, reusing capacity.
-func (s *CGScratch) grow(n int) {
-	resize := func(v []float64) []float64 {
-		if cap(v) < n {
-			return make([]float64, n)
-		}
-		return v[:n]
-	}
-	s.inv = resize(s.inv)
-	s.r = resize(s.r)
-	s.z = resize(s.z)
-	s.p = resize(s.p)
-	s.ap = resize(s.ap)
-}
-
 // CG solves A·x = b for symmetric positive-definite A with Jacobi
 // preconditioning, overwriting x (which supplies the initial guess).
 // It stops when the residual norm falls below tol·‖b‖₂ or after maxIter
 // iterations.
 func CG(a *CSR, b, x []float64, tol float64, maxIter int) CGResult {
-	return CGWith(new(CGScratch), a, b, x, tol, maxIter)
-}
-
-// CGWith is CG with caller-owned scratch; pass the same scratch to repeated
-// solves to avoid reallocating the five work vectors.
-func CGWith(s *CGScratch, a *CSR, b, x []float64, tol float64, maxIter int) CGResult {
 	n := a.N
-	s.grow(n)
-	inv, r, z, p, ap := s.inv, s.r, s.z, s.p, s.ap
+	inv, r, z := make([]float64, n), make([]float64, n), make([]float64, n)
+	p, ap := make([]float64, n), make([]float64, n)
 	diagInto(a, inv)
 	for i := range inv {
 		if inv[i] != 0 {

@@ -401,10 +401,3 @@ func Fiedler(lap *CSR, tol float64, maxIter int, seed int64) []float64 {
 	}
 	return x
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

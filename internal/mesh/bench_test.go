@@ -51,7 +51,7 @@ func BenchmarkFacetAdjacency(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.DualAdjacency()
+		_ = m.InteriorFacetPairs()
 	}
 }
 

@@ -174,9 +174,8 @@ type facetRec struct {
 
 // facetRecords returns every (facet, element) incidence, sorted by facet key
 // then element; the sort groups each facet's incidences into a run of
-// length 1 (boundary) or 2 (interior). This replaces the former map-based
-// FacetMap on the hot paths: the output order is canonical, so consumers
-// iterate deterministically, and the map-free packages can use it.
+// length 1 (boundary) or 2 (interior). The order is canonical, so consumers
+// iterate deterministically.
 func (m *Mesh) facetRecords() []facetRec {
 	nf := m.FacetsPerElem()
 	recs := make([]facetRec, m.NumElems()*nf)
@@ -204,6 +203,16 @@ func (m *Mesh) facetRecords() []facetRec {
 // (smaller element, larger element), sorted by facet key. It panics on
 // non-manifold input (a facet in more than two elements), like FacetMap.
 func (m *Mesh) InteriorFacetPairs() [][2]int32 {
+	pairs, err := m.interiorFacetPairs()
+	if err != nil {
+		panic(err)
+	}
+	return pairs
+}
+
+// interiorFacetPairs is InteriorFacetPairs with an error for non-manifold
+// input.
+func (m *Mesh) interiorFacetPairs() ([][2]int32, error) {
 	recs := m.facetRecords()
 	pairs := make([][2]int32, 0, len(recs)/2)
 	for i := 0; i < len(recs); {
@@ -216,59 +225,17 @@ func (m *Mesh) InteriorFacetPairs() [][2]int32 {
 		case 2:
 			pairs = append(pairs, [2]int32{recs[i].elem, recs[i+1].elem})
 		default:
-			panic(fmt.Sprintf("mesh: facet %v shared by more than two elements", recs[i].key))
+			return nil, fmt.Errorf("mesh: facet %v shared by more than two elements", recs[i].key)
 		}
 		i = j
 	}
-	return pairs
+	return pairs, nil
 }
 
-// DualAdjacency returns, for each element, the indices of the elements that
-// share a facet with it (at most Dim+1 neighbors each). All neighbor lists
-// share one flat backing array (degree counting + scatter, like a CSR build),
-// so the whole structure costs a handful of allocations; rows are sorted
-// ascending with per-row insertion sorts.
-func (m *Mesh) DualAdjacency() [][]int32 {
-	n := m.NumElems()
-	pairs := m.InteriorFacetPairs()
-	off := make([]int32, n+1)
-	for _, p := range pairs {
-		off[p[0]+1]++
-		off[p[1]+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	flat := make([]int32, off[n])
-	pos := make([]int32, n)
-	copy(pos, off[:n])
-	for _, p := range pairs {
-		flat[pos[p[0]]] = p[1]
-		pos[p[0]]++
-		flat[pos[p[1]]] = p[0]
-		pos[p[1]]++
-	}
-	adj := make([][]int32, n)
-	for e := range adj {
-		row := flat[off[e]:off[e+1]:off[e+1]]
-		for i := 1; i < len(row); i++ {
-			u := row[i]
-			j := i
-			for j > 0 && row[j-1] > u {
-				row[j] = row[j-1]
-				j--
-			}
-			row[j] = u
-		}
-		adj[e] = row
-	}
-	return adj
-}
-
-// BoundaryFacets returns the facets contained in exactly one element,
-// together with that element's index.
-func (m *Mesh) BoundaryFacets() map[FacetKey]int32 {
-	out := make(map[FacetKey]int32)
+// BoundaryVertexSet marks the vertices on the mesh boundary, indexed like
+// Verts: those of the facets contained in exactly one element.
+func (m *Mesh) BoundaryVertexSet() []bool {
+	on := make([]bool, m.NumVerts())
 	recs := m.facetRecords()
 	for i := 0; i < len(recs); {
 		j := i + 1
@@ -276,24 +243,15 @@ func (m *Mesh) BoundaryFacets() map[FacetKey]int32 {
 			j++
 		}
 		if j-i == 1 {
-			out[recs[i].key] = recs[i].elem
+			for _, v := range recs[i].key {
+				if v >= 0 {
+					on[v] = true
+				}
+			}
 		}
 		i = j
 	}
-	return out
-}
-
-// BoundaryVertexSet returns the set of vertices on the mesh boundary.
-func (m *Mesh) BoundaryVertexSet() map[int32]bool {
-	out := make(map[int32]bool)
-	for key := range m.BoundaryFacets() {
-		out[key[0]] = true
-		out[key[1]] = true
-		if key[2] >= 0 {
-			out[key[2]] = true
-		}
-	}
-	return out
+	return on
 }
 
 // SharedVertices counts the mesh vertices adjacent to elements assigned to
@@ -424,17 +382,7 @@ func (m *Mesh) Validate() error {
 			return fmt.Errorf("mesh: element %d is degenerate", e)
 		}
 	}
-	// InteriorFacetPairs panics on facets shared more than twice; convert to
-	// error.
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%v", r)
-			}
-		}()
-		m.InteriorFacetPairs()
-		return nil
-	}()
+	_, err := m.interiorFacetPairs()
 	return err
 }
 

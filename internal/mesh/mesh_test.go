@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,23 +66,51 @@ func TestFacetSharing3D(t *testing.T) {
 }
 
 func TestDualAdjacency(t *testing.T) {
-	m := twoTri()
-	adj := m.DualAdjacency()
-	if len(adj[0]) != 1 || adj[0][0] != 1 || len(adj[1]) != 1 || adj[1][0] != 0 {
-		t.Errorf("dual adjacency = %v", adj)
+	if pairs := twoTri().InteriorFacetPairs(); len(pairs) != 1 || pairs[0] != [2]int32{0, 1} {
+		t.Errorf("2D interior facet pairs = %v", pairs)
+	}
+	if pairs := twoTet().InteriorFacetPairs(); len(pairs) != 1 || pairs[0] != [2]int32{0, 1} {
+		t.Errorf("3D interior facet pairs = %v", pairs)
 	}
 }
 
 func TestBoundary(t *testing.T) {
 	m := twoTri()
-	bf := m.BoundaryFacets()
-	if len(bf) != 4 {
-		t.Errorf("boundary facets = %d, want 4", len(bf))
-	}
+	m.Verts = append(m.Verts, geom.Vec3{X: 2, Y: 2}) // in no element
 	bv := m.BoundaryVertexSet()
-	if len(bv) != 4 {
-		t.Errorf("boundary vertices = %d, want 4", len(bv))
+	want := []bool{true, true, true, true, false}
+	if !slices.Equal(bv, want) {
+		t.Errorf("boundary vertices = %v, want %v", bv, want)
 	}
+	// Every vertex of a fan of four triangles around vertex 0 is on the
+	// boundary but the hub.
+	fan := &Mesh{
+		Dim: D2,
+		Verts: []geom.Vec3{
+			{}, {X: 1}, {Y: 1}, {X: -1}, {Y: -1},
+		},
+		Elems: []Element{Tri(0, 1, 2), Tri(0, 2, 3), Tri(0, 3, 4), Tri(0, 4, 1)},
+	}
+	if bv := fan.BoundaryVertexSet(); !slices.Equal(bv, []bool{false, true, true, true, true}) {
+		t.Errorf("fan boundary vertices = %v", bv)
+	}
+}
+
+// TestNonManifoldFacet: three triangles on one edge are an error from
+// Validate and a panic from InteriorFacetPairs.
+func TestNonManifoldFacet(t *testing.T) {
+	m := twoTri()
+	m.Verts = append(m.Verts, geom.Vec3{X: 2, Y: 0})
+	m.Elems = append(m.Elems, Tri(0, 4, 2))
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "more than two") {
+		t.Errorf("Validate: err = %v, want a non-manifold error", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("InteriorFacetPairs accepted a facet in three elements")
+		}
+	}()
+	m.InteriorFacetPairs()
 }
 
 func TestSharedVertices(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pared/internal/graph"
 	"pared/internal/mesh"
 )
 
@@ -44,12 +45,12 @@ func TestBoxTetCountsAndVolume(t *testing.T) {
 
 func TestBoxTetConformingAcrossCells(t *testing.T) {
 	m := BoxTet(2, 2, 2, 0, 0, 0, 1, 1, 1)
-	// Every interior facet must be shared by exactly two tets; FacetMap panics
+	// Every interior facet must be shared by exactly two tets; FromDual panics
 	// if more, Validate catches it, and the dual graph must be connected
 	// enough that each tet has at least one neighbor.
-	adj := m.DualAdjacency()
-	for e, a := range adj {
-		if len(a) == 0 {
+	g := graph.FromDual(m)
+	for e := int32(0); e < int32(g.N()); e++ {
+		if g.Degree(e) == 0 {
 			t.Fatalf("tet %d isolated: Kuhn subdivision not conforming", e)
 		}
 	}
@@ -83,10 +84,10 @@ func TestRectTriDegeneratePanics(t *testing.T) {
 
 func TestDualOfStructuredMeshIsManifold(t *testing.T) {
 	m := RectTri(10, 10, -1, -1, 1, 1)
-	adj := m.DualAdjacency()
-	for e, a := range adj {
-		if len(a) > 3 {
-			t.Fatalf("triangle %d has %d facet neighbors", e, len(a))
+	g := graph.FromDual(m)
+	for e := int32(0); e < int32(g.N()); e++ {
+		if g.Degree(e) > 3 {
+			t.Fatalf("triangle %d has %d facet neighbors", e, g.Degree(e))
 		}
 	}
 	_ = mesh.D2

@@ -55,9 +55,6 @@ type Config struct {
 	// ImbalanceTrigger invokes repartitioning when the leaf-count imbalance
 	// exceeds this fraction (default 0.05). Rebalance can also be forced.
 	ImbalanceTrigger float64
-	// PNR tunes the default core.Repartition repartitioner; ignored when
-	// Repartition is set.
-	PNR core.Config
 	// DistRefine distributes the P3 refinement sweep across all ranks
 	// (core.Config.DistRefine over this engine's communicator): instead of
 	// rank 0 repartitioning alone while the others idle, every rank writes a
@@ -87,7 +84,7 @@ func (c Config) withDefaults(comm *par.Comm) (Config, error) {
 	}
 	c.strategy = modeStrategies[c.Mode]
 	if c.Repartition == nil {
-		pnr := c.PNR
+		var pnr core.Config
 		if c.DistRefine && c.Mode == ModePNR {
 			pnr.DistRefine = comm
 			c.strategy = &replicatedStrategy

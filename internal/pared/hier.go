@@ -243,9 +243,7 @@ func (e *Engine) hierPhaseA(g *graph.Graph) {
 	for v := 0; v < n; v++ {
 		h.oldA[v] = e.Owner[v] / int32(h.cores)
 	}
-	cfgA := e.cfg.PNR
-	cfgA.DistRefine = e.Comm
-	copy(h.assign, core.Repartition(h.gA, h.oldA, h.nodes, cfgA))
+	copy(h.assign, core.Repartition(h.gA, h.oldA, h.nodes, core.Config{DistRefine: e.Comm}))
 }
 
 // hierPhaseB refines each node group's induced subgraph into C parts over the
@@ -275,9 +273,7 @@ func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
 			// rule (their old owner's core index on its former node).
 			h.subOld[i] = e.Owner[v] % int32(h.cores)
 		}
-		cfgB := e.cfg.PNR
-		cfgB.DistRefine = h.node
-		part := core.Repartition(sub, h.subOld, h.cores, cfgB)
+		part := core.Repartition(sub, h.subOld, h.cores, core.Config{DistRefine: h.node})
 		for i := range h.verts {
 			h.mine = append(h.mine, base+part[i])
 		}

@@ -402,7 +402,7 @@ func TestDistributedSolveWarmMatchesSerial(t *testing.T) {
 			rhs := make([]float64, n)
 			u := make([]float64, n)
 			for i := 0; i < n; i++ {
-				if onBnd[int32(i)] {
+				if onBnd[i] {
 					b.Add(i, i, 1)
 					rhs[i] = g(lm.Verts[i])
 					u[i] = rhs[i]
@@ -410,7 +410,7 @@ func TestDistributedSolveWarmMatchesSerial(t *testing.T) {
 				}
 				u[i] = x0[gf.VIDs[leaf.Vert2Local[i]]]
 				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					if j := int(a.Col[k]); onBnd[int32(j)] {
+					if j := int(a.Col[k]); onBnd[j] {
 						rhs[i] -= a.Val[k] * g(lm.Verts[j])
 					} else {
 						b.Add(i, j, a.Val[k])

@@ -21,25 +21,21 @@ import (
 type Config struct {
 	// Seed drives Lanczos start vectors and matching (default 1).
 	Seed int64
-	// CoarsenTo is the graph size at which Lanczos runs directly (default 600).
-	CoarsenTo int
-	// SmoothSteps is the number of damped-Jacobi refinement sweeps applied to
-	// the interpolated Fiedler vector per level (default 12).
-	SmoothSteps int
 }
 
-// lanczosTol is the eigenpair residual tolerance.
-const lanczosTol = 1e-6
+const (
+	// lanczosTol is the eigenpair residual tolerance.
+	lanczosTol = 1e-6
+	// coarsenTo is the graph size at which Lanczos runs directly.
+	coarsenTo = 600
+	// smoothSteps is the number of damped-Jacobi refinement sweeps applied
+	// to the interpolated Fiedler vector per level.
+	smoothSteps = 12
+)
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.CoarsenTo == 0 {
-		c.CoarsenTo = 600
-	}
-	if c.SmoothSteps == 0 {
-		c.SmoothSteps = 12
 	}
 	return c
 }
@@ -62,7 +58,7 @@ func Bisect(g *graph.Graph, targets [2]int64, cfg Config, salt int64) []int32 {
 // multilevel for large graphs.
 func FiedlerVector(g *graph.Graph, cfg Config, salt int64) []float64 {
 	cfg = cfg.withDefaults()
-	if g.N() <= cfg.CoarsenTo {
+	if g.N() <= coarsenTo {
 		return la.Fiedler(g.Laplacian(), lanczosTol, 400, cfg.Seed+salt)
 	}
 	match := graph.HeavyEdgeMatching(g, cfg.Seed+salt, nil)
@@ -75,14 +71,14 @@ func FiedlerVector(g *graph.Graph, cfg Config, salt int64) []float64 {
 	for v := range x {
 		x[v] = cx[f2c[v]]
 	}
-	smooth(g, x, cfg.SmoothSteps)
+	smooth(g, x)
 	return x
 }
 
 // smooth applies damped-Jacobi sweeps x ← x − ω·D⁻¹·L·x with deflation of
 // the constant vector, sharpening the interpolated Fiedler approximation
 // (the smoothing damps high-frequency interpolation error fastest).
-func smooth(g *graph.Graph, x []float64, steps int) {
+func smooth(g *graph.Graph, x []float64) {
 	n := g.N()
 	deg := make([]float64, n)
 	for v := int32(0); v < int32(n); v++ {
@@ -95,7 +91,7 @@ func smooth(g *graph.Graph, x []float64, steps int) {
 	}
 	lx := make([]float64, n)
 	const omega = 0.6
-	for s := 0; s < steps; s++ {
+	for s := 0; s < smoothSteps; s++ {
 		for v := int32(0); v < int32(n); v++ {
 			acc := deg[v] * x[v]
 			g.Neighbors(v, func(u int32, w int64) { acc -= float64(w) * x[u] })

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pared/internal/graph"
+	"pared/internal/la"
 	"pared/internal/meshgen"
 	"pared/internal/partition"
 )
@@ -50,14 +51,16 @@ func TestPartitionGrid(t *testing.T) {
 }
 
 func TestMultilevelFiedlerMatchesDirect(t *testing.T) {
-	// On a graph small enough to solve directly, the multilevel path (forced
-	// by a tiny CoarsenTo) must produce a vector giving a similar-quality
-	// split.
-	m := meshgen.RectTri(12, 12, 0, 0, 1, 1)
-	g := graph.FromDual(m)
+	// Above coarsenTo vertices, Bisect takes the multilevel path; its split
+	// must be of similar quality to the median split of the Fiedler vector
+	// Lanczos finds on the whole graph.
+	g := graph.FromDual(meshgen.RectTri(24, 24, 0, 0, 1, 1))
+	if g.N() <= coarsenTo {
+		t.Fatalf("%d vertices do not reach the multilevel path", g.N())
+	}
 	total := g.TotalVW()
-	direct := Bisect(g, [2]int64{total / 2, total - total/2}, Config{CoarsenTo: 10000}, 0)
-	ml := Bisect(g, [2]int64{total / 2, total - total/2}, Config{CoarsenTo: 40, SmoothSteps: 20}, 0)
+	direct := medianSplit(g, la.Fiedler(g.Laplacian(), lanczosTol, 400, 1), total/2)
+	ml := Bisect(g, [2]int64{total / 2, total - total/2}, Config{}, 0)
 	cd := partition.EdgeCut(g, direct)
 	cm := partition.EdgeCut(g, ml)
 	if cm > 2*cd+10 {

@@ -12,11 +12,14 @@ import (
 )
 
 // mapFree lists the package trees whose results must not depend on Go's
-// randomized map iteration order: the partitioners, the refinement history
-// and the engine that drives them. Their non-test code names no map type, so
-// no loop over a map can reach a partition, a mesh or a migration. Test
-// files may use maps.
-var mapFree = []string{"internal/core", "internal/graph", "internal/partition", "internal/pared", "internal/refine", "internal/forest"}
+// randomized map iteration order: the partitioners, the refinement history,
+// the solver and the engine that drives them. Their non-test code names no
+// map type, so no loop over a map can reach a partition, a mesh, a migration
+// or a solution. Test files may use maps.
+var mapFree = []string{
+	"internal/core", "internal/graph", "internal/partition", "internal/pared",
+	"internal/refine", "internal/forest", "internal/fem", "internal/la",
+}
 
 // TestNoMapInDeterministicPackages parses every non-test Go file under the
 // mapFree trees — subpackages included, testdata excluded, whatever its build
