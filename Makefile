@@ -11,9 +11,9 @@ build:
 	$(GO) vet ./...
 
 # The suite includes nomap_test.go, the determinism guard: the non-test code
-# of core, graph, partition, pared, refine, forest, fem and la names no map
-# type, so map iteration order cannot reach a partition, a mesh, a migration
-# or a solution.
+# of core, graph, partition, pared, refine, forest, fem, la and experiments
+# names no map type, so map iteration order cannot reach a partition, a mesh,
+# a migration, a solution or a printed figure.
 test:
 	$(GO) test ./...
 

@@ -92,16 +92,19 @@ func run(args []string, w, stderr io.Writer) int {
 
 	one("fig1", func() { experiments.Fig1(w, scale, *svg) })
 	one("fig3", func() { experiments.Fig3(w, scale) })
-	one("fig4", func() { experiments.Fig4(w, scale) })
-	one("fig5", func() { experiments.Fig5(w, scale) })
+	one("fig4", func() { experiments.Fig4(w, experiments.DefaultGrowth(scale)) })
+	one("fig5", func() { experiments.Fig5(w, experiments.DefaultGrowth(scale)) })
 	one("threeway", func() { experiments.ThreeWay(w, scale) })
 	one("transient", func() {
 		cfg := experiments.DefaultTransient(scale)
 		cfg.SVGDir = *svg
 		experiments.Transient(w, cfg)
 	})
-	one("fig45_3d", func() { experiments.Fig45For3D(w, scale) })
-	one("transient3d", func() { experiments.Transient3D(w, scale) })
+	one("fig45_3d", func() {
+		experiments.Fig4(w, experiments.DefaultGrowth3D(scale))
+		experiments.Fig5(w, experiments.DefaultGrowth3D(scale))
+	})
+	one("transient3d", func() { experiments.Transient(w, experiments.DefaultTransient3D(scale)) })
 	one("bound8", func() { experiments.Section8(w, scale) })
 	one("thm61", func() { experiments.Theorem61(w, scale) })
 	// One block per requested rebalance algorithm. sfc runs a second time on

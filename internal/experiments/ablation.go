@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"pared/internal/core"
-	"pared/internal/fem"
 	"pared/internal/partition"
 )
 
@@ -15,12 +14,11 @@ import (
 // full multilevel machinery engages), and each PNR variant rebalances from
 // the smaller mesh's partition. Reported per variant: Equation-1 components.
 func Ablation(w io.Writer, scale Scale) {
-	m0, sizes, _ := fig45Sizes(scale)
+	c := DefaultGrowth(scale)
 	if scale == Full {
-		sizes = sizes[:3]
+		c.sizes = c.sizes[:3]
 	}
-	est := fem.InterpolationEstimator(fem.CornerSolution2D)
-	steps := GrowthSeries(m0, est, sizes, growthMaxLevel)
+	steps := GrowthSeries(c.m0, c.est, c.sizes, growthMaxLevel)
 	if len(steps) < 2 {
 		fmt.Fprintln(w, "ablation: series too short")
 		return

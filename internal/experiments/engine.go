@@ -15,10 +15,13 @@ import (
 
 // EngineDemo drives the full distributed system (Figure 2's phases with real
 // message passing: goroutine ranks, split-edge exchange, rebalance, tree
-// migration) through a shortened transient run, reporting per-step global
-// state. It demonstrates that the engine's migration behaviour matches the
-// serial-path experiments. mode names the rebalance algorithm as registered
-// in pared.ConfigByName ("" means "pnr").
+// migration) through a shortened transient run, reporting per step the
+// global leaf count, adaptation rounds, imbalance before and after the
+// rebalance and the trees and elements it moved, then rank 0's phase totals;
+// the run ends with Engine.CheckConsistency. It shows the engine running the
+// whole cycle under one algorithm; nothing compares its numbers with the
+// serial-path experiments (ROADMAP item 4). mode names the rebalance
+// algorithm as registered in pared.ConfigByName ("" means "pnr").
 func EngineDemo(w io.Writer, scale Scale, mode string) {
 	gridN, steps, p, tol := 16, 8, 4, 1.5e-2
 	if scale == Full {
@@ -39,14 +42,8 @@ func EngineDemo3D(w io.Writer, scale Scale, mode string) {
 		gridN, steps, p, tol = 8, 12, 8, 1.2e-2
 	}
 	m0 := meshgen.BoxTet(gridN, gridN, gridN, -1, -1, -1, 1, 1, 1)
-	engineDemo(w, m0, steps, p, tol, mode, transient3DSolutionAt,
+	engineDemo(w, m0, steps, p, tol, mode, transient3DSolution,
 		fmt.Sprintf("Distributed engine 3D (p=%d, %s): transient tracking through PARED phases P0-P3", p, mode))
-}
-
-// transient3DSolutionAt adapts transient3DSolution to the estimator shape
-// shared with the 2D run.
-func transient3DSolutionAt(t float64) func(geom.Vec3) float64 {
-	return transient3DSolution(t)
 }
 
 // engineDemo is the shared driver behind EngineDemo and EngineDemo3D.

@@ -176,8 +176,8 @@ func isInt(s string) bool {
 
 func TestFig45QuickMigrationGap(t *testing.T) {
 	var b4, b5 bytes.Buffer
-	Fig4(&b4, Quick)
-	Fig5(&b5, Quick)
+	Fig4(&b4, DefaultGrowth(Quick))
+	Fig5(&b5, DefaultGrowth(Quick))
 	mig4 := sumColumn(t, b4.String(), "migrate")
 	mig5 := sumColumn(t, b5.String(), "migrate")
 	if mig5*3 > mig4 {

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pared/internal/meshgen"
 )
 
 func TestAblationQuick(t *testing.T) {
@@ -42,25 +44,18 @@ func TestAblationQuick(t *testing.T) {
 	}
 }
 
+// TestFig45For3DQuick: on the tetrahedral growth series, PNR's migration
+// (Figure 5's "migrate") is clearly below RSB's at its best, with the
+// Biswas–Oliker permutation (Figure 4's "migrate(perm)").
 func TestFig45For3DQuick(t *testing.T) {
-	var buf bytes.Buffer
-	Fig45For3D(&buf, Quick)
-	out := buf.String()
-	if !strings.Contains(out, "PNR mig%") {
-		t.Fatalf("missing table:\n%s", out)
+	var b4, b5 bytes.Buffer
+	Fig4(&b4, DefaultGrowth3D(Quick))
+	Fig5(&b5, DefaultGrowth3D(Quick))
+	if !strings.Contains(b4.String(), "Figure 4 (3D)") || !strings.Contains(b5.String(), "Figure 5 (3D)") {
+		t.Fatalf("missing 3D tables:\n%s%s", b4.String(), b5.String())
 	}
-	// Summed PNR migration must be below summed RSB migration.
-	var rsbSum, pnrSum int64
-	for _, ln := range strings.Split(out, "\n") {
-		fields := strings.Fields(ln)
-		if len(fields) != 7 || !isInt(fields[0]) {
-			continue
-		}
-		r, _ := strconv.ParseInt(fields[3], 10, 64)
-		p, _ := strconv.ParseInt(fields[5], 10, 64)
-		rsbSum += r
-		pnrSum += p
-	}
+	rsbSum := sumColumn(t, b4.String(), "migrate(perm)")
+	pnrSum := sumColumn(t, b5.String(), "migrate")
 	if pnrSum*2 > rsbSum {
 		t.Errorf("3D: PNR migration %d not clearly below RSB %d", pnrSum, rsbSum)
 	}
@@ -110,7 +105,9 @@ func TestWriteCSVReturnsCreateError(t *testing.T) {
 // regular file: both mesh renderings and the CSV export must report their
 // failure, and no line may claim a file was written.
 func TestTransientReportsExportFailure(t *testing.T) {
-	cfg := TransientConfig{GridN: 4, Steps: 2, Tol: 2e-2, MaxLevel: 6, Procs: []int{2}, Alpha: 0.1, Beta: 0.8, SVGDir: notADir(t)}
+	cfg := DefaultTransient(Quick)
+	cfg.m0 = meshgen.RectTri(4, 4, -1, -1, 1, 1)
+	cfg.Steps, cfg.MaxLevel, cfg.Procs, cfg.SVGDir = 2, 6, []int{2}, notADir(t)
 	var buf bytes.Buffer
 	Transient(&buf, cfg)
 	out := buf.String()
@@ -142,23 +139,25 @@ func TestDiffusionComparisonQuick(t *testing.T) {
 	}
 }
 
+// TestTransient3DQuick: in the 3D case of the §10 study, PNR's average
+// migrated fraction is below permuted RSB's at every processor count.
 func TestTransient3DQuick(t *testing.T) {
 	var buf bytes.Buffer
-	Transient3D(&buf, Quick)
-	out := buf.String()
-	if !strings.Contains(out, "PNR avg%") {
-		t.Fatalf("missing table:\n%s", out)
+	res := Transient(&buf, DefaultTransient3D(Quick))
+	if !strings.Contains(buf.String(), "Section 10 summary (3D)") || len(res.Summary.Rows) != 2 {
+		t.Fatalf("missing 3D summary:\n%s", buf.String())
 	}
-	// Parse the two method averages and require PNR below permuted RSB.
-	for _, ln := range strings.Split(out, "\n") {
-		f := strings.Fields(ln)
-		if len(f) != 8 || !isInt(f[0]) {
-			continue
+	// Cells read "avg (peak)"; columns: procs, RSB, permRSB, PNR, ...
+	avg := func(cell string) float64 {
+		v, err := strconv.ParseFloat(strings.Fields(cell)[0], 64)
+		if err != nil {
+			t.Fatalf("bad cell %q: %v", cell, err)
 		}
-		rsbAvg, _ := strconv.ParseFloat(f[2], 64)
-		pnrAvg, _ := strconv.ParseFloat(f[4], 64)
-		if pnrAvg > rsbAvg {
-			t.Errorf("3D transient: PNR avg %.1f%% above permuted RSB %.1f%%: %s", pnrAvg, rsbAvg, ln)
+		return v
+	}
+	for _, row := range res.Summary.Rows {
+		if rsbAvg, pnrAvg := avg(row[2]), avg(row[3]); pnrAvg > rsbAvg {
+			t.Errorf("3D transient: PNR avg %.1f%% above permuted RSB %.1f%%: %v", pnrAvg, rsbAvg, row)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func fullScale(t *testing.T) {
 func TestFullScaleFig5Claims(t *testing.T) {
 	fullScale(t)
 	var buf bytes.Buffer
-	Fig5(&buf, Full)
+	Fig5(&buf, DefaultGrowth(Full))
 	out := buf.String()
 	type row struct {
 		elems, migrate, migratePerm int64

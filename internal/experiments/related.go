@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"pared/internal/core"
-	"pared/internal/fem"
 	"pared/internal/geom"
 	"pared/internal/partition"
 	"pared/internal/partition/diffusion"
@@ -55,15 +54,13 @@ func GeoComparison(w io.Writer, scale Scale) {
 // of the same regions across iterations — shows up as a higher cumulative
 // movement for comparable balance.
 func DiffusionComparison(w io.Writer, scale Scale) {
-	m0, sizes, procs := fig45Sizes(scale)
+	c := DefaultGrowth(scale)
+	procs := []int{4, 8} // p=16 on the tiny quick meshes hits tree-weight granularity
 	if scale == Full {
-		sizes = sizes[:4]
+		c.sizes = c.sizes[:4]
 		procs = []int{8, 32}
-	} else {
-		procs = []int{4, 8} // p=16 on the tiny quick meshes hits tree-weight granularity
 	}
-	est := fem.InterpolationEstimator(fem.CornerSolution2D)
-	steps := GrowthSeries(m0, est, sizes, growthMaxLevel)
+	steps := GrowthSeries(c.m0, c.est, c.sizes, growthMaxLevel)
 	t := &Table{
 		Title:  "PNR vs diffusive repartitioning (refs [6,7]) on the growth workload",
 		Header: []string{"procs", "elems(t)", "PNR mig", "PNR cut", "PNR imb", "diff mig", "diff cut", "diff imb"},

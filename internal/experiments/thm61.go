@@ -49,26 +49,21 @@ func Theorem61(w io.Writer, scale Scale) {
 }
 
 // projectToTrees assigns every leaf of a tree to the processor owning the
-// plurality of the tree's leaves under the fine partition.
+// plurality of the tree's leaves under the fine partition (the lowest such
+// processor on a tie).
 func projectToTrees(s *Snapshot, fine []int32, p int) []int32 {
-	votes := make(map[int32][]int64)
+	votes := make([]int64, s.G.N()*p) // votes[r*p+j]: tree r's leaves on processor j
 	for e, r := range s.Leaf.LeafRoot {
-		v := votes[r]
-		if v == nil {
-			v = make([]int64, p)
-			votes[r] = v
-		}
-		v[fine[e]]++
+		votes[int(r)*p+int(fine[e])]++
 	}
-	rootOwner := make(map[int32]int32, len(votes))
-	for r, v := range votes {
-		best := int32(0)
+	rootOwner := make([]int32, s.G.N())
+	for r := range rootOwner {
+		v := votes[r*p : (r+1)*p]
 		for j := 1; j < p; j++ {
-			if v[j] > v[best] {
-				best = int32(j)
+			if v[j] > v[rootOwner[r]] {
+				rootOwner[r] = int32(j)
 			}
 		}
-		rootOwner[r] = best
 	}
 	out := make([]int32, len(fine))
 	for e, r := range s.Leaf.LeafRoot {

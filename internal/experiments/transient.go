@@ -8,6 +8,8 @@ import (
 	"pared/internal/core"
 	"pared/internal/fem"
 	"pared/internal/forest"
+	"pared/internal/geom"
+	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/partition"
 	"pared/internal/partition/mlkl"
@@ -16,31 +18,81 @@ import (
 	"pared/internal/refine"
 )
 
-// TransientConfig sizes the §10 moving-peak study.
+// TransientConfig is one case of the §10 moving-peak study: the coarse mesh,
+// the peak moving across it and the RSB seed are fixed by the constructor
+// (DefaultTransient in 2D, DefaultTransient3D in 3D); the exported fields
+// size the run.
 type TransientConfig struct {
-	GridN     int     // initial mesh resolution
 	Steps     int     // time steps from t = −0.5 to 0.5
 	Tol       float64 // refine tolerance (coarsen at Tol/4)
 	MaxLevel  int32
 	Procs     []int
-	Alpha     float64
-	Beta      float64
 	SVGDir    string // if set, render meshes at the first and last steps
 	EveryStep bool   // emit per-step rows (Figures 7/8) vs summary only
+
+	m0      *mesh.Mesh
+	peak    func(t float64) func(geom.Vec3) float64
+	rsbSeed int64
 }
 
-// DefaultTransient returns the configuration for the given scale.
+// DefaultTransient returns the paper's 2D case at the given scale.
 func DefaultTransient(scale Scale) TransientConfig {
-	if scale == Quick {
-		return TransientConfig{GridN: 12, Steps: 10, Tol: 2e-2, MaxLevel: 12, Procs: []int{4, 8}, Alpha: 0.1, Beta: 0.8}
+	gridN, cfg := 12, TransientConfig{Steps: 10, Tol: 2e-2, MaxLevel: 12, Procs: []int{4, 8}}
+	if scale == Full {
+		gridN, cfg = 40, TransientConfig{Steps: 100, Tol: 4e-3, MaxLevel: 20, Procs: []int{4, 8, 16, 32}, EveryStep: true}
 	}
-	return TransientConfig{GridN: 40, Steps: 100, Tol: 4e-3, MaxLevel: 20, Procs: []int{4, 8, 16, 32}, Alpha: 0.1, Beta: 0.8, EveryStep: true}
+	cfg.m0, cfg.peak, cfg.rsbSeed = meshgen.RectTri(gridN, gridN, -1, -1, 1, 1), fem.TransientSolution, 17
+	return cfg
 }
 
-// methodState tracks one repartitioning method's assignment across steps.
-type methodState struct {
-	fineParts []int32 // per current leaf element (RSB variants)
-	owner     []int32 // per coarse root (PNR)
+// DefaultTransient3D returns the study in three dimensions (the paper reports
+// its migration comparisons "are similar" in 3D): a peak sliding along the
+// diagonal of a tetrahedral box.
+func DefaultTransient3D(scale Scale) TransientConfig {
+	gridN, cfg := 6, TransientConfig{Steps: 8, Tol: 3e-2, MaxLevel: 10, Procs: []int{4, 8}}
+	if scale == Full {
+		gridN, cfg = 10, TransientConfig{Steps: 30, Tol: 1.2e-2, MaxLevel: 10, Procs: []int{4, 8, 16}}
+	}
+	cfg.m0, cfg.peak, cfg.rsbSeed = meshgen.BoxTet(gridN, gridN, gridN, -1, -1, -1, 1, 1, 1), transient3DSolution, 23
+	return cfg
+}
+
+// transient3DSolution is a 3D moving peak analogous to §10's 2D one: height
+// 1 at (−t,−t,−t), sliding along the main diagonal of (−1,1)³.
+func transient3DSolution(t float64) func(geom.Vec3) float64 {
+	return func(p geom.Vec3) float64 {
+		dx, dy, dz := p.X+t, p.Y+t, p.Z+t
+		return 1 / (1 + 100*(dx*dx+dy*dy+dz*dz))
+	}
+}
+
+// dimTag labels a table of a 3D case; 2D tables carry the paper's titles.
+func dimTag(m0 *mesh.Mesh) string {
+	if m0.Dim == mesh.D3 {
+		return " (3D)"
+	}
+	return ""
+}
+
+// The methods of the study, in Figure 8's column order.
+const (
+	methRSB = iota
+	methPerm
+	methPNR
+	methSFC
+	methMLKL
+	numMethods
+)
+
+// transientState is one processor count's assignments and running sums.
+type transientState struct {
+	rsb, perm            []int32             // per leaf element: RSB from scratch, permuted RSB
+	pnr, sfc, mlkl       []int32             // per coarse root
+	sum, peak            [numMethods]float64 // migrated % by method: sum and maximum
+	n                    int                 // steps that had a previous one
+	sharedRSB, sharedPNR float64
+	adjRSB, adjPNR       float64
+	discRSB, discPNR     int
 }
 
 // TransientResult aggregates Figures 7 and 8.
@@ -57,14 +109,14 @@ type TransientResult struct {
 // migrated by every method; the summary adds the SFC and ML-KL migrated
 // fractions next to the paper's three columns.
 func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
-	m0 := meshgen.RectTri(cfg.GridN, cfg.GridN, -1, -1, 1, 1)
+	m0, tag := cfg.m0, dimTag(cfg.m0)
 	f := forest.FromMesh(m0)
 	r := refine.NewRefiner(f)
 
 	res := &TransientResult{
-		Fig7:    &Table{Title: "Figure 7: shared vertices per step (RSB vs PNR)", Header: []string{"step", "t", "elems"}},
-		Fig8:    &Table{Title: "Figure 8: elements migrated per step (RSB, permuted RSB, PNR, SFC, ML-KL)", Header: []string{"step", "t", "elems"}},
-		Summary: &Table{Title: "Section 10 summary: average (peak) migrated fraction, %", Header: []string{"procs", "RSB", "permRSB", "PNR", "SFC", "MLKL", "sharedV RSB", "sharedV PNR", "adjSub RSB", "adjSub PNR", "disc RSB", "disc PNR"}},
+		Fig7:    &Table{Title: "Figure 7" + tag + ": shared vertices per step (RSB vs PNR)", Header: []string{"step", "t", "elems"}},
+		Fig8:    &Table{Title: "Figure 8" + tag + ": elements migrated per step (RSB, permuted RSB, PNR, SFC, ML-KL)", Header: []string{"step", "t", "elems"}},
+		Summary: &Table{Title: "Section 10 summary" + tag + ": average (peak) migrated fraction, %", Header: []string{"procs", "RSB", "permRSB", "PNR", "SFC", "MLKL", "sharedV RSB", "sharedV PNR", "adjSub RSB", "adjSub PNR", "disc RSB", "disc PNR"}},
 	}
 	for _, p := range cfg.Procs {
 		res.Fig7.Header = append(res.Fig7.Header, fmt.Sprintf("RSB:%d", p), fmt.Sprintf("PNR:%d", p))
@@ -72,22 +124,8 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 			fmt.Sprintf("PNR:%d", p), fmt.Sprintf("SFC:%d", p), fmt.Sprintf("MLKL:%d", p))
 	}
 
-	pnrCfg := core.Config{Alpha: cfg.Alpha, Beta: cfg.Beta}
-	rsbCfg := rsb.Config{Seed: 17}
-	states := make(map[int]*[5]methodState) // per p: [rsb, rsbPerm, pnr, sfc, mlkl]
-	type agg struct {
-		sumRSB, sumPerm, sumPNR, sumSFC, sumMLKL      float64
-		peakRSB, peakPerm, peakPNR, peakSFC, peakMLKL float64
-		sumSharedRSB, sumSharedPNR                    float64
-		sumAdjRSB, sumAdjPNR                          float64
-		discRSB, discPNR                              int
-		n                                             int
-	}
-	aggs := make(map[int]*agg)
-	for _, p := range cfg.Procs {
-		states[p] = &[5]methodState{}
-		aggs[p] = &agg{}
-	}
+	rsbCfg := rsb.Config{Seed: cfg.rsbSeed}
+	states := make([]transientState, len(cfg.Procs)) // by position in cfg.Procs
 	// The SFC methods partition the coarse graph, whose vertex set is the
 	// invariant root set of m0: the curve order is computed once.
 	sfcKeys := sfc.Keys(m0, sfc.Hilbert)
@@ -97,7 +135,7 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 	var prevSnap *Snapshot
 	for step := 0; step < cfg.Steps; step++ {
 		tt := -0.5 + float64(step)/float64(max(cfg.Steps-1, 1))
-		est := fem.InterpolationEstimator(fem.TransientSolution(tt))
+		est := fem.InterpolationEstimator(cfg.peak(tt))
 		// Let the mesh settle on the new peak position (a few passes, since
 		// the peak moves a fraction of its width per step).
 		for pass := 0; pass < 3; pass++ {
@@ -114,88 +152,69 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 		nElems := cur.Leaf.Mesh.NumElems()
 		row7 := []any{step, fmt.Sprintf("%.2f", tt), nElems}
 		row8 := []any{step, fmt.Sprintf("%.2f", tt), nElems}
-		for _, p := range cfg.Procs {
-			st := states[p]
-			a := aggs[p]
+		for i, p := range cfg.Procs {
+			st := &states[i]
+			var mig [numMethods]int64
 			// Fresh RSB partition of the current fine mesh (identical for
 			// both RSB variants; they differ only in adopted labels).
 			newRSB := rsb.Partition(cur.Fine, p, rsbCfg)
-
-			migRSB, migPerm := int64(0), int64(0)
-			var adoptedPerm []int32
-			if prevSnap == nil {
-				adoptedPerm = newRSB
-			} else {
-				inhRSB := inheritParts(st[0].fineParts, inherit)
-				migRSB = partition.MigrationCost(cur.Fine.VW, inhRSB, newRSB)
-				inhPerm := inheritParts(st[1].fineParts, inherit)
+			adoptedPerm := newRSB
+			if prevSnap != nil {
+				inhRSB := inheritParts(st.rsb, inherit)
+				mig[methRSB] = partition.MigrationCost(cur.Fine.VW, inhRSB, newRSB)
+				inhPerm := inheritParts(st.perm, inherit)
 				adoptedPerm = partition.MinMigrationRelabel(cur.Fine.VW, inhPerm, newRSB, p)
-				migPerm = partition.MigrationCost(cur.Fine.VW, inhPerm, adoptedPerm)
+				mig[methPerm] = partition.MigrationCost(cur.Fine.VW, inhPerm, adoptedPerm)
 			}
-			st[0].fineParts = newRSB
-			st[1].fineParts = adoptedPerm
+			st.rsb, st.perm = newRSB, adoptedPerm
 
-			// PNR on the coarse graph.
-			migPNR := int64(0)
-			if st[2].owner == nil {
-				st[2].owner = core.Partition(cur.G, p, pnrCfg)
-				st[2].owner = core.Repartition(cur.G, st[2].owner, p, pnrCfg)
+			// PNR on the coarse graph, from the paper's α and β.
+			if st.pnr == nil {
+				st.pnr = core.Partition(cur.G, p, core.Config{})
+				st.pnr = core.Repartition(cur.G, st.pnr, p, core.Config{})
 			} else {
-				newOwner := core.Repartition(cur.G, st[2].owner, p, pnrCfg)
-				migPNR = partition.MigrationCost(cur.G.VW, st[2].owner, newOwner)
-				st[2].owner = newOwner
+				newOwner := core.Repartition(cur.G, st.pnr, p, core.Config{})
+				mig[methPNR] = partition.MigrationCost(cur.G.VW, st.pnr, newOwner)
+				st.pnr = newOwner
 			}
 			// SFC Hilbert bands on the same coarse graph, snapped against the
 			// previous step's bands.
-			migSFC := int64(0)
-			{
-				newOwner := sfc.Assign(sfcOrder, cur.G.VW, st[3].owner, p, true, nil, &sfcScratch)
-				newOwner = append([]int32(nil), newOwner...)
-				if st[3].owner != nil {
-					migSFC = partition.MigrationCost(cur.G.VW, st[3].owner, newOwner)
-				}
-				st[3].owner = newOwner
+			newSFC := sfc.Assign(sfcOrder, cur.G.VW, st.sfc, p, true, nil, &sfcScratch)
+			newSFC = append([]int32(nil), newSFC...)
+			if st.sfc != nil {
+				mig[methSFC] = partition.MigrationCost(cur.G.VW, st.sfc, newSFC)
 			}
+			st.sfc = newSFC
 			// Direct ML-KL from scratch, relabeled for minimum migration.
-			migMLKL := int64(0)
-			{
-				newOwner := mlkl.Partition(cur.G, p, mlkl.Config{})
-				if st[4].owner != nil {
-					newOwner = partition.MinMigrationRelabel(cur.G.VW, st[4].owner, newOwner, p)
-					migMLKL = partition.MigrationCost(cur.G.VW, st[4].owner, newOwner)
-				}
-				st[4].owner = newOwner
+			newML := mlkl.Partition(cur.G, p, mlkl.Config{})
+			if st.mlkl != nil {
+				newML = partition.MinMigrationRelabel(cur.G.VW, st.mlkl, newML, p)
+				mig[methMLKL] = partition.MigrationCost(cur.G.VW, st.mlkl, newML)
 			}
+			st.mlkl = newML
+
+			pnrFine := cur.RootParts(st.pnr)
 			sharedRSB := cur.Leaf.Mesh.SharedVertices(newRSB)
-			sharedPNR := cur.Leaf.Mesh.SharedVertices(cur.RootParts(st[2].owner))
+			sharedPNR := cur.Leaf.Mesh.SharedVertices(pnrFine)
 			row7 = append(row7, sharedRSB, sharedPNR)
-			row8 = append(row8, migRSB, migPerm, migPNR, migSFC, migMLKL)
+			row8 = append(row8, mig[methRSB], mig[methPerm], mig[methPNR], mig[methSFC], mig[methMLKL])
 			if prevSnap != nil {
-				tot := float64(nElems)
-				fr, fp, fn := 100*float64(migRSB)/tot, 100*float64(migPerm)/tot, 100*float64(migPNR)/tot
-				fs, fm := 100*float64(migSFC)/tot, 100*float64(migMLKL)/tot
-				a.sumRSB += fr
-				a.sumPerm += fp
-				a.sumPNR += fn
-				a.sumSFC += fs
-				a.sumMLKL += fm
-				a.peakRSB = max(a.peakRSB, fr)
-				a.peakPerm = max(a.peakPerm, fp)
-				a.peakPNR = max(a.peakPNR, fn)
-				a.peakSFC = max(a.peakSFC, fs)
-				a.peakMLKL = max(a.peakMLKL, fm)
-				a.n++
+				for k, m := range mig {
+					frac := 100 * float64(m) / float64(nElems)
+					st.sum[k] += frac
+					st.peak[k] = max(st.peak[k], frac)
+				}
+				st.n++
 			}
-			a.sumSharedRSB += float64(sharedRSB)
-			a.sumSharedPNR += float64(sharedPNR)
+			st.sharedRSB += float64(sharedRSB)
+			st.sharedPNR += float64(sharedPNR)
 			// §3's secondary measure and §8's connectivity concern.
 			adjR, _ := partition.AdjacentSubdomains(cur.Fine, newRSB, p)
-			pnrFine := cur.RootParts(st[2].owner)
 			adjP, _ := partition.AdjacentSubdomains(cur.Fine, pnrFine, p)
-			a.sumAdjRSB += adjR
-			a.sumAdjPNR += adjP
-			a.discRSB += partition.DisconnectedParts(cur.Fine, newRSB, p)
-			a.discPNR += partition.DisconnectedParts(cur.Fine, pnrFine, p)
+			st.adjRSB += adjR
+			st.adjPNR += adjP
+			st.discRSB += partition.DisconnectedParts(cur.Fine, newRSB, p)
+			st.discPNR += partition.DisconnectedParts(cur.Fine, pnrFine, p)
 		}
 		res.Fig7.AddRow(row7...)
 		res.Fig8.AddRow(row8...)
@@ -204,22 +223,21 @@ func Transient(w io.Writer, cfg TransientConfig) *TransientResult {
 		}
 		prevSnap = cur
 	}
-	for _, p := range cfg.Procs {
-		a := aggs[p]
-		n := float64(max(a.n, 1))
+	for i, p := range cfg.Procs {
+		st := &states[i]
+		n := float64(max(st.n, 1))
 		steps := float64(cfg.Steps)
-		res.Summary.AddRow(p,
-			fmt.Sprintf("%.1f (%.1f)", a.sumRSB/n, a.peakRSB),
-			fmt.Sprintf("%.1f (%.1f)", a.sumPerm/n, a.peakPerm),
-			fmt.Sprintf("%.1f (%.1f)", a.sumPNR/n, a.peakPNR),
-			fmt.Sprintf("%.1f (%.1f)", a.sumSFC/n, a.peakSFC),
-			fmt.Sprintf("%.1f (%.1f)", a.sumMLKL/n, a.peakMLKL),
-			fmt.Sprintf("%.0f", a.sumSharedRSB/steps),
-			fmt.Sprintf("%.0f", a.sumSharedPNR/steps),
-			fmt.Sprintf("%.2f", a.sumAdjRSB/steps),
-			fmt.Sprintf("%.2f", a.sumAdjPNR/steps),
-			fmt.Sprintf("%.2f", float64(a.discRSB)/steps),
-			fmt.Sprintf("%.2f", float64(a.discPNR)/steps))
+		row := []any{p}
+		for k := range st.sum {
+			row = append(row, fmt.Sprintf("%.1f (%.1f)", st.sum[k]/n, st.peak[k]))
+		}
+		res.Summary.AddRow(append(row,
+			fmt.Sprintf("%.0f", st.sharedRSB/steps),
+			fmt.Sprintf("%.0f", st.sharedPNR/steps),
+			fmt.Sprintf("%.2f", st.adjRSB/steps),
+			fmt.Sprintf("%.2f", st.adjPNR/steps),
+			fmt.Sprintf("%.2f", float64(st.discRSB)/steps),
+			fmt.Sprintf("%.2f", float64(st.discPNR)/steps))...)
 	}
 	if cfg.EveryStep {
 		res.Fig7.Fprint(w)

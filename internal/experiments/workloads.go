@@ -37,7 +37,11 @@ func takeSnapshot(f *forest.Forest, numRoots int, prev *Snapshot) *Snapshot {
 		}
 		return s
 	}
-	prevIdx := make(map[forest.NodeID]int32, len(prev.Leaf.Leaf2Node))
+	// prevIdx is the previous snapshot's leaf index of each node, or -1.
+	prevIdx := make([]int32, len(f.Nodes))
+	for i := range prevIdx {
+		prevIdx[i] = -1
+	}
 	for i, id := range prev.Leaf.Leaf2Node {
 		prevIdx[id] = int32(i)
 	}
@@ -51,9 +55,9 @@ func takeSnapshot(f *forest.Forest, numRoots int, prev *Snapshot) *Snapshot {
 // previous snapshot. Valid only for refine-only sequences: coarsening frees
 // node slots for reuse, invalidating NodeID-based matching — the transient
 // experiment uses InheritByLocation instead.
-func findRelative(f *forest.Forest, id forest.NodeID, prevIdx map[forest.NodeID]int32) int32 {
+func findRelative(f *forest.Forest, id forest.NodeID, prevIdx []int32) int32 {
 	for n := id; n != forest.NoNode; n = f.Node(n).Parent {
-		if i, ok := prevIdx[n]; ok {
+		if i := prevIdx[n]; i >= 0 {
 			return i
 		}
 	}
@@ -65,7 +69,7 @@ func findRelative(f *forest.Forest, id forest.NodeID, prevIdx map[forest.NodeID]
 // which processor an element "was on". Falls back to the nearest centroid in
 // the tree when the point-location test is inconclusive at boundaries.
 func InheritByLocation(prev, cur *Snapshot) []int32 {
-	byRoot := make(map[int32][]int32)
+	byRoot := make([][]int32, prev.G.N()) // each tree's previous leaves
 	for i, r := range prev.Leaf.LeafRoot {
 		byRoot[r] = append(byRoot[r], int32(i))
 	}

@@ -132,6 +132,9 @@ type Forest struct {
 	// the payload being built, or -1. It is all -1 between calls and as long
 	// as the vertex table was at the last extraction.
 	vnum []int32
+	// seen is InsertTree's scratch: the vertex IDs of the payload being
+	// checked, each to its payload index.
+	seen index.Map
 }
 
 // treeSlot is the dense index's entry for one tree.

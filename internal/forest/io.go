@@ -44,8 +44,9 @@ func (f *Forest) Write(w io.Writer) error {
 
 // Read parses the format written by Write into a fresh forest. Every node is
 // held to DecodePayloads' checks; on top, every tree must have the header's
-// dimension, and the roots must rise strictly from 0 and stay below the
-// rootsPerByte bound. Bad input is an error, never a panic.
+// dimension, the roots must rise strictly from 0 and stay below the
+// rootsPerByte bound, and InsertTree must accept every tree's vertex IDs.
+// Bad input is an error, never a panic.
 func Read(r io.Reader) (*Forest, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -76,7 +77,9 @@ func Read(r io.Reader) (*Forest, error) {
 			return nil, fmt.Errorf("forest: root %d in a %d-byte file", p.Root, len(body))
 		}
 		prev = p.Root
-		f.InsertTree(p)
+		if err := f.InsertTree(p); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }

@@ -79,8 +79,8 @@ func TestForestIORoundTrip(t *testing.T) {
 
 // TestForestReadRejectsGarbage: Read rejects, with an error and never a
 // panic, every file-level fault: the header, a tree of the other dimension,
-// roots that do not rise strictly from 0, a truncated body and trailing
-// bytes.
+// roots that do not rise strictly from 0, a truncated body, trailing bytes,
+// and trees whose vertex IDs would alias two vertices.
 func TestForestReadRejectsGarbage(t *testing.T) {
 	tri := FromMesh(meshgen.RectTri(2, 1, 0, 0, 1, 1)) // roots 0..3
 	tet := FromMesh(meshgen.BoxTet(1, 1, 1, 0, 0, 0, 1, 1, 1))
@@ -91,6 +91,12 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 	}
 	batch := func(ps ...*TreePayload) []byte { return EncodePayloads(ps) }
 	two := batch(tree(tri, 0, 1), tree(tri, 1, 4))
+	// moved is tree 0 again as root 4, with its first vertex elsewhere;
+	// twice names one vertex ID as both of a tree's first two vertices.
+	moved := tree(tri, 0, 4)
+	moved.Coords[0].X += 5
+	twice := tree(tri, 0, 1)
+	twice.VIDs[1], twice.Coords[1] = twice.VIDs[0], twice.Coords[0]
 	for _, tc := range []struct {
 		name, header string
 		batch        []byte
@@ -106,6 +112,8 @@ func TestForestReadRejectsGarbage(t *testing.T) {
 		{"truncated body", "pared-forest 2", two[:len(two)-1]},
 		{"trailing bytes", "pared-forest 2", append(slices.Clone(two), 0)},
 		{"root past the file's bound", "pared-forest 2", batch(tree(tri, 0, 1<<20))},
+		{"a vertex ID at other coordinates than an earlier tree's", "pared-forest 2", batch(tree(tri, 0, 1), moved)},
+		{"one vertex ID named twice in a tree", "pared-forest 2", batch(twice)},
 	} {
 		if f, err := Read(forestFile(tc.header, tc.batch)); err == nil {
 			t.Errorf("%s: read %d trees, want an error", tc.name, f.NumRoots())

@@ -172,12 +172,17 @@ func (f *Forest) RemoveTree(root int32) {
 // InsertTree splices a payload into the forest, interning its vertices.
 // A vertex the forest does not hold yet takes the payload's field value; one
 // it holds keeps its own. A payload with a field gives a forest without one a
-// field, 0 at the vertices already held. It panics if the tree is already
-// held or its root is negative. The dense root index grows to one past
-// p.Root: a payload off the wire must have its root checked against the
+// field, 0 at the vertices already held. It returns an error, and inserts
+// nothing, if the payload names a vertex ID twice or names one the forest
+// holds at other coordinates (checkVertexIDs). It panics if the tree is
+// already held or its root is negative. The dense root index grows to one
+// past p.Root: a payload off the wire must have its root checked against the
 // coarse mesh first.
-func (f *Forest) InsertTree(p *TreePayload) NodeID {
+func (f *Forest) InsertTree(p *TreePayload) error {
 	f.mustPlace(p.Root, "InsertTree")
+	if err := f.checkVertexIDs(p); err != nil {
+		return err
+	}
 	if p.Field != nil && f.Field == nil {
 		f.Field = make([]float64, len(f.Coords))
 	}
@@ -222,7 +227,24 @@ func (f *Forest) InsertTree(p *TreePayload) NodeID {
 		}
 		return id
 	}
-	rid := build(0, NoNode, p.Level0)
-	f.hold(p.Root, rid, leaves)
-	return rid
+	f.hold(p.Root, build(0, NoNode, p.Level0), leaves)
+	return nil
+}
+
+// checkVertexIDs returns an error if interning p's vertices would make two
+// vertices one: p names a vertex ID twice, or names one the forest holds at
+// other coordinates. Neither happens to a payload ExtractTree made from a
+// forest that shares the receiver's vertex naming, so either one marks a
+// corrupt payload or a file whose trees do not belong together.
+func (f *Forest) checkVertexIDs(p *TreePayload) error {
+	f.seen.Clear()
+	for i, id := range p.VIDs {
+		if j, dup := f.seen.FindOrPut(uint64(id), int32(i)); dup {
+			return fmt.Errorf("forest: tree %d names vertex ID %x twice, as vertices %d and %d", p.Root, uint64(id), j, i)
+		}
+		if li, held := f.vidx.Find(uint64(id)); held && f.Coords[li] != p.Coords[i] {
+			return fmt.Errorf("forest: tree %d puts vertex ID %x at %v, held at %v", p.Root, uint64(id), p.Coords[i], f.Coords[li])
+		}
+	}
+	return nil
 }

@@ -1,10 +1,12 @@
 package forest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"pared/internal/geom"
+	"pared/internal/index"
 	"pared/internal/meshgen"
 )
 
@@ -101,5 +103,57 @@ func TestCheckVerticesCatchesCorruption(t *testing.T) {
 		if err := f.CheckVertices(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckVertices = %v, want an error containing %q", tc.rule, err, tc.want)
 		}
+	}
+}
+
+// TestInsertTreeRejectsAliasedVertexIDs: a payload that names a vertex ID
+// twice, or names one the forest holds at other coordinates, is an error, and
+// the forest is left exactly as it was; the same payload unaltered inserts.
+func TestInsertTreeRejectsAliasedVertexIDs(t *testing.T) {
+	m := meshgen.RectTri(2, 1, 0, 0, 1, 1)
+	holder := func() *Forest { // trees 0, 2 and 3: tree 1 left out
+		f := FromMesh(m)
+		f.RemoveTree(1)
+		return f
+	}
+	tree1 := func() *TreePayload { return FromMesh(m).ExtractTree(1) }
+	f := holder()
+	shared := -1 // a vertex of tree 1 that the holder holds
+	for i, id := range tree1().VIDs {
+		if f.LookupVertex(id) >= 0 {
+			shared = i
+			break
+		}
+	}
+	if shared < 0 {
+		t.Fatal("tree 1 shares no vertex with the other trees")
+	}
+	for _, tc := range []struct {
+		name  string
+		alter func(p *TreePayload)
+		want  string
+	}{
+		{"held at other coordinates", func(p *TreePayload) { p.Coords[shared].Y += 0.5 }, "held at"},
+		{"named twice at one place", func(p *TreePayload) { p.VIDs[1], p.Coords[1] = p.VIDs[0], p.Coords[0] }, "twice"},
+		{"named twice at two places", func(p *TreePayload) { p.VIDs[2] = p.VIDs[1] }, "twice"},
+	} {
+		f, twin := holder(), holder()
+		p := tree1()
+		tc.alter(p)
+		err := f.InsertTree(p)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		f.seen, twin.seen = index.Map{}, index.Map{} // the check's scratch
+		if !reflect.DeepEqual(f, twin) {
+			t.Errorf("%s: the rejected tree changed the forest", tc.name)
+		}
+	}
+	f = holder()
+	if err := f.InsertTree(tree1()); err != nil || f.NumRoots() != 4 {
+		t.Fatalf("unaltered tree: %v, %d roots", err, f.NumRoots())
+	}
+	if err := f.CheckVertices(); err != nil {
+		t.Fatal(err)
 	}
 }

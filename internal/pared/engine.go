@@ -853,8 +853,9 @@ func unpackOwnerDelta(old []int32, payload []int32, p int) (newOwner []int32, cu
 // arriving tree may take them at once; no vertex is renumbered. Payloads travel
 // as one flat wire buffer per destination (forest.EncodePayloads), so a
 // migration lane costs one unboxed buffer instead of a pointer forest, and
-// empty lanes send nothing. A tree that may not arrive (checkArrival)
-// panics, naming its sender, before it is spliced.
+// empty lanes send nothing. A tree that may not arrive (checkArrival) or
+// whose vertex IDs the forest rejects (forest.InsertTree) panics, naming its
+// sender, before any of it is spliced.
 func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 	me := int32(e.Comm.Rank())
 	outgoing := make([][]*forest.TreePayload, e.Comm.Size())
@@ -885,10 +886,13 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 			panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 		}
 		for _, p := range ps {
-			if err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p); err != nil {
+			err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p)
+			if err == nil {
+				err = e.F.InsertTree(p)
+			}
+			if err != nil {
 				panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 			}
-			e.F.InsertTree(p)
 			e.R.InsertTree(p.Root)
 			received++
 		}
@@ -970,10 +974,13 @@ func (e *Engine) GatherForest(root int) *forest.Forest {
 			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 		}
 		for _, p := range ps {
-			if err := checkSender(e.Owner, e.F.Dim, from, p); err != nil {
+			err := checkSender(e.Owner, e.F.Dim, from, p)
+			if err == nil {
+				err = g.InsertTree(p)
+			}
+			if err != nil {
 				panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 			}
-			g.InsertTree(p)
 		}
 	}
 	return g

@@ -348,3 +348,42 @@ func TestCheckArrival(t *testing.T) {
 		t.Errorf("a tetrahedron into a 2D forest: error %v, want one containing %q", err, want)
 	}
 }
+
+// TestArrivalWithAliasedVertexPanicsNamingSender: a tree whose vertex IDs the
+// receiving forest holds at other coordinates is rejected before any of it is
+// spliced, by migrate and by GatherForest alike, with a panic naming the rank
+// that sent it. Here rank 0 (migrate) or rank 1 (GatherForest) moves every
+// vertex it holds before sending, so the trees disagree with the receiver on
+// the vertices they share.
+func TestArrivalWithAliasedVertexPanicsNamingSender(t *testing.T) {
+	m := meshgen.RectTri(4, 4, -1, -1, 1, 1)
+	shift := func(f *forest.Forest) {
+		for v := range f.Coords {
+			f.Coords[v].X += 5
+		}
+	}
+	err := par.Run(2, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		if c.Rank() == 0 {
+			shift(e.F)
+		}
+		all1 := make([]int32, len(e.Owner))
+		for i := range all1 {
+			all1[i] = 1
+		}
+		e.migrate(all1)
+	})
+	if want := "pared: rank 1 migration payload from 0: forest: tree"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("migrate: par.Run returned %v, want a panic containing %q", err, want)
+	}
+	err = par.Run(2, func(c *par.Comm) {
+		e := Bootstrap(c, m)
+		if c.Rank() == 1 {
+			shift(e.F)
+		}
+		e.GatherForest(0)
+	})
+	if want := "pared: rank 0 gathering the forest, payload from 1: forest: tree"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("GatherForest: par.Run returned %v, want a panic containing %q", err, want)
+	}
+}

@@ -13,12 +13,14 @@ import (
 
 // mapFree lists the package trees whose results must not depend on Go's
 // randomized map iteration order: the partitioners, the refinement history,
-// the solver and the engine that drives them. Their non-test code names no
-// map type, so no loop over a map can reach a partition, a mesh, a migration
-// or a solution. Test files may use maps.
+// the solver, the engine that drives them and the experiments that print the
+// paper's figures from them. Their non-test code names no map type, so no
+// loop over a map can reach a partition, a mesh, a migration, a solution or
+// a printed figure. Test files may use maps.
 var mapFree = []string{
 	"internal/core", "internal/graph", "internal/partition", "internal/pared",
 	"internal/refine", "internal/forest", "internal/fem", "internal/la",
+	"internal/experiments",
 }
 
 // TestNoMapInDeterministicPackages parses every non-test Go file under the
