@@ -9,10 +9,14 @@
 // from their own sources; even pairs run the base first, odd pairs the
 // working tree. For every end-to-end metric of BENCHMARK.json it prints both
 // sides' medians with quartiles, the change of the median in percent and in
-// how many pairs the working tree read better (ties count for neither); then
-// both sides' failed checks and whether cut_mean, imbalance_mean and
-// migrated_frac — deterministic counts — were equal in every run. It judges
-// nothing: the bounds and the nine-in-ten rule are the reader's to apply.
+// how many pairs the working tree read better (ties count for neither), and a
+// verdict by the rules a claim is judged by: "gain" when there are at least
+// ten pairs, the working tree read better in at least nine of ten, and its
+// median moved the better way by more than the base's interquartile range;
+// "worse" when its median is worse than the base's by more than the metric's
+// bound in BENCHMARK.json; otherwise none. Then it prints both sides' failed
+// checks and whether cut_mean, imbalance_mean and migrated_frac —
+// deterministic counts — were equal in every run.
 package main
 
 import (
@@ -21,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,8 +42,9 @@ type benchmarkFile struct {
 }
 
 type metric struct {
-	Name   string `json:"name"`
-	Better string `json:"better"` // "lower" or "higher"
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // the largest admissible worsening of the median, as a fraction
 }
 
 // result is the one-line JSON object a benchmark run ends with.
@@ -180,8 +186,19 @@ func report(w io.Writer, workload string, metrics []metric, parent, change []res
 		}
 		p1, pm, p3 := quartiles(ps)
 		c1, cm, c3 := quartiles(cs)
-		fmt.Fprintf(w, "  %-15s parent %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  %+.1f%%  better in %d/%d\n",
-			m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, better, n)
+		gain := cm - pm // the change of the median, signed so that > 0 is better
+		if m.Better != "higher" {
+			gain = -gain
+		}
+		verdict := ""
+		switch {
+		case n >= 10 && 10*better >= 9*n && gain > p3-p1:
+			verdict = "  gain"
+		case -gain > m.Bound*math.Abs(pm):
+			verdict = "  worse"
+		}
+		fmt.Fprintf(w, "  %-15s parent %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  %+.1f%%  better in %d/%d%s\n",
+			m.Name, pm, p1, p3, cm, c1, c3, 100*(cm-pm)/pm, better, n, verdict)
 	}
 	equal := true
 	for _, name := range countMetrics {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,8 @@ func parse(t *testing.T, line string) result {
 // TestReportTable pins the table on three hand-made pairs: medians with
 // quartiles per side, the sign convention of "better" for a lower-is-better
 // and a higher-is-better metric, ties counting for neither side, the failed
-// checks of each side, and a count metric that moved.
+// checks of each side, and a count metric that moved; then, on ten pairs,
+// one metric of each verdict.
 func TestReportTable(t *testing.T) {
 	line := func(failed int, wall, eps, cut float64) string {
 		b, err := json.Marshal(map[string]any{"failed": failed, "metrics": map[string]any{
@@ -32,7 +34,7 @@ func TestReportTable(t *testing.T) {
 	}
 	parent := []result{parse(t, line(0, 1.0, 100, 7)), parse(t, line(0, 2.0, 200, 7)), parse(t, line(1, 3.0, 300, 7))}
 	change := []result{parse(t, line(0, 0.5, 100, 7)), parse(t, line(0, 2.5, 400, 7)), parse(t, line(0, 1.5, 600, 7))}
-	metrics := []metric{{"wall_s", "lower"}, {"elems_per_s", "higher"}}
+	metrics := []metric{{"wall_s", "lower", 0.2}, {"elems_per_s", "higher", 0.2}}
 	var out bytes.Buffer
 	report(&out, "w", metrics, parent, change)
 	want := "## w  pairs=3 failed_checks parent=1 new=0\n" +
@@ -48,5 +50,41 @@ func TestReportTable(t *testing.T) {
 	report(&out, "w", nil, parent, change)
 	if !bytes.Contains(out.Bytes(), []byte("equal in all 6 runs: false")) {
 		t.Errorf("a moved cut_mean went unreported:\n%s", out.String())
+	}
+
+	// The verdicts, on ten pairs whose parent reads 1, 2, …, 10 (median 5.5,
+	// interquartile range 3.25 to 7.75). wall_s falls by 5 in nine pairs
+	// and rises to 20 in the tenth: better in 9/10 and a median 5 lower,
+	// more than the range of 4.5, so "gain". elems_per_s rises by 1 in nine
+	// pairs: better in 9/10 too, but its median moves by only 1, so no
+	// verdict. adapt_s reads 5 against 4 in every pair: 25 % worse than the
+	// parent, past its 20 % bound, so "worse".
+	parent, change = nil, nil
+	for i := 1; i <= 10; i++ {
+		x := float64(i)
+		r := func(wall, eps, adapt float64) result {
+			b, err := json.Marshal(map[string]any{"metrics": map[string]any{
+				"wall_s": map[string]any{"value": wall}, "elems_per_s": map[string]any{"value": eps}, "adapt_s": map[string]any{"value": adapt},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return parse(t, string(b))
+		}
+		wall, eps := x-5, x+1
+		if i == 10 {
+			wall, eps = 20, x-1
+		}
+		parent = append(parent, r(x, x, 4))
+		change = append(change, r(wall, eps, 5))
+	}
+	out.Reset()
+	report(&out, "w", []metric{{"wall_s", "lower", 0.2}, {"elems_per_s", "higher", 0.2}, {"adapt_s", "lower", 0.2}}, parent, change)
+	want = "## w  pairs=10 failed_checks parent=0 new=0\n" +
+		"  wall_s          parent 5.5 [3.25, 7.75]  new 0.5 [-1.75, 2.75]  -90.9%  better in 9/10  gain\n" +
+		"  elems_per_s     parent 5.5 [3.25, 7.75]  new 6.5 [4.25, 8.75]  +18.2%  better in 9/10\n" +
+		"  adapt_s         parent 4 [4, 4]  new 5 [5, 5]  +25.0%  better in 0/10  worse\n"
+	if got := out.String(); !strings.HasPrefix(got, want) {
+		t.Errorf("got:\n%s\nwant it to start:\n%s", got, want)
 	}
 }

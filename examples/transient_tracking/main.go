@@ -1,7 +1,9 @@
 // Transient tracking: the paper's §10 scenario — a disturbance (a sharp peak)
 // moves across the domain; the mesh refines ahead of it and coarsens behind;
-// PNR repartitions every step and moves only a few percent of the elements
-// while keeping the cut comparable to spectral partitioning.
+// PNR repartitions the coarse dual graph every step. Per step it prints the
+// elements, the weight PNR moved (absolute and as a share of the elements),
+// the coarse edge cut, the vertices shared between parts and the imbalance;
+// at the end, the average share moved per step (12.39 % at these settings).
 package main
 
 import (

@@ -176,45 +176,48 @@ func stripes(n, p int) []int32 {
 	return parts
 }
 
-// checkKLMatchesScan runs the soft-balance refinement and then, from its
-// forced-balanced result, the hard-balance polish — the order Repartition
-// runs them in — through the scan and through runKL twice (on the shared
-// scratch s, whatever graph it last served, and on a fresh one), and requires
-// identical move sequences and identical final parts. It returns the number
-// of moves compared.
-func checkKLMatchesScan(t *testing.T, name string, s *klScratch, g *graph.Graph, start, orig []int32, p int, cfg Config) int {
+// compareKL runs one refinement, soft or hard balance, from start through
+// the scan and through runKL twice (on the shared scratch s, whatever graph
+// it last served, and on a fresh one), and requires identical move sequences
+// and identical final parts. It returns the scan's result and its number of
+// moves.
+func compareKL(t *testing.T, name string, s *klScratch, g *graph.Graph, start, orig []int32, p int, cfg Config, hard bool) ([]int32, int) {
 	t.Helper()
-	total := 0
-	start = append([]int32(nil), start...)
-	for _, hard := range []bool{false, true} {
-		want := append([]int32(nil), start...)
-		var wantSeq []klStep
-		runKLScanRef(g, want, orig, p, cfg, hard, func(m klStep) { wantSeq = append(wantSeq, m) })
-		for _, scr := range []*klScratch{s, new(klScratch)} {
-			got := append([]int32(nil), start...)
-			var gotSeq []klStep
-			scr.onMove = func(v, from, to int32, gain float64) {
-				gotSeq = append(gotSeq, klStep{v, from, to, math.Float64bits(gain)})
-			}
-			runKL(scr, g, got, orig, p, cfg, hard)
-			scr.onMove = nil
-			if len(gotSeq) != len(wantSeq) {
-				t.Fatalf("%s hard=%v: %d moves, the scan makes %d", name, hard, len(gotSeq), len(wantSeq))
-			}
-			for k := range wantSeq {
-				if gotSeq[k] != wantSeq[k] {
-					t.Fatalf("%s hard=%v: move %d is %+v, the scan's is %+v", name, hard, k, gotSeq[k], wantSeq[k])
-				}
-			}
-			if !samePartition(got, want) {
-				t.Fatalf("%s hard=%v: final parts differ from the scan's", name, hard)
+	want := append([]int32(nil), start...)
+	var wantSeq []klStep
+	runKLScanRef(g, want, orig, p, cfg, hard, func(m klStep) { wantSeq = append(wantSeq, m) })
+	for _, scr := range []*klScratch{s, new(klScratch)} {
+		got := append([]int32(nil), start...)
+		var gotSeq []klStep
+		scr.onMove = func(v, from, to int32, gain float64) {
+			gotSeq = append(gotSeq, klStep{v, from, to, math.Float64bits(gain)})
+		}
+		runKL(scr, g, got, orig, p, cfg, hard)
+		scr.onMove = nil
+		if len(gotSeq) != len(wantSeq) {
+			t.Fatalf("%s hard=%v: %d moves, the scan makes %d", name, hard, len(gotSeq), len(wantSeq))
+		}
+		for k := range wantSeq {
+			if gotSeq[k] != wantSeq[k] {
+				t.Fatalf("%s hard=%v: move %d is %+v, the scan's is %+v", name, hard, k, gotSeq[k], wantSeq[k])
 			}
 		}
-		total += len(wantSeq)
-		forceBalance(nil, g, want, orig, p, cfg)
-		start = want
+		if !samePartition(got, want) {
+			t.Fatalf("%s hard=%v: final parts differ from the scan's", name, hard)
+		}
 	}
-	return total
+	return want, len(wantSeq)
+}
+
+// checkKLMatchesScan compares the soft-balance refinement and then, from its
+// forced-balanced result, the hard-balance polish — the order Repartition
+// runs them in (compareKL). It returns the number of moves compared.
+func checkKLMatchesScan(t *testing.T, name string, s *klScratch, g *graph.Graph, start, orig []int32, p int, cfg Config) int {
+	t.Helper()
+	soft, total := compareKL(t, name, s, g, start, orig, p, cfg, false)
+	forceBalance(nil, g, soft, orig, p, cfg)
+	_, moves := compareKL(t, name, s, g, soft, orig, p, cfg, true)
+	return total + moves
 }
 
 // TestRunKLMatchesScanMoveForMove is the selector's contract: on every kind
@@ -232,11 +235,43 @@ func TestRunKLMatchesScanMoveForMove(t *testing.T) {
 		}
 	}
 
-	// The pinned benchmark scenario; p = 70 aliases parts 64..69 onto the
-	// dependency bits of parts 0..5.
-	for _, p := range []int{2, 3, 8, 16, 70} {
+	// The pinned benchmark scenario; p = 64 uses every dependency bit, p = 70
+	// aliases parts 64..69 onto the bits of parts 0..5, and p = 130 puts two
+	// parts or more on every bit, so groups hold vertices of unrelated parts.
+	for _, p := range []int{2, 3, 8, 16, 64, 70, 130} {
 		g, old := refinedScenario(24, p, 5)
 		run(fmt.Sprintf("refined p=%d", p), g, old, old, p)
+	}
+
+	// Hard balance from a start with three of four parts exactly at the
+	// limit (101 of 400 unit vertices each): only the fourth part is open at
+	// first, every move into it closes it further and reopens the part it
+	// left, so candidates close and reopen move by move.
+	{
+		const p = 4
+		g := gridGraph(20)
+		start := make([]int32, g.N())
+		for v := range start {
+			start[v] = int32(min(v/101, p-1))
+		}
+		if _, moves := compareKL(t, "grid at the limit", s, g, start, start, p, cfg, true); moves == 0 {
+			t.Error("grid at the limit: no moves selected, the case compares nothing")
+		}
+	}
+
+	// The transient2d_pnr coarse mesh, the 40×40 RectTri dual, under a
+	// peak of vertex weights, from a partition of the unweighted mesh.
+	{
+		const p = 8
+		m := meshgen.RectTri(40, 40, 0, 0, 1, 1)
+		g := graph.FromDual(m)
+		old := mlkl.Partition(g, p, mlkl.Config{Seed: 5})
+		for v := range g.VW {
+			c := m.Centroid(v)
+			d2 := (c.X-0.3)*(c.X-0.3) + (c.Y-0.6)*(c.Y-0.6)
+			g.VW[v] = 1 + int64(30*math.Exp(-d2/0.02))
+		}
+		run("rect40 peak", g, old, old, p)
 	}
 
 	// Uniform weights: exact gain ties.
@@ -306,6 +341,51 @@ func TestRunKLMatchesScanMoveForMove(t *testing.T) {
 			}
 		}
 		run(fmt.Sprintf("random seed=%d p=%d", seed, p), g, start, orig, p)
+	}
+}
+
+// TestKLSkipsUnreachedGroups pins that a pick re-examines only the groups
+// the previous move reaches. Right after the first move of the polish, a
+// gain 1000 too high is planted in a slot, not its group's best, whose group
+// misses both parts of the move. A hard-balance pick that walked that group
+// would find no rule to re-score the slot by and select it; the grouped pick
+// must make the scan's second move instead. The inverse of
+// TestKLCorruptedCacheTrips.
+func TestKLSkipsUnreachedGroups(t *testing.T) {
+	const p = 8
+	g, old := refinedScenario(24, p, 5)
+	cfg := Config{}.withDefaults()
+	start := append([]int32(nil), old...)
+	runKL(nil, g, start, old, p, cfg, false)
+	forceBalance(nil, g, start, old, p, cfg)
+	var want, got []klStep
+	runKLScanRef(g, append([]int32(nil), start...), old, p, cfg, true, func(m klStep) { want = append(want, m) })
+	s := new(klScratch)
+	planted := int32(-1)
+	s.onMove = func(v, from, to int32, gain float64) {
+		got = append(got, klStep{v, from, to, math.Float64bits(gain)})
+		if len(got) > 1 {
+			return
+		}
+		for _, gr := range s.groups {
+			if gr.nbr&(partBit(from)|partBit(to)) != 0 {
+				continue
+			}
+			for x := gr.head; x >= 0; x = s.next[x] {
+				if x != gr.best && s.slots[x].to >= 0 {
+					s.slots[x].gain += 1000
+					planted = s.slots[x].v
+					return
+				}
+			}
+		}
+	}
+	runKL(s, g, start, old, p, cfg, true)
+	if planted < 0 {
+		t.Fatal("no slot outside the first move's reach to plant in")
+	}
+	if len(want) < 2 || len(got) < 2 || got[1] != want[1] {
+		t.Fatalf("after the plant in vertex %d: second move %+v, the scan's %+v", planted, got[1:min(2, len(got))], want[1:min(2, len(want))])
 	}
 }
 

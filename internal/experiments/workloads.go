@@ -199,9 +199,13 @@ func GrowthSeries(m0 *mesh.Mesh, est refine.Estimator, sizes []int, maxLevel int
 	return steps
 }
 
-// growthMaxLevel caps refinement depth in the growth-series workloads so
-// tree weights stay small relative to part sizes, as in the paper: its
-// Figure-5 balance of ε < 0.01 at p = 64 on a 5269-element mesh implies
-// trees of at most a few dozen elements. Without the cap the L∞ band digs
-// arbitrarily deep at the corner and single trees outweigh whole parts.
+// growthMaxLevel caps refinement depth in the growth-series workloads to keep
+// trees light against parts. The paper's Figure 5 reports ε < 0.01 at p = 64
+// on a 5269-element mesh, which needs trees of at most a few dozen elements;
+// without the cap the L∞ band digs arbitrarily deep at the corner and single
+// trees outweigh whole parts. The cap does not buy that balance here: in
+// three p = 64 rows one tree still outweighs an average part, and
+// forceBalance, which moves one vertex at a time and returns when no vertex
+// of the heaviest part fits, leaves 9 rows of the full-scale 2D Figure 5 at
+// 6.7–55 % (ROADMAP item 11).
 const growthMaxLevel = 9

@@ -163,6 +163,43 @@ func AssembleLoad(m *mesh.Mesh, f func(geom.Vec3) float64) []float64 {
 	return rhs
 }
 
+// EliminateDirichlet imposes Dirichlet values g on the vertices marked fixed
+// by symmetric elimination, in place on an assembled stiffness matrix a and
+// its right-hand side rhs: each fixed row becomes the single entry (i, i, 1),
+// and each coupling a_ij of a free row to a fixed column leaves the matrix
+// for the right-hand side, rhs[i] −= a_ij·g[j], in column order. The rhs of a
+// fixed row is the caller's to set. Every row of an assembled matrix is
+// sorted and free of duplicates, and la.BuildCSR drops no zero, so this is
+// bit for bit what rebuilding the kept entries through an la.Builder gives,
+// without a second matrix. A fixed row with no stored entry would have its
+// identity entry overwrite the next row's, so it panics; on a leaf mesh every
+// vertex has its diagonal.
+func EliminateDirichlet(a *la.CSR, fixed []bool, g, rhs []float64) {
+	w := int32(0)
+	for i := 0; i < a.N; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		a.RowPtr[i] = w
+		if fixed[i] {
+			if lo == hi {
+				panic(fmt.Sprintf("fem: Dirichlet row %d has no stored entry", i))
+			}
+			a.Col[w], a.Val[w] = int32(i), 1
+			w++
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			if j := a.Col[k]; fixed[j] {
+				rhs[i] -= a.Val[k] * g[j]
+			} else {
+				a.Col[w], a.Val[w] = j, a.Val[k]
+				w++
+			}
+		}
+	}
+	a.RowPtr[a.N] = w
+	a.Col, a.Val = a.Col[:w], a.Val[:w]
+}
+
 // Problem is a Dirichlet boundary-value problem −Δu = Source with u = G on
 // the boundary. A nil Source means Laplace's equation.
 type Problem struct {
@@ -190,30 +227,19 @@ func Solve(p Problem, tol float64, maxIter int) (*Solution, error) {
 			gval[v] = p.G(m.Verts[v])
 		}
 	}
-	a := AssembleLaplace(m)
-	rhs := make([]float64, n)
+	sys := AssembleLaplace(m)
+	var rhs []float64
 	if p.Source != nil {
 		rhs = AssembleLoad(m, p.Source)
+	} else {
+		rhs = make([]float64, n)
 	}
-	// Symmetric elimination on the assembled CSR: rebuild with constraints.
-	b := la.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		if onBnd[i] {
-			b.Add(i, i, 1)
+	EliminateDirichlet(sys, onBnd, gval, rhs)
+	for i, on := range onBnd {
+		if on {
 			rhs[i] = gval[i]
-			continue
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := int(a.Col[k])
-			v := a.Val[k]
-			if onBnd[j] {
-				rhs[i] -= v * gval[j]
-			} else {
-				b.Add(i, j, v)
-			}
 		}
 	}
-	sys := b.Build()
 	u := make([]float64, n)
 	copy(u, gval) // exact at constrained nodes, 0 elsewhere; a good CG start
 	res := la.CG(sys, rhs, u, tol, maxIter)

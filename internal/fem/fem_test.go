@@ -2,10 +2,14 @@ package fem
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/la"
+	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/refine"
 )
@@ -197,4 +201,72 @@ func TestStiffnessRowSumsZero(t *testing.T) {
 			t.Fatalf("3D row %d sums to %g", i, v)
 		}
 	}
+}
+
+// eliminateByBuilder is the Dirichlet elimination EliminateDirichlet
+// replaced: the kept entries rebuilt through an la.Builder, the identity
+// entries of fixed rows included.
+func eliminateByBuilder(a *la.CSR, fixed []bool, g, rhs []float64) *la.CSR {
+	b := la.NewBuilder(a.N)
+	for i := 0; i < a.N; i++ {
+		if fixed[i] {
+			b.Add(i, i, 1)
+			continue
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := int(a.Col[k])
+			if fixed[j] {
+				rhs[i] -= a.Val[k] * g[j]
+			} else {
+				b.Add(i, j, a.Val[k])
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestEliminateDirichletMatchesBuilder: in place or rebuilt, the reduced
+// system has the same row pointers, columns, value bits and rhs bits, on a
+// triangle and a tetrahedral mesh whose boundary rows are fixed.
+func TestEliminateDirichletMatchesBuilder(t *testing.T) {
+	g := func(p geom.Vec3) float64 { return math.Sin(3*p.X) + p.Y*p.Z - 0.5*p.Y }
+	f := func(p geom.Vec3) float64 { return 1 + p.X*p.Y }
+	for _, m := range []*mesh.Mesh{meshgen.RectTri(7, 5, 0, 0, 1, 1), meshgen.BoxTet(3, 4, 3, 0, 0, 0, 1, 1, 1)} {
+		fixed := m.BoundaryVertexSet()
+		gval := make([]float64, m.NumVerts())
+		for v, on := range fixed {
+			if on {
+				gval[v] = g(m.Verts[v])
+			}
+		}
+		wantRHS, gotRHS := AssembleLoad(m, f), AssembleLoad(m, f)
+		want := eliminateByBuilder(AssembleLaplace(m), fixed, gval, wantRHS)
+		got := AssembleLaplace(m)
+		EliminateDirichlet(got, fixed, gval, gotRHS)
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+			t.Fatalf("dim %d: the sparsity differs from the rebuilt matrix's", m.Dim)
+		}
+		for _, pair := range [][2][]float64{{got.Val, want.Val}, {gotRHS, wantRHS}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("dim %d: %d values, the rebuilt system has %d", m.Dim, len(pair[0]), len(pair[1]))
+			}
+			for k := range pair[0] {
+				if math.Float64bits(pair[0][k]) != math.Float64bits(pair[1][k]) {
+					t.Fatalf("dim %d: value %d is %v, rebuilt %v", m.Dim, k, pair[0][k], pair[1][k])
+				}
+			}
+		}
+	}
+}
+
+// TestEliminateDirichletEmptyFixedRowPanics: a fixed row without a stored
+// entry has no room for its identity entry.
+func TestEliminateDirichletEmptyFixedRowPanics(t *testing.T) {
+	a := la.BuildCSR(3, []int32{0, 2}, []int32{0, 2}, []float64{1, 1})
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "Dirichlet row 1") {
+			t.Fatalf("panic %q, want one naming Dirichlet row 1", r)
+		}
+	}()
+	EliminateDirichlet(a, []bool{false, true, false}, make([]float64, 3), make([]float64, 3))
 }

@@ -267,7 +267,6 @@ func (e *Engine) SolveLaplace(source, g func(geom.Vec3) float64, tol float64, ma
 func (e *Engine) assembleLaplace(plan *dofPlan, source, g func(geom.Vec3) float64) (sys *la.CSR, rhs, gval []float64) {
 	m := plan.leaf.Mesh
 	n := m.NumVerts()
-	onBnd := plan.dirichlet
 
 	// Per-rank assembly and local Dirichlet elimination. The global system
 	// is the sum of the per-rank contributions at shared interior dofs:
@@ -277,36 +276,22 @@ func (e *Engine) assembleLaplace(plan *dofPlan, source, g func(geom.Vec3) float6
 	// so eliminating locally and then summing the eliminated right-hand
 	// sides over sharers (interior dofs only) yields the global reduced
 	// system; boundary rows are identity rows with rhs = g, never summed.
-	a := fem.AssembleLaplace(m)
-	rhs = make([]float64, n)
+	sys = fem.AssembleLaplace(m)
 	if source != nil {
 		rhs = fem.AssembleLoad(m, source)
+	} else {
+		rhs = make([]float64, n)
 	}
 	gval = make([]float64, n)
 	for _, v := range plan.bnd {
 		gval[v] = g(m.Verts[v])
 	}
-	b := la.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		if onBnd[i] {
-			b.Add(i, i, 1)
-			continue
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := int(a.Col[k])
-			v := a.Val[k]
-			if onBnd[j] {
-				rhs[i] -= v * gval[j]
-			} else {
-				b.Add(i, j, v)
-			}
-		}
-	}
+	fem.EliminateDirichlet(sys, plan.dirichlet, gval, rhs)
 	plan.exchange(e.Comm, rhs, 1, true)
 	for _, v := range plan.bnd {
 		rhs[v] = gval[v]
 	}
-	return b.Build(), rhs, gval
+	return sys, rhs, gval
 }
 
 // warmStart returns the initial guess of a solve: nil if the forest has no
