@@ -72,9 +72,10 @@ bench-counts:
 	rm -r $$d
 
 # The A/B protocol of a performance claim (cmd/benchab): BASE exported into
-# .bench_build/ab-base/, PAIRS alternating runs of the unmodified
-# BENCHMARK.json command on it and on the working tree, one table of medians
-# with quartiles per end-to-end metric.
+# .bench_build/ab-base/ and the working tree copied into .bench_build/ab-head/
+# before the first pair, PAIRS alternating runs of the unmodified
+# BENCHMARK.json command on the two copies, one table of medians with
+# quartiles per end-to-end metric.
 #   make bench-ab BASE=HEAD~1 W=transient2d_pnr [PAIRS=10] [SEED=1]
 PAIRS ?= 10
 SEED ?= 1
@@ -91,10 +92,13 @@ bench-ab:
 # the par scalar subgroup collectives and the subgroup move exchange:
 # sub-communicator traffic reuses per-Comm scratch, and the hierarchical
 # rebalance path leans on that every epoch. So are the leaf sweep
-# (forest.VisitLeaves), the tree-boundary descent (forest.VisitRootBoundary) and
-# a Coarsen call that approves nothing: every per-epoch pass is built on the
-# first, the engine's shared set, P1 weights and dof plan on the second, and
-# every Adapt with coarsening pays the third.
+# (forest.VisitLeaves), the tree-boundary descent (forest.VisitRootBoundary),
+# a Coarsen call that approves nothing and an AdaptOnce pass repeated at its
+# estimator's fixed point: every per-epoch pass is built on the first, the
+# engine's shared set, P1 weights and dof plan on the second, every Adapt
+# with coarsening pays the third, and the fourth is the second and third
+# Adapt pass of an epoch that changes nothing, answered from the refiner's
+# indicator memo.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
 # GOMAXPROCS=2, where kern.Workers() is 1 inside every rank.

@@ -4,27 +4,36 @@
 //
 //	benchab -base <git ref> -workload <name> [-pairs 10] [-seed 1]
 //
-// (`make bench-ab BASE=… W=… [PAIRS=…] [SEED=…]`.) The base is exported with
-// `git archive` into .bench_build/ab-base/, so both sides build what they run
-// from their own sources; even pairs run the base first, odd pairs the
-// working tree. For every end-to-end metric of BENCHMARK.json it prints both
-// sides' medians with quartiles, the change of the median in percent and in
-// how many pairs the working tree read better (ties count for neither), and a
-// verdict by the rules a claim is judged by: "gain" when there are at least
-// ten pairs, the working tree read better in at least nine of ten, and its
-// median moved the better way by more than the base's interquartile range;
-// "worse" when its median is worse than the base's by more than the metric's
-// bound in BENCHMARK.json; otherwise none. Then it prints both sides' failed
-// checks and whether cut_mean, imbalance_mean and migrated_frac —
-// deterministic counts — were equal in every run.
+// (`make bench-ab BASE=… W=… [PAIRS=…] [SEED=…]`.) Both sides are frozen
+// before the first pair: the base is exported with `git archive` into
+// .bench_build/ab-base/, and the working tree — its tracked files as they
+// are on disk and its untracked files that no ignore rule covers — is copied
+// into .bench_build/ab-head/, so an edit made during a series reaches
+// neither side. Each side builds what it runs from its own copy. The header
+// names both: the base's commit, the working tree's HEAD, and a SHA-256 of
+// each copy's files (equal digests mean an A/A run). Even pairs run the base
+// first, odd pairs the working tree. For every end-to-end metric of
+// BENCHMARK.json it prints both sides' medians with quartiles, the change of
+// the median in percent and in how many pairs the working tree read better
+// (ties count for neither), and a verdict by the rules a claim is judged by:
+// "gain" when there are at least ten pairs, the working tree read better in
+// at least nine of ten, and its median moved the better way by more than the
+// base's interquartile range; "worse" when its median is worse than the
+// base's by more than the metric's bound in BENCHMARK.json; otherwise none.
+// Then it prints both sides' failed checks and whether cut_mean,
+// imbalance_mean and migrated_frac — deterministic counts — were equal in
+// every run.
 package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"os/exec"
@@ -87,13 +96,32 @@ func run(w io.Writer, base, workload string, pairs, seed int) error {
 	if len(bf.Command) == 0 {
 		return fmt.Errorf("BENCHMARK.json names no command")
 	}
-	baseDir := filepath.Join(".bench_build", "ab-base")
-	if err := exportRef(base, baseDir); err != nil {
+	// side 0 is the base, side 1 the working tree
+	dirs := [2]string{filepath.Join(".bench_build", "ab-base"), filepath.Join(".bench_build", "ab-head")}
+	if err := exportRef(".", base, dirs[0]); err != nil {
 		return err
 	}
+	if err := exportWorkTree(".", dirs[1]); err != nil {
+		return err
+	}
+	baseCommit, err := gitOutput(".", "rev-parse", "--verify", base+"^{commit}")
+	if err != nil {
+		return err
+	}
+	head, err := gitOutput(".", "rev-parse", "--verify", "HEAD")
+	if err != nil {
+		return err
+	}
+	var sums [2]string
+	for k, dir := range dirs {
+		if sums[k], err = digest(dir); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(w, "# base %s: commit %s, files sha256 %s\n", base, baseCommit, sums[0])
+	fmt.Fprintf(w, "# new  working tree of commit %s, files sha256 %s\n", head, sums[1])
 	args := append(append([]string(nil), bf.Command[1:]...),
 		"--workload", workload, "--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(bf.RunSeconds), "--trace", "0")
-	dirs := [2]string{baseDir, "."} // side 0 is the base, side 1 the working tree
 	var runs [2][]result
 	for i := 0; i < pairs; i++ {
 		for k := 0; k < 2; k++ {
@@ -109,17 +137,33 @@ func run(w io.Writer, base, workload string, pairs, seed int) error {
 	return nil
 }
 
-// exportRef replaces dir with the tree of the git ref.
-func exportRef(ref, dir string) error {
+// gitOutput runs git in repo and returns its output, trimmed.
+func gitOutput(repo string, args ...string) (string, error) {
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command("git", args...)
+	cmd.Dir, cmd.Stdout, cmd.Stderr = repo, &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("git %s: %w: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return strings.TrimSpace(stdout.String()), nil
+}
+
+// emptyDir replaces dir with an empty directory.
+func emptyDir(dir string) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return os.MkdirAll(dir, 0o755)
+}
+
+// exportRef replaces dir with the tree of the git ref of repository repo.
+func exportRef(repo, ref, dir string) error {
+	if err := emptyDir(dir); err != nil {
 		return err
 	}
 	var tree, stderr bytes.Buffer
 	archive := exec.Command("git", "archive", "--format=tar", ref)
-	archive.Stdout, archive.Stderr = &tree, &stderr
+	archive.Dir, archive.Stdout, archive.Stderr = repo, &tree, &stderr
 	if err := archive.Run(); err != nil {
 		return fmt.Errorf("git archive %s: %w: %s", ref, err, strings.TrimSpace(stderr.String()))
 	}
@@ -129,6 +173,93 @@ func exportRef(ref, dir string) error {
 		return fmt.Errorf("unpacking %s into %s: %w: %s", ref, dir, err, strings.TrimSpace(stderr.String()))
 	}
 	return nil
+}
+
+// exportWorkTree replaces dir with a copy of the files of repo's working
+// tree that git sees: the tracked ones as they are on disk, the untracked
+// ones that no ignore rule covers. A tracked file deleted from the disk is
+// left out, as a commit of the tree would leave it.
+func exportWorkTree(repo, dir string) error {
+	list, err := gitOutput(repo, "ls-files", "-z", "--cached", "--others", "--exclude-standard", "--deduplicate")
+	if err != nil {
+		return err
+	}
+	if err := emptyDir(dir); err != nil {
+		return err
+	}
+	for _, name := range strings.Split(list, "\x00") {
+		if name == "" {
+			continue
+		}
+		src, dst := filepath.Join(repo, name), filepath.Join(dir, name)
+		info, err := os.Lstat(src)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		switch {
+		case info.Mode()&fs.ModeSymlink != 0:
+			target, err := os.Readlink(src)
+			if err == nil {
+				err = os.Symlink(target, dst)
+			}
+			if err != nil {
+				return err
+			}
+		case info.Mode().IsRegular():
+			data, err := os.ReadFile(src)
+			if err == nil {
+				err = os.WriteFile(dst, data, info.Mode().Perm())
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// digest is the SHA-256 of the files under dir, in lexical path order: each
+// one's path, its executable bit and its content (a symlink's target). Two
+// directories holding the same files read the same digest; it is printed in
+// hex, its first 16 digits.
+func digest(dir string) (string, error) {
+	h := sha256.New()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		var data []byte
+		if info.Mode()&fs.ModeSymlink != 0 {
+			var target string
+			target, err = os.Readlink(path)
+			data = []byte(target)
+		} else {
+			data, err = os.ReadFile(path)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "%s\x00%v\x00%d\x00", filepath.ToSlash(rel), info.Mode()&0o111 != 0, len(data))
+		h.Write(data)
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16], nil
 }
 
 // runOnce runs the benchmark command in dir and parses the JSON object on

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -86,5 +89,99 @@ func TestReportTable(t *testing.T) {
 		"  adapt_s         parent 4 [4, 4]  new 5 [5, 5]  +25.0%  better in 0/10  worse\n"
 	if got := out.String(); !strings.HasPrefix(got, want) {
 		t.Errorf("got:\n%s\nwant it to start:\n%s", got, want)
+	}
+}
+
+// TestExportFreezesBothSides builds a repository whose working tree differs
+// from its commit in every way git tells apart — a tracked file edited, one
+// deleted, an untracked file, an ignored one, an executable — and checks
+// what exportWorkTree copies, that the copy stays as it was when the tree is
+// edited afterwards, and that the digests of the two exports agree exactly
+// when their files do.
+func TestExportFreezesBothSides(t *testing.T) {
+	repo, out := t.TempDir(), t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		if _, err := gitOutput(repo, append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com"}, args...)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(name, data string, mode os.FileMode) {
+		t.Helper()
+		path := filepath.Join(repo, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	write(".gitignore", "build/\n", 0o644)
+	write("kept.go", "package kept\n", 0o644)
+	write("edited.go", "package old\n", 0o644)
+	write("gone.go", "package gone\n", 0o644)
+	write("sub/run.sh", "#!/bin/sh\n", 0o755)
+	git("add", "-A")
+	git("commit", "-q", "-m", "base")
+
+	base, head := filepath.Join(out, "base"), filepath.Join(out, "head")
+	if err := exportRef(repo, "HEAD", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := exportWorkTree(repo, head); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(dir string) string {
+		t.Helper()
+		s, err := digest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if a, b := sum(base), sum(head); a != b {
+		t.Fatalf("a clean working tree reads %s, its commit %s", b, a)
+	}
+
+	write("edited.go", "package new\n", 0o644)
+	if err := os.Remove(filepath.Join(repo, "gone.go")); err != nil {
+		t.Fatal(err)
+	}
+	write("untracked.go", "package untracked\n", 0o644)
+	write("build/binary", "ignored\n", 0o644)
+	if err := exportWorkTree(repo, head); err != nil {
+		t.Fatal(err)
+	}
+	frozen := sum(head)
+	if frozen == sum(base) {
+		t.Fatal("an edited working tree reads its commit's digest")
+	}
+	var got []string
+	err := filepath.WalkDir(head, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(head, path)
+			got = append(got, filepath.ToSlash(rel))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{".gitignore", "edited.go", "kept.go", "sub/run.sh", "untracked.go"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("exported %v, want %v", got, want)
+	}
+	if data, _ := os.ReadFile(filepath.Join(head, "edited.go")); string(data) != "package new\n" {
+		t.Errorf("edited.go exported as %q, want the working tree's", data)
+	}
+	if info, err := os.Stat(filepath.Join(head, "sub/run.sh")); err != nil || info.Mode().Perm()&0o100 == 0 {
+		t.Errorf("sub/run.sh lost its executable bit: %v %v", info, err)
+	}
+
+	// An edit after the export reaches neither copy.
+	write("edited.go", "package later\n", 0o644)
+	if sum(head) != frozen {
+		t.Error("an edit of the working tree changed the exported copy")
 	}
 }

@@ -81,38 +81,49 @@ func TransientSource(t float64) func(geom.Vec3) float64 {
 // added in the same order. With a non-finite vertex value the generic form's
 // 0·Inf makes every sample NaN; this one does not. The centroid weighs every
 // vertex by 1/nv, summed in vertex order, in both.
+//
+// The estimator is a pointer, so it is comparable: each call returns a new
+// one, and passing the same one to several adapt passes lets the refiner
+// reuse the indicators of the nodes that kept their slots (see
+// refine.Estimator). The indicator depends on the node's coordinates alone.
 func InterpolationEstimator(u func(geom.Vec3) float64) refine.Estimator {
-	return refine.EstimatorFunc(func(f *forest.Forest, id forest.NodeID) float64 {
-		n := f.Node(id)
-		nv := n.Nv()
-		var pos [4]geom.Vec3
-		var val [4]float64
-		for i := 0; i < nv; i++ {
-			pos[i] = f.Coords[n.Verts[i]]
-			val[i] = u(pos[i])
-		}
-		worst := 0.0
-		// Edge midpoints.
-		for i := 0; i < nv; i++ {
-			for j := i + 1; j < nv; j++ {
-				p := geom.Vec3{}.Add(pos[i].Scale(0.5)).Add(pos[j].Scale(0.5))
-				interp := 0.0 + 0.5*val[i] + 0.5*val[j]
-				if d := math.Abs(u(p) - interp); d > worst {
-					worst = d
-				}
+	return &interpolationEstimator{u}
+}
+
+type interpolationEstimator struct{ u func(geom.Vec3) float64 }
+
+// Indicator implements refine.Estimator.
+func (e *interpolationEstimator) Indicator(f *forest.Forest, id forest.NodeID) float64 {
+	u := e.u
+	n := f.Node(id)
+	nv := n.Nv()
+	var pos [4]geom.Vec3
+	var val [4]float64
+	for i := 0; i < nv; i++ {
+		pos[i] = f.Coords[n.Verts[i]]
+		val[i] = u(pos[i])
+	}
+	worst := 0.0
+	// Edge midpoints.
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			p := geom.Vec3{}.Add(pos[i].Scale(0.5)).Add(pos[j].Scale(0.5))
+			interp := 0.0 + 0.5*val[i] + 0.5*val[j]
+			if d := math.Abs(u(p) - interp); d > worst {
+				worst = d
 			}
 		}
-		// Centroid.
-		w := 1 / float64(nv)
-		var p geom.Vec3
-		interp := 0.0
-		for i := 0; i < nv; i++ {
-			p = p.Add(pos[i].Scale(w))
-			interp += w * val[i]
-		}
-		if d := math.Abs(u(p) - interp); d > worst {
-			worst = d
-		}
-		return worst
-	})
+	}
+	// Centroid.
+	w := 1 / float64(nv)
+	var p geom.Vec3
+	interp := 0.0
+	for i := 0; i < nv; i++ {
+		p = p.Add(pos[i].Scale(w))
+		interp += w * val[i]
+	}
+	if d := math.Abs(u(p) - interp); d > worst {
+		worst = d
+	}
+	return worst
 }

@@ -235,9 +235,6 @@ type Engine struct {
 	pending []refine.EdgeSplit
 	// received is Adapt's scratch for one peer's decoded split report.
 	received []refine.EdgeSplit
-	// indicator is Adapt's per-call memo of the estimator, indexed by NodeID;
-	// a negative entry means not evaluated yet.
-	indicator []float64
 
 	// gCache is this rank's copy of the coarse dual graph G, on the ranks the
 	// strategy keeps one: rank 0 under the coordinator pipeline, every rank
@@ -394,28 +391,19 @@ type AdaptStats struct {
 // parent midpoint lies on ∂Ω is kept too, at any rank count including 1,
 // and the mesh stays finer along ∂Ω than serial refine.AdaptOnce leaves it
 // (ROADMAP item 3).
-// est is evaluated at most once per node. The vertex slots coarsening leaves
-// unused are free again when Adapt returns (see forest.Forest), on every
-// rank, whether it migrates next or not.
+// est is evaluated through the refiner's memo (refine.Refiner.SetEstimator):
+// at most once per node per call, and once per node across calls while the
+// same comparable estimator is passed and the node keeps its slot, so a
+// repeated pass evaluates only the nodes refinement created since.
+// The vertex slots coarsening leaves unused are free again when Adapt
+// returns (see forest.Forest), on every rank, whether it migrates next or
+// not.
 func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxLevel int32) AdaptStats {
 	var st AdaptStats
-	// The target sweep and the coarsening predicate share one evaluation per
-	// node, memoized by NodeID. A NodeID names one node for the whole call:
-	// the closure, which takes slots off the free list (slots no leaf of the
-	// sweep held), runs before the coarsening, which only returns slots.
-	memo := e.indicator[:0]
-	indicator := func(id forest.NodeID) float64 {
-		for len(memo) < len(e.F.Nodes) {
-			memo = append(memo, -1)
-		}
-		if memo[id] < 0 {
-			memo[id] = est.Indicator(e.F, id)
-		}
-		return memo[id]
-	}
+	e.R.SetEstimator(est)
 	var targets []forest.NodeID
 	e.F.VisitLeaves(func(id forest.NodeID) {
-		if e.F.Node(id).Level < maxLevel && indicator(id) > refineTol {
+		if e.F.Node(id).Level < maxLevel && e.R.Indicator(id) > refineTol {
 			targets = append(targets, id)
 		}
 	})
@@ -469,10 +457,9 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 			if p.MidV >= 0 && e.isShared(e.F.VIDs[p.MidV]) {
 				return false // interface or ∂Ω midpoint: shared cannot tell them apart
 			}
-			return indicator(id) < coarsenTol
+			return e.R.Indicator(id) < coarsenTol
 		})
 	}
-	e.indicator = memo
 	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
 	if check.Enabled && e.F.NumLeaves() > 0 {
 		// The distributed fixed point must leave every rank's leaf mesh

@@ -70,6 +70,30 @@ func BenchmarkAdaptTransientStep(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptRepeatedPass is an AdaptOnce pass with coarsening at the
+// fixed point of its estimator, passed the same estimator again: the second
+// and third pass of an engine epoch once they change nothing. The refiner's
+// memo answers every indicator, so the pass is the leaf sweep and a Coarsen
+// that approves nothing, and the estimator is never called.
+func BenchmarkAdaptRepeatedPass(b *testing.B) {
+	r := trackedPeak(b)
+	est := peakAt(0)
+	for pass := 0; ; pass++ {
+		if pass == 20 {
+			b.Fatal("no fixed point in 20 passes")
+		}
+		if res := refine.AdaptOnce(r, est, benchTol, benchTol/4, benchMaxLevel); res.Refined == 0 && res.Coarsened == 0 {
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := refine.AdaptOnce(r, est, benchTol, benchTol/4, benchMaxLevel)
+		coarsenSink += res.Refined + res.Coarsened
+	}
+}
+
 // clone rebuilds f's trees into a fresh forest, as migration would: the same
 // mesh under a deterministic numbering.
 func clone(f *forest.Forest) *forest.Forest {

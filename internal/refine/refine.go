@@ -73,6 +73,13 @@ type Refiner struct {
 	// Coarsen's scratch, kept between calls (see Coarsen).
 	usage, ncand  []int32
 	cands, doomed []coarsenCand
+
+	// ind memoizes est's indicator by NodeID; a negative entry is not
+	// evaluated yet (see SetEstimator). bisect clears the entries of the
+	// slots it takes, and InsertTree and RemoveTree drop them all, so an
+	// entry always belongs to the node that holds its slot now.
+	ind []float64
+	est Estimator
 }
 
 // NewRefiner builds a refiner over a conforming forest.
@@ -85,13 +92,15 @@ func NewRefiner(f *forest.Forest) *Refiner {
 // RemoveTree takes tree root out of the edge records: its leaves out of the
 // incidence, and the split marks off its refinement edges, whose records
 // name vertex slots the forest frees with the tree unless a tree that stays
-// uses them. Call it at quiescence, before the forest removes the tree.
+// uses them. It drops the indicator memo. Call it at quiescence, before the
+// forest removes the tree.
 func (r *Refiner) RemoveTree(root int32) {
 	rid := r.F.Root(root)
 	if rid == forest.NoNode {
 		panic(fmt.Sprintf("refine: RemoveTree(%d): tree not held", root))
 	}
 	r.removeSubtree(rid)
+	r.ind = r.ind[:0]
 }
 
 // removeSubtree is RemoveTree from node id down, leaves in VisitLeaves order.
@@ -110,8 +119,13 @@ func (r *Refiner) removeSubtree(id forest.NodeID) {
 }
 
 // InsertTree enters the leaves of tree root, which the forest has just
-// spliced in, into the edge incidence. Call it at quiescence.
-func (r *Refiner) InsertTree(root int32) { r.F.VisitTreeLeaves(root, r.addLeafEdges) }
+// spliced in, into the edge incidence, and drops the indicator memo: the
+// tree's nodes may hold slots whose entries another node wrote. Call it at
+// quiescence.
+func (r *Refiner) InsertTree(root int32) {
+	r.F.VisitTreeLeaves(root, r.addLeafEdges)
+	r.ind = r.ind[:0]
+}
 
 // Settle brings the refiner, after trees were spliced out and in, to the
 // state a fresh NewRefiner over the forest would have: it drops the split
@@ -237,7 +251,9 @@ func (r *Refiner) TakeNewSplits() []EdgeSplit {
 }
 
 // bisect splits leaf id at edge (a, b) whose midpoint is mid, updating the
-// edge incidence and enqueuing children that are still nonconforming.
+// edge incidence and enqueuing children that are still nonconforming. The
+// children may take slots that coarsening freed, so their indicator memo
+// entries are cleared.
 //
 // It looks up each edge once: the parent's, then those through the
 // midpoint. Child 0 replaces b with mid and child 1 replaces a (see
@@ -251,6 +267,8 @@ func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
 	n := r.F.Node(id)
 	v, nv := n.Verts, n.Nv()
 	k0, k1 := r.F.Bisect(id, a, b, mid)
+	r.forget(k0)
+	r.forget(k1)
 	var split0, split1 bool
 	enter := func(e *edgeRec, in0, in1 bool) {
 		if in0 {
