@@ -103,12 +103,16 @@ ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./in
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
 # GOMAXPROCS=2, where kern.Workers() is 1 inside every rank.
 ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^BenchmarkDistCGSolve$$' -benchmem ./internal/pared
+# A holder of G writing one decision's weight records, pinned at zero: under
+# the replicated and hier strategies every rank pays it on every rebalance.
+ALLOC_RECORDS = GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkWriteRecords$$' -benchmem ./internal/pared
 
 bench-alloc-baseline:
 	d=$$(mktemp -d) && \
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard0.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard0s.txt && \
-	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json $$d/allocguard0.txt $$d/allocguard0s.txt && \
+	$(ALLOC_RECORDS) > $$d/allocguard0r.txt && \
+	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json $$d/allocguard0.txt $$d/allocguard0s.txt $$d/allocguard0r.txt && \
 	rm -r $$d
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
@@ -127,8 +131,11 @@ bench-alloc-guard:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard2.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard1s.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard2s.txt && \
+	$(ALLOC_RECORDS) > $$d/allocguard1r.txt && \
+	$(ALLOC_RECORDS) > $$d/allocguard2r.txt && \
 	$(GO) run ./cmd/benchguard -baseline BENCH_allocs.json \
-		$$d/allocguard1.txt $$d/allocguard2.txt $$d/allocguard1s.txt $$d/allocguard2s.txt && \
+		$$d/allocguard1.txt $$d/allocguard2.txt $$d/allocguard1s.txt $$d/allocguard2s.txt \
+		$$d/allocguard1r.txt $$d/allocguard2r.txt && \
 	rm -r $$d
 
 cover:

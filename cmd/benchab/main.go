@@ -22,7 +22,10 @@
 // base's by more than the metric's bound in BENCHMARK.json; otherwise none.
 // Then it prints both sides' failed checks and whether cut_mean,
 // imbalance_mean and migrated_frac — deterministic counts — were equal in
-// every run.
+// every run. Last it prints how much CPU time other processes took from the
+// host during each side's runs — the busy time /proc/stat counts over a run
+// less the run's own CPU time — and marks the pairs in which it passed
+// contendedShare of a run's wall time: their timings are suspect.
 package main
 
 import (
@@ -41,6 +44,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // benchmarkFile is what benchab reads of BENCHMARK.json.
@@ -56,12 +60,61 @@ type metric struct {
 	Bound  float64 `json:"bound"`  // the largest admissible worsening of the median, as a fraction
 }
 
-// result is the one-line JSON object a benchmark run ends with.
+// result is the one-line JSON object a benchmark run ends with, and what
+// runOnce measured around the run.
 type result struct {
 	Failed  int `json:"failed"`
 	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+
+	wall    time.Duration
+	foreign time.Duration // host CPU time the run did not spend itself
+	known   bool          // whether foreign was measured
+}
+
+// contendedShare is the foreign CPU time, as a share of a run's wall time,
+// past which the run is marked: other work kept a tenth of one core busy
+// throughout. The benchmark's ranks outnumber the cores, so whatever else ran
+// took its time from them.
+const contendedShare = 0.10
+
+func (r result) contended() bool {
+	return r.known && r.foreign.Seconds() > contendedShare*r.wall.Seconds()
+}
+
+// hostBusy returns the CPU time the host's processors have been busy so far.
+// It is a variable so that tests can fake the host.
+var hostBusy = func() (time.Duration, error) {
+	stat, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, err
+	}
+	return parseBusy(stat)
+}
+
+// parseBusy reads the busy time off the text of /proc/stat: the fields of its
+// "cpu" line, in USER_HZ ticks (100 a second), other than idle and iowait
+// (the 4th and 5th) and guest and guest_nice (the 9th and 10th, which user
+// and nice already include). Steal time counts as busy: another guest had
+// the processor.
+func parseBusy(stat []byte) (time.Duration, error) {
+	line, _, _ := bytes.Cut(stat, []byte("\n"))
+	fields := strings.Fields(string(line))
+	if len(fields) < 5 || fields[0] != "cpu" {
+		return 0, fmt.Errorf("/proc/stat: first line %q is not the cpu total", line)
+	}
+	var ticks int64
+	for i, f := range fields[1:] {
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("/proc/stat: %w", err)
+		}
+		if i != 3 && i != 4 && i != 8 && i != 9 {
+			ticks += n
+		}
+	}
+	return time.Duration(ticks) * (time.Second / 100), nil
 }
 
 // countMetrics are decided by the partitioner, not by the clock: any
@@ -263,12 +316,18 @@ func digest(dir string) (string, error) {
 }
 
 // runOnce runs the benchmark command in dir and parses the JSON object on
-// the last line of its output.
+// the last line of its output. Around the run it reads the host's busy CPU
+// time; what the run and the processes it waited for did not spend of it is
+// the run's foreign CPU time. Where the host cannot be read it is unknown.
 func runOnce(dir, name string, args []string) (result, error) {
 	cmd := exec.Command(name, args...)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
+	busy0, err0 := hostBusy()
+	start := time.Now()
 	out, err := cmd.Output()
+	wall := time.Since(start)
+	busy1, err1 := hostBusy()
 	if err != nil {
 		return result{}, fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
 	}
@@ -276,6 +335,10 @@ func runOnce(dir, name string, args []string) (result, error) {
 	var r result
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
 		return result{}, fmt.Errorf("last output line is not the result object: %w", err)
+	}
+	r.wall, r.known = wall, err0 == nil && err1 == nil
+	if r.known {
+		r.foreign = busy1 - busy0 - cmd.ProcessState.UserTime() - cmd.ProcessState.SystemTime()
 	}
 	return r, nil
 }
@@ -341,4 +404,31 @@ func report(w io.Writer, workload string, metrics []metric, parent, change []res
 		}
 	}
 	fmt.Fprintf(w, "  counts (%s) equal in all %d runs: %v\n", strings.Join(countMetrics, ", "), 2*n, equal)
+	reportContention(w, parent, change)
+}
+
+// reportContention prints each side's foreign CPU seconds, median with
+// quartiles, and the pairs in which either run was contended.
+func reportContention(w io.Writer, parent, change []result) {
+	var sides [2][]float64
+	var marked []string
+	for i := range parent {
+		for k, r := range [2]result{parent[i], change[i]} {
+			if !r.known {
+				fmt.Fprintln(w, "  foreign CPU: unknown, the host's busy time could not be read")
+				return
+			}
+			sides[k] = append(sides[k], r.foreign.Seconds())
+		}
+		if parent[i].contended() || change[i].contended() {
+			marked = append(marked, strconv.Itoa(i+1))
+		}
+	}
+	if len(marked) == 0 {
+		marked = []string{"none"}
+	}
+	p1, pm, p3 := quartiles(sides[0])
+	c1, cm, c3 := quartiles(sides[1])
+	fmt.Fprintf(w, "  foreign CPU s   parent %.3g [%.3g, %.3g]  new %.3g [%.3g, %.3g]  contended pairs (over %.0f%% of a run's wall time): %s\n",
+		pm, p1, p3, cm, c1, c3, 100*contendedShare, strings.Join(marked, ", "))
 }

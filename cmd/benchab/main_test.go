@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func parse(t *testing.T, line string) result {
@@ -37,13 +38,20 @@ func TestReportTable(t *testing.T) {
 	}
 	parent := []result{parse(t, line(0, 1.0, 100, 7)), parse(t, line(0, 2.0, 200, 7)), parse(t, line(1, 3.0, 300, 7))}
 	change := []result{parse(t, line(0, 0.5, 100, 7)), parse(t, line(0, 2.5, 400, 7)), parse(t, line(0, 1.5, 600, 7))}
+	// Ten-second runs, of which only the base's third had more than a
+	// second of foreign CPU time.
+	for i, foreign := range [][2]time.Duration{{200, 100}, {500, 300}, {2000, 400}} {
+		parent[i].wall, parent[i].foreign, parent[i].known = 10*time.Second, foreign[0]*time.Millisecond, true
+		change[i].wall, change[i].foreign, change[i].known = 10*time.Second, foreign[1]*time.Millisecond, true
+	}
 	metrics := []metric{{"wall_s", "lower", 0.2}, {"elems_per_s", "higher", 0.2}}
 	var out bytes.Buffer
 	report(&out, "w", metrics, parent, change)
 	want := "## w  pairs=3 failed_checks parent=1 new=0\n" +
 		"  wall_s          parent 2 [1.5, 2.5]  new 1.5 [1, 2]  -25.0%  better in 2/3\n" +
 		"  elems_per_s     parent 200 [150, 250]  new 400 [250, 500]  +100.0%  better in 2/3\n" +
-		"  counts (cut_mean, imbalance_mean, migrated_frac) equal in all 6 runs: true\n"
+		"  counts (cut_mean, imbalance_mean, migrated_frac) equal in all 6 runs: true\n" +
+		"  foreign CPU s   parent 0.5 [0.35, 1.25]  new 0.3 [0.2, 0.35]  contended pairs (over 10% of a run's wall time): 3\n"
 	if out.String() != want {
 		t.Errorf("got:\n%s\nwant:\n%s", out.String(), want)
 	}
@@ -53,6 +61,9 @@ func TestReportTable(t *testing.T) {
 	report(&out, "w", nil, parent, change)
 	if !bytes.Contains(out.Bytes(), []byte("equal in all 6 runs: false")) {
 		t.Errorf("a moved cut_mean went unreported:\n%s", out.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte("foreign CPU: unknown")) {
+		t.Errorf("a run whose host could not be read went unreported:\n%s", out.String())
 	}
 
 	// The verdicts, on ten pairs whose parent reads 1, 2, …, 10 (median 5.5,
@@ -183,5 +194,42 @@ func TestExportFreezesBothSides(t *testing.T) {
 	write("edited.go", "package later\n", 0o644)
 	if sum(head) != frozen {
 		t.Error("an edit of the working tree changed the exported copy")
+	}
+}
+
+// TestForeignCPU: parseBusy counts every field of /proc/stat's cpu line but
+// idle, iowait, guest and guest_nice, and rejects a first line that is not
+// the total; runOnce, on a faked host whose busy time grows by three seconds
+// around a run that itself takes next to none, reports about three seconds
+// of foreign CPU time and marks the run contended, and reports the time
+// unknown when the host cannot be read.
+func TestForeignCPU(t *testing.T) {
+	stat := "cpu  100 20 30 4000 50 6 7 8 900 1000\ncpu0 50 10 15 2000 25 3 3 4 450 500\n"
+	if got, err := parseBusy([]byte(stat)); err != nil || got != 1710*time.Millisecond {
+		t.Errorf("parseBusy = %v, %v; want 1.71s (100+20+30+6+7+8 ticks)", got, err)
+	}
+	if _, err := parseBusy([]byte("intr 1 2 3\n")); err == nil {
+		t.Error("parseBusy accepted a first line that is not the cpu total")
+	}
+
+	defer func(f func() (time.Duration, error)) { hostBusy = f }(hostBusy)
+	reads := []time.Duration{100 * time.Second, 103 * time.Second}
+	hostBusy = func() (time.Duration, error) {
+		d := reads[0]
+		reads = reads[1:]
+		return d, nil
+	}
+	r, err := runOnce(t.TempDir(), "sh", []string{"-c", `echo '{"failed": 0, "metrics": {}}'`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.known || r.foreign <= 2900*time.Millisecond || r.foreign > 3*time.Second || !r.contended() {
+		t.Errorf("runOnce measured foreign %v (known %v, wall %v, contended %v); want just under 3s, contended",
+			r.foreign, r.known, r.wall, r.contended())
+	}
+
+	hostBusy = func() (time.Duration, error) { return 0, fs.ErrNotExist }
+	if r, err := runOnce(t.TempDir(), "sh", []string{"-c", `echo '{}'`}); err != nil || r.known || r.contended() {
+		t.Errorf("with the host unreadable, runOnce = %+v, %v; want the foreign time unknown", r, err)
 	}
 }

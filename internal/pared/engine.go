@@ -195,6 +195,41 @@ func (t *coarseTopo) acrossOf(r int32) [4]int32 {
 	return *row
 }
 
+// coarseDual is G's CSR with its slot table: slot[r][j] is the index in Adj
+// and EW of the edge r → acrossOf(r)[j], or -1 where facet j lies on ∂Ω.
+type coarseDual struct {
+	*graph.Graph
+	slot [][4]int32
+	nv   int
+}
+
+// dual returns the unit-weight dual of the coarse mesh from the acrossOf rows:
+// r's CSR row is its row of trees across, ascending, so Xadj and Adj are
+// byte-identical to graph.FromDual's, and CSR order is what KL breaks ties by.
+func (t *coarseTopo) dual() *coarseDual {
+	n := len(t.elems)
+	g := &graph.Graph{Xadj: make([]int32, n+1), Adj: make([]int32, 0, n*t.nv), VW: make([]int64, n), EW: make([]int64, 0, n*t.nv)}
+	d := &coarseDual{Graph: g, slot: make([][4]int32, n), nv: t.nv}
+	for r := range n {
+		row := t.acrossOf(int32(r))
+		d.slot[r] = [4]int32{-1, -1, -1, -1}
+		for j, s := range row[:t.nv] {
+			if s < 0 {
+				continue
+			}
+			d.slot[r][j], d.Adj, d.EW = d.Xadj[r], append(d.Adj, s), append(d.EW, 1)
+			for _, o := range row[:t.nv] { // s's place in the ascending row
+				if o >= 0 && o < s {
+					d.slot[r][j]++
+				}
+			}
+		}
+		d.Xadj[r+1], d.VW[r] = int32(len(d.Adj)), 1
+		slices.Sort(d.Adj[d.Xadj[r]:])
+	}
+	return d
+}
+
 // facetOn returns the root facets (bit j = the facet opposite root vertex j)
 // the leaf facet opposite vertex skip lies on, given the masks of the leaf's
 // nv vertices. At most one bit is set: the facet's vertices are affinely
@@ -238,12 +273,12 @@ type Engine struct {
 
 	// gCache is this rank's copy of the coarse dual graph G, on the ranks the
 	// strategy keeps one: rank 0 under the coordinator pipeline, every rank
-	// under replicated and hier. The topology is built once from the replicated
-	// coarse mesh — adaptation changes weights, never the coarse adjacency —
-	// and every rebalance overwrites every weight from the ranks' per-tree
-	// records (writeRecords), so nothing carries over between epochs and the
-	// copies stay byte-identical without exchange.
-	gCache *graph.Graph
+	// under replicated and hier. The topology is built once from topo —
+	// adaptation changes weights, never the coarse adjacency — and every
+	// rebalance overwrites every weight from the ranks' per-tree records
+	// (writeRecords), so nothing carries over between epochs and the copies
+	// stay byte-identical without exchange.
+	gCache *coarseDual
 
 	// sfc caches the curve order and scratch of the ModeSFC pipeline; built
 	// lazily on the first SFC rebalance (see ensureSFC).
@@ -598,9 +633,11 @@ type strategy struct {
 	exchange func(e *Engine, records []int64) [][]int64
 	// decide computes the new owners from the freshly written G on the ranks
 	// that hold it — collectively when that is all of them.
-	decide func(e *Engine, g *graph.Graph, st *RebalanceStats) []int32
+	decide func(e *Engine, g *graph.Graph) []int32
 	// publish, if set, takes rank 0's decision and cuts to the other ranks.
 	publish func(e *Engine, newOwner []int32, st *RebalanceStats) []int32
+	// twoLevel splits the cut at node-group boundaries (InterCut, IntraCut).
+	twoLevel bool
 }
 
 // The strategy table. coordinator is the paper's pipeline: G lives on rank 0.
@@ -617,7 +654,7 @@ var (
 		decide:   repartitionG}
 	hierStrategy = strategy{name: "hier", plan: (*Engine).planGraph,
 		exchange: func(e *Engine, records []int64) [][]int64 { return e.ensureHier().exchangeRecords(records) },
-		decide:   hierDecide}
+		decide:   hierDecide, twoLevel: true}
 	sfcStrategy = strategy{name: "sfc", plan: (*Engine).planSFC}
 
 	// modeStrategies is the strategy of each Mode; DistRefine replaces
@@ -629,7 +666,9 @@ var (
 // in the paper: each rank derives the weights of its own trees from its own
 // leaves (weightRecords). P2 ships them whole; the holders of G overwrite
 // every weight from them (writeRecords), so G carries nothing from one epoch
-// to the next.
+// to the next. The cut before is summed as the records are written, the cut
+// after is it plus cutChange over the trees the decision moved: a holder of G
+// touches each (tree, facet) once per decision.
 func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
 	s := e.cfg.strategy
 
@@ -646,10 +685,25 @@ func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 tim
 	// --- P3: write G, decide, and make the decision known on every rank.
 	d3 = timed(func() {
 		if all != nil {
-			g := e.coordinatorGraph(all)
-			st.CutBefore = partition.EdgeCut(g, e.Owner)
-			newOwner = s.decide(e, g, st)
-			st.CutAfter = partition.EdgeCut(g, newOwner)
+			cores := int32(1)
+			if s.twoLevel {
+				cores = int32(e.hier.cores) // the grouping the decision used (exchange built e.hier)
+			}
+			g, cut, inter := e.coordinatorGraph(all, cores)
+			newOwner = s.decide(e, g.Graph)
+			dCut, dInter := cutChange(g.Graph, e.Owner, newOwner, cores)
+			st.CutBefore, st.CutAfter = cut, cut+dCut
+			if s.twoLevel {
+				st.InterCut, st.IntraCut = inter+dInter, cut+dCut-inter-dInter
+			}
+			if check.Enabled {
+				b, a := partition.EdgeCut(g.Graph, e.Owner), partition.EdgeCut(g.Graph, newOwner)
+				ib, _ := partition.TwoLevelCut(g.Graph, e.Owner, cores)
+				ia, _ := partition.TwoLevelCut(g.Graph, newOwner, cores)
+				check.Assertf(st.CutBefore == b && st.CutAfter == a && inter == ib && inter+dInter == ia,
+					"pared: %s cuts %d -> %d (inter %d -> %d), full recount %d -> %d (inter %d -> %d)",
+					s.name, st.CutBefore, st.CutAfter, inter, inter+dInter, b, a, ib, ia)
+			}
 		}
 		if s.publish != nil {
 			newOwner = s.publish(e, newOwner, st)
@@ -659,7 +713,7 @@ func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 tim
 }
 
 // repartitionG is the decide step of the two flat strategies.
-func repartitionG(e *Engine, g *graph.Graph, _ *RebalanceStats) []int32 {
+func repartitionG(e *Engine, g *graph.Graph) []int32 {
 	return e.cfg.Repartition(g, e.Owner, e.Comm.Size())
 }
 
@@ -713,66 +767,76 @@ func (e *Engine) weightRecords() []int64 {
 	return out
 }
 
-// writeRecords overwrites the weights of g, the dual graph of topo's coarse
-// mesh, from every rank's weight records (see weightRecords), records[rank]
-// being what rank reported: VW[root] and, for each root facet with a tree s
-// across it, the directed CSR slot root → s. The slot s → root is written from
-// s's own record, so each slot has exactly one writer and nothing is added up:
-// which rank reports a tree does not matter, and a migration needs no
-// bookkeeping here. No index off the wire is used unchecked — a report whose
-// length is not a whole number of records, a root outside the coarse mesh, a
-// tree the sender does not own under owner, records not in ascending root
-// order, or trees left unreported come back as an error naming the rank, after
-// writing only inside g.
-func writeRecords(g *graph.Graph, topo *coarseTopo, owner []int32, records [][]int64) error {
-	stride := 2 + topo.nv
+// writeRecords overwrites the weights of g from every rank's weight records
+// (see weightRecords), records[rank] being what rank reported: VW[root] and,
+// for each root facet j with a tree across it, the directed CSR slot
+// g.slot[root][j]. The reverse slot is written from the far tree's own record,
+// so each slot has exactly one writer and nothing is added up: which rank
+// reports a tree does not matter, and a migration needs no bookkeeping here.
+// It returns G's cut under owner, and the part of it between groups of cores
+// consecutive ranks: a slot root → u adds its weight when u > root and the
+// owners differ, the sum partition.EdgeCut makes. No index off the wire is
+// used unchecked — a report whose length is not a whole number of records, a
+// root outside the coarse mesh, a tree the sender does not own under owner,
+// records not in ascending root order, or trees left unreported come back as
+// an error naming the rank, after writing only G's weights.
+func writeRecords(g *coarseDual, owner []int32, cores int32, records [][]int64) (cut, inter int64, err error) {
+	stride := 2 + g.nv
 	written := 0
 	for rank, rec := range records {
 		if len(rec)%stride != 0 {
-			return fmt.Errorf("pared: weight report of rank %d has %d words, not a multiple of the record length %d", rank, len(rec), stride)
+			return 0, 0, fmt.Errorf("pared: weight report of rank %d has %d words, not a multiple of the record length %d", rank, len(rec), stride)
 		}
 		prev := int64(-1)
 		for ; len(rec) > 0; rec = rec[stride:] {
 			root := rec[0]
 			if root < 0 || root >= int64(len(owner)) {
-				return fmt.Errorf("pared: rank %d reports weights of tree %d, outside [0, %d)", rank, root, len(owner))
+				return 0, 0, fmt.Errorf("pared: rank %d reports weights of tree %d, outside [0, %d)", rank, root, len(owner))
 			}
 			if owner[root] != int32(rank) {
-				return fmt.Errorf("pared: rank %d reports weights of tree %d, which rank %d owns", rank, root, owner[root])
+				return 0, 0, fmt.Errorf("pared: rank %d reports weights of tree %d, which rank %d owns", rank, root, owner[root])
 			}
 			if root <= prev {
-				return fmt.Errorf("pared: rank %d reports tree %d after tree %d, not in ascending order", rank, root, prev)
+				return 0, 0, fmt.Errorf("pared: rank %d reports tree %d after tree %d, not in ascending order", rank, root, prev)
 			}
 			prev = root
 			written++
 			g.VW[root] = rec[1]
-			row := g.Adj[g.Xadj[root]:g.Xadj[root+1]]
-			across := topo.acrossOf(int32(root))
-			for j, s := range across[:topo.nv] {
-				if s >= 0 {
-					g.EW[int(g.Xadj[root])+slices.Index(row, s)] = rec[2+j]
+			for j, k := range g.slot[root][:g.nv] {
+				if k < 0 {
+					continue
+				}
+				w, u, o := rec[2+j], g.Adj[k], int32(rank)
+				g.EW[k] = w
+				if u > int32(root) && owner[u] != o {
+					cut += w
+					if owner[u]/cores != o/cores {
+						inter += w
+					}
 				}
 			}
 		}
 	}
 	if written != len(owner) {
-		return fmt.Errorf("pared: weight reports cover %d of %d trees", written, len(owner))
+		return 0, 0, fmt.Errorf("pared: weight reports cover %d of %d trees", written, len(owner))
 	}
-	return nil
+	return cut, inter, nil
 }
 
 // coordinatorGraph returns this rank's copy of the coarse dual graph with
 // every rank's records written into it — rank 0's under the coordinator
-// pipeline, every rank's under replicated and hier. The topology is built on
-// first use from the replicated coarse mesh: G's adjacency is invariant for
-// the run, because adaptation only changes how many leaf pairs realize each
-// coarse facet, never which coarse elements share one.
-func (e *Engine) coordinatorGraph(records [][]int64) *graph.Graph {
+// pipeline, every rank's under replicated and hier — and writeRecords' cuts
+// of the current owners. The topology and slot table are built on first use
+// from topo: G's adjacency is invariant for the run, because adaptation only
+// changes how many leaf pairs realize each coarse facet, never which coarse
+// elements share one.
+func (e *Engine) coordinatorGraph(records [][]int64, cores int32) (g *coarseDual, cut, inter int64) {
 	if e.gCache == nil {
-		e.gCache = graph.FromDual(e.Coarse) // its unit weights are overwritten below
+		e.gCache = e.topo.dual() // its unit weights are overwritten below
 	}
 	g, stride := e.gCache, 2+e.topo.nv
-	if err := writeRecords(g, &e.topo, e.Owner, records); err != nil {
+	cut, inter, err := writeRecords(g, e.Owner, cores, records)
+	if err != nil {
 		panic(err.Error())
 	}
 	if check.Enabled {
@@ -788,7 +852,7 @@ func (e *Engine) coordinatorGraph(records [][]int64) *graph.Graph {
 		}
 		check.Assertf(g.TotalVW() == leaves, "pared: ΣVW = %d, the records report %d leaves", g.TotalVW(), leaves)
 	}
-	return g
+	return g, cut, inter
 }
 
 // ownerDeltaHeader is the number of int32 words before the (index, owner)

@@ -322,12 +322,13 @@ func checkInterfaceOracle(e *Engine) (*graph.Graph, *forest.Forest) {
 		}
 	}
 
-	// G from the records, on every rank, through the decoder the engine uses.
-	full := graph.FromDual(e.Coarse)
-	g := &graph.Graph{Xadj: full.Xadj, Adj: full.Adj, VW: make([]int64, full.N()), EW: make([]int64, len(full.Adj))}
-	if err := writeRecords(g, &e.topo, e.Owner, e.Comm.AllGatherInt64(e.weightRecords())); err != nil {
+	// G from the records, on every rank, through the topology-built CSR and the
+	// decoder the engine uses.
+	d := e.topo.dual()
+	if _, _, err := writeRecords(d, e.Owner, 1, e.Comm.AllGatherInt64(e.weightRecords())); err != nil {
 		fail("%v", err)
 	}
+	g := d.Graph
 	// G from the old pair counts: every rank's report folded as buildG did.
 	rep := e.refLocalWeights()
 	words := []int64{int64(len(rep.Roots))}

@@ -2,6 +2,7 @@ package pared
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/partition"
 	"pared/internal/refine"
 )
 
@@ -107,10 +109,69 @@ func fuzzWords(data []byte, wide bool) []int64 {
 	return out
 }
 
+// checkDual holds d, built from t, to graph.FromDual's CSR full: Xadj and Adj
+// byte for byte, and every slot[r][j] naming the CSR entry of the edge from r
+// to acrossOf(r)[j], or -1 where there is none.
+func checkDual(d *coarseDual, t *coarseTopo, full *graph.Graph) error {
+	if !slices.Equal(d.Xadj, full.Xadj) || !slices.Equal(d.Adj, full.Adj) {
+		return fmt.Errorf("the topology-built CSR differs from graph.FromDual's")
+	}
+	for r := range d.slot {
+		across := t.acrossOf(int32(r))
+		for j, k := range d.slot[r] {
+			if j >= t.nv || across[j] < 0 {
+				if k != -1 {
+					return fmt.Errorf("slot[%d][%d] = %d, but no tree lies across", r, j, k)
+				}
+			} else if k < d.Xadj[r] || k >= d.Xadj[r+1] || d.Adj[k] != across[j] {
+				return fmt.Errorf("slot[%d][%d] = %d does not name the edge %d -> %d", r, j, k, r, across[j])
+			}
+		}
+	}
+	return nil
+}
+
+// TestDualFromTopology: the G the engine builds from its coarse topology is
+// graph.FromDual's byte for byte, unit weights included, and its slot table
+// names every (tree, facet)'s CSR entry — on triangles, on tetrahedra, and on
+// a graded mesh with a wide spread of element sizes and vertex degrees (the
+// leaf mesh of an adapted forest).
+func TestDualFromTopology(t *testing.T) {
+	f := forest.FromMesh(meshgen.RectTri(4, 4, -1, -1, 1, 1))
+	r := refine.NewRefiner(f)
+	for range 4 {
+		refine.AdaptOnce(r, cornerEst(geom.Vec3{X: 1, Y: 1}), 0.2, 0, 6)
+	}
+	graded := f.LeafMesh().Mesh
+	if graded.NumElems() < 100 {
+		t.Fatalf("the graded mesh has only %d elements", graded.NumElems())
+	}
+	for _, tc := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"RectTri", meshgen.RectTri(40, 40, -1, -1, 1, 1)},
+		{"BoxTet", meshgen.BoxTet(4, 3, 5, -1, -1, -1, 1, 1, 1)},
+		{"graded", graded},
+	} {
+		topo := newCoarseTopo(tc.m)
+		d, full := topo.dual(), graph.FromDual(tc.m)
+		if err := checkDual(d, &topo, full); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(d.VW, full.VW) || !slices.Equal(d.EW, full.EW) {
+			t.Errorf("%s: the topology-built weights are not graph.FromDual's unit weights", tc.name)
+		}
+	}
+}
+
 // FuzzWeightRecords feeds writeRecords arbitrary words as the three ranks'
 // reports. It must never index outside G (which would panic), and whatever it
 // accepts must be what the contract says: every tree reported exactly once,
-// by its owner, in ascending order, and G's vertex weights as reported.
+// by its owner, in ascending order, G's vertex weights as reported, and the
+// returned cut and its part between the groups {0, 1} and {2} what
+// partition.EdgeCut and TwoLevelCut count on the written G. One G serves
+// every input, and a rejected report must leave its slot table intact.
 func FuzzWeightRecords(f *testing.F) {
 	w := newFuzzWorld()
 	stride := 2 + w.m.FacetsPerElem()
@@ -125,15 +186,24 @@ func FuzzWeightRecords(f *testing.F) {
 	f.Add(append(valid[0][:stride:stride], valid[0]...), valid[1], valid[2], false) // a tree twice
 	f.Add([]byte{18, 1, 1, 1, 1}, []byte{0xff, 1, 1, 1, 1}, []byte{}, false)        // roots out of range
 	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), []byte{}, []byte{}, true)
-	full := graph.FromDual(w.m)
+	full, g := graph.FromDual(w.m), w.topo.dual()
 	f.Fuzz(func(t *testing.T, a, b, c []byte, wide bool) {
-		g := &graph.Graph{Xadj: full.Xadj, Adj: full.Adj, VW: make([]int64, full.N()), EW: make([]int64, len(full.Adj))}
 		records := [][]int64{fuzzWords(a, wide), fuzzWords(b, wide), fuzzWords(c, wide)}
-		if err := writeRecords(g, &w.topo, w.owner, records); err != nil {
+		cut, inter, err := writeRecords(g, w.owner, 2, records)
+		if err != nil {
 			if !strings.HasPrefix(err.Error(), "pared: ") {
 				t.Fatalf("error without the package prefix: %v", err)
 			}
+			if err := checkDual(g, &w.topo, full); err != nil {
+				t.Fatalf("after a rejected report: %v", err)
+			}
 			return
+		}
+		if want := partition.EdgeCut(g.Graph, w.owner); cut != want {
+			t.Fatalf("writeRecords returned cut %d, EdgeCut of the written G is %d", cut, want)
+		}
+		if want, _ := partition.TwoLevelCut(g.Graph, w.owner, 2); inter != want {
+			t.Fatalf("writeRecords returned inter-group cut %d, TwoLevelCut of the written G is %d", inter, want)
 		}
 		for rank, rec := range records {
 			var mine []int64
@@ -385,5 +455,42 @@ func TestArrivalWithAliasedVertexPanicsNamingSender(t *testing.T) {
 	})
 	if want := "pared: rank 0 gathering the forest, payload from 1: forest: tree"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("GatherForest: par.Run returned %v, want a panic containing %q", err, want)
+	}
+}
+
+// BenchmarkWriteRecords is a holder of G writing one decision's records in
+// steady state: the 3 200 trees of a 40×40 coarse mesh dealt to 8 ranks in
+// blocks, every tree with 4 leaves and 2 leaf facets on each root facet. It
+// allocates nothing, and the allocation guard holds it there.
+func BenchmarkWriteRecords(b *testing.B) {
+	const p = 8
+	m := meshgen.RectTri(40, 40, -1, -1, 1, 1)
+	topo := newCoarseTopo(m)
+	g := topo.dual()
+	owner := make([]int32, m.NumElems())
+	records := make([][]int64, p)
+	for r := range owner {
+		owner[r] = int32(r * p / len(owner))
+		records[owner[r]] = append(records[owner[r]], int64(r), 4, 2, 2, 2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := writeRecords(g, owner, 1, records); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTopoDual builds G's CSR and slot table the way the engine does,
+// from a fresh coarse topology (every acrossOf row derived on the way), on
+// the 120×120 mesh from which BenchmarkFromDual in the graph package builds
+// the same CSR through the facet hash.
+func BenchmarkTopoDual(b *testing.B) {
+	m := meshgen.RectTri(120, 120, -1, -1, 1, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topo := newCoarseTopo(m)
+		topo.dual()
 	}
 }

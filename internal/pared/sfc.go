@@ -1,39 +1,16 @@
 package pared
 
 // Coordinator-free repartitioning over a space-filling curve (Burstedde &
-// Holke style). The PNR pipeline funnels P2/P3 through rank 0: weights are
-// gathered there, a serial multilevel KL refines the partition, and the owner
-// delta is broadcast back — the one remaining serial wall after the
-// incremental pipeline. The SFC mode removes it by changing the partitioning
-// problem itself: order the coarse elements along a Hilbert curve through
-// their centroids and slice the total leaf weight into P equal bands.
-//
-// The decisive structural fact is that the coarse mesh AND the owner map are
-// replicated on every rank — only the weights (leaf counts of the live
-// refinement trees) are distributed. The curve order is a pure function of
-// the replicated geometry, so every rank computes it once, identically, and
-// caches it. Steady state then needs exactly two O(1)-payload collectives:
-//
-//	off = ExclusiveScanInt64(localWeight)   // my global curve offset
-//	W   = AllReduceSumInt64(localWeight)    // total weight
-//
-// after which each rank places its own elements on the weight axis and only
-// the (root, newOwner) changes are exchanged. No rank ever gathers the graph;
-// no rank runs O(N) serial refinement. The scan is exact because the current
-// ownership is curve-contiguous (band form): the elements of ranks 0..r−1
-// are exactly the elements preceding rank r's on the curve, so the scan of
-// local weights IS the curve prefix sum.
-//
-// Band form is an invariant the mode maintains, not an assumption: snapping
-// is proven monotone (see sfc.AssignLocal), so SFC output is always band
-// form. The invariant can only be violated from outside — a bootstrap from
-// another partitioner, or a mid-run switch from PNR mode. Both are detected
-// locally (the owner map is replicated; checking monotonicity along the
-// cached curve costs O(N) integer compares and agrees on every rank) and
-// handled by a one-epoch fallback: each rank contributes its (root, weight)
-// pairs to a symmetric all-gather and every rank computes the full band
-// assignment identically. The next epoch is band form and takes the scan
-// path.
+// Holke style; DESIGN §11). Every rank orders the replicated coarse elements
+// along a Hilbert curve through their centroids, once, and slices the total
+// leaf weight into P equal bands. While the owner map is curve-contiguous
+// (band form, which the mode's own output always is) an epoch needs two
+// O(1)-payload collectives — the exclusive scan of local weight, which is
+// then the curve prefix of the rank's elements, and the total — plus the
+// all-gather of the (root, owner) changes; no rank gathers the graph. An
+// owner map not in band form (another partitioner's bootstrap, a mode switch)
+// is detected locally and takes a one-epoch fallback: a symmetric all-gather
+// of (root, weight) pairs and the full assignment on every rank.
 
 import (
 	"slices"
@@ -68,13 +45,12 @@ const (
 )
 
 // sfcState caches everything derivable from the replicated coarse mesh —
-// curve keys, curve order and its inverse, the unit-weight coarse dual used
-// for cut reporting — plus the per-epoch scratch, so steady-state epochs
-// allocate nothing.
+// curve keys, curve order, the unit-weight coarse dual used for cut
+// reporting — plus the per-epoch scratch, so steady-state epochs allocate
+// nothing.
 type sfcState struct {
 	keys  []uint64
 	order []int32 // order[k] = element at curve position k
-	pos   []int32 // pos[e] = curve position of element e
 	dual  *graph.Graph
 
 	sortScratch   sfc.SortScratch
@@ -89,24 +65,31 @@ type sfcState struct {
 	spareOwner    []int32 // last epoch's, which the engine may still hold as e.Owner
 
 	// cutOwner is a copy of the owner map the last epoch produced and cut its
-	// unit-weight cut: the next epoch's CutBefore while e.Owner still equals
-	// it (see sfcState.cuts).
+	// unit-weight cut, from which the next epoch's CutBefore is counted (see
+	// sfcState.cuts).
 	cutOwner []int32
 	cut      int64
 }
 
-// ensureSFC builds the cached curve structures on first use. The coarse
-// topology is invariant for the run (adaptation refines trees, never the
-// coarse mesh), so this happens once.
+// ensureSFC completes the cached curve structures on first use: the curve
+// unless BootstrapWith passed it in, and the unit-weight dual with its zero
+// cut. The coarse mesh is invariant for the run, so each is built once.
 func (e *Engine) ensureSFC() *sfcState {
 	if e.sfc == nil {
-		s := &sfcState{}
-		s.keys = sfc.Keys(e.Coarse, sfc.Hilbert)
-		s.order, s.pos = sfc.Order(s.keys)
-		s.dual = graph.FromDual(e.Coarse)
-		e.sfc = s
+		e.sfc = newCurve(e.Coarse)
+	}
+	if s := e.sfc; s.dual == nil {
+		s.dual = e.topo.dual().Graph
+		s.cutOwner = make([]int32, len(s.order)) // every tree on rank 0: cut 0
 	}
 	return e.sfc
+}
+
+// newCurve returns the curve part of sfcState: Hilbert keys and their order.
+func newCurve(m *mesh.Mesh) *sfcState {
+	s := &sfcState{keys: sfc.Keys(m, sfc.Hilbert)}
+	s.order, _ = sfc.Order(s.keys)
+	return s
 }
 
 // bandForm reports whether owner is non-decreasing along the curve order —
@@ -136,29 +119,19 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 	// total order every rank uses.
 	var myW int64
 	d1 = timed(func() {
-		roots := e.F.Roots()
-		if cap(s.localRoots) < len(roots) {
-			s.localRoots = make([]int32, len(roots))
-			s.localW = make([]int64, len(roots))
-			s.localOut = make([]int32, len(roots))
-		}
-		s.localRoots = s.localRoots[:len(roots)]
-		copy(s.localRoots, roots)
+		s.localRoots = append(s.localRoots[:0], e.F.Roots()...)
 		sfc.SortByKey(s.keys, s.localRoots, &s.sortScratch)
-		s.localW = s.localW[:len(roots)]
-		s.localOut = s.localOut[:len(roots)]
-		myW = 0
-		for i, r := range s.localRoots {
+		s.localW = s.localW[:0]
+		for _, r := range s.localRoots {
 			w := int64(e.F.LeafCount(r))
-			s.localW[i] = w
+			s.localW = append(s.localW, w)
 			myW += w
 		}
+		s.localOut = slices.Grow(s.localOut[:0], len(s.localRoots))[:len(s.localRoots)]
 	})
 	e.trace("P1 weights: %d roots, local weight %d in %v (sfc)", len(s.localRoots), myW, d1)
 
-	banded := bandForm(s.order, e.Owner)
-	var deltas [][]int32 // the scan path's all-gathered (root, owner) changes
-	if banded {
+	if bandForm(s.order, e.Owner) {
 		// --- P2: the two scalar collectives. Payloads are O(1) per rank.
 		var off, total int64
 		d2 = timed(func() {
@@ -176,12 +149,8 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 					s.delta = append(s.delta, r, s.localOut[i])
 				}
 			}
-			deltas = e.Comm.AllGatherInt32(s.delta)
-			if cap(s.newOwner) < len(e.Owner) {
-				s.newOwner = make([]int32, len(e.Owner))
-			}
-			s.newOwner = s.newOwner[:len(e.Owner)]
-			copy(s.newOwner, e.Owner)
+			deltas := e.Comm.AllGatherInt32(s.delta)
+			s.newOwner = append(s.newOwner[:0], e.Owner...)
 			// Each root is owned by exactly one rank, so the patches are
 			// disjoint and application order cannot matter.
 			for _, pairs := range deltas {
@@ -199,21 +168,13 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 		// assignment from identical inputs — still no coordinator, and the
 		// snapped result is band form, so this costs one epoch.
 		d2 = timed(func() {
-			if cap(s.wirePairs) < 2*len(s.localRoots) {
-				s.wirePairs = make([]int64, 2*len(s.localRoots))
-			}
 			s.wirePairs = s.wirePairs[:0]
 			for i, r := range s.localRoots {
 				s.wirePairs = append(s.wirePairs, int64(r), s.localW[i])
 			}
 			all := e.Comm.AllGatherInt64(s.wirePairs)
-			if cap(s.fullVW) < len(e.Owner) {
-				s.fullVW = make([]int64, len(e.Owner))
-			}
-			s.fullVW = s.fullVW[:len(e.Owner)]
-			for i := range s.fullVW {
-				s.fullVW[i] = 0
-			}
+			s.fullVW = slices.Grow(s.fullVW[:0], len(e.Owner))[:len(e.Owner)]
+			clear(s.fullVW)
 			for _, pairs := range all {
 				for i := 0; i < len(pairs); i += 2 {
 					s.fullVW[pairs[i]] = pairs[i+1]
@@ -228,7 +189,7 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 		e.trace("P3 full assign in %v (sfc fallback path)", d3)
 	}
 
-	st.CutBefore, st.CutAfter = s.cuts(e.Owner, newOwner, banded, deltas)
+	st.CutBefore, st.CutAfter = s.cuts(e.Owner, newOwner)
 	// The engine adopts newOwner as e.Owner, so next epoch must write into
 	// the other buffer: the steady state cycles two arrays and never
 	// allocates.
@@ -239,22 +200,15 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 // cuts returns the unit-weight coarse cut of the owner maps before and after
 // an epoch, from the replicated dual: local arithmetic, identical on every
 // rank, that costs what moved. CutBefore is the cut cached with the map the
-// last epoch produced while old still equals it; otherwise — the fallback
-// path, the first epoch, a mode switch, a caller that edited Engine.Owner —
-// it is a full partition.EdgeCut. On the scan path, CutAfter is CutBefore
-// plus the change on each dual edge incident to a tree in the all-gathered
-// deltas; on the fallback, which gathers no deltas, a full EdgeCut.
-func (s *sfcState) cuts(old, newOwner []int32, banded bool, deltas [][]int32) (before, after int64) {
-	if slices.Equal(old, s.cutOwner) {
-		before = s.cut
-	} else {
-		before = partition.EdgeCut(s.dual, old)
-	}
-	if banded {
-		after = before + cutChange(s.dual, old, newOwner, deltas)
-	} else {
-		after = partition.EdgeCut(s.dual, newOwner)
-	}
+// last epoch produced plus cutChange to old — nothing to walk while old still
+// equals it, and every tree that differs after a mode switch or a caller's
+// edit of Engine.Owner (the cache starts as the all-zero map, cut 0); CutAfter
+// is CutBefore plus cutChange over the trees this epoch moved.
+func (s *sfcState) cuts(old, newOwner []int32) (before, after int64) {
+	d, _ := cutChange(s.dual, s.cutOwner, old, 1)
+	before = s.cut + d
+	d, _ = cutChange(s.dual, old, newOwner, 1)
+	after = before + d
 	if check.Enabled {
 		wantBefore, wantAfter := partition.EdgeCut(s.dual, old), partition.EdgeCut(s.dual, newOwner)
 		check.Assertf(before == wantBefore && after == wantAfter,
@@ -265,49 +219,57 @@ func (s *sfcState) cuts(old, newOwner []int32, banded bool, deltas [][]int32) (b
 	return before, after
 }
 
-// cutChange returns the change of g's edge cut when the trees named in the
-// (root, owner) delta lists move from their owners in old to those in
-// newOwner: only an edge incident to a moved tree can change sides, and an
-// edge between two moved trees is counted from its smaller end.
-func cutChange(g *graph.Graph, old, newOwner []int32, deltas [][]int32) int64 {
-	var d int64
-	for _, pairs := range deltas {
-		for i := 0; i < len(pairs); i += 2 {
-			r := pairs[i]
-			for k := g.Xadj[r]; k < g.Xadj[r+1]; k++ {
-				u := g.Adj[k]
-				if u < r && old[u] != newOwner[u] {
-					continue // both moved: counted from u
+// cutChange returns the change of g's edge cut, and of its part between
+// groups of cores consecutive ranks, when the owners go from old to newOwner:
+// only an edge incident to a tree that moved can change sides, so only the
+// moved trees' adjacency is walked, and an edge between two moved trees is
+// counted from its smaller end. Every strategy's CutAfter is its CutBefore
+// plus this.
+func cutChange(g *graph.Graph, old, newOwner []int32, cores int32) (d, inter int64) {
+	for r := range int32(len(old)) {
+		if old[r] == newOwner[r] {
+			continue
+		}
+		for k := g.Xadj[r]; k < g.Xadj[r+1]; k++ {
+			u, w := g.Adj[k], g.EW[k]
+			if u < r && old[u] != newOwner[u] {
+				continue // both moved: counted from u
+			}
+			if old[r] != old[u] {
+				d -= w
+				if old[r]/cores != old[u]/cores {
+					inter -= w
 				}
-				if old[r] != old[u] {
-					d -= g.EW[k]
-				}
-				if newOwner[r] != newOwner[u] {
-					d += g.EW[k]
+			}
+			if newOwner[r] != newOwner[u] {
+				d += w
+				if newOwner[r]/cores != newOwner[u]/cores {
+					inter += w
 				}
 			}
 		}
 	}
-	return d
+	return d, inter
 }
 
 // BootstrapWith computes an initial partition of the coarse mesh and
 // constructs the engine on every rank, honoring cfg.Mode. PNR mode mirrors
 // PARED's startup — the coordinator partitions and broadcasts. SFC mode has
 // no coordinator even here: every rank derives the identical unit-weight
-// band partition from the replicated mesh with zero collectives. A cfg that
-// SetConfig rejects panics with that error's text.
+// band partition from the replicated mesh with zero collectives, and the
+// engine keeps the curve for its first rebalance. A cfg that SetConfig
+// rejects panics with that error's text.
 func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 	var owner []int32
+	var curve *sfcState
 	if cfg.Mode == ModeSFC {
-		keys := sfc.Keys(coarseMesh, sfc.Hilbert)
-		order, _ := sfc.Order(keys)
+		curve = newCurve(coarseMesh)
 		vw := make([]int64, coarseMesh.NumElems())
 		for i := range vw {
 			vw[i] = 1
 		}
 		var scratch sfc.AssignScratch
-		owner = sfc.Assign(order, vw, nil, c.Size(), false, nil, &scratch)
+		owner = sfc.Assign(curve.order, vw, nil, c.Size(), false, nil, &scratch)
 	} else {
 		if c.Rank() == 0 {
 			g := graph.FromDual(coarseMesh)
@@ -317,6 +279,7 @@ func BootstrapWith(c *par.Comm, coarseMesh *mesh.Mesh, cfg Config) *Engine {
 	}
 	eng, err := New(c, coarseMesh, owner) // never rejects: owner is built above
 	if err == nil {
+		eng.sfc = curve // ensureSFC adds the dual at the first rebalance
 		err = eng.SetConfig(cfg)
 	}
 	if err != nil {

@@ -252,29 +252,40 @@ func TestSFCImbalanceBound(t *testing.T) {
 	}
 }
 
-// TestCutChange: for random old and new owner maps on the unit dual, with the
-// changed trees dealt out over delta lists as ranks would report them, the
-// cut of the new map is the cut of the old plus cutChange. Random maps move
-// neighbouring trees between different ranks in one step, so an edge whose
-// two ends both moved must be counted exactly once.
+// TestCutChange: for random old and new owner maps, the cut of the new map
+// is the cut of the old plus cutChange, and so is its part between groups of
+// two ranks (partition.TwoLevelCut) — on the unit dual the sfc strategy cuts
+// and on a symmetric weighted one like G. Random maps move neighbouring trees
+// between different ranks in one step, so an edge whose two ends both moved
+// must be counted exactly once.
 func TestCutChange(t *testing.T) {
-	const p = 4
+	const p, cores = 4, 2
 	g := graph.FromDual(meshgen.RectTri(6, 6, -1, -1, 1, 1))
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
+		if trial == 50 {
+			for v := int32(0); v < int32(g.N()); v++ {
+				for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
+					u := g.Adj[k]
+					g.EW[k] = int64(1 + (7*min(u, v)+max(u, v))%5)
+				}
+			}
+		}
 		old, next := make([]int32, g.N()), make([]int32, g.N())
-		deltas := make([][]int32, p)
 		for r := range old {
 			old[r], next[r] = int32(rng.Intn(p)), old[r]
 			if rng.Intn(2) == 0 {
 				next[r] = int32(rng.Intn(p))
 			}
-			if next[r] != old[r] {
-				deltas[old[r]] = append(deltas[old[r]], int32(r), next[r])
-			}
 		}
-		if got, want := partition.EdgeCut(g, old)+cutChange(g, old, next, deltas), partition.EdgeCut(g, next); got != want {
+		d, dInter := cutChange(g, old, next, cores)
+		if got, want := partition.EdgeCut(g, old)+d, partition.EdgeCut(g, next); got != want {
 			t.Fatalf("trial %d: cut before plus cutChange = %d, EdgeCut after = %d", trial, got, want)
+		}
+		before, _ := partition.TwoLevelCut(g, old, cores)
+		after, _ := partition.TwoLevelCut(g, next, cores)
+		if before+dInter != after {
+			t.Fatalf("trial %d: inter-group cut before plus cutChange = %d, TwoLevelCut after = %d", trial, before+dInter, after)
 		}
 	}
 }

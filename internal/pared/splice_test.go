@@ -6,14 +6,17 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pared/internal/fem"
 	"pared/internal/forest"
 	"pared/internal/geom"
+	"pared/internal/graph"
 	"pared/internal/mesh"
 	"pared/internal/meshgen"
 	"pared/internal/par"
+	"pared/internal/partition"
 	"pared/internal/refine"
 )
 
@@ -91,8 +94,8 @@ func randomSteps(rng *rand.Rand, dim mesh.Dim, epochs int, switching bool) []cha
 // weights sum to the global leaf count, the owner map is total and in range,
 // the rank's vertex slots live exactly as long as its nodes use them
 // (forest.CheckVertices), CheckConsistency is clean and the gathered mesh is
-// conformal.
-func checkEpochInvariants(e *Engine, globalLeaves int64) {
+// conformal. It returns G as the records give it, on every rank.
+func checkEpochInvariants(e *Engine, globalLeaves int64) *graph.Graph {
 	if err := e.F.CheckVertices(); err != nil {
 		panic(fmt.Sprintf("rank %d: %v", e.Comm.Rank(), err))
 	}
@@ -122,6 +125,26 @@ func checkEpochInvariants(e *Engine, globalLeaves int64) {
 			panic(err)
 		}
 	}
+	return g
+}
+
+// checkCuts holds a rebalance's four cut statistics to full recounts for the
+// owner maps before (old) and after it: on g, the G its records gave, or on
+// the unit dual under the sfc strategy. InterCut and IntraCut are
+// partition.TwoLevelCut's under hier and zero under every other strategy.
+func checkCuts(e *Engine, g *graph.Graph, old []int32, st RebalanceStats) {
+	var inter, intra int64
+	switch e.cfg.strategy {
+	case &sfcStrategy:
+		g = graph.FromDual(e.Coarse)
+	case &hierStrategy:
+		inter, intra = partition.TwoLevelCut(g, e.Owner, int32(e.cfg.Topology.CoresPerNode))
+	}
+	before, after := partition.EdgeCut(g, old), partition.EdgeCut(g, e.Owner)
+	if st.CutBefore != before || st.CutAfter != after || st.InterCut != inter || st.IntraCut != intra {
+		panic(fmt.Sprintf("rank %d under %s: cuts %d -> %d (inter %d, intra %d), full recount %d -> %d (inter %d, intra %d)",
+			e.Comm.Rank(), e.cfg.strategy.name, st.CutBefore, st.CutAfter, st.InterCut, st.IntraCut, before, after, inter, intra))
+	}
 }
 
 // spliceChain drives the chain steps on p ranks, starting under cfg, and
@@ -129,10 +152,11 @@ func checkEpochInvariants(e *Engine, globalLeaves int64) {
 // owner map after the rebalance. With rebuild set, the refiner migrate spliced
 // is thrown away after every Rebalance and rebuilt from the forest. Without,
 // the spliced refiner is held to its invariants each epoch — incidence equal
-// to a rebuild's, no leaf edge marked split — and the engine to
-// checkEpochInvariants after every Adapt and every Rebalance. A failure names
-// the epoch each rank had reached and the algorithm it ran; the chain is a
-// pure function of the subtest's name, which replays it.
+// to a rebuild's, no leaf edge marked split — the engine to
+// checkEpochInvariants after every Adapt and every Rebalance, and every
+// rebalance's cuts to checkCuts. A failure names the epoch each rank had
+// reached and the algorithm it ran; the chain is a pure function of the
+// subtest's name, which replays it.
 func spliceChain(t *testing.T, m *mesh.Mesh, cfg Config, p int, steps []chainStep, rebuild bool) (hashes [][]uint64, moved, coarsened int64) {
 	t.Helper()
 	maxLevel := int32(7)
@@ -175,10 +199,15 @@ func spliceChain(t *testing.T, m *mesh.Mesh, cfg Config, p int, steps []chainSte
 				coarsenTol = 0
 			}
 			ast := e.Adapt(est, refineTol, coarsenTol, maxLevel)
+			var g *graph.Graph
 			if !rebuild {
-				checkEpochInvariants(e, ast.GlobalLeaves)
+				g = checkEpochInvariants(e, ast.GlobalLeaves)
 			}
+			old := slices.Clone(e.Owner)
 			st := e.Rebalance(s.force)
+			if !rebuild && st.Ran {
+				checkCuts(e, g, old, st)
+			}
 			if rebuild {
 				e.R = refine.NewRefiner(e.F)
 			} else {
@@ -235,10 +264,11 @@ func spliceChain(t *testing.T, m *mesh.Mesh, cfg Config, p int, steps []chainSte
 // migration. Splicing migrated trees in and out of the live refiner must be
 // indistinguishable from that rebuild — same leaf mesh on every rank and same
 // owner map, epoch by epoch — and the first run must keep checkEpochInvariants
-// after every step. <dim>/<algorithm>/p=N chains stay under one registry row;
-// <dim>/switch/p=N chains move to another row before every epoch, through all
-// of them, and in 2D take one epoch's estimator from SolveLaplace and
-// ZZEstimator.
+// after every step and report every rebalance's CutBefore, CutAfter, InterCut
+// and IntraCut equal to full recounts (checkCuts). <dim>/<algorithm>/p=N
+// chains stay under one registry row; <dim>/switch/p=N chains move to another
+// row before every epoch, through all of them, and in 2D take one epoch's
+// estimator from SolveLaplace and ZZEstimator.
 func TestMigrateSpliceMatchesRebuild(t *testing.T) {
 	meshes := []struct {
 		name string
