@@ -101,18 +101,16 @@ bench-ab:
 # indicator memo.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
-# GOMAXPROCS=2, where kern.Workers() is 1 inside every rank.
-ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^BenchmarkDistCGSolve$$' -benchmem ./internal/pared
-# A holder of G writing one decision's weight records, pinned at zero: under
-# the replicated and hier strategies every rank pays it on every rebalance.
-ALLOC_RECORDS = GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkWriteRecords$$' -benchmem ./internal/pared
+# GOMAXPROCS=2, where kern.Workers() is 1 inside every rank; and a holder of
+# G writing one decision's weight records (serial, pinned at zero), which
+# every rank pays on every rebalance under the replicated and hier strategies.
+ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^(BenchmarkDistCGSolve|BenchmarkWriteRecords)$$' -benchmem ./internal/pared
 
 bench-alloc-baseline:
 	d=$$(mktemp -d) && \
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard0.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard0s.txt && \
-	$(ALLOC_RECORDS) > $$d/allocguard0r.txt && \
-	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json $$d/allocguard0.txt $$d/allocguard0s.txt $$d/allocguard0r.txt && \
+	$(GO) run ./cmd/benchguard -write-baseline BENCH_allocs.json $$d/allocguard0.txt $$d/allocguard0s.txt && \
 	rm -r $$d
 
 # Allocation regression guard: fresh -benchmem runs (best-of-2) must stay
@@ -131,11 +129,8 @@ bench-alloc-guard:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchmem $(ALLOC_PKGS) > $$d/allocguard2.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard1s.txt && \
 	$(ALLOC_SOLVE) > $$d/allocguard2s.txt && \
-	$(ALLOC_RECORDS) > $$d/allocguard1r.txt && \
-	$(ALLOC_RECORDS) > $$d/allocguard2r.txt && \
 	$(GO) run ./cmd/benchguard -baseline BENCH_allocs.json \
-		$$d/allocguard1.txt $$d/allocguard2.txt $$d/allocguard1s.txt $$d/allocguard2s.txt \
-		$$d/allocguard1r.txt $$d/allocguard2r.txt && \
+		$$d/allocguard1.txt $$d/allocguard2.txt $$d/allocguard1s.txt $$d/allocguard2s.txt && \
 	rm -r $$d
 
 cover:

@@ -24,8 +24,9 @@
 // imbalance_mean and migrated_frac — deterministic counts — were equal in
 // every run. Last it prints how much CPU time other processes took from the
 // host during each side's runs — the busy time /proc/stat counts over a run
-// less the run's own CPU time — and marks the pairs in which it passed
-// contendedShare of a run's wall time: their timings are suspect.
+// less the run's own CPU time — and marks the pairs in which a run's reading
+// passed the median of all the series' readings by more than contendedShare
+// of its wall time: their timings are suspect.
 package main
 
 import (
@@ -73,14 +74,23 @@ type result struct {
 	known   bool          // whether foreign was measured
 }
 
-// contendedShare is the foreign CPU time, as a share of a run's wall time,
-// past which the run is marked: other work kept a tenth of one core busy
-// throughout. The benchmark's ranks outnumber the cores, so whatever else ran
-// took its time from them.
+// contendedShare is the foreign CPU time above the series' median reading, as
+// a share of a run's wall time, past which the run is marked: other work kept
+// a tenth of one core busy throughout. The benchmark's ranks outnumber the
+// cores, so whatever else ran took its time from them. The reading is taken
+// relative to the median because /proc/stat samples in ticks, and the
+// sampling misses or overcounts a workload-dependent amount of the run's own
+// time: with nothing else running, a 10 s run of one workload read about
+// +0.7 s on both sides, and another about −0.1 s. Both sides run the same
+// workload alternately, so the median of all 2n readings holds that bias and
+// an idle host marks nothing; it cannot flag contention that lasts through
+// more than half of the series' runs.
 const contendedShare = 0.10
 
-func (r result) contended() bool {
-	return r.known && r.foreign.Seconds() > contendedShare*r.wall.Seconds()
+// contended reports whether r's foreign CPU time passed base, the series'
+// median reading, by more than contendedShare of its wall time.
+func (r result) contended(base time.Duration) bool {
+	return r.known && (r.foreign-base).Seconds() > contendedShare*r.wall.Seconds()
 }
 
 // hostBusy returns the CPU time the host's processors have been busy so far.
@@ -408,10 +418,10 @@ func report(w io.Writer, workload string, metrics []metric, parent, change []res
 }
 
 // reportContention prints each side's foreign CPU seconds, median with
-// quartiles, and the pairs in which either run was contended.
+// quartiles, and the pairs in which either run was contended against the
+// median of both sides' readings.
 func reportContention(w io.Writer, parent, change []result) {
 	var sides [2][]float64
-	var marked []string
 	for i := range parent {
 		for k, r := range [2]result{parent[i], change[i]} {
 			if !r.known {
@@ -420,7 +430,12 @@ func reportContention(w io.Writer, parent, change []result) {
 			}
 			sides[k] = append(sides[k], r.foreign.Seconds())
 		}
-		if parent[i].contended() || change[i].contended() {
+	}
+	_, all, _ := quartiles(append(sides[0], sides[1]...))
+	base := time.Duration(all * float64(time.Second))
+	var marked []string
+	for i := range parent {
+		if parent[i].contended(base) || change[i].contended(base) {
 			marked = append(marked, strconv.Itoa(i+1))
 		}
 	}
@@ -429,6 +444,6 @@ func reportContention(w io.Writer, parent, change []result) {
 	}
 	p1, pm, p3 := quartiles(sides[0])
 	c1, cm, c3 := quartiles(sides[1])
-	fmt.Fprintf(w, "  foreign CPU s   parent %.3g [%.3g, %.3g]  new %.3g [%.3g, %.3g]  contended pairs (over %.0f%% of a run's wall time): %s\n",
-		pm, p1, p3, cm, c1, c3, 100*contendedShare, strings.Join(marked, ", "))
+	fmt.Fprintf(w, "  foreign CPU s   parent %.3g [%.3g, %.3g]  new %.3g [%.3g, %.3g]  contended pairs (over the median %.3g by %.0f%% of a run's wall time): %s\n",
+		pm, p1, p3, cm, c1, c3, all, 100*contendedShare, strings.Join(marked, ", "))
 }

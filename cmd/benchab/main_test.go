@@ -38,8 +38,8 @@ func TestReportTable(t *testing.T) {
 	}
 	parent := []result{parse(t, line(0, 1.0, 100, 7)), parse(t, line(0, 2.0, 200, 7)), parse(t, line(1, 3.0, 300, 7))}
 	change := []result{parse(t, line(0, 0.5, 100, 7)), parse(t, line(0, 2.5, 400, 7)), parse(t, line(0, 1.5, 600, 7))}
-	// Ten-second runs, of which only the base's third had more than a
-	// second of foreign CPU time.
+	// Ten-second runs; the six readings' median is 0.35 s, and only the
+	// base's third passes it by more than a second.
 	for i, foreign := range [][2]time.Duration{{200, 100}, {500, 300}, {2000, 400}} {
 		parent[i].wall, parent[i].foreign, parent[i].known = 10*time.Second, foreign[0]*time.Millisecond, true
 		change[i].wall, change[i].foreign, change[i].known = 10*time.Second, foreign[1]*time.Millisecond, true
@@ -51,7 +51,7 @@ func TestReportTable(t *testing.T) {
 		"  wall_s          parent 2 [1.5, 2.5]  new 1.5 [1, 2]  -25.0%  better in 2/3\n" +
 		"  elems_per_s     parent 200 [150, 250]  new 400 [250, 500]  +100.0%  better in 2/3\n" +
 		"  counts (cut_mean, imbalance_mean, migrated_frac) equal in all 6 runs: true\n" +
-		"  foreign CPU s   parent 0.5 [0.35, 1.25]  new 0.3 [0.2, 0.35]  contended pairs (over 10% of a run's wall time): 3\n"
+		"  foreign CPU s   parent 0.5 [0.35, 1.25]  new 0.3 [0.2, 0.35]  contended pairs (over the median 0.35 by 10% of a run's wall time): 3\n"
 	if out.String() != want {
 		t.Errorf("got:\n%s\nwant:\n%s", out.String(), want)
 	}
@@ -201,8 +201,9 @@ func TestExportFreezesBothSides(t *testing.T) {
 // idle, iowait, guest and guest_nice, and rejects a first line that is not
 // the total; runOnce, on a faked host whose busy time grows by three seconds
 // around a run that itself takes next to none, reports about three seconds
-// of foreign CPU time and marks the run contended, and reports the time
-// unknown when the host cannot be read.
+// of foreign CPU time, and reports the time unknown when the host cannot be
+// read; a series whose every run reads the same bias marks no pair, and one
+// run past it by more than a tenth of its wall time marks its pair.
 func TestForeignCPU(t *testing.T) {
 	stat := "cpu  100 20 30 4000 50 6 7 8 900 1000\ncpu0 50 10 15 2000 25 3 3 4 450 500\n"
 	if got, err := parseBusy([]byte(stat)); err != nil || got != 1710*time.Millisecond {
@@ -223,13 +224,35 @@ func TestForeignCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.known || r.foreign <= 2900*time.Millisecond || r.foreign > 3*time.Second || !r.contended() {
+	if !r.known || r.foreign <= 2900*time.Millisecond || r.foreign > 3*time.Second || !r.contended(0) {
 		t.Errorf("runOnce measured foreign %v (known %v, wall %v, contended %v); want just under 3s, contended",
-			r.foreign, r.known, r.wall, r.contended())
+			r.foreign, r.known, r.wall, r.contended(0))
 	}
 
 	hostBusy = func() (time.Duration, error) { return 0, fs.ErrNotExist }
-	if r, err := runOnce(t.TempDir(), "sh", []string{"-c", `echo '{}'`}); err != nil || r.known || r.contended() {
+	if r, err := runOnce(t.TempDir(), "sh", []string{"-c", `echo '{}'`}); err != nil || r.known || r.contended(0) {
 		t.Errorf("with the host unreadable, runOnce = %+v, %v; want the foreign time unknown", r, err)
+	}
+
+	// Ten 10 s pairs that all read 1.2 s, past 10 % of the wall time: the
+	// tick-sampling bias of an idle host, which marks nothing. Then pair 4's
+	// new run reads 2.3 s, 1.1 s past the median.
+	run := result{wall: 10 * time.Second, foreign: 1200 * time.Millisecond, known: true}
+	parent, change := make([]result, 10), make([]result, 10)
+	for i := range parent {
+		parent[i], change[i] = run, run
+	}
+	marks := func() string {
+		var out bytes.Buffer
+		reportContention(&out, parent, change)
+		_, after, _ := strings.Cut(out.String(), "wall time): ")
+		return strings.TrimSpace(after)
+	}
+	if got := marks(); got != "none" {
+		t.Errorf("a uniform bias marked pairs %s; want none", got)
+	}
+	change[3].foreign = 2300 * time.Millisecond
+	if got := marks(); got != "4" {
+		t.Errorf("one contended run marked pairs %s; want 4", got)
 	}
 }

@@ -1,26 +1,35 @@
 package pared
 
 // Hierarchical (node × core) repartitioning over sub-communicators, after
-// Kong et al.'s two-level partitioning (DESIGN §13): the ranks form N node
-// groups of C cores (node(r) = r/C, core(r) = r%C), and the repartition runs
-// in two phases:
+// Kong et al.'s two-level partitioning: the flat rank set r ∈ [0, N·C) is
+// viewed as N node groups of C cores (node(r) = r/C, core(r) = r%C), and the
+// repartition runs in two phases:
 //
 //	phase A  partition G among the N node groups, with edge weights scaled
-//	         by Topology.InterNodePenalty, so an inter-node edge cut weighs
-//	         Penalty× against migration and balance;
-//	phase B  each node group refines its induced subgraph into C parts over
-//	         its node sub-communicator, the groups concurrently.
+//	         by Topology.InterNodePenalty — every edge cut at this level is
+//	         an inter-node edge, so the scale makes the cut term of
+//	         Equation 1 weigh Penalty× against migration and balance,
+//	         which is the cost model of a cluster whose network links are
+//	         Penalty× slower than its intra-node memory;
+//	phase B  each node group refines its own induced subgraph into C parts
+//	         independently, over its node sub-communicator — the groups
+//	         proceed concurrently and most collectives shrink to C ranks.
 //
-// Both phases run the rank-distributed deterministic sweep (core.DistRefine)
-// on replicated inputs, so the owner map comes out byte-identical on every
-// rank; only the phase-B results cross node boundaries, once, through the
-// leader comm. The leaf mesh is byte-identical for any GOMAXPROCS and any
-// factorization of the rank count; owner maps differ between factorizations,
-// which is the point of the knob.
+// Both phases run the rank-distributed deterministic sweep (core.DistRefine):
+// phase A over the world comm, phase B over each node comm. All inputs are
+// replicated and deterministic, so the owner map materializes byte-identical
+// on every rank with no broadcast of the decision itself — only the phase-B
+// results cross node boundaries, once, through the leader comm.
+//
+// The leaf mesh the engine produces is byte-identical for any GOMAXPROCS and
+// any node×core factorization of the same total rank count: adaptation's
+// conformal fixed point equals the serial refinement of the same mesh
+// regardless of ownership, and each factorization's pipeline is individually
+// deterministic. (Owner maps legitimately differ between factorizations —
+// the penalty reshapes the objective — which is the point of the knob.)
 
 import (
 	"fmt"
-	"slices"
 
 	"pared/internal/core"
 	"pared/internal/graph"
@@ -252,12 +261,15 @@ func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
 			h.mine = append(h.mine, base)
 		}
 	} else {
-		h.subOld = h.subOld[:0]
-		for _, v := range h.verts {
+		if cap(h.subOld) < sub.N() {
+			h.subOld = make([]int32, sub.N())
+		}
+		h.subOld = h.subOld[:sub.N()]
+		for i, v := range h.verts {
 			// Core index of the current owner: vertices staying in their node
 			// keep their core, arrivals spread deterministically by the same
 			// rule (their old owner's core index on its former node).
-			h.subOld = append(h.subOld, e.Owner[v]%int32(h.cores))
+			h.subOld[i] = e.Owner[v] % int32(h.cores)
 		}
 		part := core.Repartition(sub, h.subOld, h.cores, core.Config{DistRefine: h.node})
 		for i := range h.verts {
@@ -266,14 +278,22 @@ func (e *Engine) hierPhaseB(g *graph.Graph) []int32 {
 	}
 	// Exchange across groups: one leader collective of N lanes, one node-comm
 	// fan-out — the only traffic that crosses node boundaries in P3.
-	buf := slices.Grow(h.ownerBuf[h.epoch%2][:0], n)[:n]
+	buf := h.ownerBuf[h.epoch%2]
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	}
+	buf = buf[:n]
 	h.ownerBuf[h.epoch%2] = buf
 	h.epoch++
 	var full []int32
 	if h.leaders != nil {
 		groups := h.leaders.AllGatherInt32(h.mine)
-		h.idx = slices.Grow(h.idx[:0], h.nodes)[:h.nodes]
-		clear(h.idx)
+		if h.idx == nil {
+			h.idx = make([]int, h.nodes)
+		}
+		for i := range h.idx {
+			h.idx[i] = 0
+		}
 		full = buf // leaders assemble straight into their epoch buffer
 		for v := 0; v < n; v++ {
 			grp := h.assign[v]
@@ -309,17 +329,25 @@ func (h *hierState) induced(g *graph.Graph) *graph.Graph {
 			h.local[v] = -1
 		}
 	}
-	h.subXadj, h.subVW = append(h.subXadj[:0], 0), h.subVW[:0]
-	h.subAdj, h.subEW = h.subAdj[:0], h.subEW[:0]
-	for _, v := range h.verts {
-		h.subVW = append(h.subVW, g.VW[v])
+	ns := len(h.verts)
+	if cap(h.subXadj) < ns+1 {
+		h.subXadj = make([]int32, ns+1)
+		h.subVW = make([]int64, ns)
+	}
+	h.subXadj = h.subXadj[:ns+1]
+	h.subVW = h.subVW[:ns]
+	h.subAdj = h.subAdj[:0]
+	h.subEW = h.subEW[:0]
+	h.subXadj[0] = 0
+	for i, v := range h.verts {
+		h.subVW[i] = g.VW[v]
 		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 			if j := h.local[g.Adj[k]]; j >= 0 {
 				h.subAdj = append(h.subAdj, j)
 				h.subEW = append(h.subEW, g.EW[k])
 			}
 		}
-		h.subXadj = append(h.subXadj, int32(len(h.subAdj)))
+		h.subXadj[i+1] = int32(len(h.subAdj))
 	}
 	return &graph.Graph{Xadj: h.subXadj, Adj: h.subAdj, EW: h.subEW, VW: h.subVW}
 }

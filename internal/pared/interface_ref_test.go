@@ -323,8 +323,11 @@ func checkInterfaceOracle(e *Engine) (*graph.Graph, *forest.Forest) {
 	}
 
 	// G from the records, on every rank, through the topology-built CSR and the
-	// decoder the engine uses.
+	// decoder the engine uses. The unit weights are zeroed first, so a weight
+	// the records fail to write reads 0 against the references below.
 	d := e.topo.dual()
+	clear(d.VW)
+	clear(d.EW)
 	if _, _, err := writeRecords(d, e.Owner, 1, e.Comm.AllGatherInt64(e.weightRecords())); err != nil {
 		fail("%v", err)
 	}

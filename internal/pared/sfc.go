@@ -1,19 +1,41 @@
 package pared
 
 // Coordinator-free repartitioning over a space-filling curve (Burstedde &
-// Holke style; DESIGN §11). Every rank orders the replicated coarse elements
-// along a Hilbert curve through their centroids, once, and slices the total
-// leaf weight into P equal bands. While the owner map is curve-contiguous
-// (band form, which the mode's own output always is) an epoch needs two
-// O(1)-payload collectives — the exclusive scan of local weight, which is
-// then the curve prefix of the rank's elements, and the total — plus the
-// all-gather of the (root, owner) changes; no rank gathers the graph. An
-// owner map not in band form (another partitioner's bootstrap, a mode switch)
-// is detected locally and takes a one-epoch fallback: a symmetric all-gather
-// of (root, weight) pairs and the full assignment on every rank.
+// Holke style). The PNR pipeline funnels P2/P3 through rank 0: weights are
+// gathered there, a serial multilevel KL refines the partition, and the owner
+// delta is broadcast back — the one remaining serial wall after the
+// incremental pipeline. The SFC mode removes it by changing the partitioning
+// problem itself: order the coarse elements along a Hilbert curve through
+// their centroids and slice the total leaf weight into P equal bands.
+//
+// The decisive structural fact is that the coarse mesh AND the owner map are
+// replicated on every rank — only the weights (leaf counts of the live
+// refinement trees) are distributed. The curve order is a pure function of
+// the replicated geometry, so every rank computes it once, identically, and
+// caches it. Steady state then needs exactly two O(1)-payload collectives:
+//
+//	off = ExclusiveScanInt64(localWeight)   // my global curve offset
+//	W   = AllReduceSumInt64(localWeight)    // total weight
+//
+// after which each rank places its own elements on the weight axis and only
+// the (root, newOwner) changes are exchanged. No rank ever gathers the graph;
+// no rank runs O(N) serial refinement. The scan is exact because the current
+// ownership is curve-contiguous (band form): the elements of ranks 0..r−1
+// are exactly the elements preceding rank r's on the curve, so the scan of
+// local weights IS the curve prefix sum.
+//
+// Band form is an invariant the mode maintains, not an assumption: snapping
+// is proven monotone (see sfc.AssignLocal), so SFC output is always band
+// form. The invariant can only be violated from outside — a bootstrap from
+// another partitioner, or a mid-run switch from PNR mode. Both are detected
+// locally (the owner map is replicated; checking monotonicity along the
+// cached curve costs O(N) integer compares and agrees on every rank) and
+// handled by a one-epoch fallback: each rank contributes its (root, weight)
+// pairs to a symmetric all-gather and every rank computes the full band
+// assignment identically. The next epoch is band form and takes the scan
+// path.
 
 import (
-	"slices"
 	"time"
 
 	"pared/internal/check"
@@ -119,15 +141,23 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 	// total order every rank uses.
 	var myW int64
 	d1 = timed(func() {
-		s.localRoots = append(s.localRoots[:0], e.F.Roots()...)
+		roots := e.F.Roots()
+		if cap(s.localRoots) < len(roots) {
+			s.localRoots = make([]int32, len(roots))
+			s.localW = make([]int64, len(roots))
+			s.localOut = make([]int32, len(roots))
+		}
+		s.localRoots = s.localRoots[:len(roots)]
+		copy(s.localRoots, roots)
 		sfc.SortByKey(s.keys, s.localRoots, &s.sortScratch)
-		s.localW = s.localW[:0]
-		for _, r := range s.localRoots {
+		s.localW = s.localW[:len(roots)]
+		s.localOut = s.localOut[:len(roots)]
+		myW = 0
+		for i, r := range s.localRoots {
 			w := int64(e.F.LeafCount(r))
-			s.localW = append(s.localW, w)
+			s.localW[i] = w
 			myW += w
 		}
-		s.localOut = slices.Grow(s.localOut[:0], len(s.localRoots))[:len(s.localRoots)]
 	})
 	e.trace("P1 weights: %d roots, local weight %d in %v (sfc)", len(s.localRoots), myW, d1)
 
@@ -150,7 +180,11 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 				}
 			}
 			deltas := e.Comm.AllGatherInt32(s.delta)
-			s.newOwner = append(s.newOwner[:0], e.Owner...)
+			if cap(s.newOwner) < len(e.Owner) {
+				s.newOwner = make([]int32, len(e.Owner))
+			}
+			s.newOwner = s.newOwner[:len(e.Owner)]
+			copy(s.newOwner, e.Owner)
 			// Each root is owned by exactly one rank, so the patches are
 			// disjoint and application order cannot matter.
 			for _, pairs := range deltas {
@@ -168,13 +202,21 @@ func (e *Engine) planSFC(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.
 		// assignment from identical inputs — still no coordinator, and the
 		// snapped result is band form, so this costs one epoch.
 		d2 = timed(func() {
+			if cap(s.wirePairs) < 2*len(s.localRoots) {
+				s.wirePairs = make([]int64, 2*len(s.localRoots))
+			}
 			s.wirePairs = s.wirePairs[:0]
 			for i, r := range s.localRoots {
 				s.wirePairs = append(s.wirePairs, int64(r), s.localW[i])
 			}
 			all := e.Comm.AllGatherInt64(s.wirePairs)
-			s.fullVW = slices.Grow(s.fullVW[:0], len(e.Owner))[:len(e.Owner)]
-			clear(s.fullVW)
+			if cap(s.fullVW) < len(e.Owner) {
+				s.fullVW = make([]int64, len(e.Owner))
+			}
+			s.fullVW = s.fullVW[:len(e.Owner)]
+			for i := range s.fullVW {
+				s.fullVW[i] = 0
+			}
 			for _, pairs := range all {
 				for i := 0; i < len(pairs); i += 2 {
 					s.fullVW[pairs[i]] = pairs[i+1]
