@@ -28,13 +28,17 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words), and three
+# the P3 owner delta, the distributed refinement's move words), and four
 # oracles: the interpolation estimator against its bit-for-bit reference on
 # raw simplex coordinates (−0, negatives, subnormals), the KL move selector
 # against the boundary scan on small random graphs (part numbers aliasing in
-# its bit sets, edge weights past its int16 cache), and the refinement path's
+# its bit sets, edge weights past its int16 cache), the refinement path's
 # hash index against a Go map (keys that share home slots and wrap past the
-# table's end, so deletion shifts entries back across it). go test -fuzz
+# table's end, so deletion shifts entries back across it), and repeated
+# AdaptOnce passes with a shared estimator, which sweep only the leaves born
+# since and skip a Coarsen that cannot remove anything, against the full
+# passes of an uncomparable wrapper (node and vertex tables byte-equal after
+# tolerance changes, tree splices and foreign coarsening). go test -fuzz
 # takes one target per invocation; the seed corpora alone run under plain
 # `make test`. FuzzRunKL runs about ten times slower per input than the
 # decoders, and the default minimization of each new-coverage input would eat
@@ -47,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunKL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpolationEstimator$$' -fuzztime 10s ./internal/fem
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzAdaptPasses$$' -fuzztime 10s ./internal/refine
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -96,9 +101,9 @@ bench-ab:
 # a Coarsen call that approves nothing and an AdaptOnce pass repeated at its
 # estimator's fixed point: every per-epoch pass is built on the first, the
 # engine's shared set, P1 weights and dof plan on the second, every Adapt
-# with coarsening pays the third, and the fourth is the second and third
-# Adapt pass of an epoch that changes nothing, answered from the refiner's
-# indicator memo.
+# with coarsening that is not a repeat pays the third, and the fourth is the
+# second and third Adapt pass of an epoch that changes nothing, which sweeps
+# no leaf and skips its Coarsen.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
 # GOMAXPROCS=2, where kern.Workers() is 1 inside every rank; and a holder of

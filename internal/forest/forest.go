@@ -135,6 +135,11 @@ type Forest struct {
 	// seen is InsertTree's scratch: the vertex IDs of the payload being
 	// checked, each to its payload index.
 	seen index.Map
+	// marked and markedRoots are SortLeaves' scratch: per node slot, whether
+	// it lies on a marked path (all false between calls), and the roots
+	// reached.
+	marked      []bool
+	markedRoots []int32
 }
 
 // treeSlot is the dense index's entry for one tree.
@@ -533,6 +538,52 @@ func (f *Forest) visitRootBoundaryFrom(id NodeID, on [4]uint8, fn func(leaf Node
 	on1[a] &= on[b]
 	f.visitRootBoundaryFrom(n.Kids[0], on0, fn)
 	f.visitRootBoundaryFrom(n.Kids[1], on1, fn)
+}
+
+// SortLeaves puts ids, leaves of held trees, into VisitLeaves order and drops
+// repeats, in place, and returns the shortened slice. It compares nothing: it
+// marks the path from each leaf up to the first marked node, then descends
+// from the marked roots in ascending order through marked nodes only, child 0
+// before child 1, unmarking them and collecting the leaves it reaches. So it
+// costs the union of the leaves' root paths, not the forest, and allocates
+// nothing once its scratch has grown with the node table.
+func (f *Forest) SortLeaves(ids []NodeID) []NodeID {
+	if k := len(f.Nodes) - len(f.marked); k > 0 {
+		f.marked = append(f.marked, make([]bool, k)...)
+	}
+	roots := f.markedRoots[:0]
+	for _, id := range ids {
+		for n := id; !f.marked[n]; {
+			f.marked[n] = true
+			if p := f.Nodes[n].Parent; p != NoNode {
+				n = p
+			} else {
+				roots = append(roots, f.Nodes[n].Root)
+			}
+		}
+	}
+	slices.Sort(roots)
+	out := ids[:0]
+	for _, r := range roots {
+		out = f.collectMarked(f.trees[r].node, out)
+	}
+	f.markedRoots = roots[:0]
+	return out
+}
+
+// collectMarked appends to out, in VisitLeaves order, the marked leaves of the
+// subtree of id, and unmarks every node it visits.
+func (f *Forest) collectMarked(id NodeID, out []NodeID) []NodeID {
+	if !f.marked[id] {
+		return out
+	}
+	f.marked[id] = false
+	n := &f.Nodes[id]
+	if n.IsLeaf() {
+		return append(out, id)
+	}
+	out = f.collectMarked(n.Kids[0], out)
+	return f.collectMarked(n.Kids[1], out)
 }
 
 // Leaves returns all leaf NodeIDs in deterministic order.

@@ -413,6 +413,10 @@ type AdaptStats struct {
 	Rounds int
 	// LocalRefined and LocalCoarsened count this rank's operations.
 	LocalRefined, LocalCoarsened int
+	// SweptLeaves is the number of leaves this rank's target sweep examined
+	// (refine.Refiner.MarkTargets): every leaf, or in a repeated pass only
+	// those born since the last one.
+	SweptLeaves int
 	// GlobalLeaves is the total leaf count after adaptation.
 	GlobalLeaves int64
 }
@@ -428,23 +432,18 @@ type AdaptStats struct {
 // (ROADMAP item 3).
 // est is evaluated through the refiner's memo (refine.Refiner.SetEstimator):
 // at most once per node per call, and once per node across calls while the
-// same comparable estimator is passed and the node keeps its slot, so a
-// repeated pass evaluates only the nodes refinement created since.
+// same comparable estimator is passed and the node keeps its slot. A pass
+// that repeats the last one's estimator and tolerances costs what changed
+// since: it evaluates only the nodes refinement created, sweeps only the
+// leaves born (refine.Refiner.MarkTargets) and coarsens only if a new
+// candidate appeared (refine.Refiner.CoarsenBelow). A migration that touches
+// the rank ends both shortcuts.
 // The vertex slots coarsening leaves unused are free again when Adapt
 // returns (see forest.Forest), on every rank, whether it migrates next or
 // not.
 func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxLevel int32) AdaptStats {
 	var st AdaptStats
-	e.R.SetEstimator(est)
-	var targets []forest.NodeID
-	e.F.VisitLeaves(func(id forest.NodeID) {
-		if e.F.Node(id).Level < maxLevel && e.R.Indicator(id) > refineTol {
-			targets = append(targets, id)
-		}
-	})
-	for _, id := range targets {
-		e.R.RefineLeaf(id)
-	}
+	_, st.SweptLeaves = e.R.MarkTargets(est, refineTol, maxLevel)
 	for {
 		st.Rounds++
 		st.LocalRefined += e.R.Closure()
@@ -483,16 +482,10 @@ func (e *Engine) Adapt(est refine.Estimator, refineTol, coarsenTol float64, maxL
 		}
 	}
 	if coarsenTol > 0 {
-		st.LocalCoarsened = e.R.Coarsen(func(id forest.NodeID) bool {
-			n := e.F.Node(id)
-			if n.Parent == forest.NoNode {
-				return false
-			}
-			p := e.F.Node(n.Parent)
-			if p.MidV >= 0 && e.isShared(e.F.VIDs[p.MidV]) {
-				return false // interface or ∂Ω midpoint: shared cannot tell them apart
-			}
-			return e.R.Indicator(id) < coarsenTol
+		// Interface or ∂Ω midpoint: shared cannot tell them apart. shared
+		// only grows until a migration rebuilds it, as CoarsenBelow requires.
+		st.LocalCoarsened = e.R.CoarsenBelow(coarsenTol, func(p *forest.Node) bool {
+			return e.isShared(e.F.VIDs[p.MidV])
 		})
 	}
 	st.GlobalLeaves = e.Comm.AllReduceSumInt64(int64(e.F.NumLeaves()))
@@ -956,6 +949,9 @@ func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 		// above.
 		return 0, 0
 	}
+	// RemoveTree and InsertTree dropped the refiner's indicator memo, and with
+	// it the shortcuts of a repeated Adapt pass, which rely on the forest and
+	// on shared changing only by refinement: rebuildShared may shrink shared.
 	e.R.Settle()
 	e.pending = e.pending[:0]
 	e.rebuildShared()

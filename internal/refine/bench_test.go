@@ -71,10 +71,11 @@ func BenchmarkAdaptTransientStep(b *testing.B) {
 }
 
 // BenchmarkAdaptRepeatedPass is an AdaptOnce pass with coarsening at the
-// fixed point of its estimator, passed the same estimator again: the second
-// and third pass of an engine epoch once they change nothing. The refiner's
-// memo answers every indicator, so the pass is the leaf sweep and a Coarsen
-// that approves nothing, and the estimator is never called.
+// fixed point of its estimator, passed the same estimator and tolerances
+// again: the second and third pass of an engine epoch once they change
+// nothing. No leaf was born since the last pass and no node bisected, so the
+// target sweep examines no leaf, the Coarsen is skipped, and the estimator is
+// never called: the pass costs what changed, which is nothing.
 func BenchmarkAdaptRepeatedPass(b *testing.B) {
 	r := trackedPeak(b)
 	est := peakAt(0)

@@ -80,6 +80,60 @@ type Refiner struct {
 	// entry always belongs to the node that holds its slot now.
 	ind []float64
 	est Estimator
+
+	// The shortcuts of a repeated pass, live while the memo is (see
+	// MarkTargets and CoarsenBelow): changed lists the nodes bisected or
+	// un-bisected since the last target sweep, bisected the nodes bisected
+	// since the last coarsening. targets is MarkTargets' scratch.
+	changed, bisected passLog
+	targets           []forest.NodeID
+}
+
+// passLog records the nodes that changed since the last pass, which ran under
+// tol and level: what a repeat of that pass needs to examine. Outside a live
+// log nothing is recorded, and the next pass examines everything.
+type passLog struct {
+	live  bool
+	tol   float64
+	level int32
+	ids   []forest.NodeID
+}
+
+// holds reports whether the log is live and its last pass ran under tol and
+// level.
+func (l *passLog) holds(tol float64, level int32) bool {
+	return l.live && l.tol == tol && l.level == level
+}
+
+// start begins a live log after a pass under tol and level, reusing the
+// storage of the last.
+func (l *passLog) start(tol float64, level int32) {
+	*l = passLog{live: true, tol: tol, level: level, ids: l.ids[:0]}
+}
+
+// end drops the log: the next pass examines everything.
+func (l *passLog) end() {
+	l.live = false
+	l.ids = l.ids[:0]
+}
+
+// add records id in a live log. A log longer than limit ends instead: the
+// full pass it forces is then no dearer than the log, and the log's storage
+// stays bounded by the mesh.
+func (l *passLog) add(id forest.NodeID, limit int) {
+	if !l.live {
+		return
+	}
+	if l.ids = append(l.ids, id); len(l.ids) > limit {
+		l.end()
+	}
+}
+
+// dropMemo forgets every indicator, and with them both shortcuts.
+func (r *Refiner) dropMemo() {
+	r.ind = r.ind[:0]
+	r.changed.end()
+	r.bisected.end()
 }
 
 // NewRefiner builds a refiner over a conforming forest.
@@ -92,15 +146,15 @@ func NewRefiner(f *forest.Forest) *Refiner {
 // RemoveTree takes tree root out of the edge records: its leaves out of the
 // incidence, and the split marks off its refinement edges, whose records
 // name vertex slots the forest frees with the tree unless a tree that stays
-// uses them. It drops the indicator memo. Call it at quiescence, before the
-// forest removes the tree.
+// uses them. It drops the indicator memo, which ends the shortcuts of a
+// repeated pass. Call it at quiescence, before the forest removes the tree.
 func (r *Refiner) RemoveTree(root int32) {
 	rid := r.F.Root(root)
 	if rid == forest.NoNode {
 		panic(fmt.Sprintf("refine: RemoveTree(%d): tree not held", root))
 	}
 	r.removeSubtree(rid)
-	r.ind = r.ind[:0]
+	r.dropMemo()
 }
 
 // removeSubtree is RemoveTree from node id down, leaves in VisitLeaves order.
@@ -120,11 +174,11 @@ func (r *Refiner) removeSubtree(id forest.NodeID) {
 
 // InsertTree enters the leaves of tree root, which the forest has just
 // spliced in, into the edge incidence, and drops the indicator memo: the
-// tree's nodes may hold slots whose entries another node wrote. Call it at
-// quiescence.
+// tree's nodes may hold slots whose entries another node wrote, and its leaves
+// were never swept. Call it at quiescence.
 func (r *Refiner) InsertTree(root int32) {
 	r.F.VisitTreeLeaves(root, r.addLeafEdges)
-	r.ind = r.ind[:0]
+	r.dropMemo()
 }
 
 // Settle brings the refiner, after trees were spliced out and in, to the
@@ -253,7 +307,7 @@ func (r *Refiner) TakeNewSplits() []EdgeSplit {
 // bisect splits leaf id at edge (a, b) whose midpoint is mid, updating the
 // edge incidence and enqueuing children that are still nonconforming. The
 // children may take slots that coarsening freed, so their indicator memo
-// entries are cleared.
+// entries are cleared. id is logged as changed and as bisected.
 //
 // It looks up each edge once: the parent's, then those through the
 // midpoint. Child 0 replaces b with mid and child 1 replaces a (see
@@ -269,6 +323,8 @@ func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
 	k0, k1 := r.F.Bisect(id, a, b, mid)
 	r.forget(k0)
 	r.forget(k1)
+	r.changed.add(id, r.F.NumLeaves())
+	r.bisected.add(id, r.F.NumLeaves())
 	var split0, split1 bool
 	enter := func(e *edgeRec, in0, in1 bool) {
 		if in0 {
@@ -302,7 +358,7 @@ func (r *Refiner) bisect(id forest.NodeID, a, b, mid int32) {
 }
 
 // unbisect restores node pid, whose two children are leaves, as a leaf and
-// clears the split mark of its refinement edge.
+// clears the split mark of its refinement edge. pid is logged as changed.
 //
 // It is bisect in reverse, one lookup per edge: k0 and then k1 are dropped
 // from each record that lists them, pid is appended to each of its own
@@ -315,6 +371,7 @@ func (r *Refiner) unbisect(pid forest.NodeID) {
 	a, b, mid := p.RefEdge[0], p.RefEdge[1], p.MidV
 	k0, k1 := p.Kids[0], p.Kids[1]
 	r.F.Unbisect(pid)
+	r.changed.add(pid, r.F.NumLeaves())
 	// leave takes out of edge {u, w}'s record the children it is in.
 	leave := func(u, w int32, in0, in1 bool) *edgeRec {
 		kid := k0
