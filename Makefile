@@ -28,9 +28,11 @@ assert:
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
 # off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words), and four
-# oracles: the interpolation estimator against its bit-for-bit reference on
-# raw simplex coordinates (−0, negatives, subnormals), the KL move selector
+# the P3 owner delta, the distributed refinement's move words), and five
+# oracles: the distributed sweep against the per-round-exchange sweep it
+# replaced (final parts and applied moves, soft and hard balance, on 1, 2, 3
+# and 8 ranks), the interpolation estimator against its bit-for-bit reference
+# on raw simplex coordinates (−0, negatives, subnormals), the KL move selector
 # against the boundary scan on small random graphs (part numbers aliasing in
 # its bit sets, edge weights past its int16 cache), the refinement path's
 # hash index against a Go map (keys that share home slots and wrap past the
@@ -40,14 +42,15 @@ assert:
 # passes of an uncomparable wrapper (node and vertex tables byte-equal after
 # tolerance changes, tree splices and foreign coarsening). go test -fuzz
 # takes one target per invocation; the seed corpora alone run under plain
-# `make test`. FuzzRunKL runs about ten times slower per input than the
-# decoders, and the default minimization of each new-coverage input would eat
-# its ten seconds, so it minimizes nothing.
+# `make test`. FuzzRunKL and FuzzDistRefineSweep run about ten times slower
+# per input than the decoders, and the default minimization of each
+# new-coverage input would eat their ten seconds, so they minimize nothing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 10s ./internal/forest
 	$(GO) test -run '^$$' -fuzz '^FuzzWeightRecords$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackOwnerDelta$$' -fuzztime 10s ./internal/pared
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveMoves$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDistRefineSweep$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRunKL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpolationEstimator$$' -fuzztime 10s ./internal/fem
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./internal/index

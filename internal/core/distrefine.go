@@ -13,34 +13,45 @@ package core
 //     blocks are one vertex longer). The graph, the partition vector and the
 //     part weights are replicated — only the scoring work is split.
 //
-//  2. Propose. Each rank scores every unlocked boundary vertex of its block
-//     with the full 3-term gain (cut + α·migration + 2β·balance; hard-balance
-//     sweeps drop the β term and enforce the (1+ε) limit instead) and
-//     proposes its best strictly-positive move, unconstrained by what other
-//     ranks propose. Each vertex's candidate is a pure function of the
-//     replicated state. Only the FIRST round of a pass scores the whole
-//     block: applied moves are replicated, so every rank knows exactly
-//     which vertices' neighborhoods changed, and later rounds re-score only
-//     those (a vertex whose candidate went stale merely through part-weight
-//     drift keeps proposing its old move; the resolve re-score below is
-//     what decides, so staleness costs quality of proposals — never
-//     correctness, and never determinism).
+//  2. Propose. A vertex's candidate is its best strictly-positive move
+//     under the full 3-term gain (cut + α·migration + 2β·balance;
+//     hard-balance sweeps drop the β term and enforce the (1+ε) limit
+//     instead), unconstrained by any other candidate: a pure function of
+//     the replicated state. The opening round of a pass scores the unlocked
+//     boundary vertices of the rank's block; a per-vertex flag byte tells
+//     the boundary apart without a scan (an interior vertex proposes
+//     nothing, so skipping it is exact). Applied moves are replicated, so
+//     every rank knows which vertices' neighborhoods the last round
+//     changed — the moved vertices and their neighbors, the dirty set —
+//     and later rounds score exactly those, the whole dirty set on every
+//     rank. A vertex outside it keeps its candidate from an earlier round,
+//     which was proposed and resolved once already and is not proposed
+//     again (its stale gain would let an outdated priority win a
+//     conflict); staleness costs quality of proposals — never correctness,
+//     and never determinism.
 //
-//  3. Exchange. Proposals are packed two int64 words per move and
-//     all-gathered in ascending rank order (par.AllGatherMoves), so every
-//     rank decodes the identical proposal list: all proposals in ascending
-//     vertex order, independent of how many ranks produced them.
+//  3. Exchange, once per pass. The opening round's proposals are packed
+//     two int64 words per move and all-gathered in ascending rank order
+//     (par.AllGatherMoves), so every rank decodes the identical proposal
+//     list: all proposals in ascending vertex order, independent of how
+//     many ranks produced them. Later rounds exchange nothing: every rank
+//     already scored the whole dirty set, which is the very set an
+//     exchange of block-wise scores would gather, and pushes it straight
+//     onto the resolve heap.
 //
 //  4. Resolve + apply. Every rank replays the same resolution serially:
 //     proposals ordered by (gain desc, vertex id asc, destination asc) via a
-//     monomorphic binary heap, each re-scored against the current partition
-//     before it is applied (earlier moves this round may have changed its
-//     gain), skipped if its vertex is locked, its gain is no longer
-//     positive, its source part would be emptied, or (hard-balance) its
-//     destination would exceed the limit. Applied vertices lock for the
-//     rest of the pass. The replay is deterministic arithmetic on replicated
-//     state, so all ranks finish the round with byte-identical partitions —
-//     conflict resolution without a coordinator.
+//     monomorphic binary heap — a strict total order with at most one
+//     proposal per vertex, so the order in which proposals arrive cannot
+//     matter — each re-scored against the current partition before it is
+//     applied (earlier moves this round may have changed its gain), skipped
+//     if its vertex is locked, its gain is no longer positive, its source
+//     part would be emptied, or (hard-balance) its destination would exceed
+//     the limit. Applied vertices lock for the rest of the pass. The replay
+//     is deterministic arithmetic on replicated state, so all ranks finish
+//     the round with byte-identical partitions and applied counts —
+//     conflict resolution without a coordinator, and termination without a
+//     collective.
 //
 // Rounds repeat until one applies nothing; passes (with all locks cleared)
 // repeat up to klPasses like the serial KL. Every applied move has
@@ -123,45 +134,43 @@ func decodeMove(w0, w1 int64, n, p int) distMove {
 	return distMove{gain: math.Float64frombits(uint64(w1)), v: int32(v), to: int32(to)}
 }
 
+// Per-vertex flag bits of distScratch.flags.
+const (
+	flagLocked   uint8 = 1 << iota // moved this pass
+	flagBoundary                   // may have a neighbor in another part
+	flagQueued                     // already in the dirty set being built
+)
+
 // distScratch holds the sweep's work buffers, embedded in klScratch so the
 // V-cycle drivers reuse them across levels and cycles. Steady state
 // allocates nothing: slices grow to the largest graph seen.
 type distScratch struct {
-	partW    []int64   // replicated part weights
-	partCnt  []int32   // vertices per part (empty-part guard)
-	locked   []bool    // moved this pass
-	candTo   []int32   // per-vertex best destination (-1: none)
-	candGain []float64 // gain of candTo
-	extW     []int64   // per-part weight scratch of one scored vertex, length p
-	touched  []int32   // parts extW holds, at most p
+	partW    []int64 // replicated part weights
+	partCnt  []int32 // vertices per part (empty-part guard)
+	flags    []uint8 // per-vertex flagLocked | flagBoundary | flagQueued
+	extW     []int64 // per-part weight scratch of one scored vertex, length p
+	touched  []int32 // parts extW holds, at most p
 	pack     [2][]int64
 	parity   int       // which pack buffer the next exchange sends
 	views    [][]int64 // AllGatherMoves header scratch, one per rank
 	gathered []int64   // AllGatherMoves output
 	heap     []distMove
 	appliedV []int32 // vertices moved by the last resolveMoves, in apply order
-	stamp    []int32 // per-vertex dirty stamp (generation scheme, no clearing)
-	stampGen int32   // current dirty generation
-	dirty    []int32 // this rank's in-block vertices needing a re-score
+	dirty    []int32 // the last resolve's moved vertices and their neighbors
+	// onApply, when set (the oracle tests), observes every applied move.
+	onApply func(v, to int32)
 }
 
 // ensure grows the scratch for an n-vertex graph, p parts and R ranks.
 func (ds *distScratch) ensure(n, p, R int) {
 	ds.partW = growI64s(ds.partW, p)
-	if cap(ds.partCnt) < p {
-		ds.partCnt = make([]int32, p)
-	}
-	ds.locked = growBool(ds.locked, n)
-	if cap(ds.candTo) < n {
-		ds.candTo = make([]int32, n)
-		ds.candGain = make([]float64, n)
-	}
-	if cap(ds.appliedV) < n {
+	ds.partCnt = growI32s(ds.partCnt, p)
+	if cap(ds.flags) < n {
+		ds.flags = make([]uint8, n)
 		ds.appliedV = make([]int32, 0, n)
 		ds.dirty = make([]int32, 0, n)
 	}
-	// New stamp entries are zero; stampGen only grows, so they read as clean.
-	ds.stamp = growI32s(ds.stamp, n)
+	ds.flags = ds.flags[:n]
 	if cap(ds.extW) < p {
 		ds.extW = make([]int64, p)
 		ds.touched = make([]int32, p)
@@ -211,42 +220,23 @@ func distDown(h []distMove, i0, n int) {
 	}
 }
 
-// distScoreRange scores vertices [lo, hi) of the replicated graph against
-// the current partition: candTo[v]/candGain[v] receive v's best
-// strictly-positive move, or candTo[v] = -1. Each vertex's result is a pure
-// function of (g, parts, orig, partW, partCnt, locked, cfg). extW and
-// touchedBuf are the per-vertex scratch (length p).
-func distScoreRange(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo, hi int, extW []int64, touchedBuf []int32, candTo []int32, candGain []float64) {
-	n := len(g.VW) // g.N(), as the length fact the index proofs chain from
-	parts = parts[:n]
-	orig = orig[:n]
-	locked = locked[:n]
-	candTo = candTo[:n]
-	candGain = candGain[:n]
-	extW = extW[:p]
-	partW = partW[:p]
-	if hi > n {
-		hi = n
-	}
-	for v := int32(lo); v < int32(hi); v++ {
-		distScoreVertex(g, parts, orig, partW, partCnt, locked, cfg, hardBalance, limit, v, extW, touchedBuf, candTo, candGain)
-	}
-}
-
-// distScoreVertex scores one vertex: candTo[v]/candGain[v] receive v's best
-// strictly-positive move under the current replicated state, or candTo[v] =
-// -1. extW must enter zeroed and leaves zeroed; touchedBuf holds at most one
+// distScoreVertex scores one vertex: it returns v's best strictly-positive
+// move under the current replicated state, or to = -1, and records in
+// flags[v] whether v has a neighbor in another part. A vertex it does not
+// scan (locked, or the last of its part) keeps the bit set: round 0 skips
+// only vertices whose bit is clear, so a superset of the boundary is exact.
+// extW must enter zeroed and leaves zeroed; touchedBuf holds at most one
 // entry per part, so it never grows past its ensure()d capacity.
-func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, cfg Config, hardBalance bool, limit int64, v int32, extW []int64, touchedBuf []int32, candTo []int32, candGain []float64) {
-	touched := touchedBuf[:0]
-	candTo[v] = -1
-	if locked[v] {
+func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, flags []uint8, cfg Config, hardBalance bool, limit int64, v int32, extW []int64, touchedBuf []int32) (selTo int32, selGain float64) {
+	selTo = -1
+	i := parts[v]
+	if flags[v]&flagLocked != 0 || partCnt[i] <= 1 {
+		// Locked, or the last vertex of part i (moving it would empty the
+		// part): no move, and no scan to clear the bit.
+		flags[v] |= flagBoundary
 		return
 	}
-	i := parts[v]
-	if partCnt[i] <= 1 {
-		return // moving the last vertex would empty part i
-	}
+	touched := touchedBuf[:0]
 	cross := false
 	g.Neighbors(v, func(u int32, w int64) {
 		pu := parts[u]
@@ -258,10 +248,11 @@ func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt
 			cross = true
 		}
 	})
-	if cross {
+	if !cross {
+		flags[v] &^= flagBoundary
+	} else {
+		flags[v] |= flagBoundary
 		wv := g.VW[v]
-		var selTo int32 = -1
-		selGain := 0.0
 		for _, j := range touched {
 			if j == i {
 				continue
@@ -277,32 +268,30 @@ func distScoreVertex(g *graph.Graph, parts, orig []int32, partW []int64, partCnt
 				selTo, selGain = j, gain
 			}
 		}
-		if selTo >= 0 {
-			candTo[v] = selTo
-			candGain[v] = selGain
-		}
 	}
 	for _, j := range touched {
 		extW[j] = 0
 	}
+	return selTo, selGain
 }
 
-// resolveMoves replays one round's gathered proposals against the current
-// partition — the deterministic conflict resolution every rank runs
-// identically. packed holds all ranks' proposals in ascending vertex order;
-// they are re-ordered best-gain-first (ties by vertex id, then destination)
-// and each is re-scored before application. Returns the number of applied
-// moves (identical on every rank, so the round loop needs no extra
-// collective to agree on termination).
+// resolveMoves replays one round's proposals against the current partition —
+// the deterministic conflict resolution every rank runs identically. The
+// proposals are ds.heap (empty, or this round's locally scored ones) plus
+// the gathered words in packed; they are re-ordered best-gain-first (ties by
+// vertex id, then destination) and each is re-scored before application.
+// Returns the number of applied moves (identical on every rank, so the
+// round loop needs no extra collective to agree on termination) and leaves
+// ds.heap empty.
 func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool, limit int64, packed []int64) int {
 	n := len(g.VW)
 	parts = parts[:n]
 	orig = orig[:n]
 	partW := ds.partW[:p]
 	partCnt := ds.partCnt[:p]
-	locked := ds.locked[:n]
+	flags := ds.flags[:n]
 	appliedV := ds.appliedV[:0]
-	h := ds.heap[:0]
+	h := ds.heap
 	for k := 0; k+1 < len(packed); k += 2 {
 		h = append(h, decodeMove(packed[k], packed[k+1], n, p))
 	}
@@ -318,7 +307,7 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 		h = h[:last]
 		distDown(h, 0, last)
 		v := m.v
-		if locked[v] || m.to == parts[v] {
+		if flags[v]&flagLocked != 0 || m.to == parts[v] {
 			continue
 		}
 		from := parts[v]
@@ -349,10 +338,14 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 		partW[m.to] += wv
 		partCnt[from]--
 		partCnt[m.to]++
-		locked[v] = true
+		flags[v] |= flagLocked
 		appliedV = append(appliedV, v)
 		applied++
+		if ds.onApply != nil {
+			ds.onApply(v, m.to)
+		}
 	}
+	ds.heap = h
 	ds.appliedV = appliedV
 	if check.Enabled {
 		check.PartitionWeights(g, parts, p, partW, "core.resolveMoves")
@@ -360,43 +353,42 @@ func resolveMoves(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, c
 	return applied
 }
 
-// distRescoreDirty is the incremental scoring of rounds after the first: the
-// last round's applied moves (replicated — every rank resolved the identical
+// distProposeDirty is the scoring of rounds after the first: the last
+// round's applied moves (replicated — every rank resolved the identical
 // list) are the only state change, so only the moved vertices and their
-// neighbors can have a different best move. Each is re-scored if it falls in
-// this rank's block; everyone else keeps its possibly-stale candidate, which
-// the resolve re-score vets before any application. The dirty set is a pure
-// function of the replicated applied list and the (n, R)-determined block
-// geometry, so which vertices re-score — and therefore every candidate
-// array — stays byte-identical across rank counts. Stamps deduplicate
-// without clearing: the generation counter only grows.
-func distRescoreDirty(ds *distScratch, g *graph.Graph, parts, orig []int32, partW []int64, partCnt []int32, locked []bool, p int, cfg Config, hardBalance bool, limit int64, lo0, hi0 int) {
-	ds.stampGen++
-	gen := ds.stampGen
-	stamp := ds.stamp
+// neighbors can have a different best move. Every rank scores all of them
+// and pushes the proposals straight onto ds.heap: the dirty set is a pure
+// function of the replicated applied list, so each rank builds the very
+// proposal set an exchange of block-wise scores would have gathered, and
+// no exchange is needed. Everyone else keeps its possibly-stale candidate
+// from an earlier round, already proposed and resolved once (re-proposing
+// it with a stale gain would let outdated priorities win conflicts).
+func distProposeDirty(ds *distScratch, g *graph.Graph, parts, orig []int32, p int, cfg Config, hardBalance bool, limit int64) {
+	flags := ds.flags
 	dirty := ds.dirty[:0]
 	for _, v := range ds.appliedV {
-		if stamp[v] != gen {
-			stamp[v] = gen
-			if int(v) >= lo0 && int(v) < hi0 {
-				dirty = append(dirty, v)
-			}
+		if flags[v]&flagQueued == 0 {
+			flags[v] |= flagQueued
+			dirty = append(dirty, v)
 		}
 		g.Neighbors(v, func(u int32, _ int64) {
-			if stamp[u] != gen {
-				stamp[u] = gen
-				if int(u) >= lo0 && int(u) < hi0 {
-					dirty = append(dirty, u)
-				}
+			if flags[u]&flagQueued == 0 {
+				flags[u] |= flagQueued
+				dirty = append(dirty, u)
 			}
 		})
 	}
 	ds.dirty = dirty
+	partW, partCnt := ds.partW[:p], ds.partCnt[:p]
 	extW, touched := ds.extW[:p], ds.touched[:p]
-	candTo, candGain := ds.candTo, ds.candGain
+	h := ds.heap[:0]
 	for _, v := range dirty {
-		distScoreVertex(g, parts, orig, partW, partCnt, locked, cfg, hardBalance, limit, v, extW, touched, candTo, candGain)
+		flags[v] &^= flagQueued
+		if to, gain := distScoreVertex(g, parts, orig, partW, partCnt, flags, cfg, hardBalance, limit, v, extW, touched); to >= 0 {
+			h = append(h, distMove{gain: gain, v: v, to: to})
+		}
 	}
+	ds.heap = h
 }
 
 // distRefineSweep is the distributed replacement for one refineKL (or, with
@@ -446,52 +438,53 @@ func distRefineSweep(s *klScratch, g *graph.Graph, parts, orig []int32, p int, c
 	if rank < r {
 		hi0++
 	}
-	locked := ds.locked[:n]
-	candTo, candGain := ds.candTo[:n], ds.candGain[:n]
+	// Until its first scan, every vertex of the block may be on the
+	// boundary; the bit is only ever read for the block.
+	flags := ds.flags[:n]
+	clear(flags)
+	for v := lo0; v < hi0; v++ {
+		flags[v] = flagBoundary
+	}
 	for pass := 0; pass < klPasses; pass++ {
-		for i := range locked {
-			locked[i] = false
+		for v := range flags {
+			flags[v] &^= flagLocked
 		}
 		appliedInPass := 0
 		for round := 0; ; round++ {
-			if round > 0 {
-				// Later rounds: only the last resolve's moves changed
-				// anything — re-score just their neighborhoods.
-				distRescoreDirty(ds, g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0)
-			} else {
-				distScoreRange(g, parts, orig, partW, partCnt, locked, p, cfg, hardBalance, limit, lo0, hi0, ds.extW[:p], ds.touched[:p], candTo, candGain)
-			}
-			// Pack this block's proposals — the whole block on the opening
-			// round, only the freshly re-scored dirty set afterwards (a stale
-			// candidate was already proposed and resolved once; re-sending it
-			// with a stale gain would let outdated priorities win conflicts).
-			// The resolve heap pops a strict total order (gain desc, v asc,
-			// to asc) with at most one proposal per vertex, so pack ORDER
-			// cannot affect the outcome — only the proposal SET must be
-			// rank-count-invariant, and both the block tiling and the dirty
-			// set are. The send buffers ping-pong: the buffer sent in
-			// exchange e is reused in exchange e+2, by which point every peer
-			// has entered exchange e+1 — which it can only do after folding
-			// (copying) exchange e's lanes — so the overwrite races with
-			// nobody.
-			buf := ds.pack[ds.parity][:0]
+			var packed []int64
 			if round == 0 {
-				for v := lo0; v < hi0; v++ {
-					if candTo[v] >= 0 {
-						buf = appendMove(buf, int32(v), candTo[v], candGain[v])
+				// The opening round scores this block's boundary and packs
+				// as it scores (an interior vertex proposes nothing), then
+				// exchanges: the pass's only collective. The send buffers
+				// ping-pong: the buffer sent in exchange e is reused in
+				// exchange e+2, by which point every peer has entered
+				// exchange e+1 — which it can only do after folding
+				// (copying) exchange e's lanes — so the overwrite races with
+				// nobody. Only this round writes a pack buffer, so a peer
+				// still copying the last one while this rank runs its later
+				// rounds reads it undisturbed.
+				buf := ds.pack[ds.parity][:0]
+				for v := int32(lo0); v < int32(hi0); v++ {
+					if flags[v]&flagBoundary == 0 {
+						continue
+					}
+					if to, gain := distScoreVertex(g, parts, orig, partW, partCnt, flags, cfg, hardBalance, limit, v, ds.extW[:p], ds.touched[:p]); to >= 0 {
+						buf = appendMove(buf, v, to, gain)
 					}
 				}
+				ds.pack[ds.parity] = buf
+				ds.parity ^= 1
+				ds.gathered = ex.AllGatherMoves(buf, ds.views, ds.gathered)
+				packed = ds.gathered
 			} else {
-				for _, v := range ds.dirty {
-					if candTo[v] >= 0 {
-						buf = appendMove(buf, v, candTo[v], candGain[v])
-					}
-				}
+				distProposeDirty(ds, g, parts, orig, p, cfg, hardBalance, limit)
 			}
-			ds.pack[ds.parity] = buf
-			ds.parity ^= 1
-			ds.gathered = ex.AllGatherMoves(buf, ds.views, ds.gathered)
-			applied := resolveMoves(ds, g, parts, orig, p, cfg, hardBalance, limit, ds.gathered)
+			// The resolve heap pops a strict total order (gain desc, v asc,
+			// to asc) with at most one proposal per vertex, so the order in
+			// which proposals arrive cannot affect the outcome — only the
+			// proposal SET must be rank-count-invariant, and both the block
+			// tiling and the dirty set are.
+			applied := resolveMoves(ds, g, parts, orig, p, cfg, hardBalance, limit, packed)
 			appliedInPass += applied
 			if applied == 0 {
 				break // computed from replicated state: all ranks agree

@@ -19,9 +19,9 @@ func packMove(v, to int32, gain float64) [2]int64 {
 	return [2]int64{w[0], w[1]}
 }
 
-// resolveSetup fills a distScratch's replicated state (partW, partCnt,
-// locked) from the partition vector, the way distRefineSweep does before the
-// round loop.
+// resolveSetup fills a distScratch's replicated state (partW, partCnt, no
+// flags set) from the partition vector, the way distRefineSweep does before
+// the round loop.
 func resolveSetup(ds *distScratch, g *graph.Graph, parts []int32, p int) {
 	ds.ensure(g.N(), p, 1)
 	partW, partCnt := ds.partW[:p], ds.partCnt[:p]
@@ -33,10 +33,7 @@ func resolveSetup(ds *distScratch, g *graph.Graph, parts []int32, p int) {
 		partW[parts[v]] += g.VW[v]
 		partCnt[parts[v]]++
 	}
-	locked := ds.locked[:g.N()]
-	for i := range locked {
-		locked[i] = false
-	}
+	clear(ds.flags)
 }
 
 // TestResolveMovesSameVertexEqualGains: two ranks proposing the same vertex
@@ -206,8 +203,8 @@ func TestDistRefineRebalances(t *testing.T) {
 }
 
 // FuzzResolveMoves feeds resolveMoves arbitrary gathered words, the bytes a
-// rank takes off the wire in every round of the distributed sweep. They must
-// either resolve — every part in [0, p), part weights and counts equal to a
+// rank takes off the wire in the opening round of every distributed pass.
+// They must either resolve — every part in [0, p), part weights and counts equal to a
 // recount — or panic with a "core: " message; never index out of range.
 // Wide inputs are raw little-endian word pairs; narrow ones pack one
 // (vertex, part, gain) byte triple per move, which reaches the resolution
@@ -221,11 +218,10 @@ func FuzzResolveMoves(f *testing.F) {
 	// candidate packed the way distRefineSweep packs it.
 	ds := new(distScratch)
 	resolveSetup(ds, g, parts0, p)
-	distScoreRange(g, parts0, parts0, ds.partW, ds.partCnt, ds.locked, p, cfg, false, 0, 0, n, ds.extW[:p], ds.touched[:p], ds.candTo, ds.candGain)
 	var round []byte
-	for v := 0; v < n; v++ {
-		if ds.candTo[v] >= 0 {
-			for _, w := range appendMove(nil, int32(v), ds.candTo[v], ds.candGain[v]) {
+	for v := int32(0); v < int32(n); v++ {
+		if to, gain := distScoreVertex(g, parts0, parts0, ds.partW, ds.partCnt, ds.flags, cfg, false, 0, v, ds.extW[:p], ds.touched[:p]); to >= 0 {
+			for _, w := range appendMove(nil, v, to, gain) {
 				round = binary.LittleEndian.AppendUint64(round, uint64(w))
 			}
 		}
@@ -279,4 +275,51 @@ func FuzzResolveMoves(f *testing.F) {
 			t.Fatalf("part weights %v counts %v, recount %v %v", ds.partW[:p], ds.partCnt[:p], partW, partCnt)
 		}
 	})
+}
+
+// countingExchanger is an Exchanger that counts its move exchanges.
+type countingExchanger struct {
+	Exchanger
+	gathers int
+}
+
+func (c *countingExchanger) AllGatherMoves(moves []int64, views [][]int64, out []int64) []int64 {
+	c.gathers++
+	return c.Exchanger.AllGatherMoves(moves, views, out)
+}
+
+// TestDistRefineExchangesOncePerPass pins the sweep's collectives: one
+// AllGatherMoves per pass, whatever number of rounds the pass runs, on a
+// soft-balance sweep and on the hard-balance polish of a forced-balanced
+// start. The oracle, which exchanged every round, counts the rounds on the
+// same inputs (both pins were read off these runs; every pass ends with a
+// round that applies nothing, so rounds > passes whenever a pass moves).
+func TestDistRefineExchangesOncePerPass(t *testing.T) {
+	const p = 8
+	g, old := refinedScenario(28, p, 4)
+	cfg := Config{}.withDefaults()
+	hard := append([]int32(nil), old...)
+	forceBalance(nil, g, hard, old, p, cfg)
+	for _, tc := range []struct {
+		name           string
+		start          []int32
+		hard           bool
+		passes, rounds int
+	}{
+		{"soft", old, false, 4, 29},
+		{"hard", hard, true, 4, 9},
+	} {
+		ex := &countingExchanger{Exchanger: Serial}
+		dcfg := cfg
+		dcfg.DistRefine = ex
+		distRefineSweep(new(klScratch), g, append([]int32(nil), tc.start...), old, p, dcfg, tc.hard)
+		ref := &countingExchanger{Exchanger: Serial}
+		rcfg := cfg
+		rcfg.DistRefine = ref
+		refDistRefineSweep(new(refDistScratch), g, append([]int32(nil), tc.start...), old, p, rcfg, tc.hard, func(int32, int32) {})
+		if ex.gathers != tc.passes || ref.gathers != tc.rounds {
+			t.Errorf("%s: %d exchanges, want one per pass (%d); the oracle exchanged %d times, want one per round (%d)",
+				tc.name, ex.gathers, tc.passes, ref.gathers, tc.rounds)
+		}
+	}
 }

@@ -112,13 +112,6 @@ type klScratch struct {
 	dist distScratch
 }
 
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
 func growI64s(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)

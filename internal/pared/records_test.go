@@ -281,26 +281,30 @@ func FuzzUnpackOwnerDelta(f *testing.F) {
 // TestCollectivesPerPhase pins the world-communicator collectives of one
 // steady-state forced Rebalance under every registry row and of a dof-plan
 // build, the same with and without paredassert. The parent columns are what
-// this test measured at the commit before per-tree weight records: the graph
-// strategies spent one more (the all-gather of boundary facets inside P1), two
-// more under paredassert (the gather of its scratch rebuild of G), and the
-// plan build three all-gathers.
+// this test measured at the commit before the distributed KL sweep exchanged
+// once per pass, with and without paredassert: distrefine and hier then
+// all-gathered their proposals once per round, six and one more exchanges on
+// this input. Before per-tree weight records, the graph strategies spent one
+// more (the all-gather of boundary facets inside P1), two more under
+// paredassert (the gather of its scratch rebuild of G), and the plan build
+// three all-gathers.
 func TestCollectivesPerPhase(t *testing.T) {
 	// A coordinator epoch is: the imbalance probe, the P2 gather, the owner
 	// broadcast, the migration all-to-all, two move-count reductions and the
 	// closing imbalance probe. distrefine and hier add what their collective
-	// KL sweeps exchange on this input; sfc never shipped weights of G.
+	// KL sweeps exchange on this input, one all-gather per pass; sfc never
+	// shipped weights of G.
 	table := []struct {
-		algo                             string
-		rebalance                        int64
-		parent, parentAssert, parentPlan int64
+		algo                 string
+		rebalance            int64
+		parent, parentAssert int64
 	}{
-		{"pnr", 7, 8, 9, 3},
-		{"rsb", 7, 8, 9, 3},
-		{"mlkl", 7, 8, 9, 3},
-		{"sfc", 8, 8, 8, 3},
-		{"distrefine", 17, 18, 19, 3},
-		{"hier", 9, 10, 11, 3},
+		{"pnr", 7, 7, 7},
+		{"rsb", 7, 7, 7},
+		{"mlkl", 7, 7, 7},
+		{"sfc", 8, 8, 8},
+		{"distrefine", 11, 17, 17},
+		{"hier", 8, 9, 9},
 	}
 	if len(table) != len(AlgorithmNames()) {
 		t.Fatalf("the table has %d rows, the registry %d", len(table), len(AlgorithmNames()))
@@ -334,7 +338,7 @@ func TestCollectivesPerPhase(t *testing.T) {
 				row.algo, rebalance, row.rebalance, row.parent, row.parentAssert)
 		}
 		if plan != 0 {
-			t.Errorf("%s: buildDofPlan entered %d collectives, want none (parent: %d)", row.algo, plan, row.parentPlan)
+			t.Errorf("%s: buildDofPlan entered %d collectives, want none", row.algo, plan)
 		}
 	}
 }
