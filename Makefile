@@ -27,8 +27,10 @@ assert:
 	$(GO) test -tags paredassert ./...
 
 # Ten seconds of each fuzz target: the decoders of everything that arrives
-# off the wire and indexes something (migration payloads, P2 weight records,
-# the P3 owner delta, the distributed refinement's move words), and five
+# off the wire and indexes something (migration payloads, P2 weight records
+# written whole or as the changed trees' records onto a kept G, whose kept
+# cuts must be the written G's, the P3 owner delta, the distributed
+# refinement's move words), and five
 # oracles: the distributed sweep against the per-round-exchange sweep it
 # replaced (final parts and applied moves, soft and hard balance, on 1, 2, 3
 # and 8 ranks), the interpolation estimator against its bit-for-bit reference
@@ -110,8 +112,9 @@ bench-ab:
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
 # GOMAXPROCS=2, where kern.Workers() is 1 inside every rank; and a holder of
-# G writing one decision's weight records (serial, pinned at zero), which
-# every rank pays on every rebalance under the replicated and hier strategies.
+# G writing a record of every tree onto its kept G (serial, pinned at zero),
+# the largest write a decision makes on every rank under the replicated and
+# hier strategies.
 ALLOC_SOLVE = GOMAXPROCS=2 $(GO) test -run '^$$' -bench '^(BenchmarkDistCGSolve|BenchmarkWriteRecords)$$' -benchmem ./internal/pared
 
 bench-alloc-baseline:

@@ -142,11 +142,14 @@ type Forest struct {
 	markedRoots []int32
 }
 
-// treeSlot is the dense index's entry for one tree.
+// treeSlot is the dense index's entry for one tree: its root node, and its leaf
+// count under changedBit, which Bisect and Unbisect set (a tree enters clean).
 type treeSlot struct {
 	node   NodeID
-	leaves int32
+	leaves uint32
 }
+
+const changedBit = 1 << 31
 
 // New creates an empty forest of the given dimension.
 func New(dim mesh.Dim) *Forest {
@@ -373,7 +376,7 @@ func (f *Forest) hold(root int32, n NodeID, leaves int) {
 	for len(f.trees) <= int(root) {
 		f.trees = append(f.trees, treeSlot{node: NoNode})
 	}
-	f.trees[root] = treeSlot{node: n, leaves: int32(leaves)}
+	f.trees[root] = treeSlot{node: n, leaves: uint32(leaves)}
 	f.nLeaves += leaves
 }
 
@@ -404,9 +407,22 @@ func (f *Forest) NumLeaves() int { return f.nLeaves }
 // Like Root, it is one index into the dense per-root index.
 func (f *Forest) LeafCount(root int32) int {
 	if uint(root) < uint(len(f.trees)) {
-		return int(f.trees[root].leaves)
+		return int(f.trees[root].leaves &^ changedBit)
 	}
 	return 0
+}
+
+// Changed reports whether tree root was bisected or un-bisected since it
+// entered the forest or ClearChanged last ran (false if not held, for any id).
+func (f *Forest) Changed(root int32) bool {
+	return uint(root) < uint(len(f.trees)) && f.trees[root].leaves&changedBit != 0
+}
+
+// ClearChanged marks every held tree unchanged.
+func (f *Forest) ClearChanged() {
+	for _, r := range f.roots {
+		f.trees[r].leaves &^= changedBit
+	}
 }
 
 // Bisect splits leaf n at the edge given by local vertex indices (a, b) with
@@ -443,6 +459,7 @@ func (f *Forest) Bisect(id NodeID, a, b, mid int32) (k0, k1 NodeID) {
 	n.RefEdge = [2]int32{a, b}
 	n.MidV = mid
 	f.trees[n.Root].leaves++ // one leaf became two
+	f.trees[n.Root].leaves |= changedBit
 	f.nLeaves++
 	return k0, k1
 }
@@ -465,6 +482,7 @@ func (f *Forest) Unbisect(id NodeID) {
 	n.Kids = [2]NodeID{NoNode, NoNode}
 	n.MidV = -1
 	f.trees[n.Root].leaves--
+	f.trees[n.Root].leaves |= changedBit
 	f.nLeaves--
 }
 

@@ -178,3 +178,47 @@ func BenchmarkVisitLeaves(b *testing.B) {
 		leafSink = n
 	}
 }
+
+// TestChangedBit: a tree is changed from its first Bisect or Unbisect until
+// ClearChanged, and only that tree; a tree enters the forest clean, whether by
+// AddRoot or by InsertTree of a changed tree's payload, and an id the forest
+// does not hold is never changed.
+func TestChangedBit(t *testing.T) {
+	f := FromMesh(meshgen.RectTri(2, 2, 0, 0, 1, 1)) // trees 0..7
+	changed := func() (out []int32) {
+		for r := int32(-1); r <= 9; r++ {
+			if f.Changed(r) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	if got := changed(); got != nil {
+		t.Fatalf("a fresh forest has changed trees %v", got)
+	}
+	bisectLeaf(f, f.Root(3))
+	bisectLeaf(f, f.Node(f.Root(3)).Kids[1])
+	bisectLeaf(f, f.Root(5))
+	if got := changed(); !slices.Equal(got, []int32{3, 5}) {
+		t.Fatalf("after bisecting trees 3 and 5: changed %v", got)
+	}
+	f.ClearChanged()
+	if got := changed(); got != nil {
+		t.Fatalf("after ClearChanged: changed %v", got)
+	}
+	f.Unbisect(f.Node(f.Root(3)).Kids[1])
+	if got := changed(); !slices.Equal(got, []int32{3}) {
+		t.Fatalf("after un-bisecting in tree 3: changed %v", got)
+	}
+	p := f.ExtractTree(3)
+	f.RemoveTree(3)
+	if f.Changed(3) {
+		t.Fatal("a removed tree is changed")
+	}
+	if err := f.InsertTree(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := changed(); got != nil || f.LeafCount(3) != 2 {
+		t.Fatalf("after moving tree 3 out and back: changed %v, %d leaves", got, f.LeafCount(3))
+	}
+}

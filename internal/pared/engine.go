@@ -197,10 +197,14 @@ func (t *coarseTopo) acrossOf(r int32) [4]int32 {
 
 // coarseDual is G's CSR with its slot table: slot[r][j] is the index in Adj
 // and EW of the edge r → acrossOf(r)[j], or -1 where facet j lies on ∂Ω.
+// writeRecords keeps G's cut and its inter-group part in cut and inter, and
+// the trees it wrote in written; planGraph moves the cuts to the new owners.
 type coarseDual struct {
 	*graph.Graph
-	slot [][4]int32
-	nv   int
+	slot       [][4]int32
+	nv         int
+	cut, inter int64
+	written    []int32
 }
 
 // dual returns the unit-weight dual of the coarse mesh from the acrossOf rows:
@@ -273,12 +277,16 @@ type Engine struct {
 
 	// gCache is this rank's copy of the coarse dual graph G, on the ranks the
 	// strategy keeps one: rank 0 under the coordinator pipeline, every rank
-	// under replicated and hier. The topology is built once from topo —
-	// adaptation changes weights, never the coarse adjacency — and every
-	// rebalance overwrites every weight from the ranks' per-tree records
-	// (writeRecords), so nothing carries over between epochs and the copies
-	// stay byte-identical without exchange.
+	// under replicated and hier. Its topology is built once from topo, and its
+	// weights and cut are kept between decisions: each overwrites only the
+	// trees reported (writeRecords), so the copies stay byte-identical.
 	gCache *coarseDual
+	// gKept is false until the first graph decision and after each SetConfig
+	// (new holders may have no G, an sfc spell leaves it stale): that decision
+	// reports and writes every tree. It is the same on every rank.
+	gKept bool
+	// leaves is the global leaf count of the last imbalance probe.
+	leaves int64
 
 	// sfc caches the curve order and scratch of the ModeSFC pipeline; built
 	// lazily on the first SFC rebalance (see ensureSFC).
@@ -290,6 +298,9 @@ type Engine struct {
 	// CheapSkips counts Rebalance(force=false) calls that returned after the
 	// single fused imbalance probe, before any weight work (see Rebalance).
 	CheapSkips int64
+	// RecordsSent counts the weight records this rank sent in P2, and
+	// RecordsWritten those written into its copy of G.
+	RecordsSent, RecordsWritten int64
 	// Phases accumulates this rank's wall time per repartitioning phase
 	// across all Rebalance calls, for benchmark reports.
 	Phases PhaseDurations
@@ -354,7 +365,7 @@ func (e *Engine) SetConfig(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	e.cfg = cfg
+	e.cfg, e.gKept = cfg, false
 	return nil
 }
 
@@ -540,11 +551,12 @@ func decodeSplits(dst []refine.EdgeSplit, from int, words []int64) ([]refine.Edg
 }
 
 // Imbalance returns the global leaf-count imbalance max/avg − 1, computed
-// from one fused (max, sum) reduction. Every rank derives the same float64
-// from the same reduced integers, so decisions taken on the result need no
-// further collective agreement.
+// from one fused (max, sum) reduction, whose sum it keeps. Every rank derives
+// the same float64 from the same reduced integers, so decisions taken on the
+// result need no further collective agreement.
 func (e *Engine) Imbalance() float64 {
 	maxL, total := e.Comm.AllReduceMaxSum(int64(e.F.NumLeaves()))
+	e.leaves = total
 	avg := float64(total) / float64(e.Comm.Size())
 	if avg == 0 {
 		return 0
@@ -626,7 +638,7 @@ type strategy struct {
 	exchange func(e *Engine, records []int64) [][]int64
 	// decide computes the new owners from the freshly written G on the ranks
 	// that hold it — collectively when that is all of them.
-	decide func(e *Engine, g *graph.Graph) []int32
+	decide func(e *Engine, g *coarseDual) []int32
 	// publish, if set, takes rank 0's decision and cuts to the other ranks.
 	publish func(e *Engine, newOwner []int32, st *RebalanceStats) []int32
 	// twoLevel splits the cut at node-group boundaries (InterCut, IntraCut).
@@ -657,18 +669,23 @@ var (
 
 // planGraph is P1–P3 of every strategy that repartitions G. P1 is local, as
 // in the paper: each rank derives the weights of its own trees from its own
-// leaves (weightRecords). P2 ships them whole; the holders of G overwrite
-// every weight from them (writeRecords), so G carries nothing from one epoch
-// to the next. The cut before is summed as the records are written, the cut
-// after is it plus cutChange over the trees the decision moved: a holder of G
-// touches each (tree, facet) once per decision.
+// leaves (weightRecords), of those bisected or un-bisected since the last
+// decision, or of all when !gKept. P2 ships them; the holders of G keep it
+// and overwrite only the weights reported (writeRecords). The cut before is
+// the kept cut plus the changes written, the cut after is it plus cutChange
+// over the trees the decision moved: a decision costs what adapted and moved.
 func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 time.Duration) {
-	s := e.cfg.strategy
+	s, full := e.cfg.strategy, !e.gKept
 
 	// --- P1: local weight computation.
 	var records []int64
-	d1 = timed(func() { records = e.weightRecords() })
-	e.trace("P1 weights: %d tree records in %v", e.F.NumRoots(), d1)
+	d1 = timed(func() {
+		records = e.weightRecords(full)
+		e.F.ClearChanged()
+	})
+	n := len(records) / (2 + e.topo.nv)
+	e.RecordsSent += int64(n)
+	e.trace("P1 weights: %d tree records in %v", n, d1)
 
 	// --- P2: the records reach the ranks that hold G.
 	var all [][]int64
@@ -682,12 +699,14 @@ func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 tim
 			if s.twoLevel {
 				cores = int32(e.hier.cores) // the grouping the decision used (exchange built e.hier)
 			}
-			g, cut, inter := e.coordinatorGraph(all, cores)
-			newOwner = s.decide(e, g.Graph)
+			g := e.coordinatorGraph(all, cores, full)
+			newOwner = s.decide(e, g)
+			cut, inter := g.cut, g.inter
 			dCut, dInter := cutChange(g.Graph, e.Owner, newOwner, cores)
-			st.CutBefore, st.CutAfter = cut, cut+dCut
+			g.cut, g.inter = cut+dCut, inter+dInter // kept: the cut under the new owners
+			st.CutBefore, st.CutAfter = cut, g.cut
 			if s.twoLevel {
-				st.InterCut, st.IntraCut = inter+dInter, cut+dCut-inter-dInter
+				st.InterCut, st.IntraCut = g.inter, g.cut-g.inter
 			}
 			if check.Enabled {
 				b, a := partition.EdgeCut(g.Graph, e.Owner), partition.EdgeCut(g.Graph, newOwner)
@@ -702,12 +721,13 @@ func (e *Engine) planGraph(st *RebalanceStats) (newOwner []int32, d1, d2, d3 tim
 			newOwner = s.publish(e, newOwner, st)
 		}
 	})
+	e.gKept = true
 	return newOwner, d1, d2, d3
 }
 
 // repartitionG is the decide step of the two flat strategies.
-func repartitionG(e *Engine, g *graph.Graph) []int32 {
-	return e.cfg.Repartition(g, e.Owner, e.Comm.Size())
+func repartitionG(e *Engine, g *coarseDual) []int32 {
+	return e.cfg.Repartition(g.Graph, e.Owner, e.Comm.Size())
 }
 
 // bcastOwnerDelta broadcasts rank 0's decision as the cut values plus the
@@ -730,17 +750,23 @@ func bcastOwnerDelta(e *Engine, newOwner []int32, st *RebalanceStats) []int32 {
 }
 
 // weightRecords is P1: this rank's contribution to G's weights, one
-// fixed-shape record per held tree in ascending root order,
+// fixed-shape record per held tree in ascending root order — every tree if all
+// is set, else only those forest.Changed reports —
 //
 //	[root, leafCount, w_0 … w_dim]
 //
 // where w_j counts the tree's leaf facets on root facet j — the weight of the
 // G edge to the tree across that facet (by conformity the far side counts the
 // same), ignored by the receiver where the facet lies on ∂Ω. Nothing here
-// looks past the rank's own trees.
-func (e *Engine) weightRecords() []int64 {
+// looks past the rank's own trees, and nothing is changed: the buffer is fresh
+// and the changed bits are the caller's to clear.
+func (e *Engine) weightRecords(all bool) []int64 {
+	roots := e.F.Roots()
+	if !all {
+		roots = slices.DeleteFunc(roots, func(r int32) bool { return !e.F.Changed(r) })
+	}
 	stride := 2 + e.topo.nv
-	out := make([]int64, 0, stride*e.F.NumRoots())
+	out := make([]int64, 0, stride*len(roots))
 	var w []int64 // the facet counts of the record being filled
 	count := func(leaf forest.NodeID, on [4]uint8) {
 		nv := e.F.Node(leaf).Nv()
@@ -750,7 +776,7 @@ func (e *Engine) weightRecords() []int64 {
 			}
 		}
 	}
-	for _, r := range e.F.Roots() {
+	for _, r := range roots {
 		at := len(out)
 		out = out[:at+stride] // all zero: the buffer is fresh
 		out[at], out[at+1] = int64(r), int64(e.F.LeafCount(r))
@@ -766,86 +792,88 @@ func (e *Engine) weightRecords() []int64 {
 // g.slot[root][j]. The reverse slot is written from the far tree's own record,
 // so each slot has exactly one writer and nothing is added up: which rank
 // reports a tree does not matter, and a migration needs no bookkeeping here.
-// It returns G's cut under owner, and the part of it between groups of cores
-// consecutive ranks: a slot root → u adds its weight when u > root and the
-// owners differ, the sum partition.EdgeCut makes. No index off the wire is
-// used unchecked — a report whose length is not a whole number of records, a
-// root outside the coarse mesh, a tree the sender does not own under owner,
-// records not in ascending root order, or trees left unreported come back as
-// an error naming the rank, after writing only G's weights.
-func writeRecords(g *coarseDual, owner []int32, cores int32, records [][]int64) (cut, inter int64, err error) {
+// It keeps in g.cut G's cut under owner, and in g.inter the part of it between
+// groups of cores consecutive ranks: a slot root → u adds the change of its
+// weight when u > root and the owners differ, the sum partition.EdgeCut makes.
+// A full write zeroes every weight and both cuts first, and must cover every
+// tree; otherwise an unreported tree keeps its weights. No index off the wire is used unchecked —
+// a report whose length is not a whole number of records, a root outside the
+// coarse mesh, a tree the sender does not own under owner, records not in
+// ascending root order, or trees a full write leaves out come back as an
+// error naming the rank, after writing only G's weights.
+func writeRecords(g *coarseDual, owner []int32, cores int32, records [][]int64, full bool) error {
 	stride := 2 + g.nv
-	written := 0
+	if full {
+		clear(g.VW)
+		clear(g.EW)
+		g.cut, g.inter = 0, 0
+	}
+	g.written = g.written[:0]
 	for rank, rec := range records {
 		if len(rec)%stride != 0 {
-			return 0, 0, fmt.Errorf("pared: weight report of rank %d has %d words, not a multiple of the record length %d", rank, len(rec), stride)
+			return fmt.Errorf("pared: weight report of rank %d has %d words, not a multiple of the record length %d", rank, len(rec), stride)
 		}
 		prev := int64(-1)
 		for ; len(rec) > 0; rec = rec[stride:] {
 			root := rec[0]
 			if root < 0 || root >= int64(len(owner)) {
-				return 0, 0, fmt.Errorf("pared: rank %d reports weights of tree %d, outside [0, %d)", rank, root, len(owner))
+				return fmt.Errorf("pared: rank %d reports weights of tree %d, outside [0, %d)", rank, root, len(owner))
 			}
 			if owner[root] != int32(rank) {
-				return 0, 0, fmt.Errorf("pared: rank %d reports weights of tree %d, which rank %d owns", rank, root, owner[root])
+				return fmt.Errorf("pared: rank %d reports weights of tree %d, which rank %d owns", rank, root, owner[root])
 			}
 			if root <= prev {
-				return 0, 0, fmt.Errorf("pared: rank %d reports tree %d after tree %d, not in ascending order", rank, root, prev)
+				return fmt.Errorf("pared: rank %d reports tree %d after tree %d, not in ascending order", rank, root, prev)
 			}
 			prev = root
-			written++
+			g.written = append(g.written, int32(root))
 			g.VW[root] = rec[1]
 			for j, k := range g.slot[root][:g.nv] {
 				if k < 0 {
 					continue
 				}
 				w, u, o := rec[2+j], g.Adj[k], int32(rank)
-				g.EW[k] = w
 				if u > int32(root) && owner[u] != o {
-					cut += w
+					g.cut += w - g.EW[k]
 					if owner[u]/cores != o/cores {
-						inter += w
+						g.inter += w - g.EW[k]
 					}
 				}
+				g.EW[k] = w
 			}
 		}
 	}
-	if written != len(owner) {
-		return 0, 0, fmt.Errorf("pared: weight reports cover %d of %d trees", written, len(owner))
+	if full && len(g.written) != len(owner) {
+		return fmt.Errorf("pared: weight reports cover %d of %d trees", len(g.written), len(owner))
 	}
-	return cut, inter, nil
+	return nil
 }
 
 // coordinatorGraph returns this rank's copy of the coarse dual graph with
-// every rank's records written into it — rank 0's under the coordinator
-// pipeline, every rank's under replicated and hier — and writeRecords' cuts
-// of the current owners. The topology and slot table are built on first use
-// from topo: G's adjacency is invariant for the run, because adaptation only
-// changes how many leaf pairs realize each coarse facet, never which coarse
-// elements share one.
-func (e *Engine) coordinatorGraph(records [][]int64, cores int32) (g *coarseDual, cut, inter int64) {
+// every rank's records written into it (full: all of G), and with it
+// writeRecords' cuts of the current owners — rank 0's copy under the
+// coordinator pipeline, every rank's under replicated and hier. The topology and slot table are
+// built on first use from topo: G's adjacency is invariant for the run,
+// because adaptation only changes how many leaf pairs realize each coarse
+// facet, never which coarse elements share one.
+func (e *Engine) coordinatorGraph(records [][]int64, cores int32, full bool) *coarseDual {
 	if e.gCache == nil {
 		e.gCache = e.topo.dual() // its unit weights are overwritten below
 	}
-	g, stride := e.gCache, 2+e.topo.nv
-	cut, inter, err := writeRecords(g, e.Owner, cores, records)
-	if err != nil {
+	g := e.gCache
+	if err := writeRecords(g, e.Owner, cores, records, full); err != nil {
 		panic(err.Error())
 	}
+	e.RecordsWritten += int64(len(g.written))
 	if check.Enabled {
-		// Each edge was counted twice, by the owners of its two trees from
-		// either side of the coarse facet; conformity says they agree.
+		// Each edge was written from both sides of the coarse facet, by the
+		// owners of its two trees; conformity says they agree. The kept
+		// weights must add up to the leaves the imbalance probe counted.
 		err := g.Validate()
 		check.Assertf(err == nil, "pared: G written from the weight records: %v", err)
-		var leaves int64
-		for _, rec := range records {
-			for i := 1; i < len(rec); i += stride {
-				leaves += rec[i]
-			}
-		}
-		check.Assertf(g.TotalVW() == leaves, "pared: ΣVW = %d, the records report %d leaves", g.TotalVW(), leaves)
+		check.Assertf(g.TotalVW() == e.leaves, "pared: ΣVW = %d, the imbalance probe counted %d leaves", g.TotalVW(), e.leaves)
 	}
-	return g, cut, inter
+	return g
 }
 
 // ownerDeltaHeader is the number of int32 words before the (index, owner)

@@ -31,6 +31,7 @@ package pared
 import (
 	"fmt"
 
+	"pared/internal/check"
 	"pared/internal/core"
 	"pared/internal/graph"
 	"pared/internal/par"
@@ -100,7 +101,8 @@ type hierState struct {
 	leaders      *par.Comm // one rank per node, numbered by node id; nil off-leader
 
 	// Phase A: penalized view of the replicated weighted G. Topology arrays
-	// are shared with gCache; only the edge weights are rescaled per epoch.
+	// are shared with gCache; only the edge weights the last write changed
+	// are rescaled per decision.
 	ewA    []int64
 	gA     *graph.Graph
 	oldA   []int32 // current node of each vertex's owner
@@ -154,11 +156,11 @@ func (e *Engine) ensureHier() *hierState {
 
 // hierDecide is the strategy's P3: the two-level repartition of the
 // replicated G, collective on every rank.
-func hierDecide(e *Engine, g *graph.Graph) []int32 {
+func hierDecide(e *Engine, g *coarseDual) []int32 {
 	h := e.hier
 	var newOwner []int32
 	dA := timed(func() { e.hierPhaseA(g) })
-	dB := timed(func() { newOwner = e.hierPhaseB(g) })
+	dB := timed(func() { newOwner = e.hierPhaseB(g.Graph) })
 	e.Phases.HierA += dA
 	e.Phases.HierB += dB
 	e.trace("P3 hier: phase A %v (%d node groups, penalty %.1f), phase B %v (group %d: %d verts)",
@@ -214,11 +216,12 @@ func (h *hierState) exchangeRecords(records []int64) [][]int64 {
 	return h.views
 }
 
-// hierPhaseA partitions G among the node groups: scale the edge weights by
-// the inter-node penalty and run the migration-aware repartitioner to N
-// parts, distributed across the whole communicator. The result (h.assign,
-// replicated) maps each vertex to its node group.
-func (e *Engine) hierPhaseA(g *graph.Graph) {
+// hierPhaseA partitions G among the node groups: scale the edge weights of
+// the trees just written by the inter-node penalty and run the
+// migration-aware repartitioner to N parts, distributed across the whole
+// communicator. The result (h.assign, replicated) maps each vertex to its
+// node group.
+func (e *Engine) hierPhaseA(g *coarseDual) {
 	h := e.hier
 	n := g.N()
 	if h.assign == nil {
@@ -235,8 +238,18 @@ func (e *Engine) hierPhaseA(g *graph.Graph) {
 		h.ewA = make([]int64, len(g.EW))
 		h.gA = &graph.Graph{Xadj: g.Xadj, Adj: g.Adj, VW: g.VW, EW: h.ewA}
 	}
-	for i, w := range g.EW {
-		h.ewA[i] = int64(h.penalty*float64(w) + 0.5)
+	scale := func(w int64) int64 { return int64(h.penalty*float64(w) + 0.5) }
+	for _, r := range g.written { // every tree after a full write, and the first use follows one
+		for _, k := range g.slot[r][:g.nv] {
+			if k >= 0 {
+				h.ewA[k] = scale(g.EW[k])
+			}
+		}
+	}
+	if check.Enabled {
+		for k, w := range g.EW {
+			check.Assertf(h.ewA[k] == scale(w), "pared: phase A weight %d is %d, a full rescale gives %d", k, h.ewA[k], scale(w))
+		}
 	}
 	for v := 0; v < n; v++ {
 		h.oldA[v] = e.Owner[v] / int32(h.cores)

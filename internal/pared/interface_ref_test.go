@@ -323,15 +323,36 @@ func checkInterfaceOracle(e *Engine) (*graph.Graph, *forest.Forest) {
 	}
 
 	// G from the records, on every rank, through the topology-built CSR and the
-	// decoder the engine uses. The unit weights are zeroed first, so a weight
-	// the records fail to write reads 0 against the references below.
+	// decoder the engine uses. A full write zeroes every vertex and edge weight
+	// first, so a weight the records fail to write reads 0 against the
+	// references below.
+	cores := int32(1)
+	if e.cfg.strategy.twoLevel && e.hier != nil {
+		cores = int32(e.hier.cores)
+	}
 	d := e.topo.dual()
-	clear(d.VW)
-	clear(d.EW)
-	if _, _, err := writeRecords(d, e.Owner, 1, e.Comm.AllGatherInt64(e.weightRecords())); err != nil {
+	if err := writeRecords(d, e.Owner, cores, e.Comm.AllGatherInt64(e.weightRecords(true)), true); err != nil {
 		fail("%v", err)
 	}
 	g := d.Graph
+	// The kept G: a holder's copy, with the records of the trees changed since
+	// the last decision written onto a clone of it as the next decision would
+	// write them, must be that full write, weights and both cuts. Before the
+	// first decision, and after a SetConfig, the next decision writes all of G.
+	delta := e.Comm.AllGatherInt64(e.weightRecords(false))
+	if k := e.gCache; k != nil && e.gKept && (e.cfg.strategy != &coordinatorStrategy || me == 0) {
+		kept := &coarseDual{Graph: &graph.Graph{Xadj: k.Xadj, Adj: k.Adj, VW: slices.Clone(k.VW), EW: slices.Clone(k.EW)},
+			slot: k.slot, nv: k.nv, cut: k.cut, inter: k.inter}
+		if err := writeRecords(kept, e.Owner, cores, delta, false); err != nil {
+			fail("the delta records: %v", err)
+		}
+		if !slices.Equal(kept.VW, d.VW) || !slices.Equal(kept.EW, d.EW) {
+			fail("the kept G plus the delta records differs from a full write")
+		}
+		if kept.cut != d.cut || kept.inter != d.inter {
+			fail("the kept G's cut plus the delta is %d (inter %d), a full write's %d (inter %d)", kept.cut, kept.inter, d.cut, d.inter)
+		}
+	}
 	// G from the old pair counts: every rank's report folded as buildG did.
 	rep := e.refLocalWeights()
 	words := []int64{int64(len(rep.Roots))}

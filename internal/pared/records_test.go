@@ -3,6 +3,7 @@ package pared
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -18,14 +19,21 @@ import (
 )
 
 // TestWeightRecordsRejectCorruptReport: a rank whose P2 report claims a tree
-// it does not own, is cut short, names a root outside the coarse mesh or
-// leaves a tree out must turn into an error from par.Run on the ranks that
-// hold G — naming the reporting rank where there is one — under every
-// strategy that ships records, with or without paredassert.
+// it does not own, is cut short, names a root outside the coarse mesh, is not
+// in ascending order or, on a decision that writes all of G, leaves a tree out
+// must turn into an error from par.Run on the ranks that hold G — naming the
+// reporting rank where there is one — under every strategy that ships
+// records, with or without paredassert. A full decision is an engine's first
+// and the first after a SetConfig; on a delta decision (the next one) a tree
+// left out cannot be told from an unchanged one, and the report may be
+// empty, so its corruptions append records instead of editing one.
 func TestWeightRecordsRejectCorruptReport(t *testing.T) {
 	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
 	est := cornerEst(geom.Vec3{X: 1, Y: 1})
 	const liar = 2
+	record := func(e *Engine, root int) []int64 {
+		return append([]int64{int64(root), 1}, make([]int64, e.Coarse.FacetsPerElem())...)
+	}
 	corruptions := []struct {
 		name    string
 		corrupt func(e *Engine, rec []int64) []int64
@@ -42,32 +50,63 @@ func TestWeightRecordsRejectCorruptReport(t *testing.T) {
 		}, "rank 2 reports weights of tree 128, outside"},
 		{"a tree left out", func(e *Engine, rec []int64) []int64 { return rec[2+e.Coarse.FacetsPerElem():] }, "cover 127 of 128 trees"},
 	}
+	deltaCorruptions := []struct {
+		name    string
+		corrupt func(e *Engine, rec []int64) []int64
+		want    string
+	}{
+		{"a tree it does not own", func(e *Engine, rec []int64) []int64 {
+			return append(rec, record(e, slices.Index(e.Owner, 1))...)
+		}, "which rank 1 owns"},
+		{"not ascending", func(e *Engine, rec []int64) []int64 {
+			mine := slices.Index(e.Owner, liar)
+			next := mine + 1 + slices.Index(e.Owner[mine+1:], liar)
+			return append(append(rec, record(e, next)...), record(e, mine)...)
+		}, "not in ascending order"},
+	}
+	const first, afterSetConfig, delta = "the first decision", "the first decision after a SetConfig", "a delta decision"
+	run := func(cfg Config, at string, corrupt func(e *Engine, rec []int64) []int64) error {
+		return par.Run(4, func(c *par.Comm) {
+			e := BootstrapWith(c, m, cfg)
+			e.Adapt(est, 0.8, 0, 7)
+			if at != first {
+				e.Rebalance(true)
+				e.Adapt(est, 0.7, 0, 7)
+			}
+			if at == afterSetConfig {
+				if err := e.SetConfig(cfg); err != nil {
+					panic(err)
+				}
+			}
+			// The strategy table is shared by every engine of the process:
+			// the lie goes into a copy.
+			honest := e.cfg.strategy
+			lying := *honest
+			lying.exchange = func(e *Engine, rec []int64) [][]int64 {
+				if e.Comm.Rank() == liar {
+					rec = corrupt(e, slices.Clone(rec))
+				}
+				return honest.exchange(e, rec)
+			}
+			e.cfg.strategy = &lying
+			e.Rebalance(true)
+		})
+	}
 	for _, name := range []string{"pnr", "distrefine", "hier"} {
 		cfg, err := ConfigByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range corruptions {
-			err := par.Run(4, func(c *par.Comm) {
-				e := BootstrapWith(c, m, cfg)
-				e.Adapt(est, 0.8, 0, 7)
-				e.Rebalance(true)
-				e.Adapt(est, 0.7, 0, 7)
-				// The strategy table is shared by every engine of the process:
-				// the lie goes into a copy.
-				honest := e.cfg.strategy
-				lying := *honest
-				lying.exchange = func(e *Engine, rec []int64) [][]int64 {
-					if e.Comm.Rank() == liar {
-						rec = tc.corrupt(e, rec)
-					}
-					return honest.exchange(e, rec)
+		for _, at := range []string{first, afterSetConfig} {
+			for _, tc := range corruptions {
+				if err := run(cfg, at, tc.corrupt); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s, %s, rank %d reporting %s: got %v, want an error containing %q", name, at, liar, tc.name, err, tc.want)
 				}
-				e.cfg.strategy = &lying
-				e.Rebalance(true)
-			})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s, rank %d reporting %s: got %v, want an error containing %q", name, liar, tc.name, err, tc.want)
+			}
+		}
+		for _, tc := range deltaCorruptions {
+			if err := run(cfg, delta, tc.corrupt); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s, rank %d reporting %s: got %v, want an error containing %q", name, delta, liar, tc.name, err, tc.want)
 			}
 		}
 	}
@@ -166,12 +205,16 @@ func TestDualFromTopology(t *testing.T) {
 }
 
 // FuzzWeightRecords feeds writeRecords arbitrary words as the three ranks'
-// reports. It must never index outside G (which would panic), and whatever it
-// accepts must be what the contract says: every tree reported exactly once,
-// by its owner, in ascending order, G's vertex weights as reported, and the
-// returned cut and its part between the groups {0, 1} and {2} what
-// partition.EdgeCut and TwoLevelCut count on the written G. One G serves
-// every input, and a rejected report must leave its slot table intact.
+// reports, either as a full write or, with delta set, as the reports of the
+// changed trees onto a kept G (the full write of one valid record per tree,
+// redone before each input). It must never index outside G (which would
+// panic), and whatever it accepts must be what the contract says: records
+// only of the sender's own trees, in ascending order, every tree reported
+// exactly once by a full write and an unreported one keeping its weights in a
+// delta, G's vertex weights as reported, and the kept cut and its part
+// between the groups {0, 1} and {2} what partition.EdgeCut and TwoLevelCut
+// count on the written G. One G serves every input, and a rejected report
+// must leave its slot table intact.
 func FuzzWeightRecords(f *testing.F) {
 	w := newFuzzWorld()
 	stride := 2 + w.m.FacetsPerElem()
@@ -179,18 +222,30 @@ func FuzzWeightRecords(f *testing.F) {
 	for r, o := range w.owner {
 		valid[o] = append(valid[o], byte(r), byte(1+r), 1, 2, 3)
 	}
-	f.Add(valid[0], valid[1], valid[2], false)
-	f.Add(valid[0], valid[2], valid[1], false)                                      // not the owners
-	f.Add(valid[0][:len(valid[0])-1], valid[1], valid[2], false)                    // a short record
-	f.Add(valid[0], valid[1][stride:], valid[2], false)                             // a tree left out
-	f.Add(append(valid[0][:stride:stride], valid[0]...), valid[1], valid[2], false) // a tree twice
-	f.Add([]byte{18, 1, 1, 1, 1}, []byte{0xff, 1, 1, 1, 1}, []byte{}, false)        // roots out of range
-	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), []byte{}, []byte{}, true)
+	f.Add(valid[0], valid[1], valid[2], false, false)
+	f.Add(valid[0], valid[2], valid[1], false, false)                                      // not the owners
+	f.Add(valid[0][:len(valid[0])-1], valid[1], valid[2], false, false)                    // a short record
+	f.Add(valid[0], valid[1][stride:], valid[2], false, false)                             // a tree left out
+	f.Add(append(valid[0][:stride:stride], valid[0]...), valid[1], valid[2], false, false) // a tree twice
+	f.Add([]byte{18, 1, 1, 1, 1}, []byte{0xff, 1, 1, 1, 1}, []byte{}, false, false)        // roots out of range
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), []byte{}, []byte{}, true, false)
+	f.Add([]byte{}, []byte{}, []byte{}, false, true)                                                         // nothing changed
+	f.Add([]byte{0, 5, 7, 0, 9, 3, 1, 4, 4, 4}, valid[1][stride:], []byte{}, false, true)                    // new weights
+	f.Add(valid[1][:stride], []byte{}, []byte{}, false, true)                                                // not the owner's
+	f.Add(valid[0][stride:2*stride], []byte{}, append(valid[2][stride:], valid[2][:stride]...), false, true) // not ascending
 	full, g := graph.FromDual(w.m), w.topo.dual()
-	f.Fuzz(func(t *testing.T, a, b, c []byte, wide bool) {
+	kept := make([][]int64, w.p)
+	for rank := range kept {
+		kept[rank] = fuzzWords(valid[rank], false)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c []byte, wide, delta bool) {
+		if delta {
+			if err := writeRecords(g, w.owner, 2, kept, true); err != nil {
+				t.Fatalf("the kept G's records: %v", err)
+			}
+		}
 		records := [][]int64{fuzzWords(a, wide), fuzzWords(b, wide), fuzzWords(c, wide)}
-		cut, inter, err := writeRecords(g, w.owner, 2, records)
-		if err != nil {
+		if err := writeRecords(g, w.owner, 2, records, !delta); err != nil {
 			if !strings.HasPrefix(err.Error(), "pared: ") {
 				t.Fatalf("error without the package prefix: %v", err)
 			}
@@ -199,12 +254,13 @@ func FuzzWeightRecords(f *testing.F) {
 			}
 			return
 		}
-		if want := partition.EdgeCut(g.Graph, w.owner); cut != want {
-			t.Fatalf("writeRecords returned cut %d, EdgeCut of the written G is %d", cut, want)
+		if want := partition.EdgeCut(g.Graph, w.owner); g.cut != want {
+			t.Fatalf("writeRecords kept cut %d, EdgeCut of the written G is %d", g.cut, want)
 		}
-		if want, _ := partition.TwoLevelCut(g.Graph, w.owner, 2); inter != want {
-			t.Fatalf("writeRecords returned inter-group cut %d, TwoLevelCut of the written G is %d", inter, want)
+		if want, _ := partition.TwoLevelCut(g.Graph, w.owner, 2); g.inter != want {
+			t.Fatalf("writeRecords kept inter-group cut %d, TwoLevelCut of the written G is %d", g.inter, want)
 		}
+		reported := make([]bool, len(w.owner))
 		for rank, rec := range records {
 			var mine []int64
 			for r, o := range w.owner {
@@ -212,14 +268,21 @@ func FuzzWeightRecords(f *testing.F) {
 					mine = append(mine, int64(r))
 				}
 			}
-			if len(rec) != stride*len(mine) {
+			if !delta && len(rec) != stride*len(mine) {
 				t.Fatalf("accepted %d words from rank %d, which owns %d trees", len(rec), rank, len(mine))
 			}
-			for i, r := range mine {
-				if rec[i*stride] != r || g.VW[r] != rec[i*stride+1] {
-					t.Fatalf("accepted record %d of rank %d for tree %d with VW %d; it owns tree %d and G.VW is %d",
-						i, rank, rec[i*stride], rec[i*stride+1], r, g.VW[r])
+			for i := 0; i < len(rec); i += stride {
+				r := rec[i]
+				if _, ok := slices.BinarySearch(mine, r); !ok || (i > 0 && rec[i-stride] >= r) || g.VW[r] != rec[i+1] {
+					t.Fatalf("accepted record %d of rank %d for tree %d with VW %d, G.VW %d: not its tree, not ascending or not written",
+						i/stride, rank, r, rec[i+1], g.VW[r])
 				}
+				reported[r] = true
+			}
+		}
+		for r, ok := range reported {
+			if !ok && g.VW[r] != int64(1+r) {
+				t.Fatalf("tree %d, not in the delta, has VW %d, the kept G %d", r, g.VW[r], 1+r)
 			}
 		}
 	})
@@ -462,10 +525,10 @@ func TestArrivalWithAliasedVertexPanicsNamingSender(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteRecords is a holder of G writing one decision's records in
-// steady state: the 3 200 trees of a 40×40 coarse mesh dealt to 8 ranks in
-// blocks, every tree with 4 leaves and 2 leaf facets on each root facet. It
-// allocates nothing, and the allocation guard holds it there.
+// BenchmarkWriteRecords is a holder of G writing the largest delta decision
+// onto its kept G: the 3 200 trees of a 40×40 coarse mesh dealt to 8 ranks in
+// blocks, every tree reported, with 4 leaves and 2 leaf facets on each root
+// facet. It allocates nothing, and the allocation guard holds it there.
 func BenchmarkWriteRecords(b *testing.B) {
 	const p = 8
 	m := meshgen.RectTri(40, 40, -1, -1, 1, 1)
@@ -480,7 +543,7 @@ func BenchmarkWriteRecords(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := writeRecords(g, owner, 1, records); err != nil {
+		if err := writeRecords(g, owner, 1, records, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -496,5 +559,65 @@ func BenchmarkTopoDual(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		topo := newCoarseTopo(m)
 		topo.dual()
+	}
+}
+
+// TestRecordsSentAreTheChangedTrees pins the record counters: an engine's
+// first decision sends a record of every tree a rank holds, and every later
+// one only of the trees bisected or un-bisected since the last, here the
+// trees whose leaf count a refine-only or coarsen-only Adapt changed. Every
+// holder of G writes the records all ranks sent: rank 0 under the coordinator
+// pipeline, every rank under replicated.
+func TestRecordsSentAreTheChangedTrees(t *testing.T) {
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	for _, name := range []string{"pnr", "distrefine"} {
+		cfg, err := ConfigByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var partial bool
+		err = par.Run(4, func(c *par.Comm) {
+			e := BootstrapWith(c, m, cfg)
+			holds := name == "distrefine" || c.Rank() == 0
+			for epoch := range 6 {
+				before := make([]int, e.Coarse.NumElems())
+				for _, r := range e.F.Roots() {
+					before[r] = e.F.LeafCount(r)
+				}
+				peak := peakEst(geom.Vec3{X: float64(epoch%3) - 1, Y: 1 - float64(epoch%2)})
+				if epoch%2 == 0 {
+					e.Adapt(peak, 1.6, 0, 7)
+				} else {
+					e.Adapt(peak, math.Inf(1), 0.8, 7)
+				}
+				want := int64(e.F.NumRoots())
+				if epoch > 0 {
+					want = 0
+					for _, r := range e.F.Roots() {
+						if e.F.LeafCount(r) != before[r] {
+							want++
+						}
+					}
+				}
+				sent, written := e.RecordsSent, e.RecordsWritten
+				e.Rebalance(true)
+				if got := e.RecordsSent - sent; got != want {
+					panic(fmt.Sprintf("%s, rank %d, epoch %d: sent %d records, %d trees changed", name, c.Rank(), epoch, got, want))
+				}
+				all := c.AllReduceSumInt64(want)
+				if got := e.RecordsWritten - written; holds && got != all || !holds && got != 0 {
+					panic(fmt.Sprintf("%s, rank %d, epoch %d: wrote %d records, the ranks sent %d", name, c.Rank(), epoch, got, all))
+				}
+				if c.Rank() == 0 && epoch > 0 && all > 0 && all < int64(e.Coarse.NumElems()) {
+					partial = true
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !partial {
+			t.Errorf("%s: no decision sent fewer records than there are trees; the chain proved nothing", name)
+		}
 	}
 }
