@@ -108,7 +108,10 @@ bench-ab:
 # engine's shared set, P1 weights and dof plan on the second, every Adapt
 # with coarsening that is not a repeat pays the third, and the fourth is the
 # second and third Adapt pass of an epoch that changes nothing, which sweeps
-# no leaf and skips its Coarsen.
+# no leaf and skips its Coarsen. So are both sides of a tree migration: a tree
+# appended to a lane with room for it (forest.AppendTree) and a lane decoded
+# into one reused payload and spliced in (forest.DecodeEach, InsertTree),
+# which every migrated tree pays once on each side.
 ALLOC_PKGS = ./internal/kern ./internal/la ./internal/graph ./internal/core ./internal/partition/sfc ./internal/par ./internal/forest ./internal/refine
 # The distributed solve at the cycle benchmark's oversubscription: 4 ranks on
 # GOMAXPROCS=2, where kern.Workers() is 1 inside every rank; and a holder of

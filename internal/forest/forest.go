@@ -132,9 +132,13 @@ type Forest struct {
 	// the payload being built, or -1. It is all -1 between calls and as long
 	// as the vertex table was at the last extraction.
 	vnum []int32
-	// seen is InsertTree's scratch: the vertex IDs of the payload being
-	// checked, each to its payload index.
-	seen index.Map
+	// out is the payload AppendTree extracts into, tree after tree.
+	out TreePayload
+	// seen and pverts are InsertTree's scratch: the vertex IDs of the payload
+	// being checked, each to its payload index; and pverts[v+1], the local
+	// slot of payload vertex v, after pverts[0] = -1 for the word -1.
+	seen   index.Map
+	pverts []int32
 	// marked and markedRoots are SortLeaves' scratch: per node slot, whether
 	// it lies on a marked path (all false between calls), and the roots
 	// reached.
@@ -731,22 +735,8 @@ func (f *Forest) LongestEdge(id NodeID) (a, b int32) {
 	return bestA, bestB
 }
 
-// TreeSize returns the number of nodes (alive) in tree root.
+// TreeSize returns the number of nodes of tree root (0 if not held, for any
+// id): a bisection tree of L leaves has 2L−1.
 func (f *Forest) TreeSize(root int32) int {
-	id := f.Root(root)
-	if id == NoNode {
-		return 0
-	}
-	count := 0
-	var walk func(NodeID)
-	walk = func(n NodeID) {
-		count++
-		node := f.Node(n)
-		if !node.IsLeaf() {
-			walk(node.Kids[0])
-			walk(node.Kids[1])
-		}
-	}
-	walk(id)
-	return count
+	return max(2*f.LeafCount(root)-1, 0)
 }

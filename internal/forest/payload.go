@@ -83,54 +83,46 @@ func (p *TreePayload) NumLeaves() int {
 	return n
 }
 
-// ExtractTree serializes tree root into a payload, with the field values of
-// its vertices if the forest has a field. The forest is unchanged; pair with
-// RemoveTree to complete a migration send. Vertices are numbered in order of
-// first use through the forest's dense per-slot scratch, which the payload's
-// own vertex list resets afterwards.
+// ExtractTree serializes tree root into a fresh payload, with the field
+// values of its vertices if the forest has a field. The forest is unchanged;
+// pair with RemoveTree to complete a migration send.
 func (f *Forest) ExtractTree(root int32) *TreePayload {
+	p := new(TreePayload)
+	f.extract(p, root)
+	return p
+}
+
+// AppendTree appends the wire encoding of tree root, the bytes EncodePayloads
+// writes for ExtractTree(root), to buf. The tree is extracted into a payload
+// the forest keeps, so once that payload has grown and buf has room
+// (TreeWireBound) a tree costs no allocation.
+func (f *Forest) AppendTree(buf []byte, root int32) []byte {
+	f.extract(&f.out, root)
+	return f.out.appendWire(buf)
+}
+
+// extract fills p with tree root, reusing the room of p's slices; Nodes gets
+// room for exactly the tree's nodes (TreeSize). Vertices are numbered in order
+// of first use through the forest's dense per-slot scratch, which the
+// payload's own vertex list resets afterwards.
+func (f *Forest) extract(p *TreePayload, root int32) {
 	rid := f.Root(root)
 	if rid == NoNode {
 		panic(fmt.Sprintf("forest: ExtractTree(%d): tree not held", root))
 	}
-	p := &TreePayload{Root: root, Level0: f.Node(rid).Level}
+	if nodes := f.TreeSize(root); cap(p.Nodes) < nodes {
+		p.Nodes = make([]PayloadNode, 0, nodes)
+	}
+	p.Root, p.Level0 = root, f.Node(rid).Level
+	p.VIDs, p.Coords, p.Nodes = p.VIDs[:0], p.Coords[:0], p.Nodes[:0]
 	for len(f.vnum) < len(f.Coords) {
 		f.vnum = append(f.vnum, -1)
 	}
-	mapv := func(v int32) int32 {
-		if v < 0 {
-			return -1
-		}
-		if pv := f.vnum[v]; pv >= 0 {
-			return pv
-		}
-		pv := int32(len(p.VIDs))
-		f.vnum[v] = pv
-		p.VIDs = append(p.VIDs, f.VIDs[v])
-		p.Coords = append(p.Coords, f.Coords[v])
-		return pv
-	}
-	var walk func(id NodeID) int32
-	walk = func(id NodeID) int32 {
-		n := f.Node(id)
-		slot := int32(len(p.Nodes))
-		p.Nodes = append(p.Nodes, PayloadNode{Kids: [2]int32{-1, -1}, MidV: -1})
-		pn := PayloadNode{Kids: [2]int32{-1, -1}, MidV: -1}
-		for i := 0; i < 4; i++ {
-			pn.Verts[i] = mapv(n.Verts[i])
-		}
-		if !n.IsLeaf() {
-			pn.RefEdge = [2]int32{mapv(n.RefEdge[0]), mapv(n.RefEdge[1])}
-			pn.MidV = mapv(n.MidV)
-			pn.Kids[0] = walk(n.Kids[0])
-			pn.Kids[1] = walk(n.Kids[1])
-		}
-		p.Nodes[slot] = pn
-		return slot
-	}
-	walk(rid)
-	if f.Field != nil {
-		p.Field = make([]float64, len(p.VIDs))
+	f.extractNode(p, rid)
+	if f.Field == nil {
+		p.Field = nil
+	} else {
+		p.Field = resize(p.Field, len(p.VIDs))
 	}
 	for i, id := range p.VIDs {
 		v := f.LookupVertex(id)
@@ -139,7 +131,40 @@ func (f *Forest) ExtractTree(root int32) *TreePayload {
 			p.Field[i] = f.Field[v]
 		}
 	}
-	return p
+}
+
+// extractNode appends the subtree of id to p in preorder, returning id's index.
+func (f *Forest) extractNode(p *TreePayload, id NodeID) int32 {
+	n := f.Node(id)
+	slot := int32(len(p.Nodes))
+	p.Nodes = append(p.Nodes, PayloadNode{})
+	pn := PayloadNode{Kids: [2]int32{-1, -1}, MidV: -1}
+	for i := 0; i < 4; i++ {
+		pn.Verts[i] = f.payloadVertex(p, n.Verts[i])
+	}
+	if !n.IsLeaf() {
+		pn.RefEdge = [2]int32{f.payloadVertex(p, n.RefEdge[0]), f.payloadVertex(p, n.RefEdge[1])}
+		pn.MidV = f.payloadVertex(p, n.MidV)
+		pn.Kids[0] = f.extractNode(p, n.Kids[0])
+		pn.Kids[1] = f.extractNode(p, n.Kids[1])
+	}
+	p.Nodes[slot] = pn
+	return slot
+}
+
+// payloadVertex numbers local vertex v in p, listing it on first use.
+func (f *Forest) payloadVertex(p *TreePayload, v int32) int32 {
+	if v < 0 {
+		return -1
+	}
+	if pv := f.vnum[v]; pv >= 0 {
+		return pv
+	}
+	pv := int32(len(p.VIDs))
+	f.vnum[v] = pv
+	p.VIDs = append(p.VIDs, f.VIDs[v])
+	p.Coords = append(p.Coords, f.Coords[v])
+	return pv
 }
 
 // RemoveTree deletes tree root from the forest, freeing its node slots and
@@ -186,49 +211,38 @@ func (f *Forest) InsertTree(p *TreePayload) error {
 	if p.Field != nil && f.Field == nil {
 		f.Field = make([]float64, len(f.Coords))
 	}
-	verts := make([]int32, len(p.VIDs))
+	f.pverts = append(f.pverts[:0], -1)
 	for i := range p.VIDs {
 		li, fresh := f.intern(p.VIDs[i], p.Coords[i])
 		if fresh && p.Field != nil {
 			f.Field[li] = p.Field[i]
 		}
-		verts[i] = li
+		f.pverts = append(f.pverts, li)
 	}
-	mapv := func(v int32) int32 {
-		if v < 0 {
-			return -1
-		}
-		return verts[v]
-	}
-	leaves := 0
-	var build func(slot int32, parent NodeID, level int32) NodeID
-	build = func(slot int32, parent NodeID, level int32) NodeID {
-		pn := p.Nodes[slot]
-		n := Node{
-			Parent: parent,
-			Kids:   [2]NodeID{NoNode, NoNode},
-			Root:   p.Root,
-			Level:  level,
-			MidV:   -1,
-		}
-		for i := 0; i < 4; i++ {
-			n.Verts[i] = mapv(pn.Verts[i])
-		}
-		id := f.alloc(n)
-		if pn.Kids[0] >= 0 {
-			k0 := build(pn.Kids[0], id, level+1)
-			k1 := build(pn.Kids[1], id, level+1)
-			nd := f.Node(id)
-			nd.Kids = [2]NodeID{k0, k1}
-			nd.RefEdge = [2]int32{mapv(pn.RefEdge[0]), mapv(pn.RefEdge[1])}
-			nd.MidV = mapv(pn.MidV)
-		} else {
-			leaves++
-		}
-		return id
-	}
-	f.hold(p.Root, build(0, NoNode, p.Level0), leaves)
+	id, leaves := f.insertNode(p, 0, NoNode, p.Level0)
+	f.hold(p.Root, id, leaves)
 	return nil
+}
+
+// insertNode allocates payload node slot and its subtree under parent,
+// returning the new node's ID and the subtree's leaf count.
+func (f *Forest) insertNode(p *TreePayload, slot int32, parent NodeID, level int32) (NodeID, int) {
+	pn := &p.Nodes[slot]
+	n := Node{Parent: parent, Kids: [2]NodeID{NoNode, NoNode}, Root: p.Root, Level: level, MidV: -1}
+	for i := 0; i < 4; i++ {
+		n.Verts[i] = f.pverts[pn.Verts[i]+1]
+	}
+	id := f.alloc(n)
+	if pn.Kids[0] < 0 {
+		return id, 1
+	}
+	k0, l0 := f.insertNode(p, pn.Kids[0], id, level+1)
+	k1, l1 := f.insertNode(p, pn.Kids[1], id, level+1)
+	nd := f.Node(id)
+	nd.Kids = [2]NodeID{k0, k1}
+	nd.RefEdge = [2]int32{f.pverts[pn.RefEdge[0]+1], f.pverts[pn.RefEdge[1]+1]}
+	nd.MidV = f.pverts[pn.MidV+1]
+	return id, l0 + l1
 }
 
 // checkVertexIDs returns an error if interning p's vertices would make two

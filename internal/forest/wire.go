@@ -8,11 +8,12 @@ import (
 	"pared/internal/geom"
 )
 
-// Wire codec for tree migration. The engine's migrate phase moves batches of
-// TreePayload between ranks; encoding them into one flat little-endian buffer
-// per destination lets the transport use par.Comm.AlltoallBytes — a single
-// unboxed allocation per destination instead of a pointer forest — and
-// matches what a real MPI backend would put on the wire.
+// Wire codec for tree migration. The engine's migrate phase moves trees as one
+// flat little-endian buffer per destination (par.Comm.AlltoallBytes), what a
+// real MPI backend would put on the wire, and that lane is all a migrated tree
+// allocates: the sender sizes it once (TreeWireBound) and appends each tree
+// (AppendTree), and the receiver decodes tree after tree into one reused
+// payload (DecodeEach). EncodePayloads and DecodePayloads run on the same code.
 //
 // Layout per payload (all little-endian):
 //
@@ -79,15 +80,34 @@ func (p *TreePayload) appendWire(buf []byte) []byte {
 	return buf
 }
 
-// decodeWire decodes one payload from buf, returning it and the tail.
-func decodeWire(buf []byte) (*TreePayload, []byte, error) {
+// TreeWireBound bounds the wire size of tree root, as AppendTree encodes it,
+// from its leaf count L alone: its 2L−1 nodes name the root simplex's
+// vertices and at most one midpoint per bisection, L−1 in all.
+func (f *Forest) TreeWireBound(root int32) int {
+	l, size, vertBytes := f.LeafCount(root), 16, 32
+	if f.Field != nil {
+		size, vertBytes = 20, 40
+	}
+	return size + (int(f.Dim)+l)*vertBytes + f.TreeSize(root)*payloadNodeWords*4
+}
+
+// resize returns s with length n, reusing its room if it has enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decodeWire decodes one payload from buf into p, reusing the room of p's
+// slices (Field is nil for a bare payload), and returns the tail. On an error
+// p holds a partial payload.
+func (p *TreePayload) decodeWire(buf []byte) ([]byte, error) {
 	if len(buf) < 16 {
-		return nil, nil, fmt.Errorf("forest: truncated payload header (%d bytes)", len(buf))
+		return nil, fmt.Errorf("forest: truncated payload header (%d bytes)", len(buf))
 	}
-	p := &TreePayload{
-		Root:   int32(binary.LittleEndian.Uint32(buf[0:])),
-		Level0: int32(binary.LittleEndian.Uint32(buf[4:])),
-	}
+	p.Root = int32(binary.LittleEndian.Uint32(buf[0:]))
+	p.Level0 = int32(binary.LittleEndian.Uint32(buf[4:]))
 	nvw := binary.LittleEndian.Uint32(buf[8:])
 	nv, hasField := int(nvw&^fieldFlag), nvw&fieldFlag != 0
 	nn := int(binary.LittleEndian.Uint32(buf[12:]))
@@ -97,17 +117,17 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		need += 4 + nv*8
 	}
 	if len(buf) < need {
-		return nil, nil, fmt.Errorf("forest: truncated payload body (%d < %d bytes)", len(buf), need)
+		return nil, fmt.Errorf("forest: truncated payload body (%d < %d bytes)", len(buf), need)
 	}
 	if nn == 0 {
-		return nil, nil, fmt.Errorf("forest: payload of tree %d has no nodes", p.Root)
+		return nil, fmt.Errorf("forest: payload of tree %d has no nodes", p.Root)
 	}
-	p.VIDs = make([]VertexID, nv)
+	p.VIDs = resize(p.VIDs, nv)
 	for i := range p.VIDs {
 		p.VIDs[i] = VertexID(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
 	buf = buf[nv*8:]
-	p.Coords = make([]geom.Vec3, nv)
+	p.Coords = resize(p.Coords, nv)
 	for i := range p.Coords {
 		p.Coords[i] = geom.Vec3{
 			X: math.Float64frombits(binary.LittleEndian.Uint64(buf[i*24:])),
@@ -116,17 +136,19 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 		}
 	}
 	buf = buf[nv*24:]
-	if hasField {
+	if !hasField {
+		p.Field = nil
+	} else {
 		if nf := int(binary.LittleEndian.Uint32(buf)); nf != nv {
-			return nil, nil, fmt.Errorf("forest: payload of tree %d has %d field values for %d vertices", p.Root, nf, nv)
+			return nil, fmt.Errorf("forest: payload of tree %d has %d field values for %d vertices", p.Root, nf, nv)
 		}
-		p.Field = make([]float64, nv)
+		p.Field = resize(p.Field, nv)
 		for i := range p.Field {
 			p.Field[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4+i*8:]))
 		}
 		buf = buf[4+nv*8:]
 	}
-	p.Nodes = make([]PayloadNode, nn)
+	p.Nodes = resize(p.Nodes, nn)
 	sv := 0 // the simplex's vertex count, read off the root (TreePayload.Dim)
 	for i := range p.Nodes {
 		b := buf[i*payloadNodeWords*4:]
@@ -144,10 +166,10 @@ func decodeWire(buf []byte) (*TreePayload, []byte, error) {
 			sv = int(p.Dim()) + 1
 		}
 		if err := p.Nodes[i].check(p.Root, i, sv, nv, nn); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return p, buf[nn*payloadNodeWords*4:], nil
+	return buf[nn*payloadNodeWords*4:], nil
 }
 
 // EncodePayloads encodes a batch of payloads into one wire buffer. A nil or
@@ -168,34 +190,53 @@ func EncodePayloads(ps []*TreePayload) []byte {
 	return buf
 }
 
-// DecodePayloads decodes a batch produced by EncodePayloads (nil for nil).
-// Each payload's dimension is read off its root and holds for all its nodes;
-// a receiver checks it against its own forest's (TreePayload.Dim).
-func DecodePayloads(buf []byte) ([]*TreePayload, error) {
+// DecodeEach decodes a batch produced by EncodePayloads one payload at a time
+// into scratch, reusing its room, and calls fn with it, up to the first error,
+// the batch's or fn's. fn sees only payloads that pass all of decodeWire's
+// checks, but a fault later in the batch is found after it has seen the ones
+// before, and must not keep scratch's slices. A payload's dimension is read off
+// its root; a receiver checks it against its own forest's (TreePayload.Dim).
+func DecodeEach(buf []byte, scratch *TreePayload, fn func(*TreePayload) error) error {
 	if len(buf) == 0 {
-		return nil, nil
+		return nil
 	}
 	if len(buf) < 4 {
-		return nil, fmt.Errorf("forest: truncated payload batch (%d bytes)", len(buf))
+		return fmt.Errorf("forest: truncated payload batch (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	// A payload header is 16 bytes, so the count is checked against the input
-	// before it sizes an allocation.
+	// A payload header is 16 bytes, so a count the input cannot hold is
+	// rejected before any payload is decoded.
 	if n > len(buf)/16 {
-		return nil, fmt.Errorf("forest: payload batch claims %d payloads in %d bytes", n, len(buf))
+		return fmt.Errorf("forest: payload batch claims %d payloads in %d bytes", n, len(buf))
 	}
-	ps := make([]*TreePayload, 0, n)
 	for i := 0; i < n; i++ {
-		p, tail, err := decodeWire(buf)
+		tail, err := scratch.decodeWire(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ps = append(ps, p)
+		if err := fn(scratch); err != nil {
+			return err
+		}
 		buf = tail
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("forest: %d trailing bytes after payload batch", len(buf))
+		return fmt.Errorf("forest: %d trailing bytes after payload batch", len(buf))
+	}
+	return nil
+}
+
+// DecodePayloads decodes a batch produced by EncodePayloads (nil for nil) with
+// DecodeEach, handing each payload's slices over to a payload of its own and
+// leaving the scratch empty for the next.
+func DecodePayloads(buf []byte) (ps []*TreePayload, err error) {
+	err = DecodeEach(buf, new(TreePayload), func(p *TreePayload) error {
+		q := *p
+		ps, *p = append(ps, &q), TreePayload{}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ps, nil
 }

@@ -97,11 +97,36 @@ func TestDecodePayloadsRejectsMalformed(t *testing.T) {
 	}
 }
 
+// reusePayloads returns a longer tree with a field, as a one-tree batch, and
+// the two-tree batches that catch a reused payload's stale state: a tree with
+// a field followed by a bare one (a stale Field), and the longer tree followed
+// by a shorter one (stale lengths).
+func reusePayloads() (long []byte, fieldThenBare, longThenShort []byte) {
+	f := FromMesh(meshgen.RectTri(1, 1, 0, 0, 1, 1))
+	for round := 0; round < 3; round++ {
+		for _, id := range f.Leaves() {
+			bisectLeaf(f, id)
+		}
+	}
+	withLinearField(f)
+	lp := f.ExtractTree(0)
+	short := f.ExtractTree(1)
+	short.Nodes = short.Nodes[:1] // the root alone: a one-node tree
+	short.Nodes[0].Kids, short.Nodes[0].RefEdge, short.Nodes[0].MidV = [2]int32{-1, -1}, [2]int32{}, -1
+	bare := *short
+	bare.Field = nil
+	return EncodePayloads([]*TreePayload{lp}), EncodePayloads([]*TreePayload{short, &bare}),
+		EncodePayloads([]*TreePayload{lp, &bare})
+}
+
 // FuzzDecodePayloads: arbitrary bytes decode to an error or to payloads that
 // encode back to the same bytes — never to a panic — with allocation bounded
-// by the input's length. Seeded with the 24 buffers of
-// TestDecodePayloadsRejectsMalformed and the two valid ones they were cut
-// from, a bare tree and the same tree with a field.
+// by the input's length. DecodeEach, decoding into one scratch payload that a
+// longer tree with a field filled first, must hand out payloads that encode
+// as DecodePayloads' do, one for one, and fail with the same error. Seeded
+// with the 24 buffers of TestDecodePayloadsRejectsMalformed, the two valid
+// ones they were cut from (a bare tree and the same tree with a field), and
+// reusePayloads' batches.
 func FuzzDecodePayloads(f *testing.F) {
 	valid, withField, cases := malformedPayloads()
 	f.Add(valid)
@@ -109,13 +134,35 @@ func FuzzDecodePayloads(f *testing.F) {
 	for _, tc := range cases {
 		f.Add(tc.buf)
 	}
+	long, fieldThenBare, longThenShort := reusePayloads()
+	f.Add(long)
+	f.Add(fieldThenBare)
+	f.Add(longThenShort)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		ps, err := decodeBounded(t, "fuzz input", buf)
+		filled, ferr := DecodePayloads(long)
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		i := 0
+		eachErr := DecodeEach(buf, filled[0], func(p *TreePayload) error {
+			if err == nil && !bytes.Equal(EncodePayloads([]*TreePayload{p}), EncodePayloads(ps[i:i+1])) {
+				t.Fatalf("DecodeEach's payload %d encodes unlike DecodePayloads'", i)
+			}
+			i++
+			return nil
+		})
+		if (err == nil) != (eachErr == nil) || (err != nil && err.Error() != eachErr.Error()) {
+			t.Fatalf("DecodePayloads fails with %v, DecodeEach with %v", err, eachErr)
+		}
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "forest: ") {
 				t.Fatalf("error without the package prefix: %v", err)
 			}
 			return
+		}
+		if i != len(ps) {
+			t.Fatalf("DecodeEach handed out %d payloads, DecodePayloads %d", i, len(ps))
 		}
 		if len(ps) == 0 {
 			return // nil, or a count of zero: EncodePayloads has no such form

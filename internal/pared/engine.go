@@ -18,6 +18,7 @@
 package pared
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -274,6 +275,9 @@ type Engine struct {
 	pending []refine.EdgeSplit
 	// received is Adapt's scratch for one peer's decoded split report.
 	received []refine.EdgeSplit
+	// arrival is the payload every tree migrate or GatherForest receives is
+	// decoded into (forest.DecodeEach).
+	arrival forest.TreePayload
 
 	// gCache is this rank's copy of the coarse dual graph G, on the ranks the
 	// strategy keeps one: rank 0 under the coordinator pipeline, every rank
@@ -922,51 +926,35 @@ func unpackOwnerDelta(old []int32, payload []int32, p int) (newOwner []int32, cu
 // the arriving leaves, then settles the refiner (Refiner.Settle): a rank pays
 // for the trees that moved, not for the mesh it kept. A departing tree's
 // vertex slots are freed with it, unless a tree that stays uses them, and an
-// arriving tree may take them at once; no vertex is renumbered. Payloads travel
-// as one flat wire buffer per destination (forest.EncodePayloads), so a
-// migration lane costs one unboxed buffer instead of a pointer forest, and
-// empty lanes send nothing. A tree that may not arrive (checkArrival) or
-// whose vertex IDs the forest rejects (forest.InsertTree) panics, naming its
-// sender, before any of it is spliced.
+// arriving tree may take them at once; no vertex is renumbered. Trees travel
+// as one flat wire buffer per destination (packTrees), decoded tree after
+// tree into one reused payload (forest.DecodeEach), so a migrated tree costs
+// no allocation of its own and empty lanes send nothing. A tree that may not
+// arrive (checkArrival) or whose vertex IDs the forest rejects
+// (forest.InsertTree) panics, naming its sender, before any of it is spliced.
 func (e *Engine) migrate(newOwner []int32) (trees, elems int64) {
 	me := int32(e.Comm.Rank())
-	outgoing := make([][]*forest.TreePayload, e.Comm.Size())
-	for _, r := range e.F.Roots() {
-		if newOwner[r] != me {
-			p := e.F.ExtractTree(r)
-			outgoing[newOwner[r]] = append(outgoing[newOwner[r]], p)
-			e.R.RemoveTree(r)
-			e.F.RemoveTree(r)
-			trees++
-			elems += int64(p.NumLeaves())
-		}
-	}
-	send := make([][]byte, e.Comm.Size())
-	for i := range send {
-		if i != e.Comm.Rank() {
-			send[i] = forest.EncodePayloads(outgoing[i])
-		}
-	}
-	recv := e.Comm.AlltoallBytes(send)
+	send := e.packTrees(func(r int32) int32 { return newOwner[r] }, me, func(r int32) {
+		trees++
+		elems += int64(e.F.LeafCount(r))
+		e.R.RemoveTree(r)
+		e.F.RemoveTree(r)
+	})
 	received := 0
-	for from, buf := range recv {
-		if from == e.Comm.Rank() {
-			continue
-		}
-		ps, err := forest.DecodePayloads(buf)
-		if err != nil {
-			panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
-		}
-		for _, p := range ps {
+	for from, buf := range e.Comm.AlltoallBytes(send) { // this rank's own lane is nil
+		err := forest.DecodeEach(buf, &e.arrival, func(p *forest.TreePayload) error {
 			err := checkArrival(e.F, e.Owner, newOwner, int(me), from, p)
 			if err == nil {
 				err = e.F.InsertTree(p)
 			}
-			if err != nil {
-				panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
+			if err == nil {
+				e.R.InsertTree(p.Root)
+				received++
 			}
-			e.R.InsertTree(p.Root)
-			received++
+			return err
+		})
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d migration payload from %d: %v", e.Comm.Rank(), from, err))
 		}
 	}
 	if trees == 0 && received == 0 {
@@ -1028,34 +1016,55 @@ func checkArrival(f *forest.Forest, owner, newOwner []int32, me, from int, p *fo
 	return nil
 }
 
+// packTrees encodes each held tree r with dest(r) != keep onto lane dest(r),
+// in ascending root order, and calls sent(r) after it. Each lane is one
+// EncodePayloads batch, allocated once at the sum of its trees'
+// forest.TreeWireBound, its count word patched after every tree; a lane with
+// no tree is nil.
+func (e *Engine) packTrees(dest func(r int32) int32, keep int32, sent func(r int32)) [][]byte {
+	roots := e.F.Roots()
+	size := make([]int, e.Comm.Size())
+	for _, r := range roots {
+		if to := dest(r); to != keep {
+			size[to] += e.F.TreeWireBound(r)
+		}
+	}
+	lanes := make([][]byte, len(size))
+	for to, n := range size {
+		if n > 0 {
+			lanes[to] = make([]byte, 4, 4+n)
+		}
+	}
+	for _, r := range roots {
+		if to := dest(r); to != keep {
+			lanes[to] = e.F.AppendTree(lanes[to], r)
+			binary.LittleEndian.PutUint32(lanes[to], binary.LittleEndian.Uint32(lanes[to])+1)
+			sent(r)
+		}
+	}
+	return lanes
+}
+
 // GatherForest reconstructs the full forest on the given root rank (nil on
 // other ranks) — a verification utility for tests and the harness. The trees
 // travel in the migration wire format, on the root's lane of one all-to-all.
 func (e *Engine) GatherForest(root int) *forest.Forest {
-	var payloads []*forest.TreePayload
-	for _, r := range e.F.Roots() {
-		payloads = append(payloads, e.F.ExtractTree(r))
-	}
-	send := make([][]byte, e.Comm.Size())
-	send[root] = forest.EncodePayloads(payloads)
+	send := e.packTrees(func(int32) int32 { return int32(root) }, -1, func(int32) {})
 	recv := e.Comm.AlltoallBytes(send)
 	if e.Comm.Rank() != root {
 		return nil
 	}
 	g := forest.New(e.F.Dim)
 	for from, buf := range recv {
-		ps, err := forest.DecodePayloads(buf)
-		if err != nil {
-			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
-		}
-		for _, p := range ps {
+		err := forest.DecodeEach(buf, &e.arrival, func(p *forest.TreePayload) error {
 			err := checkSender(e.Owner, e.F.Dim, from, p)
 			if err == nil {
 				err = g.InsertTree(p)
 			}
-			if err != nil {
-				panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
-			}
+			return err
+		})
+		if err != nil {
+			panic(fmt.Sprintf("pared: rank %d gathering the forest, payload from %d: %v", root, from, err))
 		}
 	}
 	return g

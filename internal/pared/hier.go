@@ -94,6 +94,7 @@ func balancedNodes(p int) int {
 // hierState caches the sub-communicators and per-epoch scratch of ModeHier;
 // built lazily on the first hierarchical rebalance (see ensureHier).
 type hierState struct {
+	topo         Topology // the resolved topology it was built for
 	nodes, cores int
 	penalty      float64
 	myNode       int32
@@ -131,14 +132,16 @@ type hierState struct {
 	epoch    int
 }
 
-// ensureHier builds the sub-communicators and phase A scratch on first use.
-// Reaching here is collective (Rebalance is), so the Splits stay symmetric.
+// ensureHier builds the sub-communicators and phase A scratch on first use and
+// after SetConfig changes the topology. Reaching here is collective (Rebalance
+// is, and SetConfig is SPMD), so the Splits stay symmetric.
 func (e *Engine) ensureHier() *hierState {
-	if e.hier != nil {
+	t := e.cfg.Topology
+	if e.hier != nil && e.hier.topo == t {
 		return e.hier
 	}
-	t := e.cfg.Topology
 	h := &hierState{
+		topo:    t,
 		nodes:   t.Nodes,
 		cores:   t.CoresPerNode,
 		penalty: t.InterNodePenalty,

@@ -194,6 +194,37 @@ func TestHierBadTopologyPanics(t *testing.T) {
 	}
 }
 
+// TestHierSetConfigRebuildsTopology: SetConfig from one hierarchical topology
+// to another rebuilds the node split. After a 2x2 decision on 4 ranks, a 4x1
+// decision runs four single-core nodes, so every cut edge crosses nodes and
+// IntraCut is 0; a kept 2x2 split reported the old grouping's intra-node cut.
+func TestHierSetConfigRebuildsTopology(t *testing.T) {
+	m := meshgen.RectTri(8, 8, -1, -1, 1, 1)
+	four := Topology{Nodes: 4, CoresPerNode: 1}
+	err := par.Run(4, func(c *par.Comm) {
+		e := BootstrapWith(c, m, Config{Mode: ModeHier, Topology: Topology{Nodes: 2, CoresPerNode: 2}})
+		if st := e.Rebalance(true); st.IntraCut == 0 {
+			panic("the 2x2 decision cut no intra-node edge: the test shows nothing")
+		}
+		if err := e.SetConfig(Config{Mode: ModeHier, Topology: four}); err != nil {
+			panic(err)
+		}
+		st := e.Rebalance(true)
+		if st.IntraCut != 0 || st.InterCut != st.CutAfter {
+			panic(fmt.Sprintf("4x1 decision: inter %d, intra %d of cut %d", st.InterCut, st.IntraCut, st.CutAfter))
+		}
+		if h := e.hier; h.nodes != 4 || h.cores != 1 || h.node.Size() != 1 {
+			panic(fmt.Sprintf("4x1 decision ran on a %dx%d state", h.nodes, h.cores))
+		}
+		if err := e.CheckConsistency(); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHierModeSwitchEpochSequence drives distrefine → hier → distrefine
 // through one engine: the owner map must stay valid across both switches, a
 // zero-traffic epoch inside each mode must take migrate()'s send-0/recv-0
